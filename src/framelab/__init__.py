@@ -3,7 +3,7 @@
 Subpackages:
   space         points, balls, point sets, measures on R^d
   kernels       Paley-Wiener / Fock / Gabor-Gaussian reproducing kernels
-  quadrature    deterministic ball and complement integration
+  quadrature    deterministic ball, shell and complement integration on one grid
   finframe      exact finite-dimensional frame oracle (Jacobi eigensolver)
   density       generalized Beurling density estimation
   localization  tail and localization-defect diagnostics

@@ -7,7 +7,6 @@ Exit codes: 0 when every verdict passes or is explicitly vacuous/no-claim,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,6 @@ from . import verify
 from .density import density, lattice_schedule, default_schedule
 from .kernels import kernel_from_config
 from .localization import FramePairSpec, localization_defect
-from .quadrature import QuadConfig
 from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, load_point_set_csv
 
 
@@ -89,28 +87,13 @@ def _cmd_localize(args) -> int:
         f_offset=np.asarray(pair_cfg["f_offset"], dtype=float) if "f_offset" in pair_cfg else None,
         g_offset=np.asarray(pair_cfg["g_offset"], dtype=float) if "g_offset" in pair_cfg else None,
     )
-    quad_cfg = pair_cfg.get("quad", {})
-    cfg = QuadConfig(h=quad_cfg.get("h", 0.05), truncation_radius=quad_cfg.get("r_truncate"))
-    radii = [float(r) for r in args.radii.split(",")]
+    verify.validate_config(pair_cfg, {"properties": {"quad": verify.CONFIG_SCHEMA["properties"]["quad"]}})
+    cfg = verify._quad_from_config(pair_cfg, default_h=0.05, default_refine=8)
     center = np.zeros(kernel.dim)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["center", "r", "defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound"])
-        for r in radii:
-            row = localization_defect(pair, Ball(center, r), cfg)
-            writer.writerow(
-                [
-                    ";".join(repr(c) for c in row.center),
-                    repr(row.radius),
-                    repr(row.defect),
-                    repr(row.double_tail_fg),
-                    repr(row.double_tail_gf),
-                    repr(row.normalizer),
-                    repr(row.epsilon_effective),
-                    repr(row.truncation_bound),
-                ]
-            )
-            print(f"r={r}: defect={row.defect:.6g} eps_eff={row.epsilon_effective:.6g}")
+    rows = [localization_defect(pair, Ball(center, float(r)), cfg) for r in args.radii.split(",")]
+    for row in rows:
+        print(f"r={row.radius}: defect={row.defect:.6g} eps_eff={row.epsilon_effective:.6g}")
+    verify.write_localization_csv(verify._loc_rows_json(rows), args.out)
     print(f"localization table -> {args.out}")
     return 0
 

@@ -245,11 +245,6 @@ def normalized_inner(kernel, x, y) -> NormalizedKernelValue:
     return NormalizedKernelValue(value=val, modulus_sq=abs(val) ** 2)
 
 
-def normalized_mod2(kernel, x, y) -> np.ndarray:
-    """|<k_x_i, k_y_j>|^2 as an (len(x), len(y)) array (stable forms)."""
-    return np.abs(kernel.normalized_cross(x, y)) ** 2
-
-
 def diagonal_bounds(kernel, region: Ball, sample_grid_spacing: float) -> tuple[float, float]:
     """(min, max) of K(x, x) over a grid in the region; a diagnostic, not a proof."""
     if sample_grid_spacing <= 0:

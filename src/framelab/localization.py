@@ -4,9 +4,12 @@ All operations reduce to double integrals of |<f_x, g_y>|^2 over B x B^c
 split between two index measures.  Discrete sides become exact atom sums
 (with a kernel-decay cutoff deciding which atoms can matter at all);
 Lebesgue sides are quadrature over the shell where the integrand is not
-negligibly small.  Continuous x continuous pairs of Gaussian-law kernels go
-through an exact radial reduction of the inner ball integral (a Bessel-I0
-profile), so no four-dimensional grid is ever built.
+negligibly small.  Those shells come from quadrature.shell_nodes with one
+midpoint node per interior cell: every node enters a node x atom sum, so a
+2^d-node Gauss rule would cost 2^d times more.  Continuous x continuous
+pairs of Gaussian-law kernels go through an exact radial reduction of the
+inner ball integral (a Bessel-I0 profile), so no four-dimensional grid is
+ever built.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from .quadrature import IntegralResult, QuadConfig, integrate_complement
+from .quadrature import IntegralResult, QuadConfig, integrate_complement, shell_nodes
 from .space import Ball, as_point, ball_volume
 
 __all__ = [
@@ -128,77 +131,6 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig | N
     return best
 
 
-def _shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig):
-    """Midpoint cells on the closed shell r_in < |x-c| <= r_out, exact boundary weights.
-
-    Returns (points (n,d), weights (n,)).  Interior cells carry their full
-    volume at the cell center; cells straddling either sphere are subdivided
-    with exact partial measures (d <= 2) or indicator subcells (d in {3,4}).
-    """
-    if r_out <= max(r_in, 0.0):
-        return np.zeros((0, center.size)), np.zeros(0)
-    d = center.size
-    h = cfg.h
-    if d == 1:
-        lo_cells = []
-        for a, b in ((center[0] - r_out, center[0] - r_in), (center[0] + r_in, center[0] + r_out)):
-            if b <= a:
-                continue
-            n = int(math.ceil((b - a) / h))
-            starts = a + h * np.arange(n)
-            ends = np.minimum(starts + h, b)
-            mids = (starts + ends) / 2.0
-            lo_cells.append((mids, ends - starts))
-        if not lo_cells:
-            return np.zeros((0, 1)), np.zeros(0)
-        mids = np.concatenate([c[0] for c in lo_cells])
-        w = np.concatenate([c[1] for c in lo_cells])
-        return mids.reshape(-1, 1), w
-    n = int(math.ceil(r_out / h)) + 2
-    axes = [(np.arange(-n, n) + 0.5) * h for _ in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
-    dist = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
-    half_diag = h * math.sqrt(d) / 2.0
-    near = (dist > r_in - half_diag) & (dist <= r_out + half_diag)
-    offsets, dist = offsets[near], dist[near]
-    strad_in = (np.abs(dist - r_in) < half_diag) & (r_in > 0)
-    strad_out = np.abs(dist - r_out) < half_diag
-    interior = (dist > r_in) & (dist <= r_out) & ~strad_in & ~strad_out
-
-    pts = [offsets[interior] + center[None, :]]
-    wts = [np.full(int(np.count_nonzero(interior)), h**d)]
-
-    strad = strad_in | strad_out
-    if np.any(strad):
-        from .quadrature import _circle_rect_area
-
-        bk = cfg.boundary_refine
-        sub_axes = [((np.arange(bk) + 0.5) / bk - 0.5) * h for _ in range(d)]
-        sub_grids = np.meshgrid(*sub_axes, indexing="ij")
-        sub_off = np.stack([g.ravel() for g in sub_grids], axis=1)
-        hs = h / bk
-        sc = (offsets[strad][:, None, :] + sub_off[None, :, :]).reshape(-1, d)
-        if d == 2:
-            a_in_out = _circle_rect_area(
-                sc[:, 0] - hs / 2, sc[:, 0] + hs / 2, sc[:, 1] - hs / 2, sc[:, 1] + hs / 2, r_out
-            )
-            if r_in > 0:
-                a_in_in = _circle_rect_area(
-                    sc[:, 0] - hs / 2, sc[:, 0] + hs / 2, sc[:, 1] - hs / 2, sc[:, 1] + hs / 2, r_in
-                )
-            else:
-                a_in_in = np.zeros(len(sc))
-            w = a_in_out - a_in_in
-        else:
-            sub_dist = np.sqrt(np.einsum("ij,ij->i", sc, sc))
-            w = np.where((sub_dist > r_in) & (sub_dist <= r_out), hs**d, 0.0)
-        keep = w > 0
-        pts.append(sc[keep] + center[None, :])
-        wts.append(w[keep])
-    return np.concatenate(pts), np.concatenate(wts)
-
-
 def _sum_field_over_atoms(kernel_pair_mod2, nodes, atoms, atom_weights) -> np.ndarray:
     """sum_j w_j mod2(node_i, atom_j), chunked over nodes."""
     out = np.zeros(len(nodes))
@@ -248,8 +180,8 @@ def _continuous_pair_term(pair: FramePairSpec, outer_offset, inner_offset, ball:
     d = kernel.dim
     r_tr = cfg.effective_truncation(ball.radius)
     if d == 1:
-        nodes, w = _shell_nodes(ball.center, ball.radius, r_tr, cfg)
-        inner_nodes, inner_w = _shell_nodes(ball.center, 0.0, ball.radius, cfg)
+        nodes, w = shell_nodes(ball.center, ball.radius, r_tr, cfg, gauss=False)
+        inner_nodes, inner_w = shell_nodes(ball.center, 0.0, ball.radius, cfg, gauss=False)
         u_out = nodes if outer_offset is None else nodes + outer_offset[None, :]
         u_in = inner_nodes if inner_offset is None else inner_nodes + inner_offset[None, :]
         field = _sum_field_over_atoms(lambda X, Y: _mod2_cross(kernel, X, Y), u_out, u_in, inner_w)
@@ -266,7 +198,7 @@ def _continuous_pair_term(pair: FramePairSpec, outer_offset, inner_offset, ball:
     # the inner ball integral is radial around ball.center + shift, so the
     # outer pass only needs a 1-d profile lookup per node
     cutoff = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)
-    nodes, w = _shell_nodes(ball.center, ball.radius, min(r_tr, ball.radius + cutoff + abs(float(np.linalg.norm(shift)))), cfg)
+    nodes, w = shell_nodes(ball.center, ball.radius, min(r_tr, ball.radius + cutoff + abs(float(np.linalg.norm(shift)))), cfg, gauss=False)
     if len(nodes) == 0:
         return 0.0, 0
     rel = nodes - (ball.center + shift)[None, :]
@@ -318,7 +250,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
             return total
         # inner Lebesgue: quadrature over the part of B the outer atoms can see
         r_in_cut = 0.0 if not math.isfinite(cutoff) else max(0.0, r - cutoff)
-        nodes, wq = _shell_nodes(ball.center, r_in_cut, r, cfg)
+        nodes, wq = shell_nodes(ball.center, r_in_cut, r, cfg, gauss=False)
         if inner_m.weight is not None:
             wq = wq * np.asarray(inner_m.weight(nodes), dtype=float)
         u_nodes = nodes if inner_off is None else nodes + inner_off[None, :]
@@ -332,7 +264,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     if len(atoms_in) == 0:
         return 0.0
     r_out_cut = r_tr if not math.isfinite(cutoff) else min(r_tr, r + cutoff)
-    nodes, wq = _shell_nodes(ball.center, r, r_out_cut, cfg)
+    nodes, wq = shell_nodes(ball.center, r, r_out_cut, cfg, gauss=False)
     if outer_m.weight is not None:
         wq = wq * np.asarray(outer_m.weight(nodes), dtype=float)
     u_nodes = nodes if outer_off is None else nodes + outer_off[None, :]

@@ -1,19 +1,30 @@
-"""Deterministic quadrature over balls and ball complements in R^d (d <= 4).
+"""Deterministic quadrature over balls, shells and ball complements in R^d (d <= 4).
 
-Scheme: a tensor grid of cells of spacing h anchored at the ball center.
-Cells wholly inside the domain get a 2x2...x2 Gauss-Legendre tensor rule;
-cells straddling the sphere are subdivided and weighted by the exact
-cell/ball intersection measure (closed form for d <= 2, indicator
-subsampling for d in {3, 4}).  All contributions are accumulated with
-error-free summation (math.fsum), so results do not depend on evaluation
-order or thread count.
+One grid engine, ``shell_nodes``, yields nodes and weights on a shell
+r_in < |x - c| <= r_out (r_in = 0 is the closed ball).  Its cells have
+spacing h and are anchored at the center.  Interior cells get one of two
+rules, fixed by the caller:
+
+- a 2x2...x2 Gauss-Legendre tensor rule, used by ``integrate_ball`` and
+  ``integrate_complement``, whose Gaussian tail law needs 1e-4 relative
+  accuracy at h = 0.02;
+- one midpoint node, used by the localization cross terms, where every node
+  enters a node x atom sum and extra nodes cost the most.
+
+In d = 1 cells are clipped exactly to the shell.  In d >= 2 cells that
+straddle either sphere are subdivided and weighted by the exact cell/ball
+intersection measure (closed form for d = 2, indicator subsampling for
+d in {3, 4}).  All contributions are accumulated with error-free summation
+(math.fsum), so results do not depend on evaluation order or thread count.
 
 Discrete measures short-circuit to exact atom sums with closed-ball
 membership.
 
-``integrate_complement`` is evaluated as the difference of two ball
-integrals over the same grid, which makes the partition identity
-ball + complement = truncated-ball hold to rounding.
+``integrate_complement`` stays the difference of two ball integrals over the
+same grid rather than one shell pass.  A shell pass would give the cells
+straddling the inner sphere a different rule than the big ball gives them,
+so the partition identity ball + complement = truncated ball would no
+longer hold to rounding.  The inner ball is also a small share of the work.
 """
 from __future__ import annotations
 
@@ -24,9 +35,10 @@ import numpy as np
 
 from .space import Ball, ball_volume
 
-__all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_complement"]
+__all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_complement", "shell_nodes"]
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss nodes at +- this, in cell units
+_EVAL_CHUNK = 1 << 16  # integrand evaluations per call
 
 
 @dataclass(frozen=True)
@@ -83,33 +95,6 @@ def _check_finite(vals: np.ndarray, pts: np.ndarray):
         raise ValueError(f"non-finite integrand value at node {where.tolist()}")
 
 
-def _interval_clip_quad(f, weight, center: float, r: float, h: float):
-    """d = 1: cells clipped exactly to [center-r, center+r], 2-pt Gauss each."""
-    lo, hi = center - r, center + r
-    n = int(math.ceil(r / h)) + 1
-    k = np.arange(-n, n)
-    starts = np.maximum(center + k * h, lo)
-    ends = np.minimum(center + (k + 1) * h, hi)
-    widths = ends - starts
-    keep = widths > 0
-    starts, widths = starts[keep], widths[keep]
-    mids = starts + widths / 2.0
-    contributions = []
-    count = 0
-    for off in (-_GAUSS_OFFSET, _GAUSS_OFFSET):
-        pts = (mids + off * widths).reshape(-1, 1)
-        vals = np.asarray(f(pts))
-        _check_finite(vals, pts)
-        if weight is not None:
-            w = np.asarray(weight(pts), dtype=float)
-            if np.any(~np.isfinite(w)):
-                raise ValueError("weight not integrable on ball")
-            vals = vals * w
-        contributions.append(vals * (0.5 * widths))
-        count += len(pts)
-    return np.concatenate(contributions), count
-
-
 def _circle_rect_area(x1, x2, y1, y2, r: float) -> np.ndarray:
     """Exact area of the disk x^2 + y^2 <= r^2 inside [x1,x2] x [y1,y2]."""
 
@@ -130,74 +115,95 @@ def _circle_rect_area(x1, x2, y1, y2, r: float) -> np.ndarray:
     return signed(x2, y2) - signed(x1, y2) - signed(x2, y1) + signed(x1, y1)
 
 
-def _ball_quad(f, weight, center: np.ndarray, r: float, cfg: QuadConfig):
-    """Lebesgue integral of f over the closed ball, returning (terms, node_count)."""
+def _cell_offsets(axis: np.ndarray, d: int) -> np.ndarray:
+    """Tensor product of one axis with itself, as an (len(axis)**d, d) array."""
+    return np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+
+
+def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, gauss: bool):
+    """Nodes and weights on the shell r_in < |x - center| <= r_out; r_in = 0 is the closed ball.
+
+    Cells of side cfg.h are anchored at the center.  Interior cells carry a
+    2-point-per-axis Gauss rule when gauss is set, one midpoint node
+    otherwise.  In d = 1 cells are clipped exactly to the shell; in d >= 2
+    cells straddling either sphere are split into boundary_refine**d
+    subcells with exact partial measures (d = 2) or indicator weights
+    (d in {3, 4}); subcells whose measure comes out <= 0 are dropped.
+    Returns (points (n, d), weights (n,)).
+    """
     d = center.size
     h = cfg.h
-    if d == 1:
-        return _interval_clip_quad(f, weight, float(center[0]), r, h)
+    if r_out <= max(r_in, 0.0):
+        return np.zeros((0, d)), np.zeros(0)
     if d > 4:
         raise ValueError("quadrature supports dimensions d <= 4 only")
+    # interior node positions along each axis, in units of the cell width
+    rule = np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET] if gauss else [0.0])
+    if d == 1:
+        c = float(center[0])
+        n = int(math.ceil(r_out / h)) + 1
+        k = np.arange(-n, n)
+        starts, widths = [], []
+        for lo, hi in ((c - r_out, c - r_in), (c + r_in, c + r_out)):
+            a = np.maximum(c + k * h, lo)
+            w = np.minimum(c + (k + 1) * h, hi) - a
+            starts.append(a[w > 0])
+            widths.append(w[w > 0])
+        starts, widths = np.concatenate(starts), np.concatenate(widths)
+        mids = starts + widths / 2.0
+        pts = mids[None, :] + rule[:, None] * widths[None, :]
+        return pts.reshape(-1, 1), np.tile(widths / len(rule), len(rule))
 
-    n = int(math.ceil(r / h)) + 2
-    axes = [(np.arange(-n, n) + 0.5) * h for _ in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
+    n = int(math.ceil(r_out / h)) + 2
+    offsets = _cell_offsets((np.arange(-n, n) + 0.5) * h, d)
     dist = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
     half_diag = h * math.sqrt(d) / 2.0
-    inside = dist <= r - half_diag
-    straddle = np.abs(dist - r) < half_diag
+    strad = (np.abs(dist - r_out) < half_diag) | ((np.abs(dist - r_in) < half_diag) & (r_in > 0))
+    cells = offsets[(dist > r_in) & (dist <= r_out) & ~strad] + center[None, :]
 
-    contributions = []
-    count = 0
+    bk = cfg.boundary_refine
+    hs = h / bk
+    sub_off = _cell_offsets(((np.arange(bk) + 0.5) / bk - 0.5) * h, d)
+    sc = (offsets[strad][:, None, :] + sub_off[None, :, :]).reshape(-1, d)
+    del offsets, dist  # the full grid is the largest array; drop it before the nodes exist
+    if d == 2:
+        lo, hi = sc - hs / 2.0, sc + hs / 2.0
+        sub_w = _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_out)
+        if r_in > 0:
+            sub_w = sub_w - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
+    else:
+        sub_dist = np.sqrt(np.einsum("ij,ij->i", sc, sc))
+        sub_w = np.where((sub_dist > r_in) & (sub_dist <= r_out), hs**d, 0.0)
+    keep = sub_w > 0
 
-    def evaluate(pts):
-        vals = np.asarray(f(pts))
-        _check_finite(vals, pts)
+    # interior nodes are written straight into the output
+    shifts = _cell_offsets(rule * h, d)
+    n_int = len(shifts) * len(cells)
+    pts = np.empty((n_int + int(np.count_nonzero(keep)), d))
+    np.add(shifts[:, None, :], cells[None, :, :], out=pts[:n_int].reshape(len(shifts), len(cells), d))
+    pts[n_int:] = sc[keep] + center[None, :]
+    w = np.empty(len(pts))
+    w[:n_int] = h**d / len(shifts)
+    w[n_int:] = sub_w[keep]
+    return pts, w
+
+
+def _ball_quad(f, weight, center: np.ndarray, r: float, cfg: QuadConfig):
+    """Lebesgue integral terms of f over the closed ball, returning (terms, node_count)."""
+    pts, w = shell_nodes(center, 0.0, r, cfg, gauss=True)
+    chunks = []
+    # chunked so the integrand's temporaries stay small next to the node arrays
+    for i in range(0, len(pts), _EVAL_CHUNK):
+        p = pts[i : i + _EVAL_CHUNK]
+        vals = np.asarray(f(p))
+        _check_finite(vals, p)
         if weight is not None:
-            w = np.asarray(weight(pts), dtype=float)
-            if np.any(~np.isfinite(w)):
+            wf = np.asarray(weight(p), dtype=float)
+            if np.any(~np.isfinite(wf)):
                 raise ValueError("weight not integrable on ball")
-            vals = vals * w
-        return vals
-
-    cell_vol = h**d
-    interior = offsets[inside] + center[None, :]
-    if len(interior):
-        gauss_w = cell_vol / 2**d
-        for corner_idx in range(2**d):
-            shift = np.array([
-                _GAUSS_OFFSET if (corner_idx >> axis) & 1 else -_GAUSS_OFFSET for axis in range(d)
-            ])
-            pts = interior + (shift * h)[None, :]
-            vals = evaluate(pts)
-            contributions.append(vals * gauss_w)
-            count += len(pts)
-
-    strad_off = offsets[straddle]
-    if len(strad_off):
-        bk = cfg.boundary_refine
-        sub_axes = [((np.arange(bk) + 0.5) / bk - 0.5) * h for _ in range(d)]
-        sub_grids = np.meshgrid(*sub_axes, indexing="ij")
-        sub_off = np.stack([g.ravel() for g in sub_grids], axis=1)
-        hs = h / bk
-        sc = (strad_off[:, None, :] + sub_off[None, :, :]).reshape(-1, d)
-        if d == 2:
-            w_in = _circle_rect_area(
-                sc[:, 0] - hs / 2.0, sc[:, 0] + hs / 2.0, sc[:, 1] - hs / 2.0, sc[:, 1] + hs / 2.0, r
-            )
-        else:
-            # d in {3, 4}: indicator at subcell centers
-            sub_dist = np.sqrt(np.einsum("ij,ij->i", sc, sc))
-            w_in = np.where(sub_dist <= r, hs**d, 0.0)
-        pts = sc + center[None, :]
-        vals = evaluate(pts)
-        contributions.append(vals * w_in)
-        count += len(pts)
-
-    if not contributions:
-        return np.zeros(0), 0
-    return np.concatenate(contributions), count
+            vals = vals * wf
+        chunks.append(vals * w[i : i + _EVAL_CHUNK])
+    return (np.concatenate(chunks) if chunks else np.zeros(0)), len(pts)
 
 
 def _fsum_terms(terms: np.ndarray):

@@ -98,12 +98,6 @@ class PointSet:
     def points_in_ball(self, b: Ball) -> np.ndarray:
         return self.points[b.contains(self.points)]
 
-    def points_in_box(self, lo, hi) -> np.ndarray:
-        lo = as_point(lo)
-        hi = as_point(hi)
-        keep = np.all((self.points >= lo) & (self.points <= hi), axis=1)
-        return self.points[keep]
-
 
 class Lattice:
     """Scaled integer lattice alpha * Z^d with closed-form ball enumeration."""
@@ -225,10 +219,6 @@ class CountingMeasure:
         pts = self.support.points_in_ball(b)
         return pts, np.ones(len(pts))
 
-    def atoms_in_box(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        pts = self.support.points_in_box(lo, hi)
-        return pts, np.ones(len(pts))
-
 
 class AtomicMeasure:
     """Finite atomic measure: sum of positive point masses."""
@@ -259,12 +249,6 @@ class AtomicMeasure:
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         inside = b.contains(self.points)
         return self.points[inside], self.weights[inside]
-
-    def atoms_in_box(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        lo = as_point(lo)
-        hi = as_point(hi)
-        keep = np.all((self.points >= lo) & (self.points <= hi), axis=1)
-        return self.points[keep], self.weights[keep]
 
 
 def ball_mass(m, b: Ball, quad_cfg=None) -> float:

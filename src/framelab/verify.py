@@ -36,6 +36,7 @@ __all__ = [
     "theorem_main_table",
     "corollary_parseval_check",
     "run",
+    "write_localization_csv",
     "write_report",
 ]
 
@@ -50,10 +51,6 @@ CONFIG_SCHEMA = {
             "enum": ["finite-oracle", "paley-wiener", "fock", "gabor", "dual-embedding"],
         },
         "seed": {"type": "integer", "minimum": 0},
-        "kernel": {
-            "type": "object",
-            "properties": {"kernel": {"type": "string"}, "params": {"type": "object"}},
-        },
         "lattice": {
             "type": "object",
             "properties": {
@@ -73,6 +70,7 @@ CONFIG_SCHEMA = {
                 "h": {"type": "number", "exclusiveMinimum": 0},
                 "r_truncate": {"type": "number", "exclusiveMinimum": 0},
                 "truncation_margin": {"type": "number", "exclusiveMinimum": 0},
+                "boundary_refine": {"type": "integer", "minimum": 1},
             },
         },
         "trials": {"type": "integer", "minimum": 1},
@@ -89,14 +87,18 @@ class ConfigError(ValueError):
     """Scenario configuration rejected; message carries the JSON path."""
 
 
-def validate_config(cfg: dict) -> dict:
+def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
     import jsonschema
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
-        raise ConfigError(f"config invalid at {first.json_path}: {first.message}")
+        path = first.json_path
+        if first.validator == "additionalProperties":
+            # point at the first unexpected key, not at the object holding it
+            path += "." + sorted(set(first.instance) - set(first.schema["properties"]))[0]
+        raise ConfigError(f"config invalid at {path}: {first.message}")
     return cfg
 
 
@@ -569,6 +571,18 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def write_localization_csv(rows: list, path) -> None:
+    """CSV view of localization rows as produced by _loc_rows_json."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["center", "r", "defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound"])
+        for row in rows:
+            writer.writerow(
+                [";".join(repr(c) for c in row["center"])]
+                + [repr(row[k]) for k in ("radius", "defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound")]
+            )
+
+
 def write_report(report: dict, out_dir) -> Path:
     """Write report.json plus CSV views of the tables; returns the JSON path."""
     out = Path(out_dir)
@@ -576,22 +590,7 @@ def write_report(report: dict, out_dir) -> Path:
     json_path = out / f"{report['scenario']}-report.json"
     json_path.write_text(report_json(report))
     if "localization" in report:
-        with open(out / f"{report['scenario']}-localization.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["center", "r", "defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound"])
-            for row in report["localization"]:
-                writer.writerow(
-                    [
-                        ";".join(repr(c) for c in row["center"]),
-                        repr(row["radius"]),
-                        repr(row["defect"]),
-                        repr(row["t1"]),
-                        repr(row["t2"]),
-                        repr(row["normalizer"]),
-                        repr(row["eps_eff"]),
-                        repr(row["trunc_bound"]),
-                    ]
-                )
+        write_localization_csv(report["localization"], out / f"{report['scenario']}-localization.csv")
     if "gram_study" in report:
         with open(out / f"{report['scenario']}-gram.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -96,6 +96,31 @@ class TestCommands:
         assert lines[0] == "center,r,defect,t1,t2,normalizer,eps_eff,trunc_bound"
         assert len(lines) == 3
 
+    def test_localize_honours_truncation_margin(self, tmp_path):
+        def trunc_bound(quad):
+            pair = {
+                "kernel": {"kernel": "fock"},
+                "f": {"lebesgue": {"dim": 2}},
+                "g": {"lattice": {"scale": 1.0, "dim": 2}},
+                "quad": quad,
+            }
+            out = tmp_path / "loc.csv"
+            assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(out)]) == 0
+            return float(out.read_text().splitlines()[1].split(",")[-1])
+
+        assert trunc_bound({"h": 0.2, "truncation_margin": 1.0}) > trunc_bound({"h": 0.2})
+
+    def test_localize_bad_quad_exit_2(self, tmp_path, capsys):
+        pair = {
+            "kernel": {"kernel": "fock"},
+            "f": {"lebesgue": {"dim": 2}},
+            "g": {"lattice": {"scale": 1.0, "dim": 2}},
+            "quad": {"boundary_refine": "x"},
+        }
+        rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")])
+        assert rc == 2
+        assert "config invalid at $.quad.boundary_refine:" in capsys.readouterr().err
+
     def test_run_command_and_exit_codes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "finite-oracle", "seed": 5, "trials": 10}))
@@ -106,6 +131,19 @@ class TestCommands:
     def test_unknown_scenario_exit_2(self):
         rc = main(["run", "--config", '{"scenario": "bogus"}'])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({"scenario": "fock", "kernel": {"kernel": "paley-wiener"}}, "$.kernel"),
+            ({"scenario": "fock", "quad": {"boundary_refine": "x"}}, "$.quad.boundary_refine"),
+            ({"scenario": "fock", "quad": {"boundary_refine": 0}}, "$.quad.boundary_refine"),
+        ],
+    )
+    def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
+        rc = main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"config invalid at {path}:" in capsys.readouterr().err
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         p = tmp_path / "pts.csv"

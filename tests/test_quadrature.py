@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from framelab.quadrature import IntegralResult, QuadConfig, integrate_ball, integrate_complement
-from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure
+from framelab.quadrature import IntegralResult, QuadConfig, integrate_ball, integrate_complement, shell_nodes
+from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, ball_volume
 
 
 def gauss2(pts):
@@ -114,6 +114,32 @@ class TestIntegrateComplement:
         cfg = QuadConfig(error_model="power_tail", power_exponent=1.5)
         with pytest.raises(ValueError, match="exceed the dimension"):
             integrate_complement(ones, Ball([0, 0], 1.0), LebesgueMeasure(2), cfg)
+
+
+class TestShellNodes:
+    @pytest.mark.parametrize("gauss", [True, False], ids=["gauss", "midpoint"])
+    @pytest.mark.parametrize("center", [[0.013], [0.013, -0.0271]], ids=["d1", "d2"])
+    def test_ball_plus_shell_is_exact_volume(self, center, gauss):
+        # off-grid center, inner radius not a multiple of h: every cell of
+        # B(c, R) must be counted once, split exactly across the two passes
+        c = np.asarray(center)
+        d = c.size
+        h, r, R = 0.05, 0.737, 1.9
+        cfg = QuadConfig(h=h, boundary_refine=4)
+        total = 0.0
+        for r_in, r_out in ((0.0, r), (r, R)):
+            pts, w = shell_nodes(c, r_in, r_out, cfg, gauss=gauss)
+            assert pts.shape == (len(w), d)
+            dist = np.sqrt(np.einsum("ij,ij->i", pts - c, pts - c))
+            assert np.all(dist >= r_in - h * math.sqrt(d))
+            assert np.all(dist <= r_out + h * math.sqrt(d))
+            total += math.fsum(w.tolist())
+        exact = ball_volume(d, R)
+        assert abs(total - exact) <= 1e-11 * exact
+
+    def test_empty_shell(self):
+        pts, w = shell_nodes(np.zeros(2), 1.0, 1.0, QuadConfig(h=0.1), gauss=True)
+        assert pts.shape == (0, 2) and len(w) == 0
 
 
 class TestInvariants:
