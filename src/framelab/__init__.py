@@ -4,7 +4,7 @@ Subpackages:
   space         points, balls, point sets, measures on R^d
   kernels       Paley-Wiener / Fock / Gabor-Gaussian reproducing kernels
   quadrature    deterministic ball, shell and complement integration on one grid
-  finframe      exact finite-dimensional frame oracle (Jacobi eigensolver)
+  finframe      exact finite-dimensional frame oracle
   density       generalized Beurling density estimation
   localization  tail and localization-defect diagnostics
   verify        scenario runner and machine-readable reports
@@ -38,7 +38,6 @@ from .finframe import (
     frame_bounds,
     frame_operator,
     gram,
-    jacobi_eigh,
     project,
     riesz_bounds,
 )

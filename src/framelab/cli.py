@@ -72,7 +72,7 @@ def _cmd_density(args) -> int:
         "trend": est.trend,
         "per_radius": [list(r) for r in est.per_radius],
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(args.out).write_text(verify.report_json(payload))
     print(f"upper={est.upper!r} lower={est.lower!r} -> {args.out}")
     return 0
 
@@ -104,7 +104,7 @@ def _cmd_gram(args) -> int:
     support = Lattice(float(lat_cfg["scale"]), int(lat_cfg["dim"]))
     sizes = [float(r) for r in args.radii.split(",")]
     study = verify.gram_truncation_study(kernel, support, sizes)
-    Path(args.out).write_text(json.dumps(study, indent=2, sort_keys=True) + "\n")
+    Path(args.out).write_text(verify.report_json(study))
     for row in study["rows"]:
         print(row)
     print(f"frame_evidence={study['frame_evidence']} riesz_evidence={study['riesz_evidence']} -> {args.out}")

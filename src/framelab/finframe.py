@@ -6,15 +6,16 @@ Gram/Riesz diagnostics.  All sums are finite, so the identities hold to
 rounding and serve as the machine-precision reference for the continuous
 machinery.
 
-The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices
-with vectorized row/column updates.  Off-diagonal mass is measured by direct
-summation of the off-diagonal entries (a subtraction from the total Frobenius
-norm loses exactly the digits the stopping test needs).
+Spectra come from LAPACK through ``np.linalg.eigh``/``eigvalsh``.  Its
+absolute eigenvalue error is ~1e-15 * lambda_max; every decision here
+thresholds far above that (the ZERO_THRESHOLD/AMBIGUITY_BAND guard of
+canonical_dual, the Gram floors of the verify module), so the higher relative
+accuracy that Jacobi iterations give tiny eigenvalues of graded matrices is
+not needed.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +23,7 @@ from .space import Ball
 
 __all__ = [
     "FiniteFrame",
-    "HermitianOperator",
-    "GramMatrix",
     "DiagonalTerms",
-    "jacobi_eigh",
     "frame_operator",
     "frame_bounds",
     "canonical_dual",
@@ -44,91 +42,9 @@ __all__ = [
 ZERO_THRESHOLD = 1e-10
 AMBIGUITY_BAND = (1e-11, 1e-9)
 
-
-def jacobi_eigh(matrix, tol: float = 1e-15, max_sweeps: int = 64):
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
-
-    Returns (eigenvalues ascending, unitary Q) with matrix = Q diag Q^H.
-    Deterministic: fixed pivot order, no randomization.
-    """
-    A = np.array(matrix, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    Q = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([A[0, 0].real]), Q
-    offmask = ~np.eye(n, dtype=bool)
-    for sweep in range(max_sweeps):
-        abs2 = np.abs(A) ** 2
-        off = math.sqrt(float(np.sum(abs2[offmask])))
-        total = math.sqrt(float(np.sum(abs2)))
-        if off <= tol * max(total, 1e-300):
-            break
-        thresh = off / n
-        for k in range(n - 1):
-            for l in range(k + 1, n):
-                akl = A[k, l]
-                b = abs(akl)
-                if b <= 1e-300:
-                    continue
-                # small pivots are deferred to a later sweep
-                if b < 0.05 * thresh:
-                    continue
-                ph = akl / b
-                tau = (A[l, l].real - A[k, k].real) / (2.0 * b)
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau
-                elif tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                vk = A[:, k].copy()
-                vl = A[:, l].copy()
-                A[:, k] = c * vk - s * np.conj(ph) * vl
-                A[:, l] = s * ph * vk + c * vl
-                wk = A[k, :].copy()
-                wl = A[l, :].copy()
-                A[k, :] = c * wk - s * ph * wl
-                A[l, :] = s * np.conj(ph) * wk + c * wl
-                A[k, l] = 0.0
-                A[l, k] = 0.0
-                A[k, k] = A[k, k].real
-                A[l, l] = A[l, l].real
-                qk = Q[:, k].copy()
-                ql = Q[:, l].copy()
-                Q[:, k] = c * qk - s * np.conj(ph) * ql
-                Q[:, l] = s * ph * qk + c * ql
-    lam = np.real(np.diag(A)).copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], Q[:, order]
-
-
-@dataclass
-class HermitianOperator:
-    """n x n complex Hermitian matrix with a cached Jacobi eigendecomposition."""
-
-    matrix: np.ndarray
-    _eig: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-        if np.max(np.abs(M - M.conj().T)) > 1e-14 * scale:
-            raise ValueError("matrix is not Hermitian within 1e-14")
-        self.matrix = (M + M.conj().T) / 2.0
-
-    def eig(self):
-        if self._eig is None:
-            self._eig = jacobi_eigh(self.matrix)
-        return self._eig
-
-
-@dataclass
-class GramMatrix(HermitianOperator):
-    pass
+# framelab never calls this name.  It stays only because the benchmark's tracer
+# (perfbench/tracing.py) binds it; drop it once the tracer's eigen counters move.
+jacobi_eigh = np.linalg.eigh
 
 
 @dataclass
@@ -186,14 +102,14 @@ class FiniteFrame:
         return self.vectors.shape[1]
 
 
-def frame_operator(F: FiniteFrame) -> HermitianOperator:
-    """S = sum_i w_i v_i v_i^*."""
+def frame_operator(F: FiniteFrame) -> np.ndarray:
+    """S = sum_i w_i v_i v_i^*, symmetrised to be exactly Hermitian."""
     S = (F.vectors.T * F.weights) @ F.vectors.conj()
-    return HermitianOperator((S + S.conj().T) / 2.0)
+    return (S + S.conj().T) / 2.0
 
 
 def _spectrum(F: FiniteFrame):
-    return frame_operator(F).eig()
+    return np.linalg.eigh(frame_operator(F))
 
 
 def frame_bounds(F: FiniteFrame) -> tuple[float, float]:
@@ -313,16 +229,17 @@ def comparison_residual(F: FiniteFrame, G: FiniteFrame, omega) -> float:
     return abs(lhs - rhs)
 
 
-def gram(F: FiniteFrame) -> GramMatrix:
-    """G_ij = sqrt(w_i w_j) <v_j, v_i>."""
+def gram(F: FiniteFrame) -> np.ndarray:
+    """G_ij = sqrt(w_i w_j) <v_j, v_i>, symmetrised to be exactly Hermitian."""
     M = F.vectors.conj() @ F.vectors.T
     rw = np.sqrt(F.weights)
-    return GramMatrix(rw[:, None] * M * rw[None, :])
+    G = rw[:, None] * M * rw[None, :]
+    return (G + G.conj().T) / 2.0
 
 
 def riesz_bounds(F: FiniteFrame) -> tuple[float, float]:
     """(min, max) eigenvalues of the Gram matrix, zeros included."""
-    lam, _ = gram(F).eig()
+    lam = np.linalg.eigvalsh(gram(F))
     return float(lam[0]), float(lam[-1])
 
 

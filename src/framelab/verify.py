@@ -74,12 +74,30 @@ CONFIG_SCHEMA = {
             },
         },
         "trials": {"type": "integer", "minimum": 1},
-        "offset": {"type": "array", "items": {"type": "number"}},
-        "tolerances": {"type": "object"},
+        "offset": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+        "tolerances": {
+            "type": "object",
+            "properties": {
+                "density": {"type": "number", "minimum": 0},
+                "critical_band": {"type": "number", "minimum": 0},
+            },
+            "additionalProperties": False,
+        },
         "out_dir": {"type": "string"},
     },
     "required": ["scenario"],
     "additionalProperties": False,
+    # the Fock kernel lives on C = R^2; Paley-Wiener runs on a 1-D lattice and never thins
+    "allOf": [
+        {
+            "if": {"properties": {"scenario": {"const": "fock"}}},
+            "then": {"properties": {"lattice": {"properties": {"dim": {"const": 2}}}}},
+        },
+        {
+            "if": {"properties": {"scenario": {"const": "paley-wiener"}}},
+            "then": {"properties": {"lattice": {"properties": {"dim": {"const": 1}, "thin": {"not": {}}}}}},
+        },
+    ],
 }
 
 
@@ -132,8 +150,7 @@ def gram_truncation_study(
             rows.append({"radius": R, "m": 0, "note": "window contains no points"})
             continue
         G = kernel.normalized_cross(pts, pts)
-        # bulk eigenvalues only; the machine-floor tail is irrelevant here
-        lam, _ = finframe.jacobi_eigh(G, tol=1e-13)
+        lam = np.linalg.eigvalsh(G)
         lam_max = float(lam[-1])
         local_dim = None
         min_nonzero = None

@@ -138,6 +138,18 @@ class TestCommands:
             ({"scenario": "fock", "kernel": {"kernel": "paley-wiener"}}, "$.kernel"),
             ({"scenario": "fock", "quad": {"boundary_refine": "x"}}, "$.quad.boundary_refine"),
             ({"scenario": "fock", "quad": {"boundary_refine": 0}}, "$.quad.boundary_refine"),
+            ({"scenario": "dual-embedding", "offset": [0.1, 0.2, 0.3]}, "$.offset"),
+            ({"scenario": "fock", "tolerances": {"density": "abc"}}, "$.tolerances.density"),
+            ({"scenario": "fock", "tolerances": {"densty": 0.1}}, "$.tolerances.densty"),
+            ({"scenario": "fock", "lattice": {"scale": 0.5, "dim": 3}}, "$.lattice.dim"),
+            (
+                {"scenario": "paley-wiener", "lattice": {"scale": 1.0, "dim": 2, "thin": "drop-even-even"}},
+                "$.lattice.dim",
+            ),
+            (
+                {"scenario": "paley-wiener", "lattice": {"scale": 1.0, "dim": 1, "thin": "drop-even-even"}},
+                "$.lattice.thin",
+            ),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
