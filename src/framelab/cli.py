@@ -20,6 +20,70 @@ from .localization import FramePairSpec, localization_defect
 from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, load_point_set_csv
 
 
+_LATTICE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "scale": {"type": "number", "exclusiveMinimum": 0},
+        "dim": {"type": "integer", "minimum": 1},
+    },
+    "required": ["scale", "dim"],
+    "additionalProperties": False,
+}
+_KERNEL_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kernel": {"enum": ["paley-wiener", "fock", "gabor-gaussian"]},
+        "params": {
+            "type": "object",
+            "properties": {"band": {"type": "number", "exclusiveMinimum": 0}, "n": {"type": "integer", "minimum": 1}},
+            "additionalProperties": False,
+        },
+    },
+    "required": ["kernel"],
+    "additionalProperties": False,
+}
+# exactly one measure kind
+_MEASURE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "lebesgue": {
+            "type": "object",
+            "properties": {"dim": {"type": "integer", "minimum": 1}},
+            "required": ["dim"],
+            "additionalProperties": False,
+        },
+        "lattice": _LATTICE_SCHEMA,
+        "points_csv": {"type": "string"},
+        "atomic": {
+            "type": "object",
+            "properties": {
+                "points": {"type": "array", "items": {"type": "array", "items": {"type": "number"}, "minItems": 1}},
+                "weights": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+            },
+            "required": ["points", "weights"],
+            "additionalProperties": False,
+        },
+    },
+    "minProperties": 1,
+    "maxProperties": 1,
+    "additionalProperties": False,
+}
+_OFFSET_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_PAIR_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kernel": _KERNEL_SCHEMA,
+        "f": _MEASURE_SCHEMA,
+        "g": _MEASURE_SCHEMA,
+        "f_offset": _OFFSET_SCHEMA,
+        "g_offset": _OFFSET_SCHEMA,
+        "quad": verify.CONFIG_SCHEMA["properties"]["quad"],
+    },
+    "required": ["kernel", "f", "g"],
+    "additionalProperties": False,
+}
+
+
 def _load_json_arg(arg: str) -> dict:
     text = Path(arg[1:]).read_text() if arg.startswith("@") else arg
     if not text.lstrip().startswith("{"):
@@ -58,8 +122,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    mu = measure_from_config(_load_json_arg(args.mu))
-    nu = measure_from_config(_load_json_arg(args.nu))
+    mu = measure_from_config(verify.validate_config(_load_json_arg(args.mu), _MEASURE_SCHEMA))
+    nu = measure_from_config(verify.validate_config(_load_json_arg(args.nu), _MEASURE_SCHEMA))
     if isinstance(mu, CountingMeasure) and isinstance(mu.support, Lattice):
         sched = lattice_schedule(mu.support.scale, mu.dim, r_max=args.rmax)
     else:
@@ -78,7 +142,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    pair_cfg = _load_json_arg(args.pair)
+    pair_cfg = verify.validate_config(_load_json_arg(args.pair), _PAIR_SCHEMA)
     kernel = kernel_from_config(pair_cfg["kernel"])
     pair = FramePairSpec(
         kernel=kernel,
@@ -87,21 +151,22 @@ def _cmd_localize(args) -> int:
         f_offset=np.asarray(pair_cfg["f_offset"], dtype=float) if "f_offset" in pair_cfg else None,
         g_offset=np.asarray(pair_cfg["g_offset"], dtype=float) if "g_offset" in pair_cfg else None,
     )
-    verify.validate_config(pair_cfg, {"properties": {"quad": verify.CONFIG_SCHEMA["properties"]["quad"]}})
     cfg = verify._quad_from_config(pair_cfg, default_h=0.05, default_refine=8)
     center = np.zeros(kernel.dim)
     rows = [localization_defect(pair, Ball(center, float(r)), cfg) for r in args.radii.split(",")]
     for row in rows:
         print(f"r={row.radius}: defect={row.defect:.6g} eps_eff={row.epsilon_effective:.6g}")
-    verify.write_localization_csv(verify._loc_rows_json(rows), args.out)
+    verify.write_table_csv(verify._loc_rows_json(rows), verify.LOCALIZATION_CSV, args.out)
     print(f"localization table -> {args.out}")
     return 0
 
 
 def _cmd_gram(args) -> int:
-    kernel = kernel_from_config(_load_json_arg(args.kernel))
-    lat_cfg = _load_json_arg(args.lattice)
-    support = Lattice(float(lat_cfg["scale"]), int(lat_cfg["dim"]))
+    kernel = kernel_from_config(verify.validate_config(_load_json_arg(args.kernel), _KERNEL_SCHEMA))
+    lat_cfg = verify.validate_config(_load_json_arg(args.lattice), _LATTICE_SCHEMA)
+    if lat_cfg["dim"] != kernel.dim:
+        raise verify.ConfigError(f"config invalid at $.dim: the kernel lives in dimension {kernel.dim}")
+    support = Lattice(lat_cfg["scale"], lat_cfg["dim"])
     sizes = [float(r) for r in args.radii.split(",")]
     study = verify.gram_truncation_study(kernel, support, sizes)
     Path(args.out).write_text(verify.report_json(study))

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet
+from .space import Ball
 
-__all__ = ["DensitySchedule", "DensityEstimate", "density", "classical_density", "lattice_schedule"]
+__all__ = ["DensitySchedule", "DensityEstimate", "density", "lattice_schedule"]
 
 DEFAULT_RADII = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
@@ -83,7 +83,7 @@ def lattice_schedule(scale: float, dim: int, r_max: float = 128.0) -> DensitySch
     return DensitySchedule(radii, (lo, hi), spacing)
 
 
-def density(mu, nu, sched: DensitySchedule, quad_cfg=None, trend_tol: float = 0.05) -> DensityEstimate:
+def density(mu, nu, sched: DensitySchedule, trend_tol: float = 0.05) -> DensityEstimate:
     """Sup/inf ball-mass ratios mu(B)/nu(B) over the schedule.
 
     Requires nu(B(a, r_min)) > 0 at every sampled center, mirroring the
@@ -97,10 +97,10 @@ def density(mu, nu, sched: DensitySchedule, quad_cfg=None, trend_tol: float = 0.
         inf_ratio = math.inf
         for a in centers:
             b = Ball(a, r)
-            nub = nu.ball_mass(b, quad_cfg=quad_cfg)
+            nub = nu.ball_mass(b)
             if nub <= 0:
                 raise ValueError("reference measure vanishes on a ball")
-            ratio = mu.ball_mass(b, quad_cfg=quad_cfg) / nub
+            ratio = mu.ball_mass(b) / nub
             sup_ratio = max(sup_ratio, ratio)
             inf_ratio = min(inf_ratio, ratio)
         rows.append((r, sup_ratio, inf_ratio))
@@ -126,15 +126,3 @@ def density(mu, nu, sched: DensitySchedule, quad_cfg=None, trend_tol: float = 0.
         trend=trend,
     )
 
-
-def classical_density(lambda_set, d: int, sched: DensitySchedule, quad_cfg=None) -> DensityEstimate:
-    """Classical Beurling densities: counting measure of a set against Lebesgue."""
-    if isinstance(lambda_set, (PointSet, Lattice)):
-        mu = CountingMeasure(lambda_set)
-    elif isinstance(lambda_set, CountingMeasure):
-        mu = lambda_set
-    else:
-        mu = CountingMeasure(PointSet(lambda_set))
-    if mu.dim != d:
-        raise ValueError("point set dimension does not match d")
-    return density(mu, LebesgueMeasure(d), sched, quad_cfg=quad_cfg)

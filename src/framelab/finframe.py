@@ -1,21 +1,18 @@
 """Exact finite-dimensional frame oracle.
 
 Finite frames over finite atomic index measures in C^n: frame operator,
-bounds, canonical dual, projections, the two-frame comparison identity, and
-Gram/Riesz diagnostics.  All sums are finite, so the identities hold to
-rounding and serve as the machine-precision reference for the continuous
-machinery.
+bounds, canonical dual, projections and the two-frame comparison identity.
+All sums are finite, so the identities hold to rounding and serve as the
+machine-precision reference for the continuous machinery.
 
-Spectra come from LAPACK through ``np.linalg.eigh``/``eigvalsh``.  Its
-absolute eigenvalue error is ~1e-15 * lambda_max; every decision here
-thresholds far above that (the ZERO_THRESHOLD/AMBIGUITY_BAND guard of
-canonical_dual, the Gram floors of the verify module), so the higher relative
+Spectra come from LAPACK through ``np.linalg.eigh``.  Its absolute
+eigenvalue error is ~1e-15 * lambda_max; every decision here thresholds far
+above that (the ZERO_THRESHOLD/AMBIGUITY_BAND guard of canonical_dual), and
+so do the Gram floors of the verify module, so the higher relative
 accuracy that Jacobi iterations give tiny eigenvalues of graded matrices is
 not needed.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +20,13 @@ from .space import Ball
 
 __all__ = [
     "FiniteFrame",
-    "DiagonalTerms",
     "frame_operator",
     "frame_bounds",
     "canonical_dual",
     "project",
     "comparison_residual",
     "comparison_sides",
-    "gram",
-    "riesz_bounds",
-    "diagonal_terms",
     "random_frame",
-    "load_frame_csv",
 ]
 
 # eigenvalues below ZERO_THRESHOLD * lambda_max are treated as zero; values in
@@ -45,26 +37,6 @@ AMBIGUITY_BAND = (1e-11, 1e-9)
 # framelab never calls this name.  It stays only because the benchmark's tracer
 # (perfbench/tracing.py) binds it; drop it once the tracer's eigen counters move.
 jacobi_eigh = np.linalg.eigh
-
-
-@dataclass
-class DiagonalTerms:
-    """Per-index diagonal pairings against the other family's projector.
-
-    Both dual orderings are carried: downstream bounds need <P g, ~g> <= 1
-    on one side and <P ~f, f> >= 1 on the other, and the orderings differ
-    only by conjugation for Hermitian projectors.
-    """
-
-    f_terms: np.ndarray          # <P_G ~f_y, f_y> per mu-atom
-    f_terms_swapped: np.ndarray  # <P_G f_y, ~f_y>
-    g_terms: np.ndarray          # <P_F g_x, ~g_x> per nu-atom
-    g_terms_swapped: np.ndarray  # <P_F ~g_x, g_x>
-
-    def pairs(self):
-        if len(self.f_terms) != len(self.g_terms):
-            raise ValueError("families have different index sizes; use the per-side arrays")
-        return list(zip(self.g_terms, self.f_terms))
 
 
 class FiniteFrame:
@@ -229,39 +201,6 @@ def comparison_residual(F: FiniteFrame, G: FiniteFrame, omega) -> float:
     return abs(lhs - rhs)
 
 
-def gram(F: FiniteFrame) -> np.ndarray:
-    """G_ij = sqrt(w_i w_j) <v_j, v_i>, symmetrised to be exactly Hermitian."""
-    M = F.vectors.conj() @ F.vectors.T
-    rw = np.sqrt(F.weights)
-    G = rw[:, None] * M * rw[None, :]
-    return (G + G.conj().T) / 2.0
-
-
-def riesz_bounds(F: FiniteFrame) -> tuple[float, float]:
-    """(min, max) eigenvalues of the Gram matrix, zeros included."""
-    lam = np.linalg.eigvalsh(gram(F))
-    return float(lam[0]), float(lam[-1])
-
-
-def diagonal_terms(F: FiniteFrame, G: FiniteFrame) -> DiagonalTerms:
-    """Diagonal pairings gating the density theorem's hypotheses."""
-    Fd = canonical_dual(F)
-    Gd = canonical_dual(G)
-    P_F = projector_matrix(F, Fd)
-    P_G = projector_matrix(G, Gd)
-
-    pg_fd = Fd.vectors @ P_G.T
-    pg_f = F.vectors @ P_G.T
-    f_terms = np.einsum("ij,ij->i", np.conj(F.vectors), pg_fd)
-    f_swapped = np.einsum("ij,ij->i", np.conj(Fd.vectors), pg_f)
-
-    pf_g = G.vectors @ P_F.T
-    pf_gd = Gd.vectors @ P_F.T
-    g_terms = np.einsum("ij,ij->i", np.conj(Gd.vectors), pf_g)
-    g_swapped = np.einsum("ij,ij->i", np.conj(G.vectors), pf_gd)
-    return DiagonalTerms(f_terms, f_swapped, g_terms, g_swapped)
-
-
 def random_frame(rng: np.random.RandomState, n: int, m: int, index_dim: int = 1) -> FiniteFrame:
     """Seeded random frame: entries i.i.d. uniform on the complex square [-1,1]^2."""
     re = rng.uniform(-1.0, 1.0, size=(m, n))
@@ -270,13 +209,3 @@ def random_frame(rng: np.random.RandomState, n: int, m: int, index_dim: int = 1)
     pts = rng.uniform(-1.0, 1.0, size=(m, index_dim))
     return FiniteFrame(re + 1j * im, weights, pts)
 
-
-def load_frame_csv(path) -> FiniteFrame:
-    """Frame from CSV: each row is re/im interleaved vector entries then weight."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] < 3 or rows.shape[1] % 2 == 0:
-        raise ValueError("frame CSV rows must be re,im pairs followed by a weight")
-    w = rows[:, -1]
-    re = rows[:, :-1:2]
-    im = rows[:, 1:-1:2]
-    return FiniteFrame(re + 1j * im, w)

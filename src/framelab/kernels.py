@@ -12,8 +12,8 @@ Conventions fixed here once:
       a closed form derived from the Gaussian integral and regression-tested
       against direct quadrature of the time-frequency shift inner product.
 
-kernel_eval(K, x, y) returns K(x, y) = <K_y, K_x>; Hermitian symmetry
-K(x, y) = conj(K(y, x)) is structural for every variant.
+kernel.cross(x, y) returns the matrix K(x_i, y_j) = <K_{y_j}, K_{x_i}>;
+Hermitian symmetry K(x, y) = conj(K(y, x)) is structural for every variant.
 
 Cross evaluations of normalized kernels are computed through exponents with
 nonpositive real part, so they stay finite where the raw Fock kernel would
@@ -22,31 +22,16 @@ overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .space import Ball, as_point
 
 __all__ = [
     "PaleyWienerKernel",
     "FockKernel",
     "GaborGaussianKernel",
     "TabulatedKernel",
-    "NormalizedKernelValue",
-    "kernel_eval",
-    "normalized_inner",
-    "diagonal_bounds",
     "kernel_from_config",
 ]
-
-
-@dataclass(frozen=True)
-class NormalizedKernelValue:
-    """Value and squared modulus of <k_x, k_y> for normalized kernels."""
-
-    value: complex
-    modulus_sq: float
 
 
 def _rows(points, dim: int) -> np.ndarray:
@@ -84,11 +69,6 @@ class PaleyWienerKernel:
         t = _rows(x, 1)[:, 0][:, None] - _rows(y, 1)[:, 0][None, :]
         return np.asarray(np.sinc(self.band * t / math.pi), dtype=complex)
 
-    def against_normalized(self, x, y) -> np.ndarray:
-        """K(x_i, y) / sqrt(K(x_i, x_i)) for a single second argument y."""
-        t = _rows(x, 1)[:, 0] - float(as_point(y)[0])
-        return np.asarray(np.sinc(self.band * t / math.pi), dtype=complex) * math.sqrt(self.band / math.pi)
-
     def tail_cutoff(self, eps: float) -> float:
         # sinc^2 decays like (pi t)^-2 only; no useful Gaussian-style cutoff
         return math.inf
@@ -124,12 +104,6 @@ class FockKernel:
         w = self._as_complex(_rows(y, 2))[None, :]
         expo = math.pi * (z * np.conj(w) - 0.5 * np.abs(z) ** 2 - 0.5 * np.abs(w) ** 2)
         return np.exp(expo)
-
-    def against_normalized(self, x, y) -> np.ndarray:
-        """K(x_i, y) / sqrt(K(x_i, x_i)) for a single second argument y."""
-        z = self._as_complex(_rows(x, 2))
-        w = complex(*as_point(y))
-        return np.exp(math.pi * (z * np.conj(w) - 0.5 * np.abs(z) ** 2))
 
     def tail_cutoff(self, eps: float) -> float:
         return math.sqrt(max(-math.log(eps), 1.0) / math.pi)
@@ -167,9 +141,6 @@ class GaborGaussianKernel:
         return np.exp(-0.5 * math.pi * (dp2 + dq2) + 1j * phase)
 
     normalized_cross = cross
-
-    def against_normalized(self, x, y) -> np.ndarray:
-        return self.cross(x, np.atleast_2d(as_point(y)))[:, 0]
 
     def tail_cutoff(self, eps: float) -> float:
         return math.sqrt(max(-math.log(eps), 1.0) / math.pi)
@@ -211,60 +182,11 @@ class TabulatedKernel:
             raise ValueError("kernel degenerate at point: nonpositive diagonal")
         return kxy / np.sqrt(dx)[:, None] / np.sqrt(dy)[None, :]
 
-    def against_normalized(self, x, y) -> np.ndarray:
-        xp = _rows(x, self.dim)
-        dx = self.diagonal(xp)
-        if np.any(dx <= 0):
-            raise ValueError("kernel degenerate at point: nonpositive diagonal")
-        return self.cross(xp, np.atleast_2d(as_point(y)))[:, 0] / np.sqrt(dx)
-
     def tail_cutoff(self, eps: float) -> float:
         return math.inf
 
     def mod2_tail_integral(self, gap: float) -> float:
         return math.inf
-
-
-def kernel_eval(kernel, x, y) -> complex:
-    """K(x, y) = <K_y, K_x> for single points."""
-    return complex(kernel.cross(np.atleast_2d(as_point(x)), np.atleast_2d(as_point(y)))[0, 0])
-
-
-def normalized_inner(kernel, x, y) -> NormalizedKernelValue:
-    """<k_x, k_y> = K(x, y) / sqrt(K(x,x) K(y,y)) with its squared modulus."""
-    xp = np.atleast_2d(as_point(x))
-    yp = np.atleast_2d(as_point(y))
-    dx = float(kernel.diagonal(xp)[0])
-    dy = float(kernel.diagonal(yp)[0])
-    if dx <= 0 or dy <= 0:
-        raise ValueError("kernel degenerate at point: nonpositive diagonal")
-    if isinstance(kernel, (FockKernel, GaborGaussianKernel, PaleyWienerKernel)):
-        val = complex(kernel.normalized_cross(xp, yp)[0, 0])
-    else:
-        val = complex(kernel.cross(xp, yp)[0, 0]) / math.sqrt(dx * dy)
-    return NormalizedKernelValue(value=val, modulus_sq=abs(val) ** 2)
-
-
-def diagonal_bounds(kernel, region: Ball, sample_grid_spacing: float) -> tuple[float, float]:
-    """(min, max) of K(x, x) over a grid in the region; a diagnostic, not a proof."""
-    if sample_grid_spacing <= 0:
-        raise ValueError("grid spacing must be positive")
-    d = region.dim
-    if d != kernel.dim:
-        raise ValueError("region dimension does not match the kernel")
-    axes = []
-    for i in range(d):
-        lo = region.center[i] - region.radius
-        hi = region.center[i] + region.radius
-        n = int(math.floor((hi - lo) / sample_grid_spacing)) + 1
-        axes.append(lo + sample_grid_spacing * np.arange(n))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    pts = pts[region.contains(pts)]
-    if len(pts) == 0:
-        raise ValueError("empty sample grid in region")
-    diag = np.real(kernel.diagonal(pts))
-    return float(np.min(diag)), float(np.max(diag))
 
 
 _KERNEL_NAMES = {

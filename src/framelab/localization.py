@@ -34,8 +34,6 @@ __all__ = [
     "tail_sup",
     "double_tail",
     "localization_defect",
-    "hap_check",
-    "mean_value_check",
 ]
 
 _PRUNE_EPS = 1e-14
@@ -66,7 +64,7 @@ class FramePairSpec:
 
     Both families come from the same kernel; an optional offset translates a
     family's kernel points relative to its index points (used by the
-    dual-embedding scenario).  self_dual must stay True: see the module note.
+    dual-embedding scenario).  Both families are self-dual: see the module note.
     """
 
     kernel: object
@@ -74,7 +72,6 @@ class FramePairSpec:
     g_measure: object  # nu side
     f_offset: np.ndarray | None = None
     g_offset: np.ndarray | None = None
-    self_dual: bool = True
 
     def __post_init__(self):
         d = self.kernel.dim
@@ -103,9 +100,6 @@ class DoubleTailResult:
     truncation_bound: float
     mu_ball: float
     nu_ball: float
-
-    def epsilon_sq_target(self, epsilon: float) -> float:
-        return epsilon * epsilon * (self.mu_ball + self.nu_ball)
 
 
 @dataclass(frozen=True)
@@ -188,8 +182,6 @@ def _continuous_pair_term(pair: FramePairSpec, outer_offset, inner_offset, ball:
         return float(field @ w), len(nodes) + len(inner_nodes)
     if d != 2 or not isinstance(kernel, (FockKernel, GaborGaussianKernel)):
         raise ValueError("continuous-continuous double tails need a Gaussian-law or 1-d kernel")
-    if getattr(pair.f_measure, "weight", None) is not None or getattr(pair.g_measure, "weight", None) is not None:
-        raise ValueError("continuous-continuous double tails support unweighted Lebesgue only")
     shift = np.zeros(2)
     if inner_offset is not None:
         shift = shift + inner_offset
@@ -251,8 +243,6 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         # inner Lebesgue: quadrature over the part of B the outer atoms can see
         r_in_cut = 0.0 if not math.isfinite(cutoff) else max(0.0, r - cutoff)
         nodes, wq = shell_nodes(ball.center, r_in_cut, r, cfg, gauss=False)
-        if inner_m.weight is not None:
-            wq = wq * np.asarray(inner_m.weight(nodes), dtype=float)
         u_nodes = nodes if inner_off is None else nodes + inner_off[None, :]
         u_atoms = atoms_out if outer_off is None else atoms_out + outer_off[None, :]
         field = _sum_field_over_atoms(lambda X, Y: _mod2_cross(pair.kernel, X, Y), u_nodes, u_atoms, w_out)
@@ -265,8 +255,6 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         return 0.0
     r_out_cut = r_tr if not math.isfinite(cutoff) else min(r_tr, r + cutoff)
     nodes, wq = shell_nodes(ball.center, r, r_out_cut, cfg, gauss=False)
-    if outer_m.weight is not None:
-        wq = wq * np.asarray(outer_m.weight(nodes), dtype=float)
     u_nodes = nodes if outer_off is None else nodes + outer_off[None, :]
     u_atoms = atoms_in if inner_off is None else atoms_in + inner_off[None, :]
     field = _sum_field_over_atoms(lambda X, Y: _mod2_cross(pair.kernel, X, Y), u_nodes, u_atoms, w_in)
@@ -276,8 +264,8 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
 def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig) -> float:
     """Estimate of mass ignored by the decay cutoff and the window truncation."""
     r_tr = cfg.effective_truncation(ball.radius)
-    mu_b = pair.f_measure.ball_mass(ball, quad_cfg=cfg)
-    nu_b = pair.g_measure.ball_mass(ball, quad_cfg=cfg)
+    mu_b = pair.f_measure.ball_mass(ball)
+    nu_b = pair.g_measure.ball_mass(ball)
     window = ball_volume(ball.dim, r_tr)
     slack = _PRUNE_EPS * (mu_b + nu_b + 2.0) * (window + 1.0)
     gap_eff = min(r_tr - ball.radius, pair.kernel.tail_cutoff(_PRUNE_EPS))
@@ -302,13 +290,11 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> 
         and pair.g_offset is not None
         and np.array_equal(pair.f_offset, pair.g_offset)
     )
-    # unweighted Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting
-    # the ball through its center negates x - y, and |<k_x, k_y>|^2 is even
+    # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
+    # through its center negates x - y, and |<k_x, k_y>|^2 is even
     plain_lebesgue = (
         not getattr(pair.f_measure, "is_discrete", False)
         and not getattr(pair.g_measure, "is_discrete", False)
-        and getattr(pair.f_measure, "weight", None) is None
-        and getattr(pair.g_measure, "weight", None) is None
         and pair.f_measure.dim == pair.g_measure.dim
     )
     symmetric = plain_lebesgue or (pair.f_measure is pair.g_measure and same_offsets)
@@ -318,8 +304,8 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> 
         t1=t1,
         t2=t2,
         truncation_bound=_pruning_bound(pair, b, cfg),
-        mu_ball=pair.f_measure.ball_mass(b, quad_cfg=cfg),
-        nu_ball=pair.g_measure.ball_mass(b, quad_cfg=cfg),
+        mu_ball=pair.f_measure.ball_mass(b),
+        nu_ball=pair.g_measure.ball_mass(b),
     )
 
 
@@ -329,8 +315,6 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = N
     For self-dual families the two iterated integrals of the localization
     condition are exactly the double tails, so the defect is |t1 - t2|.
     """
-    if not pair.self_dual:
-        raise ValueError("general duals unsupported: localization defect needs self-dual families")
     cfg = cfg or QuadConfig()
     dt = double_tail(pair, b, cfg)
     normalizer = dt.mu_ball + dt.nu_ball
@@ -349,57 +333,3 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = N
         truncation_bound=dt.truncation_bound,
     )
 
-
-def hap_check(kernel, gamma, R: float, probe_centers, window_margin: float = 6.0) -> float:
-    """max over probes x of sum over atoms with |gamma - x| > R of |<k_x, k_gamma>|^2.
-
-    Only atoms within R + window_margin of the probe are summed; pick the
-    margin from the kernel decay (the default suits Gaussian-law kernels).
-    """
-    atoms_of = gamma.points_in_ball if hasattr(gamma, "points_in_ball") else None
-    best = 0.0
-    for x in np.atleast_2d(np.asarray(probe_centers, dtype=float)):
-        window = Ball(x, R + window_margin)
-        pts = atoms_of(window) if atoms_of else gamma.atoms_in_ball(window)[0]
-        if len(pts) == 0:
-            continue
-        inside = Ball(x, R).contains(pts)
-        pts = pts[~inside]
-        if len(pts) == 0:
-            continue
-        vals = _mod2_cross(kernel, x[None, :], pts)[0]
-        best = max(best, float(math.fsum(vals.tolist())))
-    return best
-
-
-def mean_value_check(kernel, lam_measure, r: float, probes, test_functions, cfg: QuadConfig | None = None) -> float:
-    """Empirical mean-value constant C_r.
-
-    Each test function is a finite kernel combination given as a list of
-    (coefficient, point) pairs; the reported value is the max over probes and
-    test functions of |<f, k_a>|^2 / integral over B(a, r) of |<f, k_x>|^2.
-    """
-    from .quadrature import integrate_ball
-
-    cfg = cfg or QuadConfig()
-    best = 0.0
-    for a in np.atleast_2d(np.asarray(probes, dtype=float)):
-        for combo in test_functions:
-            coeffs = np.array([c for c, _ in combo], dtype=complex)
-            pts = np.array([as_point(p) for _, p in combo], dtype=float)
-
-            def f_against(x_pts):
-                acc = np.zeros(len(np.atleast_2d(x_pts)), dtype=complex)
-                for cj, pj in zip(coeffs, pts):
-                    acc = acc + cj * kernel.against_normalized(np.atleast_2d(x_pts), pj)
-                return np.abs(acc) ** 2
-
-            numer = float(f_against(a[None, :])[0])
-            denom = float(np.real(integrate_ball(f_against, Ball(a, r), lam_measure, cfg).value))
-            if denom < 1e-14 * max(numer, 1e-300):
-                if numer == 0.0:
-                    continue  # ratio 0/0-free: orthogonal test function, no constraint
-                raise ValueError("degenerate test function: vanishing local energy")
-            if denom > 0:
-                best = max(best, numer / denom)
-    return best

@@ -47,7 +47,6 @@ class QuadConfig:
 
     truncation_radius, when set, is the absolute cutoff radius for
     complement integrals; otherwise ball radius + truncation_margin is used.
-    error_model is "gaussian_tail" or "power_tail" (with power_exponent).
     boundary_refine is the per-axis subdivision of cells that straddle a
     sphere.
     """
@@ -55,8 +54,6 @@ class QuadConfig:
     h: float = 0.02
     truncation_radius: float | None = None
     truncation_margin: float = 6.0
-    error_model: str = "gaussian_tail"
-    power_exponent: float | None = None
     boundary_refine: int = 8
 
     def __post_init__(self):
@@ -64,10 +61,6 @@ class QuadConfig:
             raise ValueError("spacing h must be positive")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
             raise ValueError("truncation radius must be positive")
-        if self.error_model not in ("gaussian_tail", "power_tail"):
-            raise ValueError("error_model must be gaussian_tail or power_tail")
-        if self.error_model == "power_tail" and self.power_exponent is None:
-            raise ValueError("power_tail model needs power_exponent")
         if self.boundary_refine < 1:
             raise ValueError("boundary_refine must be >= 1")
 
@@ -188,7 +181,7 @@ def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, 
     return pts, w
 
 
-def _ball_quad(f, weight, center: np.ndarray, r: float, cfg: QuadConfig):
+def _ball_quad(f, center: np.ndarray, r: float, cfg: QuadConfig):
     """Lebesgue integral terms of f over the closed ball, returning (terms, node_count)."""
     pts, w = shell_nodes(center, 0.0, r, cfg, gauss=True)
     chunks = []
@@ -197,11 +190,6 @@ def _ball_quad(f, weight, center: np.ndarray, r: float, cfg: QuadConfig):
         p = pts[i : i + _EVAL_CHUNK]
         vals = np.asarray(f(p))
         _check_finite(vals, p)
-        if weight is not None:
-            wf = np.asarray(weight(p), dtype=float)
-            if np.any(~np.isfinite(wf)):
-                raise ValueError("weight not integrable on ball")
-            vals = vals * wf
         chunks.append(vals * w[i : i + _EVAL_CHUNK])
     return (np.concatenate(chunks) if chunks else np.zeros(0)), len(pts)
 
@@ -242,20 +230,15 @@ def integrate_ball(f, b: Ball, m, cfg: QuadConfig) -> IntegralResult:
     if getattr(m, "is_discrete", False):
         terms, count = _atom_terms(f, m, b, invert=False, outer_radius=None)
     else:
-        terms, count = _ball_quad(f, m.weight, b.center, b.radius, cfg)
+        terms, count = _ball_quad(f, b.center, b.radius, cfg)
     return IntegralResult(value=_fsum_terms(terms), truncation_bound=0.0, node_count=max(count, 1))
 
 
-def _tail_bound(cfg: QuadConfig, b: Ball, r_tr: float) -> float:
+def _tail_bound(b: Ball, r_tr: float) -> float:
     d = b.dim
     surface = d * ball_volume(d, 1.0) * r_tr ** (d - 1)
-    if cfg.error_model == "gaussian_tail":
-        gap = max(r_tr - b.radius, 0.0)
-        return surface * math.exp(-math.pi * gap * gap)
-    p = cfg.power_exponent
-    if p <= d:
-        raise ValueError("power_tail exponent must exceed the dimension for a finite tail")
-    return surface * r_tr / (p - d)
+    gap = max(r_tr - b.radius, 0.0)
+    return surface * math.exp(-math.pi * gap * gap)
 
 
 def integrate_complement(f, b: Ball, m, cfg: QuadConfig) -> IntegralResult:
@@ -268,7 +251,7 @@ def integrate_complement(f, b: Ball, m, cfg: QuadConfig) -> IntegralResult:
     r_tr = cfg.effective_truncation(b.radius)
     if r_tr < b.radius:
         raise ValueError("truncation radius is smaller than the ball radius")
-    bound = _tail_bound(cfg, b, r_tr)
+    bound = _tail_bound(b, r_tr)
     if getattr(m, "is_discrete", False):
         terms, count = _atom_terms(f, m, b, invert=True, outer_radius=r_tr)
         return IntegralResult(value=_fsum_terms(terms), truncation_bound=bound, node_count=max(count, 1))

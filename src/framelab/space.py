@@ -1,4 +1,6 @@
-"""Metric measure spaces over R^d: points, balls, point sets, and measures.
+"""Metric measure spaces over R^d: points, closed balls, point sets, lattices,
+and the Lebesgue, counting and atomic measures whose ball masses the density
+and localization code compare.
 
 Balls are closed throughout: an atom sitting exactly on the boundary sphere
 belongs to the ball.  Atom membership uses exact floating-point comparison
@@ -20,10 +22,7 @@ __all__ = [
     "CountingMeasure",
     "AtomicMeasure",
     "as_point",
-    "ball_mass",
     "ball_volume",
-    "separation",
-    "annular_ratio",
     "load_point_set_csv",
 ]
 
@@ -67,26 +66,20 @@ def ball_volume(d: int, r: float) -> float:
 
 
 class PointSet:
-    """Finite set of distinct points, optionally with a declared separation."""
+    """Finite set of distinct points."""
 
-    def __init__(self, points, declared_separation: float | None = None):
+    def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             pts = pts.reshape(0, max(pts.shape[-1], 1) if pts.ndim == 2 else 1)
         if not np.all(np.isfinite(pts)):
             raise ValueError("point set has non-finite coordinates")
         self.points = pts
-        self.declared_separation = declared_separation
         if len(pts) > 1:
             uniq, counts = np.unique(pts, axis=0, return_counts=True)
             if len(uniq) != len(pts):
                 offender = uniq[np.argmax(counts > 1)]
                 raise ValueError(f"point set not separated: duplicate point {offender.tolist()}")
-        if declared_separation is not None:
-            if declared_separation <= 0:
-                raise ValueError("declared separation must be positive")
-            if len(pts) > 1 and separation(self) <= declared_separation:
-                raise ValueError("declared separation exceeds actual minimum distance")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -109,10 +102,6 @@ class Lattice:
             raise ValueError("lattice dimension must be >= 1")
         self.scale = float(scale)
         self.dim = int(dim)
-
-    @property
-    def separation(self) -> float:
-        return self.scale
 
     def count_in_ball(self, b: Ball) -> int:
         """Number of lattice points in the closed ball, without enumeration.
@@ -172,28 +161,16 @@ class Lattice:
 
 @dataclass
 class LebesgueMeasure:
-    """Lebesgue measure on R^d, optionally weighted by a density w(x) >= 0.
-
-    ``weight`` is a vectorized callable mapping an (m, d) array to (m,)
-    nonnegative values.  Unweighted ball masses use the closed-form volume;
-    weighted ones require quadrature (see the quadrature module).
-    """
+    """Lebesgue measure on R^d; ball masses are the closed-form volume."""
 
     dim: int
-    weight: object = None
 
     is_discrete: bool = field(default=False, init=False, repr=False)
 
-    def ball_mass(self, b: Ball, quad_cfg=None) -> float:
+    def ball_mass(self, b: Ball) -> float:
         if b.dim != self.dim:
             raise ValueError("ball dimension does not match measure dimension")
-        if self.weight is None:
-            return ball_volume(self.dim, b.radius)
-        from . import quadrature
-
-        cfg = quad_cfg or quadrature.QuadConfig()
-        res = quadrature.integrate_ball(lambda pts: np.ones(len(pts)), b, self, cfg)
-        return float(np.real(res.value))
+        return ball_volume(self.dim, b.radius)
 
 
 class CountingMeasure:
@@ -210,7 +187,7 @@ class CountingMeasure:
     def dim(self) -> int:
         return self.support.dim
 
-    def ball_mass(self, b: Ball, quad_cfg=None) -> float:
+    def ball_mass(self, b: Ball) -> float:
         if isinstance(self.support, Lattice):
             return float(self.support.count_in_ball(b))
         return float(np.count_nonzero(b.contains(self.support.points)))
@@ -242,58 +219,13 @@ class AtomicMeasure:
     def points(self) -> np.ndarray:
         return self.point_set.points
 
-    def ball_mass(self, b: Ball, quad_cfg=None) -> float:
+    def ball_mass(self, b: Ball) -> float:
         inside = b.contains(self.points)
         return float(math.fsum(self.weights[inside]))
 
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         inside = b.contains(self.points)
         return self.points[inside], self.weights[inside]
-
-
-def ball_mass(m, b: Ball, quad_cfg=None) -> float:
-    """Mass m(B) of a closed ball under a measure.
-
-    Counting/Atomic variants are exact sums; the unweighted Lebesgue variant
-    uses the closed-form volume, the weighted one quadrature.
-    """
-    return m.ball_mass(b, quad_cfg=quad_cfg)
-
-
-def separation(ps: PointSet | Lattice) -> float:
-    """Minimum pairwise Euclidean distance of a point set."""
-    if isinstance(ps, Lattice):
-        return ps.scale
-    pts = ps.points
-    if len(pts) < 2:
-        raise ValueError("separation undefined for fewer than 2 points")
-    best = math.inf
-    # blockwise pairwise distances; fine for the set sizes used here
-    block = 512
-    for i in range(0, len(pts), block):
-        pi = pts[i : i + block]
-        for j in range(i, len(pts), block):
-            pj = pts[j : j + block]
-            d2 = np.sum((pi[:, None, :] - pj[None, :, :]) ** 2, axis=2)
-            if i == j:
-                np.fill_diagonal(d2, np.inf)
-            best = min(best, float(np.min(d2)))
-    return math.sqrt(best)
-
-
-def annular_ratio(m, a, r: float, rho: float, quad_cfg=None) -> float:
-    """Mass ratio m(B(a, r+rho) \\ B(a, r)) / m(B(a, r)).
-
-    The annular decay property asks this to vanish as r grows with rho fixed.
-    """
-    if r <= 0 or rho <= 0:
-        raise ValueError("radii must be positive")
-    a = as_point(a)
-    inner = m.ball_mass(Ball(a, r), quad_cfg=quad_cfg)
-    if inner <= 0:
-        raise ValueError("empty ball: annular ratio undefined")
-    outer = m.ball_mass(Ball(a, r + rho), quad_cfg=quad_cfg)
-    return (outer - inner) / inner
 
 
 def load_point_set_csv(path) -> PointSet:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import finframe
 from .density import DensityEstimate, DensitySchedule, density, lattice_schedule
-from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel, kernel_from_config
+from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, LocalizationRow, localization_defect
 from .quadrature import QuadConfig
 from .space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ball_volume
@@ -36,8 +36,8 @@ __all__ = [
     "theorem_main_table",
     "corollary_parseval_check",
     "run",
-    "write_localization_csv",
     "write_report",
+    "write_table_csv",
 ]
 
 SCHEMA_ID = "framelab/1"
@@ -224,7 +224,7 @@ def theorem_main_table(pair: FramePairSpec, radii, center=None, cfg: QuadConfig 
         ball = Ball(center, r)
         loc = localization_defect(pair, ball, cfg)
         loc_rows.append(loc)
-        mu_b = loc.normalizer - pair.g_measure.ball_mass(ball, quad_cfg=cfg)
+        mu_b = loc.normalizer - pair.g_measure.ball_mass(ball)
         nu_b = loc.normalizer - mu_b
         a_col = 1.0
         b_col = nu_b / mu_b
@@ -244,15 +244,15 @@ def theorem_main_table(pair: FramePairSpec, radii, center=None, cfg: QuadConfig 
     return rows, loc_rows
 
 
-def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, tol: float = 0.05, quad_cfg=None) -> dict:
+def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, tol: float = 0.05) -> dict:
     """Densities both ways for a pair of Parseval normalized families.
 
     Pass iff all four estimates (upper/lower, both orientations) are within
     tol of 1.  The Parseval property itself is an analytic precondition of
     the model families, not something this check can certify.
     """
-    d_mu_nu = density(pair.g_measure, pair.f_measure, sched, quad_cfg=quad_cfg)
-    d_nu_mu = density(pair.f_measure, pair.g_measure, sched, quad_cfg=quad_cfg)
+    d_mu_nu = density(pair.g_measure, pair.f_measure, sched)
+    d_nu_mu = density(pair.f_measure, pair.g_measure, sched)
     values = {
         "D_upper_mu(nu)": d_mu_nu.upper,
         "D_lower_mu(nu)": d_mu_nu.lower,
@@ -276,19 +276,18 @@ def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, tol: f
 def _build_lattice_support(cfg: dict):
     """Point support for a scenario: CSV points, a lattice, or a thinned lattice.
 
-    Returns (support, lattice_cfg, known_separation); thinned lattices keep
-    the generating lattice's separation (thinning only removes points).
+    Returns (support, lattice_cfg).
     """
     if "points_csv" in cfg:
         from .space import load_point_set_csv
 
         ps = load_point_set_csv(cfg["points_csv"])
-        return ps, {"scale": None, "dim": ps.dim}, None
+        return ps, {"scale": None, "dim": ps.dim}
     lat_cfg = cfg.get("lattice", {"scale": 1.0, "dim": 2})
     lat = Lattice(lat_cfg["scale"], lat_cfg["dim"])
     thin = lat_cfg.get("thin")
     if thin is None:
-        return lat, lat_cfg, lat.scale
+        return lat, lat_cfg
     # drop-even-even: remove points whose integer coordinates are all even
     reach = max(
         max(cfg.get("gram_radii", [4.5])),
@@ -298,7 +297,7 @@ def _build_lattice_support(cfg: dict):
     box = lat.points_in_box(-reach * np.ones(lat.dim), reach * np.ones(lat.dim))
     idx = np.rint(box / lat.scale).astype(int)
     keep = ~np.all(idx % 2 == 0, axis=1)
-    return PointSet(box[keep]), lat_cfg, lat.scale
+    return PointSet(box[keep]), lat_cfg
 
 
 def _quad_from_config(cfg: dict, default_h: float = 0.08, default_refine: int = 2) -> QuadConfig:
@@ -314,10 +313,7 @@ def _quad_from_config(cfg: dict, default_h: float = 0.08, default_refine: int = 
 
 
 def _density_for_lattice(support, dim: int, scale: float | None, r_max: float) -> DensityEstimate:
-    if scale is not None:
-        sched = lattice_schedule(scale, dim, r_max=r_max)
-    else:
-        sched = lattice_schedule(1.0, dim, r_max=r_max)
+    sched = lattice_schedule(1.0 if scale is None else scale, dim, r_max=r_max)
     return density(CountingMeasure(support), LebesgueMeasure(dim), sched)
 
 
@@ -328,7 +324,15 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
     est = 0.5 * (dens.upper + dens.lower)
     critical = abs(est - 1.0) <= critical_band
 
-    if frame_ev and dens.upper < 1.0 - tol:
+    if not dens.converged:
+        verdicts.append(
+            {
+                "name": "density-theorem",
+                "verdict": "hypotheses-unmet",
+                "detail": f"density estimate not converged (trend {dens.trend:.4g}); no density-theorem claim",
+            }
+        )
+    elif frame_ev and dens.upper < 1.0 - tol:
         verdicts.append(
             {
                 "name": "sampling-density",
@@ -477,7 +481,7 @@ def _model_space_scenario(cfg: dict, kernel, support, scale: float | None) -> di
 
 
 def _fock_scenario(cfg: dict) -> dict:
-    support, lat_cfg, _ = _build_lattice_support(cfg)
+    support, lat_cfg = _build_lattice_support(cfg)
     scale = None if lat_cfg.get("thin") else lat_cfg["scale"]
     return _model_space_scenario(cfg, FockKernel(), support, scale)
 
@@ -486,7 +490,7 @@ def _gabor_scenario(cfg: dict) -> dict:
     # separation of the point set is enforced at construction: PointSet
     # rejects coincident points naming the offender, and lattice-derived
     # supports inherit the lattice spacing
-    support, lat_cfg, _ = _build_lattice_support(cfg)
+    support, lat_cfg = _build_lattice_support(cfg)
     if lat_cfg["dim"] % 2 != 0:
         raise ConfigError("config invalid at $.lattice.dim: gabor phase space needs even dimension")
     kernel = GaborGaussianKernel(n=lat_cfg["dim"] // 2)
@@ -588,16 +592,21 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def write_localization_csv(rows: list, path) -> None:
-    """CSV view of localization rows as produced by _loc_rows_json."""
+# CSV views of report tables: column title -> row key
+LOCALIZATION_CSV = {"center": "center", "r": "radius"} | {
+    k: k for k in ("defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound")
+}
+GRAM_CSV = {k: k for k in ("radius", "m", "local_dim", "max_eig", "min_eig", "min_nonzero", "near_zero_cluster")}
+
+
+def write_table_csv(rows: list, columns: dict, path) -> None:
+    """CSV view of report rows: cells are repr(row.get(key)), lists joined by ';'."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["center", "r", "defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound"])
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [";".join(repr(c) for c in row["center"])]
-                + [repr(row[k]) for k in ("radius", "defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound")]
-            )
+            cells = (row.get(k) for k in columns.values())
+            writer.writerow([";".join(map(repr, v)) if isinstance(v, list) else repr(v) for v in cells])
 
 
 def write_report(report: dict, out_dir) -> Path:
@@ -607,11 +616,7 @@ def write_report(report: dict, out_dir) -> Path:
     json_path = out / f"{report['scenario']}-report.json"
     json_path.write_text(report_json(report))
     if "localization" in report:
-        write_localization_csv(report["localization"], out / f"{report['scenario']}-localization.csv")
+        write_table_csv(report["localization"], LOCALIZATION_CSV, out / f"{report['scenario']}-localization.csv")
     if "gram_study" in report:
-        with open(out / f"{report['scenario']}-gram.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius", "m", "local_dim", "max_eig", "min_eig", "min_nonzero", "near_zero_cluster"])
-            for row in report["gram_study"]["rows"]:
-                writer.writerow([repr(row.get(k)) for k in ("radius", "m", "local_dim", "max_eig", "min_eig", "min_nonzero", "near_zero_cluster")])
+        write_table_csv(report["gram_study"]["rows"], GRAM_CSV, out / f"{report['scenario']}-gram.csv")
     return json_path

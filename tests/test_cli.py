@@ -5,6 +5,8 @@ import pytest
 from framelab.cli import main, measure_from_config
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
 
+LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lattice": {"scale": 1.0, "dim": 2}}}
+
 
 class TestMeasureSpecs:
     def test_lebesgue(self):
@@ -154,6 +156,24 @@ class TestCommands:
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
         rc = main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"config invalid at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", '{"scale": 0.5, "dim": 1}', "--radii", "2"], "$.dim"),
+            (["gram", "--kernel", '{"kernel": "bessel"}', "--lattice", '{"scale": 0.5, "dim": 2}', "--radii", "2"], "$.kernel"),
+            (["density", "--mu", '{"lattice": {"scale": "x", "dim": 2}}', "--nu", '{"lebesgue": {"dim": 2}}'], "$.lattice.scale"),
+            (["density", "--mu", '{"lattice": {"scale": 0.5}}', "--nu", '{"lebesgue": {"dim": 2}}'], "$.lattice"),
+            (["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}}', "--nu", '{"nope": {}}'], "$.nope"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "kernel": {"kernel": "bessel"}}), "--radii", "2"], "$.kernel.kernel"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "f": {"lebesgue": {"dim": "2"}}}), "--radii", "2"], "$.f.lebesgue.dim"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "g": {"nope": {}}}), "--radii", "2"], "$.g.nope"),
+        ],
+    )
+    def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
+        rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"config invalid at {path}:" in capsys.readouterr().err
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab.density import DensitySchedule, classical_density, density, lattice_schedule
+from framelab.density import DensitySchedule, density, lattice_schedule
 from framelab.space import AtomicMeasure, CountingMeasure, Lattice, LebesgueMeasure, PointSet
 
 
@@ -82,22 +82,24 @@ class TestDensity:
 
 class TestClassicalDensity:
     def test_integers(self):
-        est = classical_density(Lattice(1.0, 1), 1, small_sched(1))
+        est = density(CountingMeasure(Lattice(1.0, 1)), LebesgueMeasure(1), small_sched(1))
         assert est.upper == pytest.approx(1.0, rel=0.05)
 
     def test_even_integers(self):
-        est = classical_density(Lattice(2.0, 1), 1, small_sched(1, 2.0))
+        est = density(CountingMeasure(Lattice(2.0, 1)), LebesgueMeasure(1), small_sched(1, 2.0))
         assert est.upper == pytest.approx(0.5, rel=0.05)
 
     def test_empty_set(self):
-        est = classical_density(
-            PointSet(np.zeros((0, 1))), 1, DensitySchedule((4.0,), (np.zeros(1), np.ones(1)), 0.5)
+        est = density(
+            CountingMeasure(PointSet(np.zeros((0, 1)))),
+            LebesgueMeasure(1),
+            DensitySchedule((4.0,), (np.zeros(1), np.ones(1)), 0.5),
         )
         assert est.upper == 0.0 and est.lower == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            classical_density(Lattice(1.0, 2), 1, small_sched(1))
+            density(CountingMeasure(Lattice(1.0, 2)), LebesgueMeasure(1), small_sched(1))
 
 
 class TestSchedule:

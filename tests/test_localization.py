@@ -5,15 +5,8 @@ import pytest
 from scipy.stats import ncx2
 
 from framelab.kernels import FockKernel, PaleyWienerKernel, TabulatedKernel
-from framelab.localization import (
-    FramePairSpec,
-    double_tail,
-    hap_check,
-    localization_defect,
-    mean_value_check,
-    tail_sup,
-)
-from framelab.quadrature import QuadConfig
+from framelab.localization import FramePairSpec, double_tail, localization_defect, tail_sup
+from framelab.quadrature import QuadConfig, integrate_ball
 from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet
 
 
@@ -143,11 +136,6 @@ class TestLocalizationDefect:
         assert fwd.defect == pytest.approx(rev.defect, abs=1e-12)
         assert fwd.double_tail_fg == pytest.approx(rev.double_tail_gf, abs=1e-12)
 
-    def test_general_duals_rejected(self):
-        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2), self_dual=False)
-        with pytest.raises(ValueError, match="general duals unsupported"):
-            localization_defect(pair, Ball([0, 0], 2.0))
-
     def test_disjoint_orthogonal_supports(self):
         # one family inside B, the other outside, orthogonal kernels: defect 0
         K = TabulatedKernel(lambda x, y: 1.0 if np.allclose(x, y) else 0.0, dim=1)
@@ -159,10 +147,12 @@ class TestLocalizationDefect:
 
 
 class TestHapCheck:
+    """The homogeneous-approximation tail: tail_sup over a lattice index set."""
+
     def test_fock_lattice_value(self):
         # oracle: direct lattice sum of exp(-pi |gamma|^2) over |gamma| > 2,
         # leading shell |gamma|^2 = 5 with multiplicity 8
-        got = hap_check(FockKernel(), Lattice(1.0, 2), 2.0, [[0.0, 0.0]])
+        got = tail_sup(FockKernel(), CountingMeasure(Lattice(1.0, 2)), 2.0, [[0.0, 0.0]])
         n = np.arange(-12, 13)
         X, Y = np.meshgrid(n, n, indexing="ij")
         rr2 = (X**2 + Y**2).astype(float)
@@ -171,45 +161,42 @@ class TestHapCheck:
         assert got == pytest.approx(1.2056647504357086e-06, rel=1e-9)
 
     def test_radius_beyond_window(self):
-        assert hap_check(FockKernel(), Lattice(1.0, 2), 30.0, [[0.0, 0.0]], window_margin=1.0) == 0.0
+        got = tail_sup(FockKernel(), CountingMeasure(Lattice(1.0, 2)), 30.0, [[0.0, 0.0]], QuadConfig(truncation_margin=1.0))
+        assert got == 0.0
 
     def test_empty_set(self):
-        assert hap_check(FockKernel(), PointSet(np.zeros((0, 2))), 2.0, [[0.0, 0.0]]) == 0.0
+        assert tail_sup(FockKernel(), CountingMeasure(PointSet(np.zeros((0, 2)))), 2.0, [[0.0, 0.0]]) == 0.0
+
+
+def normalized_mod2_field(kernel, a):
+    """x -> |<k_x, k_a>|^2 / (K(x, x) K(a, a)) as a vectorized field."""
+    return lambda pts: np.abs(kernel.normalized_cross(pts, [a])[:, 0]) ** 2
 
 
 class TestMeanValue:
+    """Mean-value constant of the kernel itself: 1 / integral over B(a, r) of |k~_a|^2."""
+
     def test_fock_kernel_itself(self):
         # oracle: 1 / integral over B(a, 1) of exp(-pi |x - a|^2) = 1/(1 - e^{-pi})
-        got = mean_value_check(
-            FockKernel(),
+        res = integrate_ball(
+            normalized_mod2_field(FockKernel(), [0.0, 0.0]),
+            Ball([0.0, 0.0], 1.0),
             LebesgueMeasure(2),
-            1.0,
-            [[0.0, 0.0]],
-            [[(1.0, [0.0, 0.0])]],
             QuadConfig(h=0.02),
         )
-        assert got == pytest.approx(1.0 / (1.0 - math.exp(-math.pi)), rel=1e-4)
+        assert 1.0 / res.value == pytest.approx(1.0 / (1.0 - math.exp(-math.pi)), rel=1e-4)
 
     def test_paley_wiener_kernel(self):
         # oracle: 1 / int_{-1}^{1} sinc^2, computed by Gauss-Legendre
         nodes, weights = np.polynomial.legendre.leggauss(400)
         denom = float(np.sum(np.sinc(nodes) ** 2 * weights))
-        got = mean_value_check(
-            PaleyWienerKernel(),
+        res = integrate_ball(
+            normalized_mod2_field(PaleyWienerKernel(), [0.0]),
+            Ball([0.0], 1.0),
             LebesgueMeasure(1),
-            1.0,
-            [[0.0]],
-            [[(1.0, [0.0])]],
             QuadConfig(h=0.005),
         )
-        assert got == pytest.approx(1.0 / denom, rel=1e-4)
-
-    def test_orthogonal_function_no_constraint(self):
-        # a combination vanishing at the probe contributes ratio 0
-        K = FockKernel()
-        combo = [(1.0, [3.0, 0.0]), (-1.0, [3.0, 0.0])]  # the zero function
-        got = mean_value_check(K, LebesgueMeasure(2), 1.0, [[0.0, 0.0]], [combo], QuadConfig(h=0.1))
-        assert got == 0.0
+        assert 1.0 / res.value == pytest.approx(1.0 / denom, rel=1e-4)
 
 
 class TestOffsets:

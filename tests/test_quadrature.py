@@ -96,25 +96,6 @@ class TestIntegrateComplement:
                 ones, Ball([0, 0], 3.0), LebesgueMeasure(2), QuadConfig(truncation_radius=2.0)
             )
 
-    def test_power_tail_model(self):
-        cfg = QuadConfig(h=0.05, error_model="power_tail", power_exponent=4.0, truncation_margin=3.0)
-        res = integrate_complement(
-            lambda p: (1.0 + np.einsum("ij,ij->i", p, p)) ** -2,
-            Ball([0, 0], 1.0),
-            LebesgueMeasure(2),
-            cfg,
-        )
-        # oracle: radial closed form pi (1/(1+r^2) - 1/(1+R_tr^2)) over the kept annulus
-        kept = math.pi * (1 / 2 - 1 / 17)
-        remainder = math.pi / 17
-        assert res.value == pytest.approx(kept, rel=1e-3)
-        assert res.truncation_bound >= remainder  # conservative unit-amplitude model
-
-    def test_power_tail_needs_decay(self):
-        cfg = QuadConfig(error_model="power_tail", power_exponent=1.5)
-        with pytest.raises(ValueError, match="exceed the dimension"):
-            integrate_complement(ones, Ball([0, 0], 1.0), LebesgueMeasure(2), cfg)
-
 
 class TestShellNodes:
     @pytest.mark.parametrize("gauss", [True, False], ids=["gauss", "midpoint"])

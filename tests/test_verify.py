@@ -145,6 +145,22 @@ class TestScenarios:
         names = {v["name"]: v["verdict"] for v in rep["verdicts"]}
         assert names["density-theorem"] == "critical-no-claim"
 
+    def test_unconverged_density_is_hypotheses_unmet(self):
+        # one density radius leaves the trend undefined (inf): no density-theorem claim
+        cfg = {
+            "scenario": "fock",
+            "lattice": {"scale": 0.5, "dim": 2},
+            "density_rmax": 4.0,
+            "gram_radii": [1.5, 2.0],
+            "radii": [2.0],
+        }
+        rep = run(cfg)
+        assert rep["density"]["converged"] is False
+        verdict = next(v for v in rep["verdicts"] if v["name"] == "density-theorem")
+        assert verdict["verdict"] == "hypotheses-unmet"
+        assert "trend inf" in verdict["detail"]
+        assert rep["overall"] == "fail"
+
     def test_gabor_scenario_thinned(self):
         cfg = {
             "scenario": "gabor",
