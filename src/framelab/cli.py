@@ -107,6 +107,12 @@ def measure_from_config(cfg: dict):
     )
 
 
+def _dim_path(spec: dict, root: str = "$") -> str:
+    """JSON path that fixes a measure spec's dimension: its dim key, or its point data."""
+    (kind,) = spec
+    return f"{root}.{kind}.dim" if kind in ("lebesgue", "lattice") else f"{root}.{kind}"
+
+
 def _cmd_run(args) -> int:
     cfg = _load_json_arg(args.config)
     if args.seed is not None:
@@ -123,7 +129,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_density(args) -> int:
     mu = measure_from_config(verify.validate_config(_load_json_arg(args.mu), _MEASURE_SCHEMA))
-    nu = measure_from_config(verify.validate_config(_load_json_arg(args.nu), _MEASURE_SCHEMA))
+    nu_cfg = verify.validate_config(_load_json_arg(args.nu), _MEASURE_SCHEMA)
+    nu = measure_from_config(nu_cfg)
+    if nu.dim != mu.dim:
+        raise verify.ConfigError(f"config invalid at {_dim_path(nu_cfg)}: --mu lives in dimension {mu.dim}")
     if isinstance(mu, CountingMeasure) and isinstance(mu.support, Lattice):
         sched = lattice_schedule(mu.support.scale, mu.dim, r_max=args.rmax)
     else:
@@ -144,12 +153,20 @@ def _cmd_density(args) -> int:
 def _cmd_localize(args) -> int:
     pair_cfg = verify.validate_config(_load_json_arg(args.pair), _PAIR_SCHEMA)
     kernel = kernel_from_config(pair_cfg["kernel"])
+    measures = {side: measure_from_config(pair_cfg[side]) for side in ("f", "g")}
+    for side, m in measures.items():
+        if m.dim != kernel.dim:
+            path = _dim_path(pair_cfg[side], f"$.{side}")
+            raise verify.ConfigError(f"config invalid at {path}: the kernel lives in dimension {kernel.dim}")
+    for key in ("f_offset", "g_offset"):
+        if key in pair_cfg and len(pair_cfg[key]) != kernel.dim:
+            raise verify.ConfigError(f"config invalid at $.{key}: the kernel lives in dimension {kernel.dim}")
     pair = FramePairSpec(
         kernel=kernel,
-        f_measure=measure_from_config(pair_cfg["f"]),
-        g_measure=measure_from_config(pair_cfg["g"]),
-        f_offset=np.asarray(pair_cfg["f_offset"], dtype=float) if "f_offset" in pair_cfg else None,
-        g_offset=np.asarray(pair_cfg["g_offset"], dtype=float) if "g_offset" in pair_cfg else None,
+        f_measure=measures["f"],
+        g_measure=measures["g"],
+        f_offset=pair_cfg.get("f_offset"),
+        g_offset=pair_cfg.get("g_offset"),
     )
     cfg = verify._quad_from_config(pair_cfg, default_h=0.05, default_refine=8)
     center = np.zeros(kernel.dim)

@@ -6,10 +6,18 @@ split between two index measures.  Discrete sides become exact atom sums
 Lebesgue sides are quadrature over the shell where the integrand is not
 negligibly small.  Those shells come from quadrature.shell_nodes with one
 midpoint node per interior cell: every node enters a node x atom sum, so a
-2^d-node Gauss rule would cost 2^d times more.  Continuous x continuous
-pairs of Gaussian-law kernels go through an exact radial reduction of the
-inner ball integral (a Bessel-I0 profile), so no four-dimensional grid is
-ever built.
+2^d-node Gauss rule would cost 2^d times more.  Every node x atom sum (and
+the atom x atom sum of two discrete sides) is pruned by tiles: nodes are
+grouped into tiles of side c = tail_cutoff(1e-14), and each tile meets only
+the atoms within c of its bounding box, as in the truncated cell-list fast
+Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 1991).
+A skipped pair lies more than c apart, so its term is below 1e-14 times its
+two weights; the reported truncation bound adds 1e-14 f(B_tr) g(B_tr) for
+each of t1 and t2 to cover them.  Kernels without a finite cutoff
+(Paley-Wiener, tabulated) make one tile that meets every atom.
+Continuous x continuous pairs of Gaussian-law kernels go through an exact
+radial reduction of the inner ball integral (a Bessel-I0 profile), so no
+four-dimensional grid is ever built.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -25,7 +33,7 @@ import numpy as np
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .quadrature import IntegralResult, QuadConfig, integrate_complement, shell_nodes
-from .space import Ball, as_point, ball_volume
+from .space import Ball, as_point
 
 __all__ = [
     "FramePairSpec",
@@ -77,20 +85,18 @@ class FramePairSpec:
         d = self.kernel.dim
         if self.f_measure.dim != d or self.g_measure.dim != d:
             raise ValueError("index measures must match the kernel dimension")
-        if self.f_offset is not None:
-            self.f_offset = as_point(self.f_offset)
-        if self.g_offset is not None:
-            self.g_offset = as_point(self.g_offset)
+        for name in ("f_offset", "g_offset"):
+            offset = getattr(self, name)
+            if offset is not None:
+                offset = as_point(offset)
+                if offset.size != d:
+                    raise ValueError(f"{name} must have {d} coordinates, got {offset.size}")
+                setattr(self, name, offset)
 
-    def _shift(self, pts, offset):
-        return pts if offset is None else pts + offset[None, :]
 
-    def mod2_fg(self, x_pts, y_pts) -> np.ndarray:
-        """|<f_x, g_y>|^2 for f-index points x and g-index points y."""
-        return _mod2_cross(
-            self.kernel, self._shift(np.atleast_2d(x_pts), self.f_offset),
-            self._shift(np.atleast_2d(y_pts), self.g_offset),
-        )
+def _shift(pts, offset):
+    """The kernel points of index points pts under a family offset."""
+    return pts if offset is None else pts + offset[None, :]
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,8 @@ class LocalizationRow:
     normalizer: float
     epsilon_effective: float
     truncation_bound: float
+    mu_ball: float
+    nu_ball: float
 
 
 def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig | None = None) -> float:
@@ -125,12 +133,35 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig | N
     return best
 
 
-def _sum_field_over_atoms(kernel_pair_mod2, nodes, atoms, atom_weights) -> np.ndarray:
-    """sum_j w_j mod2(node_i, atom_j), chunked over nodes."""
+def _sum_field_over_atoms(kernel, nodes, atoms, atom_weights) -> np.ndarray:
+    """sum_j w_j |<k_node_i, k_atom_j>|^2, skipping pairs beyond the kernel's cutoff.
+
+    Nodes are grouped into tiles of side c = kernel.tail_cutoff(_PRUNE_EPS)
+    (one scalar key per node); a tile meets only the atoms inside its node
+    bounding box widened by c, in at most _NODE_CHUNK-node blocks.  A skipped
+    atom differs from every node of the tile by more than c in some
+    coordinate, so each skipped term is < _PRUNE_EPS w_j.  Both point sets are
+    the offset-shifted points the kernel sees.  An infinite cutoff makes one
+    tile that meets every atom.
+    """
     out = np.zeros(len(nodes))
-    for i in range(0, len(nodes), _NODE_CHUNK):
-        block = kernel_pair_mod2(nodes[i : i + _NODE_CHUNK], atoms)
-        out[i : i + _NODE_CHUNK] = block @ atom_weights
+    if len(nodes) == 0 or len(atoms) == 0:
+        return out
+    cutoff = kernel.tail_cutoff(_PRUNE_EPS)
+    if math.isfinite(cutoff):
+        cell = np.floor(nodes / cutoff).astype(np.int64)
+        cell -= cell.min(axis=0)
+        key = np.ravel_multi_index(tuple(cell.T), tuple(cell.max(axis=0) + 1))
+        order = np.argsort(key, kind="stable")
+        tiles = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    else:
+        tiles = [np.arange(len(nodes))]
+    for tile in tiles:
+        X = nodes[tile]
+        near = np.all((atoms >= X.min(axis=0) - cutoff) & (atoms <= X.max(axis=0) + cutoff), axis=1)
+        Y, w = atoms[near], atom_weights[near]
+        for i in range(0, len(tile), _NODE_CHUNK):
+            out[tile[i : i + _NODE_CHUNK]] = _mod2_cross(kernel, X[i : i + _NODE_CHUNK], Y) @ w
     return out
 
 
@@ -176,9 +207,7 @@ def _continuous_pair_term(pair: FramePairSpec, outer_offset, inner_offset, ball:
     if d == 1:
         nodes, w = shell_nodes(ball.center, ball.radius, r_tr, cfg, gauss=False)
         inner_nodes, inner_w = shell_nodes(ball.center, 0.0, ball.radius, cfg, gauss=False)
-        u_out = nodes if outer_offset is None else nodes + outer_offset[None, :]
-        u_in = inner_nodes if inner_offset is None else inner_nodes + inner_offset[None, :]
-        field = _sum_field_over_atoms(lambda X, Y: _mod2_cross(kernel, X, Y), u_out, u_in, inner_w)
+        field = _sum_field_over_atoms(kernel, _shift(nodes, outer_offset), _shift(inner_nodes, inner_offset), inner_w)
         return float(field @ w), len(nodes) + len(inner_nodes)
     if d != 2 or not isinstance(kernel, (FockKernel, GaborGaussianKernel)):
         raise ValueError("continuous-continuous double tails need a Gaussian-law or 1-d kernel")
@@ -210,14 +239,13 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     if outer == "f":
         outer_m, inner_m = pair.f_measure, pair.g_measure
         outer_off, inner_off = pair.f_offset, pair.g_offset
-        mod2 = lambda X_out, Y_in: pair.mod2_fg(X_out, Y_in)
     else:
         outer_m, inner_m = pair.g_measure, pair.f_measure
         outer_off, inner_off = pair.g_offset, pair.f_offset
-        mod2 = lambda X_out, Y_in: pair.mod2_fg(Y_in, X_out).T
+    kernel = pair.kernel
     r = ball.radius
     r_tr = cfg.effective_truncation(r)
-    cutoff = pair.kernel.tail_cutoff(_PRUNE_EPS)
+    cutoff = kernel.tail_cutoff(_PRUNE_EPS)
     out_disc = getattr(outer_m, "is_discrete", False)
     in_disc = getattr(inner_m, "is_discrete", False)
 
@@ -231,21 +259,13 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         atoms_out, w_out = atoms_out[keep], w_out[keep]
         if len(atoms_out) == 0:
             return 0.0
+        u_atoms = _shift(atoms_out, outer_off)
         if in_disc:
             atoms_in, w_in = inner_m.atoms_in_ball(ball)
-            if len(atoms_in) == 0:
-                return 0.0
-            total = 0.0
-            for i in range(0, len(atoms_out), _NODE_CHUNK):
-                block = mod2(atoms_out[i : i + _NODE_CHUNK], atoms_in)
-                total += float(w_out[i : i + _NODE_CHUNK] @ block @ w_in)
-            return total
+            return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, _shift(atoms_in, inner_off), w_in))
         # inner Lebesgue: quadrature over the part of B the outer atoms can see
-        r_in_cut = 0.0 if not math.isfinite(cutoff) else max(0.0, r - cutoff)
-        nodes, wq = shell_nodes(ball.center, r_in_cut, r, cfg, gauss=False)
-        u_nodes = nodes if inner_off is None else nodes + inner_off[None, :]
-        u_atoms = atoms_out if outer_off is None else atoms_out + outer_off[None, :]
-        field = _sum_field_over_atoms(lambda X, Y: _mod2_cross(pair.kernel, X, Y), u_nodes, u_atoms, w_out)
+        nodes, wq = shell_nodes(ball.center, max(0.0, r - cutoff), r, cfg, gauss=False)
+        field = _sum_field_over_atoms(kernel, _shift(nodes, inner_off), u_atoms, w_out)
         # deeper interior nodes are unreachable across the cutoff: < _PRUNE_EPS
         return float(field @ wq)
 
@@ -253,28 +273,31 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     atoms_in, w_in = inner_m.atoms_in_ball(ball)
     if len(atoms_in) == 0:
         return 0.0
-    r_out_cut = r_tr if not math.isfinite(cutoff) else min(r_tr, r + cutoff)
-    nodes, wq = shell_nodes(ball.center, r, r_out_cut, cfg, gauss=False)
-    u_nodes = nodes if outer_off is None else nodes + outer_off[None, :]
-    u_atoms = atoms_in if inner_off is None else atoms_in + inner_off[None, :]
-    field = _sum_field_over_atoms(lambda X, Y: _mod2_cross(pair.kernel, X, Y), u_nodes, u_atoms, w_in)
+    nodes, wq = shell_nodes(ball.center, r, min(r_tr, r + cutoff), cfg, gauss=False)
+    field = _sum_field_over_atoms(kernel, _shift(nodes, outer_off), _shift(atoms_in, inner_off), w_in)
     return float(field @ wq)
 
 
-def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig) -> float:
-    """Estimate of mass ignored by the decay cutoff and the window truncation."""
+def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float, nu_b: float) -> float:
+    """Bound on the mass left out of t1 and t2 by the decay cutoff and the window.
+
+    Every pair the cross terms skip (tiles, r +- c shells, atom balls and the
+    radial profile) lies more than c = tail_cutoff(_PRUNE_EPS) apart, so its
+    term is < _PRUNE_EPS w_x w_y.  Both sides lie in B(center, R_tr), hence
+
+        skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
+
+    one such term for each.  The window term (mu(B) + nu(B)) mod2_tail_integral
+    covers what lies beyond R_tr.
+    """
     r_tr = cfg.effective_truncation(ball.radius)
-    mu_b = pair.f_measure.ball_mass(ball)
-    nu_b = pair.g_measure.ball_mass(ball)
-    window = ball_volume(ball.dim, r_tr)
-    slack = _PRUNE_EPS * (mu_b + nu_b + 2.0) * (window + 1.0)
+    window = Ball(ball.center, r_tr)
+    slack = 2.0 * _PRUNE_EPS * pair.f_measure.ball_mass(window) * pair.g_measure.ball_mass(window)
     gap_eff = min(r_tr - ball.radius, pair.kernel.tail_cutoff(_PRUNE_EPS))
     tail = pair.kernel.mod2_tail_integral(gap_eff)
-    if math.isfinite(tail):
-        slack += (mu_b + nu_b) * tail
-    else:
-        slack = math.inf
-    return slack
+    if not math.isfinite(tail):
+        return math.inf
+    return slack + (mu_b + nu_b) * tail
 
 
 def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> DoubleTailResult:
@@ -300,12 +323,14 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> 
     symmetric = plain_lebesgue or (pair.f_measure is pair.g_measure and same_offsets)
     t1 = _cross_term(pair, b, cfg, outer="f")
     t2 = t1 if symmetric else _cross_term(pair, b, cfg, outer="g")
+    mu_b = pair.f_measure.ball_mass(b)
+    nu_b = pair.g_measure.ball_mass(b)
     return DoubleTailResult(
         t1=t1,
         t2=t2,
-        truncation_bound=_pruning_bound(pair, b, cfg),
-        mu_ball=pair.f_measure.ball_mass(b),
-        nu_ball=pair.g_measure.ball_mass(b),
+        truncation_bound=_pruning_bound(pair, b, cfg, mu_b, nu_b),
+        mu_ball=mu_b,
+        nu_ball=nu_b,
     )
 
 
@@ -331,5 +356,7 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = N
         normalizer=normalizer,
         epsilon_effective=defect / normalizer,
         truncation_bound=dt.truncation_bound,
+        mu_ball=dt.mu_ball,
+        nu_ball=dt.nu_ball,
     )
 

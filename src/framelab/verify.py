@@ -224,10 +224,8 @@ def theorem_main_table(pair: FramePairSpec, radii, center=None, cfg: QuadConfig 
         ball = Ball(center, r)
         loc = localization_defect(pair, ball, cfg)
         loc_rows.append(loc)
-        mu_b = loc.normalizer - pair.g_measure.ball_mass(ball)
-        nu_b = loc.normalizer - mu_b
         a_col = 1.0
-        b_col = nu_b / mu_b
+        b_col = loc.nu_ball / loc.mu_ball
         c_col = loc.epsilon_effective
         bound = b_col + c_col * (1.0 + b_col)
         rows.append(

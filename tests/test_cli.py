@@ -170,6 +170,9 @@ class TestCommands:
             (["localize", "--pair", json.dumps({**LOC_PAIR, "kernel": {"kernel": "bessel"}}), "--radii", "2"], "$.kernel.kernel"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "f": {"lebesgue": {"dim": "2"}}}), "--radii", "2"], "$.f.lebesgue.dim"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g": {"nope": {}}}), "--radii", "2"], "$.g.nope"),
+            (["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}}', "--nu", '{"lebesgue": {"dim": 1}}'], "$.lebesgue.dim"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "f": {"lebesgue": {"dim": 1}}}), "--radii", "2"], "$.f.lebesgue.dim"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [0.1]}), "--radii", "2"], "$.g_offset"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from framelab.kernels import FockKernel, PaleyWienerKernel, TabulatedKernel
+from framelab import localization
+from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel, TabulatedKernel
 from framelab.localization import FramePairSpec, double_tail, localization_defect, tail_sup
 from framelab.quadrature import QuadConfig, integrate_ball
-from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet
+from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet
 
 
 def gaussian_ball_integral(center_dist, r):
@@ -105,6 +106,91 @@ class TestDoubleTail:
         nu_b = pair.g_measure.ball_mass(Ball([0, 0], r))
         sup = tail_sup(FockKernel(), LebesgueMeasure(2), 0.0 + 1e-9, [[0.0, 0.0]], QuadConfig(h=0.05, truncation_radius=r + 6))
         assert res.t1 <= nu_b * sup * (1 + 1e-6)
+
+
+def dense_sum_field_over_atoms(kernel, nodes, atoms, atom_weights):
+    """Oracle: the chunked node x atom sum that evaluates every pair."""
+    out = np.zeros(len(nodes))
+    chunk = localization._NODE_CHUNK
+    for i in range(0, len(nodes), chunk):
+        block = localization._mod2_cross(kernel, nodes[i : i + chunk], atoms)
+        out[i : i + chunk] = block @ atom_weights
+    return out
+
+
+def jittered_points(seed, scale, half_width):
+    """A seeded jittered scale * Z^2 on [-half_width, half_width]^2."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(-half_width / scale, half_width / scale + 1)
+    grid = np.stack(np.meshgrid(n, n, indexing="ij"), axis=-1).reshape(-1, 2) * scale
+    return grid + rng.uniform(-0.2 * scale, 0.2 * scale, size=grid.shape)
+
+
+def pruned_and_dense(pair, ball, cfg, monkeypatch):
+    """double_tail with the pruned sum and with the dense oracle, plus the
+    number of kernel pairs each evaluated."""
+    pairs = []
+    mod2 = localization._mod2_cross
+
+    def counted(kernel, X, Y):
+        out = mod2(kernel, X, Y)
+        pairs[-1] += out.size
+        return out
+
+    monkeypatch.setattr(localization, "_mod2_cross", counted)
+    pairs.append(0)
+    pruned = double_tail(pair, ball, cfg)
+    monkeypatch.setattr(localization, "_sum_field_over_atoms", dense_sum_field_over_atoms)
+    pairs.append(0)
+    dense = double_tail(pair, ball, cfg)
+    return pruned, dense, pairs
+
+
+class TestPrunedSum:
+    """The tile-pruned node x atom sums against the dense oracle."""
+
+    CFG = QuadConfig(h=0.16, boundary_refine=2)
+
+    def assert_agree(self, pruned, dense):
+        for got, want in ((pruned.t1, dense.t1), (pruned.t2, dense.t2)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert abs(got - want) <= pruned.truncation_bound
+
+    @pytest.mark.parametrize("r", [8.0, 16.0])
+    def test_fock_lattice(self, r, monkeypatch):
+        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.5, 2)))
+        pruned, dense, pairs = pruned_and_dense(pair, Ball([0, 0], r), self.CFG, monkeypatch)
+        assert pruned.t1 != pruned.t2
+        self.assert_agree(pruned, dense)
+        if r == 16.0:
+            # the machine-independent work guard of the pruning
+            assert pairs[0] <= 0.10 * pairs[1]
+
+    def test_gabor_jittered_points_with_offset(self, monkeypatch):
+        points = CountingMeasure(PointSet(jittered_points(3, 0.8, 14.0)))
+        pair = FramePairSpec(GaborGaussianKernel(), LebesgueMeasure(2), points, g_offset=[0.3, -0.15])
+        pruned, dense, _ = pruned_and_dense(pair, Ball([0.4, -0.7], 6.0), self.CFG, monkeypatch)
+        self.assert_agree(pruned, dense)
+
+    def test_atomic_unequal_weights(self, monkeypatch):
+        pts = jittered_points(5, 0.7, 12.0)
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, size=len(pts))
+        pair = FramePairSpec(FockKernel(), AtomicMeasure(pts, weights), LebesgueMeasure(2))
+        pruned, dense, _ = pruned_and_dense(pair, Ball([0, 0], 5.0), self.CFG, monkeypatch)
+        self.assert_agree(pruned, dense)
+
+    def test_lattice_by_lattice(self, monkeypatch):
+        pair = FramePairSpec(FockKernel(), CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.7, 2)))
+        pruned, dense, pairs = pruned_and_dense(pair, Ball([0, 0], 8.0), self.CFG, monkeypatch)
+        self.assert_agree(pruned, dense)
+        assert pairs[0] < pairs[1]
+
+    @pytest.mark.parametrize("f", [LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1))])
+    def test_paley_wiener_infinite_cutoff_is_dense(self, f, monkeypatch):
+        pair = FramePairSpec(PaleyWienerKernel(), f, CountingMeasure(Lattice(0.9, 1)))
+        pruned, dense, pairs = pruned_and_dense(pair, Ball([0.0], 8.0), QuadConfig(h=0.05), monkeypatch)
+        assert (pruned.t1, pruned.t2) == (dense.t1, dense.t2)
+        assert pairs[0] == pairs[1]
 
 
 class TestLocalizationDefect:
@@ -210,6 +296,10 @@ class TestOffsets:
         row = localization_defect(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
         assert row.defect == 0.0
         assert row.double_tail_fg > 0  # honest nonzero tails
+
+    def test_offset_length_must_match_kernel(self):
+        with pytest.raises(ValueError, match="g_offset must have 2 coordinates"):
+            FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2), g_offset=[0.1])
 
     def test_profile_against_scipy(self):
         # the radial reduction of the inner ball integral matches ncx2
