@@ -29,7 +29,6 @@ from .finframe import (
     canonical_dual,
     comparison_residual,
     frame_bounds,
-    frame_operator,
     project,
 )
 from .density import DensitySchedule, density, lattice_schedule

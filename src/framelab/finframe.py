@@ -1,16 +1,15 @@
 """Exact finite-dimensional frame oracle.
 
-Finite frames over finite atomic index measures in C^n: frame operator,
-bounds, canonical dual, projections and the two-frame comparison identity.
+Finite frames over finite atomic index measures in C^n: frame bounds,
+canonical dual, projections and the two-frame comparison identity.
 All sums are finite, so the identities hold to rounding and serve as the
 machine-precision reference for the continuous machinery.
 
-Spectra come from LAPACK through ``np.linalg.eigh``.  Its absolute
-eigenvalue error is ~1e-15 * lambda_max; every decision here thresholds far
-above that (the ZERO_THRESHOLD/AMBIGUITY_BAND guard of canonical_dual), and
-so do the Gram floors of the verify module, so the higher relative
-accuracy that Jacobi iterations give tiny eigenvalues of graded matrices is
-not needed.
+Spectra come from one LAPACK thin SVD W^1/2 conj(V) = U Sigma Q^*: the frame
+operator S = Q Sigma^2 Q^* is never formed, its bounds are nonzero sigma^2,
+and conj(V~) = W^-1/2 U_r Sigma_r^-1 Q_r^*.  Rounding thus scales with
+kappa(W^1/2 V), not with kappa(S) = kappa(W^1/2 V)^2 as for the normal
+equations (Higham, Accuracy and Stability of Numerical Algorithms, ch. 20).
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from .space import Ball
 
 __all__ = [
     "FiniteFrame",
-    "frame_operator",
     "frame_bounds",
     "canonical_dual",
     "project",
@@ -29,8 +27,8 @@ __all__ = [
     "random_frame",
 ]
 
-# eigenvalues below ZERO_THRESHOLD * lambda_max are treated as zero; values in
-# the surrounding ambiguity band abort dual computation instead of guessing
+# eigenvalues sigma^2 of S below ZERO_THRESHOLD * sigma_1^2 are treated as zero;
+# values in the surrounding ambiguity band abort dual computation instead of guessing
 ZERO_THRESHOLD = 1e-10
 AMBIGUITY_BAND = (1e-11, 1e-9)
 
@@ -74,46 +72,31 @@ class FiniteFrame:
         return self.vectors.shape[1]
 
 
-def frame_operator(F: FiniteFrame) -> np.ndarray:
-    """S = sum_i w_i v_i v_i^*, symmetrised to be exactly Hermitian."""
-    S = (F.vectors.T * F.weights) @ F.vectors.conj()
-    return (S + S.conj().T) / 2.0
-
-
-def _spectrum(F: FiniteFrame):
-    return np.linalg.eigh(frame_operator(F))
+def _svd(F: FiniteFrame):
+    """Thin SVD W^1/2 conj(V) = U diag(s) Qh, s descending; S = Qh^* diag(s^2) Qh."""
+    U, s, Qh = np.linalg.svd(np.sqrt(F.weights)[:, None] * F.vectors.conj(), full_matrices=False)
+    if not s[0] > 0:
+        raise ValueError("degenerate frame: all vectors vanish")
+    return U, s, Qh
 
 
 def frame_bounds(F: FiniteFrame) -> tuple[float, float]:
     """(c, C): smallest nonzero and largest eigenvalue of the frame operator."""
-    lam, _ = _spectrum(F)
-    lam_max = float(lam[-1])
-    if lam_max <= 0:
-        raise ValueError("degenerate frame: all vectors vanish")
-    nonzero = lam[lam > ZERO_THRESHOLD * lam_max]
-    return float(nonzero[0]), lam_max
+    _, s, _ = _svd(F)
+    lam = s * s
+    return float(lam[lam > ZERO_THRESHOLD * lam[0]][-1]), float(lam[0])
 
 
 def canonical_dual(F: FiniteFrame) -> FiniteFrame:
     """Dual frame ~v_i = S^+ v_i (inverse on the span, zero elsewhere)."""
-    lam, Q = _spectrum(F)
-    lam_max = float(lam[-1])
-    if lam_max <= 0:
-        raise ValueError("degenerate frame: all vectors vanish")
-    rel = lam / lam_max
+    U, s, Qh = _svd(F)
+    rel = (s / s[0]) ** 2
     ambiguous = (rel >= AMBIGUITY_BAND[0]) & (rel <= AMBIGUITY_BAND[1])
     if np.any(ambiguous):
         raise ValueError("numerically rank-deficient: eigenvalue inside the zero-threshold band")
-    inv = np.where(rel > ZERO_THRESHOLD, 1.0 / np.where(rel > ZERO_THRESHOLD, lam, 1.0), 0.0)
-    S_pinv = (Q * inv) @ Q.conj().T
-    dual_vectors = F.vectors @ np.conj(S_pinv)
-    return FiniteFrame(dual_vectors, F.weights.copy(), F.index_points.copy())
-
-
-def projector_matrix(F: FiniteFrame, dual: FiniteFrame | None = None) -> np.ndarray:
-    """Matrix of the orthogonal projection onto span{v_i}."""
-    dual = canonical_dual(F) if dual is None else dual
-    return (F.vectors.T * F.weights) @ dual.vectors.conj()
+    r = int(np.count_nonzero(rel > ZERO_THRESHOLD))
+    conj_dual = (U[:, :r] / s[:r]) @ Qh[:r] / np.sqrt(F.weights)[:, None]
+    return FiniteFrame(np.conj(conj_dual), F.weights.copy(), F.index_points.copy())
 
 
 def project(F: FiniteFrame, f, formula: str = "synthesis") -> np.ndarray:
@@ -173,8 +156,9 @@ def comparison_sides(F: FiniteFrame, G: FiniteFrame, omega) -> tuple[complex, co
     mask_f, mask_g = _omega_masks(F, G, omega)
     Fd = canonical_dual(F)
     Gd = canonical_dual(G)
-    P_F = projector_matrix(F, Fd)
-    P_G = projector_matrix(G, Gd)
+    # matrices of the orthogonal projections onto the two spans
+    P_F = (F.vectors.T * F.weights) @ Fd.vectors.conj()
+    P_G = (G.vectors.T * G.weights) @ Gd.vectors.conj()
 
     # <P_G ~f_y, f_y> = f_y^H (P_G ~f_y)
     pg_fd = Fd.vectors @ P_G.T  # row y: (P_G ~f_y)^T

@@ -178,9 +178,8 @@ def _log_i0(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian_ball_profile(r: float, s_values: np.ndarray, step: float) -> np.ndarray:
+def _gaussian_ball_profile(r: float, s_values: np.ndarray, step: float, cutoff: float) -> np.ndarray:
     """phi(s) = integral over B(0, r) in R^2 of exp(-pi |x_s - y|^2), |x_s| = s."""
-    cutoff = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)
     out = np.zeros_like(s_values)
     for i, s in enumerate(s_values):
         rho_lo = max(0.0, s - cutoff)
@@ -211,21 +210,18 @@ def _continuous_pair_term(pair: FramePairSpec, outer_offset, inner_offset, ball:
         return float(field @ w), len(nodes) + len(inner_nodes)
     if d != 2 or not isinstance(kernel, (FockKernel, GaborGaussianKernel)):
         raise ValueError("continuous-continuous double tails need a Gaussian-law or 1-d kernel")
-    shift = np.zeros(2)
-    if inner_offset is not None:
-        shift = shift + inner_offset
-    if outer_offset is not None:
-        shift = shift - outer_offset
+    zero = np.zeros(2)
+    shift = (zero if inner_offset is None else inner_offset) - (zero if outer_offset is None else outer_offset)
     # the inner ball integral is radial around ball.center + shift, so the
     # outer pass only needs a 1-d profile lookup per node
-    cutoff = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)
+    cutoff = kernel.tail_cutoff(_PRUNE_EPS)
     nodes, w = shell_nodes(ball.center, ball.radius, min(r_tr, ball.radius + cutoff + abs(float(np.linalg.norm(shift)))), cfg, gauss=False)
     if len(nodes) == 0:
         return 0.0, 0
     rel = nodes - (ball.center + shift)[None, :]
     s = np.sqrt(np.einsum("ij,ij->i", rel, rel))
     s_grid = np.linspace(max(0.0, float(np.min(s)) - 1e-9), float(np.max(s)) + 1e-9, 2048)
-    prof = _gaussian_ball_profile(ball.radius, s_grid, step=min(cfg.h, 0.01))
+    prof = _gaussian_ball_profile(ball.radius, s_grid, step=min(cfg.h, 0.01), cutoff=cutoff)
     field = np.interp(s, s_grid, prof)
     return float(field @ w), len(nodes)
 
@@ -255,7 +251,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
 
     if out_disc:
         atoms_out, w_out = outer_m.atoms_in_ball(Ball(ball.center, min(r_tr, r + cutoff)))
-        keep = ~ball.contains(atoms_out) if len(atoms_out) else np.zeros(0, dtype=bool)
+        keep = ~outer_m.contains(ball, atoms_out)
         atoms_out, w_out = atoms_out[keep], w_out[keep]
         if len(atoms_out) == 0:
             return 0.0
@@ -308,18 +304,11 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> 
     two integrands coincide, and one evaluation serves both.
     """
     cfg = cfg or QuadConfig()
-    same_offsets = (pair.f_offset is None and pair.g_offset is None) or (
-        pair.f_offset is not None
-        and pair.g_offset is not None
-        and np.array_equal(pair.f_offset, pair.g_offset)
-    )
+    f_off, g_off = pair.f_offset, pair.g_offset
+    same_offsets = f_off is g_off or (f_off is not None and g_off is not None and np.array_equal(f_off, g_off))
     # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
     # through its center negates x - y, and |<k_x, k_y>|^2 is even
-    plain_lebesgue = (
-        not getattr(pair.f_measure, "is_discrete", False)
-        and not getattr(pair.g_measure, "is_discrete", False)
-        and pair.f_measure.dim == pair.g_measure.dim
-    )
+    plain_lebesgue = not any(getattr(m, "is_discrete", False) for m in (pair.f_measure, pair.g_measure))
     symmetric = plain_lebesgue or (pair.f_measure is pair.g_measure and same_offsets)
     t1 = _cross_term(pair, b, cfg, outer="f")
     t2 = t1 if symmetric else _cross_term(pair, b, cfg, outer="g")

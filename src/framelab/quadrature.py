@@ -17,8 +17,8 @@ intersection measure (closed form for d = 2, indicator subsampling for
 d in {3, 4}).  All contributions are accumulated with error-free summation
 (math.fsum), so results do not depend on evaluation order or thread count.
 
-Discrete measures short-circuit to exact atom sums with closed-ball
-membership.
+Discrete measures short-circuit to exact atom sums; each measure decides
+closed-ball membership by its own rule (``m.contains``).
 
 ``integrate_complement`` stays the difference of two ball integrals over the
 same grid rather than one shell pass.  A shell pass would give the cells
@@ -208,7 +208,7 @@ def _atom_terms(f, m, b: Ball, invert: bool, outer_radius: float | None):
     """Exact atom sums; invert selects atoms outside b but within outer_radius."""
     if invert:
         pts, w = m.atoms_in_ball(Ball(b.center, outer_radius))
-        keep = ~b.contains(pts) if len(pts) else np.zeros(0, dtype=bool)
+        keep = ~m.contains(b, pts)
         pts, w = pts[keep], w[keep]
     else:
         pts, w = m.atoms_in_ball(b)

@@ -3,8 +3,8 @@ and the Lebesgue, counting and atomic measures whose ball masses the density
 and localization code compare.
 
 Balls are closed throughout: an atom sitting exactly on the boundary sphere
-belongs to the ball.  Atom membership uses exact floating-point comparison
-(no fuzzy tolerance); coordinates are treated as exact inputs.
+belongs to the ball.  Point sets test membership by exact floating-point
+comparison, lattices in integer coordinates by one rule (see Lattice).
 """
 from __future__ import annotations
 
@@ -88,12 +88,44 @@ class PointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    def contains(self, b: Ball, points) -> np.ndarray:
+        return b.contains(points)
+
     def points_in_ball(self, b: Ball) -> np.ndarray:
         return self.points[b.contains(self.points)]
 
 
+def _step(rem, k, c):
+    """The lattice membership rule's one arithmetic step: the remainder left after axis k."""
+    return rem - (k - c) ** 2
+
+
+def _runs(c: float, rem: np.ndarray):
+    """Runs [lo, hi] (empty: hi = lo - 1) of the integers k with _step(rem, k, c) >= 0.
+
+    The sqrt endpoints are only a guess, corrected by one against _step itself.
+    """
+    s = np.sqrt(np.maximum(rem, 0.0))
+    lo, hi = np.ceil(c - s), np.floor(c + s)
+    lo = np.where(_step(rem, lo - 1, c) >= 0, lo - 1, np.where(_step(rem, lo, c) >= 0, lo, lo + 1))
+    hi = np.where(_step(rem, hi + 1, c) >= 0, hi + 1, np.where(_step(rem, hi, c) >= 0, hi, hi - 1))
+    return lo, np.maximum(hi, lo - 1)
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """Unroll runs: (index of the run, integer value) for every member, runs in order."""
+    n = (hi - lo + 1).astype(np.int64)
+    run = np.repeat(np.arange(len(n)), n)
+    return run, lo[run] + (np.arange(len(run)) - np.repeat(np.cumsum(n) - n, n))
+
+
 class Lattice:
-    """Scaled integer lattice alpha * Z^d with closed-form ball enumeration."""
+    """Scaled integer lattice alpha * Z^d with closed-form ball enumeration.
+
+    Membership: with k = x / alpha and c' = c / alpha, x lies in B(c, r) iff
+    (r / alpha)^2 - sum_j (k_j - c'_j)^2, subtracted by _step in axis order,
+    stays >= 0; counts and enumerations walk the same remainders.
+    """
 
     def __init__(self, scale: float, dim: int):
         if scale <= 0:
@@ -103,60 +135,41 @@ class Lattice:
         self.scale = float(scale)
         self.dim = int(dim)
 
-    def count_in_ball(self, b: Ball) -> int:
-        """Number of lattice points in the closed ball, without enumeration.
-
-        Row-by-row counting: for each prefix of fixed leading coordinates the
-        final axis contributes floor/ceil interval counts.
-        """
+    def _scaled(self, b: Ball):
         if b.dim != self.dim:
             raise ValueError("ball dimension does not match lattice dimension")
-        c = b.center / self.scale
         r = b.radius / self.scale
-        return int(self._count_rec(c, r * r))
+        return b.center / self.scale, r * r
 
-    def _count_rec(self, c: np.ndarray, r2: float) -> int:
-        if r2 < 0:
-            return 0
-        r = math.sqrt(r2)
-        if c.size == 1:
-            lo = math.ceil(c[0] - r)
-            hi = math.floor(c[0] + r)
-            return max(0, hi - lo + 1)
-        lo = math.ceil(c[0] - r)
-        hi = math.floor(c[0] + r)
-        if hi < lo:
-            return 0
-        i = np.arange(lo, hi + 1, dtype=float)
-        rem = r2 - (i - c[0]) ** 2
-        if c.size == 2:
-            rr = np.sqrt(np.maximum(rem, 0.0))
-            his = np.floor(c[1] + rr)
-            los = np.ceil(c[1] - rr)
-            return int(np.sum(np.maximum(0.0, his - los + 1.0)))
-        return sum(self._count_rec(c[1:], float(t)) for t in rem)
+    def contains(self, b: Ball, points) -> np.ndarray:
+        """Closed-ball membership of an (m, d) array of lattice points."""
+        c, rem = self._scaled(b)
+        k = np.rint(np.atleast_2d(np.asarray(points, dtype=float)) / self.scale)
+        for j in range(self.dim):
+            rem = _step(rem, k[:, j], c[j])
+        return rem >= 0
+
+    def _ball_runs(self, b: Ball):
+        """(k, lo, hi): the points in b, lexicographically, are k[i] x [lo[i], hi[i]] (integer coordinates)."""
+        c, r2 = self._scaled(b)
+        k, rem = np.zeros((1, 0)), np.array([r2])
+        for j in range(self.dim - 1):
+            run, kj = _expand(*_runs(c[j], rem))
+            k = np.column_stack([k[run], kj])
+            rem = _step(rem[run], kj, c[j])
+        lo, hi = _runs(c[-1], rem)
+        return k, lo, hi
+
+    def count_in_ball(self, b: Ball) -> int:
+        """Number of lattice points in the closed ball; the last axis is never enumerated."""
+        _, lo, hi = self._ball_runs(b)
+        return int(np.sum(hi - lo + 1))
 
     def points_in_ball(self, b: Ball) -> np.ndarray:
         """Enumerate lattice points in the closed ball as an (m, d) array."""
-        if b.dim != self.dim:
-            raise ValueError("ball dimension does not match lattice dimension")
-        lo = np.ceil((b.center - b.radius) / self.scale).astype(int)
-        hi = np.floor((b.center + b.radius) / self.scale).astype(int)
-        if np.any(hi < lo):
-            return np.zeros((0, self.dim))
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grid], axis=1).astype(float) * self.scale
-        return pts[b.contains(pts)]
-
-    def points_in_box(self, lo, hi) -> np.ndarray:
-        lo = np.ceil(as_point(lo) / self.scale).astype(int)
-        hi = np.floor(as_point(hi) / self.scale).astype(int)
-        if np.any(hi < lo):
-            return np.zeros((0, self.dim))
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=1).astype(float) * self.scale
+        k, lo, hi = self._ball_runs(b)
+        run, last = _expand(lo, hi)
+        return np.column_stack([k[run], last]) * self.scale
 
 
 @dataclass
@@ -196,6 +209,10 @@ class CountingMeasure:
         pts = self.support.points_in_ball(b)
         return pts, np.ones(len(pts))
 
+    def contains(self, b: Ball, atoms) -> np.ndarray:
+        """Membership of this measure's atoms in b, by its support's rule."""
+        return self.support.contains(b, atoms)
+
 
 class AtomicMeasure:
     """Finite atomic measure: sum of positive point masses."""
@@ -226,6 +243,9 @@ class AtomicMeasure:
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         inside = b.contains(self.points)
         return self.points[inside], self.weights[inside]
+
+    def contains(self, b: Ball, atoms) -> np.ndarray:
+        return b.contains(atoms)
 
 
 def load_point_set_csv(path) -> PointSet:

@@ -58,7 +58,8 @@ class TestDensity:
     def test_translation_shifts_by_at_most_shell(self):
         sched = DensitySchedule((8.0,), (np.zeros(2), np.full(2, 0.999)), 0.5)
         base = density(CountingMeasure(Lattice(1.0, 2)), LebesgueMeasure(2), sched)
-        shifted = PointSet(Lattice(1.0, 2).points_in_box([-42, -42], [42, 42]) + np.array([0.3, 0.7]))
+        grid = np.stack(np.meshgrid(np.arange(-42.0, 43.0), np.arange(-42.0, 43.0), indexing="ij"), axis=-1)
+        shifted = PointSet(grid.reshape(-1, 2) + np.array([0.3, 0.7]))
         moved = density(CountingMeasure(shifted), LebesgueMeasure(2), sched)
         r = 8.0
         shell = (math.pi * ((r + math.sqrt(2)) ** 2 - r**2)) / (math.pi * r * r)

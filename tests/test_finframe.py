@@ -9,7 +9,6 @@ from framelab.finframe import (
     comparison_residual,
     comparison_sides,
     frame_bounds,
-    frame_operator,
     project,
     random_frame,
 )
@@ -25,18 +24,31 @@ def direct_projection(vectors, f):
     return basis @ (basis.conj().T @ f)
 
 
+def frame_operator(F):
+    """Oracle: S = sum_i w_i v_i v_i^* formed directly (framelab never forms it)."""
+    return (F.vectors.T * F.weights) @ F.vectors.conj()
+
+
 class TestFrameOperator:
+    """The test-side frame operator against frame_bounds and the dual, whose frame operator is S^+."""
+
     def test_orthonormal_identity(self):
         F = FiniteFrame(np.eye(2, dtype=complex))
         np.testing.assert_allclose(frame_operator(F), np.eye(2), atol=1e-15)
+        assert frame_bounds(F) == (pytest.approx(1.0, abs=1e-15), pytest.approx(1.0, abs=1e-15))
+        np.testing.assert_allclose(frame_operator(canonical_dual(F)), np.eye(2), atol=1e-15)
 
     def test_mercedes(self):
-        S = frame_operator(FiniteFrame(MERCEDES))
-        np.testing.assert_allclose(S, 1.5 * np.eye(2), atol=1e-14)
+        F = FiniteFrame(MERCEDES)
+        np.testing.assert_allclose(frame_operator(F), 1.5 * np.eye(2), atol=1e-14)
+        assert frame_bounds(F) == (pytest.approx(1.5, abs=1e-14), pytest.approx(1.5, abs=1e-14))
+        np.testing.assert_allclose(frame_operator(canonical_dual(F)), np.eye(2) / 1.5, atol=1e-14)
 
     def test_repeated_vector(self):
         F = FiniteFrame(np.array([[1, 0], [1, 0], [0, 1]], dtype=complex))
         np.testing.assert_allclose(frame_operator(F), np.diag([2.0, 1.0]), atol=1e-15)
+        assert frame_bounds(F) == (pytest.approx(1.0, abs=1e-14), pytest.approx(2.0, abs=1e-14))
+        np.testing.assert_allclose(frame_operator(canonical_dual(F)), np.diag([0.5, 1.0]), atol=1e-15)
 
 
 class TestFrameBounds:

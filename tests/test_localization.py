@@ -193,6 +193,34 @@ class TestPrunedSum:
         assert pairs[0] == pairs[1]
 
 
+class TestBoundaryPartition:
+    """Atoms on the sphere of B sit on one side of every cross term, the side mu(B) counts them on."""
+
+    def test_inner_and_outer_atoms_split_the_lattice(self, monkeypatch):
+        # gabor alpha = 0.8 at r = 4: twelve lattice points, |k| = 5, lie on the sphere
+        lat = Lattice(0.8, 2)
+        kernel = GaborGaussianKernel(1)
+        pair = FramePairSpec(kernel, LebesgueMeasure(2), CountingMeasure(lat))
+        ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig(h=0.2, boundary_refine=2)
+        seen = []
+        summed = localization._sum_field_over_atoms
+
+        def record(kernel, nodes, atoms, weights):
+            seen.append(atoms)
+            return summed(kernel, nodes, atoms, weights)
+
+        monkeypatch.setattr(localization, "_sum_field_over_atoms", record)
+        localization._cross_term(pair, ball, cfg, outer="f")  # lattice atoms inside B
+        localization._cross_term(pair, ball, cfg, outer="g")  # lattice atoms outside B, within r + cutoff
+        inner, outer = ({tuple(k) for k in np.rint(a / 0.8).astype(int)} for a in seen)
+        assert len(inner) == len(seen[0]) == CountingMeasure(lat).ball_mass(ball) == 81
+        assert not inner & outer
+        r_out = min(cfg.effective_truncation(4.0), 4.0 + kernel.tail_cutoff(1e-14))
+        everything = {tuple(k) for k in np.rint(lat.points_in_ball(Ball([0.0, 0.0], r_out)) / 0.8).astype(int)}
+        assert inner | outer == everything
+        assert len(inner) + len(outer) == lat.count_in_ball(Ball([0.0, 0.0], r_out))
+
+
 class TestLocalizationDefect:
     def test_identical_pair_zero(self):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2))
@@ -306,6 +334,6 @@ class TestOffsets:
         from framelab.localization import _gaussian_ball_profile
 
         s_vals = np.array([0.0, 0.8, 1.7, 2.5, 3.0])
-        got = _gaussian_ball_profile(2.0, s_vals, step=0.005)
+        got = _gaussian_ball_profile(2.0, s_vals, step=0.005, cutoff=FockKernel().tail_cutoff(1e-14))
         expect = [gaussian_ball_integral(s, 2.0) for s in s_vals]
         np.testing.assert_allclose(got, expect, atol=1e-5)

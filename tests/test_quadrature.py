@@ -150,6 +150,14 @@ class TestInvariants:
         total = integrate_ball(f, Ball(b.center, 9.0), m, cfg)
         assert abs((inner.value + outer.value) - total.value) < 1e-12
 
+    def test_counting_boundary_atoms_match_ball_mass(self):
+        # the sphere |x| = 4 runs through twelve points of 0.8 Z^2; atom sums count them as mu(B) does
+        m = CountingMeasure(Lattice(0.8, 2))
+        b = Ball([0.0, 0.0], 4.0)
+        cfg = QuadConfig(truncation_radius=8.0)
+        assert integrate_ball(ones, b, m, cfg).value == m.ball_mass(b) == 81
+        assert integrate_complement(ones, b, m, cfg).value == m.ball_mass(Ball([0.0, 0.0], 8.0)) - 81 == 236
+
     def test_complex_field(self):
         res = integrate_ball(
             lambda p: np.exp(1j * p[:, 0]), Ball([0.0], 1.0), LebesgueMeasure(1), QuadConfig(h=0.01)

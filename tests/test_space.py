@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab.space import (
     AtomicMeasure,
@@ -64,13 +66,51 @@ class TestBallMass:
         b = Ball([0.3, -0.7], 3.2)
         pts = lat.points_in_ball(b)
         assert len(pts) == lat.count_in_ball(b)
-        assert np.all(b.contains(pts))
+        assert np.all(lat.contains(b, pts))
 
     def test_lattice_3d_count(self):
         lat = Lattice(1.0, 3)
         b = Ball([0, 0, 0], 1.0)
         # +-e_i and the origin
         assert lat.count_in_ball(b) == 7
+
+
+class TestLatticeMembership:
+    """One rule decides lattice membership: counts, enumerations and inside/outside tests agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 3), alpha=st.sampled_from([0.8, 0.3, 1 / 3]), data=st.data())
+    def test_count_enumeration_mass_and_predicate_agree(self, dim, alpha, data):
+        # centers on multiples of alpha/2 and radii alpha sqrt(n): the sphere runs through lattice points
+        m = np.array(data.draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)))
+        n = data.draw(st.integers(1, 150 if dim < 3 else 40))
+        b = Ball(m * alpha / 2, alpha * math.sqrt(n))
+        lat = Lattice(alpha, dim)
+        ax = np.arange(math.floor(m.min() / 2 - math.sqrt(n)) - 1, math.ceil(m.max() / 2 + math.sqrt(n)) + 2)
+        k = np.stack(np.meshgrid(*[ax] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        box = k * alpha
+        inside = lat.contains(b, box)
+        pts = lat.points_in_ball(b)
+        assert lat.count_in_ball(b) == len(pts) == CountingMeasure(lat).ball_mass(b) == np.count_nonzero(inside)
+        np.testing.assert_array_equal(pts, box[inside])
+        # rounding can only decide the points exactly on the sphere, |2k - m|^2 = 4n
+        d2 = np.sum((2 * k - m) ** 2, axis=1)
+        assert np.all(inside[d2 < 4 * n]) and not np.any(inside[d2 > 4 * n])
+
+    def test_gabor_origin_balls(self):
+        # 4 / 0.8 = 5 is exact, so every point with |k| = 5 (10, 20) lies on the sphere
+        lat = Lattice(0.8, 2)
+        for r, expect in ((4.0, 81), (8.0, 317), (16.0, 1257)):
+            b = Ball([0.0, 0.0], r)
+            assert lat.count_in_ball(b) == len(lat.points_in_ball(b)) == expect
+
+    def test_measure_contains_uses_support_rule(self):
+        lat = Lattice(0.8, 2)
+        b = Ball([0.0, 0.0], 4.0)
+        boundary = np.array([[3, 4], [4, -3]]) * 0.8  # on the sphere: |k| = 5
+        assert not np.any(b.contains(boundary))  # |0.8 k|^2 rounds above 16
+        assert np.all(CountingMeasure(lat).contains(b, boundary))
+        assert not np.any(CountingMeasure(PointSet(boundary)).contains(b, boundary))
 
 
 def annulus_over_ball(m, a, r, rho):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ class TestScenarios:
         assert rep["identity"]["residuals_below_1e-10"] == 30
         assert rep["projection"]["max_idempotency_gap"] < 1e-12
         assert rep["seed"] == 7
+
+    def test_finite_oracle_seed_10_at_1000_trials(self):
+        # this seed failed the 1e-12 idempotency gate when S = V*WV was formed and inverted
+        rep = run({"scenario": "finite-oracle", "seed": 10, "trials": 1000})
+        assert rep["overall"] == "pass"
+        assert rep["identity"]["max_residual"] < 1e-10
+        assert rep["projection"]["max_formula_gap"] < 1e-10
+        assert rep["projection"]["max_idempotency_gap"] < 1e-12
+
+    def test_finite_oracle_detail_names_failed_gate(self, monkeypatch):
+        from framelab import finframe
+
+        project = finframe.project
+        # a constant error cancels in the formula gap but not in idempotency
+        monkeypatch.setattr(finframe, "project", lambda F, f, formula="synthesis": project(F, f, formula) + 1e-11)
+        verdict = run({"scenario": "finite-oracle", "seed": 7, "trials": 5})["verdicts"][0]
+        assert verdict["verdict"] == "hypotheses-unmet"
+        assert re.search(r"max residual \S+ < 1e-10", verdict["detail"])
+        assert re.search(r"projection formula gap \S+ < 1e-10", verdict["detail"])
+        assert re.search(r"idempotency gap \S+ >= \(failed\) 1e-12", verdict["detail"])
 
     def test_fock_scenario_structure(self):
         rep = run(FAST_FOCK)
