@@ -15,9 +15,10 @@ A skipped pair lies more than c apart, so its term is below 1e-14 times its
 two weights; the reported truncation bound adds 1e-14 f(B_tr) g(B_tr) for
 each of t1 and t2 to cover them.  Kernels without a finite cutoff
 (Paley-Wiener, tabulated) make one tile that meets every atom.
-Continuous x continuous pairs of Gaussian-law kernels go through an exact
-radial reduction of the inner ball integral (a Bessel-I0 profile), so no
-four-dimensional grid is ever built.
+Continuous x continuous pairs (d <= 2) need no grid over B x B^c: |<k_x, k_y>|^2
+integrates to 1 / mode_density over all x (reproducing formula), so a double
+tail is |B| / mode_density minus one ``integrate_ball`` of it against the
+closed-form lens area |B ∩ (B + z)|.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from .quadrature import IntegralResult, QuadConfig, integrate_complement, shell_nodes
-from .space import Ball, as_point
+from .quadrature import IntegralResult, QuadConfig, integrate_ball, integrate_complement, shell_nodes
+from .space import Ball, as_point, ball_volume
 
 __all__ = [
     "FramePairSpec",
@@ -72,7 +73,8 @@ class FramePairSpec:
 
     Both families come from the same kernel; an optional offset translates a
     family's kernel points relative to its index points (used by the
-    dual-embedding scenario).  Both families are self-dual: see the module note.
+    dual-embedding scenario; no offset is the zero vector).  Both families
+    are self-dual: see the module note.
     """
 
     kernel: object
@@ -86,17 +88,10 @@ class FramePairSpec:
         if self.f_measure.dim != d or self.g_measure.dim != d:
             raise ValueError("index measures must match the kernel dimension")
         for name in ("f_offset", "g_offset"):
-            offset = getattr(self, name)
-            if offset is not None:
-                offset = as_point(offset)
-                if offset.size != d:
-                    raise ValueError(f"{name} must have {d} coordinates, got {offset.size}")
-                setattr(self, name, offset)
-
-
-def _shift(pts, offset):
-    """The kernel points of index points pts under a family offset."""
-    return pts if offset is None else pts + offset[None, :]
+            offset = np.zeros(d) if getattr(self, name) is None else as_point(getattr(self, name))
+            if offset.size != d:
+                raise ValueError(f"{name} must have {d} coordinates, got {offset.size}")
+            setattr(self, name, offset)
 
 
 @dataclass(frozen=True)
@@ -165,65 +160,36 @@ def _sum_field_over_atoms(kernel, nodes, atoms, atom_weights) -> np.ndarray:
     return out
 
 
-def _log_i0(u: np.ndarray) -> np.ndarray:
-    """log I0(u) for u >= 0, stable for large arguments."""
-    u = np.asarray(u, dtype=float)
-    small = u < 25.0
-    out = np.empty_like(u)
-    out[small] = np.log(np.i0(u[small]))
-    ub = u[~small]
-    # asymptotic series I0(u) ~ e^u / sqrt(2 pi u) (1 + 1/(8u) + 9/(128u^2) + ...)
-    corr = 1.0 + 1.0 / (8.0 * ub) + 9.0 / (128.0 * ub**2) + 225.0 / (3072.0 * ub**3)
-    out[~small] = ub - 0.5 * np.log(2.0 * math.pi * ub) + np.log(corr)
-    return out
+def _lebesgue_pair_term(kernel, m, s: np.ndarray, r: float, cfg: QuadConfig) -> float:
+    """integral over x in B^c of integral over y in B of mod2, both sides Lebesgue.
 
+    For the model kernels mod2 is a function of z - s (z = x - y, s = inner
+    offset - outer offset) with integral 1 / mode_density, so
 
-def _gaussian_ball_profile(r: float, s_values: np.ndarray, step: float, cutoff: float) -> np.ndarray:
-    """phi(s) = integral over B(0, r) in R^2 of exp(-pi |x_s - y|^2), |x_s| = s."""
-    out = np.zeros_like(s_values)
-    for i, s in enumerate(s_values):
-        rho_lo = max(0.0, s - cutoff)
-        rho_hi = min(r, s + cutoff)
-        if rho_hi <= rho_lo:
-            out[i] = 1.0 if s + cutoff <= r else 0.0
-            continue
-        n = max(8, int(math.ceil((rho_hi - rho_lo) / step)))
-        hh = (rho_hi - rho_lo) / n
-        rho = rho_lo + (np.arange(n) + 0.5) * hh
-        u = 2.0 * math.pi * rho * s
-        expo = -math.pi * (rho * rho + s * s) + _log_i0(u)
-        vals = 2.0 * math.pi * rho * np.exp(expo)
-        # radii outside [s - cutoff, s + cutoff] lie beyond the decay cutoff
-        out[i] = float(np.sum(vals)) * hh
-    return out
+        t = |B| / mode_density - integral of mod2(z - s) A_r(|z|) dz,
 
-
-def _continuous_pair_term(pair: FramePairSpec, outer_offset, inner_offset, ball: Ball, cfg: QuadConfig):
-    """integral over x in B^c (Lebesgue) of integral over y in B (Lebesgue) of mod2."""
-    kernel = pair.kernel
+    with the lens area A_r(rho) = |B ∩ (B + z)|: 2r - rho in d = 1, and
+    2r^2 acos(rho/2r) - (rho/2) sqrt(4r^2 - rho^2) in d = 2, zero beyond 2r.
+    The ball B(0, min(2r, |s| + c)), c = tail_cutoff(_PRUNE_EPS), leaves out
+    less than _PRUNE_EPS |B| and puts the lens kinks (z = 0, |z| = 2r) on a
+    cell edge and on its own boundary, never inside a Gauss cell.
+    """
     d = kernel.dim
-    r_tr = cfg.effective_truncation(ball.radius)
-    if d == 1:
-        nodes, w = shell_nodes(ball.center, ball.radius, r_tr, cfg, gauss=False)
-        inner_nodes, inner_w = shell_nodes(ball.center, 0.0, ball.radius, cfg, gauss=False)
-        field = _sum_field_over_atoms(kernel, _shift(nodes, outer_offset), _shift(inner_nodes, inner_offset), inner_w)
-        return float(field @ w), len(nodes) + len(inner_nodes)
-    if d != 2 or not isinstance(kernel, (FockKernel, GaborGaussianKernel)):
-        raise ValueError("continuous-continuous double tails need a Gaussian-law or 1-d kernel")
-    zero = np.zeros(2)
-    shift = (zero if inner_offset is None else inner_offset) - (zero if outer_offset is None else outer_offset)
-    # the inner ball integral is radial around ball.center + shift, so the
-    # outer pass only needs a 1-d profile lookup per node
-    cutoff = kernel.tail_cutoff(_PRUNE_EPS)
-    nodes, w = shell_nodes(ball.center, ball.radius, min(r_tr, ball.radius + cutoff + abs(float(np.linalg.norm(shift)))), cfg, gauss=False)
-    if len(nodes) == 0:
-        return 0.0, 0
-    rel = nodes - (ball.center + shift)[None, :]
-    s = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-    s_grid = np.linspace(max(0.0, float(np.min(s)) - 1e-9), float(np.max(s)) + 1e-9, 2048)
-    prof = _gaussian_ball_profile(ball.radius, s_grid, step=min(cfg.h, 0.01), cutoff=cutoff)
-    field = np.interp(s, s_grid, prof)
-    return float(field @ w), len(nodes)
+    density = getattr(kernel, "mode_density", None)
+    if d > 2 or not density:
+        raise ValueError("continuous-continuous double tails need d <= 2 and a kernel mode_density")
+
+    def field(z):
+        rho = np.minimum(np.sqrt(np.einsum("ij,ij->i", z, z)), 2.0 * r)
+        if d == 1:
+            lens = 2.0 * r - rho
+        else:
+            lens = 2.0 * r * r * np.arccos(rho / (2.0 * r)) - 0.5 * rho * np.sqrt(4.0 * r * r - rho * rho)
+        return _mod2_cross(kernel, z, s[None, :])[:, 0] * lens
+
+    reach = min(2.0 * r, float(np.linalg.norm(s)) + kernel.tail_cutoff(_PRUNE_EPS))
+    overlap = integrate_ball(field, Ball(np.zeros(d), reach), m, cfg)
+    return ball_volume(d, r) / density - float(overlap.value)
 
 
 def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
@@ -246,8 +212,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     in_disc = getattr(inner_m, "is_discrete", False)
 
     if not out_disc and not in_disc:
-        val, _ = _continuous_pair_term(pair, outer_off, inner_off, ball, cfg)
-        return val
+        return _lebesgue_pair_term(kernel, outer_m, inner_off - outer_off, r, cfg)
 
     if out_disc:
         atoms_out, w_out = outer_m.atoms_in_ball(Ball(ball.center, min(r_tr, r + cutoff)))
@@ -255,13 +220,13 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         atoms_out, w_out = atoms_out[keep], w_out[keep]
         if len(atoms_out) == 0:
             return 0.0
-        u_atoms = _shift(atoms_out, outer_off)
+        u_atoms = atoms_out + outer_off
         if in_disc:
             atoms_in, w_in = inner_m.atoms_in_ball(ball)
-            return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, _shift(atoms_in, inner_off), w_in))
+            return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, atoms_in + inner_off, w_in))
         # inner Lebesgue: quadrature over the part of B the outer atoms can see
         nodes, wq = shell_nodes(ball.center, max(0.0, r - cutoff), r, cfg, gauss=False)
-        field = _sum_field_over_atoms(kernel, _shift(nodes, inner_off), u_atoms, w_out)
+        field = _sum_field_over_atoms(kernel, nodes + inner_off, u_atoms, w_out)
         # deeper interior nodes are unreachable across the cutoff: < _PRUNE_EPS
         return float(field @ wq)
 
@@ -270,16 +235,16 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     if len(atoms_in) == 0:
         return 0.0
     nodes, wq = shell_nodes(ball.center, r, min(r_tr, r + cutoff), cfg, gauss=False)
-    field = _sum_field_over_atoms(kernel, _shift(nodes, outer_off), _shift(atoms_in, inner_off), w_in)
+    field = _sum_field_over_atoms(kernel, nodes + outer_off, atoms_in + inner_off, w_in)
     return float(field @ wq)
 
 
 def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float, nu_b: float) -> float:
     """Bound on the mass left out of t1 and t2 by the decay cutoff and the window.
 
-    Every pair the cross terms skip (tiles, r +- c shells, atom balls and the
-    radial profile) lies more than c = tail_cutoff(_PRUNE_EPS) apart, so its
-    term is < _PRUNE_EPS w_x w_y.  Both sides lie in B(center, R_tr), hence
+    Every pair the cross terms skip (tiles, r +- c shells and atom balls) lies
+    more than c = tail_cutoff(_PRUNE_EPS) apart, so its term is
+    < _PRUNE_EPS w_x w_y.  Both sides lie in B(center, R_tr), hence
 
         skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
 
@@ -304,8 +269,7 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> 
     two integrands coincide, and one evaluation serves both.
     """
     cfg = cfg or QuadConfig()
-    f_off, g_off = pair.f_offset, pair.g_offset
-    same_offsets = f_off is g_off or (f_off is not None and g_off is not None and np.array_equal(f_off, g_off))
+    same_offsets = np.array_equal(pair.f_offset, pair.g_offset)
     # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
     # through its center negates x - y, and |<k_x, k_y>|^2 is even
     plain_lebesgue = not any(getattr(m, "is_discrete", False) for m in (pair.f_measure, pair.g_measure))

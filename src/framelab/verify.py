@@ -43,6 +43,17 @@ __all__ = [
 SCHEMA_ID = "framelab/1"
 PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim", "info")
 
+# the optional keys each scenario reads; scenario, seed and out_dir are legal everywhere
+_LATTICE_KEYS = ("lattice", "points_csv", "radii", "gram_radii", "density_rmax", "quad", "tolerances")
+_SCENARIO_KEYS = {
+    "finite-oracle": ("trials",),
+    "paley-wiener": _LATTICE_KEYS[:1] + _LATTICE_KEYS[2:],
+    "fock": _LATTICE_KEYS,
+    "gabor": _LATTICE_KEYS,
+    "dual-embedding": ("offset", "radii", "density_rmax", "quad"),
+}
+_OPTIONAL_KEYS = sorted({k for keys in _SCENARIO_KEYS.values() for k in keys})
+
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
@@ -87,8 +98,18 @@ CONFIG_SCHEMA = {
     },
     "required": ["scenario"],
     "additionalProperties": False,
-    # the Fock kernel lives on C = R^2; Paley-Wiener runs on a 1-D lattice and never thins
+    # keys a scenario never reads, and a lattice beside points_csv, are rejected
+    # rather than ignored; the Fock kernel lives on C = R^2; Paley-Wiener runs on
+    # a 1-D lattice and never thins
     "allOf": [
+        *(
+            {
+                "if": {"properties": {"scenario": {"const": name}}},
+                "then": {"properties": {k: {"not": {}} for k in _OPTIONAL_KEYS if k not in keys}},
+            }
+            for name, keys in _SCENARIO_KEYS.items()
+        ),
+        {"if": {"required": ["points_csv"]}, "then": {"properties": {"lattice": {"not": {}}}}},
         {
             "if": {"properties": {"scenario": {"const": "fock"}}},
             "then": {"properties": {"lattice": {"properties": {"dim": {"const": 2}}}}},
@@ -116,7 +137,8 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
         if first.validator == "additionalProperties":
             # point at the first unexpected key, not at the object holding it
             path += "." + sorted(set(first.instance) - set(first.schema["properties"]))[0]
-        raise ConfigError(f"config invalid at {path}: {first.message}")
+        message = "this scenario does not read this key" if first.validator == "not" else first.message
+        raise ConfigError(f"config invalid at {path}: {message}")
     return cfg
 
 
@@ -485,8 +507,15 @@ def _model_space_scenario(cfg: dict, kernel, support, scale: float | None) -> di
     }
 
 
+def _support_dim_error(cfg: dict, need: str) -> ConfigError:
+    where = "$.points_csv" if "points_csv" in cfg else "$.lattice.dim"
+    return ConfigError(f"config invalid at {where}: {need}")
+
+
 def _fock_scenario(cfg: dict) -> dict:
     support, lat_cfg = _build_lattice_support(cfg)
+    if lat_cfg["dim"] != 2:
+        raise _support_dim_error(cfg, f"the Fock kernel needs 2-d points, got {lat_cfg['dim']}-d")
     scale = None if lat_cfg.get("thin") else lat_cfg["scale"]
     return _model_space_scenario(cfg, FockKernel(), support, scale)
 
@@ -497,7 +526,7 @@ def _gabor_scenario(cfg: dict) -> dict:
     # supports inherit the lattice spacing
     support, lat_cfg = _build_lattice_support(cfg)
     if lat_cfg["dim"] % 2 != 0:
-        raise ConfigError("config invalid at $.lattice.dim: gabor phase space needs even dimension")
+        raise _support_dim_error(cfg, f"gabor phase space needs even dimension, got {lat_cfg['dim']}")
     kernel = GaborGaussianKernel(n=lat_cfg["dim"] // 2)
     scale = None if lat_cfg.get("thin") else lat_cfg["scale"]
     return _model_space_scenario(cfg, kernel, support, scale)

@@ -152,9 +152,25 @@ class TestCommands:
                 {"scenario": "paley-wiener", "lattice": {"scale": 1.0, "dim": 1, "thin": "drop-even-even"}},
                 "$.lattice.thin",
             ),
+            # keys the scenario never reads
+            ({"scenario": "paley-wiener", "points_csv": "pts.csv"}, "$.points_csv"),
+            ({"scenario": "dual-embedding", "lattice": {"scale": 1.0, "dim": 2}}, "$.lattice"),
+            ({"scenario": "dual-embedding", "points_csv": "pts.csv"}, "$.points_csv"),
+            ({"scenario": "dual-embedding", "gram_radii": [2.0]}, "$.gram_radii"),
+            ({"scenario": "dual-embedding", "tolerances": {"density": 0.1}}, "$.tolerances"),
+            ({"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}, "points_csv": "pts.csv"}, "$.lattice"),
+            ({"scenario": "fock", "trials": 5}, "$.trials"),
+            ({"scenario": "finite-oracle", "radii": [2.0]}, "$.radii"),
+            # points of the wrong dimension in a CSV (inline text, written to a file below)
+            ({"scenario": "fock", "points_csv": "x1,x2,x3\n0,0,0\n1,0,0\n"}, "$.points_csv"),
+            ({"scenario": "gabor", "points_csv": "x1,x2,x3\n0,0,0\n1,0,0\n"}, "$.points_csv"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
+        if "\n" in cfg.get("points_csv", ""):
+            csv_path = tmp_path / "pts.csv"
+            csv_path.write_text(cfg["points_csv"])
+            cfg = {**cfg, "points_csv": str(csv_path)}
         rc = main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert f"config invalid at {path}:" in capsys.readouterr().err

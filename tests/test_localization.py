@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 from scipy.stats import ncx2
 
 from framelab import localization
@@ -12,12 +13,12 @@ from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, Lebesg
 
 
 def gaussian_ball_integral(center_dist, r):
-    """Oracle: integral over B(0, r) of exp(-pi |x - p|^2), |p| = center_dist.
+    """Oracle: integral over B(0, r) of exp(-pi |x - p|^2), |p| = center_dist (scalar or array).
 
     The Gaussian is an isotropic normal with variance 1/(2 pi), so the ball
     mass is a noncentral chi-square tail probability.
     """
-    return float(ncx2.cdf(2 * math.pi * r * r, 2, 2 * math.pi * center_dist**2))
+    return ncx2.cdf(2 * math.pi * r * r, 2, 2 * math.pi * np.asarray(center_dist) ** 2)
 
 
 def lattice_radii(scale, r_lo, r_hi):
@@ -312,6 +313,32 @@ class TestMeanValue:
         )
         assert 1.0 / res.value == pytest.approx(1.0 / denom, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "kernel, x0",
+        [
+            (FockKernel(), [0.3, -0.2]),
+            (GaborGaussianKernel(1), [0.3, -0.2]),
+            (PaleyWienerKernel(), [0.3]),
+            (PaleyWienerKernel(2.0), [0.3]),
+        ],
+        ids=["fock", "gabor-1", "paley-wiener-pi", "paley-wiener-2"],
+    )
+    def test_reproducing_identity(self, kernel, x0):
+        # integral over all y of |<k_x, k_y>|^2 = 1 / mode_density
+        field = normalized_mod2_field(kernel, x0)
+        if kernel.dim == 2:
+            res = integrate_ball(field, Ball(x0, 6.0), LebesgueMeasure(2), QuadConfig(h=0.02))
+            assert res.value == pytest.approx(1.0 / kernel.mode_density, rel=1e-10)
+            return
+        # Paley-Wiener mass on [x - L, x + L] is (2/b)(Si(2bL) - sin^2(bL)/(bL)), whose
+        # shortfall from pi/b stays below the analytic tail 2/(b^2 L)
+        b = kernel.band
+        for L in (2.0, 8.0, 32.0):
+            res = integrate_ball(field, Ball(x0, L), LebesgueMeasure(1), QuadConfig(h=0.005))
+            exact = 2.0 / b * (special.sici(2.0 * b * L)[0] - math.sin(b * L) ** 2 / (b * L))
+            assert res.value == pytest.approx(exact, rel=1e-9)
+            assert 0.0 < 1.0 / kernel.mode_density - exact <= kernel.mod2_tail_integral(L) == 2.0 / (b * b * L)
+
 
 class TestOffsets:
     def test_translated_family_defect_zero(self):
@@ -329,11 +356,30 @@ class TestOffsets:
         with pytest.raises(ValueError, match="g_offset must have 2 coordinates"):
             FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2), g_offset=[0.1])
 
-    def test_profile_against_scipy(self):
-        # the radial reduction of the inner ball integral matches ncx2
-        from framelab.localization import _gaussian_ball_profile
+    def test_lebesgue_tail_against_scipy(self):
+        # oracle: ncx2 inner ball mass around each outer point, integrated in
+        # polar coordinates over B^c (no lens area, no reproducing identity)
+        offset = np.array([0.35, 0.2])
+        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2), g_offset=offset)
+        theta = 2.0 * math.pi * np.arange(64) / 64  # periodic trapezoid rule
 
-        s_vals = np.array([0.0, 0.8, 1.7, 2.5, 3.0])
-        got = _gaussian_ball_profile(2.0, s_vals, step=0.005, cutoff=FockKernel().tail_cutoff(1e-14))
-        expect = [gaussian_ball_integral(s, 2.0) for s in s_vals]
-        np.testing.assert_allclose(got, expect, atol=1e-5)
+        def ring(rho, r):
+            dist = np.hypot(rho * np.cos(theta) - offset[0], rho * np.sin(theta) - offset[1])
+            return 2.0 * math.pi * rho * float(np.mean(gaussian_ball_integral(dist, r)))
+
+        for r in (2.0, 4.0):
+            oracle, _ = integrate.quad(ring, r, r + 8.0, args=(r,), epsabs=1e-12, epsrel=1e-12, limit=200)
+            res = double_tail(pair, Ball([0.0, 0.0], r), QuadConfig(h=0.08, boundary_refine=2))
+            assert res.t1 == pytest.approx(oracle, rel=5e-5)
+            assert res.t2 == res.t1
+
+    @pytest.mark.parametrize("band", [math.pi, 2.0])
+    def test_paley_wiener_lebesgue_tail_against_dblquad(self, band):
+        # t1 = 2r pi/b - integral over [-r, r]^2 of sinc^2(b (x - y - s) / pi)
+        pair = FramePairSpec(PaleyWienerKernel(band), LebesgueMeasure(1), LebesgueMeasure(1), g_offset=[0.3])
+        for r in (2.0, 4.0):
+            inner, _ = integrate.dblquad(
+                lambda y, x: np.sinc(band * (x - y - 0.3) / math.pi) ** 2, -r, r, -r, r, epsabs=1e-11, epsrel=1e-11
+            )
+            res = double_tail(pair, Ball([0.0], r), QuadConfig(h=0.05))
+            assert res.t1 == pytest.approx(2.0 * r * math.pi / band - inner, abs=1e-6)
