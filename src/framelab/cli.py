@@ -153,6 +153,10 @@ def _cmd_density(args) -> int:
 def _cmd_localize(args) -> int:
     pair_cfg = verify.validate_config(_load_json_arg(args.pair), _PAIR_SCHEMA)
     kernel = kernel_from_config(pair_cfg["kernel"])
+    if kernel.dim > 2:
+        raise verify.ConfigError(
+            f"config invalid at $.kernel.params.n: localize needs a kernel in dimension <= 2, got {kernel.dim}"
+        )
     measures = {side: measure_from_config(pair_cfg[side]) for side in ("f", "g")}
     for side, m in measures.items():
         if m.dim != kernel.dim:

@@ -12,11 +12,11 @@ Conventions fixed here once:
       a closed form derived from the Gaussian integral and regression-tested
       against direct quadrature of the time-frequency shift inner product.
 
-kernel.cross(x, y) returns the matrix K(x_i, y_j) = <K_{y_j}, K_{x_i}>;
-Hermitian symmetry K(x, y) = conj(K(y, x)) is structural for every variant.
-
-Cross evaluations of normalized kernels are computed through exponents with
-nonpositive real part, so they stay finite where the raw Fock kernel would
+kernel.normalized_cross(x, y) returns the matrix of normalized kernels
+K(x_i, y_j) / sqrt(K(x_i, x_i) K(y_j, y_j)) = <k_{y_j}, k_{x_i}>; Hermitian
+symmetry is structural for every variant.  Only the normalized families
+enter the lab, and they are computed through exponents with nonpositive real
+part, so they stay finite where the raw Fock kernel exp(pi |z|^2) would
 overflow.
 """
 from __future__ import annotations
@@ -56,15 +56,6 @@ class PaleyWienerKernel:
         # local dimension per unit length of the index line
         return self.band / math.pi
 
-    def diagonal(self, x) -> np.ndarray:
-        pts = _rows(x, self.dim)
-        return np.full(len(pts), self.band / math.pi)
-
-    def cross(self, x, y) -> np.ndarray:
-        """Raw kernel matrix K(x_i, y_j), shape (len(x), len(y))."""
-        t = _rows(x, 1)[:, 0][:, None] - _rows(y, 1)[:, 0][None, :]
-        return np.asarray(np.sinc(self.band * t / math.pi), dtype=complex) * (self.band / math.pi)
-
     def normalized_cross(self, x, y) -> np.ndarray:
         t = _rows(x, 1)[:, 0][:, None] - _rows(y, 1)[:, 0][None, :]
         return np.asarray(np.sinc(self.band * t / math.pi), dtype=complex)
@@ -86,18 +77,9 @@ class FockKernel:
     dim = 2
     mode_density = 1.0
 
-    def diagonal(self, x) -> np.ndarray:
-        pts = _rows(x, 2)
-        return np.exp(math.pi * np.einsum("ij,ij->i", pts, pts))
-
     @staticmethod
     def _as_complex(pts) -> np.ndarray:
         return pts[:, 0] + 1j * pts[:, 1]
-
-    def cross(self, x, y) -> np.ndarray:
-        z = self._as_complex(_rows(x, 2))[:, None]
-        w = self._as_complex(_rows(y, 2))[None, :]
-        return np.exp(math.pi * z * np.conj(w))
 
     def normalized_cross(self, x, y) -> np.ndarray:
         z = self._as_complex(_rows(x, 2))[:, None]
@@ -126,11 +108,7 @@ class GaborGaussianKernel:
 
     mode_density = 1.0
 
-    def diagonal(self, x) -> np.ndarray:
-        pts = _rows(x, self.dim)
-        return np.ones(len(pts))
-
-    def cross(self, x, y) -> np.ndarray:
+    def normalized_cross(self, x, y) -> np.ndarray:
         lam = _rows(x, self.dim)
         mu = _rows(y, self.dim)
         p, q = lam[:, : self.n][:, None, :], lam[:, self.n :][:, None, :]
@@ -139,8 +117,6 @@ class GaborGaussianKernel:
         dq2 = np.sum((q - qp) ** 2, axis=2)
         phase = math.pi * np.sum((q - qp) * (p + pp), axis=2)
         return np.exp(-0.5 * math.pi * (dp2 + dq2) + 1j * phase)
-
-    normalized_cross = cross
 
     def tail_cutoff(self, eps: float) -> float:
         return math.sqrt(max(-math.log(eps), 1.0) / math.pi)

@@ -15,10 +15,16 @@ A skipped pair lies more than c apart, so its term is below 1e-14 times its
 two weights; the reported truncation bound adds 1e-14 f(B_tr) g(B_tr) for
 each of t1 and t2 to cover them.  Kernels without a finite cutoff
 (Paley-Wiener, tabulated) make one tile that meets every atom.
-Continuous x continuous pairs (d <= 2) need no grid over B x B^c: |<k_x, k_y>|^2
+Continuous x continuous pairs need no grid over B x B^c: |<k_x, k_y>|^2
 integrates to 1 / mode_density over all x (reproducing formula), so a double
 tail is |B| / mode_density minus one ``integrate_ball`` of it against the
 closed-form lens area |B ∩ (B + z)|.
+
+Quadrature is Lebesgue on the line or the plane only, so a frame pair's
+kernel lives in d <= 2 (Paley-Wiener, Fock, Gabor with n = 1).  A row's
+truncation bound covers the window beyond R_tr and the pruned pairs; it
+does not cover the quadrature error of the Lebesgue sides, which at the
+scenario default h = 0.08 is of order 1e-5 on a dual-embedding row.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -33,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from .quadrature import IntegralResult, QuadConfig, integrate_ball, integrate_complement, shell_nodes
-from .space import Ball, as_point, ball_volume
+from .quadrature import QuadConfig, integrate_ball, integrate_complement, shell_nodes
+from .space import Ball, LebesgueMeasure, as_point, ball_volume
 
 __all__ = [
     "FramePairSpec",
@@ -74,7 +80,8 @@ class FramePairSpec:
     Both families come from the same kernel; an optional offset translates a
     family's kernel points relative to its index points (used by the
     dual-embedding scenario; no offset is the zero vector).  Both families
-    are self-dual: see the module note.
+    are self-dual: see the module note.  The kernel lives in d <= 2, where
+    the Lebesgue quadrature does.
     """
 
     kernel: object
@@ -85,6 +92,8 @@ class FramePairSpec:
 
     def __post_init__(self):
         d = self.kernel.dim
+        if d > 2:
+            raise ValueError(f"frame pairs need a kernel in dimension <= 2, got {d}")
         if self.f_measure.dim != d or self.g_measure.dim != d:
             raise ValueError("index measures must match the kernel dimension")
         for name in ("f_offset", "g_offset"):
@@ -118,13 +127,17 @@ class LocalizationRow:
 
 
 def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig | None = None) -> float:
-    """max over probes x of the tail mass of |<k_x, k_.>|^2 outside B(x, R)."""
+    """max over probes x of the Lebesgue tail mass of |<k_x, k_.>|^2 outside B(x, R).
+
+    index_measure must be Lebesgue measure in the kernel's dimension.
+    """
+    if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == kernel.dim):
+        raise ValueError(f"tail_sup integrates against Lebesgue measure in dimension {kernel.dim} only")
     cfg = cfg or QuadConfig()
     best = -math.inf
     for x in np.atleast_2d(np.asarray(probe_centers, dtype=float)):
         field = lambda pts, x0=x: _mod2_cross(kernel, x0[None, :], pts)[0]
-        res: IntegralResult = integrate_complement(field, Ball(x, R), index_measure, cfg)
-        best = max(best, float(np.real(res.value)))
+        best = max(best, integrate_complement(field, Ball(x, R), cfg).value)
     return best
 
 
@@ -160,7 +173,7 @@ def _sum_field_over_atoms(kernel, nodes, atoms, atom_weights) -> np.ndarray:
     return out
 
 
-def _lebesgue_pair_term(kernel, m, s: np.ndarray, r: float, cfg: QuadConfig) -> float:
+def _lebesgue_pair_term(kernel, s: np.ndarray, r: float, cfg: QuadConfig) -> float:
     """integral over x in B^c of integral over y in B of mod2, both sides Lebesgue.
 
     For the model kernels mod2 is a function of z - s (z = x - y, s = inner
@@ -176,8 +189,8 @@ def _lebesgue_pair_term(kernel, m, s: np.ndarray, r: float, cfg: QuadConfig) -> 
     """
     d = kernel.dim
     density = getattr(kernel, "mode_density", None)
-    if d > 2 or not density:
-        raise ValueError("continuous-continuous double tails need d <= 2 and a kernel mode_density")
+    if not density:
+        raise ValueError("continuous-continuous double tails need a kernel mode_density")
 
     def field(z):
         rho = np.minimum(np.sqrt(np.einsum("ij,ij->i", z, z)), 2.0 * r)
@@ -188,8 +201,8 @@ def _lebesgue_pair_term(kernel, m, s: np.ndarray, r: float, cfg: QuadConfig) -> 
         return _mod2_cross(kernel, z, s[None, :])[:, 0] * lens
 
     reach = min(2.0 * r, float(np.linalg.norm(s)) + kernel.tail_cutoff(_PRUNE_EPS))
-    overlap = integrate_ball(field, Ball(np.zeros(d), reach), m, cfg)
-    return ball_volume(d, r) / density - float(overlap.value)
+    overlap = integrate_ball(field, Ball(np.zeros(d), reach), cfg)
+    return ball_volume(d, r) / density - overlap.value
 
 
 def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
@@ -212,7 +225,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     in_disc = getattr(inner_m, "is_discrete", False)
 
     if not out_disc and not in_disc:
-        return _lebesgue_pair_term(kernel, outer_m, inner_off - outer_off, r, cfg)
+        return _lebesgue_pair_term(kernel, inner_off - outer_off, r, cfg)
 
     if out_disc:
         atoms_out, w_out = outer_m.atoms_in_ball(Ball(ball.center, min(r_tr, r + cutoff)))
@@ -266,9 +279,12 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> 
 
     t1 integrates the f-family outside the ball against the g-family inside;
     t2 swaps the roles.  For identical families with identical measures the
-    two integrands coincide, and one evaluation serves both.
+    two integrands coincide, and one evaluation serves both.  The
+    truncation window R_tr must reach the ball's sphere.
     """
     cfg = cfg or QuadConfig()
+    if cfg.effective_truncation(b.radius) < b.radius:
+        raise ValueError("truncation radius is smaller than the ball radius")
     same_offsets = np.array_equal(pair.f_offset, pair.g_offset)
     # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
     # through its center negates x - y, and |<k_x, k_y>|^2 is even

@@ -1,24 +1,25 @@
-"""Deterministic quadrature over balls, shells and ball complements in R^d (d <= 4).
+"""Deterministic Lebesgue quadrature of real fields over balls, shells and ball complements in R^d (d <= 2).
 
 One grid engine, ``shell_nodes``, yields nodes and weights on a shell
 r_in < |x - c| <= r_out (r_in = 0 is the closed ball).  Its cells have
 spacing h and are anchored at the center.  Interior cells get one of two
 rules, fixed by the caller:
 
-- a 2x2...x2 Gauss-Legendre tensor rule, used by ``integrate_ball`` and
+- a 2-point-per-axis Gauss-Legendre tensor rule, used by ``integrate_ball`` and
   ``integrate_complement``, whose Gaussian tail law needs 1e-4 relative
   accuracy at h = 0.02;
 - one midpoint node, used by the localization cross terms, where every node
   enters a node x atom sum and extra nodes cost the most.
 
-In d = 1 cells are clipped exactly to the shell.  In d >= 2 cells that
-straddle either sphere are subdivided and weighted by the exact cell/ball
-intersection measure (closed form for d = 2, indicator subsampling for
-d in {3, 4}).  All contributions are accumulated with error-free summation
-(math.fsum), so results do not depend on evaluation order or thread count.
+In d = 1 cells are clipped exactly to the shell.  In d = 2 cells that
+straddle either sphere are subdivided and weighted by the exact closed-form
+cell/disk intersection area.  All contributions are accumulated with
+error-free summation (math.fsum), so results do not depend on evaluation
+order or thread count.
 
-Discrete measures short-circuit to exact atom sums; each measure decides
-closed-ball membership by its own rule (``m.contains``).
+Every field the lab integrates is real and lives on the line (Paley-Wiener)
+or the plane (Fock, Gabor with n = 1); sums over atoms of a discrete index
+measure are taken by ``localization`` itself.
 
 ``integrate_complement`` stays the difference of two ball integrals over the
 same grid rather than one shell pass.  A shell pass would give the cells
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import Ball, ball_volume
+from .space import Ball
 
 __all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_complement", "shell_nodes"]
 
@@ -72,20 +73,8 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: complex | float
-    truncation_bound: float
+    value: float
     node_count: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.truncation_bound):
-            raise ValueError("truncation bound must be finite")
-
-
-def _check_finite(vals: np.ndarray, pts: np.ndarray):
-    bad = ~np.isfinite(vals if not np.iscomplexobj(vals) else np.abs(vals))
-    if np.any(bad):
-        where = pts[np.argmax(bad)]
-        raise ValueError(f"non-finite integrand value at node {where.tolist()}")
 
 
 def _circle_rect_area(x1, x2, y1, y2, r: float) -> np.ndarray:
@@ -118,18 +107,18 @@ def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, 
 
     Cells of side cfg.h are anchored at the center.  Interior cells carry a
     2-point-per-axis Gauss rule when gauss is set, one midpoint node
-    otherwise.  In d = 1 cells are clipped exactly to the shell; in d >= 2
-    cells straddling either sphere are split into boundary_refine**d
-    subcells with exact partial measures (d = 2) or indicator weights
-    (d in {3, 4}); subcells whose measure comes out <= 0 are dropped.
+    otherwise.  In d = 1 cells are clipped exactly to the shell; in d = 2
+    cells straddling either sphere are split into boundary_refine**2
+    subcells with exact partial areas; subcells whose area comes out <= 0
+    are dropped.
     Returns (points (n, d), weights (n,)).
     """
     d = center.size
     h = cfg.h
+    if d > 2:
+        raise ValueError("quadrature supports dimensions d <= 2 only")
     if r_out <= max(r_in, 0.0):
         return np.zeros((0, d)), np.zeros(0)
-    if d > 4:
-        raise ValueError("quadrature supports dimensions d <= 4 only")
     # interior node positions along each axis, in units of the cell width
     rule = np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET] if gauss else [0.0])
     if d == 1:
@@ -159,14 +148,10 @@ def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, 
     sub_off = _cell_offsets(((np.arange(bk) + 0.5) / bk - 0.5) * h, d)
     sc = (offsets[strad][:, None, :] + sub_off[None, :, :]).reshape(-1, d)
     del offsets, dist  # the full grid is the largest array; drop it before the nodes exist
-    if d == 2:
-        lo, hi = sc - hs / 2.0, sc + hs / 2.0
-        sub_w = _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_out)
-        if r_in > 0:
-            sub_w = sub_w - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
-    else:
-        sub_dist = np.sqrt(np.einsum("ij,ij->i", sc, sc))
-        sub_w = np.where((sub_dist > r_in) & (sub_dist <= r_out), hs**d, 0.0)
+    lo, hi = sc - hs / 2.0, sc + hs / 2.0
+    sub_w = _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_out)
+    if r_in > 0:
+        sub_w = sub_w - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
     keep = sub_w > 0
 
     # interior nodes are written straight into the output
@@ -189,76 +174,34 @@ def _ball_quad(f, center: np.ndarray, r: float, cfg: QuadConfig):
     for i in range(0, len(pts), _EVAL_CHUNK):
         p = pts[i : i + _EVAL_CHUNK]
         vals = np.asarray(f(p))
-        _check_finite(vals, p)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise ValueError(f"non-finite integrand value at node {p[np.argmax(bad)].tolist()}")
         chunks.append(vals * w[i : i + _EVAL_CHUNK])
     return (np.concatenate(chunks) if chunks else np.zeros(0)), len(pts)
 
 
-def _fsum_terms(terms: np.ndarray):
-    if len(terms) == 0:
-        return 0.0
-    if np.iscomplexobj(terms):
-        re = math.fsum(terms.real.tolist())
-        im = math.fsum(terms.imag.tolist())
-        return re if im == 0.0 else complex(re, im)
-    return math.fsum(terms.tolist())
+def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
+    """Lebesgue integral of f over the closed ball b.
 
-
-def _atom_terms(f, m, b: Ball, invert: bool, outer_radius: float | None):
-    """Exact atom sums; invert selects atoms outside b but within outer_radius."""
-    if invert:
-        pts, w = m.atoms_in_ball(Ball(b.center, outer_radius))
-        keep = ~m.contains(b, pts)
-        pts, w = pts[keep], w[keep]
-    else:
-        pts, w = m.atoms_in_ball(b)
-    if len(pts) == 0:
-        return np.zeros(0), 0
-    vals = np.asarray(f(pts))
-    _check_finite(vals, pts)
-    return vals * w, len(pts)
-
-
-def integrate_ball(f, b: Ball, m, cfg: QuadConfig) -> IntegralResult:
-    """Integral of f over the closed ball b against measure m.
-
-    f is a vectorized field mapping an (n, d) array of points to (n,) values
-    (real or complex).  Counting/Atomic measures reduce to exact atom sums.
+    f is a vectorized real field mapping an (n, d) array of points to (n,)
+    values.
     """
-    if getattr(m, "dim", b.dim) != b.dim:
-        raise ValueError("measure dimension does not match ball dimension")
-    if getattr(m, "is_discrete", False):
-        terms, count = _atom_terms(f, m, b, invert=False, outer_radius=None)
-    else:
-        terms, count = _ball_quad(f, b.center, b.radius, cfg)
-    return IntegralResult(value=_fsum_terms(terms), truncation_bound=0.0, node_count=max(count, 1))
+    # the node arrays die with _ball_quad, before the term list exists
+    terms, count = _ball_quad(f, b.center, b.radius, cfg)
+    return IntegralResult(value=math.fsum(terms.tolist()), node_count=max(count, 1))
 
 
-def _tail_bound(b: Ball, r_tr: float) -> float:
-    d = b.dim
-    surface = d * ball_volume(d, 1.0) * r_tr ** (d - 1)
-    gap = max(r_tr - b.radius, 0.0)
-    return surface * math.exp(-math.pi * gap * gap)
-
-
-def integrate_complement(f, b: Ball, m, cfg: QuadConfig) -> IntegralResult:
-    """Integral of f over B(center, R_tr) \\ b plus a tail bound beyond R_tr.
+def integrate_complement(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
+    """Lebesgue integral of f over B(center, R_tr) \\ b.
 
     Evaluated as the difference of two ball integrals on the same grid, so
     that integrate_ball(b) + integrate_complement(b) reproduces the truncated
-    ball integral to rounding.
+    ball integral to rounding.  What lies beyond R_tr is the caller's bound.
     """
     r_tr = cfg.effective_truncation(b.radius)
     if r_tr < b.radius:
         raise ValueError("truncation radius is smaller than the ball radius")
-    bound = _tail_bound(b, r_tr)
-    if getattr(m, "is_discrete", False):
-        terms, count = _atom_terms(f, m, b, invert=True, outer_radius=r_tr)
-        return IntegralResult(value=_fsum_terms(terms), truncation_bound=bound, node_count=max(count, 1))
-    big = integrate_ball(f, Ball(b.center, r_tr), m, cfg)
-    small = integrate_ball(f, b, m, cfg)
-    return IntegralResult(
-        value=big.value - small.value,
-        truncation_bound=bound,
-        node_count=big.node_count + small.node_count,
-    )
+    big = integrate_ball(f, Ball(b.center, r_tr), cfg)
+    small = integrate_ball(f, b, cfg)
+    return IntegralResult(value=big.value - small.value, node_count=big.node_count + small.node_count)

