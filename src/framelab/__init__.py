@@ -4,6 +4,7 @@ Subpackages:
   space         points, balls, point sets, measures on R^d
   kernels       Paley-Wiener / Fock / Gabor-Gaussian reproducing kernels
   quadrature    deterministic ball, shell and complement integration on one grid
+  summation     exact, correctly rounded sums of float64 terms
   finframe      exact finite-dimensional frame oracle
   density       generalized Beurling density estimation
   localization  kernel tails, double tails and localization defects

@@ -29,10 +29,12 @@ _LATTICE_SCHEMA = {
     "required": ["scale", "dim"],
     "additionalProperties": False,
 }
+# the params each kernel reads
+_KERNEL_PARAMS = {"paley-wiener": ("band",), "fock": (), "gabor-gaussian": ("n",)}
 _KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "kernel": {"enum": ["paley-wiener", "fock", "gabor-gaussian"]},
+        "kernel": {"enum": list(_KERNEL_PARAMS)},
         "params": {
             "type": "object",
             "properties": {"band": {"type": "number", "exclusiveMinimum": 0}, "n": {"type": "integer", "minimum": 1}},
@@ -41,6 +43,16 @@ _KERNEL_SCHEMA = {
     },
     "required": ["kernel"],
     "additionalProperties": False,
+    # params the chosen kernel never reads are rejected rather than ignored
+    "allOf": [
+        {
+            "if": {"properties": {"kernel": {"const": name}}},
+            "then": {
+                "properties": {"params": {"properties": {k: {"not": {}} for k in ("band", "n") if k not in keys}}}
+            },
+        }
+        for name, keys in _KERNEL_PARAMS.items()
+    ],
 }
 # exactly one measure kind
 _MEASURE_SCHEMA = {

@@ -13,9 +13,10 @@ rules, fixed by the caller:
 
 In d = 1 cells are clipped exactly to the shell.  In d = 2 cells that
 straddle either sphere are subdivided and weighted by the exact closed-form
-cell/disk intersection area.  All contributions are accumulated with
-error-free summation (math.fsum), so results do not depend on evaluation
-order or thread count.
+cell/disk intersection area.  Each evaluation chunk is added, as it is
+produced, into an exact per-exponent binned sum (``summation.ExactSum``).
+The value is the correctly rounded sum of all node terms, whatever their
+order or chunking.
 
 Every field the lab integrates is real and lives on the line (Paley-Wiener)
 or the plane (Fock, Gabor with n = 1); sums over atoms of a discrete index
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import Ball
+from .summation import ExactSum
 
 __all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_complement", "shell_nodes"]
 
@@ -166,10 +168,14 @@ def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, 
     return pts, w
 
 
-def _ball_quad(f, center: np.ndarray, r: float, cfg: QuadConfig):
-    """Lebesgue integral terms of f over the closed ball, returning (terms, node_count)."""
-    pts, w = shell_nodes(center, 0.0, r, cfg, gauss=True)
-    chunks = []
+def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
+    """Lebesgue integral of f over the closed ball b.
+
+    f is a vectorized real field mapping an (n, d) array of points to (n,)
+    values.
+    """
+    pts, w = shell_nodes(b.center, 0.0, b.radius, cfg, gauss=True)
+    total = ExactSum()
     # chunked so the integrand's temporaries stay small next to the node arrays
     for i in range(0, len(pts), _EVAL_CHUNK):
         p = pts[i : i + _EVAL_CHUNK]
@@ -177,19 +183,8 @@ def _ball_quad(f, center: np.ndarray, r: float, cfg: QuadConfig):
         bad = ~np.isfinite(vals)
         if np.any(bad):
             raise ValueError(f"non-finite integrand value at node {p[np.argmax(bad)].tolist()}")
-        chunks.append(vals * w[i : i + _EVAL_CHUNK])
-    return (np.concatenate(chunks) if chunks else np.zeros(0)), len(pts)
-
-
-def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
-    """Lebesgue integral of f over the closed ball b.
-
-    f is a vectorized real field mapping an (n, d) array of points to (n,)
-    values.
-    """
-    # the node arrays die with _ball_quad, before the term list exists
-    terms, count = _ball_quad(f, b.center, b.radius, cfg)
-    return IntegralResult(value=math.fsum(terms.tolist()), node_count=max(count, 1))
+        total.add(vals * w[i : i + _EVAL_CHUNK])
+    return IntegralResult(value=total.value, node_count=max(len(pts), 1))
 
 
 def integrate_complement(f, b: Ball, cfg: QuadConfig) -> IntegralResult:

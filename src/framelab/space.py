@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .summation import exact_sum
+
 __all__ = [
     "Ball",
     "PointSet",
@@ -238,7 +240,7 @@ class AtomicMeasure:
 
     def ball_mass(self, b: Ball) -> float:
         inside = b.contains(self.points)
-        return float(math.fsum(self.weights[inside]))
+        return exact_sum(self.weights[inside])
 
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         inside = b.contains(self.points)

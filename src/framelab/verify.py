@@ -139,7 +139,7 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
         if first.validator == "additionalProperties":
             # point at the first unexpected key, not at the object holding it
             path += "." + sorted(set(first.instance) - set(first.schema["properties"]))[0]
-        message = "this scenario does not read this key" if first.validator == "not" else first.message
+        message = "the chosen scenario or kernel does not read this key" if first.validator == "not" else first.message
         raise ConfigError(f"config invalid at {path}: {message}")
     return cfg
 

@@ -6,6 +6,14 @@ from framelab.cli import main, measure_from_config
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
 
 LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lattice": {"scale": 1.0, "dim": 2}}}
+FOCK_N2 = {"kernel": "fock", "params": {"n": 2}}
+GABOR_BAND = {"kernel": "gabor-gaussian", "params": {"band": 2.0}}
+LATTICE_2D = '{"scale": 0.5, "dim": 2}'
+PW_N1_PAIR = {
+    "kernel": {"kernel": "paley-wiener", "params": {"n": 1}},
+    "f": {"lebesgue": {"dim": 1}},
+    "g": {"lattice": {"scale": 1.0, "dim": 1}},
+}
 GABOR_N2_PAIR = {
     "kernel": {"kernel": "gabor-gaussian", "params": {"n": 2}},
     "f": {"lattice": {"scale": 1.0, "dim": 4}},
@@ -203,6 +211,15 @@ class TestCommands:
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [0.1]}), "--radii", "2"], "$.g_offset"),
             (["localize", "--pair", json.dumps(GABOR_N2_PAIR), "--radii", "2"], "$.kernel.params.n"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"r_truncate": 5.0}}), "--radii", "2"], "$.quad.r_truncate"),
+            # params the chosen kernel never reads
+            (["gram", "--kernel", json.dumps(FOCK_N2), "--lattice", LATTICE_2D, "--radii", "2"], "$.params.n"),
+            (["gram", "--kernel", json.dumps(GABOR_BAND), "--lattice", LATTICE_2D, "--radii", "2"], "$.params.band"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "kernel": FOCK_N2}), "--radii", "2"], "$.kernel.params.n"),
+            (
+                ["localize", "--pair", json.dumps({**LOC_PAIR, "kernel": GABOR_BAND}), "--radii", "2"],
+                "$.kernel.params.band",
+            ),
+            (["localize", "--pair", json.dumps(PW_N1_PAIR), "--radii", "2"], "$.kernel.params.n"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):

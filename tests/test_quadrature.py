@@ -30,6 +30,24 @@ class TestIntegrateBall:
         res = integrate_ball(lambda p: np.cos(p[:, 0]), Ball([0.0], 1.0), QuadConfig(h=0.01))
         assert res.value == pytest.approx(2 * math.sin(1.0), abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "f, b, h",
+        [
+            (gauss2, Ball([0.1, -0.2], 3.0), 0.02),
+            (lambda p: np.cos(p[:, 0]) * np.exp(-1e-3 * p[:, 0] ** 2), Ball([0.3], 900.0), 0.01),
+        ],
+        ids=["d2", "d1"],
+    )
+    def test_several_chunks_sum_like_fsum(self, f, b, h):
+        # more nodes than one evaluation chunk: the chunk sums must add up to
+        # the correctly rounded sum of all node terms
+        cfg = QuadConfig(h=h)
+        pts, w = shell_nodes(b.center, 0.0, b.radius, cfg, gauss=True)
+        assert len(pts) > 3 * (1 << 16)
+        res = integrate_ball(f, b, cfg)
+        assert res.node_count == len(pts)
+        assert res.value == math.fsum((f(pts) * w).tolist())
+
     def test_non_finite_field_reports_node(self):
         def f(pts):
             return np.where(pts[:, 0] > 0.25, np.inf, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from framelab.density import lattice_schedule
-from framelab.kernels import FockKernel, PaleyWienerKernel
+from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab.quadrature import QuadConfig
 from framelab.space import CountingMeasure, Lattice, LebesgueMeasure, PointSet
@@ -53,6 +53,29 @@ class TestGramStudy:
         assert study["riesz_evidence"]
         for row in study["rows"]:
             assert row["min_eig"] > 0.5
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.2, 2.0])
+    def test_fock_and_gabor_n1_give_one_study(self, alpha):
+        # the normalized Gabor n = 1 and Fock Gram matrices agree up to unimodular
+        # phases, so the two families share every spectrum and every verdict
+        fock = gram_truncation_study(FockKernel(), Lattice(alpha, 2), [2.0, 4.0, 6.0])
+        gabor = gram_truncation_study(GaborGaussianKernel(1), Lattice(alpha, 2), [2.0, 4.0, 6.0])
+        for key in ("frame_evidence", "riesz_evidence", "margin", "floor", "stabilization_rtol"):
+            assert fock[key] == gabor[key]
+        assert len(fock["rows"]) == len(gabor["rows"]) == 3
+        for a, b in zip(fock["rows"], gabor["rows"]):
+            assert (a["radius"], a["m"], a["local_dim"], a["near_zero_cluster"]) == (
+                b["radius"],
+                b["m"],
+                b["local_dim"],
+                b["near_zero_cluster"],
+            )
+            tol = 1e-12 * max(1.0, a["max_eig"])
+            for key in ("max_eig", "min_eig", "min_nonzero"):
+                if a[key] is None:
+                    assert b[key] is None
+                else:
+                    assert abs(a[key] - b[key]) <= tol
 
     def test_empty_window_noted(self):
         study = gram_truncation_study(FockKernel(), PointSet(np.zeros((0, 2))), [1.0])
