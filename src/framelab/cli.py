@@ -17,6 +17,7 @@ from . import verify
 from .density import density, lattice_schedule, default_schedule
 from .kernels import kernel_from_config
 from .localization import FramePairSpec, localization_defect
+from .quadrature import QuadConfig
 from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, load_point_set_csv
 
 
@@ -93,6 +94,9 @@ _PAIR_SCHEMA = {
     },
     "required": ["kernel", "f", "g"],
     "additionalProperties": False,
+    # 1-d cells are clipped exactly: a Paley-Wiener pair never reads boundary_refine
+    "if": {"properties": {"kernel": {"properties": {"kernel": {"const": "paley-wiener"}}}}},
+    "then": {"properties": {"quad": {"properties": {"boundary_refine": {"not": {}}}}}},
 }
 
 
@@ -184,7 +188,7 @@ def _cmd_localize(args) -> int:
         f_offset=pair_cfg.get("f_offset"),
         g_offset=pair_cfg.get("g_offset"),
     )
-    cfg = verify._quad_from_config(pair_cfg, default_h=0.05, default_refine=8)
+    cfg = QuadConfig(**{"h": 0.05, **pair_cfg.get("quad", {})})
     center = np.zeros(kernel.dim)
     rows = [localization_defect(pair, Ball(center, float(r)), cfg) for r in args.radii.split(",")]
     for row in rows:

@@ -19,6 +19,8 @@ from .space import Ball
 __all__ = ["DensitySchedule", "DensityEstimate", "density", "lattice_schedule"]
 
 DEFAULT_RADII = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+_BOX_HALF = 16.0  # default_schedule: centers on a unit grid in [-16, 16]^d
+_TREND_TOL = 0.05  # converged when the trend is within 5% of the estimate
 
 
 @dataclass(frozen=True)
@@ -58,23 +60,15 @@ class DensityEstimate:
     upper: float
     lower: float
     converged: bool
-    trend: float  # |ratio(r_max) - ratio(r_max/2)|, the convergence diagnostic
-
-    def row(self, r: float):
-        for row in self.per_radius:
-            if row[0] == r:
-                return row
-        raise KeyError(f"radius {r} not in the schedule")
+    trend: float  # ratio change between the last two radii, the convergence diagnostic
 
 
-def default_schedule(dim: int, r_max: float = 128.0, box_half: float = 16.0, spacing: float = 1.0) -> DensitySchedule:
+def default_schedule(dim: int, r_max: float) -> DensitySchedule:
     radii = tuple(r for r in DEFAULT_RADII if r <= r_max)
-    lo = -box_half * np.ones(dim)
-    hi = box_half * np.ones(dim)
-    return DensitySchedule(radii, (lo, hi), spacing)
+    return DensitySchedule(radii, (np.full(dim, -_BOX_HALF), np.full(dim, _BOX_HALF)), 1.0)
 
 
-def lattice_schedule(scale: float, dim: int, r_max: float = 128.0) -> DensitySchedule:
+def lattice_schedule(scale: float, dim: int, r_max: float) -> DensitySchedule:
     """Periodic-cell schedule: centers cover one fundamental cell of the lattice."""
     radii = tuple(r for r in DEFAULT_RADII if r <= r_max)
     spacing = min(1.0, scale / 2.0)
@@ -83,15 +77,16 @@ def lattice_schedule(scale: float, dim: int, r_max: float = 128.0) -> DensitySch
     return DensitySchedule(radii, (lo, hi), spacing)
 
 
-def density(mu, nu, sched: DensitySchedule, trend_tol: float = 0.05) -> DensityEstimate:
+def density(mu, nu, sched: DensitySchedule) -> DensityEstimate:
     """Sup/inf ball-mass ratios mu(B)/nu(B) over the schedule.
 
     Requires nu(B(a, r_min)) > 0 at every sampled center, mirroring the
-    standing assumption on the reference measure.
+    standing assumption on the reference measure.  The trend compares the
+    last two radii; the library's schedules double their radii, so that is
+    r_max against r_max / 2.
     """
     centers = sched.centers()
     rows = []
-    ratios_by_radius = {}
     for r in sched.radii:
         sup_ratio = -math.inf
         inf_ratio = math.inf
@@ -104,17 +99,11 @@ def density(mu, nu, sched: DensitySchedule, trend_tol: float = 0.05) -> DensityE
             sup_ratio = max(sup_ratio, ratio)
             inf_ratio = min(inf_ratio, ratio)
         rows.append((r, sup_ratio, inf_ratio))
-        ratios_by_radius[r] = (sup_ratio, inf_ratio)
 
-    r_max = sched.radii[-1]
-    upper, lower = ratios_by_radius[r_max]
-    half = r_max / 2.0
-    if half in ratios_by_radius:
-        prev = ratios_by_radius[half]
-        trend = max(abs(upper - prev[0]), abs(lower - prev[1]))
-    elif len(sched.radii) > 1:
-        prev = ratios_by_radius[sched.radii[-2]]
-        trend = max(abs(upper - prev[0]), abs(lower - prev[1]))
+    _, upper, lower = rows[-1]
+    if len(rows) > 1:
+        _, prev_upper, prev_lower = rows[-2]
+        trend = max(abs(upper - prev_upper), abs(lower - prev_lower))
     else:
         trend = math.inf
     scale = max(abs(upper), abs(lower), 1e-12)
@@ -122,7 +111,7 @@ def density(mu, nu, sched: DensitySchedule, trend_tol: float = 0.05) -> DensityE
         per_radius=tuple(rows),
         upper=upper,
         lower=lower,
-        converged=bool(trend <= trend_tol * scale),
+        converged=bool(trend <= _TREND_TOL * scale),
         trend=trend,
     )
 

@@ -126,17 +126,16 @@ class LocalizationRow:
     nu_ball: float
 
 
-def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig | None = None) -> float:
+def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) -> float:
     """max over probes x of the Lebesgue tail mass of |<k_x, k_.>|^2 outside B(x, R).
 
     index_measure must be Lebesgue measure in the kernel's dimension.
     """
     if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == kernel.dim):
         raise ValueError(f"tail_sup integrates against Lebesgue measure in dimension {kernel.dim} only")
-    cfg = cfg or QuadConfig()
     best = -math.inf
     for x in np.atleast_2d(np.asarray(probe_centers, dtype=float)):
-        field = lambda pts, x0=x: _mod2_cross(kernel, x0[None, :], pts)[0]
+        field = lambda pts: _mod2_cross(kernel, x[None, :], pts)[0]
         best = max(best, integrate_complement(field, Ball(x, R), cfg).value)
     return best
 
@@ -274,24 +273,20 @@ def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float
     return slack + (mu_b + nu_b) * tail
 
 
-def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> DoubleTailResult:
+def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> DoubleTailResult:
     """The two iterated cross-tail integrals over B x B^c.
 
     t1 integrates the f-family outside the ball against the g-family inside;
-    t2 swaps the roles.  For identical families with identical measures the
-    two integrands coincide, and one evaluation serves both.  The
-    truncation window R_tr must reach the ball's sphere.
+    t2 swaps the roles.  The truncation window R_tr must reach the ball's
+    sphere.
     """
-    cfg = cfg or QuadConfig()
     if cfg.effective_truncation(b.radius) < b.radius:
         raise ValueError("truncation radius is smaller than the ball radius")
-    same_offsets = np.array_equal(pair.f_offset, pair.g_offset)
     # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
     # through its center negates x - y, and |<k_x, k_y>|^2 is even
     plain_lebesgue = not any(getattr(m, "is_discrete", False) for m in (pair.f_measure, pair.g_measure))
-    symmetric = plain_lebesgue or (pair.f_measure is pair.g_measure and same_offsets)
     t1 = _cross_term(pair, b, cfg, outer="f")
-    t2 = t1 if symmetric else _cross_term(pair, b, cfg, outer="g")
+    t2 = t1 if plain_lebesgue else _cross_term(pair, b, cfg, outer="g")
     mu_b = pair.f_measure.ball_mass(b)
     nu_b = pair.g_measure.ball_mass(b)
     return DoubleTailResult(
@@ -303,13 +298,12 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> 
     )
 
 
-def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig | None = None) -> LocalizationRow:
+def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> LocalizationRow:
     """One report row of the localization mismatch over the ball b.
 
     For self-dual families the two iterated integrals of the localization
     condition are exactly the double tails, so the defect is |t1 - t2|.
     """
-    cfg = cfg or QuadConfig()
     dt = double_tail(pair, b, cfg)
     normalizer = dt.mu_ball + dt.nu_ball
     if normalizer <= 0:

@@ -13,6 +13,13 @@ and stabilize across windows.  Riesz evidence uses the raw minimum
 eigenvalue, which for a true Riesz sequence is monotone under taking
 subfamilies.  A lattice whose density estimate sits inside the critical band
 around 1 yields no claim in either direction.
+
+Configuration: ``DEFAULTS`` lists, per scenario, every optional key it reads
+with its default, down to the ``quad`` and ``tolerances`` fields.
+``CONFIG_SCHEMA`` rejects any other key or field by its JSON path, and
+``run`` validates a config and then resolves it once (``resolve_config``).
+Scenario bodies read only the resolved dict; the report's ``inputs`` keep
+the config as given.
 """
 from __future__ import annotations
 
@@ -32,9 +39,11 @@ from .space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ba
 
 __all__ = [
     "ConfigError",
+    "DEFAULTS",
     "gram_truncation_study",
     "theorem_main_table",
     "corollary_parseval_check",
+    "resolve_config",
     "run",
     "write_report",
     "write_table_csv",
@@ -43,24 +52,42 @@ __all__ = [
 SCHEMA_ID = "framelab/1"
 PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim", "info")
 
-# the optional keys each scenario reads; scenario, seed and out_dir are legal everywhere
-_LATTICE_KEYS = ("lattice", "points_csv", "radii", "gram_radii", "density_rmax", "quad", "tolerances")
-_SCENARIO_KEYS = {
-    "finite-oracle": ("trials",),
-    "paley-wiener": _LATTICE_KEYS[:1] + _LATTICE_KEYS[2:],
-    "fock": _LATTICE_KEYS,
-    "gabor": _LATTICE_KEYS,
-    "dual-embedding": ("offset", "radii", "density_rmax", "quad"),
+# Every optional key each scenario reads, with its default; scenario, seed and
+# out_dir are legal everywhere.  quad and tolerances are merged one level deep,
+# so a scenario reads exactly the fields listed here.  Scenario tables need
+# ~1e-5 accuracy on epsilon columns, not the tight tail-law tolerance; the
+# coarser quad defaults keep sweeps fast.  1-d cells are clipped exactly, so
+# paley-wiener never reads boundary_refine.
+_QUAD = {"h": 0.08, "truncation_margin": 6.0, "boundary_refine": 2}
+_MODEL_SPACE = {
+    "lattice": {"scale": 1.0, "dim": 2},
+    "points_csv": None,
+    "radii": [4.0, 8.0, 16.0],
+    "gram_radii": [2.5, 3.5, 4.5],
+    "density_rmax": 128.0,
+    "quad": _QUAD,
+    "tolerances": {"density": 0.05, "critical_band": 0.05},
 }
-_OPTIONAL_KEYS = sorted({k for keys in _SCENARIO_KEYS.values() for k in keys})
+DEFAULTS = {
+    "finite-oracle": {"trials": 100},
+    "paley-wiener": {
+        "lattice": {"scale": 1.0, "dim": 1},
+        "radii": [4.0, 8.0, 16.0],
+        "gram_radii": [10.0, 15.0, 20.0],
+        "density_rmax": 128.0,
+        "quad": {"h": 0.02, "truncation_margin": 6.0},
+        "tolerances": {"density": 0.05},
+    },
+    "fock": _MODEL_SPACE,
+    "gabor": _MODEL_SPACE,
+    "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0, "quad": _QUAD},
+}
+_MERGED = ("quad", "tolerances")
 
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
-        "scenario": {
-            "type": "string",
-            "enum": ["finite-oracle", "paley-wiener", "fock", "gabor", "dual-embedding"],
-        },
+        "scenario": {"type": "string", "enum": list(DEFAULTS)},
         "seed": {"type": "integer", "minimum": 0},
         "lattice": {
             "type": "object",
@@ -99,18 +126,11 @@ CONFIG_SCHEMA = {
     },
     "required": ["scenario"],
     "additionalProperties": False,
-    # keys a scenario never reads, and a lattice beside points_csv, are rejected
-    # rather than ignored; the Fock and Gabor (n = 1) kernels live on R^2 (the
-    # quadrature covers d <= 2 only); Paley-Wiener runs on a 1-D lattice and
-    # never thins
+    # a lattice beside points_csv is rejected rather than ignored, and so are
+    # keys a scenario never reads (rules appended from DEFAULTS); the Fock and
+    # Gabor (n = 1) kernels live on R^2 (the quadrature covers d <= 2 only);
+    # Paley-Wiener runs on a 1-D lattice and never thins
     "allOf": [
-        *(
-            {
-                "if": {"properties": {"scenario": {"const": name}}},
-                "then": {"properties": {k: {"not": {}} for k in _OPTIONAL_KEYS if k not in keys}},
-            }
-            for name, keys in _SCENARIO_KEYS.items()
-        ),
         {"if": {"required": ["points_csv"]}, "then": {"properties": {"lattice": {"not": {}}}}},
         {
             "if": {"properties": {"scenario": {"enum": ["fock", "gabor"]}}},
@@ -122,6 +142,23 @@ CONFIG_SCHEMA = {
         },
     ],
 }
+
+
+def _unread(defaults: dict) -> dict:
+    """Schema properties rejecting each optional key, and each quad/tolerances field, missing from defaults."""
+    props = {}
+    for key, spec in CONFIG_SCHEMA["properties"].items():
+        if key not in defaults and key not in ("scenario", "seed", "out_dir"):
+            props[key] = {"not": {}}
+        elif key in defaults and key in _MERGED:
+            props[key] = {"properties": {f: {"not": {}} for f in spec["properties"] if f not in defaults[key]}}
+    return props
+
+
+CONFIG_SCHEMA["allOf"] += [
+    {"if": {"properties": {"scenario": {"const": name}}}, "then": {"properties": _unread(defaults)}}
+    for name, defaults in DEFAULTS.items()
+]
 
 
 class ConfigError(ValueError):
@@ -148,27 +185,26 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
 # Gram truncation study
 
 
-def gram_truncation_study(
-    kernel,
-    gamma: Lattice | PointSet,
-    sizes,
-    center=None,
-    margin: float = 0.5,
-    floor: float = 0.01,
-    stabilization_rtol: float = 0.10,
-) -> dict:
-    """Windowed Gram spectra of normalized kernels over balls of growing radius.
+# the local mode count is the reference mass of the window shrunk by
+# _GRAM_MARGIN; evidence needs eigenvalues >= _EVIDENCE_FLOOR whose last two
+# windows agree within _STABLE_RTOL
+_GRAM_MARGIN = 0.5
+_EVIDENCE_FLOOR = 0.01
+_STABLE_RTOL = 0.10
+
+
+def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
+    """Windowed Gram spectra of normalized kernels over origin balls of growing radius.
 
     Per window: extreme eigenvalues, the redundancy-adjusted minimum
     ("min_nonzero": the eigenvalue at the local mode count when the window
     holds at least that many kernels), and the near-zero cluster size.
     """
     d = kernel.dim
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     mode_density = getattr(kernel, "mode_density", None)
     rows = []
     for R in sorted(float(s) for s in sizes):
-        window = Ball(center, R)
+        window = Ball(np.zeros(d), R)
         pts = gamma.points_in_ball(window)
         if len(pts) == 0:
             rows.append({"radius": R, "m": 0, "note": "window contains no points"})
@@ -179,7 +215,7 @@ def gram_truncation_study(
         local_dim = None
         min_nonzero = None
         if mode_density is not None:
-            local_dim = mode_density * ball_volume(d, max(R - margin, 1e-6))
+            local_dim = mode_density * ball_volume(d, max(R - _GRAM_MARGIN, 1e-6))
             need = max(1, math.ceil(local_dim))
             if len(pts) >= need:
                 min_nonzero = float(lam[len(pts) - need])
@@ -202,25 +238,25 @@ def gram_truncation_study(
         if len(values) < 2 or any(v is None for v in values):
             return False
         a, b = values[-2], values[-1]
-        if min(a, b) < floor:
+        if min(a, b) < _EVIDENCE_FLOOR:
             return False
-        return abs(b - a) <= stabilization_rtol * max(abs(a), 1e-300)
+        return abs(b - a) <= _STABLE_RTOL * max(abs(a), 1e-300)
 
     frame_evidence = bool(
         usable
-        and all(r["min_nonzero"] is not None and r["min_nonzero"] >= floor for r in usable)
+        and all(r["min_nonzero"] is not None and r["min_nonzero"] >= _EVIDENCE_FLOOR for r in usable)
         and stable([r["min_nonzero"] for r in usable])
     )
     riesz_evidence = bool(
         usable
-        and all(r["min_eig"] >= floor for r in usable)
+        and all(r["min_eig"] >= _EVIDENCE_FLOOR for r in usable)
         and stable([r["min_eig"] for r in usable])
     )
     return {
         "rows": rows,
-        "margin": margin,
-        "floor": floor,
-        "stabilization_rtol": stabilization_rtol,
+        "margin": _GRAM_MARGIN,
+        "floor": _EVIDENCE_FLOOR,
+        "stabilization_rtol": _STABLE_RTOL,
         "frame_evidence": frame_evidence,
         "riesz_evidence": riesz_evidence,
     }
@@ -230,8 +266,11 @@ def gram_truncation_study(
 # Theorem table and corollary check
 
 
-def theorem_main_table(pair: FramePairSpec, radii, center=None, cfg: QuadConfig | None = None, tol: float = 1e-9):
-    """Per-radius inequality table for the localization-density chain.
+_TABLE_TOL = 1e-9  # rounding slack of the row inequality A <= B + C(1 + B)
+
+
+def theorem_main_table(pair: FramePairSpec, radii, cfg: QuadConfig):
+    """Per-radius inequality table over origin balls for the localization-density chain.
 
     Column A is the diagonal average on the mu side (identically 1 for
     self-dual normalized families), column B the ball-mass ratio nu/mu,
@@ -239,13 +278,10 @@ def theorem_main_table(pair: FramePairSpec, radii, center=None, cfg: QuadConfig 
     A <= B + C (1 + B) are consistent with the diagonal hypotheses; a
     violated row means those hypotheses cannot all hold for this pair.
     """
-    cfg = cfg or QuadConfig()
-    d = pair.kernel.dim
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     rows = []
     loc_rows = []
     for r in sorted(float(x) for x in radii):
-        ball = Ball(center, r)
+        ball = Ball(np.zeros(pair.kernel.dim), r)
         loc = localization_defect(pair, ball, cfg)
         loc_rows.append(loc)
         a_col = 1.0
@@ -260,7 +296,7 @@ def theorem_main_table(pair: FramePairSpec, radii, center=None, cfg: QuadConfig 
                 "B": b_col,
                 "C": c_col,
                 "bound": bound,
-                "verdict": "pass" if a_col <= bound + tol else "hypotheses-unmet",
+                "verdict": "pass" if a_col <= bound + _TABLE_TOL else "hypotheses-unmet",
             }
         )
     return rows, loc_rows
@@ -298,45 +334,23 @@ def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, tol: f
 def _build_lattice_support(cfg: dict):
     """Point support for a scenario: CSV points, a lattice, or a thinned lattice.
 
-    Returns (support, lattice_cfg).
+    Returns (support, cell): cell is the side of the density schedule's
+    center box, the lattice scale for a plain lattice and 1 otherwise.
     """
-    if "points_csv" in cfg:
+    if cfg["points_csv"] is not None:
         from .space import load_point_set_csv
 
-        ps = load_point_set_csv(cfg["points_csv"])
-        return ps, {"scale": None, "dim": ps.dim}
-    lat_cfg = cfg.get("lattice", {"scale": 1.0, "dim": 2})
-    lat = Lattice(lat_cfg["scale"], lat_cfg["dim"])
-    thin = lat_cfg.get("thin")
-    if thin is None:
-        return lat, lat_cfg
+        return load_point_set_csv(cfg["points_csv"]), 1.0
+    lat = Lattice(cfg["lattice"]["scale"], cfg["lattice"]["dim"])
+    if "thin" not in cfg["lattice"]:
+        return lat, cfg["lattice"]["scale"]
     # drop-even-even: remove points whose integer coordinates are all even
-    reach = max(
-        max(cfg.get("gram_radii", [4.5])),
-        cfg.get("density_rmax", 128.0),
-        max(cfg.get("radii", [16.0])),
-    ) + 8.0
+    reach = max(max(cfg["gram_radii"]), cfg["density_rmax"], max(cfg["radii"])) + 8.0
     # the density, Gram-window and table balls (and the table's atom shells) lie inside B(0, reach)
     pts = lat.points_in_ball(Ball(np.zeros(lat.dim), reach))
     idx = np.rint(pts / lat.scale).astype(int)
     keep = ~np.all(idx % 2 == 0, axis=1)
-    return PointSet(pts[keep]), lat_cfg
-
-
-def _quad_from_config(cfg: dict, default_h: float = 0.08, default_refine: int = 2) -> QuadConfig:
-    # scenario tables need ~1e-5 accuracy on epsilon columns, not the tight
-    # tail-law tolerance; the coarser defaults keep sweeps fast
-    q = cfg.get("quad", {})
-    return QuadConfig(
-        h=q.get("h", default_h),
-        truncation_margin=q.get("truncation_margin", 6.0),
-        boundary_refine=q.get("boundary_refine", default_refine),
-    )
-
-
-def _density_for_lattice(support, dim: int, scale: float | None, r_max: float) -> DensityEstimate:
-    sched = lattice_schedule(1.0 if scale is None else scale, dim, r_max=r_max)
-    return density(CountingMeasure(support), LebesgueMeasure(dim), sched)
+    return PointSet(pts[keep]), 1.0
 
 
 def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_band: float) -> list:
@@ -414,9 +428,8 @@ def _loc_rows_json(loc_rows: list[LocalizationRow]) -> list:
 
 
 def _finite_oracle_scenario(cfg: dict) -> dict:
-    seed = cfg.get("seed", 7)
-    trials = cfg.get("trials", 100)
-    rng = np.random.RandomState(seed)
+    trials = cfg["trials"]
+    rng = np.random.RandomState(cfg["seed"])
     residuals = []
     proj_residuals = []
     idem_residuals = []
@@ -468,30 +481,21 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
     # rejects coincident points naming the offender, and lattice-derived
     # supports inherit the lattice spacing
     d = kernel.dim
-    support, lat_cfg = _build_lattice_support(cfg)
-    if lat_cfg["dim"] != d:
-        where = "$.points_csv" if "points_csv" in cfg else "$.lattice.dim"
-        need = f"the {cfg['scenario']} kernel needs {d}-d points, got {lat_cfg['dim']}-d"
+    support, cell = _build_lattice_support(cfg)
+    if support.dim != d:
+        where = "$.lattice.dim" if cfg["points_csv"] is None else "$.points_csv"
+        need = f"the {cfg['scenario']} kernel needs {d}-d points, got {support.dim}-d"
         raise ConfigError(f"config invalid at {where}: {need}")
-    scale = None if lat_cfg.get("thin") else lat_cfg["scale"]
-    tolerances = cfg.get("tolerances", {})
-    tol = tolerances.get("density", 0.05)
-    critical_band = tolerances.get("critical_band", 0.05)
-    quad = _quad_from_config(cfg)
-
-    radii = cfg.get("radii", [4.0, 8.0, 16.0])
-    gram_radii = cfg.get("gram_radii", [2.5, 3.5, 4.5])
-    r_max = cfg.get("density_rmax", 128.0)
-
-    dens = _density_for_lattice(support, d, scale, r_max)
-    study = gram_truncation_study(kernel, support, gram_radii)
+    sched = lattice_schedule(cell, d, r_max=cfg["density_rmax"])
+    dens = density(CountingMeasure(support), LebesgueMeasure(d), sched)
+    study = gram_truncation_study(kernel, support, cfg["gram_radii"])
     pair = FramePairSpec(
         kernel=kernel,
         f_measure=LebesgueMeasure(d),
         g_measure=CountingMeasure(support),
     )
-    table, loc_rows = theorem_main_table(pair, radii, cfg=quad)
-    verdicts = _lattice_verdicts(dens, study, tol, critical_band)
+    table, loc_rows = theorem_main_table(pair, cfg["radii"], QuadConfig(**cfg["quad"]))
+    verdicts = _lattice_verdicts(dens, study, cfg["tolerances"]["density"], cfg["tolerances"]["critical_band"])
     if any(row["verdict"] == "hypotheses-unmet" for row in table):
         verdicts.append(
             {
@@ -519,18 +523,12 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
 
 def _paley_wiener_scenario(cfg: dict) -> dict:
     kernel = PaleyWienerKernel()
-    lat = Lattice(cfg.get("lattice", {"scale": 1.0, "dim": 1})["scale"], 1)
-    quad = _quad_from_config(cfg, default_h=0.02)
-    r_max = cfg.get("density_rmax", 128.0)
-    pair = FramePairSpec(
-        kernel=kernel, f_measure=LebesgueMeasure(1), g_measure=CountingMeasure(lat)
-    )
-    sched = lattice_schedule(lat.scale, 1, r_max=r_max)
-    corollary = corollary_parseval_check(pair, sched, tol=cfg.get("tolerances", {}).get("density", 0.05))
-    gram_radii = cfg.get("gram_radii", [10.0, 15.0, 20.0])
-    study = gram_truncation_study(kernel, lat, gram_radii)
-    radii = cfg.get("radii", [4.0, 8.0, 16.0])
-    table, loc_rows = theorem_main_table(pair, radii, cfg=quad)
+    lat = Lattice(cfg["lattice"]["scale"], 1)
+    pair = FramePairSpec(kernel=kernel, f_measure=LebesgueMeasure(1), g_measure=CountingMeasure(lat))
+    sched = lattice_schedule(lat.scale, 1, r_max=cfg["density_rmax"])
+    corollary = corollary_parseval_check(pair, sched, tol=cfg["tolerances"]["density"])
+    study = gram_truncation_study(kernel, lat, cfg["gram_radii"])
+    table, loc_rows = theorem_main_table(pair, cfg["radii"], QuadConfig(**cfg["quad"]))
     verdicts = [
         {
             "name": "parseval-corollary",
@@ -548,20 +546,16 @@ def _paley_wiener_scenario(cfg: dict) -> dict:
 
 
 def _dual_embedding_scenario(cfg: dict) -> dict:
-    kernel = FockKernel()
-    offset = np.asarray(cfg.get("offset", [0.35, 0.2]), dtype=float)
-    quad = _quad_from_config(cfg)
     pair = FramePairSpec(
-        kernel=kernel,
+        kernel=FockKernel(),
         f_measure=LebesgueMeasure(2),
         g_measure=LebesgueMeasure(2),
-        f_offset=None,
-        g_offset=offset,
+        g_offset=cfg["offset"],
     )
-    radii = cfg.get("radii", [2.0, 4.0])
-    rows = [localization_defect(pair, Ball(np.zeros(2), r), quad) for r in sorted(radii)]
+    quad = QuadConfig(**cfg["quad"])
+    rows = [localization_defect(pair, Ball(np.zeros(2), r), quad) for r in sorted(cfg["radii"])]
     # both index measures are Lebesgue: densities are exactly 1 at every radius
-    sched = lattice_schedule(1.0, 2, r_max=cfg.get("density_rmax", 32.0))
+    sched = lattice_schedule(1.0, 2, r_max=cfg["density_rmax"])
     corollary = corollary_parseval_check(pair, sched)
     ok = corollary["verdict"] == "pass" and all(r.epsilon_effective < 1e-10 for r in rows)
     return {
@@ -586,15 +580,29 @@ _SCENARIOS = {
 }
 
 
+def resolve_config(cfg: dict) -> dict:
+    """The config a scenario runs with: its DEFAULTS filled in, quad and tolerances merged one level deep."""
+    defaults = DEFAULTS[cfg["scenario"]]
+    resolved = {"seed": 7, **defaults, **cfg}
+    for key in _MERGED:
+        if key in defaults:
+            resolved[key] = {**defaults[key], **resolved[key]}
+    return resolved
+
+
 def run(cfg: dict) -> dict:
-    """Execute a scenario configuration and return the report dictionary."""
+    """Execute a scenario configuration and return the report dictionary.
+
+    The report's inputs are the raw config; the scenario reads the resolved one.
+    """
     validate_config(cfg)
-    name = cfg["scenario"]
-    body = _SCENARIOS[name](cfg)
+    resolved = resolve_config(cfg)
+    name = resolved["scenario"]
+    body = _SCENARIOS[name](resolved)
     report = {
         "schema": SCHEMA_ID,
         "scenario": name,
-        "seed": cfg.get("seed", 7),
+        "seed": resolved["seed"],
         "inputs": {k: v for k, v in sorted(cfg.items()) if k != "out_dir"},
     }
     report.update(body)

@@ -14,6 +14,7 @@ PW_N1_PAIR = {
     "f": {"lebesgue": {"dim": 1}},
     "g": {"lattice": {"scale": 1.0, "dim": 1}},
 }
+PW_PAIR = {**PW_N1_PAIR, "kernel": {"kernel": "paley-wiener"}}
 GABOR_N2_PAIR = {
     "kernel": {"kernel": "gabor-gaussian", "params": {"n": 2}},
     "f": {"lattice": {"scale": 1.0, "dim": 4}},
@@ -184,6 +185,9 @@ class TestCommands:
             # gabor runs with n = 1: 2-d points only
             ({"scenario": "gabor", "lattice": {"scale": 0.8, "dim": 4}}, "$.lattice.dim"),
             ({"scenario": "gabor", "points_csv": "x1,x2,x3,x4\n0,0,0,0\n1,0,0,0\n"}, "$.points_csv"),
+            # quad and tolerances fields the scenario never reads
+            ({"scenario": "paley-wiener", "tolerances": {"critical_band": 0.3}}, "$.tolerances.critical_band"),
+            ({"scenario": "paley-wiener", "quad": {"boundary_refine": 64}}, "$.quad.boundary_refine"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -220,6 +224,11 @@ class TestCommands:
                 "$.kernel.params.band",
             ),
             (["localize", "--pair", json.dumps(PW_N1_PAIR), "--radii", "2"], "$.kernel.params.n"),
+            # 1-d cells are clipped exactly: a Paley-Wiener pair never reads boundary_refine
+            (
+                ["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"boundary_refine": 16}}), "--radii", "2"],
+                "$.quad.boundary_refine",
+            ),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):

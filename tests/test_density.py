@@ -63,7 +63,7 @@ class TestDensity:
         moved = density(CountingMeasure(shifted), LebesgueMeasure(2), sched)
         r = 8.0
         shell = (math.pi * ((r + math.sqrt(2)) ** 2 - r**2)) / (math.pi * r * r)
-        assert abs(moved.row(r)[1] - base.row(r)[1]) <= shell + 1e-12
+        assert abs(moved.per_radius[0][1] - base.per_radius[0][1]) <= shell + 1e-12
 
     def test_bracketing_with_annulus_correction(self):
         # sup/inf ratios at radius r bracket the true lattice density within

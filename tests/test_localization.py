@@ -58,7 +58,7 @@ class TestTailSup:
     )
     def test_lebesgue_index_measure_only(self, measure):
         with pytest.raises(ValueError, match="Lebesgue measure in dimension 2"):
-            tail_sup(FockKernel(), measure, 2.0, [[0.0, 0.0]])
+            tail_sup(FockKernel(), measure, 2.0, [[0.0, 0.0]], QuadConfig())
 
 
 class TestDoubleTail:

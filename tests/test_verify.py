@@ -11,6 +11,7 @@ from framelab.localization import FramePairSpec
 from framelab.quadrature import QuadConfig
 from framelab.space import CountingMeasure, Lattice, LebesgueMeasure, PointSet
 from framelab.verify import (
+    DEFAULTS,
     ConfigError,
     corollary_parseval_check,
     gram_truncation_study,
@@ -230,6 +231,16 @@ class TestScenarios:
         names = {v["name"]: v["verdict"] for v in rep["verdicts"]}
         assert names["parseval-corollary"] == "pass"
         assert rep["overall"] == "pass"
+
+    @pytest.mark.parametrize("name", list(DEFAULTS))
+    def test_defaults_table_matches_schema_and_scenario(self, name):
+        # the schema accepts every key the table lists, and spelling all of them
+        # out changes nothing in the report but its inputs
+        spelled = {"scenario": name, **{k: v for k, v in DEFAULTS[name].items() if v is not None}}
+        validate_config(spelled)
+        full, bare = run(spelled), run({"scenario": name})
+        assert full.pop("inputs") != bare.pop("inputs")
+        assert report_json(full) == report_json(bare)
 
     def test_gabor_odd_dimension_rejected(self):
         # gabor runs with n = 1 only, on a 2-d lattice
