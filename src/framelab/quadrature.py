@@ -13,10 +13,23 @@ rules, fixed by the caller:
 
 In d = 1 cells are clipped exactly to the shell.  In d = 2 cells that
 straddle either sphere are subdivided and weighted by the exact closed-form
-cell/disk intersection area.  Each evaluation chunk is added, as it is
-produced, into an exact per-exponent binned sum (``summation.ExactSum``).
-The value is the correctly rounded sum of all node terms, whatever their
-order or chunking.
+cell/disk intersection area.
+
+A d = 2 grid does not depend on the centre, so it is built once as a
+read-only template (``_shell_template``: interior cell offsets, rule shifts,
+kept straddle-subcell offsets and weights) and kept in an LRU cache of two,
+which covers both balls of a complement and both shells of a localization
+row.  Each call translates it by the centre with the float operations
+``(offset + center)`` then ``shift + cell``, in chunks of at most
+``_EVAL_CHUNK`` nodes written into one reused buffer; interior chunks carry
+the scalar weight h^d / len(shifts).  ``integrate_ball`` evaluates the field
+on these chunks and never holds the whole node array; ``shell_nodes`` fills
+the same chunks, in the same order, into one array.  The d = 1 grid depends
+on the centre through its clipping and is built per call.
+
+Each evaluation chunk is added, as it is produced, into an exact
+per-exponent binned sum (``summation.ExactSum``).  The value is the
+correctly rounded sum of all node terms, whatever their order or chunking.
 
 Every field the lab integrates is real and lives on the line (Paley-Wiener)
 or the plane (Fock, Gabor with n = 1); sums over atoms of a discrete index
@@ -30,8 +43,10 @@ longer hold to rounding.  The inner ball is also a small share of the work.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +119,109 @@ def _cell_offsets(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
 
 
+def _rule(gauss: bool) -> np.ndarray:
+    """Interior node positions along each axis, in units of the cell width."""
+    return np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET] if gauss else [0.0])
+
+
+def _interval_nodes(center: np.ndarray, r_in: float, r_out: float, h: float, rule: np.ndarray):
+    """d = 1 nodes and weights, cells clipped exactly to the two intervals of the shell."""
+    c = float(center[0])
+    n = int(math.ceil(r_out / h)) + 1
+    k = np.arange(-n, n)
+    starts, widths = [], []
+    for lo, hi in ((c - r_out, c - r_in), (c + r_in, c + r_out)):
+        a = np.maximum(c + k * h, lo)
+        w = np.minimum(c + (k + 1) * h, hi) - a
+        starts.append(a[w > 0])
+        widths.append(w[w > 0])
+    starts, widths = np.concatenate(starts), np.concatenate(widths)
+    mids = starts + widths / 2.0
+    pts = mids[None, :] + rule[:, None] * widths[None, :]
+    return pts.reshape(-1, 1), np.tile(widths / len(rule), len(rule))
+
+
+class _ShellTemplate(NamedTuple):
+    """Centre-free d = 2 shell grid; every array is read-only.
+
+    cells: interior cell centres relative to the shell centre; shifts: the
+    interior rule's node offsets within a cell; sub_off, sub_w: centres
+    (relative to the shell centre) and weights of the kept straddle subcells.
+    """
+
+    cells: np.ndarray
+    shifts: np.ndarray
+    sub_off: np.ndarray
+    sub_w: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.shifts) * len(self.cells) + len(self.sub_w)
+
+
+@functools.lru_cache(maxsize=2)  # a complement is two balls, a localization row two shells
+def _shell_template(d: int, r_in: float, r_out: float, h: float, boundary_refine: int, gauss: bool) -> _ShellTemplate:
+    n = int(math.ceil(r_out / h)) + 2
+    offsets = _cell_offsets((np.arange(-n, n) + 0.5) * h, d)
+    dist = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+    half_diag = h * math.sqrt(d) / 2.0
+    strad = (np.abs(dist - r_out) < half_diag) | ((np.abs(dist - r_in) < half_diag) & (r_in > 0))
+    cells = offsets[(dist > r_in) & (dist <= r_out) & ~strad]
+
+    bk = boundary_refine
+    hs = h / bk
+    sub_off = _cell_offsets(((np.arange(bk) + 0.5) / bk - 0.5) * h, d)
+    sc = (offsets[strad][:, None, :] + sub_off[None, :, :]).reshape(-1, d)
+    del offsets, dist  # the full grid is the largest array; drop it before the subcell areas exist
+    lo, hi = sc - hs / 2.0, sc + hs / 2.0
+    sub_w = _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_out)
+    if r_in > 0:
+        sub_w = sub_w - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
+    keep = sub_w > 0
+    template = _ShellTemplate(cells, _cell_offsets(_rule(gauss) * h, d), sc[keep], sub_w[keep])
+    for a in template:
+        a.flags.writeable = False
+    return template
+
+
+def _node_chunks(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, gauss: bool):
+    """(node count, iterator of (points, weights) chunks of <= _EVAL_CHUNK nodes) on a shell.
+
+    The chunks run in ``shell_nodes`` order.  In d = 2 the points of a chunk
+    are a buffer that the next chunk overwrites, and interior chunks carry
+    the scalar weight h^d / len(shifts).
+    """
+    d = center.size
+    if d > 2:
+        raise ValueError("quadrature supports dimensions d <= 2 only")
+    if r_out <= max(r_in, 0.0):
+        return 0, iter(())
+    if d == 1:
+        pts, w = _interval_nodes(center, r_in, r_out, cfg.h, _rule(gauss))
+        chunks = ((pts[i : i + _EVAL_CHUNK], w[i : i + _EVAL_CHUNK]) for i in range(0, len(pts), _EVAL_CHUNK))
+        return len(pts), chunks
+    t = _shell_template(d, r_in, r_out, cfg.h, cfg.boundary_refine, gauss)
+    return t.size, _translated_chunks(t, center, cfg.h**d / len(t.shifts))
+
+
+def _translated_chunks(t: _ShellTemplate, center: np.ndarray, w_int: float):
+    m = min(_EVAL_CHUNK, t.size)
+    buf = np.empty((m, center.size))
+    # whole (m, d) operands: a broadcast (d,) row would run numpy's inner loop d elements at a time
+    cen = np.tile(center, (m, 1))
+    for shift in t.shifts:
+        sh = np.tile(shift, (m, 1))
+        for i in range(0, len(t.cells), _EVAL_CHUNK):
+            k = len(t.cells[i : i + _EVAL_CHUNK])
+            np.add(t.cells[i : i + k], cen[:k], out=buf[:k])
+            np.add(sh[:k], buf[:k], out=buf[:k])
+            yield buf[:k], w_int
+    for i in range(0, len(t.sub_w), _EVAL_CHUNK):
+        k = len(t.sub_w[i : i + _EVAL_CHUNK])
+        np.add(t.sub_off[i : i + k], cen[:k], out=buf[:k])
+        yield buf[:k], t.sub_w[i : i + k]
+
+
 def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, gauss: bool):
     """Nodes and weights on the shell r_in < |x - center| <= r_out; r_in = 0 is the closed ball.
 
@@ -112,59 +230,17 @@ def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, 
     otherwise.  In d = 1 cells are clipped exactly to the shell; in d = 2
     cells straddling either sphere are split into boundary_refine**2
     subcells with exact partial areas; subcells whose area comes out <= 0
-    are dropped.
+    are dropped.  In d = 2 the interior nodes come shift-major (every cell
+    for the first rule shift, then the next), then the straddle subcells.
     Returns (points (n, d), weights (n,)).
     """
-    d = center.size
-    h = cfg.h
-    if d > 2:
-        raise ValueError("quadrature supports dimensions d <= 2 only")
-    if r_out <= max(r_in, 0.0):
-        return np.zeros((0, d)), np.zeros(0)
-    # interior node positions along each axis, in units of the cell width
-    rule = np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET] if gauss else [0.0])
-    if d == 1:
-        c = float(center[0])
-        n = int(math.ceil(r_out / h)) + 1
-        k = np.arange(-n, n)
-        starts, widths = [], []
-        for lo, hi in ((c - r_out, c - r_in), (c + r_in, c + r_out)):
-            a = np.maximum(c + k * h, lo)
-            w = np.minimum(c + (k + 1) * h, hi) - a
-            starts.append(a[w > 0])
-            widths.append(w[w > 0])
-        starts, widths = np.concatenate(starts), np.concatenate(widths)
-        mids = starts + widths / 2.0
-        pts = mids[None, :] + rule[:, None] * widths[None, :]
-        return pts.reshape(-1, 1), np.tile(widths / len(rule), len(rule))
-
-    n = int(math.ceil(r_out / h)) + 2
-    offsets = _cell_offsets((np.arange(-n, n) + 0.5) * h, d)
-    dist = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
-    half_diag = h * math.sqrt(d) / 2.0
-    strad = (np.abs(dist - r_out) < half_diag) | ((np.abs(dist - r_in) < half_diag) & (r_in > 0))
-    cells = offsets[(dist > r_in) & (dist <= r_out) & ~strad] + center[None, :]
-
-    bk = cfg.boundary_refine
-    hs = h / bk
-    sub_off = _cell_offsets(((np.arange(bk) + 0.5) / bk - 0.5) * h, d)
-    sc = (offsets[strad][:, None, :] + sub_off[None, :, :]).reshape(-1, d)
-    del offsets, dist  # the full grid is the largest array; drop it before the nodes exist
-    lo, hi = sc - hs / 2.0, sc + hs / 2.0
-    sub_w = _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_out)
-    if r_in > 0:
-        sub_w = sub_w - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
-    keep = sub_w > 0
-
-    # interior nodes are written straight into the output
-    shifts = _cell_offsets(rule * h, d)
-    n_int = len(shifts) * len(cells)
-    pts = np.empty((n_int + int(np.count_nonzero(keep)), d))
-    np.add(shifts[:, None, :], cells[None, :, :], out=pts[:n_int].reshape(len(shifts), len(cells), d))
-    pts[n_int:] = sc[keep] + center[None, :]
-    w = np.empty(len(pts))
-    w[:n_int] = h**d / len(shifts)
-    w[n_int:] = sub_w[keep]
+    n, chunks = _node_chunks(center, r_in, r_out, cfg, gauss)
+    pts, w = np.empty((n, center.size)), np.empty(n)
+    i = 0
+    for p, wc in chunks:
+        pts[i : i + len(p)] = p
+        w[i : i + len(p)] = wc
+        i += len(p)
     return pts, w
 
 
@@ -172,19 +248,17 @@ def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
     """Lebesgue integral of f over the closed ball b.
 
     f is a vectorized real field mapping an (n, d) array of points to (n,)
-    values.
+    values.  Its argument is a buffer that the next chunk overwrites.
     """
-    pts, w = shell_nodes(b.center, 0.0, b.radius, cfg, gauss=True)
+    n, chunks = _node_chunks(b.center, 0.0, b.radius, cfg, gauss=True)
     total = ExactSum()
-    # chunked so the integrand's temporaries stay small next to the node arrays
-    for i in range(0, len(pts), _EVAL_CHUNK):
-        p = pts[i : i + _EVAL_CHUNK]
+    for p, wc in chunks:
         vals = np.asarray(f(p))
         bad = ~np.isfinite(vals)
         if np.any(bad):
             raise ValueError(f"non-finite integrand value at node {p[np.argmax(bad)].tolist()}")
-        total.add(vals * w[i : i + _EVAL_CHUNK])
-    return IntegralResult(value=total.value, node_count=max(len(pts), 1))
+        total.add(vals * wc)
+    return IntegralResult(value=total.value, node_count=max(n, 1))
 
 
 def integrate_complement(f, b: Ball, cfg: QuadConfig) -> IntegralResult:

@@ -34,6 +34,13 @@ class TestTailSup:
             got = tail_sup(K, LebesgueMeasure(2), R, [[0.0, 0.0]], QuadConfig(h=0.02, truncation_radius=R + 6))
             assert got == pytest.approx(math.exp(-math.pi * R * R), rel=1e-4)
 
+    def test_several_probes_give_the_max_of_single_probes(self):
+        # probes share cached shell templates; each value must equal its own call bit for bit
+        K, cfg = FockKernel(), QuadConfig(h=0.05, truncation_radius=5.0)
+        probes = [[0.0, 0.0], [0.62, -1.37], [2.5, 3.1]]
+        singles = [tail_sup(K, LebesgueMeasure(2), 1.0, [p], cfg) for p in probes]
+        assert tail_sup(K, LebesgueMeasure(2), 1.0, probes, cfg) == max(singles)
+
     def test_far_tail_below_floor(self):
         got = tail_sup(FockKernel(), LebesgueMeasure(2), 3.0, [[0.0, 0.0]], QuadConfig(h=0.05, truncation_radius=9.0))
         assert got <= 1e-8

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from framelab.quadrature import QuadConfig, integrate_ball, integrate_complement, shell_nodes
+from framelab.quadrature import QuadConfig, _shell_template, integrate_ball, integrate_complement, shell_nodes
 from framelab.space import Ball, ball_volume
 
 
@@ -54,6 +55,22 @@ class TestIntegrateBall:
 
         with pytest.raises(ValueError, match="non-finite integrand value at node"):
             integrate_ball(f, Ball([0.25], 0.5), QuadConfig(h=0.5))
+
+    @pytest.mark.parametrize("index", [100_000, -1], ids=["interior", "straddle"])
+    def test_non_finite_field_reports_translated_node_in_later_chunk(self, index):
+        # d = 2, non-finite only at one node past the first evaluation chunk:
+        # the check runs on every streamed chunk and names the node's
+        # coordinates, not its offset from the centre
+        b, cfg = Ball([0.1, -0.2], 3.0), QuadConfig(h=0.02)
+        pts, _ = shell_nodes(b.center, 0.0, b.radius, cfg, gauss=True)
+        target = pts[index]
+        assert not np.all(pts[: 1 << 16] == target, axis=1).any()
+
+        def f(p):
+            return np.where(np.all(p == target, axis=1), np.nan, 1.0)
+
+        with pytest.raises(ValueError, match=re.escape(f"non-finite integrand value at node {target.tolist()}")):
+            integrate_ball(f, b, cfg)
 
     def test_dimension_cap(self):
         # the fields of the lab live on the line and the plane
@@ -106,6 +123,60 @@ class TestShellNodes:
     def test_empty_shell(self):
         pts, w = shell_nodes(np.zeros(2), 1.0, 1.0, QuadConfig(h=0.1), gauss=True)
         assert pts.shape == (0, 2) and len(w) == 0
+
+
+def translated(t, c, h):
+    """shell_nodes' nodes rebuilt from a template: shift + (cell + c), then the subcells."""
+    interior = np.concatenate([shift + (t.cells + c) for shift in t.shifts])
+    w = np.concatenate([np.full(len(interior), h**2 / len(t.shifts)), t.sub_w])
+    return np.concatenate([interior, t.sub_off + c]), w
+
+
+class TestShellTemplate:
+    def test_shell_nodes_is_the_translated_template_after_eviction(self):
+        cfg = QuadConfig(h=0.05, boundary_refine=4)
+        r_in, r_out = 0.4, 1.9
+        t = _shell_template(2, r_in, r_out, cfg.h, cfg.boundary_refine, True)
+        for c in (np.array([0.013, -0.0271]), np.array([-3.2, 5.7])):
+            want_pts, want_w = translated(t, c, cfg.h)
+            for other in (None, 2.5, 3.0):
+                if other is not None:  # two other shells evict the first template
+                    shell_nodes(c, 0.0, other, cfg, gauss=True)
+                    assert _shell_template.cache_info().currsize <= 2
+                pts, w = shell_nodes(c, r_in, r_out, cfg, gauss=True)
+                assert np.array_equal(pts, want_pts) and np.array_equal(w, want_w)
+                assert pts.flags.writeable and w.flags.writeable
+        assert _shell_template.cache_info().maxsize == 2
+
+    def test_cached_arrays_are_read_only(self):
+        t = _shell_template(2, 0.0, 1.0, 0.1, 2, True)
+        for a in t:
+            assert len(a) > 0
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_configs_never_share_a_template(self):
+        c = np.array([0.2, -0.1])
+        shells = [
+            (QuadConfig(h=0.05, boundary_refine=4), True),
+            (QuadConfig(h=0.04, boundary_refine=4), True),
+            (QuadConfig(h=0.05, boundary_refine=3), True),
+            (QuadConfig(h=0.05, boundary_refine=4), False),
+        ]
+
+        def count(cfg, gauss):
+            return len(shell_nodes(c, 0.3, 1.7, cfg, gauss=gauss)[1])
+
+        fresh = []
+        for shell in shells:
+            _shell_template.cache_clear()
+            fresh.append(count(*shell))
+        assert len(set(fresh)) == len(shells)
+        # each variant right after the base shell, whose template is then cached
+        _shell_template.cache_clear()
+        for shell, n in zip(shells, fresh):
+            assert count(*shells[0]) == fresh[0]
+            assert count(*shell) == n
 
 
 class TestInvariants:
