@@ -12,8 +12,14 @@ rules, fixed by the caller:
   enters a node x atom sum and extra nodes cost the most.
 
 In d = 1 cells are clipped exactly to the shell.  In d = 2 cells that
-straddle either sphere are subdivided and weighted by the exact closed-form
-cell/disk intersection area.
+straddle either sphere are split into subcells, and each subcell is
+classified by its nearest and farthest distance from the centre: one wholly
+inside the shell weighs exactly its area (h / boundary_refine)^2, one wholly
+outside is dropped, and only a cut subcell is weighted by the exact
+closed-form cell/disk intersection area.  That area is a difference of
+antiderivatives of size ~r^2, whose cancellation would otherwise leave noise
+of ~r^2 * eps on whole subcells, positive weight on some outside ones
+included.
 
 A d = 2 grid does not depend on the centre, so it is built once as a
 read-only template (``_shell_template``: interior cell offsets, rule shifts,
@@ -174,9 +180,17 @@ def _shell_template(d: int, r_in: float, r_out: float, h: float, boundary_refine
     sc = (offsets[strad][:, None, :] + sub_off[None, :, :]).reshape(-1, d)
     del offsets, dist  # the full grid is the largest array; drop it before the subcell areas exist
     lo, hi = sc - hs / 2.0, sc + hs / 2.0
-    sub_w = _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_out)
+    # squared nearest and farthest distance of each subcell from the centre
+    near, far = np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
+    near2, far2 = np.einsum("ij,ij->i", near, near), np.einsum("ij,ij->i", far, far)
+    inside = (near2 >= r_in * r_in) & (far2 <= r_out * r_out)
+    cut = ~inside & (near2 < r_out * r_out) & (far2 > r_in * r_in)
+    sub_w = np.where(inside, hs**d, 0.0)
+    lo, hi = lo[cut], hi[cut]
+    area = _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_out)
     if r_in > 0:
-        sub_w = sub_w - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
+        area = area - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
+    sub_w[cut] = area
     keep = sub_w > 0
     template = _ShellTemplate(cells, _cell_offsets(_rule(gauss) * h, d), sc[keep], sub_w[keep])
     for a in template:
@@ -229,9 +243,11 @@ def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, 
     2-point-per-axis Gauss rule when gauss is set, one midpoint node
     otherwise.  In d = 1 cells are clipped exactly to the shell; in d = 2
     cells straddling either sphere are split into boundary_refine**2
-    subcells with exact partial areas; subcells whose area comes out <= 0
-    are dropped.  In d = 2 the interior nodes come shift-major (every cell
-    for the first rule shift, then the next), then the straddle subcells.
+    subcells: whole ones weigh (h / boundary_refine)**2, cut ones their
+    exact partial area, and those wholly outside the shell or whose area
+    comes out <= 0 are dropped.  In d = 2 the interior nodes come
+    shift-major (every cell for the first rule shift, then the next), then
+    the straddle subcells.
     Returns (points (n, d), weights (n,)).
     """
     n, chunks = _node_chunks(center, r_in, r_out, cfg, gauss)

@@ -125,6 +125,29 @@ class TestShellNodes:
         assert pts.shape == (0, 2) and len(w) == 0
 
 
+class TestStraddleSubcells:
+    @pytest.mark.parametrize(
+        "h, bk, r_in, r_out, gauss",
+        [(0.02, 8, 0.0, 7.5, True), (0.08, 2, 0.0, 16.0, False), (0.08, 2, 11.3, 16.0, False)],
+        ids=["tail-law", "scenario-ball", "scenario-shell"],
+    )
+    def test_whole_subcells_get_their_area_or_are_dropped(self, h, bk, r_in, r_out, gauss):
+        # a subcell wholly inside the shell weighs exactly (h/bk)^2, one wholly
+        # outside is no node; 1e-9 keeps the classification clear of rounding
+        c = np.array([0.013, -0.0271])
+        pts, w = shell_nodes(c, r_in, r_out, QuadConfig(h=h, boundary_refine=bk), gauss=gauss)
+        hs = h / bk
+        sub = w < h**2 / (4 if gauss else 1)  # only subcell nodes weigh less than an interior node
+        q = np.abs(pts[sub] - c)
+        near = np.sqrt((np.maximum(q - hs / 2, 0.0) ** 2).sum(axis=1))
+        far = np.sqrt(((q + hs / 2) ** 2).sum(axis=1))
+        outside = (near >= r_out + 1e-9) | (far <= r_in - 1e-9)
+        inside = (near >= r_in + 1e-9) & (far <= r_out - 1e-9)
+        assert inside.sum() > 1000
+        assert not outside.any(), f"{outside.sum()} nodes in subcells wholly outside the shell"
+        assert np.all(w[sub][inside] == (h / bk) ** 2)
+
+
 def translated(t, c, h):
     """shell_nodes' nodes rebuilt from a template: shift + (cell + c), then the subcells."""
     interior = np.concatenate([shift + (t.cells + c) for shift in t.shifts])
