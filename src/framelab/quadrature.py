@@ -226,12 +226,12 @@ def _translated_chunks(t: _ShellTemplate, center: np.ndarray, w_int: float):
     for shift in t.shifts:
         sh = np.tile(shift, (m, 1))
         for i in range(0, len(t.cells), _EVAL_CHUNK):
-            k = len(t.cells[i : i + _EVAL_CHUNK])
+            k = min(_EVAL_CHUNK, len(t.cells) - i)
             np.add(t.cells[i : i + k], cen[:k], out=buf[:k])
             np.add(sh[:k], buf[:k], out=buf[:k])
             yield buf[:k], w_int
     for i in range(0, len(t.sub_w), _EVAL_CHUNK):
-        k = len(t.sub_w[i : i + _EVAL_CHUNK])
+        k = min(_EVAL_CHUNK, len(t.sub_w) - i)
         np.add(t.sub_off[i : i + k], cen[:k], out=buf[:k])
         yield buf[:k], t.sub_w[i : i + k]
 
