@@ -1,30 +1,32 @@
 """Numerical evaluation of the localization hypotheses.
 
 All operations reduce to double integrals of |<f_x, g_y>|^2 over B x B^c
-split between two index measures.  Discrete sides become exact atom sums
-(with a kernel-decay cutoff deciding which atoms can matter at all);
-Lebesgue sides are quadrature over the shell where the integrand is not
-negligibly small.  Those shells come from quadrature.shell_nodes with one
-midpoint node per interior cell: every node enters a node x atom sum, so a
-2^d-node Gauss rule would cost 2^d times more.  Every node x atom sum (and
-the atom x atom sum of two discrete sides) is pruned by tiles: nodes are
-grouped into tiles of side c = tail_cutoff(1e-14), and each tile meets only
-the atoms within c of its bounding box, as in the truncated cell-list fast
-Gauss transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 1991).
-A skipped pair lies more than c apart, so its term is below 1e-14 times its
-two weights; the reported truncation bound adds 1e-14 f(B_tr) g(B_tr) for
-each of t1 and t2 to cover them.  Kernels without a finite cutoff
-(Paley-Wiener, tabulated) make one tile that meets every atom.
-Continuous x continuous pairs need no grid over B x B^c: |<k_x, k_y>|^2
-integrates to 1 / mode_density over all x (reproducing formula), so a double
-tail is |B| / mode_density minus one ``integrate_ball`` of it against the
-closed-form lens area |B ∩ (B + z)|.
+split between two index measures, for kernels in d <= 2 (Paley-Wiener,
+Fock, Gabor with n = 1), where the Lebesgue quadrature lives.  A family's
+kernel point is its index point plus its offset, so a pair's kernel
+distance is within |Delta| = |f_offset - g_offset| of its index distance.
+A pair more than c = tail_cutoff(1e-14) apart in kernel coordinates has a
+term below 1e-14 times its two weights, so only atoms within c + |Delta|
+of the sphere enter a sum; the truncation bound adds 1e-14 f(B_tr) g(B_tr)
+for each of t1 and t2 to cover the rest.
 
-Quadrature is Lebesgue on the line or the plane only, so a frame pair's
-kernel lives in d <= 2 (Paley-Wiener, Fock, Gabor with n = 1).  A row's
-truncation bound covers the window beyond R_tr and the pruned pairs; it
-does not cover the quadrature error of the Lebesgue sides, which at the
-scenario default h = 0.08 is of order 1e-5 on a dual-embedding row.
+- Fock and Gabor, a Lebesgue side against a discrete one:
+  |<k_x, k_y>|^2 = e^{-pi |x - y|^2}, so the Lebesgue side against one atom
+  is the mass of a unit Gaussian inside or outside a disk, the noncentral
+  chi-square CDF with 2 degrees of freedom, one minus Marcum's Q_1 (Marcum,
+  IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, with no grid error.
+- Other kernels (Paley-Wiener), a Lebesgue side against a discrete one: the
+  atom field is integrated by ``integrate_shell`` over the part of B, or of
+  B(R_tr) \\ B, within c + |Delta| of the sphere.
+- Two discrete sides: an exact atom x atom sum.
+- Two Lebesgue sides: |<k_x, k_y>|^2 integrates to 1 / mode_density over
+  all x (reproducing formula), so a double tail is |B| / mode_density minus
+  one ``integrate_ball`` of it against the closed-form lens area
+  |B ∩ (B + z)|.
+
+The truncation bound does not cover the quadrature error of the Lebesgue
+sides still on a grid, which at the scenario default h = 0.08 is of order
+1e-5 on a dual-embedding row.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -37,10 +39,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from .quadrature import QuadConfig, integrate_ball, integrate_complement, shell_nodes
+from .quadrature import QuadConfig, integrate_ball, integrate_complement, integrate_shell
 from .space import Ball, LebesgueMeasure, as_point, ball_volume
+from .summation import exact_sum
 
 __all__ = [
     "FramePairSpec",
@@ -53,6 +57,12 @@ __all__ = [
 
 _PRUNE_EPS = 1e-14
 _NODE_CHUNK = 8192
+_DISK_SPAN = 1.5 * math.sqrt(-math.log(_PRUNE_EPS) / math.pi)  # e^{-pi span^2} = 1e-31.5
+# _disk_mass's 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
+# off by up to ~1e-12 relative, so they are recomputed from P_64' at its nodes
+_GL_X = legendre.leggauss(64)[0]
+_GL_U = (_GL_X + 1.0) / 2.0
+_GL_W = 1.0 / ((1.0 - _GL_X**2) * legendre.legval(_GL_X, legendre.legder(np.eye(65)[64])) ** 2)
 
 
 def _mod2_cross(kernel, X, Y) -> np.ndarray:
@@ -71,6 +81,36 @@ def _mod2_cross(kernel, X, Y) -> np.ndarray:
         t = X[:, 0][:, None] - Y[:, 0][None, :]
         return np.sinc(kernel.band * t / math.pi) ** 2
     return np.abs(kernel.normalized_cross(X, Y)) ** 2
+
+
+def _scaled_i0(x: np.ndarray) -> np.ndarray:
+    """e^{-x} I_0(x) for x >= 0: numpy's I_0 up to x = 50, the asymptotic series beyond (14th term < 1e-18)."""
+    small, big = np.minimum(x, 50.0), np.maximum(x, 50.0)
+    term = total = np.ones_like(big)
+    for k in range(1, 14):
+        term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / big
+        total = total + term
+    return np.where(x <= 50.0, np.i0(small) * np.exp(-small), total / np.sqrt(2.0 * math.pi * big))
+
+
+def _disk_mass(s, r: float, inside: bool) -> np.ndarray:
+    """Mass of the unit Gaussian e^{-pi |x - p|^2} inside (or outside) the disk B(0, r), |p| = s.
+
+    About the disk's centre the Gaussian has the radial density
+    2 pi rho e^{-pi (rho - s)^2} e^{-x} I_0(x), x = 2 pi rho s, smooth for
+    every s >= 0 on either side of the sphere.  Inside integrates it over
+    [0, r], outside over [r, inf), each by the 64-node rule on the part
+    within _DISK_SPAN of s, in d = rho - s so that the Gaussian carries no
+    rounding of size s eps.  Good to ~3e-16 absolute against 30-digit
+    quadrature.
+    """
+    s = np.asarray(s, dtype=float)
+    lo = np.maximum(-_DISK_SPAN, -s if inside else r - s)
+    hi = np.maximum(lo, np.minimum(_DISK_SPAN, r - s) if inside else _DISK_SPAN)
+    d = lo[:, None] + (hi - lo)[:, None] * _GL_U
+    rho = s[:, None] + d
+    density = 2.0 * math.pi * rho * np.exp(-math.pi * d * d) * _scaled_i0(2.0 * math.pi * rho * s[:, None])
+    return (hi - lo) * (density @ _GL_W)
 
 
 @dataclass
@@ -141,34 +181,10 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
 
 
 def _sum_field_over_atoms(kernel, nodes, atoms, atom_weights) -> np.ndarray:
-    """sum_j w_j |<k_node_i, k_atom_j>|^2, skipping pairs beyond the kernel's cutoff.
-
-    Nodes are grouped into tiles of side c = kernel.tail_cutoff(_PRUNE_EPS)
-    (one scalar key per node); a tile meets only the atoms inside its node
-    bounding box widened by c, in at most _NODE_CHUNK-node blocks.  A skipped
-    atom differs from every node of the tile by more than c in some
-    coordinate, so each skipped term is < _PRUNE_EPS w_j.  Both point sets are
-    the offset-shifted points the kernel sees.  An infinite cutoff makes one
-    tile that meets every atom.
-    """
-    out = np.zeros(len(nodes))
-    if len(nodes) == 0 or len(atoms) == 0:
-        return out
-    cutoff = kernel.tail_cutoff(_PRUNE_EPS)
-    if math.isfinite(cutoff):
-        cell = np.floor(nodes / cutoff).astype(np.int64)
-        cell -= cell.min(axis=0)
-        key = np.ravel_multi_index(tuple(cell.T), tuple(cell.max(axis=0) + 1))
-        order = np.argsort(key, kind="stable")
-        tiles = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
-    else:
-        tiles = [np.arange(len(nodes))]
-    for tile in tiles:
-        X = nodes[tile]
-        near = np.all((atoms >= X.min(axis=0) - cutoff) & (atoms <= X.max(axis=0) + cutoff), axis=1)
-        Y, w = atoms[near], atom_weights[near]
-        for i in range(0, len(tile), _NODE_CHUNK):
-            out[tile[i : i + _NODE_CHUNK]] = _mod2_cross(kernel, X[i : i + _NODE_CHUNK], Y) @ w
+    """sum_j w_j |<k_node_i, k_atom_j>|^2 over every pair of kernel points, in blocks of _NODE_CHUNK nodes."""
+    out = np.empty(len(nodes))
+    for i in range(0, len(nodes), _NODE_CHUNK):
+        out[i : i + _NODE_CHUNK] = _mod2_cross(kernel, nodes[i : i + _NODE_CHUNK], atoms) @ atom_weights
     return out
 
 
@@ -210,53 +226,46 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     outer = "f": integral_{x in B^c} d mu integral_{y in B} d nu |<f_x, g_y>|^2
     outer = "g": the swapped ordering.
     """
-    if outer == "f":
-        outer_m, inner_m = pair.f_measure, pair.g_measure
-        outer_off, inner_off = pair.f_offset, pair.g_offset
-    else:
-        outer_m, inner_m = pair.g_measure, pair.f_measure
-        outer_off, inner_off = pair.g_offset, pair.f_offset
-    kernel = pair.kernel
-    r = ball.radius
+    sides = [(pair.f_measure, pair.f_offset), (pair.g_measure, pair.g_offset)]
+    (outer_m, outer_off), (inner_m, inner_off) = sides if outer == "f" else sides[::-1]
+    kernel, r = pair.kernel, ball.radius
     r_tr = cfg.effective_truncation(r)
     cutoff = kernel.tail_cutoff(_PRUNE_EPS)
-    out_disc = getattr(outer_m, "is_discrete", False)
-    in_disc = getattr(inner_m, "is_discrete", False)
-
+    reach = cutoff + float(np.linalg.norm(outer_off - inner_off))  # the cutoff in index coordinates
+    out_disc, in_disc = (getattr(m, "is_discrete", False) for m in (outer_m, inner_m))
     if not out_disc and not in_disc:
         return _lebesgue_pair_term(kernel, inner_off - outer_off, r, cfg)
-
+    if in_disc:
+        atoms_in, w_in = inner_m.atoms_in_ball(ball)
+        near = np.linalg.norm(atoms_in - ball.center, axis=1) >= r - reach
+        v_atoms, w_in = atoms_in[near] + inner_off, w_in[near]
     if out_disc:
-        atoms_out, w_out = outer_m.atoms_in_ball(Ball(ball.center, min(r_tr, r + cutoff)))
+        atoms_out, w_out = outer_m.atoms_in_ball(Ball(ball.center, min(r_tr, r + reach)))
         keep = ~outer_m.contains(ball, atoms_out)
-        atoms_out, w_out = atoms_out[keep], w_out[keep]
-        if len(atoms_out) == 0:
-            return 0.0
-        u_atoms = atoms_out + outer_off
-        if in_disc:
-            atoms_in, w_in = inner_m.atoms_in_ball(ball)
-            return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, atoms_in + inner_off, w_in))
-        # inner Lebesgue: quadrature over the part of B the outer atoms can see
-        nodes, wq = shell_nodes(ball.center, max(0.0, r - cutoff), r, cfg, gauss=False)
-        field = _sum_field_over_atoms(kernel, nodes + inner_off, u_atoms, w_out)
-        # deeper interior nodes are unreachable across the cutoff: < _PRUNE_EPS
-        return float(field @ wq)
-
-    # outer Lebesgue, inner discrete
-    atoms_in, w_in = inner_m.atoms_in_ball(ball)
-    if len(atoms_in) == 0:
-        return 0.0
-    nodes, wq = shell_nodes(ball.center, r, min(r_tr, r + cutoff), cfg, gauss=False)
-    field = _sum_field_over_atoms(kernel, nodes + outer_off, atoms_in + inner_off, w_in)
-    return float(field @ wq)
+        u_atoms, w_out = atoms_out[keep] + outer_off, w_out[keep]
+    if out_disc and in_disc:
+        return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, v_atoms, w_in))
+    if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
+        # an atom's term is the mass its Gaussian puts across the sphere, seen from the
+        # Lebesgue side: inside B for an outer atom, outside B for an inner one
+        p, w = (u_atoms - inner_off, w_out) if out_disc else (v_atoms - outer_off, w_in)
+        s = np.linalg.norm(p - ball.center, axis=1)
+        near = s <= r + cutoff if out_disc else s >= r - cutoff
+        return exact_sum(w[near] * _disk_mass(s[near], r, inside=out_disc))
+    if out_disc:
+        field = lambda x: _sum_field_over_atoms(kernel, x + inner_off, u_atoms, w_out)
+        return integrate_shell(field, ball.center, max(0.0, r - reach), r, cfg).value
+    field = lambda x: _sum_field_over_atoms(kernel, x + outer_off, v_atoms, w_in)
+    return integrate_shell(field, ball.center, r, min(r_tr, r + reach), cfg).value
 
 
 def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float, nu_b: float) -> float:
     """Bound on the mass left out of t1 and t2 by the decay cutoff and the window.
 
-    Every pair the cross terms skip (tiles, r +- c shells and atom balls) lies
-    more than c = tail_cutoff(_PRUNE_EPS) apart, so its term is
-    < _PRUNE_EPS w_x w_y.  Both sides lie in B(center, R_tr), hence
+    Every pair the cross terms skip lies more than c = tail_cutoff(_PRUNE_EPS)
+    apart in kernel coordinates, so its term is < _PRUNE_EPS w_x w_y (an atom
+    skipped against a Gaussian Lebesgue side has < _PRUNE_EPS w of its mass
+    across the sphere).  Both sides lie in B(center, R_tr), hence
 
         skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
 

@@ -1,15 +1,12 @@
 """Deterministic Lebesgue quadrature of real fields over balls, shells and ball complements in R^d (d <= 2).
 
-One grid engine, ``shell_nodes``, yields nodes and weights on a shell
-r_in < |x - c| <= r_out (r_in = 0 is the closed ball).  Its cells have
-spacing h and are anchored at the center.  Interior cells get one of two
-rules, fixed by the caller:
-
-- a 2-point-per-axis Gauss-Legendre tensor rule, used by ``integrate_ball`` and
-  ``integrate_complement``, whose Gaussian tail law needs 1e-4 relative
-  accuracy at h = 0.02;
-- one midpoint node, used by the localization cross terms, where every node
-  enters a node x atom sum and extra nodes cost the most.
+One grid engine, ``integrate_shell``, integrates a real field on the line
+(Paley-Wiener) or the plane (Fock, Gabor with n = 1) over a shell
+r_in < |x - c| <= r_out (r_in = 0 is the closed ball); ``integrate_ball``
+wraps it, and sums over atoms are ``localization``'s.  Cells have spacing h
+and are anchored at the center.  Every interior cell gets a
+2-point-per-axis Gauss-Legendre tensor rule, which the Gaussian tail law
+needs for 1e-4 relative accuracy at h = 0.02.
 
 In d = 1 cells are clipped exactly to the shell.  In d = 2 cells that
 straddle either sphere are split into subcells, and each subcell is
@@ -24,22 +21,17 @@ included.
 A d = 2 grid does not depend on the centre, so it is built once as a
 read-only template (``_shell_template``: interior cell offsets, rule shifts,
 kept straddle-subcell offsets and weights) and kept in an LRU cache of two,
-which covers both balls of a complement and both shells of a localization
-row.  Each call translates it by the centre with the float operations
-``(offset + center)`` then ``shift + cell``, in chunks of at most
-``_EVAL_CHUNK`` nodes written into one reused buffer; interior chunks carry
-the scalar weight h^d / len(shifts).  ``integrate_ball`` evaluates the field
-on these chunks and never holds the whole node array; ``shell_nodes`` fills
-the same chunks, in the same order, into one array.  The d = 1 grid depends
-on the centre through its clipping and is built per call.
+which covers the two balls of a complement.  Each call translates it by the
+centre with the float operations ``(offset + center)`` then
+``shift + cell``, in chunks of at most ``_EVAL_CHUNK`` nodes written into one
+reused buffer; interior chunks carry the scalar weight h^d / len(shifts).
+The field is evaluated on these chunks, so no whole node array is ever held.
+The d = 1 grid depends on the centre through its clipping and is built per
+call.
 
 Each evaluation chunk is added, as it is produced, into an exact
 per-exponent binned sum (``summation.ExactSum``).  The value is the
 correctly rounded sum of all node terms, whatever their order or chunking.
-
-Every field the lab integrates is real and lives on the line (Paley-Wiener)
-or the plane (Fock, Gabor with n = 1); sums over atoms of a discrete index
-measure are taken by ``localization`` itself.
 
 ``integrate_complement`` stays the difference of two ball integrals over the
 same grid rather than one shell pass.  A shell pass would give the cells
@@ -59,9 +51,9 @@ import numpy as np
 from .space import Ball
 from .summation import ExactSum
 
-__all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_complement", "shell_nodes"]
+__all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_complement", "integrate_shell"]
 
-_GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss nodes at +- this, in cell units
+_RULE = np.array([-0.5, 0.5]) / math.sqrt(3.0)  # 2-point Gauss nodes per axis, in cell widths
 _EVAL_CHUNK = 1 << 16  # integrand evaluations per call
 
 
@@ -125,12 +117,7 @@ def _cell_offsets(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
 
 
-def _rule(gauss: bool) -> np.ndarray:
-    """Interior node positions along each axis, in units of the cell width."""
-    return np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET] if gauss else [0.0])
-
-
-def _interval_nodes(center: np.ndarray, r_in: float, r_out: float, h: float, rule: np.ndarray):
+def _interval_nodes(center: np.ndarray, r_in: float, r_out: float, h: float):
     """d = 1 nodes and weights, cells clipped exactly to the two intervals of the shell."""
     c = float(center[0])
     n = int(math.ceil(r_out / h)) + 1
@@ -143,8 +130,8 @@ def _interval_nodes(center: np.ndarray, r_in: float, r_out: float, h: float, rul
         widths.append(w[w > 0])
     starts, widths = np.concatenate(starts), np.concatenate(widths)
     mids = starts + widths / 2.0
-    pts = mids[None, :] + rule[:, None] * widths[None, :]
-    return pts.reshape(-1, 1), np.tile(widths / len(rule), len(rule))
+    pts = mids[None, :] + _RULE[:, None] * widths[None, :]
+    return pts.reshape(-1, 1), np.tile(widths / len(_RULE), len(_RULE))
 
 
 class _ShellTemplate(NamedTuple):
@@ -165,8 +152,8 @@ class _ShellTemplate(NamedTuple):
         return len(self.shifts) * len(self.cells) + len(self.sub_w)
 
 
-@functools.lru_cache(maxsize=2)  # a complement is two balls, a localization row two shells
-def _shell_template(d: int, r_in: float, r_out: float, h: float, boundary_refine: int, gauss: bool) -> _ShellTemplate:
+@functools.lru_cache(maxsize=2)  # a complement is two balls
+def _shell_template(d: int, r_in: float, r_out: float, h: float, boundary_refine: int) -> _ShellTemplate:
     n = int(math.ceil(r_out / h)) + 2
     offsets = _cell_offsets((np.arange(-n, n) + 0.5) * h, d)
     dist = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
@@ -192,18 +179,19 @@ def _shell_template(d: int, r_in: float, r_out: float, h: float, boundary_refine
         area = area - _circle_rect_area(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], r_in)
     sub_w[cut] = area
     keep = sub_w > 0
-    template = _ShellTemplate(cells, _cell_offsets(_rule(gauss) * h, d), sc[keep], sub_w[keep])
+    template = _ShellTemplate(cells, _cell_offsets(_RULE * h, d), sc[keep], sub_w[keep])
     for a in template:
         a.flags.writeable = False
     return template
 
 
-def _node_chunks(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, gauss: bool):
+def _node_chunks(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig):
     """(node count, iterator of (points, weights) chunks of <= _EVAL_CHUNK nodes) on a shell.
 
-    The chunks run in ``shell_nodes`` order.  In d = 2 the points of a chunk
-    are a buffer that the next chunk overwrites, and interior chunks carry
-    the scalar weight h^d / len(shifts).
+    In d = 2 the interior nodes come shift-major (every cell for the first
+    rule shift, then the next), then the straddle subcells; the points of a
+    chunk are a buffer that the next chunk overwrites, and interior chunks
+    carry the scalar weight h^d / len(shifts).
     """
     d = center.size
     if d > 2:
@@ -211,10 +199,10 @@ def _node_chunks(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig,
     if r_out <= max(r_in, 0.0):
         return 0, iter(())
     if d == 1:
-        pts, w = _interval_nodes(center, r_in, r_out, cfg.h, _rule(gauss))
+        pts, w = _interval_nodes(center, r_in, r_out, cfg.h)
         chunks = ((pts[i : i + _EVAL_CHUNK], w[i : i + _EVAL_CHUNK]) for i in range(0, len(pts), _EVAL_CHUNK))
         return len(pts), chunks
-    t = _shell_template(d, r_in, r_out, cfg.h, cfg.boundary_refine, gauss)
+    t = _shell_template(d, r_in, r_out, cfg.h, cfg.boundary_refine)
     return t.size, _translated_chunks(t, center, cfg.h**d / len(t.shifts))
 
 
@@ -236,37 +224,13 @@ def _translated_chunks(t: _ShellTemplate, center: np.ndarray, w_int: float):
         yield buf[:k], t.sub_w[i : i + k]
 
 
-def shell_nodes(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig, gauss: bool):
-    """Nodes and weights on the shell r_in < |x - center| <= r_out; r_in = 0 is the closed ball.
-
-    Cells of side cfg.h are anchored at the center.  Interior cells carry a
-    2-point-per-axis Gauss rule when gauss is set, one midpoint node
-    otherwise.  In d = 1 cells are clipped exactly to the shell; in d = 2
-    cells straddling either sphere are split into boundary_refine**2
-    subcells: whole ones weigh (h / boundary_refine)**2, cut ones their
-    exact partial area, and those wholly outside the shell or whose area
-    comes out <= 0 are dropped.  In d = 2 the interior nodes come
-    shift-major (every cell for the first rule shift, then the next), then
-    the straddle subcells.
-    Returns (points (n, d), weights (n,)).
-    """
-    n, chunks = _node_chunks(center, r_in, r_out, cfg, gauss)
-    pts, w = np.empty((n, center.size)), np.empty(n)
-    i = 0
-    for p, wc in chunks:
-        pts[i : i + len(p)] = p
-        w[i : i + len(p)] = wc
-        i += len(p)
-    return pts, w
-
-
-def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
-    """Lebesgue integral of f over the closed ball b.
+def integrate_shell(f, center, r_in: float, r_out: float, cfg: QuadConfig) -> IntegralResult:
+    """Lebesgue integral of f over the shell r_in < |x - center| <= r_out; r_in = 0 is the closed ball.
 
     f is a vectorized real field mapping an (n, d) array of points to (n,)
     values.  Its argument is a buffer that the next chunk overwrites.
     """
-    n, chunks = _node_chunks(b.center, 0.0, b.radius, cfg, gauss=True)
+    n, chunks = _node_chunks(np.asarray(center, dtype=float), r_in, r_out, cfg)
     total = ExactSum()
     for p, wc in chunks:
         vals = np.asarray(f(p))
@@ -275,6 +239,11 @@ def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
             raise ValueError(f"non-finite integrand value at node {p[np.argmax(bad)].tolist()}")
         total.add(vals * wc)
     return IntegralResult(value=total.value, node_count=max(n, 1))
+
+
+def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:
+    """Lebesgue integral of f over the closed ball b (``integrate_shell`` with r_in = 0)."""
+    return integrate_shell(f, b.center, 0.0, b.radius, cfg)
 
 
 def integrate_complement(f, b: Ball, cfg: QuadConfig) -> IntegralResult:

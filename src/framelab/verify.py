@@ -35,7 +35,7 @@ from .density import DensityEstimate, DensitySchedule, density, lattice_schedule
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, LocalizationRow, localization_defect
 from .quadrature import QuadConfig
-from .space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ball_volume
+from .space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ball_volume, load_point_set_csv
 
 __all__ = [
     "ConfigError",
@@ -57,7 +57,8 @@ PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim", "info")
 # so a scenario reads exactly the fields listed here.  Scenario tables need
 # ~1e-5 accuracy on epsilon columns, not the tight tail-law tolerance; the
 # coarser quad defaults keep sweeps fast.  1-d cells are clipped exactly, so
-# paley-wiener never reads boundary_refine.
+# paley-wiener never reads boundary_refine; fock and gabor take their atom
+# terms in closed form and read no grid at all.
 _QUAD = {"h": 0.08, "truncation_margin": 6.0, "boundary_refine": 2}
 _MODEL_SPACE = {
     "lattice": {"scale": 1.0, "dim": 2},
@@ -65,7 +66,7 @@ _MODEL_SPACE = {
     "radii": [4.0, 8.0, 16.0],
     "gram_radii": [2.5, 3.5, 4.5],
     "density_rmax": 128.0,
-    "quad": _QUAD,
+    "quad": {"truncation_margin": 6.0},
     "tolerances": {"density": 0.05, "critical_band": 0.05},
 }
 DEFAULTS = {
@@ -332,25 +333,27 @@ def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, tol: f
 
 
 def _build_lattice_support(cfg: dict):
-    """Point support for a scenario: CSV points, a lattice, or a thinned lattice.
+    """Point support for a scenario and its density schedule: CSV points, a lattice, or a thinned lattice.
 
-    Returns (support, cell): cell is the side of the density schedule's
-    center box, the lattice scale for a plain lattice and 1 otherwise.
+    The schedule's centres cover one period of a lattice (side scale) or of
+    a thinned lattice (side 2 scale), at the plain lattice's spacing, and
+    the unit box for CSV points.
     """
     if cfg["points_csv"] is not None:
-        from .space import load_point_set_csv
-
-        return load_point_set_csv(cfg["points_csv"]), 1.0
+        points = load_point_set_csv(cfg["points_csv"])
+        return points, lattice_schedule(1.0, points.dim, r_max=cfg["density_rmax"])
     lat = Lattice(cfg["lattice"]["scale"], cfg["lattice"]["dim"])
+    sched = lattice_schedule(lat.scale, lat.dim, r_max=cfg["density_rmax"])
     if "thin" not in cfg["lattice"]:
-        return lat, cfg["lattice"]["scale"]
+        return lat, sched
     # drop-even-even: remove points whose integer coordinates are all even
     reach = max(max(cfg["gram_radii"]), cfg["density_rmax"], max(cfg["radii"])) + 8.0
     # the density, Gram-window and table balls (and the table's atom shells) lie inside B(0, reach)
     pts = lat.points_in_ball(Ball(np.zeros(lat.dim), reach))
     idx = np.rint(pts / lat.scale).astype(int)
     keep = ~np.all(idx % 2 == 0, axis=1)
-    return PointSet(pts[keep]), 1.0
+    lo, hi = sched.center_box
+    return PointSet(pts[keep]), DensitySchedule(sched.radii, (lo, 2.0 * hi), sched.center_spacing)
 
 
 def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_band: float) -> list:
@@ -481,12 +484,11 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
     # rejects coincident points naming the offender, and lattice-derived
     # supports inherit the lattice spacing
     d = kernel.dim
-    support, cell = _build_lattice_support(cfg)
+    support, sched = _build_lattice_support(cfg)
     if support.dim != d:
         where = "$.lattice.dim" if cfg["points_csv"] is None else "$.points_csv"
         need = f"the {cfg['scenario']} kernel needs {d}-d points, got {support.dim}-d"
         raise ConfigError(f"config invalid at {where}: {need}")
-    sched = lattice_schedule(cell, d, r_max=cfg["density_rmax"])
     dens = density(CountingMeasure(support), LebesgueMeasure(d), sched)
     study = gram_truncation_study(kernel, support, cfg["gram_radii"])
     pair = FramePairSpec(

@@ -15,6 +15,10 @@ PW_N1_PAIR = {
     "g": {"lattice": {"scale": 1.0, "dim": 1}},
 }
 PW_PAIR = {**PW_N1_PAIR, "kernel": {"kernel": "paley-wiener"}}
+PW_LATTICE = PW_PAIR["g"]
+LATTICE_PAIR = {**LOC_PAIR, "f": LOC_PAIR["g"]}
+GABOR_PAIR = {**LOC_PAIR, "kernel": {"kernel": "gabor-gaussian"}}
+SWAPPED_PAIR = {**LOC_PAIR, "f": LOC_PAIR["g"], "g": LOC_PAIR["f"]}
 GABOR_N2_PAIR = {
     "kernel": {"kernel": "gabor-gaussian", "params": {"n": 2}},
     "f": {"lattice": {"scale": 1.0, "dim": 4}},
@@ -101,7 +105,6 @@ class TestCommands:
                     "kernel": {"kernel": "fock"},
                     "f": {"lebesgue": {"dim": 2}},
                     "g": {"lattice": {"scale": 1.0, "dim": 2}},
-                    "quad": {"h": 0.1},
                 }
             )
         )
@@ -124,7 +127,7 @@ class TestCommands:
             assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(out)]) == 0
             return float(out.read_text().splitlines()[1].split(",")[-1])
 
-        assert trunc_bound({"h": 0.2, "truncation_margin": 1.0}) > trunc_bound({"h": 0.2})
+        assert trunc_bound({"truncation_margin": 1.0}) > trunc_bound({})
 
     def test_localize_bad_quad_exit_2(self, tmp_path, capsys):
         pair = {
@@ -188,6 +191,11 @@ class TestCommands:
             # quad and tolerances fields the scenario never reads
             ({"scenario": "paley-wiener", "tolerances": {"critical_band": 0.3}}, "$.tolerances.critical_band"),
             ({"scenario": "paley-wiener", "quad": {"boundary_refine": 64}}, "$.quad.boundary_refine"),
+            # fock and gabor take their atom terms in closed form: no grid to set
+            ({"scenario": "fock", "quad": {"h": 0.05}}, "$.quad.h"),
+            ({"scenario": "fock", "quad": {"boundary_refine": 4}}, "$.quad.boundary_refine"),
+            ({"scenario": "gabor", "quad": {"h": 0.05}}, "$.quad.h"),
+            ({"scenario": "gabor", "quad": {"boundary_refine": 4}}, "$.quad.boundary_refine"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -229,12 +237,39 @@ class TestCommands:
                 ["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"boundary_refine": 16}}), "--radii", "2"],
                 "$.quad.boundary_refine",
             ),
+            # two discrete sides grid nothing; a Gaussian pair grids only Lebesgue x Lebesgue
+            (
+                ["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_LATTICE, "quad": {"h": 1.0}}), "--radii", "2"],
+                "$.quad.h",
+            ),
+            (
+                ["localize", "--pair", json.dumps({**LATTICE_PAIR, "quad": {"boundary_refine": 3}}), "--radii", "2"],
+                "$.quad.boundary_refine",
+            ),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
+            (
+                ["localize", "--pair", json.dumps({**GABOR_PAIR, "quad": {"boundary_refine": 3}}), "--radii", "2"],
+                "$.quad.boundary_refine",
+            ),
+            (["localize", "--pair", json.dumps({**SWAPPED_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"config invalid at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            {**LOC_PAIR, "g": LOC_PAIR["f"], "quad": {"h": 0.1, "boundary_refine": 2}},
+            {**PW_PAIR, "quad": {"h": 0.05}},
+            {**PW_PAIR, "f": PW_LATTICE, "g": PW_PAIR["f"], "quad": {"h": 0.05}},
+        ],
+        ids=["fock-lebesgue-lebesgue", "pw-lebesgue-lattice", "pw-lattice-lebesgue"],
+    )
+    def test_localize_accepts_grid_fields_a_pair_reads(self, pair, tmp_path):
+        assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")]) == 0
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         p = tmp_path / "pts.csv"

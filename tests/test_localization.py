@@ -21,6 +21,40 @@ def gaussian_ball_integral(center_dist, r):
     return ncx2.cdf(2 * math.pi * r * r, 2, 2 * math.pi * np.asarray(center_dist) ** 2)
 
 
+def gaussian_disk_oracle(s, r, inside):
+    """Mass of exp(-pi |x - p|^2), |p| = s, inside (or outside) B(0, r), from scipy's ncx2.
+
+    Near 1 scipy's value of the larger tail is off by up to ~2e-14 at r = 64
+    (against 30-digit quadrature), so the smaller tail comes from scipy and
+    the larger one is its complement.
+    """
+    x, nc = 2 * math.pi * r * r, 2 * math.pi * np.asarray(s, dtype=float) ** 2
+    cdf, sf = ncx2.cdf(x, 2, nc), ncx2.sf(x, 2, nc)
+    return np.where(cdf <= sf, cdf, 1.0 - sf) if inside else np.where(sf <= cdf, sf, 1.0 - cdf)
+
+
+def atom_terms_oracle(points, weights, ball, r_tr, shift):
+    """(inner atoms' Gaussian mass outside B, window atoms outside B: mass inside B) from ncx2.
+
+    shift moves an atom's index point to its kernel point as the Lebesgue
+    family sees it (atom offset minus Lebesgue offset).
+    """
+    rel = np.asarray(points, dtype=float) - ball.center
+    dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+    inner, outer = dist <= ball.radius, (dist > ball.radius) & (dist <= r_tr)
+    s = np.sqrt(np.einsum("ij,ij->i", rel + shift, rel + shift))
+    out_mass = math.fsum(weights[inner] * gaussian_disk_oracle(s[inner], ball.radius, inside=False))
+    in_mass = math.fsum(weights[outer] * gaussian_disk_oracle(s[outer], ball.radius, inside=True))
+    return out_mass, in_mass
+
+
+class UncutFockKernel(FockKernel):
+    """The Fock kernel without a decay cutoff: the cross terms keep every pair in the window."""
+
+    def tail_cutoff(self, eps):
+        return math.inf
+
+
 def lattice_radii(scale, r_lo, r_hi):
     pts = Lattice(scale, 2).points_in_ball(Ball([0, 0], r_hi + 1e-9))
     rr = np.sqrt(np.einsum("ij,ij->i", pts, pts))
@@ -81,10 +115,10 @@ class TestDoubleTail:
         r = 4.0
         res = double_tail(pair, Ball([0, 0], r), QuadConfig(h=0.05))
         out_r, in_r = lattice_radii(1.0, r, r + 6.0)
-        t1_oracle = float(np.sum([1.0 - gaussian_ball_integral(s, r) for s in in_r]))
-        t2_oracle = float(np.sum([gaussian_ball_integral(s, r) for s in out_r]))
-        assert res.t1 == pytest.approx(t1_oracle, rel=2e-3)
-        assert res.t2 == pytest.approx(t2_oracle, rel=2e-3)
+        t1_oracle = math.fsum(gaussian_disk_oracle(in_r, r, inside=False))
+        t2_oracle = math.fsum(gaussian_disk_oracle(out_r, r, inside=True))
+        assert res.t1 == pytest.approx(t1_oracle, rel=1e-12)
+        assert res.t2 == pytest.approx(t2_oracle, rel=1e-12)
 
     def test_per_atom_tail_bound(self):
         # every inner atom's contribution is at most its boundary-distance tail
@@ -167,42 +201,63 @@ def pruned_and_dense(pair, ball, cfg, monkeypatch):
 
 
 class TestPrunedSum:
-    """The tile-pruned node x atom sums against the dense oracle."""
+    """Cutoff-pruned cross terms against oracles that skip no pair in the window."""
 
     CFG = QuadConfig(h=0.16, boundary_refine=2)
 
-    def assert_agree(self, pruned, dense):
-        for got, want in ((pruned.t1, dense.t1), (pruned.t2, dense.t2)):
+    def assert_agree(self, pruned, t1, t2):
+        for got, want in ((pruned.t1, t1), (pruned.t2, t2)):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             assert abs(got - want) <= pruned.truncation_bound
 
     @pytest.mark.parametrize("r", [8.0, 16.0])
-    def test_fock_lattice(self, r, monkeypatch):
+    def test_fock_lattice(self, r):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.5, 2)))
-        pruned, dense, pairs = pruned_and_dense(pair, Ball([0, 0], r), self.CFG, monkeypatch)
-        assert pruned.t1 != pruned.t2
-        self.assert_agree(pruned, dense)
-        if r == 16.0:
-            # the machine-independent work guard of the pruning
-            assert pairs[0] <= 0.10 * pairs[1]
+        ball = Ball([0, 0], r)
+        res = double_tail(pair, ball, self.CFG)
+        r_tr = self.CFG.effective_truncation(r)
+        pts = Lattice(0.5, 2).points_in_ball(Ball([0, 0], r_tr))
+        t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, r_tr, shift=np.zeros(2))
+        assert res.t1 != res.t2
+        self.assert_agree(res, t1, t2)
 
-    def test_gabor_jittered_points_with_offset(self, monkeypatch):
-        points = CountingMeasure(PointSet(jittered_points(3, 0.8, 14.0)))
+    def test_gabor_jittered_points_with_offset(self):
+        pts = jittered_points(3, 0.8, 14.0)
+        points = CountingMeasure(PointSet(pts))
         pair = FramePairSpec(GaborGaussianKernel(), LebesgueMeasure(2), points, g_offset=[0.3, -0.15])
-        pruned, dense, _ = pruned_and_dense(pair, Ball([0.4, -0.7], 6.0), self.CFG, monkeypatch)
-        self.assert_agree(pruned, dense)
+        ball = Ball([0.4, -0.7], 6.0)
+        res = double_tail(pair, ball, self.CFG)
+        t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, self.CFG.effective_truncation(6.0), pair.g_offset)
+        self.assert_agree(res, t1, t2)
 
-    def test_atomic_unequal_weights(self, monkeypatch):
+    def test_atomic_unequal_weights(self):
         pts = jittered_points(5, 0.7, 12.0)
         weights = np.random.default_rng(5).uniform(0.5, 2.0, size=len(pts))
         pair = FramePairSpec(FockKernel(), AtomicMeasure(pts, weights), LebesgueMeasure(2))
-        pruned, dense, _ = pruned_and_dense(pair, Ball([0, 0], 5.0), self.CFG, monkeypatch)
-        self.assert_agree(pruned, dense)
+        ball = Ball([0, 0], 5.0)
+        res = double_tail(pair, ball, self.CFG)
+        # the atoms are the f side: t1 takes the outer atoms, t2 the inner ones
+        t2, t1 = atom_terms_oracle(pts, weights, ball, self.CFG.effective_truncation(5.0), np.zeros(2))
+        self.assert_agree(res, t1, t2)
 
     def test_lattice_by_lattice(self, monkeypatch):
-        pair = FramePairSpec(FockKernel(), CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.7, 2)))
-        pruned, dense, pairs = pruned_and_dense(pair, Ball([0, 0], 8.0), self.CFG, monkeypatch)
-        self.assert_agree(pruned, dense)
+        f, g = CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.7, 2))
+        ball = Ball([0, 0], 8.0)
+        pairs = []
+        mod2 = localization._mod2_cross
+
+        def counted(kernel, X, Y):
+            out = mod2(kernel, X, Y)
+            pairs[-1] += out.size
+            return out
+
+        monkeypatch.setattr(localization, "_mod2_cross", counted)
+        results = []
+        for kernel in (FockKernel(), UncutFockKernel()):
+            pairs.append(0)
+            results.append(double_tail(FramePairSpec(kernel, f, g), ball, self.CFG))
+        pruned, full = results
+        self.assert_agree(pruned, full.t1, full.t2)
         assert pairs[0] < pairs[1]
 
     @pytest.mark.parametrize("f", [LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1))])
@@ -211,6 +266,37 @@ class TestPrunedSum:
         pruned, dense, pairs = pruned_and_dense(pair, Ball([0.0], 8.0), QuadConfig(h=0.05), monkeypatch)
         assert (pruned.t1, pruned.t2) == (dense.t1, dense.t2)
         assert pairs[0] == pairs[1]
+
+    @pytest.mark.parametrize("delta", [[0.3, -0.15], [1.5, 0.0], [2.5, 0.0]], ids=["small", "1.5", "2.5"])
+    @pytest.mark.parametrize("f", [LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2))], ids=["lebesgue", "lattice"])
+    def test_offsets_widen_every_cutoff(self, f, delta):
+        # the cutoff rings sit at r +- (c + |Delta|): an offset pair must keep
+        # every term that the uncut kernel finds above the pruning bound
+        g = CountingMeasure(Lattice(1.0, 2))
+        ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig(h=0.05)
+        pruned = double_tail(FramePairSpec(FockKernel(), f, g, f_offset=delta), ball, cfg)
+        full = double_tail(FramePairSpec(UncutFockKernel(), f, g, f_offset=delta), ball, cfg)
+        assert abs(pruned.t1 - full.t1) <= pruned.truncation_bound
+        assert abs(pruned.t2 - full.t2) <= pruned.truncation_bound
+
+
+class TestDiskMass:
+    """The closed-form atom term: a unit Gaussian's mass inside or outside a disk."""
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 8.0, 16.0, 64.0])
+    def test_against_ncx2(self, r):
+        c = FockKernel().tail_cutoff(1e-14)
+        hugging = np.logspace(-12, 0, 60)
+        s = np.concatenate([[0.0], np.linspace(max(0.0, r - c - 3.0), r + c + 3.0, 2001), r + hugging, r - hugging])
+        s = s[s >= 0.0]  # the centre, both sides of the sphere, and points hugging it
+        for inside in (True, False):
+            err = np.abs(localization._disk_mass(s, r, inside) - gaussian_disk_oracle(s, r, inside))
+            assert err.max() <= 1e-14
+
+    def test_inside_and_outside_add_to_one(self):
+        s = np.linspace(0.0, 12.0, 241)
+        total = localization._disk_mass(s, 6.0, True) + localization._disk_mass(s, 6.0, False)
+        assert np.max(np.abs(total - 1.0)) <= 2e-15  # two sums of 64 rounded terms
 
 
 class TestBoundaryPartition:
@@ -221,24 +307,26 @@ class TestBoundaryPartition:
         lat = Lattice(0.8, 2)
         kernel = GaborGaussianKernel(1)
         pair = FramePairSpec(kernel, LebesgueMeasure(2), CountingMeasure(lat))
-        ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig(h=0.2, boundary_refine=2)
-        seen = []
-        summed = localization._sum_field_over_atoms
+        ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig()
+        seen = {}
+        disk_mass = localization._disk_mass
 
-        def record(kernel, nodes, atoms, weights):
-            seen.append(atoms)
-            return summed(kernel, nodes, atoms, weights)
+        def record(s, r, inside):
+            seen[inside] = np.asarray(s)
+            return disk_mass(s, r, inside)
 
-        monkeypatch.setattr(localization, "_sum_field_over_atoms", record)
-        localization._cross_term(pair, ball, cfg, outer="f")  # lattice atoms inside B
-        localization._cross_term(pair, ball, cfg, outer="g")  # lattice atoms outside B, within r + cutoff
-        inner, outer = ({tuple(k) for k in np.rint(a / 0.8).astype(int)} for a in seen)
-        assert len(inner) == len(seen[0]) == CountingMeasure(lat).ball_mass(ball) == 81
-        assert not inner & outer
-        r_out = min(cfg.effective_truncation(4.0), 4.0 + kernel.tail_cutoff(1e-14))
-        everything = {tuple(k) for k in np.rint(lat.points_in_ball(Ball([0.0, 0.0], r_out)) / 0.8).astype(int)}
-        assert inner | outer == everything
-        assert len(inner) + len(outer) == lat.count_in_ball(Ball([0.0, 0.0], r_out))
+        monkeypatch.setattr(localization, "_disk_mass", record)
+        localization._cross_term(pair, ball, cfg, outer="f")  # lattice atoms inside B: mass outside
+        localization._cross_term(pair, ball, cfg, outer="g")  # lattice atoms outside B: mass inside
+        c = kernel.tail_cutoff(1e-14)
+        # integer coordinates: no atom lies within rounding of r - c or r + c
+        k2 = np.rint(np.einsum("ij,ij->i", *[lat.points_in_ball(Ball([0.0, 0.0], 9.0)) / 0.8] * 2)).astype(int)
+        want_inner = np.sort(0.8 * np.sqrt(k2[(k2 <= 25) & (0.8 * np.sqrt(k2) >= 4.0 - c)]))
+        want_outer = np.sort(0.8 * np.sqrt(k2[(k2 > 25) & (0.8 * np.sqrt(k2) <= 4.0 + c)]))
+        inner, outer = np.sort(seen[False]), np.sort(seen[True])
+        assert len(inner) == len(want_inner) and len(outer) == len(want_outer)
+        assert np.allclose(inner, want_inner, rtol=0, atol=1e-12) and np.allclose(outer, want_outer, rtol=0, atol=1e-12)
+        assert np.sum(np.abs(inner - 4.0) < 1e-12) == 12 and not np.any(np.abs(outer - 4.0) < 1e-12)
 
 
 class TestLocalizationDefect:

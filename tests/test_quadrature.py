@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from framelab.quadrature import QuadConfig, _shell_template, integrate_ball, integrate_complement, shell_nodes
+from framelab.quadrature import (
+    QuadConfig,
+    _node_chunks,
+    _shell_template,
+    integrate_ball,
+    integrate_complement,
+    integrate_shell,
+)
 from framelab.space import Ball, ball_volume
 
 
@@ -14,6 +21,19 @@ def gauss2(pts):
 
 def ones(pts):
     return np.ones(len(pts))
+
+
+def shell_nodes(center, r_in, r_out, cfg):
+    """Every node and weight integrate_shell streams, copied out of the chunk buffers in order."""
+    center = np.asarray(center, dtype=float)
+    n, chunks = _node_chunks(center, r_in, r_out, cfg)
+    pts, w = np.empty((n, center.size)), np.empty(n)
+    i = 0
+    for p, wc in chunks:
+        pts[i : i + len(p)] = p
+        w[i : i + len(p)] = wc
+        i += len(p)
+    return pts, w
 
 
 class TestIntegrateBall:
@@ -43,7 +63,7 @@ class TestIntegrateBall:
         # more nodes than one evaluation chunk: the chunk sums must add up to
         # the correctly rounded sum of all node terms
         cfg = QuadConfig(h=h)
-        pts, w = shell_nodes(b.center, 0.0, b.radius, cfg, gauss=True)
+        pts, w = shell_nodes(b.center, 0.0, b.radius, cfg)
         assert len(pts) > 3 * (1 << 16)
         res = integrate_ball(f, b, cfg)
         assert res.node_count == len(pts)
@@ -62,7 +82,7 @@ class TestIntegrateBall:
         # the check runs on every streamed chunk and names the node's
         # coordinates, not its offset from the centre
         b, cfg = Ball([0.1, -0.2], 3.0), QuadConfig(h=0.02)
-        pts, _ = shell_nodes(b.center, 0.0, b.radius, cfg, gauss=True)
+        pts, _ = shell_nodes(b.center, 0.0, b.radius, cfg)
         target = pts[index]
         assert not np.all(pts[: 1 << 16] == target, axis=1).any()
 
@@ -100,9 +120,8 @@ class TestIntegrateComplement:
 
 
 class TestShellNodes:
-    @pytest.mark.parametrize("gauss", [True, False], ids=["gauss", "midpoint"])
     @pytest.mark.parametrize("center", [[0.013], [0.013, -0.0271]], ids=["d1", "d2"])
-    def test_ball_plus_shell_is_exact_volume(self, center, gauss):
+    def test_ball_plus_shell_is_exact_volume(self, center):
         # off-grid center, inner radius not a multiple of h: every cell of
         # B(c, R) must be counted once, split exactly across the two passes
         c = np.asarray(center)
@@ -111,33 +130,40 @@ class TestShellNodes:
         cfg = QuadConfig(h=h, boundary_refine=4)
         total = 0.0
         for r_in, r_out in ((0.0, r), (r, R)):
-            pts, w = shell_nodes(c, r_in, r_out, cfg, gauss=gauss)
+            pts, w = shell_nodes(c, r_in, r_out, cfg)
             assert pts.shape == (len(w), d)
             dist = np.sqrt(np.einsum("ij,ij->i", pts - c, pts - c))
             assert np.all(dist >= r_in - h * math.sqrt(d))
             assert np.all(dist <= r_out + h * math.sqrt(d))
-            total += math.fsum(w.tolist())
+            res = integrate_shell(ones, c, r_in, r_out, cfg)
+            assert res.node_count == len(w) and res.value == math.fsum(w.tolist())
+            total += res.value
         exact = ball_volume(d, R)
         assert abs(total - exact) <= 1e-11 * exact
 
+    def test_ball_is_the_shell_from_zero(self):
+        c, cfg = np.array([0.1, -0.2]), QuadConfig(h=0.05)
+        assert integrate_ball(gauss2, Ball(c, 1.3), cfg) == integrate_shell(gauss2, c, 0.0, 1.3, cfg)
+
     def test_empty_shell(self):
-        pts, w = shell_nodes(np.zeros(2), 1.0, 1.0, QuadConfig(h=0.1), gauss=True)
+        pts, w = shell_nodes(np.zeros(2), 1.0, 1.0, QuadConfig(h=0.1))
         assert pts.shape == (0, 2) and len(w) == 0
+        assert integrate_shell(ones, np.zeros(2), 1.0, 1.0, QuadConfig(h=0.1)).value == 0.0
 
 
 class TestStraddleSubcells:
     @pytest.mark.parametrize(
-        "h, bk, r_in, r_out, gauss",
-        [(0.02, 8, 0.0, 7.5, True), (0.08, 2, 0.0, 16.0, False), (0.08, 2, 11.3, 16.0, False)],
+        "h, bk, r_in, r_out",
+        [(0.02, 8, 0.0, 7.5), (0.08, 2, 0.0, 16.0), (0.08, 2, 11.3, 16.0)],
         ids=["tail-law", "scenario-ball", "scenario-shell"],
     )
-    def test_whole_subcells_get_their_area_or_are_dropped(self, h, bk, r_in, r_out, gauss):
+    def test_whole_subcells_get_their_area_or_are_dropped(self, h, bk, r_in, r_out):
         # a subcell wholly inside the shell weighs exactly (h/bk)^2, one wholly
         # outside is no node; 1e-9 keeps the classification clear of rounding
         c = np.array([0.013, -0.0271])
-        pts, w = shell_nodes(c, r_in, r_out, QuadConfig(h=h, boundary_refine=bk), gauss=gauss)
+        pts, w = shell_nodes(c, r_in, r_out, QuadConfig(h=h, boundary_refine=bk))
         hs = h / bk
-        sub = w < h**2 / (4 if gauss else 1)  # only subcell nodes weigh less than an interior node
+        sub = np.arange(len(w)) >= len(w) - len(_shell_template(2, r_in, r_out, h, bk).sub_w)  # subcells stream last
         q = np.abs(pts[sub] - c)
         near = np.sqrt((np.maximum(q - hs / 2, 0.0) ** 2).sum(axis=1))
         far = np.sqrt(((q + hs / 2) ** 2).sum(axis=1))
@@ -149,7 +175,7 @@ class TestStraddleSubcells:
 
 
 def translated(t, c, h):
-    """shell_nodes' nodes rebuilt from a template: shift + (cell + c), then the subcells."""
+    """The streamed nodes rebuilt from a template: shift + (cell + c), then the subcells."""
     interior = np.concatenate([shift + (t.cells + c) for shift in t.shifts])
     w = np.concatenate([np.full(len(interior), h**2 / len(t.shifts)), t.sub_w])
     return np.concatenate([interior, t.sub_off + c]), w
@@ -159,20 +185,20 @@ class TestShellTemplate:
     def test_shell_nodes_is_the_translated_template_after_eviction(self):
         cfg = QuadConfig(h=0.05, boundary_refine=4)
         r_in, r_out = 0.4, 1.9
-        t = _shell_template(2, r_in, r_out, cfg.h, cfg.boundary_refine, True)
+        t = _shell_template(2, r_in, r_out, cfg.h, cfg.boundary_refine)
         for c in (np.array([0.013, -0.0271]), np.array([-3.2, 5.7])):
             want_pts, want_w = translated(t, c, cfg.h)
             for other in (None, 2.5, 3.0):
                 if other is not None:  # two other shells evict the first template
-                    shell_nodes(c, 0.0, other, cfg, gauss=True)
+                    shell_nodes(c, 0.0, other, cfg)
                     assert _shell_template.cache_info().currsize <= 2
-                pts, w = shell_nodes(c, r_in, r_out, cfg, gauss=True)
+                pts, w = shell_nodes(c, r_in, r_out, cfg)
                 assert np.array_equal(pts, want_pts) and np.array_equal(w, want_w)
                 assert pts.flags.writeable and w.flags.writeable
         assert _shell_template.cache_info().maxsize == 2
 
     def test_cached_arrays_are_read_only(self):
-        t = _shell_template(2, 0.0, 1.0, 0.1, 2, True)
+        t = _shell_template(2, 0.0, 1.0, 0.1, 2)
         for a in t:
             assert len(a) > 0
             with pytest.raises(ValueError, match="read-only"):
@@ -181,25 +207,24 @@ class TestShellTemplate:
     def test_configs_never_share_a_template(self):
         c = np.array([0.2, -0.1])
         shells = [
-            (QuadConfig(h=0.05, boundary_refine=4), True),
-            (QuadConfig(h=0.04, boundary_refine=4), True),
-            (QuadConfig(h=0.05, boundary_refine=3), True),
-            (QuadConfig(h=0.05, boundary_refine=4), False),
+            QuadConfig(h=0.05, boundary_refine=4),
+            QuadConfig(h=0.04, boundary_refine=4),
+            QuadConfig(h=0.05, boundary_refine=3),
         ]
 
-        def count(cfg, gauss):
-            return len(shell_nodes(c, 0.3, 1.7, cfg, gauss=gauss)[1])
+        def count(cfg):
+            return len(shell_nodes(c, 0.3, 1.7, cfg)[1])
 
         fresh = []
         for shell in shells:
             _shell_template.cache_clear()
-            fresh.append(count(*shell))
+            fresh.append(count(shell))
         assert len(set(fresh)) == len(shells)
         # each variant right after the base shell, whose template is then cached
         _shell_template.cache_clear()
         for shell, n in zip(shells, fresh):
-            assert count(*shells[0]) == fresh[0]
-            assert count(*shell) == n
+            assert count(shells[0]) == fresh[0]
+            assert count(shell) == n
 
 
 class TestInvariants:

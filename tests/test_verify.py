@@ -8,14 +8,16 @@ import pytest
 from framelab.density import lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
-from framelab.quadrature import QuadConfig
+from framelab.quadrature import QuadConfig, _shell_template
 from framelab.space import CountingMeasure, Lattice, LebesgueMeasure, PointSet
 from framelab.verify import (
     DEFAULTS,
     ConfigError,
     corollary_parseval_check,
+    _build_lattice_support,
     gram_truncation_study,
     report_json,
+    resolve_config,
     run,
     theorem_main_table,
     validate_config,
@@ -28,7 +30,6 @@ FAST_FOCK = {
     "radii": [2.0, 4.0],
     "gram_radii": [2.0, 3.0],
     "density_rmax": 32.0,
-    "quad": {"h": 0.1},
 }
 
 
@@ -213,13 +214,35 @@ class TestScenarios:
             "radii": [2.0, 4.0],
             "gram_radii": [2.0, 3.0],
             "density_rmax": 32.0,
-            "quad": {"h": 0.1},
         }
         rep = run(cfg)
         assert rep["density"]["upper"] == pytest.approx(0.75, abs=0.02)
         assert not rep["gram_study"]["frame_evidence"]
         assert rep["overall"] == "pass"  # vacuous-consistent, never CONTRADICTION
         assert all(v["verdict"] != "CONTRADICTION" for v in rep["verdicts"])
+
+    def test_thinned_lattice_density_centres_cover_its_period(self):
+        # drop-even-even has period 2 scale: at scale 1 the centres run over
+        # [0, 2)^2 at the plain lattice's spacing 0.5, where the r = 4 ball
+        # reaching the fewest points gives the lower ratio 0.6764 ([0, 1)^2 misses it: 0.7162)
+        cfg = {
+            "scenario": "fock",
+            "lattice": {"scale": 1.0, "dim": 2, "thin": "drop-even-even"},
+            "radii": [4.0],
+            "gram_radii": [2.0],
+            "density_rmax": 4.0,
+        }
+        _, sched = _build_lattice_support(resolve_config(cfg))
+        assert sched.center_spacing == 0.5
+        assert np.array_equal(np.unique(sched.centers()), 0.5 * np.arange(4))
+        assert run(cfg)["density"]["lower"] == pytest.approx(0.6764, abs=5e-5)
+
+    @pytest.mark.parametrize("name", ["fock", "gabor"])
+    def test_gaussian_scenarios_build_no_quadrature_grid(self, name):
+        # their atom terms are closed-form disk masses: no shell template is built
+        before = _shell_template.cache_info().misses
+        run({**FAST_FOCK, "scenario": name, "lattice": {"scale": 0.8, "dim": 2}})
+        assert _shell_template.cache_info().misses == before
 
     def test_dual_embedding(self):
         rep = run({"scenario": "dual-embedding", "radii": [2.0], "quad": {"h": 0.1}})
