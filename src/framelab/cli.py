@@ -83,7 +83,7 @@ _MEASURE_SCHEMA = {
 }
 _OFFSET_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _LEBESGUE = {"required": ["lebesgue"]}
-_NO_GRID = {"properties": {"quad": {"properties": {"h": {"not": {}}, "boundary_refine": {"not": {}}}}}}
+_NO_GRID = {"properties": {"quad": {"properties": {"h": {"not": {}}}}}}
 _PAIR_SCHEMA = {
     "type": "object",
     "properties": {
@@ -97,20 +97,12 @@ _PAIR_SCHEMA = {
     "required": ["kernel", "f", "g"],
     "additionalProperties": False,
     # quad fields a pair never reads are rejected rather than ignored: only a
-    # Lebesgue side on a grid reads h and boundary_refine, 1-d cells are clipped
-    # exactly (no boundary_refine for Paley-Wiener), and a Gaussian kernel takes
-    # its Lebesgue x discrete terms in closed form
+    # Lebesgue side on a grid reads h, and a Gaussian kernel takes all its
+    # terms in closed form
     "allOf": [
-        {
-            "if": {"properties": {"kernel": {"properties": {"kernel": {"const": "paley-wiener"}}}}},
-            "then": {"properties": {"quad": {"properties": {"boundary_refine": {"not": {}}}}}},
-        },
         {"if": {"properties": {"f": {"not": _LEBESGUE}, "g": {"not": _LEBESGUE}}}, "then": _NO_GRID},
         {
-            "if": {
-                "properties": {"kernel": {"properties": {"kernel": {"enum": ["fock", "gabor-gaussian"]}}}},
-                "not": {"properties": {"f": _LEBESGUE, "g": _LEBESGUE}},
-            },
+            "if": {"properties": {"kernel": {"properties": {"kernel": {"enum": ["fock", "gabor-gaussian"]}}}}},
             "then": _NO_GRID,
         },
     ],

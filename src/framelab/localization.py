@@ -14,19 +14,20 @@ for each of t1 and t2 to cover the rest.
   |<k_x, k_y>|^2 = e^{-pi |x - y|^2}, so the Lebesgue side against one atom
   is the mass of a unit Gaussian inside or outside a disk, the noncentral
   chi-square CDF with 2 degrees of freedom, one minus Marcum's Q_1 (Marcum,
-  IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, with no grid error.
+  IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, a 1-d rule over the
+  Gaussian's radial density with no grid error.
 - Other kernels (Paley-Wiener), a Lebesgue side against a discrete one: the
   atom field is integrated by ``integrate_shell`` over the part of B, or of
   B(R_tr) \\ B, within c + |Delta| of the sphere.
 - Two discrete sides: an exact atom x atom sum.
 - Two Lebesgue sides: |<k_x, k_y>|^2 integrates to 1 / mode_density over
   all x (reproducing formula), so a double tail is |B| / mode_density minus
-  one ``integrate_ball`` of it against the closed-form lens area
-  |B ∩ (B + z)|.
+  the kernel's integral against the closed-form lens area |B ∩ (B + z)|:
+  for Fock and Gabor the same radial rule (``_lens_overlap``), for
+  Paley-Wiener one ``integrate_ball``.
 
-The truncation bound does not cover the quadrature error of the Lebesgue
-sides still on a grid, which at the scenario default h = 0.08 is of order
-1e-5 on a dual-embedding row.
+The truncation bound does not cover the grid error of the Paley-Wiener
+Lebesgue sides, the only ones left on a grid.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -58,7 +59,7 @@ __all__ = [
 _PRUNE_EPS = 1e-14
 _NODE_CHUNK = 8192
 _DISK_SPAN = 1.5 * math.sqrt(-math.log(_PRUNE_EPS) / math.pi)  # e^{-pi span^2} = 1e-31.5
-# _disk_mass's 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
+# the radial integrals' 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
 # off by up to ~1e-12 relative, so they are recomputed from P_64' at its nodes
 _GL_X = legendre.leggauss(64)[0]
 _GL_U = (_GL_X + 1.0) / 2.0
@@ -93,24 +94,41 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
     return np.where(x <= 50.0, np.i0(small) * np.exp(-small), total / np.sqrt(2.0 * math.pi * big))
 
 
+def _radial_density(s, d) -> np.ndarray:
+    """Radial density 2 pi rho e^{-pi d^2} e^{-x} I_0(x), x = 2 pi rho s, of e^{-pi |x - p|^2}, |p| = s, at rho = s + d.
+
+    Smooth for every s >= 0; d = rho - s spares the Gaussian a rounding of size s eps.
+    """
+    rho = s + d
+    return 2.0 * math.pi * rho * np.exp(-math.pi * d * d) * _scaled_i0(2.0 * math.pi * rho * s)
+
+
 def _disk_mass(s, r: float, inside: bool) -> np.ndarray:
     """Mass of the unit Gaussian e^{-pi |x - p|^2} inside (or outside) the disk B(0, r), |p| = s.
 
-    About the disk's centre the Gaussian has the radial density
-    2 pi rho e^{-pi (rho - s)^2} e^{-x} I_0(x), x = 2 pi rho s, smooth for
-    every s >= 0 on either side of the sphere.  Inside integrates it over
-    [0, r], outside over [r, inf), each by the 64-node rule on the part
-    within _DISK_SPAN of s, in d = rho - s so that the Gaussian carries no
-    rounding of size s eps.  Good to ~3e-16 absolute against 30-digit
-    quadrature.
+    Inside integrates the radial density over [0, r], outside over
+    [r, inf), each by the 64-node rule on the part within _DISK_SPAN of s,
+    in d = rho - s.  Good to ~3e-16 absolute against 30-digit quadrature.
     """
     s = np.asarray(s, dtype=float)
     lo = np.maximum(-_DISK_SPAN, -s if inside else r - s)
     hi = np.maximum(lo, np.minimum(_DISK_SPAN, r - s) if inside else _DISK_SPAN)
     d = lo[:, None] + (hi - lo)[:, None] * _GL_U
-    rho = s[:, None] + d
-    density = 2.0 * math.pi * rho * np.exp(-math.pi * d * d) * _scaled_i0(2.0 * math.pi * rho * s[:, None])
-    return (hi - lo) * (density @ _GL_W)
+    return (hi - lo) * (_radial_density(s[:, None], d) @ _GL_W)
+
+
+def _lens_overlap(s: float, r: float) -> float:
+    """integral over z in R^2 of e^{-pi |z - p|^2} A(|z|) dz, |p| = s, A(rho) = |B(0, r) ∩ B(z, r)|.
+
+    The radial density against A, zero beyond 2r, on the part within
+    _DISK_SPAN of s.  A ~ (2r - rho)^{3/2} would cost a rule in rho accuracy
+    (~4e-10 at r <= 1); in theta, rho = 2r sin(theta), A is smooth up to 2r.
+    """
+    lo, hi = (math.asin(min(2.0 * r, max(0.0, x)) / (2.0 * r)) for x in (s - _DISK_SPAN, s + _DISK_SPAN))
+    theta = lo + (hi - lo) * _GL_U
+    sin, cos = np.sin(theta), np.cos(theta)
+    lens = 2.0 * r * r * (0.5 * math.pi - theta - sin * cos)
+    return (hi - lo) * float((_radial_density(s, 2.0 * r * sin - s) * lens * (2.0 * r * cos)) @ _GL_W)
 
 
 @dataclass
@@ -196,28 +214,24 @@ def _lebesgue_pair_term(kernel, s: np.ndarray, r: float, cfg: QuadConfig) -> flo
 
         t = |B| / mode_density - integral of mod2(z - s) A_r(|z|) dz,
 
-    with the lens area A_r(rho) = |B ∩ (B + z)|: 2r - rho in d = 1, and
-    2r^2 acos(rho/2r) - (rho/2) sqrt(4r^2 - rho^2) in d = 2, zero beyond 2r.
-    The ball B(0, min(2r, |s| + c)), c = tail_cutoff(_PRUNE_EPS), leaves out
+    with the lens area A_r(rho) = |B ∩ (B + z)|: ``_lens_overlap`` for Fock
+    and Gabor (n = 1); in d = 1 A_r = (2r - rho)_+ on the ball
+    B(0, min(2r, |s| + c)), c = tail_cutoff(_PRUNE_EPS), which leaves out
     less than _PRUNE_EPS |B| and puts the lens kinks (z = 0, |z| = 2r) on a
     cell edge and on its own boundary, never inside a Gauss cell.
     """
-    d = kernel.dim
     density = getattr(kernel, "mode_density", None)
     if not density:
         raise ValueError("continuous-continuous double tails need a kernel mode_density")
-
-    def field(z):
-        rho = np.minimum(np.sqrt(np.einsum("ij,ij->i", z, z)), 2.0 * r)
-        if d == 1:
-            lens = 2.0 * r - rho
-        else:
-            lens = 2.0 * r * r * np.arccos(rho / (2.0 * r)) - 0.5 * rho * np.sqrt(4.0 * r * r - rho * rho)
-        return _mod2_cross(kernel, z, s[None, :])[:, 0] * lens
-
-    reach = min(2.0 * r, float(np.linalg.norm(s)) + kernel.tail_cutoff(_PRUNE_EPS))
-    overlap = integrate_ball(field, Ball(np.zeros(d), reach), cfg)
-    return ball_volume(d, r) / density - overlap.value
+    if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
+        overlap = _lens_overlap(float(np.linalg.norm(s)), r)
+    elif kernel.dim == 1:
+        field = lambda z: _mod2_cross(kernel, z, s[None, :])[:, 0] * (2.0 * r - np.minimum(np.abs(z[:, 0]), 2.0 * r))
+        reach = min(2.0 * r, float(np.linalg.norm(s)) + kernel.tail_cutoff(_PRUNE_EPS))
+        overlap = integrate_ball(field, Ball(np.zeros(1), reach), cfg).value
+    else:
+        raise ValueError(f"no Lebesgue x Lebesgue double tail for {type(kernel).__name__} in dimension {kernel.dim}")
+    return ball_volume(kernel.dim, r) / density - overlap
 
 
 def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
@@ -270,12 +284,14 @@ def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float
         skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
 
     one such term for each.  The window term (mu(B) + nu(B)) mod2_tail_integral
-    covers what lies beyond R_tr.
+    covers what lies beyond R_tr: in kernel coordinates that is at least
+    R_tr - r - |f_offset - g_offset| from the sphere (clamped at 0).
     """
     r_tr = cfg.effective_truncation(ball.radius)
     window = Ball(ball.center, r_tr)
     slack = 2.0 * _PRUNE_EPS * pair.f_measure.ball_mass(window) * pair.g_measure.ball_mass(window)
-    gap_eff = min(r_tr - ball.radius, pair.kernel.tail_cutoff(_PRUNE_EPS))
+    gap = max(0.0, r_tr - ball.radius - float(np.linalg.norm(pair.f_offset - pair.g_offset)))
+    gap_eff = min(gap, pair.kernel.tail_cutoff(_PRUNE_EPS))
     tail = pair.kernel.mod2_tail_integral(gap_eff)
     if not math.isfinite(tail):
         return math.inf

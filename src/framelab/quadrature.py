@@ -1,18 +1,18 @@
 """Deterministic Lebesgue quadrature of real fields over balls, shells and ball complements in R^d (d <= 2).
 
-One grid engine, ``integrate_shell``, integrates a real field on the line
-(Paley-Wiener) or the plane (Fock, Gabor with n = 1) over a shell
-r_in < |x - c| <= r_out (r_in = 0 is the closed ball); ``integrate_ball``
-wraps it, and sums over atoms are ``localization``'s.  Cells have spacing h
-and are anchored at the center.  Every interior cell gets a
+One grid engine, ``integrate_shell``, integrates a real field over a shell
+r_in < |x - c| <= r_out (r_in = 0 is the closed ball) on the line
+(Paley-Wiener localization) or the plane (``tail_sup``, the Gaussian tail
+law that checks the grid); ``integrate_ball`` wraps it.  Cells have spacing
+h and are anchored at the center.  Every interior cell gets a
 2-point-per-axis Gauss-Legendre tensor rule, which the Gaussian tail law
 needs for 1e-4 relative accuracy at h = 0.02.
 
 In d = 1 cells are clipped exactly to the shell.  In d = 2 cells that
-straddle either sphere are split into subcells, and each subcell is
-classified by its nearest and farthest distance from the centre: one wholly
-inside the shell weighs exactly its area (h / boundary_refine)^2, one wholly
-outside is dropped, and only a cut subcell is weighted by the exact
+straddle either sphere are split into _BOUNDARY_REFINE^2 subcells, and each
+subcell is classified by its nearest and farthest distance from the centre:
+one wholly inside the shell weighs exactly its area (h / _BOUNDARY_REFINE)^2,
+one wholly outside is dropped, and only a cut subcell is weighted by the exact
 closed-form cell/disk intersection area.  That area is a difference of
 antiderivatives of size ~r^2, whose cancellation would otherwise leave noise
 of ~r^2 * eps on whole subcells, positive weight on some outside ones
@@ -55,6 +55,7 @@ __all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_compleme
 
 _RULE = np.array([-0.5, 0.5]) / math.sqrt(3.0)  # 2-point Gauss nodes per axis, in cell widths
 _EVAL_CHUNK = 1 << 16  # integrand evaluations per call
+_BOUNDARY_REFINE = 8  # per-axis subdivision of d = 2 cells that straddle a sphere
 
 
 @dataclass(frozen=True)
@@ -63,22 +64,17 @@ class QuadConfig:
 
     truncation_radius, when set, is the absolute cutoff radius for
     complement integrals; otherwise ball radius + truncation_margin is used.
-    boundary_refine is the per-axis subdivision of cells that straddle a
-    sphere.
     """
 
     h: float = 0.02
     truncation_radius: float | None = None
     truncation_margin: float = 6.0
-    boundary_refine: int = 8
 
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("spacing h must be positive")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
             raise ValueError("truncation radius must be positive")
-        if self.boundary_refine < 1:
-            raise ValueError("boundary_refine must be >= 1")
 
     def effective_truncation(self, ball_radius: float) -> float:
         if self.truncation_radius is not None:
@@ -153,7 +149,7 @@ class _ShellTemplate(NamedTuple):
 
 
 @functools.lru_cache(maxsize=2)  # a complement is two balls
-def _shell_template(d: int, r_in: float, r_out: float, h: float, boundary_refine: int) -> _ShellTemplate:
+def _shell_template(d: int, r_in: float, r_out: float, h: float, bk: int) -> _ShellTemplate:
     n = int(math.ceil(r_out / h)) + 2
     offsets = _cell_offsets((np.arange(-n, n) + 0.5) * h, d)
     dist = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
@@ -161,7 +157,6 @@ def _shell_template(d: int, r_in: float, r_out: float, h: float, boundary_refine
     strad = (np.abs(dist - r_out) < half_diag) | ((np.abs(dist - r_in) < half_diag) & (r_in > 0))
     cells = offsets[(dist > r_in) & (dist <= r_out) & ~strad]
 
-    bk = boundary_refine
     hs = h / bk
     sub_off = _cell_offsets(((np.arange(bk) + 0.5) / bk - 0.5) * h, d)
     sc = (offsets[strad][:, None, :] + sub_off[None, :, :]).reshape(-1, d)
@@ -202,7 +197,7 @@ def _node_chunks(center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig)
         pts, w = _interval_nodes(center, r_in, r_out, cfg.h)
         chunks = ((pts[i : i + _EVAL_CHUNK], w[i : i + _EVAL_CHUNK]) for i in range(0, len(pts), _EVAL_CHUNK))
         return len(pts), chunks
-    t = _shell_template(d, r_in, r_out, cfg.h, cfg.boundary_refine)
+    t = _shell_template(d, r_in, r_out, cfg.h, _BOUNDARY_REFINE)
     return t.size, _translated_chunks(t, center, cfg.h**d / len(t.shifts))
 
 

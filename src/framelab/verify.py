@@ -54,19 +54,17 @@ PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim", "info")
 
 # Every optional key each scenario reads, with its default; scenario, seed and
 # out_dir are legal everywhere.  quad and tolerances are merged one level deep,
-# so a scenario reads exactly the fields listed here.  Scenario tables need
-# ~1e-5 accuracy on epsilon columns, not the tight tail-law tolerance; the
-# coarser quad defaults keep sweeps fast.  1-d cells are clipped exactly, so
-# paley-wiener never reads boundary_refine; fock and gabor take their atom
-# terms in closed form and read no grid at all.
-_QUAD = {"h": 0.08, "truncation_margin": 6.0, "boundary_refine": 2}
+# so a scenario reads exactly the fields listed here.  Only paley-wiener
+# integrates on a grid and reads h; fock, gabor and dual-embedding take their
+# Gaussian terms in closed form and read only the truncation margin.
+_GAUSSIAN_QUAD = {"truncation_margin": 6.0}
 _MODEL_SPACE = {
     "lattice": {"scale": 1.0, "dim": 2},
     "points_csv": None,
     "radii": [4.0, 8.0, 16.0],
     "gram_radii": [2.5, 3.5, 4.5],
     "density_rmax": 128.0,
-    "quad": {"truncation_margin": 6.0},
+    "quad": _GAUSSIAN_QUAD,
     "tolerances": {"density": 0.05, "critical_band": 0.05},
 }
 DEFAULTS = {
@@ -81,7 +79,7 @@ DEFAULTS = {
     },
     "fock": _MODEL_SPACE,
     "gabor": _MODEL_SPACE,
-    "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0, "quad": _QUAD},
+    "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0, "quad": _GAUSSIAN_QUAD},
 }
 _MERGED = ("quad", "tolerances")
 
@@ -109,7 +107,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "h": {"type": "number", "exclusiveMinimum": 0},
                 "truncation_margin": {"type": "number", "exclusiveMinimum": 0},
-                "boundary_refine": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
         },

@@ -151,7 +151,7 @@ def test_criterion_08_localization_defect_decay():
     pair = FramePairSpec(
         FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
     )
-    cfg = QuadConfig(h=0.08, boundary_refine=2)
+    cfg = QuadConfig(h=0.08)
     eps = {
         r: localization_defect(pair, Ball([0, 0], r), cfg).epsilon_effective for r in (4.0, 8.0, 16.0)
     }

@@ -19,6 +19,8 @@ PW_LATTICE = PW_PAIR["g"]
 LATTICE_PAIR = {**LOC_PAIR, "f": LOC_PAIR["g"]}
 GABOR_PAIR = {**LOC_PAIR, "kernel": {"kernel": "gabor-gaussian"}}
 SWAPPED_PAIR = {**LOC_PAIR, "f": LOC_PAIR["g"], "g": LOC_PAIR["f"]}
+LEBESGUE_PAIR = {**LOC_PAIR, "g": LOC_PAIR["f"]}
+GABOR_LEBESGUE_PAIR = {**LEBESGUE_PAIR, "kernel": GABOR_PAIR["kernel"]}
 GABOR_N2_PAIR = {
     "kernel": {"kernel": "gabor-gaussian", "params": {"n": 2}},
     "f": {"lattice": {"scale": 1.0, "dim": 4}},
@@ -196,6 +198,10 @@ class TestCommands:
             ({"scenario": "fock", "quad": {"boundary_refine": 4}}, "$.quad.boundary_refine"),
             ({"scenario": "gabor", "quad": {"h": 0.05}}, "$.quad.h"),
             ({"scenario": "gabor", "quad": {"boundary_refine": 4}}, "$.quad.boundary_refine"),
+            # dual-embedding takes its Lebesgue x Lebesgue overlap in closed form, and no scenario refines cells
+            ({"scenario": "dual-embedding", "quad": {"h": 0.08}}, "$.quad.h"),
+            ({"scenario": "dual-embedding", "quad": {"boundary_refine": 2}}, "$.quad.boundary_refine"),
+            ({"scenario": "paley-wiener", "quad": {"h": 0.02, "boundary_refine": 8}}, "$.quad.boundary_refine"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -232,12 +238,12 @@ class TestCommands:
                 "$.kernel.params.band",
             ),
             (["localize", "--pair", json.dumps(PW_N1_PAIR), "--radii", "2"], "$.kernel.params.n"),
-            # 1-d cells are clipped exactly: a Paley-Wiener pair never reads boundary_refine
+            # no pair refines cells: boundary_refine is no quad field
             (
                 ["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"boundary_refine": 16}}), "--radii", "2"],
                 "$.quad.boundary_refine",
             ),
-            # two discrete sides grid nothing; a Gaussian pair grids only Lebesgue x Lebesgue
+            # two discrete sides grid nothing, and neither does a Gaussian pair
             (
                 ["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_LATTICE, "quad": {"h": 1.0}}), "--radii", "2"],
                 "$.quad.h",
@@ -252,6 +258,16 @@ class TestCommands:
                 "$.quad.boundary_refine",
             ),
             (["localize", "--pair", json.dumps({**SWAPPED_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
+            # a Gaussian pair of two Lebesgue sides is closed-form too
+            (["localize", "--pair", json.dumps({**LEBESGUE_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
+            (
+                ["localize", "--pair", json.dumps({**LEBESGUE_PAIR, "quad": {"boundary_refine": 2}}), "--radii", "2"],
+                "$.quad.boundary_refine",
+            ),
+            (
+                ["localize", "--pair", json.dumps({**GABOR_LEBESGUE_PAIR, "quad": {"h": 0.1}}), "--radii", "2"],
+                "$.quad.h",
+            ),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
@@ -262,11 +278,10 @@ class TestCommands:
     @pytest.mark.parametrize(
         "pair",
         [
-            {**LOC_PAIR, "g": LOC_PAIR["f"], "quad": {"h": 0.1, "boundary_refine": 2}},
             {**PW_PAIR, "quad": {"h": 0.05}},
             {**PW_PAIR, "f": PW_LATTICE, "g": PW_PAIR["f"], "quad": {"h": 0.05}},
         ],
-        ids=["fock-lebesgue-lebesgue", "pw-lebesgue-lattice", "pw-lattice-lebesgue"],
+        ids=["pw-lebesgue-lattice", "pw-lattice-lebesgue"],
     )
     def test_localize_accepts_grid_fields_a_pair_reads(self, pair, tmp_path):
         assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")]) == 0

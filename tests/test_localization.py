@@ -203,7 +203,7 @@ def pruned_and_dense(pair, ball, cfg, monkeypatch):
 class TestPrunedSum:
     """Cutoff-pruned cross terms against oracles that skip no pair in the window."""
 
-    CFG = QuadConfig(h=0.16, boundary_refine=2)
+    CFG = QuadConfig(h=0.16)
 
     def assert_agree(self, pruned, t1, t2):
         for got, want in ((pruned.t1, t1), (pruned.t2, t2)):
@@ -279,6 +279,21 @@ class TestPrunedSum:
         assert abs(pruned.t1 - full.t1) <= pruned.truncation_bound
         assert abs(pruned.t2 - full.t2) <= pruned.truncation_bound
 
+    @pytest.mark.parametrize(
+        "delta, margin", [(4.0, 6.0), (5.0, 6.0), (2.5, 1.0)], ids=["4-at-6", "5-at-6", "2.5-at-1"]
+    )
+    def test_offsets_shrink_the_window_gap(self, delta, margin):
+        # an offset atom just outside the window sits R_tr - r - |Delta| from
+        # the sphere in kernel coordinates: widening the window must move the
+        # tails by no more than the bound of the narrow one
+        lattice = CountingMeasure(Lattice(1.0, 2))
+        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), lattice, f_offset=[delta, 0.0])
+        ball = Ball([0.0, 0.0], 4.0)
+        narrow = double_tail(pair, ball, QuadConfig(truncation_margin=margin))
+        wide = double_tail(pair, ball, QuadConfig(truncation_margin=20.0))
+        assert abs(narrow.t1 - wide.t1) <= narrow.truncation_bound
+        assert abs(narrow.t2 - wide.t2) <= narrow.truncation_bound
+
 
 class TestDiskMass:
     """The closed-form atom term: a unit Gaussian's mass inside or outside a disk."""
@@ -297,6 +312,29 @@ class TestDiskMass:
         s = np.linspace(0.0, 12.0, 241)
         total = localization._disk_mass(s, 6.0, True) + localization._disk_mass(s, 6.0, False)
         assert np.max(np.abs(total - 1.0)) <= 2e-15  # two sums of 64 rounded terms
+
+
+class TestLensOverlap:
+    """The Lebesgue x Lebesgue term for Gaussian kernels: a radial integral against the lens area."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0, 4.0, 16.0])
+    @pytest.mark.parametrize("s", [0.0, 0.403, 0.707, 2.236])
+    def test_against_scipy_quad(self, r, s):
+        # oracle: the radial density against A(rho) = 2r^2 acos(rho/2r) - (rho/2) sqrt(4r^2 - rho^2)
+        # in rho itself, split at the Gaussian's ridge s; the lens ends at 2r
+        def integrand(rho):
+            lens = 2 * r * r * math.acos(rho / (2 * r)) - 0.5 * rho * math.sqrt(max(4 * r * r - rho * rho, 0.0))
+            return 2 * math.pi * rho * math.exp(-math.pi * (rho - s) ** 2) * special.i0e(2 * math.pi * rho * s) * lens
+
+        breaks = [b for b in (s,) if 0.0 < b < 2 * r]
+        oracle, _ = integrate.quad(integrand, 0.0, 2 * r, points=breaks or None, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert localization._lens_overlap(s, r) == pytest.approx(oracle, rel=1e-13)
+
+    def test_non_gaussian_plane_kernel_is_refused(self):
+        kernel = TabulatedKernel(lambda x, y: 1.0, dim=2, mode_density=1.0)
+        pair = FramePairSpec(kernel, LebesgueMeasure(2), LebesgueMeasure(2))
+        with pytest.raises(ValueError, match="TabulatedKernel in dimension 2"):
+            double_tail(pair, Ball([0.0, 0.0], 2.0), QuadConfig())
 
 
 class TestBoundaryPartition:
@@ -340,7 +378,7 @@ class TestLocalizationDefect:
         pair = FramePairSpec(
             FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
         )
-        cfg = QuadConfig(h=0.08, boundary_refine=2)
+        cfg = QuadConfig(h=0.08)
         eps = [
             localization_defect(pair, Ball([0, 0], r), cfg).epsilon_effective for r in (4.0, 8.0, 16.0)
         ]
@@ -348,7 +386,7 @@ class TestLocalizationDefect:
 
     def test_swap_symmetry(self):
         lattice = CountingMeasure(Lattice(1.0, 2))
-        cfg = QuadConfig(h=0.08, boundary_refine=2)
+        cfg = QuadConfig(h=0.08)
         fwd = localization_defect(
             FramePairSpec(FockKernel(), LebesgueMeasure(2), lattice), Ball([0, 0], 4.0), cfg
         )
@@ -452,8 +490,8 @@ class TestOffsets:
 
         for r in (2.0, 4.0):
             oracle, _ = integrate.quad(ring, r, r + 8.0, args=(r,), epsabs=1e-12, epsrel=1e-12, limit=200)
-            res = double_tail(pair, Ball([0.0, 0.0], r), QuadConfig(h=0.08, boundary_refine=2))
-            assert res.t1 == pytest.approx(oracle, rel=5e-5)
+            res = double_tail(pair, Ball([0.0, 0.0], r), QuadConfig())
+            assert res.t1 == pytest.approx(oracle, rel=1e-12)
             assert res.t2 == res.t1
 
     @pytest.mark.parametrize("band", [math.pi, 2.0])

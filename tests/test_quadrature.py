@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from framelab.quadrature import (
+    _BOUNDARY_REFINE,
     QuadConfig,
     _node_chunks,
     _shell_template,
@@ -127,7 +128,7 @@ class TestShellNodes:
         c = np.asarray(center)
         d = c.size
         h, r, R = 0.05, 0.737, 1.9
-        cfg = QuadConfig(h=h, boundary_refine=4)
+        cfg = QuadConfig(h=h)
         total = 0.0
         for r_in, r_out in ((0.0, r), (r, R)):
             pts, w = shell_nodes(c, r_in, r_out, cfg)
@@ -160,18 +161,16 @@ class TestStraddleSubcells:
     def test_whole_subcells_get_their_area_or_are_dropped(self, h, bk, r_in, r_out):
         # a subcell wholly inside the shell weighs exactly (h/bk)^2, one wholly
         # outside is no node; 1e-9 keeps the classification clear of rounding
-        c = np.array([0.013, -0.0271])
-        pts, w = shell_nodes(c, r_in, r_out, QuadConfig(h=h, boundary_refine=bk))
+        t = _shell_template(2, r_in, r_out, h, bk)
         hs = h / bk
-        sub = np.arange(len(w)) >= len(w) - len(_shell_template(2, r_in, r_out, h, bk).sub_w)  # subcells stream last
-        q = np.abs(pts[sub] - c)
+        q = np.abs(t.sub_off)
         near = np.sqrt((np.maximum(q - hs / 2, 0.0) ** 2).sum(axis=1))
         far = np.sqrt(((q + hs / 2) ** 2).sum(axis=1))
         outside = (near >= r_out + 1e-9) | (far <= r_in - 1e-9)
         inside = (near >= r_in + 1e-9) & (far <= r_out - 1e-9)
         assert inside.sum() > 1000
         assert not outside.any(), f"{outside.sum()} nodes in subcells wholly outside the shell"
-        assert np.all(w[sub][inside] == (h / bk) ** 2)
+        assert np.all(t.sub_w[inside] == hs**2)
 
 
 def translated(t, c, h):
@@ -183,9 +182,9 @@ def translated(t, c, h):
 
 class TestShellTemplate:
     def test_shell_nodes_is_the_translated_template_after_eviction(self):
-        cfg = QuadConfig(h=0.05, boundary_refine=4)
+        cfg = QuadConfig(h=0.05)
         r_in, r_out = 0.4, 1.9
-        t = _shell_template(2, r_in, r_out, cfg.h, cfg.boundary_refine)
+        t = _shell_template(2, r_in, r_out, cfg.h, _BOUNDARY_REFINE)
         for c in (np.array([0.013, -0.0271]), np.array([-3.2, 5.7])):
             want_pts, want_w = translated(t, c, cfg.h)
             for other in (None, 2.5, 3.0):
@@ -205,15 +204,10 @@ class TestShellTemplate:
                 a[0] = 0.0
 
     def test_configs_never_share_a_template(self):
-        c = np.array([0.2, -0.1])
-        shells = [
-            QuadConfig(h=0.05, boundary_refine=4),
-            QuadConfig(h=0.04, boundary_refine=4),
-            QuadConfig(h=0.05, boundary_refine=3),
-        ]
+        shells = [(0.05, 4), (0.04, 4), (0.05, 3)]  # (h, bk)
 
-        def count(cfg):
-            return len(shell_nodes(c, 0.3, 1.7, cfg)[1])
+        def count(shell):
+            return _shell_template(2, 0.3, 1.7, *shell).size
 
         fresh = []
         for shell in shells:

@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
+from framelab.cli import main
 from framelab.density import lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab.quadrature import QuadConfig, _shell_template
 from framelab.space import CountingMeasure, Lattice, LebesgueMeasure, PointSet
 from framelab.verify import (
+    CONFIG_SCHEMA,
     DEFAULTS,
     ConfigError,
     corollary_parseval_check,
@@ -99,7 +101,7 @@ class TestTheoremTable:
         pair = FramePairSpec(
             FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(2.0, 2))
         )
-        rows, _ = theorem_main_table(pair, [8.0], cfg=QuadConfig(h=0.1, boundary_refine=2))
+        rows, _ = theorem_main_table(pair, [8.0], cfg=QuadConfig(h=0.1))
         assert rows[0]["B"] == pytest.approx(0.25, abs=0.05)
         assert rows[0]["verdict"] == "hypotheses-unmet"
 
@@ -107,7 +109,7 @@ class TestTheoremTable:
         pair = FramePairSpec(
             FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2))
         )
-        rows, _ = theorem_main_table(pair, [8.0], cfg=QuadConfig(h=0.1, boundary_refine=2))
+        rows, _ = theorem_main_table(pair, [8.0], cfg=QuadConfig(h=0.1))
         assert rows[0]["B"] > 1.5
         assert rows[0]["verdict"] == "pass"
 
@@ -117,7 +119,7 @@ class TestTheoremTable:
         # plus its family-swapped twin
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)))
         swapped = FramePairSpec(FockKernel(), CountingMeasure(Lattice(1.0, 2)), LebesgueMeasure(2))
-        cfg = QuadConfig(h=0.08, boundary_refine=2)
+        cfg = QuadConfig(h=0.08)
         from framelab.localization import localization_defect
         from framelab.space import Ball
 
@@ -237,15 +239,28 @@ class TestScenarios:
         assert np.array_equal(np.unique(sched.centers()), 0.5 * np.arange(4))
         assert run(cfg)["density"]["lower"] == pytest.approx(0.6764, abs=5e-5)
 
-    @pytest.mark.parametrize("name", ["fock", "gabor"])
-    def test_gaussian_scenarios_build_no_quadrature_grid(self, name):
-        # their atom terms are closed-form disk masses: no shell template is built
+    @pytest.mark.parametrize("name", ["fock", "gabor", "dual-embedding", "localize-fock-lebesgue-lebesgue"])
+    def test_gaussian_scenarios_build_no_quadrature_grid(self, name, tmp_path):
+        # their terms are closed-form disk masses and lens overlaps: no shell template is built
         before = _shell_template.cache_info().misses
-        run({**FAST_FOCK, "scenario": name, "lattice": {"scale": 0.8, "dim": 2}})
+        if name == "dual-embedding":
+            run({"scenario": name})
+        elif name.startswith("localize"):
+            pair = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lebesgue": {"dim": 2}}}
+            argv = ["localize", "--pair", json.dumps({**pair, "g_offset": [0.35, 0.2]}), "--radii", "1,4"]
+            assert main(argv + ["--out", str(tmp_path / "loc.csv")]) == 0
+        else:
+            run({**FAST_FOCK, "scenario": name, "lattice": {"scale": 0.8, "dim": 2}})
         assert _shell_template.cache_info().misses == before
 
+    def test_every_quad_and_tolerances_field_is_read_by_some_scenario(self):
+        # a field no scenario lists in DEFAULTS would be a setting that changes nothing
+        for key in ("quad", "tolerances"):
+            listed = set().union(*(defaults.get(key, {}) for defaults in DEFAULTS.values()))
+            assert set(CONFIG_SCHEMA["properties"][key]["properties"]) == listed
+
     def test_dual_embedding(self):
-        rep = run({"scenario": "dual-embedding", "radii": [2.0], "quad": {"h": 0.1}})
+        rep = run({"scenario": "dual-embedding", "radii": [2.0]})
         assert rep["overall"] == "pass"
         assert all(r["defect"] == 0.0 for r in rep["localization"])
 
