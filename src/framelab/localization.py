@@ -2,9 +2,9 @@
 
 All operations reduce to double integrals of |<f_x, g_y>|^2 over B x B^c
 split between two index measures, for kernels in d <= 2 (Paley-Wiener,
-Fock, Gabor with n = 1), where the Lebesgue quadrature lives.  A family's
-kernel point is its index point plus its offset, so a pair's kernel
-distance is within |Delta| = |f_offset - g_offset| of its index distance.
+Fock, Gabor with n = 1).  A family's kernel point is its index point plus
+its offset, so a pair's kernel distance is within |Delta| =
+|f_offset - g_offset| of its index distance.
 A pair more than c = tail_cutoff(1e-14) apart in kernel coordinates has a
 term below 1e-14 times its two weights, so only atoms within c + |Delta|
 of the sphere enter a sum; the truncation bound adds 1e-14 f(B_tr) g(B_tr)
@@ -25,6 +25,9 @@ for each of t1 and t2 to cover the rest.
   the kernel's integral against the closed-form lens area |B ∩ (B + z)|:
   for Fock and Gabor the same radial rule (``_lens_overlap``), for
   Paley-Wiener one ``integrate_ball``.
+- The tail supremum ``tail_sup`` (the acceptance tail law): for Fock and
+  Gabor two outside disk masses of ``_disk_mass``, for Paley-Wiener
+  ``integrate_complement`` on the line.
 
 The truncation bound does not cover the grid error of the Paley-Wiener
 Lebesgue sides, the only ones left on a grid.
@@ -138,8 +141,8 @@ class FramePairSpec:
     Both families come from the same kernel; an optional offset translates a
     family's kernel points relative to its index points (used by the
     dual-embedding scenario; no offset is the zero vector).  Both families
-    are self-dual: see the module note.  The kernel lives in d <= 2, where
-    the Lebesgue quadrature does.
+    are self-dual: see the module note.  The kernel lives in d <= 2: the
+    line's grid and the plane's radial rules cover the Lebesgue sides.
     """
 
     kernel: object
@@ -185,14 +188,32 @@ class LocalizationRow:
 
 
 def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) -> float:
-    """max over probes x of the Lebesgue tail mass of |<k_x, k_.>|^2 outside B(x, R).
+    """max over probes x of the Lebesgue mass of |<k_x, k_.>|^2 on B(x, R_tr) \\ B(x, R).
 
-    index_measure must be Lebesgue measure in the kernel's dimension.
+    index_measure must be Lebesgue measure in the kernel's dimension, and
+    every probe must have that many coordinates.  For Fock and Gabor (n = 1)
+    the mass is e^{-pi R^2} - e^{-pi R_tr^2} at every probe, taken as the
+    difference of two outside masses of ``_disk_mass`` (the radial rule of
+    every Gaussian atom term, which the tail law thus checks; the inside
+    masses would cancel to ~1e-3 relative at R = 3).  Other kernels
+    (Paley-Wiener) integrate the field with ``integrate_complement``.
     """
-    if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == kernel.dim):
-        raise ValueError(f"tail_sup integrates against Lebesgue measure in dimension {kernel.dim} only")
+    d = kernel.dim
+    if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == d):
+        raise ValueError(f"tail_sup integrates against Lebesgue measure in dimension {d} only")
+    probes = np.atleast_2d(np.asarray(probe_centers, dtype=float))
+    if probes.size == 0:
+        raise ValueError("tail_sup needs at least one probe centre")
+    if probes.ndim != 2 or probes.shape[1] != d:
+        raise ValueError(f"probe centres must have {d} coordinates, got {probes.shape[-1]}")
+    if isinstance(kernel, (FockKernel, GaborGaussianKernel)) and d == 2:
+        r_tr = cfg.effective_truncation(R)
+        if r_tr < R:
+            raise ValueError("truncation radius is smaller than the ball radius")
+        outside = [float(_disk_mass(np.zeros(1), r, inside=False)[0]) for r in (R, r_tr)]
+        return outside[0] - outside[1]
     best = -math.inf
-    for x in np.atleast_2d(np.asarray(probe_centers, dtype=float)):
+    for x in probes:
         field = lambda pts: _mod2_cross(kernel, x[None, :], pts)[0]
         best = max(best, integrate_complement(field, Ball(x, R), cfg).value)
     return best

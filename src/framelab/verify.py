@@ -126,7 +126,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     # a lattice beside points_csv is rejected rather than ignored, and so are
     # keys a scenario never reads (rules appended from DEFAULTS); the Fock and
-    # Gabor (n = 1) kernels live on R^2 (the quadrature covers d <= 2 only);
+    # Gabor (n = 1) kernels live on R^2 (the localization terms cover d <= 2 only);
     # Paley-Wiener runs on a 1-D lattice and never thins
     "allOf": [
         {"if": {"required": ["points_csv"]}, "then": {"properties": {"lattice": {"not": {}}}}},

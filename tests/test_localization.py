@@ -61,19 +61,37 @@ def lattice_radii(scale, r_lo, r_hi):
     return rr[(rr > r_lo) & (rr <= r_hi)], rr[rr <= r_lo]
 
 
+def paley_wiener_mass(b, L):
+    """Oracle: mass of sinc^2(b t / pi) on [-L, L], (2/b)(Si(2bL) - sin^2(bL)/(bL))."""
+    return 2.0 / b * (special.sici(2.0 * b * L)[0] - math.sin(b * L) ** 2 / (b * L))
+
+
 class TestTailSup:
     def test_fock_tail_law(self):
-        K = FockKernel()
-        for R in (0.5, 1.0):
-            got = tail_sup(K, LebesgueMeasure(2), R, [[0.0, 0.0]], QuadConfig(h=0.02, truncation_radius=R + 6))
-            assert got == pytest.approx(math.exp(-math.pi * R * R), rel=1e-4)
+        # Fock and Gabor (n = 1) share |<k_x, k_y>|^2 = e^{-pi |x - y|^2}: the mass on
+        # B(x, R_tr) \ B(x, R) is e^{-pi R^2} - e^{-pi R_tr^2}
+        for K in (FockKernel(), GaborGaussianKernel(1)):
+            for R in (0.5, 1.0, 3.0):
+                got = tail_sup(K, LebesgueMeasure(2), R, [[0.0, 0.0]], QuadConfig(h=0.02, truncation_radius=R + 6))
+                target = math.exp(-math.pi * R * R)
+                assert got == pytest.approx(target, rel=1e-4, abs=0)
+                assert got == pytest.approx(target - math.exp(-math.pi * (R + 6) ** 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("R", [1.0, 2.5, 4.0])
+    def test_paley_wiener_tail_against_si(self, R):
+        # the grid branch: mass of sinc^2 on R < |t - x| <= R_tr, at h = 0.02 good to ~1e-8 relative
+        K = PaleyWienerKernel()
+        got = tail_sup(K, LebesgueMeasure(1), R, [[0.3]], QuadConfig(h=0.02, truncation_radius=R + 6))
+        exact = paley_wiener_mass(K.band, R + 6) - paley_wiener_mass(K.band, R)
+        assert got == pytest.approx(exact, rel=1e-7)
 
     def test_several_probes_give_the_max_of_single_probes(self):
-        # probes share cached shell templates; each value must equal its own call bit for bit
-        K, cfg = FockKernel(), QuadConfig(h=0.05, truncation_radius=5.0)
-        probes = [[0.0, 0.0], [0.62, -1.37], [2.5, 3.1]]
-        singles = [tail_sup(K, LebesgueMeasure(2), 1.0, [p], cfg) for p in probes]
-        assert tail_sup(K, LebesgueMeasure(2), 1.0, probes, cfg) == max(singles)
+        # each value must equal its own call bit for bit, on the radial rule and on the grid
+        cfg = QuadConfig(h=0.05, truncation_radius=5.0)
+        for K in (FockKernel(), PaleyWienerKernel()):
+            probes = [p[: K.dim] for p in ([0.0, 0.0], [0.62, -1.37], [2.5, 3.1])]
+            singles = [tail_sup(K, LebesgueMeasure(K.dim), 1.0, [p], cfg) for p in probes]
+            assert tail_sup(K, LebesgueMeasure(K.dim), 1.0, probes, cfg) == max(singles)
 
     def test_far_tail_below_floor(self):
         got = tail_sup(FockKernel(), LebesgueMeasure(2), 3.0, [[0.0, 0.0]], QuadConfig(h=0.05, truncation_radius=9.0))
@@ -92,7 +110,7 @@ class TestTailSup:
             tail_sup(K, LebesgueMeasure(2), 1.0, [p], cfg)
             for p in ([0.0, 0.0], [0.62, -1.37], [2.5, 3.1])
         ]
-        assert max(vals) - min(vals) < 1e-6
+        assert max(vals) - min(vals) == 0.0
 
     @pytest.mark.parametrize(
         "measure", [CountingMeasure(Lattice(1.0, 2)), LebesgueMeasure(1)], ids=["counting", "wrong-dim"]
@@ -100,6 +118,25 @@ class TestTailSup:
     def test_lebesgue_index_measure_only(self, measure):
         with pytest.raises(ValueError, match="Lebesgue measure in dimension 2"):
             tail_sup(FockKernel(), measure, 2.0, [[0.0, 0.0]], QuadConfig())
+
+    @pytest.mark.parametrize(
+        "probes, message",
+        [([[0.0]], "probe centres must have 2 coordinates, got 1"), ([], "at least one probe centre")],
+        ids=["one-coordinate", "empty"],
+    )
+    def test_probes_must_match_the_kernel(self, probes, message):
+        # a probe with one coordinate has no tail in the Fock kernel's plane
+        with pytest.raises(ValueError, match=message):
+            tail_sup(FockKernel(), LebesgueMeasure(2), 1.0, probes, QuadConfig())
+
+    def test_window_must_reach_the_sphere(self):
+        with pytest.raises(ValueError, match="truncation radius is smaller than the ball radius"):
+            tail_sup(FockKernel(), LebesgueMeasure(2), 3.0, [[0.0, 0.0]], QuadConfig(truncation_radius=2.0))
+
+    def test_gaussian_rule_is_for_the_plane_only(self):
+        # GaborGaussianKernel(2) lives in R^4, where the tail is not e^{-pi R^2}; no grid reaches it
+        with pytest.raises(ValueError, match="d = 4"):
+            tail_sup(GaborGaussianKernel(2), LebesgueMeasure(4), 1.0, [[0.0] * 4], QuadConfig())
 
 
 class TestDoubleTail:
@@ -411,17 +448,28 @@ def normalized_mod2_field(kernel, a):
     return lambda pts: np.abs(kernel.normalized_cross(pts, [a])[:, 0]) ** 2
 
 
+def polar_disk_integral(field, a, r):
+    """Oracle: integral of a field over the disk B(a, r) in polar coordinates about a.
+
+    scipy's adaptive quad in the radius, a periodic trapezoid rule of 64
+    angles on each ring (exact for a field that is radial about a).
+    """
+    theta = 2.0 * math.pi * np.arange(64) / 64
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+    def f(rho):
+        return 2.0 * math.pi * rho * float(np.mean(field(np.asarray(a) + rho * ring)))
+
+    return integrate.quad(f, 0.0, r, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
 class TestMeanValue:
     """Mean-value constant of the kernel itself: 1 / integral over B(a, r) of |k~_a|^2."""
 
     def test_fock_kernel_itself(self):
         # oracle: 1 / integral over B(a, 1) of exp(-pi |x - a|^2) = 1/(1 - e^{-pi})
-        res = integrate_ball(
-            normalized_mod2_field(FockKernel(), [0.0, 0.0]),
-            Ball([0.0, 0.0], 1.0),
-            QuadConfig(h=0.02),
-        )
-        assert 1.0 / res.value == pytest.approx(1.0 / (1.0 - math.exp(-math.pi)), rel=1e-4)
+        res = polar_disk_integral(normalized_mod2_field(FockKernel(), [0.0, 0.0]), [0.0, 0.0], 1.0)
+        assert 1.0 / res == pytest.approx(1.0 / (1.0 - math.exp(-math.pi)), rel=1e-4)
 
     def test_paley_wiener_kernel(self):
         # oracle: 1 / int_{-1}^{1} sinc^2, computed by Gauss-Legendre
@@ -448,15 +496,15 @@ class TestMeanValue:
         # integral over all y of |<k_x, k_y>|^2 = 1 / mode_density
         field = normalized_mod2_field(kernel, x0)
         if kernel.dim == 2:
-            res = integrate_ball(field, Ball(x0, 6.0), QuadConfig(h=0.02))
-            assert res.value == pytest.approx(1.0 / kernel.mode_density, rel=1e-10)
+            res = polar_disk_integral(field, x0, 6.0)
+            assert res == pytest.approx(1.0 / kernel.mode_density, rel=1e-10)
             return
         # Paley-Wiener mass on [x - L, x + L] is (2/b)(Si(2bL) - sin^2(bL)/(bL)), whose
         # shortfall from pi/b stays below the analytic tail 2/(b^2 L)
         b = kernel.band
         for L in (2.0, 8.0, 32.0):
             res = integrate_ball(field, Ball(x0, L), QuadConfig(h=0.005))
-            exact = 2.0 / b * (special.sici(2.0 * b * L)[0] - math.sin(b * L) ** 2 / (b * L))
+            exact = paley_wiener_mass(b, L)
             assert res.value == pytest.approx(exact, rel=1e-9)
             assert 0.0 < 1.0 / kernel.mode_density - exact <= kernel.mod2_tail_integral(L) == 2.0 / (b * b * L)
 

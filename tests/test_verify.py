@@ -9,7 +9,8 @@ from framelab.cli import main
 from framelab.density import lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
-from framelab.quadrature import QuadConfig, _shell_template
+from framelab import quadrature
+from framelab.quadrature import QuadConfig
 from framelab.space import CountingMeasure, Lattice, LebesgueMeasure, PointSet
 from framelab.verify import (
     CONFIG_SCHEMA,
@@ -148,6 +149,19 @@ class TestCorollary:
             assert v == pytest.approx(1.0, abs=0.05)
 
 
+def record_grids(monkeypatch) -> list[int]:
+    """The dimension of every quadrature grid built from now on; every grid goes through _node_chunks."""
+    grids = []
+    node_chunks = quadrature._node_chunks
+
+    def recording(center, *args):
+        grids.append(center.size)
+        return node_chunks(center, *args)
+
+    monkeypatch.setattr(quadrature, "_node_chunks", recording)
+    return grids
+
+
 class TestScenarios:
     def test_config_validation_unknown_scenario(self):
         with pytest.raises(ConfigError, match=r"\$\.scenario"):
@@ -240,9 +254,9 @@ class TestScenarios:
         assert run(cfg)["density"]["lower"] == pytest.approx(0.6764, abs=5e-5)
 
     @pytest.mark.parametrize("name", ["fock", "gabor", "dual-embedding", "localize-fock-lebesgue-lebesgue"])
-    def test_gaussian_scenarios_build_no_quadrature_grid(self, name, tmp_path):
-        # their terms are closed-form disk masses and lens overlaps: no shell template is built
-        before = _shell_template.cache_info().misses
+    def test_gaussian_scenarios_build_no_quadrature_grid(self, name, tmp_path, monkeypatch):
+        # their terms are closed-form disk masses and lens overlaps: no grid is built
+        grids = record_grids(monkeypatch)
         if name == "dual-embedding":
             run({"scenario": name})
         elif name.startswith("localize"):
@@ -251,7 +265,7 @@ class TestScenarios:
             assert main(argv + ["--out", str(tmp_path / "loc.csv")]) == 0
         else:
             run({**FAST_FOCK, "scenario": name, "lattice": {"scale": 0.8, "dim": 2}})
-        assert _shell_template.cache_info().misses == before
+        assert grids == []
 
     def test_every_quad_and_tolerances_field_is_read_by_some_scenario(self):
         # a field no scenario lists in DEFAULTS would be a setting that changes nothing
@@ -264,8 +278,10 @@ class TestScenarios:
         assert rep["overall"] == "pass"
         assert all(r["defect"] == 0.0 for r in rep["localization"])
 
-    def test_paley_wiener_scenario(self):
+    def test_paley_wiener_scenario(self, monkeypatch):
+        grids = record_grids(monkeypatch)
         rep = run({"scenario": "paley-wiener", "radii": [4.0, 8.0], "density_rmax": 64.0})
+        assert grids and all(d == 1 for d in grids)  # its Lebesgue sides are on the line's grid
         names = {v["name"]: v["verdict"] for v in rep["verdicts"]}
         assert names["parseval-corollary"] == "pass"
         assert rep["overall"] == "pass"
