@@ -3,7 +3,7 @@
 Subpackages:
   space         points, balls, point sets, measures on R^d
   kernels       Paley-Wiener / Fock / Gabor-Gaussian reproducing kernels
-  quadrature    deterministic ball, shell and complement integration on one grid
+  quadrature    deterministic ball and complement integration on one grid of the line
   summation     exact, correctly rounded sums of float64 terms
   finframe      exact finite-dimensional frame oracle
   density       generalized Beurling density estimation

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
-from .density import density, lattice_schedule, default_schedule
+from .density import DEFAULT_RADII, density, lattice_schedule, default_schedule
 from .kernels import kernel_from_config
 from .localization import FramePairSpec, localization_defect
 from .quadrature import QuadConfig
@@ -163,14 +164,7 @@ def _cmd_density(args) -> int:
     else:
         sched = default_schedule(mu.dim, r_max=args.rmax)
     est = density(mu, nu, sched)
-    payload = {
-        "upper": est.upper,
-        "lower": est.lower,
-        "converged": est.converged,
-        "trend": est.trend,
-        "per_radius": [list(r) for r in est.per_radius],
-    }
-    Path(args.out).write_text(verify.report_json(payload))
+    Path(args.out).write_text(verify.report_json(verify._density_json(est)))
     print(f"upper={est.upper!r} lower={est.lower!r} -> {args.out}")
     return 0
 
@@ -199,7 +193,7 @@ def _cmd_localize(args) -> int:
     )
     cfg = QuadConfig(**{"h": 0.05, **pair_cfg.get("quad", {})})
     center = np.zeros(kernel.dim)
-    rows = [localization_defect(pair, Ball(center, float(r)), cfg) for r in args.radii.split(",")]
+    rows = [localization_defect(pair, Ball(center, r), cfg) for r in args.radii]
     for row in rows:
         print(f"r={row.radius}: defect={row.defect:.6g} eps_eff={row.epsilon_effective:.6g}")
     verify.write_table_csv(verify._loc_rows_json(rows), verify.LOCALIZATION_CSV, args.out)
@@ -213,8 +207,7 @@ def _cmd_gram(args) -> int:
     if lat_cfg["dim"] != kernel.dim:
         raise verify.ConfigError(f"config invalid at $.dim: the kernel lives in dimension {kernel.dim}")
     support = Lattice(lat_cfg["scale"], lat_cfg["dim"])
-    sizes = [float(r) for r in args.radii.split(",")]
-    study = verify.gram_truncation_study(kernel, support, sizes)
+    study = verify.gram_truncation_study(kernel, support, args.radii)
     Path(args.out).write_text(verify.report_json(study))
     for row in study["rows"]:
         print(row)
@@ -231,6 +224,30 @@ def _cmd_identity(args) -> int:
     return 0 if report["overall"] == "pass" else 1
 
 
+def _radii(text: str) -> list[float]:
+    """argparse type: comma-separated positive finite numbers."""
+    try:
+        radii = [float(r) for r in text.split(",")]
+    except ValueError:
+        radii = [math.nan]
+    if not all(0 < r < math.inf for r in radii):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of positive finite numbers")
+    return radii
+
+
+def _rmax(text: str) -> float:
+    """argparse type: a bound on the density radii that keeps the smallest one."""
+    try:
+        r = float(text)
+    except ValueError:
+        r = math.nan
+    if not r >= DEFAULT_RADII[0]:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a number >= {DEFAULT_RADII[0]:g}, the smallest density radius"
+        )
+    return r
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,20 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("density", help="generalized Beurling density of mu against nu")
     p_den.add_argument("--mu", required=True, help="measure spec JSON")
     p_den.add_argument("--nu", required=True, help="measure spec JSON")
-    p_den.add_argument("--rmax", type=float, default=128.0)
+    p_den.add_argument("--rmax", type=_rmax, default=128.0, help="largest density radius")
     p_den.add_argument("--out", required=True)
     p_den.set_defaults(fn=_cmd_density)
 
     p_loc = sub.add_parser("localize", help="localization defect table for a frame pair")
     p_loc.add_argument("--pair", required=True, help="pair spec JSON (kernel, f, g)")
-    p_loc.add_argument("--radii", required=True, help="comma-separated ball radii")
+    p_loc.add_argument("--radii", type=_radii, required=True, help="comma-separated ball radii")
     p_loc.add_argument("--out", required=True)
     p_loc.set_defaults(fn=_cmd_localize)
 
     p_gram = sub.add_parser("gram", help="windowed Gram spectra of a lattice kernel family")
     p_gram.add_argument("--kernel", required=True)
     p_gram.add_argument("--lattice", required=True)
-    p_gram.add_argument("--radii", required=True)
+    p_gram.add_argument("--radii", type=_radii, required=True, help="comma-separated window radii")
     p_gram.add_argument("--out", required=True)
     p_gram.set_defaults(fn=_cmd_gram)
 

@@ -16,9 +16,9 @@ for each of t1 and t2 to cover the rest.
   chi-square CDF with 2 degrees of freedom, one minus Marcum's Q_1 (Marcum,
   IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, a 1-d rule over the
   Gaussian's radial density with no grid error.
-- Other kernels (Paley-Wiener), a Lebesgue side against a discrete one: the
-  atom field is integrated by ``integrate_shell`` over the part of B, or of
-  B(R_tr) \\ B, within c + |Delta| of the sphere.
+- Other kernels (Paley-Wiener, c = inf), a Lebesgue side against a
+  discrete one: the atom field is integrated by ``integrate_ball`` over B,
+  or by ``integrate_complement`` over B(R_tr) \\ B.
 - Two discrete sides: an exact atom x atom sum.
 - Two Lebesgue sides: |<k_x, k_y>|^2 integrates to 1 / mode_density over
   all x (reproducing formula), so a double tail is |B| / mode_density minus
@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from .quadrature import QuadConfig, integrate_ball, integrate_complement, integrate_shell
+from .quadrature import QuadConfig, integrate_ball, integrate_complement
 from .space import Ball, LebesgueMeasure, as_point, ball_volume
 from .summation import exact_sum
 
@@ -207,10 +207,7 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     if probes.ndim != 2 or probes.shape[1] != d:
         raise ValueError(f"probe centres must have {d} coordinates, got {probes.shape[-1]}")
     if isinstance(kernel, (FockKernel, GaborGaussianKernel)) and d == 2:
-        r_tr = cfg.effective_truncation(R)
-        if r_tr < R:
-            raise ValueError("truncation radius is smaller than the ball radius")
-        outside = [float(_disk_mass(np.zeros(1), r, inside=False)[0]) for r in (R, r_tr)]
+        outside = [float(_disk_mass(np.zeros(1), r, inside=False)[0]) for r in (R, cfg.effective_truncation(R))]
         return outside[0] - outside[1]
     best = -math.inf
     for x in probes:
@@ -287,11 +284,12 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         s = np.linalg.norm(p - ball.center, axis=1)
         near = s <= r + cutoff if out_disc else s >= r - cutoff
         return exact_sum(w[near] * _disk_mass(s[near], r, inside=out_disc))
+    # every kernel left here has tail_cutoff = inf: its field spans all of B, or of B(R_tr) \ B
     if out_disc:
         field = lambda x: _sum_field_over_atoms(kernel, x + inner_off, u_atoms, w_out)
-        return integrate_shell(field, ball.center, max(0.0, r - reach), r, cfg).value
+        return integrate_ball(field, ball, cfg).value
     field = lambda x: _sum_field_over_atoms(kernel, x + outer_off, v_atoms, w_in)
-    return integrate_shell(field, ball.center, r, min(r_tr, r + reach), cfg).value
+    return integrate_complement(field, ball, cfg).value
 
 
 def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float, nu_b: float) -> float:
@@ -326,8 +324,6 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> DoubleTailResu
     t2 swaps the roles.  The truncation window R_tr must reach the ball's
     sphere.
     """
-    if cfg.effective_truncation(b.radius) < b.radius:
-        raise ValueError("truncation radius is smaller than the ball radius")
     # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
     # through its center negates x - y, and |<k_x, k_y>|^2 is even
     plain_lebesgue = not any(getattr(m, "is_discrete", False) for m in (pair.f_measure, pair.g_measure))

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import finframe
-from .density import DensityEstimate, DensitySchedule, density, lattice_schedule
+from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, density, lattice_schedule
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, LocalizationRow, localization_defect
 from .quadrature import QuadConfig
@@ -100,7 +100,8 @@ CONFIG_SCHEMA = {
         },
         "points_csv": {"type": "string"},
         "radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
-        "density_rmax": {"type": "number", "exclusiveMinimum": 0},
+        # the density schedule keeps the radii up to density_rmax: it needs the first
+        "density_rmax": {"type": "number", "minimum": DEFAULT_RADII[0]},
         "gram_radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
         "quad": {
             "type": "object",
@@ -411,6 +412,16 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
     return verdicts
 
 
+def _density_json(est: DensityEstimate) -> dict:
+    return {
+        "upper": est.upper,
+        "lower": est.lower,
+        "converged": est.converged,
+        "trend": est.trend,
+        "per_radius": [list(r) for r in est.per_radius],
+    }
+
+
 def _loc_rows_json(loc_rows: list[LocalizationRow]) -> list:
     return [
         {
@@ -506,13 +517,7 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
     else:
         verdicts.append({"name": "theorem-table", "verdict": "pass", "detail": "all rows satisfy A <= B + C(1+B)"})
     return {
-        "density": {
-            "upper": dens.upper,
-            "lower": dens.lower,
-            "converged": dens.converged,
-            "trend": dens.trend,
-            "per_radius": [list(r) for r in dens.per_radius],
-        },
+        "density": _density_json(dens),
         "gram_study": study,
         "localization": _loc_rows_json(loc_rows),
         "theorem_table": table,

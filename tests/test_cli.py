@@ -9,6 +9,7 @@ LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"
 FOCK_N2 = {"kernel": "fock", "params": {"n": 2}}
 GABOR_BAND = {"kernel": "gabor-gaussian", "params": {"band": 2.0}}
 LATTICE_2D = '{"scale": 0.5, "dim": 2}'
+LATTICE_2D_MEASURE = '{"lattice": ' + LATTICE_2D + "}"
 PW_N1_PAIR = {
     "kernel": {"kernel": "paley-wiener", "params": {"n": 1}},
     "f": {"lebesgue": {"dim": 1}},
@@ -202,6 +203,10 @@ class TestCommands:
             ({"scenario": "dual-embedding", "quad": {"h": 0.08}}, "$.quad.h"),
             ({"scenario": "dual-embedding", "quad": {"boundary_refine": 2}}, "$.quad.boundary_refine"),
             ({"scenario": "paley-wiener", "quad": {"h": 0.02, "boundary_refine": 8}}, "$.quad.boundary_refine"),
+            # a density schedule needs its first radius, 4
+            ({"scenario": "fock", "density_rmax": 2.0}, "$.density_rmax"),
+            ({"scenario": "paley-wiener", "density_rmax": 3.99}, "$.density_rmax"),
+            ({"scenario": "dual-embedding", "density_rmax": 1.0}, "$.density_rmax"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -274,6 +279,30 @@ class TestCommands:
         rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"config invalid at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["density", "--mu", LATTICE_2D_MEASURE, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "2"], "--rmax"),
+            (["density", "--mu", LATTICE_2D_MEASURE, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "x"], "--rmax"),
+            (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,x"], "--radii"),
+            (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,-1"], "--radii"),
+            (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,inf"], "--radii"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2,x"], "--radii"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2,-1"], "--radii"),
+        ],
+    )
+    def test_bad_option_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
+    def test_rmax_at_the_smallest_radius(self, tmp_path):
+        out = tmp_path / "est.json"
+        argv = ["density", "--mu", LATTICE_2D_MEASURE, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert [row[0] for row in json.loads(out.read_text())["per_radius"]] == [4.0]
 
     @pytest.mark.parametrize(
         "pair",

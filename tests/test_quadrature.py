@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from framelab.quadrature import QuadConfig, _node_chunks, integrate_ball, integrate_complement, integrate_shell
+from framelab.quadrature import QuadConfig, _interval_nodes, integrate_ball, integrate_complement
 from framelab.space import Ball, ball_volume
 
 SQRT_PI = math.sqrt(math.pi)
@@ -19,16 +19,8 @@ def ones(pts):
 
 
 def shell_nodes(center, r_in, r_out, cfg):
-    """Every node and weight integrate_shell streams, copied out of the chunk buffers in order."""
-    center = np.asarray(center, dtype=float)
-    n, chunks = _node_chunks(center, r_in, r_out, cfg)
-    pts, w = np.empty((n, center.size)), np.empty(n)
-    i = 0
-    for p, wc in chunks:
-        pts[i : i + len(p)] = p
-        w[i : i + len(p)] = wc
-        i += len(p)
-    return pts, w
+    """Every node and weight of the pass over r_in < |x - center| <= r_out, in order."""
+    return _interval_nodes(np.asarray(center, dtype=float), r_in, r_out, cfg.h)
 
 
 class TestIntegrateBall:
@@ -56,7 +48,7 @@ class TestIntegrateBall:
         ids=["d1-gauss", "d1"],
     )
     def test_several_chunks_sum_like_fsum(self, f, b, h, exact):
-        # more nodes than one evaluation chunk: the chunk sums must add up to
+        # more nodes than one summation chunk: the chunk sums must add up to
         # the correctly rounded sum of all node terms
         cfg = QuadConfig(h=h)
         pts, w = shell_nodes(b.center, 0.0, b.radius, cfg)
@@ -75,9 +67,9 @@ class TestIntegrateBall:
 
     @pytest.mark.parametrize("index", [100_000, -1], ids=["interior", "straddle"])
     def test_non_finite_field_reports_translated_node_in_later_chunk(self, index):
-        # non-finite only at one node past the first evaluation chunk, inside
-        # or in the clipped cell at the sphere: the check runs on every
-        # streamed chunk and names the node's coordinates, not its offset
+        # non-finite only at one node past the first 2^16, inside or in the
+        # clipped cell at the sphere: the check runs on every node and names
+        # the node's coordinates, not its index
         b, cfg = Ball([0.1], 900.0), QuadConfig(h=0.02)
         pts, _ = shell_nodes(b.center, 0.0, b.radius, cfg)
         target = pts[index]
@@ -95,7 +87,7 @@ class TestIntegrateBall:
             with pytest.raises(ValueError, match=rf"line \(d = 1\) only, got d = {d}"):
                 integrate_ball(ones, Ball([0] * d, 1.0), QuadConfig(h=0.5))
             with pytest.raises(ValueError, match="line"):
-                integrate_shell(ones, np.zeros(d), 0.5, 1.0, QuadConfig(h=0.5))
+                integrate_complement(ones, Ball([0] * d, 0.5), QuadConfig(h=0.5))
 
 
 class TestIntegrateComplement:
@@ -118,37 +110,41 @@ class TestIntegrateComplement:
         with pytest.raises(ValueError, match="truncation radius"):
             integrate_complement(ones, Ball([0.0], 3.0), QuadConfig(truncation_radius=2.0))
 
+    def test_one_pass_over_the_shell(self):
+        # off-grid centre and radius: the complement is the correctly rounded sum
+        # of the field over the nodes of (r, R_tr] alone, not a difference of two balls
+        c, r, r_tr, cfg = 0.013, 0.737, 1.9, QuadConfig(h=0.05, truncation_radius=1.9)
+        f = lambda p: gauss1(p - 0.4)
+        pts, w = shell_nodes([c], r, r_tr, cfg)
+        res = integrate_complement(f, Ball([c], r), cfg)
+        assert res.value == math.fsum((f(pts) * w).tolist())
+        assert res.node_count == len(w)
+
 
 class TestShellNodes:
     @pytest.mark.parametrize("center", [[0.013]], ids=["d1"])
     def test_ball_plus_shell_is_exact_volume(self, center):
-        # off-grid center, inner radius not a multiple of h: every cell of
-        # B(c, R) must be counted once, split exactly across the two passes
-        c = np.asarray(center)
-        d = c.size
-        h, r, R = 0.05, 0.737, 1.9
-        cfg = QuadConfig(h=h)
+        # off-grid centre, inner radius not a multiple of h: every cell of
+        # B(c, R_tr) must be counted once, split exactly across the ball and
+        # the complement's shell
+        c, r, r_tr = np.asarray(center), 0.737, 1.9
+        cfg = QuadConfig(h=0.05, truncation_radius=r_tr)
         total = 0.0
-        for r_in, r_out in ((0.0, r), (r, R)):
+        for (r_in, r_out), res in (
+            ((0.0, r), integrate_ball(ones, Ball(c, r), cfg)),
+            ((r, r_tr), integrate_complement(ones, Ball(c, r), cfg)),
+        ):
             pts, w = shell_nodes(c, r_in, r_out, cfg)
-            assert pts.shape == (len(w), d)
-            dist = np.sqrt(np.einsum("ij,ij->i", pts - c, pts - c))
-            assert np.all(dist >= r_in - h * math.sqrt(d))
-            assert np.all(dist <= r_out + h * math.sqrt(d))
-            res = integrate_shell(ones, c, r_in, r_out, cfg)
+            assert pts.shape == (len(w), 1)
+            dist = np.abs(pts[:, 0] - c[0])
+            assert np.all((dist > r_in) & (dist <= r_out))
             assert res.node_count == len(w) and res.value == math.fsum(w.tolist())
             total += res.value
-        exact = ball_volume(d, R)
-        assert abs(total - exact) <= 1e-11 * exact
-
-    def test_ball_is_the_shell_from_zero(self):
-        c, cfg = np.array([0.1]), QuadConfig(h=0.05)
-        assert integrate_ball(gauss1, Ball(c, 1.3), cfg) == integrate_shell(gauss1, c, 0.0, 1.3, cfg)
+        assert abs(total - 2.0 * r_tr) <= 1e-11 * 2.0 * r_tr
 
     def test_empty_shell(self):
-        pts, w = shell_nodes(np.zeros(1), 1.0, 1.0, QuadConfig(h=0.1))
-        assert pts.shape == (0, 1) and len(w) == 0
-        res = integrate_shell(ones, np.zeros(1), 1.0, 1.0, QuadConfig(h=0.1))
+        # a window that ends on the sphere leaves nothing to integrate
+        res = integrate_complement(ones, Ball([0.0], 1.0), QuadConfig(h=0.1, truncation_radius=1.0))
         assert res.value == 0.0 and res.node_count == 0
 
 

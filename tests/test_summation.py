@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framelab.summation as summation
-from framelab.summation import ExactSum, exact_sum
+from framelab.summation import exact_sum
 
 # |x| <= 1e300 and at most a few hundred terms: no partial sum of math.fsum
 # can overflow, so fsum's value is the correctly rounded exact sum
@@ -46,14 +46,6 @@ class TestExactSum:
         terms = xs + [-v for v in xs] + extra
         rnd.shuffle(terms)
         assert_fsum(terms)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(term, max_size=MAX_LEN), st.lists(st.integers(min_value=0, max_value=MAX_LEN), max_size=5))
-    def test_independent_of_split(self, xs, cuts):
-        acc = ExactSum()
-        for part in np.split(np.asarray(xs, dtype=float), sorted(c for c in cuts if c <= len(xs))):
-            acc.add(part)
-        assert acc.value == math.fsum(xs)
 
     def test_many_chunks_and_folds(self, monkeypatch):
         # small chunks and a fold after every other chunk exercise both

@@ -9,7 +9,7 @@ from framelab.cli import main
 from framelab.density import lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
-from framelab import quadrature
+from framelab import localization, quadrature
 from framelab.quadrature import QuadConfig
 from framelab.space import CountingMeasure, Lattice, LebesgueMeasure, PointSet
 from framelab.verify import (
@@ -150,15 +150,15 @@ class TestCorollary:
 
 
 def record_grids(monkeypatch) -> list[int]:
-    """The dimension of every quadrature grid built from now on; every grid goes through _node_chunks."""
+    """The dimension of every quadrature grid built from now on; every grid goes through _integrate."""
     grids = []
-    node_chunks = quadrature._node_chunks
+    integrate = quadrature._integrate
 
-    def recording(center, *args):
+    def recording(f, center, *args):
         grids.append(center.size)
-        return node_chunks(center, *args)
+        return integrate(f, center, *args)
 
-    monkeypatch.setattr(quadrature, "_node_chunks", recording)
+    monkeypatch.setattr(quadrature, "_integrate", recording)
     return grids
 
 
@@ -285,6 +285,27 @@ class TestScenarios:
         names = {v["name"]: v["verdict"] for v in rep["verdicts"]}
         assert names["parseval-corollary"] == "pass"
         assert rep["overall"] == "pass"
+
+    def test_paley_wiener_scenario_calls_the_bound_grid_names(self, monkeypatch):
+        # the Paley-Wiener terms reach the grid by these two names of
+        # framelab.localization, the ones the benchmark's tracer can bind there
+        # (integrate_complement is bound): a call that bypassed them would
+        # escape its counters
+        calls = []
+
+        def recording(name):
+            original = getattr(localization, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("integrate_ball", "integrate_complement"):
+            monkeypatch.setattr(localization, name, recording(name))
+        run({"scenario": "paley-wiener", "radii": [4.0], "density_rmax": 16.0})
+        assert set(calls) == {"integrate_ball", "integrate_complement"}
 
     @pytest.mark.parametrize("name", list(DEFAULTS))
     def test_defaults_table_matches_schema_and_scenario(self, name):
