@@ -110,11 +110,37 @@ _PAIR_SCHEMA = {
 }
 
 
+def _non_finite_path(value, path: str = "$") -> str | None:
+    """JSON path of the first NaN or infinite number in a parsed JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for where, item in items:
+        found = _non_finite_path(item, where)
+        if found is not None:
+            return found
+    return None
+
+
 def _load_json_arg(arg: str) -> dict:
+    """A command's JSON argument: inline, @file or a path.
+
+    Python's json reads NaN, Infinity and overflowing numbers such as 1e999,
+    which no config means; they are rejected here at their JSON path.
+    """
     text = Path(arg[1:]).read_text() if arg.startswith("@") else arg
     if not text.lstrip().startswith("{"):
         text = Path(text).read_text()
-    return json.loads(text)
+    cfg = json.loads(text)
+    path = _non_finite_path(cfg)
+    if path is not None:
+        raise verify.ConfigError(f"config invalid at {path}: not a finite number")
+    return cfg
 
 
 def measure_from_config(cfg: dict):

@@ -88,13 +88,22 @@ def _mod2_cross(kernel, X, Y) -> np.ndarray:
 
 
 def _scaled_i0(x: np.ndarray) -> np.ndarray:
-    """e^{-x} I_0(x) for x >= 0: numpy's I_0 up to x = 50, the asymptotic series beyond (14th term < 1e-18)."""
-    small, big = np.minimum(x, 50.0), np.maximum(x, 50.0)
-    term = total = np.ones_like(big)
-    for k in range(1, 14):
-        term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / big
-        total = total + term
-    return np.where(x <= 50.0, np.i0(small) * np.exp(-small), total / np.sqrt(2.0 * math.pi * big))
+    """e^{-x} I_0(x) for x >= 0: numpy's I_0 up to x = 50, the asymptotic series beyond (14th term < 1e-18).
+
+    Each branch runs on its own entries only, picked by a mask; with no entry
+    above 50 the series is skipped.
+    """
+    out = np.empty_like(x)
+    small = x <= 50.0
+    out[small] = np.i0(x[small]) * np.exp(-x[small])
+    if not small.all():
+        big = x[~small]
+        term = total = np.ones_like(big)
+        for k in range(1, 14):
+            term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / big
+            total = total + term
+        out[~small] = total / np.sqrt(2.0 * math.pi * big)
+    return out
 
 
 def _radial_density(s, d) -> np.ndarray:
@@ -112,12 +121,16 @@ def _disk_mass(s, r: float, inside: bool) -> np.ndarray:
     Inside integrates the radial density over [0, r], outside over
     [r, inf), each by the 64-node rule on the part within _DISK_SPAN of s,
     in d = rho - s.  Good to ~3e-16 absolute against 30-digit quadrature.
+    The rule runs once per distinct distance (a lattice's atoms take few), and
+    each row's 64 terms are summed on their own, never by a matrix product
+    whose rounding depends on the row's place in the batch: an entry's mass
+    is the same bits whatever else the call holds.
     """
-    s = np.asarray(s, dtype=float)
+    s, back = np.unique(np.asarray(s, dtype=float), return_inverse=True)
     lo = np.maximum(-_DISK_SPAN, -s if inside else r - s)
     hi = np.maximum(lo, np.minimum(_DISK_SPAN, r - s) if inside else _DISK_SPAN)
     d = lo[:, None] + (hi - lo)[:, None] * _GL_U
-    return (hi - lo) * (_radial_density(s[:, None], d) @ _GL_W)
+    return ((hi - lo) * (_radial_density(s[:, None], d) * _GL_W).sum(axis=1))[back]
 
 
 def _lens_overlap(s: float, r: float) -> float:

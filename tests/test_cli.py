@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -217,6 +218,26 @@ class TestCommands:
         rc = main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert f"config invalid at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["run", "--config", '{"scenario": "fock", "density_rmax": Infinity}'], "$.density_rmax"),
+            (["run", "--config", '{"scenario": "fock", "density_rmax": 1e999}'], "$.density_rmax"),
+            (["run", "--config", '{"scenario": "fock", "gram_radii": [2.5, Infinity]}'], "$.gram_radii[1]"),
+            (["run", "--config", '{"scenario": "paley-wiener", "radii": [NaN]}'], "$.radii[0]"),
+            (["run", "--config", '{"scenario": "dual-embedding", "offset": [0.1, -Infinity]}'], "$.offset[1]"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [0.1, math.nan]}), "--radii", "2"], "$.g_offset[1]"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", '{"scale": 1e999, "dim": 2}', "--radii", "2"], "$.scale"),
+        ],
+    )
+    def test_non_finite_number_exit_2_names_path(self, argv, path, tmp_path, capsys):
+        # Python's json reads NaN, Infinity and 1e999 (as inf); no config means them
+        out = ["--out-dir", str(tmp_path)] if argv[0] == "run" else ["--out", str(tmp_path / "out")]
+        rc = main(argv + out)
+        assert rc == 2
+        assert f"config invalid at {path}: not a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, path",

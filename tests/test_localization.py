@@ -350,6 +350,70 @@ class TestDiskMass:
         total = localization._disk_mass(s, 6.0, True) + localization._disk_mass(s, 6.0, False)
         assert np.max(np.abs(total - 1.0)) <= 2e-15  # two sums of 64 rounded terms
 
+    @staticmethod
+    def lattice_distances():
+        # the distances of 0.8 Z^2 from the centre of B(0, 4), around its sphere: many repeat
+        pts = Lattice(0.8, 2).points_in_ball(Ball([0.0, 0.0], 9.0))
+        return np.sqrt(np.einsum("ij,ij->i", pts, pts))
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_each_entry_is_its_own_call(self, inside):
+        # an entry's mass does not depend on the rest of the batch, bit for bit
+        s = np.concatenate([self.lattice_distances(), np.linspace(0.0, 12.0, 97)])
+        batch = localization._disk_mass(s, 4.0, inside)
+        alone = np.array([localization._disk_mass(s[i : i + 1], 4.0, inside)[0] for i in range(len(s))])
+        assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_shuffled_duplicates_permute_the_values(self, inside):
+        s = self.lattice_distances()
+        perm = np.random.default_rng(3).permutation(len(s))
+        assert len(np.unique(s)) < len(s) / 4
+        shuffled = localization._disk_mass(s[perm], 4.0, inside)
+        assert np.array_equal(shuffled, localization._disk_mass(s, 4.0, inside)[perm])
+
+    def test_one_rule_per_distinct_distance(self, monkeypatch):
+        rows = []
+        radial_density = localization._radial_density
+
+        def record(s, d):
+            rows.append(np.shape(s)[0])
+            return radial_density(s, d)
+
+        monkeypatch.setattr(localization, "_radial_density", record)
+        s = self.lattice_distances()
+        localization._disk_mass(s, 4.0, inside=False)
+        assert rows == [len(np.unique(s))]
+
+
+class TestScaledI0:
+    """e^{-x} I_0(x): numpy's I_0 up to the branch point 50, the asymptotic series beyond."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(0.0, 200.0, 4001),
+            50.0 + np.concatenate([-np.logspace(-12, 0, 49), [0.0], np.logspace(-12, 0, 49)]),
+            np.logspace(2, 6, 401),
+        ],
+        ids=["0-200", "around-50", "up-to-1e6"],
+    )
+    def test_against_scipy_i0e(self, x):
+        want = special.i0e(x)
+        assert np.max(np.abs(localization._scaled_i0(x) - want) / want) <= 2e-15
+
+    def test_numpy_i0_sees_only_its_branch(self, monkeypatch):
+        seen = []
+        i0 = np.i0
+
+        def record(x):
+            seen.append(np.asarray(x))
+            return i0(x)
+
+        monkeypatch.setattr(np, "i0", record)
+        localization._scaled_i0(np.array([0.0, 49.5, 50.0, 50.5, 1e3]))
+        assert len(seen) == 1 and np.array_equal(seen[0], [0.0, 49.5, 50.0])
+
 
 class TestLensOverlap:
     """The Lebesgue x Lebesgue term for Gaussian kernels: a radial integral against the lens area."""

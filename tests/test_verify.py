@@ -267,6 +267,25 @@ class TestScenarios:
             run({**FAST_FOCK, "scenario": name, "lattice": {"scale": 0.8, "dim": 2}})
         assert grids == []
 
+    def test_gaussian_atom_terms_take_one_rule_per_distinct_distance(self, monkeypatch):
+        # a work counter: lattice symmetry repeats atom distances, and the radial
+        # rule runs once per distinct one in each call
+        distances, rows = [], []
+        disk_mass, radial_density = localization._disk_mass, localization._radial_density
+
+        def record_distances(s, r, inside):
+            distances.append(len(np.unique(s)))
+            return disk_mass(s, r, inside)
+
+        def record_rows(s, d):
+            rows.append(np.shape(s)[0])
+            return radial_density(s, d)
+
+        monkeypatch.setattr(localization, "_disk_mass", record_distances)
+        monkeypatch.setattr(localization, "_radial_density", record_rows)
+        run({"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}, "seed": 0})
+        assert distances and sum(rows) <= sum(distances)
+
     def test_every_quad_and_tolerances_field_is_read_by_some_scenario(self):
         # a field no scenario lists in DEFAULTS would be a setting that changes nothing
         for key in ("quad", "tolerances"):
