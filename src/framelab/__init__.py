@@ -4,7 +4,6 @@ Subpackages:
   space         points, balls, point sets, measures on R^d
   kernels       Paley-Wiener / Fock / Gabor-Gaussian reproducing kernels
   quadrature    deterministic ball and complement integration on one grid of the line
-  summation     exact, correctly rounded sums of float64 terms
   finframe      exact finite-dimensional frame oracle
   density       generalized Beurling density estimation
   localization  kernel tails, double tails and localization defects

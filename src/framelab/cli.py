@@ -19,7 +19,7 @@ from .density import DEFAULT_RADII, density, lattice_schedule, default_schedule
 from .kernels import kernel_from_config
 from .localization import FramePairSpec, localization_defect
 from .quadrature import QuadConfig
-from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, load_point_set_csv
+from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure
 
 
 _LATTICE_SCHEMA = {
@@ -71,7 +71,11 @@ _MEASURE_SCHEMA = {
         "atomic": {
             "type": "object",
             "properties": {
-                "points": {"type": "array", "items": {"type": "array", "items": {"type": "number"}, "minItems": 1}},
+                "points": {
+                    "type": "array",
+                    "items": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                    "minItems": 1,
+                },
                 "weights": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
             },
             "required": ["points", "weights"],
@@ -110,50 +114,41 @@ _PAIR_SCHEMA = {
 }
 
 
-def _non_finite_path(value, path: str = "$") -> str | None:
-    """JSON path of the first NaN or infinite number in a parsed JSON value, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = ((f"{path}.{key}", item) for key, item in value.items())
-    elif isinstance(value, list):
-        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
-    else:
-        return None
-    for where, item in items:
-        found = _non_finite_path(item, where)
-        if found is not None:
-            return found
-    return None
-
-
 def _load_json_arg(arg: str) -> dict:
-    """A command's JSON argument: inline, @file or a path.
-
-    Python's json reads NaN, Infinity and overflowing numbers such as 1e999,
-    which no config means; they are rejected here at their JSON path.
-    """
+    """A command's JSON argument: inline, @file or a path."""
     text = Path(arg[1:]).read_text() if arg.startswith("@") else arg
     if not text.lstrip().startswith("{"):
         text = Path(text).read_text()
-    cfg = json.loads(text)
-    path = _non_finite_path(cfg)
-    if path is not None:
-        raise verify.ConfigError(f"config invalid at {path}: not a finite number")
-    return cfg
+    return json.loads(text)
 
 
-def measure_from_config(cfg: dict):
-    """Measure from {"lebesgue": {...}} | {"lattice": {...}} | {"points_csv": ...} | {"atomic": {...}}."""
+def measure_from_config(cfg: dict, root: str = "$"):
+    """Measure from {"lebesgue": {...}} | {"lattice": {...}} | {"points_csv": ...} | {"atomic": {...}}.
+
+    Point data that makes no measure is a ConfigError at its JSON path under root.
+    """
     if "lebesgue" in cfg:
         return LebesgueMeasure(int(cfg["lebesgue"]["dim"]))
     if "lattice" in cfg:
         lat = cfg["lattice"]
         return CountingMeasure(Lattice(float(lat["scale"]), int(lat["dim"])))
     if "points_csv" in cfg:
-        return CountingMeasure(load_point_set_csv(cfg["points_csv"]))
+        return CountingMeasure(verify.config_point_set(cfg["points_csv"], f"{root}.points_csv"))
     if "atomic" in cfg:
-        return AtomicMeasure(cfg["atomic"]["points"], cfg["atomic"]["weights"])
+        points, weights = cfg["atomic"]["points"], cfg["atomic"]["weights"]
+        first = {}
+        for i, p in enumerate(points):
+            where = f"config invalid at {root}.atomic.points[{i}]"
+            if len(p) != len(points[0]):
+                raise verify.ConfigError(f"{where}: {len(p)} coordinates, not {len(points[0])}")
+            j = first.setdefault(tuple(p), i)
+            if j != i:
+                raise verify.ConfigError(f"{where}: the same atom as points[{j}]")
+        if len(weights) != len(points):
+            raise verify.ConfigError(
+                f"config invalid at {root}.atomic.weights: {len(weights)} weights for {len(points)} atoms"
+            )
+        return AtomicMeasure(points, weights)
     raise verify.ConfigError(
         "config invalid at $: measure needs one of lebesgue/lattice/points_csv/atomic"
     )
@@ -202,7 +197,7 @@ def _cmd_localize(args) -> int:
         raise verify.ConfigError(
             f"config invalid at $.kernel.params.n: localize needs a kernel in dimension <= 2, got {kernel.dim}"
         )
-    measures = {side: measure_from_config(pair_cfg[side]) for side in ("f", "g")}
+    measures = {side: measure_from_config(pair_cfg[side], f"$.{side}") for side in ("f", "g")}
     for side, m in measures.items():
         if m.dim != kernel.dim:
             path = _dim_path(pair_cfg[side], f"$.{side}")

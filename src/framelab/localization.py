@@ -48,7 +48,6 @@ from numpy.polynomial import legendre
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .quadrature import QuadConfig, integrate_ball, integrate_complement
 from .space import Ball, LebesgueMeasure, as_point, ball_volume
-from .summation import exact_sum
 
 __all__ = [
     "FramePairSpec",
@@ -230,7 +229,13 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
 
 
 def _sum_field_over_atoms(kernel, nodes, atoms, atom_weights) -> np.ndarray:
-    """sum_j w_j |<k_node_i, k_atom_j>|^2 over every pair of kernel points, in blocks of _NODE_CHUNK nodes."""
+    """sum_j w_j |<k_node_i, k_atom_j>|^2 over every pair of kernel points, in blocks of _NODE_CHUNK nodes.
+
+    The atoms enter in lexicographic order, so a node's value does not depend
+    on the order they come in.
+    """
+    order = np.lexsort(atoms.T[::-1])
+    atoms, atom_weights = atoms[order], atom_weights[order]
     out = np.empty(len(nodes))
     for i in range(0, len(nodes), _NODE_CHUNK):
         out[i : i + _NODE_CHUNK] = _mod2_cross(kernel, nodes[i : i + _NODE_CHUNK], atoms) @ atom_weights
@@ -296,7 +301,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         p, w = (u_atoms - inner_off, w_out) if out_disc else (v_atoms - outer_off, w_in)
         s = np.linalg.norm(p - ball.center, axis=1)
         near = s <= r + cutoff if out_disc else s >= r - cutoff
-        return exact_sum(w[near] * _disk_mass(s[near], r, inside=out_disc))
+        return math.fsum((w[near] * _disk_mass(s[near], r, inside=out_disc)).tolist())
     # every kernel left here has tail_cutoff = inf: its field spans all of B, or of B(R_tr) \ B
     if out_disc:
         field = lambda x: _sum_field_over_atoms(kernel, x + inner_off, u_atoms, w_out)

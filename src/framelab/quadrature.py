@@ -9,7 +9,7 @@ are radial integrals in ``framelab.localization``.  Cells have spacing h,
 are anchored at the centre and are clipped exactly to the shell; every cell
 gets a 2-point Gauss-Legendre rule.  The field is evaluated once on all
 nodes, and the value is the correctly rounded sum of the node terms
-(``summation.exact_sum``).
+(``math.fsum``).
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import Ball
-from .summation import exact_sum
 
 __all__ = ["QuadConfig", "IntegralResult", "integrate_ball", "integrate_complement"]
 
@@ -89,7 +88,7 @@ def _integrate(f, center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig
     bad = ~np.isfinite(vals)
     if np.any(bad):
         raise ValueError(f"non-finite integrand value at node {pts[np.argmax(bad)].tolist()}")
-    return IntegralResult(value=exact_sum(vals * w), node_count=len(pts))
+    return IntegralResult(value=math.fsum((vals * w).tolist()), node_count=len(pts))
 
 
 def integrate_ball(f, b: Ball, cfg: QuadConfig) -> IntegralResult:

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .summation import exact_sum
-
 __all__ = [
     "Ball",
     "PointSet",
@@ -240,7 +238,7 @@ class AtomicMeasure:
 
     def ball_mass(self, b: Ball) -> float:
         inside = b.contains(self.points)
-        return exact_sum(self.weights[inside])
+        return math.fsum(self.weights[inside].tolist())
 
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         inside = b.contains(self.points)
@@ -251,12 +249,14 @@ class AtomicMeasure:
 
 
 def load_point_set_csv(path) -> PointSet:
-    """Load a point set from CSV with header x1,...,xd (one point per row)."""
+    """Load a point set from CSV with header x1,...,xd (one point per row, at least one row)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expect = [f"x{i + 1}" for i in range(len(header))]
+        header = next(reader, [])
+        expect = [f"x{i + 1}" for i in range(max(len(header), 1))]
         if [h.strip() for h in header] != expect:
             raise ValueError(f"point CSV header must be {','.join(expect)}")
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError("point CSV holds no points")
     return PointSet(np.asarray(rows, dtype=float).reshape(len(rows), len(header)))

@@ -164,8 +164,35 @@ class ConfigError(ValueError):
     """Scenario configuration rejected; message carries the JSON path."""
 
 
+def _non_finite_path(value, path: str = "$") -> str | None:
+    """JSON path of the first NaN or infinite number in a parsed JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for where, item in items:
+        found = _non_finite_path(item, where)
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
+    """cfg, checked against schema; the first fault is a ConfigError naming its JSON path.
+
+    Python's json reads NaN, Infinity and overflowing numbers such as 1e999,
+    which no config means: they are rejected first, before the schema, whose
+    number type admits them.
+    """
     import jsonschema
+
+    path = _non_finite_path(cfg)
+    if path is not None:
+        raise ConfigError(f"config invalid at {path}: not a finite number")
 
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
@@ -178,6 +205,18 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
         message = "the chosen scenario or kernel does not read this key" if first.validator == "not" else first.message
         raise ConfigError(f"config invalid at {path}: {message}")
     return cfg
+
+
+def config_point_set(path, where: str = "$.points_csv") -> PointSet:
+    """The point set of a config's points_csv file.
+
+    A file that cannot be read as at least one distinct finite point is a
+    ConfigError at where: verify and the CLI share this one conversion.
+    """
+    try:
+        return load_point_set_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config invalid at {where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +377,7 @@ def _build_lattice_support(cfg: dict):
     the unit box for CSV points.
     """
     if cfg["points_csv"] is not None:
-        points = load_point_set_csv(cfg["points_csv"])
+        points = config_point_set(cfg["points_csv"])
         return points, lattice_schedule(1.0, points.dim, r_max=cfg["density_rmax"])
     lat = Lattice(cfg["lattice"]["scale"], cfg["lattice"]["dim"])
     sched = lattice_schedule(lat.scale, lat.dim, r_max=cfg["density_rmax"])

@@ -23,6 +23,10 @@ GABOR_PAIR = {**LOC_PAIR, "kernel": {"kernel": "gabor-gaussian"}}
 SWAPPED_PAIR = {**LOC_PAIR, "f": LOC_PAIR["g"], "g": LOC_PAIR["f"]}
 LEBESGUE_PAIR = {**LOC_PAIR, "g": LOC_PAIR["f"]}
 GABOR_LEBESGUE_PAIR = {**LEBESGUE_PAIR, "kernel": GABOR_PAIR["kernel"]}
+LEBESGUE_2D = '{"lebesgue": {"dim": 2}}'
+ATOMIC_SHORT_WEIGHTS = {"atomic": {"points": [[0, 0], [1, 1]], "weights": [1]}}
+ATOMIC_RAGGED = {"atomic": {"points": [[0.1, 0.2], [0.1]], "weights": [1, 1]}}
+ATOMIC_DUPLICATE = {"atomic": {"points": [[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]], "weights": [1, 1, 1]}}
 GABOR_N2_PAIR = {
     "kernel": {"kernel": "gabor-gaussian", "params": {"n": 2}},
     "f": {"lattice": {"scale": 1.0, "dim": 4}},
@@ -294,12 +298,41 @@ class TestCommands:
                 ["localize", "--pair", json.dumps({**GABOR_LEBESGUE_PAIR, "quad": {"h": 0.1}}), "--radii", "2"],
                 "$.quad.h",
             ),
+            # atomic point data that makes no measure
+            (["density", "--mu", json.dumps(ATOMIC_SHORT_WEIGHTS), "--nu", LEBESGUE_2D], "$.atomic.weights"),
+            (["density", "--mu", json.dumps(ATOMIC_RAGGED), "--nu", LEBESGUE_2D], "$.atomic.points[1]"),
+            (["density", "--mu", json.dumps(ATOMIC_DUPLICATE), "--nu", LEBESGUE_2D], "$.atomic.points[2]"),
+            (["density", "--mu", '{"atomic": {"points": [], "weights": []}}', "--nu", LEBESGUE_2D], "$.atomic.points"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "g": ATOMIC_SHORT_WEIGHTS}), "--radii", "2"], "$.g.atomic.weights"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "g": ATOMIC_RAGGED}), "--radii", "2"], "$.g.atomic.points[1]"),
+            (["localize", "--pair", json.dumps({**SWAPPED_PAIR, "f": ATOMIC_DUPLICATE}), "--radii", "2"], "$.f.atomic.points[2]"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"config invalid at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path", [("run", "$.points_csv"), ("density", "$.points_csv"), ("localize", "$.g.points_csv")])
+    @pytest.mark.parametrize(
+        "text",
+        ["a,b\n0,0\n", "x1,x2\n0,abc\n", "x1,x2\n0.5,nan\n", "x1,x2\n1.0,2.0\n0,0\n1.0,2.0\n", "x1,x2\n"],
+        ids=["header", "not-a-number", "nan", "duplicate-row", "header-only"],
+    )
+    def test_malformed_points_csv_exit_2_names_path(self, command, path, text, tmp_path, capsys):
+        # a header-only file would otherwise run as a support with no points
+        csv_path = tmp_path / "pts.csv"
+        csv_path.write_text(text)
+        spec = {"points_csv": str(csv_path)}
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--config", json.dumps({"scenario": "gabor", **spec}), "--out-dir", str(out)],
+            "density": ["density", "--mu", json.dumps(spec), "--nu", LEBESGUE_2D, "--out", str(out)],
+            "localize": ["localize", "--pair", json.dumps({**LOC_PAIR, "g": spec}), "--radii", "2", "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert f"config invalid at {path}:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -337,19 +370,12 @@ class TestCommands:
         assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")]) == 0
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
-        p = tmp_path / "pts.csv"
-        p.write_text("x1,x2\n1.0,2.0\n1.0,2.0\n")  # coincident pair
-        rc = main(
-            [
-                "run",
-                "--config",
-                json.dumps({"scenario": "gabor", "points_csv": str(p)}),
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
+        # both sides' atoms lie outside the ball: the defect has no normalizer
+        far = {"atomic": {"points": [[10.0, 0.0]], "weights": [1.0]}}
+        pair = {**LOC_PAIR, "f": far, "g": far}
+        rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")])
         assert rc == 1
-        assert "not separated" in capsys.readouterr().err
+        assert "empty ball: defect normalizer vanishes" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -198,6 +198,38 @@ class TestDoubleTail:
         with pytest.raises(ValueError, match="dimension <= 2, got 4"):
             FramePairSpec(GaborGaussianKernel(2), lattice, lattice)
 
+    @pytest.mark.parametrize(
+        "kernel, discrete, lebesgue_side, ball, cfg",
+        [
+            (FockKernel(), "points", "f", Ball([0.1, -0.3], 2.5), QuadConfig()),
+            (FockKernel(), "points", "g", Ball([0.1, -0.3], 2.5), QuadConfig()),
+            (PaleyWienerKernel(), "atoms", "f", Ball([0.2], 2.5), QuadConfig(h=0.05)),
+            (PaleyWienerKernel(), "atoms", "g", Ball([0.2], 2.5), QuadConfig(h=0.05)),
+        ],
+        ids=["fock-lebesgue-points", "fock-points-lebesgue", "pw-lebesgue-atomic", "pw-atomic-lebesgue"],
+    )
+    def test_permuted_atoms_give_the_same_bits(self, kernel, discrete, lebesgue_side, ball, cfg):
+        # a discrete side's terms are summed exactly, so the order its points
+        # or atoms come in cannot move t1, t2 or either ball mass by one bit
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-6.0, 6.0, size=(200 if kernel.dim == 2 else 40, kernel.dim))
+        weights = rng.uniform(0.1, 3.0, len(pts))
+
+        def tails(order):
+            side = (
+                CountingMeasure(PointSet(pts[order]))
+                if discrete == "points"
+                else AtomicMeasure(pts[order], weights[order])
+            )
+            sides = (LebesgueMeasure(kernel.dim), side)
+            dt = double_tail(FramePairSpec(kernel, *(sides if lebesgue_side == "f" else sides[::-1])), ball, cfg)
+            return dt.t1, dt.t2, dt.mu_ball, dt.nu_ball
+
+        first = tails(np.arange(len(pts)))
+        assert first[0] > 0 and first[1] > 0
+        for _ in range(5):
+            assert tails(rng.permutation(len(pts))) == first
+
 
 def dense_sum_field_over_atoms(kernel, nodes, atoms, atom_weights):
     """Oracle: the chunked node x atom sum that evaluates every pair."""

@@ -48,8 +48,8 @@ class TestIntegrateBall:
         ids=["d1-gauss", "d1"],
     )
     def test_several_chunks_sum_like_fsum(self, f, b, h, exact):
-        # more nodes than one summation chunk: the chunk sums must add up to
-        # the correctly rounded sum of all node terms
+        # a long grid (over 3 * 2^16 nodes): the value is still the correctly
+        # rounded sum of all node terms
         cfg = QuadConfig(h=h)
         pts, w = shell_nodes(b.center, 0.0, b.radius, cfg)
         assert len(pts) > 3 * (1 << 16)
@@ -67,9 +67,9 @@ class TestIntegrateBall:
 
     @pytest.mark.parametrize("index", [100_000, -1], ids=["interior", "straddle"])
     def test_non_finite_field_reports_translated_node_in_later_chunk(self, index):
-        # non-finite only at one node past the first 2^16, inside or in the
-        # clipped cell at the sphere: the check runs on every node and names
-        # the node's coordinates, not its index
+        # non-finite only at one node far into a long grid (past the first
+        # 2^16), inside or in the clipped cell at the sphere: the check runs
+        # on every node and names the node's coordinates, not its index
         b, cfg = Ball([0.1], 900.0), QuadConfig(h=0.02)
         pts, _ = shell_nodes(b.center, 0.0, b.radius, cfg)
         target = pts[index]

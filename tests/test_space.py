@@ -37,6 +37,27 @@ class TestBallMass:
         m = AtomicMeasure([[0.0]], [2.5])
         assert m.ball_mass(Ball([0.0], 1.0)) == 2.5
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=1.0, max_value=10.0), st.integers(min_value=-300, max_value=299)),
+            min_size=1,
+            max_size=80,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_atomic_mass_is_the_exact_sum_in_any_order(self, terms, rnd):
+        # weights spread over 1e-300 ... 1e300: the mass of the atoms inside
+        # is math.fsum of their weights, bit for bit, whatever the atom order
+        weights = np.array([m * 10.0**e for m, e in terms])
+        pts = np.arange(len(weights), dtype=float)[:, None]
+        ball = Ball([len(weights) / 3.0], len(weights) / 2.0)
+        mass = AtomicMeasure(pts, weights).ball_mass(ball)
+        assert mass == math.fsum(weights[ball.contains(pts)].tolist())
+        order = list(range(len(weights)))
+        rnd.shuffle(order)
+        assert AtomicMeasure(pts[order], weights[order]).ball_mass(ball) == mass
+
     def test_boundary_atom_counts(self):
         # closed balls: an atom exactly on the sphere belongs to the ball
         m = CountingMeasure(PointSet([[1.0], [2.0]]))

@@ -171,6 +171,20 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="radii"):
             validate_config({"scenario": "fock", "radii": [-1.0]})
 
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}, "density_rmax": math.inf}, "$.density_rmax"),
+            ({"scenario": "paley-wiener", "radii": [math.nan]}, "$.radii[0]"),
+            ({"scenario": "fock", "gram_radii": [2.5, math.inf]}, "$.gram_radii[1]"),
+            ({"scenario": "dual-embedding", "offset": [0.1, -math.inf]}, "$.offset[1]"),
+        ],
+    )
+    def test_non_finite_number_names_path(self, cfg, path):
+        # the Python API rejects what the CLI rejects, before any scenario work
+        with pytest.raises(ConfigError, match=re.escape(f"config invalid at {path}: not a finite number")):
+            run(cfg)
+
     def test_finite_oracle(self):
         rep = run({"scenario": "finite-oracle", "seed": 7, "trials": 30})
         assert rep["overall"] == "pass"
