@@ -16,7 +16,7 @@ import numpy as np
 
 from . import verify
 from .density import DEFAULT_RADII, density, lattice_schedule, default_schedule
-from .kernels import kernel_from_config
+from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, localization_defect
 from .quadrature import QuadConfig
 from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure
@@ -31,8 +31,12 @@ _LATTICE_SCHEMA = {
     "required": ["scale", "dim"],
     "additionalProperties": False,
 }
-# the params each kernel reads
-_KERNEL_PARAMS = {"paley-wiener": ("band",), "fock": (), "gabor-gaussian": ("n",)}
+# each kernel's class and the params it reads
+_KERNEL_PARAMS = {
+    "paley-wiener": (PaleyWienerKernel, ("band",)),
+    "fock": (FockKernel, ()),
+    "gabor-gaussian": (GaborGaussianKernel, ("n",)),
+}
 _KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
@@ -53,7 +57,7 @@ _KERNEL_SCHEMA = {
                 "properties": {"params": {"properties": {k: {"not": {}} for k in ("band", "n") if k not in keys}}}
             },
         }
-        for name, keys in _KERNEL_PARAMS.items()
+        for name, (_, keys) in _KERNEL_PARAMS.items()
     ],
 }
 # exactly one measure kind
@@ -114,12 +118,16 @@ _PAIR_SCHEMA = {
 }
 
 
-def _load_json_arg(arg: str) -> dict:
-    """A command's JSON argument: inline, @file or a path."""
-    text = Path(arg[1:]).read_text() if arg.startswith("@") else arg
-    if not text.lstrip().startswith("{"):
-        text = Path(text).read_text()
-    return json.loads(text)
+def _load_json_arg(arg: str):
+    """A command's JSON argument: inline (an object), @file or a path; the schema checks what it holds."""
+    inline = not arg.startswith("@") and arg.lstrip().startswith("{")
+    return json.loads(arg if inline else Path(arg.removeprefix("@")).read_text())
+
+
+def _kernel(spec: dict):
+    """The kernel of a spec the schema has checked: its class, called with its params."""
+    cls, _ = _KERNEL_PARAMS[spec["kernel"]]
+    return cls(**spec.get("params", {}))
 
 
 def measure_from_config(cfg: dict, root: str = "$"):
@@ -144,11 +152,10 @@ def measure_from_config(cfg: dict, root: str = "$"):
             j = first.setdefault(tuple(p), i)
             if j != i:
                 raise verify.ConfigError(f"{where}: the same atom as points[{j}]")
-        if len(weights) != len(points):
-            raise verify.ConfigError(
-                f"config invalid at {root}.atomic.weights: {len(weights)} weights for {len(points)} atoms"
-            )
-        return AtomicMeasure(points, weights)
+        try:
+            return AtomicMeasure(points, weights)
+        except ValueError as exc:  # the points are checked above: what is left is the weights
+            raise verify.ConfigError(f"config invalid at {root}.atomic.weights: {exc}") from None
     raise verify.ConfigError(
         "config invalid at $: measure needs one of lebesgue/lattice/points_csv/atomic"
     )
@@ -163,7 +170,7 @@ def _dim_path(spec: dict, root: str = "$") -> str:
 def _cmd_run(args) -> int:
     cfg = _load_json_arg(args.config)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg = {**verify.validate_config(cfg), "seed": args.seed}
     report = verify.run(cfg)
     out_dir = args.out_dir or cfg.get("out_dir", ".")
     path = verify.write_report(report, out_dir)
@@ -192,7 +199,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_localize(args) -> int:
     pair_cfg = verify.validate_config(_load_json_arg(args.pair), _PAIR_SCHEMA)
-    kernel = kernel_from_config(pair_cfg["kernel"])
+    kernel = _kernel(pair_cfg["kernel"])
     if kernel.dim > 2:
         raise verify.ConfigError(
             f"config invalid at $.kernel.params.n: localize needs a kernel in dimension <= 2, got {kernel.dim}"
@@ -223,7 +230,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    kernel = kernel_from_config(verify.validate_config(_load_json_arg(args.kernel), _KERNEL_SCHEMA))
+    kernel = _kernel(verify.validate_config(_load_json_arg(args.kernel), _KERNEL_SCHEMA))
     lat_cfg = verify.validate_config(_load_json_arg(args.lattice), _LATTICE_SCHEMA)
     if lat_cfg["dim"] != kernel.dim:
         raise verify.ConfigError(f"config invalid at $.dim: the kernel lives in dimension {kernel.dim}")
@@ -315,7 +322,7 @@ def main(argv=None) -> int:
     except verify.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (json.JSONDecodeError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

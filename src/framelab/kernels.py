@@ -17,7 +17,8 @@ K(x_i, y_j) / sqrt(K(x_i, x_i) K(y_j, y_j)) = <k_{y_j}, k_{x_i}>; Hermitian
 symmetry is structural for every variant.  Only the normalized families
 enter the lab, and they are computed through exponents with nonpositive real
 part, so they stay finite where the raw Fock kernel exp(pi |z|^2) would
-overflow.
+overflow.  A kernel is these Gram entries plus dim and mode_density; the
+decay rules of |<k_x, k_y>|^2 live in framelab.localization.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ __all__ = [
     "FockKernel",
     "GaborGaussianKernel",
     "TabulatedKernel",
-    "kernel_from_config",
 ]
 
 
@@ -60,16 +60,6 @@ class PaleyWienerKernel:
         t = _rows(x, 1)[:, 0][:, None] - _rows(y, 1)[:, 0][None, :]
         return np.asarray(np.sinc(self.band * t / math.pi), dtype=complex)
 
-    def tail_cutoff(self, eps: float) -> float:
-        # sinc^2 decays like (pi t)^-2 only; no useful Gaussian-style cutoff
-        return math.inf
-
-    def mod2_tail_integral(self, gap: float) -> float:
-        """Upper estimate of the squared-modulus mass beyond distance gap."""
-        if gap <= 0:
-            return math.inf
-        return 2.0 / (self.band * self.band * gap)
-
 
 class FockKernel:
     """Bargmann-Fock kernel exp(pi z conj(w)) in one complex variable."""
@@ -86,12 +76,6 @@ class FockKernel:
         w = self._as_complex(_rows(y, 2))[None, :]
         expo = math.pi * (z * np.conj(w) - 0.5 * np.abs(z) ** 2 - 0.5 * np.abs(w) ** 2)
         return np.exp(expo)
-
-    def tail_cutoff(self, eps: float) -> float:
-        return math.sqrt(max(-math.log(eps), 1.0) / math.pi)
-
-    def mod2_tail_integral(self, gap: float) -> float:
-        return math.exp(-math.pi * gap * gap)
 
 
 class GaborGaussianKernel:
@@ -117,12 +101,6 @@ class GaborGaussianKernel:
         dq2 = np.sum((q - qp) ** 2, axis=2)
         phase = math.pi * np.sum((q - qp) * (p + pp), axis=2)
         return np.exp(-0.5 * math.pi * (dp2 + dq2) + 1j * phase)
-
-    def tail_cutoff(self, eps: float) -> float:
-        return math.sqrt(max(-math.log(eps), 1.0) / math.pi)
-
-    def mod2_tail_integral(self, gap: float) -> float:
-        return (1.0 + gap) ** (self.dim - 2) * math.exp(-math.pi * gap * gap)
 
 
 class TabulatedKernel:
@@ -157,24 +135,3 @@ class TabulatedKernel:
         if np.any(dx <= 0) or np.any(dy <= 0):
             raise ValueError("kernel degenerate at point: nonpositive diagonal")
         return kxy / np.sqrt(dx)[:, None] / np.sqrt(dy)[None, :]
-
-    def tail_cutoff(self, eps: float) -> float:
-        return math.inf
-
-    def mod2_tail_integral(self, gap: float) -> float:
-        return math.inf
-
-
-_KERNEL_NAMES = {
-    "paley-wiener": lambda params: PaleyWienerKernel(band=float(params.get("band", math.pi))),
-    "fock": lambda params: FockKernel(),
-    "gabor-gaussian": lambda params: GaborGaussianKernel(n=int(params.get("n", 1))),
-}
-
-
-def kernel_from_config(cfg: dict):
-    """Build a kernel from {"kernel": name, "params": {...}}."""
-    name = cfg.get("kernel")
-    if name not in _KERNEL_NAMES:
-        raise ValueError(f"unknown kernel {name!r}; expected one of {sorted(_KERNEL_NAMES)}")
-    return _KERNEL_NAMES[name](cfg.get("params", {}))

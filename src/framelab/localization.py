@@ -5,10 +5,11 @@ split between two index measures, for kernels in d <= 2 (Paley-Wiener,
 Fock, Gabor with n = 1).  A family's kernel point is its index point plus
 its offset, so a pair's kernel distance is within |Delta| =
 |f_offset - g_offset| of its index distance.
-A pair more than c = tail_cutoff(1e-14) apart in kernel coordinates has a
-term below 1e-14 times its two weights, so only atoms within c + |Delta|
-of the sphere enter a sum; the truncation bound adds 1e-14 f(B_tr) g(B_tr)
-for each of t1 and t2 to cover the rest.
+A Fock or Gabor pair more than c = sqrt(ln(1e14) / pi) ~ 3.20 (``_cutoff``;
+none for Paley-Wiener) apart in kernel coordinates has a term below 1e-14
+times its two weights, so only atoms within c + |Delta| of the sphere enter
+a sum; the truncation bound adds 1e-14 f(B_tr) g(B_tr) for each of t1 and
+t2 to cover the rest.
 
 - Fock and Gabor, a Lebesgue side against a discrete one:
   |<k_x, k_y>|^2 = e^{-pi |x - y|^2}, so the Lebesgue side against one atom
@@ -60,7 +61,8 @@ __all__ = [
 
 _PRUNE_EPS = 1e-14
 _NODE_CHUNK = 8192
-_DISK_SPAN = 1.5 * math.sqrt(-math.log(_PRUNE_EPS) / math.pi)  # e^{-pi span^2} = 1e-31.5
+_CUTOFF = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)  # e^{-pi c^2} = _PRUNE_EPS: c ~ 3.20
+_DISK_SPAN = 1.5 * _CUTOFF  # e^{-pi span^2} = 1e-31.5
 # the radial integrals' 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
 # off by up to ~1e-12 relative, so they are recomputed from P_64' at its nodes
 _GL_X = legendre.leggauss(64)[0]
@@ -84,6 +86,20 @@ def _mod2_cross(kernel, X, Y) -> np.ndarray:
         t = X[:, 0][:, None] - Y[:, 0][None, :]
         return np.sinc(kernel.band * t / math.pi) ** 2
     return np.abs(kernel.normalized_cross(X, Y)) ** 2
+
+
+def _cutoff(kernel) -> float:
+    """Distance beyond which |<k_x, k_y>|^2 < _PRUNE_EPS: _CUTOFF for Fock and Gabor, none (inf) for the rest."""
+    return _CUTOFF if isinstance(kernel, (FockKernel, GaborGaussianKernel)) else math.inf
+
+
+def _tail_mass(kernel, gap: float) -> float:
+    """Bound on the mass of |<k_x, k_y>|^2 over |x - y| > gap: Fock, Gabor e^{-pi gap^2}; PW 2/(b^2 gap); else inf."""
+    if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
+        return math.exp(-math.pi * gap * gap)
+    if isinstance(kernel, PaleyWienerKernel) and gap > 0:
+        return 2.0 / (kernel.band * kernel.band * gap)
+    return math.inf
 
 
 def _scaled_i0(x: np.ndarray) -> np.ndarray:
@@ -228,14 +244,19 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     return best
 
 
+def _lex_sorted(atoms, weights):
+    """Atoms and their weights in lexicographic order of the atoms, whatever order they come in."""
+    order = np.lexsort(atoms.T[::-1])
+    return atoms[order], weights[order]
+
+
 def _sum_field_over_atoms(kernel, nodes, atoms, atom_weights) -> np.ndarray:
     """sum_j w_j |<k_node_i, k_atom_j>|^2 over every pair of kernel points, in blocks of _NODE_CHUNK nodes.
 
     The atoms enter in lexicographic order, so a node's value does not depend
     on the order they come in.
     """
-    order = np.lexsort(atoms.T[::-1])
-    atoms, atom_weights = atoms[order], atom_weights[order]
+    atoms, atom_weights = _lex_sorted(atoms, atom_weights)
     out = np.empty(len(nodes))
     for i in range(0, len(nodes), _NODE_CHUNK):
         out[i : i + _NODE_CHUNK] = _mod2_cross(kernel, nodes[i : i + _NODE_CHUNK], atoms) @ atom_weights
@@ -251,23 +272,20 @@ def _lebesgue_pair_term(kernel, s: np.ndarray, r: float, cfg: QuadConfig) -> flo
         t = |B| / mode_density - integral of mod2(z - s) A_r(|z|) dz,
 
     with the lens area A_r(rho) = |B ∩ (B + z)|: ``_lens_overlap`` for Fock
-    and Gabor (n = 1); in d = 1 A_r = (2r - rho)_+ on the ball
-    B(0, min(2r, |s| + c)), c = tail_cutoff(_PRUNE_EPS), which leaves out
-    less than _PRUNE_EPS |B| and puts the lens kinks (z = 0, |z| = 2r) on a
-    cell edge and on its own boundary, never inside a Gauss cell.
+    and Gabor (n = 1); in d = 1 (kernels with no cutoff) A_r = (2r - rho)_+
+    on the whole ball B(0, 2r), which puts the lens kinks (z = 0, |z| = 2r)
+    on a cell edge and on its own boundary, never inside a Gauss cell.
     """
-    density = getattr(kernel, "mode_density", None)
-    if not density:
+    if not kernel.mode_density:
         raise ValueError("continuous-continuous double tails need a kernel mode_density")
     if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
         overlap = _lens_overlap(float(np.linalg.norm(s)), r)
     elif kernel.dim == 1:
         field = lambda z: _mod2_cross(kernel, z, s[None, :])[:, 0] * (2.0 * r - np.minimum(np.abs(z[:, 0]), 2.0 * r))
-        reach = min(2.0 * r, float(np.linalg.norm(s)) + kernel.tail_cutoff(_PRUNE_EPS))
-        overlap = integrate_ball(field, Ball(np.zeros(1), reach), cfg).value
+        overlap = integrate_ball(field, Ball(np.zeros(1), 2.0 * r), cfg).value
     else:
         raise ValueError(f"no Lebesgue x Lebesgue double tail for {type(kernel).__name__} in dimension {kernel.dim}")
-    return ball_volume(kernel.dim, r) / density - overlap
+    return ball_volume(kernel.dim, r) / kernel.mode_density - overlap
 
 
 def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
@@ -280,7 +298,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
     (outer_m, outer_off), (inner_m, inner_off) = sides if outer == "f" else sides[::-1]
     kernel, r = pair.kernel, ball.radius
     r_tr = cfg.effective_truncation(r)
-    cutoff = kernel.tail_cutoff(_PRUNE_EPS)
+    cutoff = _cutoff(kernel)
     reach = cutoff + float(np.linalg.norm(outer_off - inner_off))  # the cutoff in index coordinates
     out_disc, in_disc = (getattr(m, "is_discrete", False) for m in (outer_m, inner_m))
     if not out_disc and not in_disc:
@@ -294,6 +312,8 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         keep = ~outer_m.contains(ball, atoms_out)
         u_atoms, w_out = atoms_out[keep] + outer_off, w_out[keep]
     if out_disc and in_disc:
+        # the outer atoms in the inner ones' order too: the sum is then the same bits for any input order
+        u_atoms, w_out = _lex_sorted(u_atoms, w_out)
         return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, v_atoms, w_in))
     if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
         # an atom's term is the mass its Gaussian puts across the sphere, seen from the
@@ -302,7 +322,7 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
         s = np.linalg.norm(p - ball.center, axis=1)
         near = s <= r + cutoff if out_disc else s >= r - cutoff
         return math.fsum((w[near] * _disk_mass(s[near], r, inside=out_disc)).tolist())
-    # every kernel left here has tail_cutoff = inf: its field spans all of B, or of B(R_tr) \ B
+    # every kernel left here has no cutoff: its field spans all of B, or of B(R_tr) \ B
     if out_disc:
         field = lambda x: _sum_field_over_atoms(kernel, x + inner_off, u_atoms, w_out)
         return integrate_ball(field, ball, cfg).value
@@ -313,23 +333,22 @@ def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
 def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float, nu_b: float) -> float:
     """Bound on the mass left out of t1 and t2 by the decay cutoff and the window.
 
-    Every pair the cross terms skip lies more than c = tail_cutoff(_PRUNE_EPS)
+    Every pair the cross terms skip lies more than c = _cutoff(kernel)
     apart in kernel coordinates, so its term is < _PRUNE_EPS w_x w_y (an atom
     skipped against a Gaussian Lebesgue side has < _PRUNE_EPS w of its mass
     across the sphere).  Both sides lie in B(center, R_tr), hence
 
         skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
 
-    one such term for each.  The window term (mu(B) + nu(B)) mod2_tail_integral
+    one such term for each.  The window term (mu(B) + nu(B)) _tail_mass(min(gap, c))
     covers what lies beyond R_tr: in kernel coordinates that is at least
-    R_tr - r - |f_offset - g_offset| from the sphere (clamped at 0).
+    gap = R_tr - r - |f_offset - g_offset| from the sphere (clamped at 0).
     """
     r_tr = cfg.effective_truncation(ball.radius)
     window = Ball(ball.center, r_tr)
     slack = 2.0 * _PRUNE_EPS * pair.f_measure.ball_mass(window) * pair.g_measure.ball_mass(window)
     gap = max(0.0, r_tr - ball.radius - float(np.linalg.norm(pair.f_offset - pair.g_offset)))
-    gap_eff = min(gap, pair.kernel.tail_cutoff(_PRUNE_EPS))
-    tail = pair.kernel.mod2_tail_integral(gap_eff)
+    tail = _tail_mass(pair.kernel, min(gap, _cutoff(pair.kernel)))
     if not math.isfinite(tail):
         return math.inf
     return slack + (mu_b + nu_b) * tail

@@ -226,6 +226,10 @@ class AtomicMeasure:
             raise ValueError("weights must match the number of atoms")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("atomic weights must be positive and finite")
+        try:
+            math.fsum(w.tolist())  # raises exactly when the total is no finite float
+        except OverflowError:
+            raise ValueError("atomic weights must have a finite total") from None
         self.weights = w
 
     @property

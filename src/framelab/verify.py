@@ -239,7 +239,6 @@ def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
     holds at least that many kernels), and the near-zero cluster size.
     """
     d = kernel.dim
-    mode_density = getattr(kernel, "mode_density", None)
     rows = []
     for R in sorted(float(s) for s in sizes):
         window = Ball(np.zeros(d), R)
@@ -252,8 +251,8 @@ def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
         lam_max = float(lam[-1])
         local_dim = None
         min_nonzero = None
-        if mode_density is not None:
-            local_dim = mode_density * ball_volume(d, max(R - _GRAM_MARGIN, 1e-6))
+        if kernel.mode_density is not None:
+            local_dim = kernel.mode_density * ball_volume(d, max(R - _GRAM_MARGIN, 1e-6))
             need = max(1, math.ceil(local_dim))
             if len(pts) >= need:
                 min_nonzero = float(lam[len(pts) - need])

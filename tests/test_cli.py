@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from framelab.cli import main, measure_from_config
+from framelab.cli import _kernel, main, measure_from_config
+from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
 
 LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lattice": {"scale": 1.0, "dim": 2}}}
@@ -27,6 +28,8 @@ LEBESGUE_2D = '{"lebesgue": {"dim": 2}}'
 ATOMIC_SHORT_WEIGHTS = {"atomic": {"points": [[0, 0], [1, 1]], "weights": [1]}}
 ATOMIC_RAGGED = {"atomic": {"points": [[0.1, 0.2], [0.1]], "weights": [1, 1]}}
 ATOMIC_DUPLICATE = {"atomic": {"points": [[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]], "weights": [1, 1, 1]}}
+ATOMIC_OVERFLOW = {"atomic": {"points": [[0.1, 0.0], [0.2, 0.0]], "weights": [1e308, 1e308]}}
+PW_ATOMIC_OVERFLOW = {"atomic": {"points": [[0.1], [0.2]], "weights": [1e308, 1e308]}}
 GABOR_N2_PAIR = {
     "kernel": {"kernel": "gabor-gaussian", "params": {"n": 2}},
     "f": {"lattice": {"scale": 1.0, "dim": 4}},
@@ -57,6 +60,16 @@ class TestMeasureSpecs:
     def test_unknown(self):
         with pytest.raises(Exception, match="measure"):
             measure_from_config({"nope": {}})
+
+
+class TestKernelSpecs:
+    def test_kernel_from_spec(self):
+        # a spec the schema has checked builds its class with its params
+        assert isinstance(_kernel({"kernel": "fock"}), FockKernel)
+        k = _kernel({"kernel": "paley-wiener", "params": {"band": 2.0}})
+        assert isinstance(k, PaleyWienerKernel) and k.band == 2.0
+        k = _kernel({"kernel": "gabor-gaussian", "params": {"n": 2}})
+        assert isinstance(k, GaborGaussianKernel) and k.dim == 4
 
 
 class TestCommands:
@@ -306,6 +319,10 @@ class TestCommands:
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g": ATOMIC_SHORT_WEIGHTS}), "--radii", "2"], "$.g.atomic.weights"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g": ATOMIC_RAGGED}), "--radii", "2"], "$.g.atomic.points[1]"),
             (["localize", "--pair", json.dumps({**SWAPPED_PAIR, "f": ATOMIC_DUPLICATE}), "--radii", "2"], "$.f.atomic.points[2]"),
+            # finite weights whose total overflows
+            (["density", "--mu", json.dumps(ATOMIC_OVERFLOW), "--nu", LEBESGUE_2D], "$.atomic.weights"),
+            (["localize", "--pair", json.dumps({**PW_PAIR, "g": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.g.atomic.weights"),
+            (["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.f.atomic.weights"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
@@ -376,6 +393,24 @@ class TestCommands:
         rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")])
         assert rc == 1
         assert "empty ball: defect normalizer vanishes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref", ["@", ""], ids=["at-file", "path"])
+    def test_unreadable_json_argument_exit_2(self, ref, tmp_path, capsys):
+        rc = main(["run", "--config", ref + str(tmp_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "ref, seed", [("@", []), ("@", ["--seed", "3"]), ("", ["--seed", "3"])], ids=["at-file", "at-file-seed", "path-seed"]
+    )
+    def test_json_argument_not_an_object_exit_2_at_root(self, ref, seed, tmp_path, capsys):
+        # read once, the value reaches the schema, which names it at $
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]\n")
+        rc = main(["run", "--config", ref + str(cfg), "--out-dir", str(tmp_path / "out"), *seed])
+        assert rc == 2
+        assert "config invalid at $: [1] is not of type 'object'" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

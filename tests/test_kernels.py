@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab.kernels import (
-    FockKernel,
-    GaborGaussianKernel,
-    PaleyWienerKernel,
-    TabulatedKernel,
-    kernel_from_config,
-)
+from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel, TabulatedKernel
 from framelab.space import Ball
 
 
@@ -194,16 +188,3 @@ class TestTabulated:
     def test_normalization(self):
         K = TabulatedKernel(lambda x, y: 2.0 * math.exp(-abs(x[0] - y[0])), dim=1)
         assert K.normalized_cross([0.0], [1.0])[0, 0] == pytest.approx(math.exp(-1.0))
-
-
-class TestConfig:
-    def test_kernel_from_config(self):
-        assert isinstance(kernel_from_config({"kernel": "fock"}), FockKernel)
-        k = kernel_from_config({"kernel": "paley-wiener", "params": {"band": 2.0}})
-        assert k.band == 2.0
-        k = kernel_from_config({"kernel": "gabor-gaussian", "params": {"n": 2}})
-        assert k.dim == 4
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernel_from_config({"kernel": "bessel"})

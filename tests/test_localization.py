@@ -48,13 +48,6 @@ def atom_terms_oracle(points, weights, ball, r_tr, shift):
     return out_mass, in_mass
 
 
-class UncutFockKernel(FockKernel):
-    """The Fock kernel without a decay cutoff: the cross terms keep every pair in the window."""
-
-    def tail_cutoff(self, eps):
-        return math.inf
-
-
 def lattice_radii(scale, r_lo, r_hi):
     pts = Lattice(scale, 2).points_in_ball(Ball([0, 0], r_hi + 1e-9))
     rr = np.sqrt(np.einsum("ij,ij->i", pts, pts))
@@ -199,21 +192,40 @@ class TestDoubleTail:
             FramePairSpec(GaborGaussianKernel(2), lattice, lattice)
 
     @pytest.mark.parametrize(
-        "kernel, discrete, lebesgue_side, ball, cfg",
+        "kernel, discrete, fixed, fixed_side, ball, cfg",
         [
-            (FockKernel(), "points", "f", Ball([0.1, -0.3], 2.5), QuadConfig()),
-            (FockKernel(), "points", "g", Ball([0.1, -0.3], 2.5), QuadConfig()),
-            (PaleyWienerKernel(), "atoms", "f", Ball([0.2], 2.5), QuadConfig(h=0.05)),
-            (PaleyWienerKernel(), "atoms", "g", Ball([0.2], 2.5), QuadConfig(h=0.05)),
+            (FockKernel(), "points", "lebesgue", "f", Ball([0.1, -0.3], 2.5), QuadConfig()),
+            (FockKernel(), "points", "lebesgue", "g", Ball([0.1, -0.3], 2.5), QuadConfig()),
+            (PaleyWienerKernel(), "atoms", "lebesgue", "f", Ball([0.2], 2.5), QuadConfig(h=0.05)),
+            (PaleyWienerKernel(), "atoms", "lebesgue", "g", Ball([0.2], 2.5), QuadConfig(h=0.05)),
+            (FockKernel(), "atoms", "atoms", "f", Ball([0.1, -0.3], 2.5), QuadConfig()),
+            (FockKernel(), "atoms", "atoms", "g", Ball([0.1, -0.3], 2.5), QuadConfig()),
+            (PaleyWienerKernel(), "atoms", "atoms", "f", Ball([0.2], 2.5), QuadConfig()),
+            (PaleyWienerKernel(), "atoms", "atoms", "g", Ball([0.2], 2.5), QuadConfig()),
         ],
-        ids=["fock-lebesgue-points", "fock-points-lebesgue", "pw-lebesgue-atomic", "pw-atomic-lebesgue"],
+        ids=[
+            "fock-lebesgue-points",
+            "fock-points-lebesgue",
+            "pw-lebesgue-atomic",
+            "pw-atomic-lebesgue",
+            "fock-atomic-permuted",
+            "fock-permuted-atomic",
+            "pw-atomic-permuted",
+            "pw-permuted-atomic",
+        ],
     )
-    def test_permuted_atoms_give_the_same_bits(self, kernel, discrete, lebesgue_side, ball, cfg):
+    def test_permuted_atoms_give_the_same_bits(self, kernel, discrete, fixed, fixed_side, ball, cfg):
         # a discrete side's terms are summed exactly, so the order its points
-        # or atoms come in cannot move t1, t2 or either ball mass by one bit
+        # or atoms come in cannot move t1, t2 or either ball mass by one bit;
+        # the fixed side is Lebesgue or a second seeded atomic measure
         rng = np.random.default_rng(3)
-        pts = rng.uniform(-6.0, 6.0, size=(200 if kernel.dim == 2 else 40, kernel.dim))
+        n = 200 if kernel.dim == 2 else 40
+        pts = rng.uniform(-6.0, 6.0, size=(n, kernel.dim))
         weights = rng.uniform(0.1, 3.0, len(pts))
+        if fixed == "lebesgue":
+            other = LebesgueMeasure(kernel.dim)
+        else:
+            other = AtomicMeasure(rng.uniform(-6.0, 6.0, size=(n, kernel.dim)), rng.uniform(0.1, 3.0, n))
 
         def tails(order):
             side = (
@@ -221,8 +233,8 @@ class TestDoubleTail:
                 if discrete == "points"
                 else AtomicMeasure(pts[order], weights[order])
             )
-            sides = (LebesgueMeasure(kernel.dim), side)
-            dt = double_tail(FramePairSpec(kernel, *(sides if lebesgue_side == "f" else sides[::-1])), ball, cfg)
+            sides = (other, side)
+            dt = double_tail(FramePairSpec(kernel, *(sides if fixed_side == "f" else sides[::-1])), ball, cfg)
             return dt.t1, dt.t2, dt.mu_ball, dt.nu_ball
 
         first = tails(np.arange(len(pts)))
@@ -322,9 +334,11 @@ class TestPrunedSum:
 
         monkeypatch.setattr(localization, "_mod2_cross", counted)
         results = []
-        for kernel in (FockKernel(), UncutFockKernel()):
+        # the uncut run keeps every pair in the window
+        for cutoff in (localization._cutoff, lambda kernel: math.inf):
+            monkeypatch.setattr(localization, "_cutoff", cutoff)
             pairs.append(0)
-            results.append(double_tail(FramePairSpec(kernel, f, g), ball, self.CFG))
+            results.append(double_tail(FramePairSpec(FockKernel(), f, g), ball, self.CFG))
         pruned, full = results
         self.assert_agree(pruned, full.t1, full.t2)
         assert pairs[0] < pairs[1]
@@ -338,13 +352,15 @@ class TestPrunedSum:
 
     @pytest.mark.parametrize("delta", [[0.3, -0.15], [1.5, 0.0], [2.5, 0.0]], ids=["small", "1.5", "2.5"])
     @pytest.mark.parametrize("f", [LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2))], ids=["lebesgue", "lattice"])
-    def test_offsets_widen_every_cutoff(self, f, delta):
+    def test_offsets_widen_every_cutoff(self, f, delta, monkeypatch):
         # the cutoff rings sit at r +- (c + |Delta|): an offset pair must keep
         # every term that the uncut kernel finds above the pruning bound
         g = CountingMeasure(Lattice(1.0, 2))
         ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig(h=0.05)
-        pruned = double_tail(FramePairSpec(FockKernel(), f, g, f_offset=delta), ball, cfg)
-        full = double_tail(FramePairSpec(UncutFockKernel(), f, g, f_offset=delta), ball, cfg)
+        pair = FramePairSpec(FockKernel(), f, g, f_offset=delta)
+        pruned = double_tail(pair, ball, cfg)
+        monkeypatch.setattr(localization, "_cutoff", lambda kernel: math.inf)
+        full = double_tail(pair, ball, cfg)
         assert abs(pruned.t1 - full.t1) <= pruned.truncation_bound
         assert abs(pruned.t2 - full.t2) <= pruned.truncation_bound
 
@@ -364,12 +380,67 @@ class TestPrunedSum:
         assert abs(narrow.t2 - wide.t2) <= narrow.truncation_bound
 
 
+def gaussian_tail(gap):
+    """e^{-pi min(gap, c)^2}, c = sqrt(ln(1e14) / pi): the window term of Fock and Gabor (n = 1)."""
+    return math.exp(-math.pi * min(gap, math.sqrt(math.log(1e14) / math.pi)) ** 2)
+
+
+def paley_wiener_tail(band):
+    """2 / (b^2 gap), the sinc^2 mass beyond gap; none (inf) at gap 0."""
+    return lambda gap: 2.0 / (band * band * gap) if gap > 0 else math.inf
+
+
+class TestTruncationBound:
+    """trunc_bound = 2 1e-14 f(B_tr) g(B_tr) + (mu(B) + nu(B)) tail(min(gap, c)).
+
+    gap = R_tr - r - |f_offset - g_offset|, clamped at 0; c is the kernel's
+    cutoff (none for Paley-Wiener), and a kernel with no tail rule has
+    tail = inf.
+    """
+
+    @pytest.mark.parametrize(
+        "kernel, f, g, offset, margin, tail",
+        [
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0], 6.0, gaussian_tail),
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0], 1.5, gaussian_tail),
+            (GaborGaussianKernel(1), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2)), [0.6, -0.8], 3.0, gaussian_tail),
+            (PaleyWienerKernel(2.0), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [0.0], 6.0, paley_wiener_tail(2.0)),
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [1.5, 0.0], 1.0, gaussian_tail),
+            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [1.5], 1.0, paley_wiener_tail(math.pi)),
+            (
+                TabulatedKernel(lambda x, y: math.exp(-abs(x[0] - y[0])), dim=1),
+                CountingMeasure(PointSet([[0.0], [2.5], [4.0]])),
+                CountingMeasure(PointSet([[-1.0], [3.5], [7.0]])),
+                [0.0],
+                6.0,
+                lambda gap: math.inf,
+            ),
+        ],
+        ids=[
+            "fock-lattice-margin-6",
+            "fock-lattice-margin-1.5",
+            "gabor-offset",
+            "pw-lebesgue-lattice",
+            "fock-margin-below-offset",
+            "pw-margin-below-offset",
+            "tabulated",
+        ],
+    )
+    def test_against_its_formula(self, kernel, f, g, offset, margin, tail):
+        ball = Ball(np.zeros(kernel.dim), 3.0)
+        window = Ball(ball.center, 3.0 + margin)
+        res = double_tail(FramePairSpec(kernel, f, g, f_offset=offset), ball, QuadConfig(h=0.05, truncation_margin=margin))
+        gap = max(0.0, margin - float(np.linalg.norm(offset)))
+        want = 2 * 1e-14 * f.ball_mass(window) * g.ball_mass(window) + (f.ball_mass(ball) + g.ball_mass(ball)) * tail(gap)
+        assert res.truncation_bound == pytest.approx(want, rel=1e-12)
+
+
 class TestDiskMass:
     """The closed-form atom term: a unit Gaussian's mass inside or outside a disk."""
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 8.0, 16.0, 64.0])
     def test_against_ncx2(self, r):
-        c = FockKernel().tail_cutoff(1e-14)
+        c = localization._cutoff(FockKernel())
         hugging = np.logspace(-12, 0, 60)
         s = np.concatenate([[0.0], np.linspace(max(0.0, r - c - 3.0), r + c + 3.0, 2001), r + hugging, r - hugging])
         s = s[s >= 0.0]  # the centre, both sides of the sphere, and points hugging it
@@ -489,7 +560,7 @@ class TestBoundaryPartition:
         monkeypatch.setattr(localization, "_disk_mass", record)
         localization._cross_term(pair, ball, cfg, outer="f")  # lattice atoms inside B: mass outside
         localization._cross_term(pair, ball, cfg, outer="g")  # lattice atoms outside B: mass inside
-        c = kernel.tail_cutoff(1e-14)
+        c = localization._cutoff(kernel)
         # integer coordinates: no atom lies within rounding of r - c or r + c
         k2 = np.rint(np.einsum("ij,ij->i", *[lat.points_in_ball(Ball([0.0, 0.0], 9.0)) / 0.8] * 2)).astype(int)
         want_inner = np.sort(0.8 * np.sqrt(k2[(k2 <= 25) & (0.8 * np.sqrt(k2) >= 4.0 - c)]))
@@ -602,7 +673,7 @@ class TestMeanValue:
             res = integrate_ball(field, Ball(x0, L), QuadConfig(h=0.005))
             exact = paley_wiener_mass(b, L)
             assert res.value == pytest.approx(exact, rel=1e-9)
-            assert 0.0 < 1.0 / kernel.mode_density - exact <= kernel.mod2_tail_integral(L) == 2.0 / (b * b * L)
+            assert 0.0 < 1.0 / kernel.mode_density - exact <= localization._tail_mass(kernel, L) == 2.0 / (b * b * L)
 
 
 class TestOffsets:

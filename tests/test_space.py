@@ -37,6 +37,13 @@ class TestBallMass:
         m = AtomicMeasure([[0.0]], [2.5])
         assert m.ball_mass(Ball([0.0], 1.0)) == 2.5
 
+    def test_atomic_weights_need_a_finite_total(self):
+        # each weight is finite but their sum overflows: every ball mass would too
+        with pytest.raises(ValueError, match="atomic weights must have a finite total"):
+            AtomicMeasure([[0.1], [0.2]], [1e308, 1e308])
+        m = AtomicMeasure([[0.1], [0.2]], [1e308, 7e307])
+        assert m.ball_mass(Ball([0.0], 1.0)) == math.fsum([1e308, 7e307])
+
     @given(
         st.lists(
             st.tuples(st.floats(min_value=1.0, max_value=10.0), st.integers(min_value=-300, max_value=299)),
