@@ -2,11 +2,13 @@
 
 Subcommands: run (scenario runner), density, localize, gram, identity.
 Exit codes: 0 when every verdict passes or is explicitly vacuous/no-claim,
-1 on failing verdicts or contradictions, 2 on configuration errors.
+1 on failing verdicts or contradictions, 2 on configuration and usage errors
+(an --out that is no file path in an existing directory among them, before any work).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -119,8 +121,8 @@ _PAIR_SCHEMA = {
 
 
 def _load_json_arg(arg: str):
-    """A command's JSON argument: inline (an object), @file or a path; the schema checks what it holds."""
-    inline = not arg.startswith("@") and arg.lstrip().startswith("{")
+    """A command's JSON argument: inline (an object or array), @file or a path; the schema checks what it holds."""
+    inline = not arg.startswith("@") and arg.lstrip()[:1] in ("{", "[")
     return json.loads(arg if inline else Path(arg.removeprefix("@")).read_text())
 
 
@@ -192,7 +194,7 @@ def _cmd_density(args) -> int:
     else:
         sched = default_schedule(mu.dim, r_max=args.rmax)
     est = density(mu, nu, sched)
-    Path(args.out).write_text(verify.report_json(verify._density_json(est)))
+    Path(args.out).write_text(verify.report_json(dataclasses.asdict(est)))
     print(f"upper={est.upper!r} lower={est.lower!r} -> {args.out}")
     return 0
 
@@ -223,8 +225,8 @@ def _cmd_localize(args) -> int:
     center = np.zeros(kernel.dim)
     rows = [localization_defect(pair, Ball(center, r), cfg) for r in args.radii]
     for row in rows:
-        print(f"r={row.radius}: defect={row.defect:.6g} eps_eff={row.epsilon_effective:.6g}")
-    verify.write_table_csv(verify._loc_rows_json(rows), verify.LOCALIZATION_CSV, args.out)
+        print(f"r={row['radius']}: defect={row['defect']:.6g} eps_eff={row['eps_eff']:.6g}")
+    verify.write_table_csv(rows, verify.LOCALIZATION_CSV, args.out)
     print(f"localization table -> {args.out}")
     return 0
 
@@ -276,6 +278,13 @@ def _rmax(text: str) -> float:
     return r
 
 
+def _out(text: str) -> str:
+    """argparse type: an output file in a directory that exists, checked before any work."""
+    if Path(text).is_dir() or not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file path in an existing directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -290,26 +299,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--mu", required=True, help="measure spec JSON")
     p_den.add_argument("--nu", required=True, help="measure spec JSON")
     p_den.add_argument("--rmax", type=_rmax, default=128.0, help="largest density radius")
-    p_den.add_argument("--out", required=True)
+    p_den.add_argument("--out", type=_out, required=True)
     p_den.set_defaults(fn=_cmd_density)
 
     p_loc = sub.add_parser("localize", help="localization defect table for a frame pair")
     p_loc.add_argument("--pair", required=True, help="pair spec JSON (kernel, f, g)")
     p_loc.add_argument("--radii", type=_radii, required=True, help="comma-separated ball radii")
-    p_loc.add_argument("--out", required=True)
+    p_loc.add_argument("--out", type=_out, required=True)
     p_loc.set_defaults(fn=_cmd_localize)
 
     p_gram = sub.add_parser("gram", help="windowed Gram spectra of a lattice kernel family")
     p_gram.add_argument("--kernel", required=True)
     p_gram.add_argument("--lattice", required=True)
     p_gram.add_argument("--radii", type=_radii, required=True, help="comma-separated window radii")
-    p_gram.add_argument("--out", required=True)
+    p_gram.add_argument("--out", type=_out, required=True)
     p_gram.set_defaults(fn=_cmd_gram)
 
     p_id = sub.add_parser("identity", help="seeded random comparison-identity residuals")
     p_id.add_argument("--seed", type=int, default=7)
     p_id.add_argument("--trials", type=int, default=100)
-    p_id.add_argument("--out", default=None)
+    p_id.add_argument("--out", type=_out, default=None)
     p_id.set_defaults(fn=_cmd_identity)
     return parser
 

@@ -33,6 +33,10 @@ t2 to cover the rest.
 The truncation bound does not cover the grid error of the Paley-Wiener
 Lebesgue sides, the only ones left on a grid.
 
+``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
+row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports,
+CSVs and the CLI take as it is.
+
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
 pairings in infinite dimensions have no computable handle here; the exact
@@ -52,8 +56,6 @@ from .space import Ball, LebesgueMeasure, as_point, ball_volume
 
 __all__ = [
     "FramePairSpec",
-    "DoubleTailResult",
-    "LocalizationRow",
     "tail_sup",
     "double_tail",
     "localization_defect",
@@ -190,29 +192,6 @@ class FramePairSpec:
             if offset.size != d:
                 raise ValueError(f"{name} must have {d} coordinates, got {offset.size}")
             setattr(self, name, offset)
-
-
-@dataclass(frozen=True)
-class DoubleTailResult:
-    t1: float
-    t2: float
-    truncation_bound: float
-    mu_ball: float
-    nu_ball: float
-
-
-@dataclass(frozen=True)
-class LocalizationRow:
-    center: tuple
-    radius: float
-    defect: float
-    double_tail_fg: float
-    double_tail_gf: float
-    normalizer: float
-    epsilon_effective: float
-    truncation_bound: float
-    mu_ball: float
-    nu_ball: float
 
 
 def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) -> float:
@@ -354,8 +333,8 @@ def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float
     return slack + (mu_b + nu_b) * tail
 
 
-def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> DoubleTailResult:
-    """The two iterated cross-tail integrals over B x B^c.
+def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> tuple[float, float]:
+    """The two iterated cross-tail integrals (t1, t2) over B x B^c.
 
     t1 integrates the f-family outside the ball against the g-family inside;
     t2 swaps the roles.  The truncation window R_tr must reach the ball's
@@ -365,40 +344,29 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> DoubleTailResu
     # through its center negates x - y, and |<k_x, k_y>|^2 is even
     plain_lebesgue = not any(getattr(m, "is_discrete", False) for m in (pair.f_measure, pair.g_measure))
     t1 = _cross_term(pair, b, cfg, outer="f")
-    t2 = t1 if plain_lebesgue else _cross_term(pair, b, cfg, outer="g")
-    mu_b = pair.f_measure.ball_mass(b)
-    nu_b = pair.g_measure.ball_mass(b)
-    return DoubleTailResult(
-        t1=t1,
-        t2=t2,
-        truncation_bound=_pruning_bound(pair, b, cfg, mu_b, nu_b),
-        mu_ball=mu_b,
-        nu_ball=nu_b,
-    )
+    return t1, t1 if plain_lebesgue else _cross_term(pair, b, cfg, outer="g")
 
 
-def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> LocalizationRow:
-    """One report row of the localization mismatch over the ball b.
+def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
+    """One report row of the localization mismatch over the ball b, under the CSV keys.
 
     For self-dual families the two iterated integrals of the localization
-    condition are exactly the double tails, so the defect is |t1 - t2|.
+    condition are exactly the double tails, so the defect is |t1 - t2|; the
+    normalizer is mu(B) + nu(B), and trunc_bound bounds what t1 and t2 leave out.
     """
-    dt = double_tail(pair, b, cfg)
-    normalizer = dt.mu_ball + dt.nu_ball
+    t1, t2 = double_tail(pair, b, cfg)
+    mu_b, nu_b = pair.f_measure.ball_mass(b), pair.g_measure.ball_mass(b)
+    normalizer = mu_b + nu_b
     if normalizer <= 0:
         raise ValueError("empty ball: defect normalizer vanishes")
-    # offset-symmetric continuous pairs have exactly equal integrands
-    defect = abs(dt.t1 - dt.t2)
-    return LocalizationRow(
-        center=tuple(float(c) for c in b.center),
-        radius=float(b.radius),
-        defect=defect,
-        double_tail_fg=dt.t1,
-        double_tail_gf=dt.t2,
-        normalizer=normalizer,
-        epsilon_effective=defect / normalizer,
-        truncation_bound=dt.truncation_bound,
-        mu_ball=dt.mu_ball,
-        nu_ball=dt.nu_ball,
-    )
-
+    defect = abs(t1 - t2)
+    return {
+        "center": [float(c) for c in b.center],
+        "radius": float(b.radius),
+        "defect": defect,
+        "t1": t1,
+        "t2": t2,
+        "normalizer": normalizer,
+        "eps_eff": defect / normalizer,
+        "trunc_bound": _pruning_bound(pair, b, cfg, mu_b, nu_b),
+    }

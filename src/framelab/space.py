@@ -4,7 +4,8 @@ and localization code compare.
 
 Balls are closed throughout: an atom sitting exactly on the boundary sphere
 belongs to the ball.  Point sets test membership by exact floating-point
-comparison, lattices in integer coordinates by one rule (see Lattice).
+comparison, lattices in integer coordinates by one rule (see Lattice), which
+thinned lattices (ThinnedLattice) follow too.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ __all__ = [
     "Ball",
     "PointSet",
     "Lattice",
+    "ThinnedLattice",
     "LebesgueMeasure",
     "CountingMeasure",
     "AtomicMeasure",
@@ -170,6 +172,30 @@ class Lattice:
         k, lo, hi = self._ball_runs(b)
         run, last = _expand(lo, hi)
         return np.column_stack([k[run], last]) * self.scale
+
+
+class ThinnedLattice(Lattice):
+    """alpha * Z^d without the points whose integer coordinates are all even (drop-even-even).
+
+    The even points are 2 alpha * Z^d, and halving every scaled quantity is
+    exact, so Lattice(2 alpha) decides them by the same bits: a count is the
+    plain lattice's minus 2 alpha * Z^d's, and membership and enumeration
+    are the lattice rule with the even points dropped.
+    """
+
+    def _odd(self, points) -> np.ndarray:
+        k = np.rint(np.atleast_2d(np.asarray(points, dtype=float)) / self.scale)
+        return ~np.all(k % 2 == 0, axis=1)
+
+    def contains(self, b: Ball, points) -> np.ndarray:
+        return super().contains(b, points) & self._odd(points)
+
+    def count_in_ball(self, b: Ball) -> int:
+        return super().count_in_ball(b) - Lattice(2.0 * self.scale, self.dim).count_in_ball(b)
+
+    def points_in_ball(self, b: Ball) -> np.ndarray:
+        pts = super().points_in_ball(b)
+        return pts[self._odd(pts)]
 
 
 @dataclass

@@ -24,6 +24,7 @@ the config as given.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -33,9 +34,18 @@ import numpy as np
 from . import finframe
 from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, density, lattice_schedule
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from .localization import FramePairSpec, LocalizationRow, localization_defect
+from .localization import FramePairSpec, localization_defect
 from .quadrature import QuadConfig
-from .space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ball_volume, load_point_set_csv
+from .space import (
+    Ball,
+    CountingMeasure,
+    Lattice,
+    LebesgueMeasure,
+    PointSet,
+    ThinnedLattice,
+    ball_volume,
+    load_point_set_csv,
+)
 
 __all__ = [
     "ConfigError",
@@ -322,12 +332,12 @@ def theorem_main_table(pair: FramePairSpec, radii, cfg: QuadConfig):
         loc = localization_defect(pair, ball, cfg)
         loc_rows.append(loc)
         a_col = 1.0
-        b_col = loc.nu_ball / loc.mu_ball
-        c_col = loc.epsilon_effective
+        b_col = pair.g_measure.ball_mass(ball) / pair.f_measure.ball_mass(ball)
+        c_col = loc["eps_eff"]
         bound = b_col + c_col * (1.0 + b_col)
         rows.append(
             {
-                "center": loc.center,
+                "center": loc["center"],
                 "radius": r,
                 "A": a_col,
                 "B": b_col,
@@ -359,8 +369,8 @@ def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, tol: f
         "values": values,
         "tolerance": tol,
         "verdict": "pass" if ok else "hypotheses-unmet",
-        "per_radius_mu_nu": [list(r) for r in d_mu_nu.per_radius],
-        "per_radius_nu_mu": [list(r) for r in d_nu_mu.per_radius],
+        "per_radius_mu_nu": d_mu_nu.per_radius,
+        "per_radius_nu_mu": d_nu_mu.per_radius,
     }
 
 
@@ -373,23 +383,19 @@ def _build_lattice_support(cfg: dict):
 
     The schedule's centres cover one period of a lattice (side scale) or of
     a thinned lattice (side 2 scale), at the plain lattice's spacing, and
-    the unit box for CSV points.
+    the unit box for CSV points.  The one thinning, drop-even-even, is a
+    ThinnedLattice: it counts by the lattice rule, everywhere.
     """
     if cfg["points_csv"] is not None:
         points = config_point_set(cfg["points_csv"])
         return points, lattice_schedule(1.0, points.dim, r_max=cfg["density_rmax"])
-    lat = Lattice(cfg["lattice"]["scale"], cfg["lattice"]["dim"])
+    thin = "thin" in cfg["lattice"]
+    lat = (ThinnedLattice if thin else Lattice)(cfg["lattice"]["scale"], cfg["lattice"]["dim"])
     sched = lattice_schedule(lat.scale, lat.dim, r_max=cfg["density_rmax"])
-    if "thin" not in cfg["lattice"]:
+    if not thin:
         return lat, sched
-    # drop-even-even: remove points whose integer coordinates are all even
-    reach = max(max(cfg["gram_radii"]), cfg["density_rmax"], max(cfg["radii"])) + 8.0
-    # the density, Gram-window and table balls (and the table's atom shells) lie inside B(0, reach)
-    pts = lat.points_in_ball(Ball(np.zeros(lat.dim), reach))
-    idx = np.rint(pts / lat.scale).astype(int)
-    keep = ~np.all(idx % 2 == 0, axis=1)
     lo, hi = sched.center_box
-    return PointSet(pts[keep]), DensitySchedule(sched.radii, (lo, 2.0 * hi), sched.center_spacing)
+    return lat, DensitySchedule(sched.radii, (lo, 2.0 * hi), sched.center_spacing)
 
 
 def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_band: float) -> list:
@@ -448,32 +454,6 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             }
         )
     return verdicts
-
-
-def _density_json(est: DensityEstimate) -> dict:
-    return {
-        "upper": est.upper,
-        "lower": est.lower,
-        "converged": est.converged,
-        "trend": est.trend,
-        "per_radius": [list(r) for r in est.per_radius],
-    }
-
-
-def _loc_rows_json(loc_rows: list[LocalizationRow]) -> list:
-    return [
-        {
-            "center": list(row.center),
-            "radius": row.radius,
-            "defect": row.defect,
-            "t1": row.double_tail_fg,
-            "t2": row.double_tail_gf,
-            "normalizer": row.normalizer,
-            "eps_eff": row.epsilon_effective,
-            "trunc_bound": row.truncation_bound,
-        }
-        for row in loc_rows
-    ]
 
 
 def _finite_oracle_scenario(cfg: dict) -> dict:
@@ -555,9 +535,9 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
     else:
         verdicts.append({"name": "theorem-table", "verdict": "pass", "detail": "all rows satisfy A <= B + C(1+B)"})
     return {
-        "density": _density_json(dens),
+        "density": dataclasses.asdict(dens),
         "gram_study": study,
-        "localization": _loc_rows_json(loc_rows),
+        "localization": loc_rows,
         "theorem_table": table,
         "verdicts": verdicts,
     }
@@ -581,7 +561,7 @@ def _paley_wiener_scenario(cfg: dict) -> dict:
     return {
         "corollary": corollary,
         "gram_study": study,
-        "localization": _loc_rows_json(loc_rows),
+        "localization": loc_rows,
         "theorem_table": table,
         "verdicts": verdicts,
     }
@@ -599,10 +579,10 @@ def _dual_embedding_scenario(cfg: dict) -> dict:
     # both index measures are Lebesgue: densities are exactly 1 at every radius
     sched = lattice_schedule(1.0, 2, r_max=cfg["density_rmax"])
     corollary = corollary_parseval_check(pair, sched)
-    ok = corollary["verdict"] == "pass" and all(r.epsilon_effective < 1e-10 for r in rows)
+    ok = corollary["verdict"] == "pass" and all(r["eps_eff"] < 1e-10 for r in rows)
     return {
         "corollary": corollary,
-        "localization": _loc_rows_json(rows),
+        "localization": rows,
         "verdicts": [
             {
                 "name": "dual-embedding",

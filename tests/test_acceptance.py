@@ -153,7 +153,7 @@ def test_criterion_08_localization_defect_decay():
     )
     cfg = QuadConfig(h=0.08)
     eps = {
-        r: localization_defect(pair, Ball([0, 0], r), cfg).epsilon_effective for r in (4.0, 8.0, 16.0)
+        r: localization_defect(pair, Ball([0, 0], r), cfg)["eps_eff"] for r in (4.0, 8.0, 16.0)
     }
     ok = eps[4.0] > eps[8.0] > eps[16.0] and eps[16.0] < 0.01
     _report(8, ok, f"eps_eff {({k: round(v, 6) for k, v in eps.items()})}, decreasing and < 0.01 at r=16")

@@ -412,6 +412,41 @@ class TestCommands:
         assert rc == 2
         assert "config invalid at $: [1] is not of type 'object'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "[1]"],
+            ["density", "--mu", " [1]", "--nu", LEBESGUE_2D, "--out", "est.json"],
+            ["localize", "--pair", "[1]", "--radii", "2", "--out", "loc.csv"],
+            ["gram", "--kernel", "[1]", "--lattice", LATTICE_2D, "--radii", "2", "--out", "gram.json"],
+        ],
+        ids=["run", "density", "localize", "gram"],
+    )
+    def test_inline_json_array_exit_2_at_root(self, argv, tmp_path, monkeypatch, capsys):
+        # text opening with [ is inline JSON, never a path: the schema names it at $
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "config invalid at $: [1] is not of type 'object'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--mu", LATTICE_2D_MEASURE, "--nu", LEBESGUE_2D],
+            ["localize", "--pair", json.dumps(PW_PAIR), "--radii", "4,8,16"],
+            ["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2"],
+            ["identity", "--trials", "3"],
+        ],
+        ids=["density", "localize", "gram", "identity"],
+    )
+    @pytest.mark.parametrize("out", ["missing/out", "."], ids=["missing-directory", "a-directory"])
+    def test_out_not_a_writable_path_exit_2_before_any_work(self, argv, out, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --out:" in captured.err
+        assert captured.out == ""
+
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "finite-oracle", "seed": 5, "trials": 10}))

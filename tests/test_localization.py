@@ -135,20 +135,20 @@ class TestTailSup:
 class TestDoubleTail:
     def test_symmetric_pair_equal_terms(self):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2))
-        res = double_tail(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
-        assert abs(res.t1 - res.t2) < 1e-10
+        t1, t2 = double_tail(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
+        assert abs(t1 - t2) < 1e-10
 
     def test_fock_lattice_against_radial_oracle(self):
         pair = FramePairSpec(
             FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
         )
         r = 4.0
-        res = double_tail(pair, Ball([0, 0], r), QuadConfig(h=0.05))
+        t1, t2 = double_tail(pair, Ball([0, 0], r), QuadConfig(h=0.05))
         out_r, in_r = lattice_radii(1.0, r, r + 6.0)
         t1_oracle = math.fsum(gaussian_disk_oracle(in_r, r, inside=False))
         t2_oracle = math.fsum(gaussian_disk_oracle(out_r, r, inside=True))
-        assert res.t1 == pytest.approx(t1_oracle, rel=1e-12)
-        assert res.t2 == pytest.approx(t2_oracle, rel=1e-12)
+        assert t1 == pytest.approx(t1_oracle, rel=1e-12)
+        assert t2 == pytest.approx(t2_oracle, rel=1e-12)
 
     def test_per_atom_tail_bound(self):
         # every inner atom's contribution is at most its boundary-distance tail
@@ -156,17 +156,17 @@ class TestDoubleTail:
             FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
         )
         r = 4.0
-        res = double_tail(pair, Ball([0, 0], r), QuadConfig(h=0.05))
+        t1, _ = double_tail(pair, Ball([0, 0], r), QuadConfig(h=0.05))
         _, in_r = lattice_radii(1.0, r, r + 6.0)
         bound = float(np.sum([math.exp(-math.pi * (r - s) ** 2) for s in in_r]))
-        assert res.t1 <= bound * (1 + 1e-6)
+        assert t1 <= bound * (1 + 1e-6)
 
     def test_empty_inner_side(self):
         atoms = CountingMeasure(PointSet([[10.0, 0.0]]))
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), g_measure=atoms)
-        res = double_tail(pair, Ball([0, 0], 2.0), QuadConfig(h=0.1))
-        assert res.t1 == 0.0  # no nu atoms inside the ball
-        assert res.t2 >= 0.0
+        t1, t2 = double_tail(pair, Ball([0, 0], 2.0), QuadConfig(h=0.1))
+        assert t1 == 0.0  # no nu atoms inside the ball
+        assert t2 >= 0.0
 
     def test_cauchy_schwarz_chain(self):
         # t1 <= nu(B) sup_x int_{B^c} mod2 d mu
@@ -175,10 +175,10 @@ class TestDoubleTail:
         )
         r = 3.0
         cfg = QuadConfig(h=0.05)
-        res = double_tail(pair, Ball([0, 0], r), cfg)
+        t1, _ = double_tail(pair, Ball([0, 0], r), cfg)
         nu_b = pair.g_measure.ball_mass(Ball([0, 0], r))
         sup = tail_sup(FockKernel(), LebesgueMeasure(2), 0.0 + 1e-9, [[0.0, 0.0]], QuadConfig(h=0.05, truncation_radius=r + 6))
-        assert res.t1 <= nu_b * sup * (1 + 1e-6)
+        assert t1 <= nu_b * sup * (1 + 1e-6)
 
     def test_window_must_reach_the_sphere(self):
         # a window inside the ball would drop every cross pair beyond it and report t1 = t2 = 0
@@ -234,8 +234,8 @@ class TestDoubleTail:
                 else AtomicMeasure(pts[order], weights[order])
             )
             sides = (other, side)
-            dt = double_tail(FramePairSpec(kernel, *(sides if fixed_side == "f" else sides[::-1])), ball, cfg)
-            return dt.t1, dt.t2, dt.mu_ball, dt.nu_ball
+            pair = FramePairSpec(kernel, *(sides if fixed_side == "f" else sides[::-1]))
+            return *double_tail(pair, ball, cfg), pair.f_measure.ball_mass(ball), pair.g_measure.ball_mass(ball)
 
         first = tails(np.arange(len(pts)))
         assert first[0] > 0 and first[1] > 0
@@ -287,19 +287,19 @@ class TestPrunedSum:
     CFG = QuadConfig(h=0.16)
 
     def assert_agree(self, pruned, t1, t2):
-        for got, want in ((pruned.t1, t1), (pruned.t2, t2)):
+        for got, want in ((pruned["t1"], t1), (pruned["t2"], t2)):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert abs(got - want) <= pruned.truncation_bound
+            assert abs(got - want) <= pruned["trunc_bound"]
 
     @pytest.mark.parametrize("r", [8.0, 16.0])
     def test_fock_lattice(self, r):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.5, 2)))
         ball = Ball([0, 0], r)
-        res = double_tail(pair, ball, self.CFG)
+        res = localization_defect(pair, ball, self.CFG)
         r_tr = self.CFG.effective_truncation(r)
         pts = Lattice(0.5, 2).points_in_ball(Ball([0, 0], r_tr))
         t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, r_tr, shift=np.zeros(2))
-        assert res.t1 != res.t2
+        assert res["t1"] != res["t2"]
         self.assert_agree(res, t1, t2)
 
     def test_gabor_jittered_points_with_offset(self):
@@ -307,7 +307,7 @@ class TestPrunedSum:
         points = CountingMeasure(PointSet(pts))
         pair = FramePairSpec(GaborGaussianKernel(), LebesgueMeasure(2), points, g_offset=[0.3, -0.15])
         ball = Ball([0.4, -0.7], 6.0)
-        res = double_tail(pair, ball, self.CFG)
+        res = localization_defect(pair, ball, self.CFG)
         t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, self.CFG.effective_truncation(6.0), pair.g_offset)
         self.assert_agree(res, t1, t2)
 
@@ -316,7 +316,7 @@ class TestPrunedSum:
         weights = np.random.default_rng(5).uniform(0.5, 2.0, size=len(pts))
         pair = FramePairSpec(FockKernel(), AtomicMeasure(pts, weights), LebesgueMeasure(2))
         ball = Ball([0, 0], 5.0)
-        res = double_tail(pair, ball, self.CFG)
+        res = localization_defect(pair, ball, self.CFG)
         # the atoms are the f side: t1 takes the outer atoms, t2 the inner ones
         t2, t1 = atom_terms_oracle(pts, weights, ball, self.CFG.effective_truncation(5.0), np.zeros(2))
         self.assert_agree(res, t1, t2)
@@ -338,16 +338,16 @@ class TestPrunedSum:
         for cutoff in (localization._cutoff, lambda kernel: math.inf):
             monkeypatch.setattr(localization, "_cutoff", cutoff)
             pairs.append(0)
-            results.append(double_tail(FramePairSpec(FockKernel(), f, g), ball, self.CFG))
+            results.append(localization_defect(FramePairSpec(FockKernel(), f, g), ball, self.CFG))
         pruned, full = results
-        self.assert_agree(pruned, full.t1, full.t2)
+        self.assert_agree(pruned, full["t1"], full["t2"])
         assert pairs[0] < pairs[1]
 
     @pytest.mark.parametrize("f", [LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1))])
     def test_paley_wiener_infinite_cutoff_is_dense(self, f, monkeypatch):
         pair = FramePairSpec(PaleyWienerKernel(), f, CountingMeasure(Lattice(0.9, 1)))
         pruned, dense, pairs = pruned_and_dense(pair, Ball([0.0], 8.0), QuadConfig(h=0.05), monkeypatch)
-        assert (pruned.t1, pruned.t2) == (dense.t1, dense.t2)
+        assert pruned == dense
         assert pairs[0] == pairs[1]
 
     @pytest.mark.parametrize("delta", [[0.3, -0.15], [1.5, 0.0], [2.5, 0.0]], ids=["small", "1.5", "2.5"])
@@ -358,11 +358,11 @@ class TestPrunedSum:
         g = CountingMeasure(Lattice(1.0, 2))
         ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig(h=0.05)
         pair = FramePairSpec(FockKernel(), f, g, f_offset=delta)
-        pruned = double_tail(pair, ball, cfg)
+        pruned = localization_defect(pair, ball, cfg)
         monkeypatch.setattr(localization, "_cutoff", lambda kernel: math.inf)
-        full = double_tail(pair, ball, cfg)
-        assert abs(pruned.t1 - full.t1) <= pruned.truncation_bound
-        assert abs(pruned.t2 - full.t2) <= pruned.truncation_bound
+        full_t1, full_t2 = double_tail(pair, ball, cfg)
+        assert abs(pruned["t1"] - full_t1) <= pruned["trunc_bound"]
+        assert abs(pruned["t2"] - full_t2) <= pruned["trunc_bound"]
 
     @pytest.mark.parametrize(
         "delta, margin", [(4.0, 6.0), (5.0, 6.0), (2.5, 1.0)], ids=["4-at-6", "5-at-6", "2.5-at-1"]
@@ -374,10 +374,10 @@ class TestPrunedSum:
         lattice = CountingMeasure(Lattice(1.0, 2))
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), lattice, f_offset=[delta, 0.0])
         ball = Ball([0.0, 0.0], 4.0)
-        narrow = double_tail(pair, ball, QuadConfig(truncation_margin=margin))
-        wide = double_tail(pair, ball, QuadConfig(truncation_margin=20.0))
-        assert abs(narrow.t1 - wide.t1) <= narrow.truncation_bound
-        assert abs(narrow.t2 - wide.t2) <= narrow.truncation_bound
+        narrow = localization_defect(pair, ball, QuadConfig(truncation_margin=margin))
+        wide_t1, wide_t2 = double_tail(pair, ball, QuadConfig(truncation_margin=20.0))
+        assert abs(narrow["t1"] - wide_t1) <= narrow["trunc_bound"]
+        assert abs(narrow["t2"] - wide_t2) <= narrow["trunc_bound"]
 
 
 def gaussian_tail(gap):
@@ -429,10 +429,10 @@ class TestTruncationBound:
     def test_against_its_formula(self, kernel, f, g, offset, margin, tail):
         ball = Ball(np.zeros(kernel.dim), 3.0)
         window = Ball(ball.center, 3.0 + margin)
-        res = double_tail(FramePairSpec(kernel, f, g, f_offset=offset), ball, QuadConfig(h=0.05, truncation_margin=margin))
+        res = localization_defect(FramePairSpec(kernel, f, g, f_offset=offset), ball, QuadConfig(h=0.05, truncation_margin=margin))
         gap = max(0.0, margin - float(np.linalg.norm(offset)))
         want = 2 * 1e-14 * f.ball_mass(window) * g.ball_mass(window) + (f.ball_mass(ball) + g.ball_mass(ball)) * tail(gap)
-        assert res.truncation_bound == pytest.approx(want, rel=1e-12)
+        assert res["trunc_bound"] == pytest.approx(want, rel=1e-12)
 
 
 class TestDiskMass:
@@ -575,8 +575,8 @@ class TestLocalizationDefect:
     def test_identical_pair_zero(self):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2))
         row = localization_defect(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
-        assert row.defect == 0.0
-        assert row.epsilon_effective == 0.0
+        assert row["defect"] == 0.0
+        assert row["eps_eff"] == 0.0
 
     def test_fock_lattice_decay(self):
         pair = FramePairSpec(
@@ -584,7 +584,7 @@ class TestLocalizationDefect:
         )
         cfg = QuadConfig(h=0.08)
         eps = [
-            localization_defect(pair, Ball([0, 0], r), cfg).epsilon_effective for r in (4.0, 8.0, 16.0)
+            localization_defect(pair, Ball([0, 0], r), cfg)["eps_eff"] for r in (4.0, 8.0, 16.0)
         ]
         assert eps[0] > eps[1] > eps[2]
 
@@ -597,8 +597,8 @@ class TestLocalizationDefect:
         rev = localization_defect(
             FramePairSpec(FockKernel(), lattice, LebesgueMeasure(2)), Ball([0, 0], 4.0), cfg
         )
-        assert fwd.defect == pytest.approx(rev.defect, abs=1e-12)
-        assert fwd.double_tail_fg == pytest.approx(rev.double_tail_gf, abs=1e-12)
+        assert fwd["defect"] == pytest.approx(rev["defect"], abs=1e-12)
+        assert fwd["t1"] == pytest.approx(rev["t2"], abs=1e-12)
 
     def test_disjoint_orthogonal_supports(self):
         # one family inside B, the other outside, orthogonal kernels: defect 0
@@ -607,7 +607,7 @@ class TestLocalizationDefect:
         outer = CountingMeasure(PointSet([[5.0], [6.0]]))
         pair = FramePairSpec(K, inner, outer)
         row = localization_defect(pair, Ball([0.0], 2.0), QuadConfig(truncation_radius=10.0))
-        assert row.defect == 0.0
+        assert row["defect"] == 0.0
 
 
 def normalized_mod2_field(kernel, a):
@@ -685,8 +685,8 @@ class TestOffsets:
             g_offset=np.array([0.35, 0.2]),
         )
         row = localization_defect(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
-        assert row.defect == 0.0
-        assert row.double_tail_fg > 0  # honest nonzero tails
+        assert row["defect"] == 0.0
+        assert row["t1"] > 0  # honest nonzero tails
 
     def test_offset_length_must_match_kernel(self):
         with pytest.raises(ValueError, match="g_offset must have 2 coordinates"):
@@ -705,9 +705,9 @@ class TestOffsets:
 
         for r in (2.0, 4.0):
             oracle, _ = integrate.quad(ring, r, r + 8.0, args=(r,), epsabs=1e-12, epsrel=1e-12, limit=200)
-            res = double_tail(pair, Ball([0.0, 0.0], r), QuadConfig())
-            assert res.t1 == pytest.approx(oracle, rel=1e-12)
-            assert res.t2 == res.t1
+            t1, t2 = double_tail(pair, Ball([0.0, 0.0], r), QuadConfig())
+            assert t1 == pytest.approx(oracle, rel=1e-12)
+            assert t2 == t1
 
     @pytest.mark.parametrize("band", [math.pi, 2.0])
     def test_paley_wiener_lebesgue_tail_against_dblquad(self, band):
@@ -717,5 +717,5 @@ class TestOffsets:
             inner, _ = integrate.dblquad(
                 lambda y, x: np.sinc(band * (x - y - 0.3) / math.pi) ** 2, -r, r, -r, r, epsabs=1e-11, epsrel=1e-11
             )
-            res = double_tail(pair, Ball([0.0], r), QuadConfig(h=0.05))
-            assert res.t1 == pytest.approx(2.0 * r * math.pi / band - inner, abs=1e-6)
+            t1, _ = double_tail(pair, Ball([0.0], r), QuadConfig(h=0.05))
+            assert t1 == pytest.approx(2.0 * r * math.pi / band - inner, abs=1e-6)

@@ -12,6 +12,7 @@ from framelab.space import (
     Lattice,
     LebesgueMeasure,
     PointSet,
+    ThinnedLattice,
     load_point_set_csv,
 )
 
@@ -139,6 +140,34 @@ class TestLatticeMembership:
         assert not np.any(b.contains(boundary))  # |0.8 k|^2 rounds above 16
         assert np.all(CountingMeasure(lat).contains(b, boundary))
         assert not np.any(CountingMeasure(PointSet(boundary)).contains(b, boundary))
+
+
+class TestThinnedLattice:
+    """drop-even-even: alpha * Z^d less 2 alpha * Z^d, decided by the lattice rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 3), alpha=st.sampled_from([0.8, 0.3, 1 / 3, 4.0]), data=st.data())
+    def test_count_enumeration_predicate_and_difference_agree(self, dim, alpha, data):
+        # centers on multiples of alpha/2 and radii alpha sqrt(n): the sphere runs through lattice points
+        m = np.array(data.draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)))
+        n = data.draw(st.integers(1, 150 if dim < 3 else 40))
+        b = Ball(m * alpha / 2, alpha * math.sqrt(n))
+        thin = ThinnedLattice(alpha, dim)
+        ax = np.arange(math.floor(m.min() / 2 - math.sqrt(n)) - 1, math.ceil(m.max() / 2 + math.sqrt(n)) + 2)
+        k = np.stack(np.meshgrid(*[ax] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        box = k * alpha
+        inside = thin.contains(b, box)
+        pts = thin.points_in_ball(b)
+        difference = Lattice(alpha, dim).count_in_ball(b) - Lattice(2 * alpha, dim).count_in_ball(b)
+        assert thin.count_in_ball(b) == len(pts) == np.count_nonzero(inside) == difference
+        np.testing.assert_array_equal(pts, box[inside])
+        # the lattice rule with the all-even points dropped: boundary points belong to the ball
+        np.testing.assert_array_equal(inside, Lattice(alpha, dim).contains(b, box) & np.any(k % 2 != 0, axis=1))
+
+    def test_boundary_points_belong_to_the_ball(self):
+        # |0.8 k|^2 rounds above 16 for the 8 odd points with |k| = 5, yet they lie on the sphere
+        thin = CountingMeasure(ThinnedLattice(0.8, 2))
+        assert thin.ball_mass(Ball([0.0, 0.0], 4.0)) == 81 - 21
 
 
 def annulus_over_ball(m, a, r, rho):

@@ -11,7 +11,7 @@ from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab import localization, quadrature
 from framelab.quadrature import QuadConfig
-from framelab.space import CountingMeasure, Lattice, LebesgueMeasure, PointSet
+from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet
 from framelab.verify import (
     CONFIG_SCHEMA,
     DEFAULTS,
@@ -128,8 +128,8 @@ class TestTheoremTable:
             fwd = localization_defect(pair, Ball([0, 0], r), cfg)
             rev = localization_defect(swapped, Ball([0, 0], r), cfg)
             mu_b = math.pi * r * r
-            nu_b = fwd.normalizer - mu_b
-            assert abs(mu_b - nu_b) <= fwd.defect + rev.defect + 1e-6
+            nu_b = fwd["normalizer"] - mu_b
+            assert abs(mu_b - nu_b) <= fwd["defect"] + rev["defect"] + 1e-6
 
 
 class TestCorollary:
@@ -266,6 +266,37 @@ class TestScenarios:
         assert sched.center_spacing == 0.5
         assert np.array_equal(np.unique(sched.centers()), 0.5 * np.arange(4))
         assert run(cfg)["density"]["lower"] == pytest.approx(0.6764, abs=5e-5)
+
+    @pytest.mark.parametrize(
+        "scale, center, r, want",
+        [(0.8, [0.0, 0.0], 4.0, 60), (4.0, [7.0, 7.0], 128.0, 2418)],
+        ids=["boundary-points", "beyond-the-table-radii"],
+    )
+    def test_thinned_lattice_counts_by_the_lattice_rule(self, scale, center, r, want):
+        # want counts the k in Z^2, not all even, with |scale k - center| <= r in integer
+        # arithmetic: the 0.8 ball has 8 odd points on its sphere, and the density ball
+        # at (7, 7) reaches past every radius the config lists
+        cfg = {"scenario": "fock", "lattice": {"scale": scale, "dim": 2, "thin": "drop-even-even"}}
+        support, _ = _build_lattice_support(resolve_config(cfg))
+        assert CountingMeasure(support).ball_mass(Ball(center, r)) == want
+
+    def test_thinned_report_row_is_the_lattice_difference(self):
+        # each atom's term is the same bits in every lattice that holds it, so the
+        # thinned tails are the 0.8 Z^2 tails less the 1.6 Z^2 ones
+        cfg = {
+            "scenario": "fock",
+            "lattice": {"scale": 0.8, "dim": 2, "thin": "drop-even-even"},
+            "radii": [4.0],
+            "gram_radii": [2.0],
+            "density_rmax": 4.0,
+        }
+        (row,) = run(cfg)["localization"]
+        ball, quad = Ball([0.0, 0.0], 4.0), QuadConfig(truncation_margin=6.0)
+        pairs = [FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(a, 2))) for a in (0.8, 1.6)]
+        plain, even = (localization.double_tail(pair, ball, quad) for pair in pairs)
+        assert row["t1"] == pytest.approx(plain[0] - even[0], rel=1e-12)
+        assert row["t2"] == pytest.approx(plain[1] - even[1], rel=1e-12)
+        assert row["normalizer"] == LebesgueMeasure(2).ball_mass(ball) + 60
 
     @pytest.mark.parametrize("name", ["fock", "gabor", "dual-embedding", "localize-fock-lebesgue-lebesgue"])
     def test_gaussian_scenarios_build_no_quadrature_grid(self, name, tmp_path, monkeypatch):
