@@ -4,8 +4,11 @@ The true densities are limits of sup/inf ball-mass ratios over all centers
 as the radius grows.  Here centers run over a finite grid in a box and radii
 over a finite schedule, so the output is a finite-scale surrogate; the
 schedule travels with the estimate so that every reported number is scoped.
-For periodic point sets the center box can be one fundamental cell, where
-the grid sup/inf equals the global one by periodicity.
+For periodic point sets periodicity confines the centers to one
+fundamental cell, but the cell is sampled only at spacing min(1, alpha / 2)
+(lattice_schedule), so at a finite radius the reported sup/inf lie inside
+the true range over all centers: for alpha = 2, r = 4 the grid reads
+[0.2387, 0.2586] against a fine grid's [0.1989, 0.2785].
 """
 from __future__ import annotations
 
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .space import Ball
 
 __all__ = ["DensitySchedule", "DensityEstimate", "density", "lattice_schedule"]
 
@@ -78,7 +79,7 @@ def lattice_schedule(scale: float, dim: int, r_max: float) -> DensitySchedule:
 
 
 def density(mu, nu, sched: DensitySchedule) -> DensityEstimate:
-    """Sup/inf ball-mass ratios mu(B)/nu(B) over the schedule.
+    """Sup/inf ball-mass ratios mu(B)/nu(B) over the schedule, one ball_masses call per radius and measure.
 
     Requires nu(B(a, r_min)) > 0 at every sampled center, mirroring the
     standing assumption on the reference measure.  The trend compares the
@@ -88,17 +89,11 @@ def density(mu, nu, sched: DensitySchedule) -> DensityEstimate:
     centers = sched.centers()
     rows = []
     for r in sched.radii:
-        sup_ratio = -math.inf
-        inf_ratio = math.inf
-        for a in centers:
-            b = Ball(a, r)
-            nub = nu.ball_mass(b)
-            if nub <= 0:
-                raise ValueError("reference measure vanishes on a ball")
-            ratio = mu.ball_mass(b) / nub
-            sup_ratio = max(sup_ratio, ratio)
-            inf_ratio = min(inf_ratio, ratio)
-        rows.append((r, sup_ratio, inf_ratio))
+        nub = nu.ball_masses(centers, r)
+        if np.any(nub <= 0):
+            raise ValueError("reference measure vanishes on a ball")
+        ratios = mu.ball_masses(centers, r) / nub
+        rows.append((r, float(np.max(ratios)), float(np.min(ratios))))
 
     _, upper, lower = rows[-1]
     if len(rows) > 1:

@@ -14,7 +14,8 @@ Conventions fixed here once:
 
 kernel.normalized_cross(x, y) returns the matrix of normalized kernels
 K(x_i, y_j) / sqrt(K(x_i, x_i) K(y_j, y_j)) = <k_{y_j}, k_{x_i}>; Hermitian
-symmetry is structural for every variant.  Only the normalized families
+symmetry is structural for every variant.  The array is real (float) for
+the real sinc kernel and complex for the others.  Only the normalized families
 enter the lab, and they are computed through exponents with nonpositive real
 part, so they stay finite where the raw Fock kernel exp(pi |z|^2) would
 overflow.  A kernel is these Gram entries plus dim and mode_density; the
@@ -58,7 +59,7 @@ class PaleyWienerKernel:
 
     def normalized_cross(self, x, y) -> np.ndarray:
         t = _rows(x, 1)[:, 0][:, None] - _rows(y, 1)[:, 0][None, :]
-        return np.asarray(np.sinc(self.band * t / math.pi), dtype=complex)
+        return np.sinc(self.band * t / math.pi)
 
 
 class FockKernel:

@@ -102,7 +102,7 @@ def _step(rem, k, c):
     return rem - (k - c) ** 2
 
 
-def _runs(c: float, rem: np.ndarray):
+def _runs(c: np.ndarray, rem: np.ndarray):
     """Runs [lo, hi] (empty: hi = lo - 1) of the integers k with _step(rem, k, c) >= 0.
 
     The sqrt endpoints are only a guess, corrected by one against _step itself.
@@ -137,39 +137,50 @@ class Lattice:
         self.scale = float(scale)
         self.dim = int(dim)
 
-    def _scaled(self, b: Ball):
-        if b.dim != self.dim:
+    def _scaled(self, centers, radius):
+        """Centres (n, d) and squared radius in integer coordinates."""
+        c = np.asarray(centers, dtype=float)
+        if c.ndim != 2 or c.shape[1] != self.dim:
             raise ValueError("ball dimension does not match lattice dimension")
-        r = b.radius / self.scale
-        return b.center / self.scale, r * r
+        r = radius / self.scale
+        return c / self.scale, r * r
 
     def contains(self, b: Ball, points) -> np.ndarray:
         """Closed-ball membership of an (m, d) array of lattice points."""
-        c, rem = self._scaled(b)
+        (c,), rem = self._scaled(b.center[None], b.radius)
         k = np.rint(np.atleast_2d(np.asarray(points, dtype=float)) / self.scale)
         for j in range(self.dim):
             rem = _step(rem, k[:, j], c[j])
         return rem >= 0
 
-    def _ball_runs(self, b: Ball):
-        """(k, lo, hi): the points in b, lexicographically, are k[i] x [lo[i], hi[i]] (integer coordinates)."""
-        c, r2 = self._scaled(b)
-        k, rem = np.zeros((1, 0)), np.array([r2])
+    def _ball_runs(self, centers, radius):
+        """(owner, k, lo, hi) for the balls B(centers[i], radius), all walked at once.
+
+        The points of ball owner[i] are k[i] x [lo[i], hi[i]] (integer
+        coordinates), lexicographically within each ball; each centre takes
+        the arithmetic one ball alone would.
+        """
+        c, r2 = self._scaled(centers, radius)
+        owner, k, rem = np.arange(len(c)), np.zeros((len(c), 0)), np.full(len(c), r2)
         for j in range(self.dim - 1):
-            run, kj = _expand(*_runs(c[j], rem))
-            k = np.column_stack([k[run], kj])
-            rem = _step(rem[run], kj, c[j])
-        lo, hi = _runs(c[-1], rem)
-        return k, lo, hi
+            run, kj = _expand(*_runs(c[owner, j], rem))
+            owner, k = owner[run], np.column_stack([k[run], kj])
+            rem = _step(rem[run], kj, c[owner, j])
+        lo, hi = _runs(c[owner, -1], rem)
+        return owner, k, lo, hi
+
+    def count_in_balls(self, centers, radius) -> np.ndarray:
+        """Number of lattice points in each closed ball B(center, radius); the last axis is never enumerated."""
+        owner, _, lo, hi = self._ball_runs(centers, radius)
+        return np.bincount(owner, weights=hi - lo + 1, minlength=len(centers)).astype(np.int64)
 
     def count_in_ball(self, b: Ball) -> int:
-        """Number of lattice points in the closed ball; the last axis is never enumerated."""
-        _, lo, hi = self._ball_runs(b)
-        return int(np.sum(hi - lo + 1))
+        """count_in_balls for the one ball b."""
+        return int(self.count_in_balls(b.center[None], b.radius)[0])
 
     def points_in_ball(self, b: Ball) -> np.ndarray:
         """Enumerate lattice points in the closed ball as an (m, d) array."""
-        k, lo, hi = self._ball_runs(b)
+        _, k, lo, hi = self._ball_runs(b.center[None], b.radius)
         run, last = _expand(lo, hi)
         return np.column_stack([k[run], last]) * self.scale
 
@@ -190,8 +201,9 @@ class ThinnedLattice(Lattice):
     def contains(self, b: Ball, points) -> np.ndarray:
         return super().contains(b, points) & self._odd(points)
 
-    def count_in_ball(self, b: Ball) -> int:
-        return super().count_in_ball(b) - Lattice(2.0 * self.scale, self.dim).count_in_ball(b)
+    def count_in_balls(self, centers, radius) -> np.ndarray:
+        even = Lattice(2.0 * self.scale, self.dim)
+        return super().count_in_balls(centers, radius) - even.count_in_balls(centers, radius)
 
     def points_in_ball(self, b: Ball) -> np.ndarray:
         pts = super().points_in_ball(b)
@@ -211,8 +223,21 @@ class LebesgueMeasure:
             raise ValueError("ball dimension does not match measure dimension")
         return ball_volume(self.dim, b.radius)
 
+    def ball_masses(self, centers, r: float) -> np.ndarray:
+        """The mass does not depend on the centre: ball_mass of the ball at the origin, once per centre."""
+        centers = np.asarray(centers, dtype=float)
+        return np.full(len(centers), self.ball_mass(Ball(np.zeros(centers.shape[-1]), r)))
 
-class CountingMeasure:
+
+class _Measure:
+    """Ball masses of many balls of one radius, by default ball_mass per ball."""
+
+    def ball_masses(self, centers, r: float) -> np.ndarray:
+        """Masses of the balls B(center, r), one per row of centers."""
+        return np.array([self.ball_mass(Ball(a, r)) for a in centers], dtype=float)
+
+
+class CountingMeasure(_Measure):
     """Counting measure of a PointSet or Lattice."""
 
     is_discrete = True
@@ -231,6 +256,12 @@ class CountingMeasure:
             return float(self.support.count_in_ball(b))
         return float(np.count_nonzero(b.contains(self.support.points)))
 
+    def ball_masses(self, centers, r: float) -> np.ndarray:
+        """On a lattice, one batched count for all the balls."""
+        if isinstance(self.support, Lattice):
+            return self.support.count_in_balls(centers, r).astype(float)
+        return super().ball_masses(centers, r)
+
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         pts = self.support.points_in_ball(b)
         return pts, np.ones(len(pts))
@@ -240,7 +271,7 @@ class CountingMeasure:
         return self.support.contains(b, atoms)
 
 
-class AtomicMeasure:
+class AtomicMeasure(_Measure):
     """Finite atomic measure: sum of positive point masses."""
 
     is_discrete = True

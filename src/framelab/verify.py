@@ -241,6 +241,50 @@ _EVIDENCE_FLOOR = 0.01
 _STABLE_RTOL = 0.10
 
 
+def _quarter_turn(pts: np.ndarray) -> np.ndarray:
+    """rho(x, y) = (-y, x), row by row: a swap and a sign flip, so exact."""
+    return np.column_stack([-pts[:, 1], pts[:, 0]])
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two point arrays hold the same rows, in any order."""
+    return a.shape == b.shape and np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)])
+
+
+def _gram_spectrum(kernel, pts: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the Gram matrix kernel.normalized_cross(pts, pts), in quarter-turn blocks.
+
+    The Fock Gram is invariant under the quarter turn z -> iz, and the Gabor
+    n = 1 Gram is its twin: through the Bargmann transform it equals
+    D G_Fock D* with D = diag(exp(i pi p q)), z = p + i q, so both share one
+    spectrum.  When the window's points equal their quarter turn, the Gram
+    is block-circulant over the orbit representatives p_j (x > 0, y >= 0):
+    with G_t = normalized_cross(reps, rho^t reps), its spectrum is the union
+    of those of H_k = sum_t i^(kt) G_t, k = 0..3, the origin (if present)
+    bordered into H_0 by 2 G(p_j, 0) and G(0, 0).  Any other window is the
+    same computation with one turn: reps = pts and H_0 = G.
+    """
+    if isinstance(kernel, GaborGaussianKernel) and kernel.n == 1:
+        kernel = FockKernel()
+    if isinstance(kernel, FockKernel) and _same_rows(pts, _quarter_turn(pts)):
+        turns = 4
+        reps, centre = pts[(pts[:, 0] > 0) & (pts[:, 1] >= 0)], pts[np.all(pts == 0, axis=1)]
+    else:
+        turns, reps, centre = 1, pts, pts[:0]
+    orbit = [reps]
+    for _ in range(turns - 1):
+        orbit.append(_quarter_turn(orbit[-1]))
+    blocks = [kernel.normalized_cross(reps, turned) for turned in orbit]
+    spectra = []
+    for k in range(turns):
+        H = sum((1, 1j, -1, -1j)[k * t % 4] * G for t, G in enumerate(blocks))
+        if k == 0 and len(centre):
+            border = kernel.normalized_cross(np.vstack([reps, centre]), centre)
+            H = np.block([[H, 2.0 * border[:-1]], [2.0 * border[:-1].conj().T, border[-1:]]])
+        spectra.append(np.linalg.eigvalsh(H))
+    return np.sort(np.concatenate(spectra))
+
+
 def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
     """Windowed Gram spectra of normalized kernels over origin balls of growing radius.
 
@@ -256,8 +300,7 @@ def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
         if len(pts) == 0:
             rows.append({"radius": R, "m": 0, "note": "window contains no points"})
             continue
-        G = kernel.normalized_cross(pts, pts)
-        lam = np.linalg.eigvalsh(G)
+        lam = _gram_spectrum(kernel, pts)
         lam_max = float(lam[-1])
         local_dim = None
         min_nonzero = None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framelab.density import DensitySchedule, density, lattice_schedule
-from framelab.space import AtomicMeasure, CountingMeasure, Lattice, LebesgueMeasure, PointSet
+from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice
 
 
 def small_sched(dim, scale=1.0, r_max=32.0):
@@ -97,6 +97,24 @@ class TestClassicalDensity:
             DensitySchedule((4.0,), (np.zeros(1), np.ones(1)), 0.5),
         )
         assert est.upper == 0.0 and est.lower == 0.0
+
+    @pytest.mark.parametrize(
+        "mu, sched",
+        [
+            (CountingMeasure(Lattice(0.5, 2)), lattice_schedule(0.5, 2, r_max=32.0)),
+            (CountingMeasure(ThinnedLattice(0.8, 2)), DensitySchedule((4.0, 8.0), (np.zeros(2), np.full(2, 1.6)), 0.4)),
+            (CountingMeasure(Lattice(2.0, 1)), lattice_schedule(2.0, 1, r_max=128.0)),
+            (CountingMeasure(PointSet(np.arange(-40.0, 41.0).reshape(-1, 1) * 0.7)), small_sched(1, r_max=16.0)),
+        ],
+    )
+    def test_rows_equal_a_per_ball_loop(self, mu, sched):
+        # the loop over single balls is the reference: batching changes no ratio by a bit
+        nu = LebesgueMeasure(mu.dim)
+        want = []
+        for r in sched.radii:
+            ratios = [mu.ball_mass(Ball(a, r)) / nu.ball_mass(Ball(a, r)) for a in sched.centers()]
+            want.append((r, max(ratios), min(ratios)))
+        assert density(mu, nu, sched).per_radius == tuple(want)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -50,6 +50,15 @@ class TestPaleyWiener:
             got = K.normalized_cross([x], [y])[0, 0]
             assert got == pytest.approx(pw_frequency_oracle(x, y, band=band) * math.pi / band, abs=1e-12)
 
+    def test_gram_is_real(self):
+        band = 2.0
+        x = np.linspace(-3.0, 3.0, 13).reshape(-1, 1)
+        G = PaleyWienerKernel(band=band).normalized_cross(x, np.vstack([x, x + 0.3]))
+        assert G.dtype == np.float64
+        t = x - np.vstack([x, x + 0.3]).T
+        safe = np.where(t == 0, 1.0, t)
+        np.testing.assert_allclose(G, np.where(t == 0, 1.0, np.sin(band * safe) / (band * safe)), rtol=0, atol=1e-15)
+
 
 class TestFock:
     def test_normalized_modulus_law(self):

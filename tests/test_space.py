@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab.density import DEFAULT_RADII, lattice_schedule
 from framelab.space import (
     AtomicMeasure,
     Ball,
@@ -168,6 +169,66 @@ class TestThinnedLattice:
         # |0.8 k|^2 rounds above 16 for the 8 odd points with |k| = 5, yet they lie on the sphere
         thin = CountingMeasure(ThinnedLattice(0.8, 2))
         assert thin.ball_mass(Ball([0.0, 0.0], 4.0)) == 81 - 21
+
+
+class TestBatchedCounts:
+    """count_in_balls walks many balls of one radius at once and counts each exactly as count_in_ball."""
+
+    @pytest.mark.parametrize("cls", [Lattice, ThinnedLattice])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.8, 1 / 3, 2.0])
+    def test_count_in_balls_equals_count_in_ball(self, cls, dim, alpha):
+        lat = cls(alpha, dim)
+        rng = np.random.default_rng(dim)
+        cases = []
+        # the schedule grid of one period, at the schedule's radii
+        grid = lattice_schedule(alpha, dim, r_max=32.0)
+        cases += [(grid.centers(), r) for r in grid.radii if r / alpha <= 60]
+        # random centres
+        cases += [(rng.uniform(-5, 5, size=(17, dim)), r) for r in (0.9, 3.3, 7.0)]
+        # centres on multiples of alpha/2 and radii alpha sqrt(n): the spheres run through lattice points
+        cases += [(rng.integers(-6, 7, size=(17, dim)) * alpha / 2, alpha * math.sqrt(n)) for n in (1, 2, 5, 25, 50)]
+        for centers, r in cases:
+            want = [lat.count_in_ball(Ball(c, r)) for c in centers]
+            assert lat.count_in_balls(centers, r).tolist() == want
+
+    def test_integer_centres_and_radii(self):
+        # 3-4-5 and 5-12-13 triples put lattice points on the integer spheres
+        centers = np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 4.0], [-7.0, 2.0]])
+        for cls in (Lattice, ThinnedLattice):
+            lat = cls(1.0, 2)
+            for r in (1, 5, 13):
+                assert lat.count_in_balls(centers, r).tolist() == [lat.count_in_ball(Ball(c, r)) for c in centers]
+        assert Lattice(1.0, 2).count_in_balls(centers, 5).tolist() == [
+            brute_lattice_count(1.0, c, 5.0) for c in centers
+        ]
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            LebesgueMeasure(1),
+            LebesgueMeasure(2),
+            LebesgueMeasure(3),
+            CountingMeasure(Lattice(0.8, 2)),
+            CountingMeasure(ThinnedLattice(0.8, 2)),
+            CountingMeasure(Lattice(1 / 3, 3)),
+            CountingMeasure(PointSet(np.random.default_rng(5).uniform(-4, 4, size=(60, 2)))),
+            AtomicMeasure(np.random.default_rng(6).uniform(-4, 4, size=(30, 2)), np.linspace(0.5, 2.0, 30)),
+        ],
+        ids=lambda m: type(m).__name__ + str(m.dim),
+    )
+    def test_ball_masses_is_ball_mass_per_ball(self, m):
+        rng = np.random.default_rng(7)
+        for r in DEFAULT_RADII[:3] + (0.8, 2.4):
+            for c in rng.uniform(-3, 3, size=(6, m.dim)):
+                b = Ball(c, r)
+                assert m.ball_mass(b) == m.ball_masses(b.center[None], b.radius)[0]
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            CountingMeasure(Lattice(1.0, 2)).ball_masses(np.zeros((3, 1)), 4.0)
+        with pytest.raises(ValueError, match="dimension"):
+            LebesgueMeasure(2).ball_masses(np.zeros((3, 1)), 4.0)
 
 
 def annulus_over_ball(m, a, r, rho):

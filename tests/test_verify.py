@@ -11,13 +11,14 @@ from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab import localization, quadrature
 from framelab.quadrature import QuadConfig
-from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet
+from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice
 from framelab.verify import (
     CONFIG_SCHEMA,
     DEFAULTS,
     ConfigError,
     corollary_parseval_check,
     _build_lattice_support,
+    _gram_spectrum,
     gram_truncation_study,
     report_json,
     resolve_config,
@@ -34,6 +35,27 @@ FAST_FOCK = {
     "gram_radii": [2.0, 3.0],
     "density_rmax": 32.0,
 }
+
+
+# 0.8 Z^2 with each coordinate jittered by up to 0.12: no longer its own quarter turn
+WINDOW = Lattice(0.8, 2).points_in_ball(Ball(np.zeros(2), 6.0))
+JITTERED = PointSet(WINDOW + np.random.default_rng(3).uniform(-0.12, 0.12, WINDOW.shape))
+
+
+def solve(monkeypatch, kernel, pts):
+    """_gram_spectrum(kernel, pts) and the size of each Hermitian block it solved."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda H: sizes.append(len(H)) or eigvalsh(H))
+        lam = _gram_spectrum(kernel, pts)
+    return lam, sizes
+
+
+def assert_same_spectrum(lam, dense):
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(lam - dense)) <= 1e-13 * max(1.0, dense[-1])
+    assert np.sum(lam < 1e-10 * lam[-1]) == np.sum(dense < 1e-10 * dense[-1])
 
 
 class TestGramStudy:
@@ -81,6 +103,37 @@ class TestGramStudy:
                     assert b[key] is None
                 else:
                     assert abs(a[key] - b[key]) <= tol
+
+    @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
+    @pytest.mark.parametrize(
+        "support",
+        [Lattice(alpha, 2) for alpha in (0.37, 0.5, 0.8, 1.2, 2.0)] + [ThinnedLattice(0.8, 2)],
+        ids=lambda s: f"{type(s).__name__}({s.scale})",
+    )
+    def test_quarter_turn_blocks_match_the_dense_gram(self, kernel, support, monkeypatch):
+        # each family against its own dense Gram; R = 4 at alpha = 0.8 puts lattice points on the sphere
+        for R in (2.5, 4.0, 4.5):
+            pts = support.points_in_ball(Ball(np.zeros(2), R))
+            dense = np.linalg.eigvalsh(kernel.normalized_cross(pts, pts))
+            lam, sizes = solve(monkeypatch, kernel, pts)
+            assert len(sizes) == 4 and sum(sizes) == len(pts)
+            assert_same_spectrum(lam, dense)
+
+    @pytest.mark.parametrize(
+        "kernel, support, R",
+        [
+            (FockKernel(), JITTERED, 4.0),
+            (GaborGaussianKernel(1), JITTERED, 4.0),
+            (GaborGaussianKernel(2), Lattice(1.0, 4), 1.5),
+            (PaleyWienerKernel(), Lattice(0.7, 1), 5.0),
+        ],
+        ids=["fock-jittered", "gabor-jittered", "gabor-n2", "paley-wiener"],
+    )
+    def test_other_windows_take_one_turn(self, kernel, support, R, monkeypatch):
+        pts = support.points_in_ball(Ball(np.zeros(kernel.dim), R))
+        lam, sizes = solve(monkeypatch, kernel, pts)
+        assert sizes == [len(pts)]
+        assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
 
     def test_empty_window_noted(self):
         study = gram_truncation_study(FockKernel(), PointSet(np.zeros((0, 2))), [1.0])
