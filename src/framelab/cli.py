@@ -95,6 +95,7 @@ _MEASURE_SCHEMA = {
 _OFFSET_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _LEBESGUE = {"required": ["lebesgue"]}
 _NO_GRID = {"properties": {"quad": {"properties": {"h": {"not": {}}}}}}
+_QUAD = verify.CONFIG_SCHEMA["properties"]["quad"]
 _PAIR_SCHEMA = {
     "type": "object",
     "properties": {
@@ -103,15 +104,16 @@ _PAIR_SCHEMA = {
         "g": _MEASURE_SCHEMA,
         "f_offset": _OFFSET_SCHEMA,
         "g_offset": _OFFSET_SCHEMA,
-        "quad": verify.CONFIG_SCHEMA["properties"]["quad"],
+        # a scenario's quad fields, and h: the spacing of the one grid a pair can take
+        "quad": {**_QUAD, "properties": {"h": {"type": "number", "exclusiveMinimum": 0}, **_QUAD["properties"]}},
     },
     "required": ["kernel", "f", "g"],
     "additionalProperties": False,
-    # quad fields a pair never reads are rejected rather than ignored: only a
-    # Lebesgue side on a grid reads h, and a Gaussian kernel takes all its
-    # terms in closed form
+    # quad fields a pair never reads are rejected rather than ignored: only two
+    # Lebesgue sides meet on a grid and read h, and a Gaussian kernel takes
+    # even those in closed form
     "allOf": [
-        {"if": {"properties": {"f": {"not": _LEBESGUE}, "g": {"not": _LEBESGUE}}}, "then": _NO_GRID},
+        {"if": {"properties": {"f": _LEBESGUE, "g": _LEBESGUE}}, "else": _NO_GRID},
         {
             "if": {"properties": {"kernel": {"properties": {"kernel": {"enum": ["fock", "gabor-gaussian"]}}}}},
             "then": _NO_GRID,

@@ -79,21 +79,22 @@ def lattice_schedule(scale: float, dim: int, r_max: float) -> DensitySchedule:
 
 
 def density(mu, nu, sched: DensitySchedule) -> DensityEstimate:
-    """Sup/inf ball-mass ratios mu(B)/nu(B) over the schedule, one ball_masses call per radius and measure.
+    """Sup/inf ball-mass ratios mu(B)/nu(B) over the schedule, one ball_masses call per measure.
 
-    Requires nu(B(a, r_min)) > 0 at every sampled center, mirroring the
-    standing assumption on the reference measure.  The trend compares the
-    last two radii; the library's schedules double their radii, so that is
-    r_max against r_max / 2.
+    Every (centre, radius) pair of the schedule goes into that one call, and
+    the masses are split per radius afterwards.  Requires nu(B(a, r_min)) > 0
+    at every sampled center, mirroring the standing assumption on the
+    reference measure.  The trend compares the last two radii; the library's
+    schedules double their radii, so that is r_max against r_max / 2.
     """
     centers = sched.centers()
-    rows = []
-    for r in sched.radii:
-        nub = nu.ball_masses(centers, r)
-        if np.any(nub <= 0):
-            raise ValueError("reference measure vanishes on a ball")
-        ratios = mu.ball_masses(centers, r) / nub
-        rows.append((r, float(np.max(ratios)), float(np.min(ratios))))
+    shape = (len(sched.radii), len(centers))
+    all_centers, all_radii = np.tile(centers, (len(sched.radii), 1)), np.repeat(sched.radii, len(centers))
+    nub = nu.ball_masses(all_centers, all_radii).reshape(shape)
+    if np.any(nub <= 0):
+        raise ValueError("reference measure vanishes on a ball")
+    ratios = mu.ball_masses(all_centers, all_radii).reshape(shape) / nub
+    rows = [(r, float(np.max(row)), float(np.min(row))) for r, row in zip(sched.radii, ratios)]
 
     _, upper, lower = rows[-1]
     if len(rows) > 1:

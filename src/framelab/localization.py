@@ -17,9 +17,10 @@ t2 to cover the rest.
   chi-square CDF with 2 degrees of freedom, one minus Marcum's Q_1 (Marcum,
   IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, a 1-d rule over the
   Gaussian's radial density with no grid error.
-- Other kernels (Paley-Wiener, c = inf), a Lebesgue side against a
-  discrete one: the atom field is integrated by ``integrate_ball`` over B,
-  or by ``integrate_complement`` over B(R_tr) \\ B.
+- Paley-Wiener (c = inf), a Lebesgue side against a discrete one: an atom's
+  term over B, or over B(R_tr) \\ B, is a difference of the closed form
+  F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b of ``_sinc2_integral``.  Tabulated
+  kernels integrate the atom field with ``integrate_ball`` or ``integrate_complement``.
 - Two discrete sides: an exact atom x atom sum.
 - Two Lebesgue sides: |<k_x, k_y>|^2 integrates to 1 / mode_density over
   all x (reproducing formula), so a double tail is |B| / mode_density minus
@@ -28,10 +29,11 @@ t2 to cover the rest.
   Paley-Wiener one ``integrate_ball``.
 - The tail supremum ``tail_sup`` (the acceptance tail law): for Fock and
   Gabor two outside disk masses of ``_disk_mass``, for Paley-Wiener
-  ``integrate_complement`` on the line.
+  2 (F(R_tr) - F(R)), for other kernels ``integrate_complement`` on the line.
 
-The truncation bound does not cover the grid error of the Paley-Wiener
-Lebesgue sides, the only ones left on a grid.
+A row walks each discrete side once over the window B(c, R_tr) and takes
+every atom set and mass from that walk.  The truncation bound does not cover
+the grid error of the Paley-Wiener Lebesgue x Lebesgue overlap on the line.
 
 ``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
 row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports,
@@ -46,9 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
+from numpy.polynomial.polynomial import polyval
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .quadrature import QuadConfig, integrate_ball, integrate_complement
@@ -70,6 +74,10 @@ _DISK_SPAN = 1.5 * _CUTOFF  # e^{-pi span^2} = 1e-31.5
 _GL_X = legendre.leggauss(64)[0]
 _GL_U = (_GL_X + 1.0) / 2.0
 _GL_W = 1.0 / ((1.0 - _GL_X**2) * legendre.legval(_GL_X, legendre.legder(np.eye(65)[64])) ** 2)
+_SI_SPLIT = 40.0  # Si: the 64-node rule up to here, the asymptotic series beyond
+_SI_TERMS = 22
+_SI_F = np.array([(-1) ** k * math.factorial(2 * k) for k in range(_SI_TERMS)], dtype=float)
+_SI_G = np.array([(-1) ** k * math.factorial(2 * k + 1) for k in range(_SI_TERMS)], dtype=float)
 
 
 def _mod2_cross(kernel, X, Y) -> np.ndarray:
@@ -164,6 +172,32 @@ def _lens_overlap(s: float, r: float) -> float:
     return (hi - lo) * float((_radial_density(s, 2.0 * r * sin - s) * lens * (2.0 * r * cos)) @ _GL_W)
 
 
+def _si(x) -> np.ndarray:
+    """The sine integral Si(x) = integral_0^x sin(t) / t dt, elementwise and odd, each entry on its own.
+
+    |x| <= _SI_SPLIT: the 64-node rule on [0, x], sum_i W_i sin(x U_i) / U_i.
+    Beyond: pi/2 - f(x) cos x - g(x) sin x with the auxiliary asymptotic
+    series f ~ sum_k (-1)^k (2k)! / x^(2k+1), g ~ sum_k (-1)^k (2k+1)! / x^(2k+2),
+    _SI_TERMS terms each (the last adds ~2e-18 at x = 40).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) <= _SI_SPLIT
+    out[small] = (np.sin(x[small][:, None] * _GL_U) / _GL_U * _GL_W).sum(axis=1)
+    big = np.abs(x[~small])
+    inv2 = 1.0 / (big * big)
+    tail = polyval(inv2, _SI_F) / big * np.cos(big) + polyval(inv2, _SI_G) * inv2 * np.sin(big)
+    out[~small] = np.copysign(0.5 * math.pi - tail, x[~small])
+    return out
+
+
+def _sinc2_integral(band: float, t) -> np.ndarray:
+    """F(t) = integral_0^t sinc^2(band u) du = (Si(2 band t) - sin^2(band t) / (band t)) / band, sinc(y) = sin(y)/y."""
+    x = band * np.asarray(t, dtype=float)
+    sin = np.sin(x)
+    return (_si(2.0 * x) - sin * sin / np.where(x == 0.0, 1.0, x)) / band
+
+
 @dataclass
 class FramePairSpec:
     """Two normalized kernel families over one geometry with their index measures.
@@ -202,8 +236,9 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     the mass is e^{-pi R^2} - e^{-pi R_tr^2} at every probe, taken as the
     difference of two outside masses of ``_disk_mass`` (the radial rule of
     every Gaussian atom term, which the tail law thus checks; the inside
-    masses would cancel to ~1e-3 relative at R = 3).  Other kernels
-    (Paley-Wiener) integrate the field with ``integrate_complement``.
+    masses would cancel to ~1e-3 relative at R = 3).  For Paley-Wiener it is
+    2 (F(R_tr) - F(R)) of ``_sinc2_integral``; other kernels integrate the
+    field with ``integrate_complement``.
     """
     d = kernel.dim
     if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == d):
@@ -216,6 +251,9 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     if isinstance(kernel, (FockKernel, GaborGaussianKernel)) and d == 2:
         outside = [float(_disk_mass(np.zeros(1), r, inside=False)[0]) for r in (R, cfg.effective_truncation(R))]
         return outside[0] - outside[1]
+    if isinstance(kernel, PaleyWienerKernel):
+        inner, outer = _sinc2_integral(kernel.band, np.array([R, cfg.effective_truncation(R)]))
+        return 2.0 * float(outer - inner)
     best = -math.inf
     for x in probes:
         field = lambda pts: _mod2_cross(kernel, x[None, :], pts)[0]
@@ -267,70 +305,88 @@ def _lebesgue_pair_term(kernel, s: np.ndarray, r: float, cfg: QuadConfig) -> flo
     return ball_volume(kernel.dim, r) / kernel.mode_density - overlap
 
 
-def _cross_term(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, outer: str):
-    """One iterated integral: outer family over B^c, the other over B.
+class _Side(NamedTuple):
+    """A row's side: its masses of B = B(c, r) and of the window B(c, R_tr), and for a discrete side,
+    walked once over the window, its (atoms, weights) in B and outside B within B(c, min(R_tr, r + reach)),
+    in the walk's order and by the measure's own rule."""
 
-    outer = "f": integral_{x in B^c} d mu integral_{y in B} d nu |<f_x, g_y>|^2
-    outer = "g": the swapped ordering.
+    offset: np.ndarray
+    mass: float
+    window_mass: float
+    inside: tuple | None = None
+    outside: tuple | None = None
+
+
+def _walk(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> list[_Side]:
+    """The f and g sides over b; reach = c + |f_offset - g_offset| is the decay cutoff in index coordinates."""
+    r_tr = cfg.effective_truncation(b.radius)
+    reach = _cutoff(pair.kernel) + float(np.linalg.norm(pair.f_offset - pair.g_offset))
+    window, near = Ball(b.center, r_tr), Ball(b.center, min(r_tr, b.radius + reach))
+    sides = []
+    for m, offset in ((pair.f_measure, pair.f_offset), (pair.g_measure, pair.g_offset)):
+        if not getattr(m, "is_discrete", False):
+            sides.append(_Side(offset, m.ball_mass(b), m.ball_mass(window)))
+            continue
+        atoms, w = m.atoms_in_ball(window)
+        inside = m.contains(b, atoms)
+        outside = m.contains(near, atoms) & ~inside
+        mass, window_mass = math.fsum(w[inside].tolist()), math.fsum(w.tolist())
+        sides.append(_Side(offset, mass, window_mass, (atoms[inside], w[inside]), (atoms[outside], w[outside])))
+    return sides
+
+
+def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball, cfg: QuadConfig) -> float:
+    """One iterated integral of the walked sides: the outer side over B^c, the inner one over B.
+
+    t1 = integral_{x in B^c} d mu integral_{y in B} d nu |<f_x, g_y>|^2 has
+    the f side outer; t2 swaps the roles.
     """
-    sides = [(pair.f_measure, pair.f_offset), (pair.g_measure, pair.g_offset)]
-    (outer_m, outer_off), (inner_m, inner_off) = sides if outer == "f" else sides[::-1]
-    kernel, r = pair.kernel, ball.radius
-    r_tr = cfg.effective_truncation(r)
+    r = ball.radius
     cutoff = _cutoff(kernel)
-    reach = cutoff + float(np.linalg.norm(outer_off - inner_off))  # the cutoff in index coordinates
-    out_disc, in_disc = (getattr(m, "is_discrete", False) for m in (outer_m, inner_m))
+    reach = cutoff + float(np.linalg.norm(outer.offset - inner.offset))  # the cutoff in index coordinates
+    out_disc, in_disc = outer.outside is not None, inner.inside is not None
     if not out_disc and not in_disc:
-        return _lebesgue_pair_term(kernel, inner_off - outer_off, r, cfg)
+        return _lebesgue_pair_term(kernel, inner.offset - outer.offset, r, cfg)
     if in_disc:
-        atoms_in, w_in = inner_m.atoms_in_ball(ball)
+        atoms_in, w_in = inner.inside
         near = np.linalg.norm(atoms_in - ball.center, axis=1) >= r - reach
-        v_atoms, w_in = atoms_in[near] + inner_off, w_in[near]
+        v_atoms, w_in = atoms_in[near] + inner.offset, w_in[near]
     if out_disc:
-        atoms_out, w_out = outer_m.atoms_in_ball(Ball(ball.center, min(r_tr, r + reach)))
-        keep = ~outer_m.contains(ball, atoms_out)
-        u_atoms, w_out = atoms_out[keep] + outer_off, w_out[keep]
+        u_atoms, w_out = outer.outside[0] + outer.offset, outer.outside[1]
     if out_disc and in_disc:
         # the outer atoms in the inner ones' order too: the sum is then the same bits for any input order
         u_atoms, w_out = _lex_sorted(u_atoms, w_out)
         return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, v_atoms, w_in))
+    # an atom's term is the mass its kernel puts across the sphere, seen from the Lebesgue
+    # side: inside B for an outer atom, outside B for an inner one; p is its kernel point
+    # relative to the Lebesgue side's offset
+    p, w = (u_atoms - inner.offset, w_out) if out_disc else (v_atoms - outer.offset, w_in)
     if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
-        # an atom's term is the mass its Gaussian puts across the sphere, seen from the
-        # Lebesgue side: inside B for an outer atom, outside B for an inner one
-        p, w = (u_atoms - inner_off, w_out) if out_disc else (v_atoms - outer_off, w_in)
         s = np.linalg.norm(p - ball.center, axis=1)
         near = s <= r + cutoff if out_disc else s >= r - cutoff
         return math.fsum((w[near] * _disk_mass(s[near], r, inside=out_disc)).tolist())
+    if isinstance(kernel, PaleyWienerKernel):
+        # sinc^2(band (x - p)) over B = [c - r, c + r], or over the window's two pieces outside B
+        c, r_tr = float(ball.center[0]), cfg.effective_truncation(r)
+        ends = [c + r, c - r] if out_disc else [c - r, c - r_tr, c + r_tr, c + r]
+        F = _sinc2_integral(kernel.band, np.subtract.outer(ends, p[:, 0]))
+        return math.fsum((w * (F[0::2] - F[1::2]).sum(axis=0)).tolist())
     # every kernel left here has no cutoff: its field spans all of B, or of B(R_tr) \ B
     if out_disc:
-        field = lambda x: _sum_field_over_atoms(kernel, x + inner_off, u_atoms, w_out)
+        field = lambda x: _sum_field_over_atoms(kernel, x + inner.offset, u_atoms, w_out)
         return integrate_ball(field, ball, cfg).value
-    field = lambda x: _sum_field_over_atoms(kernel, x + outer_off, v_atoms, w_in)
+    field = lambda x: _sum_field_over_atoms(kernel, x + outer.offset, v_atoms, w_in)
     return integrate_complement(field, ball, cfg).value
 
 
-def _pruning_bound(pair: FramePairSpec, ball: Ball, cfg: QuadConfig, mu_b: float, nu_b: float) -> float:
-    """Bound on the mass left out of t1 and t2 by the decay cutoff and the window.
-
-    Every pair the cross terms skip lies more than c = _cutoff(kernel)
-    apart in kernel coordinates, so its term is < _PRUNE_EPS w_x w_y (an atom
-    skipped against a Gaussian Lebesgue side has < _PRUNE_EPS w of its mass
-    across the sphere).  Both sides lie in B(center, R_tr), hence
-
-        skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
-
-    one such term for each.  The window term (mu(B) + nu(B)) _tail_mass(min(gap, c))
-    covers what lies beyond R_tr: in kernel coordinates that is at least
-    gap = R_tr - r - |f_offset - g_offset| from the sphere (clamped at 0).
-    """
-    r_tr = cfg.effective_truncation(ball.radius)
-    window = Ball(ball.center, r_tr)
-    slack = 2.0 * _PRUNE_EPS * pair.f_measure.ball_mass(window) * pair.g_measure.ball_mass(window)
-    gap = max(0.0, r_tr - ball.radius - float(np.linalg.norm(pair.f_offset - pair.g_offset)))
-    tail = _tail_mass(pair.kernel, min(gap, _cutoff(pair.kernel)))
-    if not math.isfinite(tail):
-        return math.inf
-    return slack + (mu_b + nu_b) * tail
+def _tails(pair: FramePairSpec, b: Ball, cfg: QuadConfig):
+    """(t1, t2, f side, g side), each side walked once."""
+    f, g = _walk(pair, b, cfg)
+    # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
+    # through its center negates x - y, and |<k_x, k_y>|^2 is even
+    t1 = _cross_term(pair.kernel, f, g, b, cfg)
+    t2 = t1 if f.inside is None and g.inside is None else _cross_term(pair.kernel, g, f, b, cfg)
+    return t1, t2, f, g
 
 
 def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> tuple[float, float]:
@@ -340,11 +396,7 @@ def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> tuple[float, f
     t2 swaps the roles.  The truncation window R_tr must reach the ball's
     sphere.
     """
-    # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
-    # through its center negates x - y, and |<k_x, k_y>|^2 is even
-    plain_lebesgue = not any(getattr(m, "is_discrete", False) for m in (pair.f_measure, pair.g_measure))
-    t1 = _cross_term(pair, b, cfg, outer="f")
-    return t1, t1 if plain_lebesgue else _cross_term(pair, b, cfg, outer="g")
+    return _tails(pair, b, cfg)[:2]
 
 
 def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
@@ -352,14 +404,30 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
 
     For self-dual families the two iterated integrals of the localization
     condition are exactly the double tails, so the defect is |t1 - t2|; the
-    normalizer is mu(B) + nu(B), and trunc_bound bounds what t1 and t2 leave out.
+    normalizer is mu(B) + nu(B).  Each discrete side is walked once, and
+    its tails and masses all come from that walk.
+
+    trunc_bound bounds what t1 and t2 leave out.  Every pair the cross terms
+    skip lies more than c = _cutoff(kernel) apart in kernel coordinates, so
+    its term is < _PRUNE_EPS w_x w_y (an atom skipped against a Gaussian
+    Lebesgue side has < _PRUNE_EPS w of its mass across the sphere).  Both
+    sides lie in B(center, R_tr), hence
+
+        skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
+
+    one such term for each.  The window term (mu(B) + nu(B)) _tail_mass(min(gap, c))
+    covers what lies beyond R_tr: in kernel coordinates that is at least
+    gap = R_tr - r - |f_offset - g_offset| from the sphere (clamped at 0).
     """
-    t1, t2 = double_tail(pair, b, cfg)
-    mu_b, nu_b = pair.f_measure.ball_mass(b), pair.g_measure.ball_mass(b)
-    normalizer = mu_b + nu_b
+    t1, t2, f, g = _tails(pair, b, cfg)
+    normalizer = f.mass + g.mass
     if normalizer <= 0:
         raise ValueError("empty ball: defect normalizer vanishes")
     defect = abs(t1 - t2)
+    delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
+    gap = max(0.0, cfg.effective_truncation(b.radius) - b.radius - delta)
+    tail = _tail_mass(pair.kernel, min(gap, _cutoff(pair.kernel)))
+    slack = 2.0 * _PRUNE_EPS * f.window_mass * g.window_mass
     return {
         "center": [float(c) for c in b.center],
         "radius": float(b.radius),
@@ -368,5 +436,5 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
         "t2": t2,
         "normalizer": normalizer,
         "eps_eff": defect / normalizer,
-        "trunc_bound": _pruning_bound(pair, b, cfg, mu_b, nu_b),
+        "trunc_bound": slack + normalizer * tail if math.isfinite(tail) else math.inf,
     }

@@ -1,9 +1,11 @@
 """Deterministic Lebesgue quadrature of real fields over intervals and their complements on the line.
 
 One private pass, ``_integrate``, integrates a real field over the shell
-r_in < |x - c| <= r_out in d = 1, where the Paley-Wiener localization
-terms live: ``integrate_ball`` is the pass over [0, r], and
-``integrate_complement`` the pass over (r, R_tr].  Every other dimension
+r_in < |x - c| <= r_out in d = 1: ``integrate_ball`` is the pass over
+[0, r], and ``integrate_complement`` the pass over (r, R_tr].  It serves the
+Lebesgue x Lebesgue overlap on the line and the Lebesgue sides of kernels
+with no closed form (tabulated ones); the Paley-Wiener atom terms and tail
+are closed forms in ``framelab.localization``.  Every other dimension
 raises ``ValueError``: the Gaussian (Fock, Gabor n = 1) terms of the plane
 are radial integrals in ``framelab.localization``.  Cells have spacing h,
 are anchored at the centre and are clipped exactly to the shell; every cell

@@ -138,11 +138,11 @@ class Lattice:
         self.dim = int(dim)
 
     def _scaled(self, centers, radius):
-        """Centres (n, d) and squared radius in integer coordinates."""
+        """Centres (n, d) and squared radius (scalar or per centre: the same bits) in integer coordinates."""
         c = np.asarray(centers, dtype=float)
         if c.ndim != 2 or c.shape[1] != self.dim:
             raise ValueError("ball dimension does not match lattice dimension")
-        r = radius / self.scale
+        r = np.asarray(radius, dtype=float) / self.scale
         return c / self.scale, r * r
 
     def contains(self, b: Ball, points) -> np.ndarray:
@@ -154,7 +154,7 @@ class Lattice:
         return rem >= 0
 
     def _ball_runs(self, centers, radius):
-        """(owner, k, lo, hi) for the balls B(centers[i], radius), all walked at once.
+        """(owner, k, lo, hi) for the balls B(centers[i], radius[i]) (or one radius for all), all walked at once.
 
         The points of ball owner[i] are k[i] x [lo[i], hi[i]] (integer
         coordinates), lexicographically within each ball; each centre takes
@@ -170,7 +170,7 @@ class Lattice:
         return owner, k, lo, hi
 
     def count_in_balls(self, centers, radius) -> np.ndarray:
-        """Number of lattice points in each closed ball B(center, radius); the last axis is never enumerated."""
+        """Lattice points in each ball B(center, radius), radius scalar or per centre; the last axis is not walked."""
         owner, _, lo, hi = self._ball_runs(centers, radius)
         return np.bincount(owner, weights=hi - lo + 1, minlength=len(centers)).astype(np.int64)
 
@@ -223,18 +223,21 @@ class LebesgueMeasure:
             raise ValueError("ball dimension does not match measure dimension")
         return ball_volume(self.dim, b.radius)
 
-    def ball_masses(self, centers, r: float) -> np.ndarray:
-        """The mass does not depend on the centre: ball_mass of the ball at the origin, once per centre."""
+    def ball_masses(self, centers, r) -> np.ndarray:
+        """The mass does not depend on the centre: ball_mass of the ball at the origin, once per distinct radius."""
         centers = np.asarray(centers, dtype=float)
-        return np.full(len(centers), self.ball_mass(Ball(np.zeros(centers.shape[-1]), r)))
+        radii, back = np.unique(np.broadcast_to(np.asarray(r, dtype=float), len(centers)), return_inverse=True)
+        origin = np.zeros(centers.shape[-1])
+        return np.array([self.ball_mass(Ball(origin, float(x))) for x in radii])[back]
 
 
 class _Measure:
-    """Ball masses of many balls of one radius, by default ball_mass per ball."""
+    """Ball masses of many balls, by default ball_mass per ball."""
 
-    def ball_masses(self, centers, r: float) -> np.ndarray:
-        """Masses of the balls B(center, r), one per row of centers."""
-        return np.array([self.ball_mass(Ball(a, r)) for a in centers], dtype=float)
+    def ball_masses(self, centers, r) -> np.ndarray:
+        """Masses of the balls B(center, r), one per row of centers; r is a scalar or one radius per row."""
+        radii = np.broadcast_to(np.asarray(r, dtype=float), len(centers))
+        return np.array([self.ball_mass(Ball(a, float(x))) for a, x in zip(centers, radii)], dtype=float)
 
 
 class CountingMeasure(_Measure):
@@ -256,7 +259,7 @@ class CountingMeasure(_Measure):
             return float(self.support.count_in_ball(b))
         return float(np.count_nonzero(b.contains(self.support.points)))
 
-    def ball_masses(self, centers, r: float) -> np.ndarray:
+    def ball_masses(self, centers, r) -> np.ndarray:
         """On a lattice, one batched count for all the balls."""
         if isinstance(self.support, Lattice):
             return self.support.count_in_balls(centers, r).astype(float)

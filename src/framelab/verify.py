@@ -64,17 +64,17 @@ PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim", "info")
 
 # Every optional key each scenario reads, with its default; scenario, seed and
 # out_dir are legal everywhere.  quad and tolerances are merged one level deep,
-# so a scenario reads exactly the fields listed here.  Only paley-wiener
-# integrates on a grid and reads h; fock, gabor and dual-embedding take their
-# Gaussian terms in closed form and read only the truncation margin.
-_GAUSSIAN_QUAD = {"truncation_margin": 6.0}
+# so a scenario reads exactly the fields listed here.  No scenario integrates
+# on a grid, so none reads h: each takes its atom terms in closed form and
+# reads only the truncation margin.
+_CLOSED_FORM_QUAD = {"truncation_margin": 6.0}
 _MODEL_SPACE = {
     "lattice": {"scale": 1.0, "dim": 2},
     "points_csv": None,
     "radii": [4.0, 8.0, 16.0],
     "gram_radii": [2.5, 3.5, 4.5],
     "density_rmax": 128.0,
-    "quad": _GAUSSIAN_QUAD,
+    "quad": _CLOSED_FORM_QUAD,
     "tolerances": {"density": 0.05, "critical_band": 0.05},
 }
 DEFAULTS = {
@@ -84,12 +84,12 @@ DEFAULTS = {
         "radii": [4.0, 8.0, 16.0],
         "gram_radii": [10.0, 15.0, 20.0],
         "density_rmax": 128.0,
-        "quad": {"h": 0.02, "truncation_margin": 6.0},
+        "quad": _CLOSED_FORM_QUAD,
         "tolerances": {"density": 0.05},
     },
     "fock": _MODEL_SPACE,
     "gabor": _MODEL_SPACE,
-    "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0, "quad": _GAUSSIAN_QUAD},
+    "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0, "quad": _CLOSED_FORM_QUAD},
 }
 _MERGED = ("quad", "tolerances")
 
@@ -115,10 +115,7 @@ CONFIG_SCHEMA = {
         "gram_radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
         "quad": {
             "type": "object",
-            "properties": {
-                "h": {"type": "number", "exclusiveMinimum": 0},
-                "truncation_margin": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": {"truncation_margin": {"type": "number", "exclusiveMinimum": 0}},
             "additionalProperties": False,
         },
         "trials": {"type": "integer", "minimum": 1},
@@ -290,13 +287,16 @@ def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
 
     Per window: extreme eigenvalues, the redundancy-adjusted minimum
     ("min_nonzero": the eigenvalue at the local mode count when the window
-    holds at least that many kernels), and the near-zero cluster size.
+    holds at least that many kernels), and the near-zero cluster size.  The
+    largest window is walked once; each window takes the walked points its
+    ball contains by gamma's own rule, in the walk's order.
     """
     d = kernel.dim
+    radii = sorted(float(s) for s in sizes)
+    walked = gamma.points_in_ball(Ball(np.zeros(d), radii[-1])) if radii else None
     rows = []
-    for R in sorted(float(s) for s in sizes):
-        window = Ball(np.zeros(d), R)
-        pts = gamma.points_in_ball(window)
+    for R in radii:
+        pts = walked[gamma.contains(Ball(np.zeros(d), R), walked)]
         if len(pts) == 0:
             rows.append({"radius": R, "m": 0, "note": "window contains no points"})
             continue

@@ -225,6 +225,8 @@ class TestCommands:
             ({"scenario": "fock", "density_rmax": 2.0}, "$.density_rmax"),
             ({"scenario": "paley-wiener", "density_rmax": 3.99}, "$.density_rmax"),
             ({"scenario": "dual-embedding", "density_rmax": 1.0}, "$.density_rmax"),
+            # paley-wiener takes its atom terms in closed form too
+            ({"scenario": "paley-wiener", "quad": {"h": 0.02}}, "$.quad.h"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -323,6 +325,18 @@ class TestCommands:
             (["density", "--mu", json.dumps(ATOMIC_OVERFLOW), "--nu", LEBESGUE_2D], "$.atomic.weights"),
             (["localize", "--pair", json.dumps({**PW_PAIR, "g": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.g.atomic.weights"),
             (["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.f.atomic.weights"),
+            # a Paley-Wiener Lebesgue side against atoms takes closed forms, whichever side is discrete
+            (["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"h": 0.05}}), "--radii", "2"], "$.quad.h"),
+            (
+                [
+                    "localize",
+                    "--pair",
+                    json.dumps({**PW_PAIR, "f": PW_LATTICE, "g": PW_PAIR["f"], "quad": {"h": 0.05}}),
+                    "--radii",
+                    "2",
+                ],
+                "$.quad.h",
+            ),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
@@ -377,11 +391,8 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "pair",
-        [
-            {**PW_PAIR, "quad": {"h": 0.05}},
-            {**PW_PAIR, "f": PW_LATTICE, "g": PW_PAIR["f"], "quad": {"h": 0.05}},
-        ],
-        ids=["pw-lebesgue-lattice", "pw-lattice-lebesgue"],
+        [{**PW_PAIR, "g": PW_PAIR["f"], "quad": {"h": 0.05}}],
+        ids=["pw-lebesgue-lebesgue"],
     )
     def test_localize_accepts_grid_fields_a_pair_reads(self, pair, tmp_path):
         assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")]) == 0

@@ -80,6 +80,30 @@ class TestDensity:
         assert est.trend >= 0
         assert est.converged == (est.trend <= 0.05 * max(abs(est.upper), abs(est.lower), 1e-12))
 
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            CountingMeasure(Lattice(0.8, 2)),
+            CountingMeasure(ThinnedLattice(0.8, 2)),
+            CountingMeasure(PointSet([[0.1, 0.2], [1.0, -0.5]])),
+        ],
+        ids=["lattice", "thinned", "points"],
+    )
+    def test_one_ball_masses_call_per_measure(self, mu, monkeypatch):
+        # a work count: every (centre, radius) pair goes into one call, and
+        # the rows per radius are those of one call per radius
+        sched, nu = small_sched(2, 0.8), LebesgueMeasure(2)
+        calls = []
+        for m in (mu, nu):
+            batched = m.ball_masses
+            monkeypatch.setattr(m, "ball_masses", lambda c, r, batched=batched: calls.append(len(c)) or batched(c, r))
+        est = density(mu, nu, sched)
+        centers = sched.centers()
+        assert calls == [len(centers) * len(sched.radii)] * 2
+        for (r, sup_r, inf_r), r_want in zip(est.per_radius, sched.radii):
+            ratios = mu.ball_masses(centers, r_want) / nu.ball_masses(centers, r_want)
+            assert (r, sup_r, inf_r) == (r_want, float(np.max(ratios)), float(np.min(ratios)))
+
 
 class TestClassicalDensity:
     def test_integers(self):

@@ -9,7 +9,7 @@ from framelab import localization
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel, TabulatedKernel
 from framelab.localization import FramePairSpec, double_tail, localization_defect, tail_sup
 from framelab.quadrature import QuadConfig, integrate_ball
-from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet
+from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice
 
 
 def gaussian_ball_integral(center_dist, r):
@@ -72,11 +72,11 @@ class TestTailSup:
 
     @pytest.mark.parametrize("R", [1.0, 2.5, 4.0])
     def test_paley_wiener_tail_against_si(self, R):
-        # the grid branch: mass of sinc^2 on R < |t - x| <= R_tr, at h = 0.02 good to ~1e-8 relative
+        # the closed form 2 (F(R_tr) - F(R)): mass of sinc^2 on R < |t - x| <= R_tr
         K = PaleyWienerKernel()
         got = tail_sup(K, LebesgueMeasure(1), R, [[0.3]], QuadConfig(h=0.02, truncation_radius=R + 6))
         exact = paley_wiener_mass(K.band, R + 6) - paley_wiener_mass(K.band, R)
-        assert got == pytest.approx(exact, rel=1e-7)
+        assert got == pytest.approx(exact, rel=1e-12)
 
     def test_several_probes_give_the_max_of_single_probes(self):
         # each value must equal its own call bit for bit, on the radial rule and on the grid
@@ -558,8 +558,8 @@ class TestBoundaryPartition:
             return disk_mass(s, r, inside)
 
         monkeypatch.setattr(localization, "_disk_mass", record)
-        localization._cross_term(pair, ball, cfg, outer="f")  # lattice atoms inside B: mass outside
-        localization._cross_term(pair, ball, cfg, outer="g")  # lattice atoms outside B: mass inside
+        # t1 takes the lattice atoms inside B (mass outside), t2 those outside B (mass inside)
+        double_tail(pair, ball, cfg)
         c = localization._cutoff(kernel)
         # integer coordinates: no atom lies within rounding of r - c or r + c
         k2 = np.rint(np.einsum("ij,ij->i", *[lat.points_in_ball(Ball([0.0, 0.0], 9.0)) / 0.8] * 2)).astype(int)
@@ -719,3 +719,143 @@ class TestOffsets:
             )
             t1, _ = double_tail(pair, Ball([0.0], r), QuadConfig(h=0.05))
             assert t1 == pytest.approx(2.0 * r * math.pi / band - inner, abs=1e-6)
+
+
+def sinc2_oracle(band, t):
+    """F(t) = integral_0^t sinc^2(band u) du from scipy's sici (sinc(y) = sin(y) / y)."""
+    x = band * np.asarray(t, dtype=float)
+    sq = np.sin(x) ** 2 / np.where(x == 0.0, 1.0, x)
+    return (special.sici(2.0 * x)[0] - sq) / band
+
+
+def paley_wiener_row_oracle(pair, ball, r_tr):
+    """(t1, t2) of a Paley-Wiener pair, one Lebesgue side and one discrete side, from sici.
+
+    The atoms are selected by plain distances; each atom's term is its
+    weight times sinc^2 integrated over the Lebesgue side's part of the
+    window, a difference of the sici form of F.
+    """
+    f_disc = pair.f_measure.is_discrete
+    disc, leb_off, atom_off = (
+        (pair.f_measure, pair.g_offset, pair.f_offset) if f_disc else (pair.g_measure, pair.f_offset, pair.g_offset)
+    )
+    atoms, weights = disc.atoms_in_ball(Ball(ball.center, r_tr + 1.0))
+    c, r, b = float(ball.center[0]), ball.radius, pair.kernel.band
+    dist = np.abs(atoms[:, 0] - c)
+    a = atoms[:, 0] + atom_off[0] - leb_off[0]
+    F = lambda t: sinc2_oracle(b, t)
+    inner, outer = dist <= r, (dist > r) & (dist <= r_tr)
+    # inner atoms: sinc^2 over the window outside B; outer atoms: over B
+    inner_terms = F(c - r - a) - F(c - r_tr - a) + F(c + r_tr - a) - F(c + r - a)
+    outer_terms = F(c + r - a) - F(c - r - a)
+    t_inner = math.fsum((weights * inner_terms)[inner])
+    t_outer = math.fsum((weights * outer_terms)[outer])
+    # t1 takes the f side outside B: the atoms' outer terms when f is discrete
+    return (t_outer, t_inner) if f_disc else (t_inner, t_outer)
+
+
+class TestSincSquaredClosedForm:
+    """Paley-Wiener atom terms and tail as differences of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b."""
+
+    def test_si_against_scipy_sici(self):
+        x = np.concatenate([np.linspace(-300.0, 300.0, 120001), [0.0, 40.0, -40.0, np.nextafter(40.0, 41.0), 1e-300]])
+        err = np.abs(localization._si(x) - special.sici(x)[0])
+        assert err.max() <= 2e-15
+
+    def test_si_is_odd(self):
+        x = np.random.default_rng(4).uniform(0.0, 300.0, 500)
+        assert np.array_equal(localization._si(-x), -localization._si(x))
+
+    @pytest.mark.parametrize("band", [math.pi, 2.0, 0.5])
+    def test_integral_against_scipy_quad(self, band):
+        t = np.array([-17.3, -4.0, -0.7, 0.0, 1e-9, 0.31, 2.5, 6.0, 22.0, 61.0])
+        got = localization._sinc2_integral(band, t)
+        for ti, gi in zip(t, got):
+            want, _ = integrate.quad(
+                lambda u: np.sinc(band * u / math.pi) ** 2, 0.0, ti, epsabs=1e-15, epsrel=1e-13, limit=500
+            )
+            assert gi == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("band", [math.pi, 2.0], ids=["pi", "2"])
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("lattice_side", ["f", "g"])
+    def test_lattice_rows_against_sici_oracle(self, alpha, band, lattice_side):
+        lattice = CountingMeasure(Lattice(alpha, 1))
+        sides = (LebesgueMeasure(1), lattice) if lattice_side == "g" else (lattice, LebesgueMeasure(1))
+        pair = FramePairSpec(PaleyWienerKernel(band), *sides)
+        cfg = QuadConfig()
+        for r in (4.0, 8.0, 16.0):
+            ball = Ball([0.0], r)
+            row = localization_defect(pair, ball, cfg)
+            t1, t2 = paley_wiener_row_oracle(pair, ball, cfg.effective_truncation(r))
+            assert row["t1"] == pytest.approx(t1, rel=1e-12, abs=0)
+            assert row["t2"] == pytest.approx(t2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("atomic_side", ["f", "g"])
+    def test_atomic_side_with_offset_against_sici_oracle(self, atomic_side):
+        rng = np.random.default_rng(9)
+        atomic = AtomicMeasure(rng.uniform(-14.0, 15.0, size=(60, 1)), rng.uniform(0.2, 3.0, 60))
+        offsets = {"f_offset": [0.37]} if atomic_side == "f" else {"g_offset": [-0.61]}
+        sides = (LebesgueMeasure(1), atomic) if atomic_side == "g" else (atomic, LebesgueMeasure(1))
+        pair = FramePairSpec(PaleyWienerKernel(2.0), *sides, **offsets)
+        cfg = QuadConfig(truncation_margin=4.5)
+        ball = Ball([0.8], 5.0)
+        row = localization_defect(pair, ball, cfg)
+        t1, t2 = paley_wiener_row_oracle(pair, ball, cfg.effective_truncation(5.0))
+        assert row["t1"] == pytest.approx(t1, rel=1e-12, abs=0)
+        assert row["t2"] == pytest.approx(t2, rel=1e-12, abs=0)
+
+
+ATOMS = jittered_points(4, 0.9, 12.0)
+
+
+class TestOneWalk:
+    """A row walks each discrete side once over B(c, R_tr) and takes every atom set and mass from it."""
+
+    @pytest.mark.parametrize(
+        "measure, ball",
+        [
+            (CountingMeasure(Lattice(0.8, 2)), Ball([0.0, 0.0], 4.0)),  # twelve lattice points on the sphere
+            (CountingMeasure(Lattice(0.8, 2)), Ball([0.13, -0.4], 3.3)),
+            (CountingMeasure(ThinnedLattice(0.8, 2)), Ball([0.0, 0.0], 4.0)),
+            (CountingMeasure(ThinnedLattice(0.8, 2)), Ball([0.4, 0.4], 2.5)),
+            (CountingMeasure(PointSet(jittered_points(2, 0.8, 12.0))), Ball([0.2, 0.1], 4.0)),
+            (AtomicMeasure(ATOMS, np.linspace(0.3, 2.0, len(ATOMS))), Ball([-0.3, 0.5], 4.0)),
+            (CountingMeasure(Lattice(1.0, 1)), Ball([0.0], 4.0)),
+        ],
+        ids=["lattice-sphere", "lattice", "thinned-sphere", "thinned", "points", "atomic", "line"],
+    )
+    @pytest.mark.parametrize("margin", [6.0, 1.5])
+    def test_walked_sides_equal_their_own_walks(self, measure, ball, margin):
+        d = measure.dim
+        kernel = FockKernel() if d == 2 else PaleyWienerKernel()
+        pair = FramePairSpec(kernel, LebesgueMeasure(d), measure, g_offset=np.full(d, 0.25))
+        cfg = QuadConfig(truncation_margin=margin)
+        f, g = localization._walk(pair, ball, cfg)
+        r_tr = cfg.effective_truncation(ball.radius)
+        window = Ball(ball.center, r_tr)
+        # masses: the same bits as ball_mass
+        assert (g.mass, g.window_mass) == (measure.ball_mass(ball), measure.ball_mass(window))
+        assert (f.mass, f.window_mass) == (LebesgueMeasure(d).ball_mass(ball), LebesgueMeasure(d).ball_mass(window))
+        # atom sets: the same rows, in the same order, as walking each ball alone
+        inner, w_inner = measure.atoms_in_ball(ball)
+        assert np.array_equal(g.inside[0], inner) and np.array_equal(g.inside[1], w_inner)
+        reach = localization._cutoff(kernel) + 0.25 * math.sqrt(d)
+        near, w_near = measure.atoms_in_ball(Ball(ball.center, min(r_tr, ball.radius + reach)))
+        outside = ~measure.contains(ball, near)
+        assert np.array_equal(g.outside[0], near[outside]) and np.array_equal(g.outside[1], w_near[outside])
+        assert f.inside is None and f.outside is None
+        row = localization_defect(pair, ball, cfg)
+        assert row["normalizer"] == LebesgueMeasure(d).ball_mass(ball) + measure.ball_mass(ball)
+
+    def test_fock_lattice_row_walks_each_discrete_side_once(self, monkeypatch):
+        # a work count: one atoms_in_ball call per discrete side, no ball count
+        calls = []
+        walk, count = CountingMeasure.atoms_in_ball, Lattice.count_in_balls
+        monkeypatch.setattr(CountingMeasure, "atoms_in_ball", lambda self, b: calls.append("walk") or walk(self, b))
+        monkeypatch.setattr(Lattice, "count_in_balls", lambda self, c, r: calls.append("count") or count(self, c, r))
+        lattice = CountingMeasure(Lattice(0.8, 2))
+        for f, walks in ((LebesgueMeasure(2), 1), (CountingMeasure(Lattice(0.7, 2)), 2)):
+            calls.clear()
+            localization_defect(FramePairSpec(FockKernel(), f, lattice), Ball([0.0, 0.0], 4.0), QuadConfig())
+            assert calls == ["walk"] * walks

@@ -172,7 +172,7 @@ class TestThinnedLattice:
 
 
 class TestBatchedCounts:
-    """count_in_balls walks many balls of one radius at once and counts each exactly as count_in_ball."""
+    """count_in_balls walks many balls at once and counts each exactly as count_in_ball."""
 
     @pytest.mark.parametrize("cls", [Lattice, ThinnedLattice])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -223,6 +223,38 @@ class TestBatchedCounts:
             for c in rng.uniform(-3, 3, size=(6, m.dim)):
                 b = Ball(c, r)
                 assert m.ball_mass(b) == m.ball_masses(b.center[None], b.radius)[0]
+
+    @pytest.mark.parametrize("cls", [Lattice, ThinnedLattice])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_per_row_radii_count_as_one_ball_each(self, cls, dim):
+        # one radius per centre row: every count is the one that ball takes alone,
+        # spheres through lattice points included (alpha = 0.8, r = 4 and alpha sqrt(n))
+        alpha = 0.8
+        lat = cls(alpha, dim)
+        rng = np.random.default_rng(11 + dim)
+        centers = np.vstack([rng.uniform(-5, 5, size=(20, dim)), rng.integers(-6, 7, size=(20, dim)) * alpha / 2])
+        radii = rng.choice([0.9, 3.3, 4.0, 7.0] + [alpha * math.sqrt(n) for n in (1, 2, 5, 25)], size=len(centers))
+        want = [lat.count_in_ball(Ball(c, r)) for c, r in zip(centers, radii)]
+        assert lat.count_in_balls(centers, radii).tolist() == want
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            LebesgueMeasure(2),
+            CountingMeasure(Lattice(0.8, 2)),
+            CountingMeasure(ThinnedLattice(0.8, 2)),
+            CountingMeasure(PointSet(np.random.default_rng(5).uniform(-4, 4, size=(60, 2)))),
+            AtomicMeasure(np.random.default_rng(6).uniform(-4, 4, size=(30, 2)), np.linspace(0.5, 2.0, 30)),
+        ],
+        ids=lambda m: type(m).__name__ + str(m.dim),
+    )
+    def test_ball_masses_per_row_radii_is_ball_mass_per_ball(self, m):
+        rng = np.random.default_rng(8)
+        centers = np.vstack([rng.uniform(-3, 3, size=(12, 2)), np.zeros((2, 2))])
+        radii = rng.choice(DEFAULT_RADII[:3] + (0.8, 2.4), size=len(centers))
+        radii[-2:] = 4.0  # alpha = 0.8, r = 4: twelve lattice points on the sphere
+        want = [m.ball_mass(Ball(c, r)) for c, r in zip(centers, radii)]
+        assert m.ball_masses(centers, radii).tolist() == want
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):

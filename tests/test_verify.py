@@ -9,7 +9,7 @@ from framelab.cli import main
 from framelab.density import lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
-from framelab import localization, quadrature
+from framelab import localization, quadrature, verify
 from framelab.quadrature import QuadConfig
 from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice
 from framelab.verify import (
@@ -134,6 +134,26 @@ class TestGramStudy:
         lam, sizes = solve(monkeypatch, kernel, pts)
         assert sizes == [len(pts)]
         assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
+
+    @pytest.mark.parametrize(
+        "support",
+        [Lattice(0.8, 2), ThinnedLattice(0.8, 2), JITTERED],
+        ids=["lattice", "thinned", "jittered"],
+    )
+    def test_one_walk_gives_each_window_its_own_rows(self, support, monkeypatch):
+        # a work count: the largest window is walked once, and each window holds the
+        # rows its own walk would, in the same order (R = 4 at alpha = 0.8 runs
+        # through lattice points)
+        radii = [2.5, 4.0, 4.5]
+        windows = {R: support.points_in_ball(Ball(np.zeros(2), R)) for R in radii}
+        walks, seen = [], []
+        walk = type(support).points_in_ball
+        monkeypatch.setattr(type(support), "points_in_ball", lambda self, b: walks.append(b.radius) or walk(self, b))
+        spectrum = _gram_spectrum
+        monkeypatch.setattr(verify, "_gram_spectrum", lambda kernel, pts: seen.append(pts) or spectrum(kernel, pts))
+        gram_truncation_study(FockKernel(), support, radii[::-1])
+        assert walks == [4.5]
+        assert len(seen) == 3 and all(np.array_equal(pts, windows[R]) for pts, R in zip(seen, radii))
 
     def test_empty_window_noted(self):
         study = gram_truncation_study(FockKernel(), PointSet(np.zeros((0, 2))), [1.0])
@@ -396,18 +416,18 @@ class TestScenarios:
         assert all(r["defect"] == 0.0 for r in rep["localization"])
 
     def test_paley_wiener_scenario(self, monkeypatch):
+        # its atom terms are closed-form differences of the sinc^2 integral: no grid is built
         grids = record_grids(monkeypatch)
         rep = run({"scenario": "paley-wiener", "radii": [4.0, 8.0], "density_rmax": 64.0})
-        assert grids and all(d == 1 for d in grids)  # its Lebesgue sides are on the line's grid
+        assert grids == []
         names = {v["name"]: v["verdict"] for v in rep["verdicts"]}
         assert names["parseval-corollary"] == "pass"
         assert rep["overall"] == "pass"
 
-    def test_paley_wiener_scenario_calls_the_bound_grid_names(self, monkeypatch):
-        # the Paley-Wiener terms reach the grid by these two names of
-        # framelab.localization, the ones the benchmark's tracer can bind there
-        # (integrate_complement is bound): a call that bypassed them would
-        # escape its counters
+    def test_paley_wiener_scenario_calls_no_bound_grid_name(self, monkeypatch):
+        # the grid is reached from framelab.localization by these two names, the
+        # ones the benchmark's tracer can bind there (integrate_complement is
+        # bound): the scenario calls neither
         calls = []
 
         def recording(name):
@@ -421,8 +441,9 @@ class TestScenarios:
 
         for name in ("integrate_ball", "integrate_complement"):
             monkeypatch.setattr(localization, name, recording(name))
-        run({"scenario": "paley-wiener", "radii": [4.0], "density_rmax": 16.0})
-        assert set(calls) == {"integrate_ball", "integrate_complement"}
+        rep = run({"scenario": "paley-wiener", "radii": [4.0], "density_rmax": 16.0})
+        assert calls == []
+        assert rep["overall"] == "pass"
 
     @pytest.mark.parametrize("name", list(DEFAULTS))
     def test_defaults_table_matches_schema_and_scenario(self, name):
