@@ -16,7 +16,9 @@ t2 to cover the rest.
   is the mass of a unit Gaussian inside or outside a disk, the noncentral
   chi-square CDF with 2 degrees of freedom, one minus Marcum's Q_1 (Marcum,
   IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, a 1-d rule over the
-  Gaussian's radial density with no grid error.
+  Gaussian's radial density with no grid error.  Its Bessel factor
+  e^{-x} I_0(x) (``_scaled_i0``) is the 64-point periodic trapezoid rule on
+  its 33 distinct nodes up to x = 50, the asymptotic series beyond.
 - Paley-Wiener (c = inf), a Lebesgue side against a discrete one: an atom's
   term over B, or over B(R_tr) \\ B, is a difference of the closed form
   F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b of ``_sinc2_integral``.  Tabulated
@@ -28,7 +30,7 @@ t2 to cover the rest.
   for Fock and Gabor the same radial rule (``_lens_overlap``), for
   Paley-Wiener one ``integrate_ball``.
 - The tail supremum ``tail_sup`` (the acceptance tail law): for Fock and
-  Gabor two outside disk masses of ``_disk_mass``, for Paley-Wiener
+  Gabor two outside disk masses from one ``_disk_mass`` call, for Paley-Wiener
   2 (F(R_tr) - F(R)), for other kernels ``integrate_complement`` on the line.
 
 A row walks each discrete side once over the window B(c, R_tr) and takes
@@ -74,6 +76,12 @@ _DISK_SPAN = 1.5 * _CUTOFF  # e^{-pi span^2} = 1e-31.5
 _GL_X = legendre.leggauss(64)[0]
 _GL_U = (_GL_X + 1.0) / 2.0
 _GL_W = 1.0 / ((1.0 - _GL_X**2) * legendre.legval(_GL_X, legendre.legder(np.eye(65)[64])) ** 2)
+# e^{-x} I_0(x) = (1/pi) integral_0^pi e^{-2x sin^2(t/2)} dt: the 64-point trapezoid rule of the
+# periodic integrand, folded onto its 33 distinct nodes t_j = pi j / 32 (weights 1/64 at the two
+# ends, 2/64 between, summing to exactly 1), up to _I0_SPLIT; the asymptotic series beyond
+_I0_SPLIT = 50.0
+_I0_C = np.array([2.0 * math.sin(math.pi * j / 64) ** 2 for j in range(33)])
+_I0_W = np.array([1.0 if j in (0, 32) else 2.0 for j in range(33)]) / 64.0
 _SI_SPLIT = 40.0  # Si: the 64-node rule up to here, the asymptotic series beyond
 _SI_TERMS = 22
 _SI_F = np.array([(-1) ** k * math.factorial(2 * k) for k in range(_SI_TERMS)], dtype=float)
@@ -113,14 +121,17 @@ def _tail_mass(kernel, gap: float) -> float:
 
 
 def _scaled_i0(x: np.ndarray) -> np.ndarray:
-    """e^{-x} I_0(x) for x >= 0: numpy's I_0 up to x = 50, the asymptotic series beyond (14th term < 1e-18).
+    """e^{-x} I_0(x) for x >= 0, elementwise, each entry on its own.
 
+    x <= _I0_SPLIT: the periodic trapezoid rule, sum_j W_j e^{-x C_j} (~4e-16
+    relative).  Beyond: the asymptotic series
+    sum_k ((2k-1)!!)^2 / (k! (8x)^k) / sqrt(2 pi x), 13 terms (the 14th < 1e-18).
     Each branch runs on its own entries only, picked by a mask; with no entry
-    above 50 the series is skipped.
+    above the split the series is skipped.
     """
     out = np.empty_like(x)
-    small = x <= 50.0
-    out[small] = np.i0(x[small]) * np.exp(-x[small])
+    small = x <= _I0_SPLIT
+    out[small] = (np.exp(-np.multiply.outer(x[small], _I0_C)) * _I0_W).sum(axis=1)
     if not small.all():
         big = x[~small]
         term = total = np.ones_like(big)
@@ -140,22 +151,26 @@ def _radial_density(s, d) -> np.ndarray:
     return 2.0 * math.pi * rho * np.exp(-math.pi * d * d) * _scaled_i0(2.0 * math.pi * rho * s)
 
 
-def _disk_mass(s, r: float, inside: bool) -> np.ndarray:
+def _disk_mass(s, r, inside: bool) -> np.ndarray:
     """Mass of the unit Gaussian e^{-pi |x - p|^2} inside (or outside) the disk B(0, r), |p| = s.
 
     Inside integrates the radial density over [0, r], outside over
     [r, inf), each by the 64-node rule on the part within _DISK_SPAN of s,
     in d = rho - s.  Good to ~3e-16 absolute against 30-digit quadrature.
+    r is one radius, giving one mass per entry of s, or several, giving a
+    row of masses per entry of s, one per radius.
     The rule runs once per distinct distance (a lattice's atoms take few), and
-    each row's 64 terms are summed on their own, never by a matrix product
-    whose rounding depends on the row's place in the batch: an entry's mass
-    is the same bits whatever else the call holds.
+    each (distance, radius) row's 64 terms are summed on their own, never by a
+    matrix product whose rounding depends on the row's place in the batch: an
+    entry's mass is the same bits whatever else the call holds.
     """
     s, back = np.unique(np.asarray(s, dtype=float), return_inverse=True)
+    r = np.asarray(r, dtype=float)
+    s = s.reshape((-1,) + (1,) * r.ndim)
     lo = np.maximum(-_DISK_SPAN, -s if inside else r - s)
     hi = np.maximum(lo, np.minimum(_DISK_SPAN, r - s) if inside else _DISK_SPAN)
-    d = lo[:, None] + (hi - lo)[:, None] * _GL_U
-    return ((hi - lo) * (_radial_density(s[:, None], d) * _GL_W).sum(axis=1))[back]
+    d = lo[..., None] + (hi - lo)[..., None] * _GL_U
+    return ((hi - lo) * (_radial_density(s[..., None], d) * _GL_W).sum(axis=-1))[back]
 
 
 def _lens_overlap(s: float, r: float) -> float:
@@ -234,12 +249,15 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     index_measure must be Lebesgue measure in the kernel's dimension, and
     every probe must have that many coordinates.  For Fock and Gabor (n = 1)
     the mass is e^{-pi R^2} - e^{-pi R_tr^2} at every probe, taken as the
-    difference of two outside masses of ``_disk_mass`` (the radial rule of
-    every Gaussian atom term, which the tail law thus checks; the inside
-    masses would cancel to ~1e-3 relative at R = 3).  For Paley-Wiener it is
-    2 (F(R_tr) - F(R)) of ``_sinc2_integral``; other kernels integrate the
-    field with ``integrate_complement``.
+    difference of the outside masses at R and R_tr from one ``_disk_mass``
+    call (the radial rule of every Gaussian atom term, which the tail law
+    thus checks; the inside masses would cancel to ~1e-3 relative at R = 3).
+    For Paley-Wiener it is 2 (F(R_tr) - F(R)) of ``_sinc2_integral``; other
+    kernels integrate the field with ``integrate_complement``.  R must be
+    positive and finite.
     """
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {R}")
     d = kernel.dim
     if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == d):
         raise ValueError(f"tail_sup integrates against Lebesgue measure in dimension {d} only")
@@ -249,8 +267,8 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     if probes.ndim != 2 or probes.shape[1] != d:
         raise ValueError(f"probe centres must have {d} coordinates, got {probes.shape[-1]}")
     if isinstance(kernel, (FockKernel, GaborGaussianKernel)) and d == 2:
-        outside = [float(_disk_mass(np.zeros(1), r, inside=False)[0]) for r in (R, cfg.effective_truncation(R))]
-        return outside[0] - outside[1]
+        outside = _disk_mass(np.zeros(1), [R, cfg.effective_truncation(R)], inside=False)[0]
+        return float(outside[0] - outside[1])
     if isinstance(kernel, PaleyWienerKernel):
         inner, outer = _sinc2_integral(kernel.band, np.array([R, cfg.effective_truncation(R)]))
         return 2.0 * float(outer - inner)

@@ -368,14 +368,18 @@ def theorem_main_table(pair: FramePairSpec, radii, cfg: QuadConfig):
     A <= B + C (1 + B) are consistent with the diagonal hypotheses; a
     violated row means those hypotheses cannot all hold for this pair.
     """
+    radii = sorted(float(x) for x in radii)
+    balls = [Ball(np.zeros(pair.kernel.dim), r) for r in radii]
+    centers = np.zeros((len(radii), pair.kernel.dim))
+    nu = pair.g_measure.ball_masses(centers, radii).tolist()
+    mu = pair.f_measure.ball_masses(centers, radii).tolist()
     rows = []
     loc_rows = []
-    for r in sorted(float(x) for x in radii):
-        ball = Ball(np.zeros(pair.kernel.dim), r)
+    for r, ball, nu_b, mu_b in zip(radii, balls, nu, mu):
         loc = localization_defect(pair, ball, cfg)
         loc_rows.append(loc)
         a_col = 1.0
-        b_col = pair.g_measure.ball_mass(ball) / pair.f_measure.ball_mass(ball)
+        b_col = nu_b / mu_b
         c_col = loc["eps_eff"]
         bound = b_col + c_col * (1.0 + b_col)
         rows.append(

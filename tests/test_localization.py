@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -125,6 +126,32 @@ class TestTailSup:
     def test_window_must_reach_the_sphere(self):
         with pytest.raises(ValueError, match="truncation radius is smaller than the ball radius"):
             tail_sup(FockKernel(), LebesgueMeasure(2), 3.0, [[0.0, 0.0]], QuadConfig(truncation_radius=2.0))
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "kernel",
+        [FockKernel(), GaborGaussianKernel(1), PaleyWienerKernel(), TabulatedKernel(lambda x, y: 1.0, dim=1)],
+        ids=["fock", "gabor", "paley-wiener", "tabulated"],
+    )
+    def test_radius_must_be_positive_and_finite(self, kernel, R):
+        # the closed forms would return a number for any R; every kernel refuses it alike
+        with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+            tail_sup(kernel, LebesgueMeasure(kernel.dim), R, [[0.0] * kernel.dim], QuadConfig(truncation_margin=2.0))
+
+    def test_gaussian_tail_is_one_radial_rule_call(self, monkeypatch):
+        # the outside masses at R and R_tr come from one call, each the bits of its own scalar call
+        calls = []
+        disk_mass = localization._disk_mass
+
+        def record(s, r, inside):
+            calls.append(np.shape(r))
+            return disk_mass(s, r, inside)
+
+        monkeypatch.setattr(localization, "_disk_mass", record)
+        got = tail_sup(FockKernel(), LebesgueMeasure(2), 1.5, [[0.3, -0.2]], QuadConfig(truncation_margin=2.5))
+        assert calls == [(2,)]
+        outside = [disk_mass(np.zeros(1), r, inside=False)[0] for r in (1.5, 4.0)]
+        assert got == outside[0] - outside[1]
 
     def test_gaussian_rule_is_for_the_plane_only(self):
         # GaborGaussianKernel(2) lives in R^4, where the tail is not e^{-pi R^2}; no grid reaches it
@@ -461,11 +488,15 @@ class TestDiskMass:
 
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_each_entry_is_its_own_call(self, inside):
-        # an entry's mass does not depend on the rest of the batch, bit for bit
+        # an entry's mass does not depend on the rest of the batch, bit for bit; with several
+        # radii, each column is also the call with that radius alone
         s = np.concatenate([self.lattice_distances(), np.linspace(0.0, 12.0, 97)])
-        batch = localization._disk_mass(s, 4.0, inside)
-        alone = np.array([localization._disk_mass(s[i : i + 1], 4.0, inside)[0] for i in range(len(s))])
-        assert np.array_equal(batch, alone)
+        radii = [0.5, 4.0, 4.0 + 1e-12, 7.25]
+        for r in (4.0, radii):
+            batch = localization._disk_mass(s, r, inside)
+            alone = np.array([localization._disk_mass(s[i : i + 1], r, inside)[0] for i in range(len(s))])
+            assert np.array_equal(batch, alone)
+        assert np.array_equal(batch, np.column_stack([localization._disk_mass(s, x, inside) for x in radii]))
 
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_shuffled_duplicates_permute_the_values(self, inside):
@@ -489,8 +520,22 @@ class TestDiskMass:
         assert rows == [len(np.unique(s))]
 
 
+def scaled_i0_oracle(x: float) -> Decimal:
+    """e^{-x} I_0(x) at 40 digits: the power series sum_k (x^2/4)^k / (k!)^2 times Decimal.exp(-x)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = Decimal(x) * Decimal(x) / 4
+        term = total = Decimal(1)
+        k = 0
+        while term > total * Decimal("1e-42"):
+            k += 1
+            term = term * q / (k * k)
+            total += term
+        return total * (-Decimal(x)).exp()
+
+
 class TestScaledI0:
-    """e^{-x} I_0(x): numpy's I_0 up to the branch point 50, the asymptotic series beyond."""
+    """e^{-x} I_0(x): the periodic trapezoid rule up to the split 50, the asymptotic series beyond."""
 
     @pytest.mark.parametrize(
         "x",
@@ -505,17 +550,24 @@ class TestScaledI0:
         want = special.i0e(x)
         assert np.max(np.abs(localization._scaled_i0(x) - want) / want) <= 2e-15
 
-    def test_numpy_i0_sees_only_its_branch(self, monkeypatch):
-        seen = []
-        i0 = np.i0
+    def test_rule_against_40_digit_series(self):
+        x = np.concatenate([np.linspace(0.0, 50.0, 2001), 50.0 - np.logspace(-12, 0, 49)])
+        want = [scaled_i0_oracle(v) for v in x.tolist()]
+        worst = max(abs(Decimal(g) - w) / w for g, w in zip(localization._scaled_i0(x).tolist(), want))
+        assert worst <= Decimal("5e-16")  # numpy's i0 times exp reaches 5.7e-16 here
 
-        def record(x):
-            seen.append(np.asarray(x))
-            return i0(x)
+    def test_zero_is_exactly_one(self):
+        # the weights sum to exactly 1 and e^0 = 1
+        assert localization._scaled_i0(np.array([0.0]))[0] == 1.0
 
-        monkeypatch.setattr(np, "i0", record)
-        localization._scaled_i0(np.array([0.0, 49.5, 50.0, 50.5, 1e3]))
-        assert len(seen) == 1 and np.array_equal(seen[0], [0.0, 49.5, 50.0])
+    def test_split_is_fifty_inclusive(self, monkeypatch):
+        # doubling the rule's weights doubles exactly the entries the rule takes
+        x = np.array([0.0, 49.5, 50.0, 50.5, 1e3])
+        before = localization._scaled_i0(x)
+        monkeypatch.setattr(localization, "_I0_W", 2.0 * localization._I0_W)
+        after = localization._scaled_i0(x)
+        assert np.array_equal(after[:3], 2.0 * before[:3])
+        assert np.array_equal(after[3:], before[3:])
 
 
 class TestLensOverlap:

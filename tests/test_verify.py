@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab import localization, quadrature, verify
 from framelab.quadrature import QuadConfig
-from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice
+from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice, load_point_set_csv
 from framelab.verify import (
     CONFIG_SCHEMA,
     DEFAULTS,
@@ -186,6 +187,35 @@ class TestTheoremTable:
         rows, _ = theorem_main_table(pair, [8.0], cfg=QuadConfig(h=0.1))
         assert rows[0]["B"] > 1.5
         assert rows[0]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("support", ["lattice", "thinned", "points_csv"])
+    def test_column_b_is_one_ball_masses_call_per_measure(self, support, monkeypatch, tmp_path):
+        # column B equals the per-ball ratio nu(B) / mu(B) bit for bit, with no ball_mass call of its own
+        if support == "points_csv":
+            rng = np.random.default_rng(5)
+            pts = np.vstack([rng.uniform(-6.0, 6.0, size=(300, 2)), [[4.0, 0.0], [0.0, -2.5]]])  # two on a sphere
+            (tmp_path / "pts.csv").write_text("x1,x2\n" + "".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+            points = load_point_set_csv(tmp_path / "pts.csv")
+        else:
+            points = (Lattice if support == "lattice" else ThinnedLattice)(0.8, 2)  # 12 points on |x| = 4
+        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(points))
+        radii = [4.0, 1.5, 2.5]
+        balls = [Ball([0.0, 0.0], r) for r in sorted(radii)]
+        want = [pair.g_measure.ball_mass(b) / pair.f_measure.ball_mass(b) for b in balls]
+
+        calls = []
+        for cls in (LebesgueMeasure, CountingMeasure):
+            for name in ("ball_mass", "ball_masses"):
+                def spy(self, *args, _name=name, _method=getattr(cls, name)):
+                    calls.append((sys._getframe(1).f_code.co_name, _name, type(self).__name__))
+                    return _method(self, *args)
+
+                monkeypatch.setattr(cls, name, spy)
+        monkeypatch.setattr(verify, "localization_defect", lambda pair, b, cfg: {"center": [0.0, 0.0], "eps_eff": 0.0})
+        rows, _ = theorem_main_table(pair, radii, QuadConfig())
+        from_table = sorted(call[1:] for call in calls if call[0] == "theorem_main_table")
+        assert from_table == [("ball_masses", "CountingMeasure"), ("ball_masses", "LebesgueMeasure")]
+        assert [row["B"] for row in rows] == want
 
     def test_mass_gap_bounded_by_defects(self):
         # numerical restatement of the identity behind the table: the ball-mass
