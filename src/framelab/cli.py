@@ -2,8 +2,11 @@
 
 Subcommands: run (scenario runner), density, localize, gram, identity.
 Exit codes: 0 when every verdict passes or is explicitly vacuous/no-claim,
-1 on failing verdicts or contradictions, 2 on configuration and usage errors
-(an --out that is no file path in an existing directory among them, before any work).
+1 on failing verdicts or contradictions, 2 on configuration and usage errors,
+found before any work: an --out that is no file path in an existing
+directory is one, and so is an output directory of run (--out-dir, or the
+config's out_dir) that is neither a directory nor a path whose nearest
+existing ancestor is one.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -172,11 +176,15 @@ def _dim_path(spec: dict, root: str = "$") -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_json_arg(args.config)
+    cfg = verify.validate_config(_load_json_arg(args.config))
     if args.seed is not None:
-        cfg = {**verify.validate_config(cfg), "seed": args.seed}
-    report = verify.run(cfg)
+        cfg = {**cfg, "seed": args.seed}
     out_dir = args.out_dir or cfg.get("out_dir", ".")
+    try:
+        _out_dir(out_dir)
+    except argparse.ArgumentTypeError as exc:
+        raise verify.ConfigError(f"config invalid at $.out_dir: {exc}") from None
+    report = verify.run(cfg)
     path = verify.write_report(report, out_dir)
     print(f"report written to {path}")
     for v in report.get("verdicts", []):
@@ -257,13 +265,13 @@ def _cmd_identity(args) -> int:
 
 
 def _radii(text: str) -> list[float]:
-    """argparse type: comma-separated positive finite numbers."""
+    """argparse type: comma-separated distinct positive finite numbers."""
     try:
         radii = [float(r) for r in text.split(",")]
     except ValueError:
         radii = [math.nan]
-    if not all(0 < r < math.inf for r in radii):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of positive finite numbers")
+    if not all(0 < r < math.inf for r in radii) or len(set(radii)) < len(radii):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of distinct positive finite numbers")
     return radii
 
 
@@ -287,13 +295,25 @@ def _out(text: str) -> str:
     return text
 
 
+def _out_dir(text: str) -> str:
+    """argparse type: a directory write_report can use, checked before any work: one, or a path below one."""
+    ancestor = Path(text).absolute()
+    while not os.path.lexists(ancestor):
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither a directory nor a path whose nearest existing ancestor is one"
+        )
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario config and write its report")
     p_run.add_argument("--config", required=True, help="scenario JSON (inline, @file, or path)")
-    p_run.add_argument("--out-dir", default=None)
+    p_run.add_argument("--out-dir", type=_out_dir, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(fn=_cmd_run)
 

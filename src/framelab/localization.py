@@ -16,9 +16,11 @@ t2 to cover the rest.
   is the mass of a unit Gaussian inside or outside a disk, the noncentral
   chi-square CDF with 2 degrees of freedom, one minus Marcum's Q_1 (Marcum,
   IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, a 1-d rule over the
-  Gaussian's radial density with no grid error.  Its Bessel factor
-  e^{-x} I_0(x) (``_scaled_i0``) is the 64-point periodic trapezoid rule on
-  its 33 distinct nodes up to x = 50, the asymptotic series beyond.
+  Gaussian's radial density with no grid error, run once per distinct
+  distance when a call holds several.  Its Bessel factor e^{-x} I_0(x)
+  (``_scaled_i0``) is the 64-point periodic trapezoid rule on its 33
+  distinct nodes up to x = 50, the asymptotic series beyond; a branch that
+  takes every entry of a call runs unmasked.
 - Paley-Wiener (c = inf), a Lebesgue side against a discrete one: an atom's
   term over B, or over B(R_tr) \\ B, is a difference of the closed form
   F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b of ``_sinc2_integral``.  Tabulated
@@ -126,19 +128,29 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
     x <= _I0_SPLIT: the periodic trapezoid rule, sum_j W_j e^{-x C_j} (~4e-16
     relative).  Beyond: the asymptotic series
     sum_k ((2k-1)!!)^2 / (k! (8x)^k) / sqrt(2 pi x), 13 terms (the 14th < 1e-18).
-    Each branch runs on its own entries only, picked by a mask; with no entry
-    above the split the series is skipped.
+    A branch that takes every entry runs on the whole array, unmasked; only an
+    array with entries on both sides of the split is gathered and scattered.
     """
-    out = np.empty_like(x)
-    small = x <= _I0_SPLIT
-    out[small] = (np.exp(-np.multiply.outer(x[small], _I0_C)) * _I0_W).sum(axis=1)
-    if not small.all():
-        big = x[~small]
-        term = total = np.ones_like(big)
+
+    def rule(v):
+        return (np.exp(-(v[..., None] * _I0_C)) * _I0_W).sum(axis=-1)
+
+    def series(v):
+        term = total = np.ones_like(v)
         for k in range(1, 14):
-            term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / big
+            term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / v
             total = total + term
-        out[~small] = total / np.sqrt(2.0 * math.pi * big)
+        return total / np.sqrt(2.0 * math.pi * v)
+
+    small = x <= _I0_SPLIT
+    n_small = np.count_nonzero(small)
+    if n_small == x.size:
+        return rule(x)
+    if n_small == 0:
+        return series(x)
+    out = np.empty_like(x)
+    out[small] = rule(x[small])
+    out[~small] = series(x[~small])
     return out
 
 
@@ -147,8 +159,8 @@ def _radial_density(s, d) -> np.ndarray:
 
     Smooth for every s >= 0; d = rho - s spares the Gaussian a rounding of size s eps.
     """
-    rho = s + d
-    return 2.0 * math.pi * rho * np.exp(-math.pi * d * d) * _scaled_i0(2.0 * math.pi * rho * s)
+    a = 2.0 * math.pi * (s + d)
+    return a * np.exp(-math.pi * d * d) * _scaled_i0(a * s)
 
 
 def _disk_mass(s, r, inside: bool) -> np.ndarray:
@@ -159,18 +171,23 @@ def _disk_mass(s, r, inside: bool) -> np.ndarray:
     in d = rho - s.  Good to ~3e-16 absolute against 30-digit quadrature.
     r is one radius, giving one mass per entry of s, or several, giving a
     row of masses per entry of s, one per radius.
-    The rule runs once per distinct distance (a lattice's atoms take few), and
-    each (distance, radius) row's 64 terms are summed on their own, never by a
-    matrix product whose rounding depends on the row's place in the batch: an
-    entry's mass is the same bits whatever else the call holds.
+    When s holds several distances the rule runs once per distinct one (a
+    lattice's atoms take few); one distance runs as it is.  Each (distance,
+    radius) row's 64 terms are summed on their own, never by a matrix product
+    whose rounding depends on the row's place in the batch: an entry's mass
+    is the same bits whatever else the call holds.
     """
-    s, back = np.unique(np.asarray(s, dtype=float), return_inverse=True)
+    s = np.asarray(s, dtype=float)
+    shape, back = s.shape, None
+    if s.size > 1:
+        s, back = np.unique(s, return_inverse=True)
     r = np.asarray(r, dtype=float)
     s = s.reshape((-1,) + (1,) * r.ndim)
     lo = np.maximum(-_DISK_SPAN, -s if inside else r - s)
-    hi = np.maximum(lo, np.minimum(_DISK_SPAN, r - s) if inside else _DISK_SPAN)
-    d = lo[..., None] + (hi - lo)[..., None] * _GL_U
-    return ((hi - lo) * (_radial_density(s[..., None], d) * _GL_W).sum(axis=-1))[back]
+    width = np.maximum(lo, np.minimum(_DISK_SPAN, r - s) if inside else _DISK_SPAN) - lo
+    d = lo[..., None] + width[..., None] * _GL_U
+    mass = width * (_radial_density(s[..., None], d) * _GL_W).sum(axis=-1)
+    return mass.reshape(shape + r.shape) if back is None else mass[back]
 
 
 def _lens_overlap(s: float, r: float) -> float:

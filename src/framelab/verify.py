@@ -9,10 +9,11 @@ Frame evidence from a windowed Gram study: the window must contain at least
 as many kernels as the local mode count (the reference-measure mass of a
 margin-shrunk window), and the eigenvalue at that mode count, the "min
 nonzero" after discarding the redundancy cluster, must stay above a floor
-and stabilize across windows.  Riesz evidence uses the raw minimum
-eigenvalue, which for a true Riesz sequence is monotone under taking
-subfamilies.  A lattice whose density estimate sits inside the critical band
-around 1 yields no claim in either direction.
+and stabilize: the last window is compared with the last earlier one that
+holds fewer points, so a repeated window is no evidence.  Riesz evidence
+uses the raw minimum eigenvalue, which for a true Riesz sequence is monotone
+under taking subfamilies.  A lattice whose density estimate sits inside the
+critical band around 1 yields no claim in either direction.
 
 Configuration: ``DEFAULTS`` lists, per scenario, every optional key it reads
 with its default, down to the ``quad`` and ``tolerances`` fields.
@@ -112,7 +113,13 @@ CONFIG_SCHEMA = {
         "radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
         # the density schedule keeps the radii up to density_rmax: it needs the first
         "density_rmax": {"type": "number", "minimum": DEFAULT_RADII[0]},
-        "gram_radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
+        # a repeated window holds no new points: it would only repeat its spectrum
+        "gram_radii": {
+            "type": "array",
+            "items": {"type": "number", "exclusiveMinimum": 0},
+            "minItems": 1,
+            "uniqueItems": True,
+        },
         "quad": {
             "type": "object",
             "properties": {"truncation_margin": {"type": "number", "exclusiveMinimum": 0}},
@@ -231,8 +238,8 @@ def config_point_set(path, where: str = "$.points_csv") -> PointSet:
 
 
 # the local mode count is the reference mass of the window shrunk by
-# _GRAM_MARGIN; evidence needs eigenvalues >= _EVIDENCE_FLOOR whose last two
-# windows agree within _STABLE_RTOL
+# _GRAM_MARGIN; evidence needs eigenvalues >= _EVIDENCE_FLOOR whose last window
+# agrees within _STABLE_RTOL with the last earlier one holding fewer points
 _GRAM_MARGIN = 0.5
 _EVIDENCE_FLOOR = 0.01
 _STABLE_RTOL = 0.10
@@ -323,24 +330,25 @@ def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
         )
 
     usable = [r for r in rows if r.get("m", 0) > 0]
+    # a window holding the same points as the one before it repeats its eigenvalues exactly
+    fewer = [r for r in usable if r["m"] < usable[-1]["m"]] if usable else []
 
-    def stable(values):
-        if len(values) < 2 or any(v is None for v in values):
+    def stable(key):
+        # callers have checked every window's value against the floor
+        if not fewer:
             return False
-        a, b = values[-2], values[-1]
-        if min(a, b) < _EVIDENCE_FLOOR:
-            return False
+        a, b = fewer[-1][key], usable[-1][key]
         return abs(b - a) <= _STABLE_RTOL * max(abs(a), 1e-300)
 
     frame_evidence = bool(
         usable
         and all(r["min_nonzero"] is not None and r["min_nonzero"] >= _EVIDENCE_FLOOR for r in usable)
-        and stable([r["min_nonzero"] for r in usable])
+        and stable("min_nonzero")
     )
     riesz_evidence = bool(
         usable
         and all(r["min_eig"] >= _EVIDENCE_FLOOR for r in usable)
-        and stable([r["min_eig"] for r in usable])
+        and stable("min_eig")
     )
     return {
         "rows": rows,

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from framelab import verify
 from framelab.cli import _kernel, main, measure_from_config
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
@@ -164,9 +165,9 @@ class TestCommands:
     def test_run_command_and_exit_codes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "finite-oracle", "seed": 5, "trials": 10}))
-        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out" / "deeper")])
         assert rc == 0
-        assert (tmp_path / "out" / "finite-oracle-report.json").exists()
+        assert (tmp_path / "out" / "deeper" / "finite-oracle-report.json").exists()
 
     def test_unknown_scenario_exit_2(self):
         rc = main(["run", "--config", '{"scenario": "bogus"}'])
@@ -227,6 +228,8 @@ class TestCommands:
             ({"scenario": "dual-embedding", "density_rmax": 1.0}, "$.density_rmax"),
             # paley-wiener takes its atom terms in closed form too
             ({"scenario": "paley-wiener", "quad": {"h": 0.02}}, "$.quad.h"),
+            # a repeated Gram window only repeats its spectrum
+            ({"scenario": "fock", "gram_radii": [4.5, 4.5]}, "$.gram_radii"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -375,6 +378,8 @@ class TestCommands:
             (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,inf"], "--radii"),
             (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2,x"], "--radii"),
             (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2,-1"], "--radii"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "4.5,4.5"], "--radii"),
+            (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,4,2"], "--radii"),
         ],
     )
     def test_bad_option_value_is_a_usage_error(self, argv, option, tmp_path, capsys):
@@ -457,6 +462,24 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "argument --out:" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("below", ["", "/sub"], ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("given", ["option", "config"])
+    def test_run_output_directory_exit_2_before_any_work(self, given, below, tmp_path, monkeypatch, capsys):
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        calls = []
+        monkeypatch.setattr(verify, "run", lambda cfg: calls.append(cfg))
+        cfg = {"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}}
+        if given == "option":
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", json.dumps(cfg), "--out-dir", str(a_file) + below])
+            assert exc.value.code == 2
+            assert "argument --out-dir:" in capsys.readouterr().err
+        else:
+            assert main(["run", "--config", json.dumps({**cfg, "out_dir": str(a_file) + below})]) == 2
+            assert "config invalid at $.out_dir:" in capsys.readouterr().err
+        assert calls == []
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

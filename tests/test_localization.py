@@ -153,6 +153,17 @@ class TestTailSup:
         outside = [disk_mass(np.zeros(1), r, inside=False)[0] for r in (1.5, 4.0)]
         assert got == outside[0] - outside[1]
 
+    def test_gaussian_tail_deduplicates_nothing(self, monkeypatch):
+        # s = [0] is one distance: no np.unique, and the bits of the same row of a two-distance call
+        unique = np.unique
+        calls = []
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        got = tail_sup(FockKernel(), LebesgueMeasure(2), 1.5, [[0.3, -0.2]], QuadConfig(truncation_margin=2.5))
+        assert calls == []
+        outside = localization._disk_mass(np.array([0.0, 2.75]), [1.5, 4.0], inside=False)[0]
+        assert len(calls) == 1
+        assert got == outside[0] - outside[1]
+
     def test_gaussian_rule_is_for_the_plane_only(self):
         # GaborGaussianKernel(2) lives in R^4, where the tail is not e^{-pi R^2}; no grid reaches it
         with pytest.raises(ValueError, match="d = 4"):
@@ -518,6 +529,11 @@ class TestDiskMass:
         s = self.lattice_distances()
         localization._disk_mass(s, 4.0, inside=False)
         assert rows == [len(np.unique(s))]
+        # one distance: one row, for one radius or several
+        rows.clear()
+        localization._disk_mass(s[:1], 4.0, inside=False)
+        localization._disk_mass(s[:1], [4.0, 10.0], inside=True)
+        assert rows == [1, 1]
 
 
 def scaled_i0_oracle(x: float) -> Decimal:
@@ -559,6 +575,16 @@ class TestScaledI0:
     def test_zero_is_exactly_one(self):
         # the weights sum to exactly 1 and e^0 = 1
         assert localization._scaled_i0(np.array([0.0]))[0] == 1.0
+
+    def test_one_sided_arrays_are_the_bits_of_a_mixed_call(self):
+        # an array wholly on one side of the split runs its branch unmasked, in any shape,
+        # with the bits each entry gets from a call that gathers both sides
+        rule = np.concatenate([[0.0], np.linspace(1e-3, 50.0, 95)])
+        series = np.concatenate([50.0 + np.logspace(-12, 0, 40), np.logspace(2, 6, 56)])
+        mixed = localization._scaled_i0(np.concatenate([rule, series]))
+        for x, want in ((rule, mixed[: len(rule)]), (series, mixed[len(rule) :])):
+            assert np.array_equal(localization._scaled_i0(x), want)
+            assert np.array_equal(localization._scaled_i0(x.reshape(2, 3, 16)), want.reshape(2, 3, 16))
 
     def test_split_is_fifty_inclusive(self, monkeypatch):
         # doubling the rule's weights doubles exactly the entries the rule takes

@@ -156,6 +156,28 @@ class TestGramStudy:
         assert walks == [4.5]
         assert len(seen) == 3 and all(np.array_equal(pts, windows[R]) for pts, R in zip(seen, radii))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("radii", [[4.5], [4.5, 4.5], [4.5, 4.50001]], ids=["one", "repeated", "same-points"])
+    def test_a_window_of_the_same_points_is_no_evidence(self, alpha, radii):
+        # both windows hold the same points (253 at alpha = 0.5, 69 at 1.0), so their spectra agree
+        # exactly: that is no stabilization, and with no window of fewer points there is no evidence
+        study = gram_truncation_study(FockKernel(), Lattice(alpha, 2), radii)
+        assert len({row["m"] for row in study["rows"]}) == 1
+        assert not study["frame_evidence"] and not study["riesz_evidence"]
+
+    def test_stability_skips_windows_of_the_same_points(self):
+        # the last window is compared with the last earlier one holding fewer points
+        repeated = gram_truncation_study(FockKernel(), Lattice(0.5, 2), [2.5, 4.5, 4.50001])
+        plain = gram_truncation_study(FockKernel(), Lattice(0.5, 2), [2.5, 4.5])
+        assert [row["m"] for row in repeated["rows"]] == [81, 253, 253]
+        assert repeated["frame_evidence"] == plain["frame_evidence"] is True
+        assert repeated["riesz_evidence"] == plain["riesz_evidence"] is False
+
+    @pytest.mark.parametrize("alpha, counts", [(0.5, [81, 149, 253]), (2.0, [5, 9, 21])])
+    def test_default_windows_hold_distinct_counts(self, alpha, counts):
+        study = gram_truncation_study(FockKernel(), Lattice(alpha, 2), DEFAULTS["fock"]["gram_radii"])
+        assert [row["m"] for row in study["rows"]] == counts
+
     def test_empty_window_noted(self):
         study = gram_truncation_study(FockKernel(), PointSet(np.zeros((0, 2))), [1.0])
         assert study["rows"][0]["note"] == "window contains no points"
@@ -287,6 +309,23 @@ class TestScenarios:
         # the Python API rejects what the CLI rejects, before any scenario work
         with pytest.raises(ConfigError, match=re.escape(f"config invalid at {path}: not a finite number")):
             run(cfg)
+
+    @pytest.mark.parametrize("scenario", ["fock", "gabor", "paley-wiener"])
+    def test_repeated_gram_radius_names_path(self, scenario):
+        with pytest.raises(ConfigError, match=re.escape("config invalid at $.gram_radii: [4.5, 4.5] has non-unique")):
+            run({"scenario": scenario, "gram_radii": [4.5, 4.5]})
+
+    @pytest.mark.parametrize(
+        "alpha, tolerances",
+        [(0.5, {}), (1.0, {"density": 0.0, "critical_band": 0.0})],
+        ids=["oversampled", "critical-lattice"],
+    )
+    def test_windows_of_the_same_points_give_no_frame_evidence(self, alpha, tolerances):
+        # counted as stable, such windows made both read pass, though Z^2 is no frame
+        cfg = {"scenario": "fock", "lattice": {"scale": alpha, "dim": 2}, "gram_radii": [4.5, 4.50001]}
+        rep = run({**cfg, "tolerances": tolerances, "radii": [4.0], "density_rmax": 32.0})
+        verdict = next(v for v in rep["verdicts"] if v["name"] == "density-theorem")
+        assert verdict["verdict"] == "vacuous-consistent"
 
     def test_finite_oracle(self):
         rep = run({"scenario": "finite-oracle", "seed": 7, "trials": 30})
