@@ -105,10 +105,11 @@ class GaborGaussianKernel:
 
 
 class TabulatedKernel:
-    """Kernel given by a user callback K(x, y) -> complex on single points.
+    """Kernel given by a user callback K(x, y) -> complex on single points, for Gram studies only.
 
     The callback must supply its own (positive) diagonal; nothing is
-    interpolated.
+    interpolated.  It has no radial profile, so ``framelab.localization``
+    refuses it: a callback need not be a function of x - y.
     """
 
     def __init__(self, fn, dim: int, mode_density: float | None = None):

@@ -1,43 +1,50 @@
 """Numerical evaluation of the localization hypotheses.
 
 All operations reduce to double integrals of |<f_x, g_y>|^2 over B x B^c
-split between two index measures, for kernels in d <= 2 (Paley-Wiener,
-Fock, Gabor with n = 1).  A family's kernel point is its index point plus
-its offset, so a pair's kernel distance is within |Delta| =
-|f_offset - g_offset| of its index distance.
-A Fock or Gabor pair more than c = sqrt(ln(1e14) / pi) ~ 3.20 (``_cutoff``;
-none for Paley-Wiener) apart in kernel coordinates has a term below 1e-14
-times its two weights, so only atoms within c + |Delta| of the sphere enter
-a sum; the truncation bound adds 1e-14 f(B_tr) g(B_tr) for each of t1 and
-t2 to cover the rest.
+split between two index measures.  For every kernel a pair can hold, that
+quantity is a radial profile phi(|x - y|) of the two kernel points:
+e^{-pi d^2} for Fock and Gabor (n = 1), sinc^2(b d) for Paley-Wiener of
+band b.  A family's kernel point is its index point plus its offset, so a
+pair's kernel distance is within |Delta| = |f_offset - g_offset| of its
+index distance.
 
-- Fock and Gabor, a Lebesgue side against a discrete one:
-  |<k_x, k_y>|^2 = e^{-pi |x - y|^2}, so the Lebesgue side against one atom
-  is the mass of a unit Gaussian inside or outside a disk, the noncentral
-  chi-square CDF with 2 degrees of freedom, one minus Marcum's Q_1 (Marcum,
-  IRE Trans. Inf. Theory 6, 1960): ``_disk_mass``, a 1-d rule over the
-  Gaussian's radial density with no grid error, run once per distinct
-  distance when a call holds several.  Its Bessel factor e^{-x} I_0(x)
-  (``_scaled_i0``) is the 64-point periodic trapezoid rule on its 33
-  distinct nodes up to x = 50, the asymptotic series beyond; a branch that
-  takes every entry of a call runs unmasked.
-- Paley-Wiener (c = inf), a Lebesgue side against a discrete one: an atom's
-  term over B, or over B(R_tr) \\ B, is a difference of the closed form
-  F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b of ``_sinc2_integral``.  Tabulated
-  kernels integrate the atom field with ``integrate_ball`` or ``integrate_complement``.
-- Two discrete sides: an exact atom x atom sum.
-- Two Lebesgue sides: |<k_x, k_y>|^2 integrates to 1 / mode_density over
-  all x (reproducing formula), so a double tail is |B| / mode_density minus
-  the kernel's integral against the closed-form lens area |B ∩ (B + z)|:
-  for Fock and Gabor the same radial rule (``_lens_overlap``), for
-  Paley-Wiener one ``integrate_ball``.
-- The tail supremum ``tail_sup`` (the acceptance tail law): for Fock and
-  Gabor two outside disk masses from one ``_disk_mass`` call, for Paley-Wiener
-  2 (F(R_tr) - F(R)), for other kernels ``integrate_complement`` on the line.
+One private table, ``_PROFILES``, keyed by kernel class, holds one record
+(``_Profile``) per profile; Fock and Gabor share the Gaussian one.  A kernel
+with no record (a tabulated one, Gabor with n >= 2) is refused by
+``FramePairSpec`` and ``tail_sup``.  A record carries:
+
+- phi over every pair of two point arrays;
+- its cutoff, beyond which phi < 1e-14: c = sqrt(ln(1e14) / pi) ~ 3.20 for
+  the Gaussian, none (inf) for sinc^2;
+- its tail bound on the mass of phi beyond a distance gap: e^{-pi gap^2},
+  or 2 / (b^2 gap);
+- the Lebesgue mass M(s, r, R_tr, inside) of phi(|. - p|), |p| = s, inside
+  B(0, r) or over B(0, R_tr) \\ B(0, r).  For the Gaussian it is one
+  ``_disk_mass`` call, the noncentral chi-square CDF with 2 degrees of
+  freedom (one minus Marcum's Q_1; Marcum, IRE Trans. Inf. Theory 6, 1960):
+  a 1-d rule over the radial density with no grid error, once per distinct
+  distance when a call holds several.  Its Bessel factor
+  e^{-x} I_0(x) (``_scaled_i0``) is the 64-point periodic trapezoid rule on
+  its 33 distinct nodes up to x = 50, the asymptotic series beyond; a branch
+  that takes every entry of a call runs unmasked.  For sinc^2 it is a
+  difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b (``_sinc2_integral``);
+- the lens overlap, the integral of phi(z - s) against the lens area
+  |B(0, r) ∩ B(z, r)| over all z: the same radial rule for the Gaussian
+  (``_lens_overlap``), one ``integrate_ball`` pass on the line for sinc^2.
+
+A cross term takes one of three paths: a Lebesgue side against a discrete
+one is sum_j w_j M over the atoms within the cutoff (plus |Delta|) of the
+sphere; two Lebesgue sides are |B| / mode_density (phi integrates to
+1 / mode_density, the reproducing formula) minus the lens overlap; two
+discrete sides are an exact atom x atom sum in lexicographic order.  The
+tail supremum ``tail_sup`` (the acceptance tail law) is M(0, R, R_tr,
+outside) for every kernel.
 
 A row walks each discrete side once over the window B(c, R_tr) and takes
-every atom set and mass from that walk.  The truncation bound does not cover
-the grid error of the Paley-Wiener Lebesgue x Lebesgue overlap on the line.
+every atom set and mass from that walk.  The truncation bound adds 1e-14
+f(B_tr) g(B_tr) for each of t1 and t2 to cover the pairs the cutoff skips;
+it does not cover the grid error of the Paley-Wiener Lebesgue x Lebesgue
+overlap on the line.
 
 ``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
 row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports,
@@ -52,14 +59,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial.polynomial import polyval
 
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from .quadrature import QuadConfig, integrate_ball, integrate_complement
+
+# integrate_complement serves no term here: perfbench/tracing.py binds it under this module's name
+from .quadrature import QuadConfig, integrate_ball, integrate_complement  # noqa: F401
 from .space import Ball, LebesgueMeasure, as_point, ball_volume
 
 __all__ = [
@@ -70,7 +79,6 @@ __all__ = [
 ]
 
 _PRUNE_EPS = 1e-14
-_NODE_CHUNK = 8192
 _CUTOFF = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)  # e^{-pi c^2} = _PRUNE_EPS: c ~ 3.20
 _DISK_SPAN = 1.5 * _CUTOFF  # e^{-pi span^2} = 1e-31.5
 # the radial integrals' 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
@@ -88,38 +96,6 @@ _SI_SPLIT = 40.0  # Si: the 64-node rule up to here, the asymptotic series beyon
 _SI_TERMS = 22
 _SI_F = np.array([(-1) ** k * math.factorial(2 * k) for k in range(_SI_TERMS)], dtype=float)
 _SI_G = np.array([(-1) ** k * math.factorial(2 * k + 1) for k in range(_SI_TERMS)], dtype=float)
-
-
-def _mod2_cross(kernel, X, Y) -> np.ndarray:
-    """|<k_x, k_y>|^2 as an (n, m) array, avoiding complex phases when possible."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
-        # |x-y|^2 via the quadratic expansion: one BLAS product instead of an
-        # (n, m, d) temporary; clamp the cancellation residue at zero
-        x2 = np.einsum("ij,ij->i", X, X)
-        y2 = np.einsum("ij,ij->i", Y, Y)
-        d2 = x2[:, None] + y2[None, :] - 2.0 * (X @ Y.T)
-        np.maximum(d2, 0.0, out=d2)
-        return np.exp(-math.pi * d2)
-    if isinstance(kernel, PaleyWienerKernel):
-        t = X[:, 0][:, None] - Y[:, 0][None, :]
-        return np.sinc(kernel.band * t / math.pi) ** 2
-    return np.abs(kernel.normalized_cross(X, Y)) ** 2
-
-
-def _cutoff(kernel) -> float:
-    """Distance beyond which |<k_x, k_y>|^2 < _PRUNE_EPS: _CUTOFF for Fock and Gabor, none (inf) for the rest."""
-    return _CUTOFF if isinstance(kernel, (FockKernel, GaborGaussianKernel)) else math.inf
-
-
-def _tail_mass(kernel, gap: float) -> float:
-    """Bound on the mass of |<k_x, k_y>|^2 over |x - y| > gap: Fock, Gabor e^{-pi gap^2}; PW 2/(b^2 gap); else inf."""
-    if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
-        return math.exp(-math.pi * gap * gap)
-    if isinstance(kernel, PaleyWienerKernel) and gap > 0:
-        return 2.0 / (kernel.band * kernel.band * gap)
-    return math.inf
 
 
 def _scaled_i0(x: np.ndarray) -> np.ndarray:
@@ -230,6 +206,82 @@ def _sinc2_integral(band: float, t) -> np.ndarray:
     return (_si(2.0 * x) - sin * sin / np.where(x == 0.0, 1.0, x)) / band
 
 
+def _gaussian_phi(kernel, X, Y) -> np.ndarray:
+    """e^{-pi |x - y|^2} as an (n, m) array; |x-y|^2 via the quadratic expansion, one BLAS product
+    instead of an (n, m, d) temporary, with the cancellation residue clamped at zero."""
+    x2 = np.einsum("ij,ij->i", X, X)
+    y2 = np.einsum("ij,ij->i", Y, Y)
+    d2 = x2[:, None] + y2[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-math.pi * d2)
+
+
+def _gaussian_mass(kernel, s: np.ndarray, r: float, r_tr: float, inside: bool) -> np.ndarray:
+    """Mass of e^{-pi |x - p|^2}, |p| = s, inside B(0, r), or over B(0, r_tr) \\ B(0, r): one ``_disk_mass`` call."""
+    if inside:
+        return _disk_mass(s, r, inside=True)
+    outside = _disk_mass(s, [r, r_tr], inside=False)
+    return outside[:, 0] - outside[:, 1]
+
+
+def _sinc2_phi(kernel, X, Y) -> np.ndarray:
+    """sinc^2(band (x - y)) as an (n, m) array."""
+    t = X[:, 0][:, None] - Y[:, 0][None, :]
+    return np.sinc(kernel.band * t / math.pi) ** 2
+
+
+def _sinc2_mass(kernel, s: np.ndarray, r: float, r_tr: float, inside: bool) -> np.ndarray:
+    """Mass of sinc^2(band (x - p)), |p| = s, over [-r, r] or the window's two pieces outside it; F is odd."""
+    ends = [r, -r] if inside else [-r, -r_tr, r_tr, r]
+    F = _sinc2_integral(kernel.band, np.subtract.outer(ends, s))
+    return (F[0::2] - F[1::2]).sum(axis=0)
+
+
+def _sinc2_lens(kernel, s: np.ndarray, r: float, cfg: QuadConfig) -> float:
+    """integral of sinc^2(band (z - s)) (2r - |z|)_+ dz, one grid pass over B(0, 2r): the lens kinks
+    (z = 0, |z| = 2r) sit on a cell edge and on the pass's boundary, never inside a Gauss cell."""
+    field = lambda z: _sinc2_phi(kernel, z, s[None, :])[:, 0] * (2.0 * r - np.minimum(np.abs(z[:, 0]), 2.0 * r))
+    return integrate_ball(field, Ball(np.zeros(1), 2.0 * r), cfg).value
+
+
+class _Profile(NamedTuple):
+    """A radial profile phi(|x - y|) = |<k_x, k_y>|^2 and its closed forms (see the module note)."""
+
+    phi: Callable  # (kernel, X, Y) -> phi over every pair of rows, an (n, m) array
+    cutoff: float  # phi < _PRUNE_EPS beyond it; inf: none
+    tail: Callable  # (kernel, gap) -> a bound on the mass of phi beyond gap
+    mass: Callable  # (kernel, s, r, r_tr, inside) -> M(s, r, r_tr, inside) per entry of s
+    lens: Callable  # (kernel, s, r, cfg) -> the lens overlap, s = inner offset - outer offset
+
+
+_GAUSSIAN = _Profile(
+    phi=_gaussian_phi,
+    cutoff=_CUTOFF,
+    tail=lambda kernel, gap: math.exp(-math.pi * gap * gap),
+    mass=_gaussian_mass,
+    lens=lambda kernel, s, r, cfg: _lens_overlap(float(np.linalg.norm(s)), r),
+)
+_PROFILES = {
+    FockKernel: _GAUSSIAN,
+    GaborGaussianKernel: _GAUSSIAN,
+    PaleyWienerKernel: _Profile(
+        phi=_sinc2_phi,
+        cutoff=math.inf,
+        tail=lambda kernel, gap: 2.0 / (kernel.band * kernel.band * gap) if gap > 0 else math.inf,
+        mass=_sinc2_mass,
+        lens=_sinc2_lens,
+    ),
+}
+
+
+def _profile(kernel) -> _Profile:
+    """The kernel's record in _PROFILES; a kernel with none, or outside d <= 2 (Gabor n >= 2), is refused."""
+    profile = _PROFILES.get(type(kernel))
+    if profile is None or kernel.dim > 2:
+        raise ValueError(f"no radial profile for {type(kernel).__name__} in dimension {kernel.dim}")
+    return profile
+
+
 @dataclass
 class FramePairSpec:
     """Two normalized kernel families over one geometry with their index measures.
@@ -237,8 +289,8 @@ class FramePairSpec:
     Both families come from the same kernel; an optional offset translates a
     family's kernel points relative to its index points (used by the
     dual-embedding scenario; no offset is the zero vector).  Both families
-    are self-dual: see the module note.  The kernel lives in d <= 2: the
-    line's grid and the plane's radial rules cover the Lebesgue sides.
+    are self-dual: see the module note.  The kernel lives in d <= 2 and has
+    a radial profile record in ``_PROFILES``.
     """
 
     kernel: object
@@ -249,8 +301,7 @@ class FramePairSpec:
 
     def __post_init__(self):
         d = self.kernel.dim
-        if d > 2:
-            raise ValueError(f"frame pairs need a kernel in dimension <= 2, got {d}")
+        _profile(self.kernel)
         if self.f_measure.dim != d or self.g_measure.dim != d:
             raise ValueError("index measures must match the kernel dimension")
         for name in ("f_offset", "g_offset"):
@@ -264,17 +315,17 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     """max over probes x of the Lebesgue mass of |<k_x, k_.>|^2 on B(x, R_tr) \\ B(x, R).
 
     index_measure must be Lebesgue measure in the kernel's dimension, and
-    every probe must have that many coordinates.  For Fock and Gabor (n = 1)
-    the mass is e^{-pi R^2} - e^{-pi R_tr^2} at every probe, taken as the
-    difference of the outside masses at R and R_tr from one ``_disk_mass``
-    call (the radial rule of every Gaussian atom term, which the tail law
-    thus checks; the inside masses would cancel to ~1e-3 relative at R = 3).
-    For Paley-Wiener it is 2 (F(R_tr) - F(R)) of ``_sinc2_integral``; other
-    kernels integrate the field with ``integrate_complement``.  R must be
+    every probe must have that many coordinates.  The profile is radial, so
+    every probe has the record's M(0, R, R_tr, outside): for Fock and Gabor
+    (n = 1) e^{-pi R^2} - e^{-pi R_tr^2}, the outside masses at R and R_tr
+    from one ``_disk_mass`` call (the radial rule of every Gaussian atom term,
+    which the tail law thus checks; the inside masses would cancel to ~1e-3
+    relative at R = 3); for Paley-Wiener 2 (F(R_tr) - F(R)).  R must be
     positive and finite.
     """
     if not 0.0 < R < math.inf:
         raise ValueError(f"ball radius must be positive and finite, got {R}")
+    profile = _profile(kernel)
     d = kernel.dim
     if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == d):
         raise ValueError(f"tail_sup integrates against Lebesgue measure in dimension {d} only")
@@ -283,61 +334,13 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
         raise ValueError("tail_sup needs at least one probe centre")
     if probes.ndim != 2 or probes.shape[1] != d:
         raise ValueError(f"probe centres must have {d} coordinates, got {probes.shape[-1]}")
-    if isinstance(kernel, (FockKernel, GaborGaussianKernel)) and d == 2:
-        outside = _disk_mass(np.zeros(1), [R, cfg.effective_truncation(R)], inside=False)[0]
-        return float(outside[0] - outside[1])
-    if isinstance(kernel, PaleyWienerKernel):
-        inner, outer = _sinc2_integral(kernel.band, np.array([R, cfg.effective_truncation(R)]))
-        return 2.0 * float(outer - inner)
-    best = -math.inf
-    for x in probes:
-        field = lambda pts: _mod2_cross(kernel, x[None, :], pts)[0]
-        best = max(best, integrate_complement(field, Ball(x, R), cfg).value)
-    return best
+    return float(profile.mass(kernel, np.zeros(1), R, cfg.effective_truncation(R), inside=False)[0])
 
 
 def _lex_sorted(atoms, weights):
     """Atoms and their weights in lexicographic order of the atoms, whatever order they come in."""
     order = np.lexsort(atoms.T[::-1])
     return atoms[order], weights[order]
-
-
-def _sum_field_over_atoms(kernel, nodes, atoms, atom_weights) -> np.ndarray:
-    """sum_j w_j |<k_node_i, k_atom_j>|^2 over every pair of kernel points, in blocks of _NODE_CHUNK nodes.
-
-    The atoms enter in lexicographic order, so a node's value does not depend
-    on the order they come in.
-    """
-    atoms, atom_weights = _lex_sorted(atoms, atom_weights)
-    out = np.empty(len(nodes))
-    for i in range(0, len(nodes), _NODE_CHUNK):
-        out[i : i + _NODE_CHUNK] = _mod2_cross(kernel, nodes[i : i + _NODE_CHUNK], atoms) @ atom_weights
-    return out
-
-
-def _lebesgue_pair_term(kernel, s: np.ndarray, r: float, cfg: QuadConfig) -> float:
-    """integral over x in B^c of integral over y in B of mod2, both sides Lebesgue.
-
-    For the model kernels mod2 is a function of z - s (z = x - y, s = inner
-    offset - outer offset) with integral 1 / mode_density, so
-
-        t = |B| / mode_density - integral of mod2(z - s) A_r(|z|) dz,
-
-    with the lens area A_r(rho) = |B ∩ (B + z)|: ``_lens_overlap`` for Fock
-    and Gabor (n = 1); in d = 1 (kernels with no cutoff) A_r = (2r - rho)_+
-    on the whole ball B(0, 2r), which puts the lens kinks (z = 0, |z| = 2r)
-    on a cell edge and on its own boundary, never inside a Gauss cell.
-    """
-    if not kernel.mode_density:
-        raise ValueError("continuous-continuous double tails need a kernel mode_density")
-    if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
-        overlap = _lens_overlap(float(np.linalg.norm(s)), r)
-    elif kernel.dim == 1:
-        field = lambda z: _mod2_cross(kernel, z, s[None, :])[:, 0] * (2.0 * r - np.minimum(np.abs(z[:, 0]), 2.0 * r))
-        overlap = integrate_ball(field, Ball(np.zeros(1), 2.0 * r), cfg).value
-    else:
-        raise ValueError(f"no Lebesgue x Lebesgue double tail for {type(kernel).__name__} in dimension {kernel.dim}")
-    return ball_volume(kernel.dim, r) / kernel.mode_density - overlap
 
 
 class _Side(NamedTuple):
@@ -353,9 +356,9 @@ class _Side(NamedTuple):
 
 
 def _walk(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> list[_Side]:
-    """The f and g sides over b; reach = c + |f_offset - g_offset| is the decay cutoff in index coordinates."""
+    """The f and g sides over b; reach = cutoff + |f_offset - g_offset| is the profile's cutoff in index coordinates."""
     r_tr = cfg.effective_truncation(b.radius)
-    reach = _cutoff(pair.kernel) + float(np.linalg.norm(pair.f_offset - pair.g_offset))
+    reach = _profile(pair.kernel).cutoff + float(np.linalg.norm(pair.f_offset - pair.g_offset))
     window, near = Ball(b.center, r_tr), Ball(b.center, min(r_tr, b.radius + reach))
     sides = []
     for m, offset in ((pair.f_measure, pair.f_offset), (pair.g_measure, pair.g_offset)):
@@ -376,12 +379,13 @@ def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball, cfg: QuadConfig)
     t1 = integral_{x in B^c} d mu integral_{y in B} d nu |<f_x, g_y>|^2 has
     the f side outer; t2 swaps the roles.
     """
-    r = ball.radius
-    cutoff = _cutoff(kernel)
-    reach = cutoff + float(np.linalg.norm(outer.offset - inner.offset))  # the cutoff in index coordinates
+    r, profile = ball.radius, _profile(kernel)
+    reach = profile.cutoff + float(np.linalg.norm(outer.offset - inner.offset))  # the cutoff in index coordinates
     out_disc, in_disc = outer.outside is not None, inner.inside is not None
     if not out_disc and not in_disc:
-        return _lebesgue_pair_term(kernel, inner.offset - outer.offset, r, cfg)
+        # phi integrates to 1 / mode_density; the lens overlap is the part of it B keeps
+        overlap = profile.lens(kernel, inner.offset - outer.offset, r, cfg)
+        return ball_volume(kernel.dim, r) / kernel.mode_density - overlap
     if in_disc:
         atoms_in, w_in = inner.inside
         near = np.linalg.norm(atoms_in - ball.center, axis=1) >= r - reach
@@ -389,29 +393,18 @@ def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball, cfg: QuadConfig)
     if out_disc:
         u_atoms, w_out = outer.outside[0] + outer.offset, outer.outside[1]
     if out_disc and in_disc:
-        # the outer atoms in the inner ones' order too: the sum is then the same bits for any input order
+        # both sides in lexicographic order: the sum is then the same bits for any input order
         u_atoms, w_out = _lex_sorted(u_atoms, w_out)
-        return float(w_out @ _sum_field_over_atoms(kernel, u_atoms, v_atoms, w_in))
-    # an atom's term is the mass its kernel puts across the sphere, seen from the Lebesgue
-    # side: inside B for an outer atom, outside B for an inner one; p is its kernel point
-    # relative to the Lebesgue side's offset
+        v_atoms, w_in = _lex_sorted(v_atoms, w_in)
+        return float(w_out @ (profile.phi(kernel, u_atoms, v_atoms) @ w_in))
+    # an atom's term is the mass its profile puts across the sphere, seen from the Lebesgue
+    # side: inside B for an outer atom, over the window outside B for an inner one; p is its
+    # kernel point relative to the Lebesgue side's offset
     p, w = (u_atoms - inner.offset, w_out) if out_disc else (v_atoms - outer.offset, w_in)
-    if isinstance(kernel, (FockKernel, GaborGaussianKernel)):
-        s = np.linalg.norm(p - ball.center, axis=1)
-        near = s <= r + cutoff if out_disc else s >= r - cutoff
-        return math.fsum((w[near] * _disk_mass(s[near], r, inside=out_disc)).tolist())
-    if isinstance(kernel, PaleyWienerKernel):
-        # sinc^2(band (x - p)) over B = [c - r, c + r], or over the window's two pieces outside B
-        c, r_tr = float(ball.center[0]), cfg.effective_truncation(r)
-        ends = [c + r, c - r] if out_disc else [c - r, c - r_tr, c + r_tr, c + r]
-        F = _sinc2_integral(kernel.band, np.subtract.outer(ends, p[:, 0]))
-        return math.fsum((w * (F[0::2] - F[1::2]).sum(axis=0)).tolist())
-    # every kernel left here has no cutoff: its field spans all of B, or of B(R_tr) \ B
-    if out_disc:
-        field = lambda x: _sum_field_over_atoms(kernel, x + inner.offset, u_atoms, w_out)
-        return integrate_ball(field, ball, cfg).value
-    field = lambda x: _sum_field_over_atoms(kernel, x + outer.offset, v_atoms, w_in)
-    return integrate_complement(field, ball, cfg).value
+    s = np.linalg.norm(p - ball.center, axis=1)
+    near = s <= r + profile.cutoff if out_disc else s >= r - profile.cutoff
+    mass = profile.mass(kernel, s[near], r, cfg.effective_truncation(r), inside=out_disc)
+    return math.fsum((w[near] * mass).tolist())
 
 
 def _tails(pair: FramePairSpec, b: Ball, cfg: QuadConfig):
@@ -443,16 +436,17 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
     its tails and masses all come from that walk.
 
     trunc_bound bounds what t1 and t2 leave out.  Every pair the cross terms
-    skip lies more than c = _cutoff(kernel) apart in kernel coordinates, so
-    its term is < _PRUNE_EPS w_x w_y (an atom skipped against a Gaussian
-    Lebesgue side has < _PRUNE_EPS w of its mass across the sphere).  Both
-    sides lie in B(center, R_tr), hence
+    skip lies more than the profile's cutoff c apart in kernel coordinates,
+    so its term is < _PRUNE_EPS w_x w_y (an atom skipped against a Lebesgue
+    side has < _PRUNE_EPS w of its mass across the sphere).  Both sides lie
+    in B(center, R_tr), hence
 
         skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
 
-    one such term for each.  The window term (mu(B) + nu(B)) _tail_mass(min(gap, c))
-    covers what lies beyond R_tr: in kernel coordinates that is at least
-    gap = R_tr - r - |f_offset - g_offset| from the sphere (clamped at 0).
+    one such term for each.  The window term (mu(B) + nu(B)) tail(min(gap, c)),
+    with the profile's tail bound, covers what lies beyond R_tr: in kernel
+    coordinates that is at least gap = R_tr - r - |f_offset - g_offset| from
+    the sphere (clamped at 0).
     """
     t1, t2, f, g = _tails(pair, b, cfg)
     normalizer = f.mass + g.mass
@@ -461,7 +455,8 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
     defect = abs(t1 - t2)
     delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
     gap = max(0.0, cfg.effective_truncation(b.radius) - b.radius - delta)
-    tail = _tail_mass(pair.kernel, min(gap, _cutoff(pair.kernel)))
+    profile = _profile(pair.kernel)
+    tail = profile.tail(pair.kernel, min(gap, profile.cutoff))
     slack = 2.0 * _PRUNE_EPS * f.window_mass * g.window_mass
     return {
         "center": [float(c) for c in b.center],
@@ -471,5 +466,5 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
         "t2": t2,
         "normalizer": normalizer,
         "eps_eff": defect / normalizer,
-        "trunc_bound": slack + normalizer * tail if math.isfinite(tail) else math.inf,
+        "trunc_bound": slack + normalizer * tail,
     }

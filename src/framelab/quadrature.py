@@ -2,12 +2,12 @@
 
 One private pass, ``_integrate``, integrates a real field over the shell
 r_in < |x - c| <= r_out in d = 1: ``integrate_ball`` is the pass over
-[0, r], and ``integrate_complement`` the pass over (r, R_tr].  It serves the
-Lebesgue x Lebesgue overlap on the line and the Lebesgue sides of kernels
-with no closed form (tabulated ones); the Paley-Wiener atom terms and tail
-are closed forms in ``framelab.localization``.  Every other dimension
-raises ``ValueError``: the Gaussian (Fock, Gabor n = 1) terms of the plane
-are radial integrals in ``framelab.localization``.  Cells have spacing h,
+[0, r], and ``integrate_complement`` the pass over (r, R_tr].  The grid
+serves one localization term, the Paley-Wiener Lebesgue x Lebesgue overlap
+on the line (``integrate_ball``); every other term, and every tail, is a
+closed form of a kernel's radial profile in ``framelab.localization``, so
+no term calls ``integrate_complement``.  Every other dimension raises
+``ValueError``.  Cells have spacing h,
 are anchored at the centre and are clipped exactly to the shell; every cell
 gets a 2-point Gauss-Legendre rule.  The field is evaluated once on all
 nodes, and the value is the correctly rounded sum of the node terms

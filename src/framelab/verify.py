@@ -473,7 +473,8 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "sampling-density",
                 "verdict": "CONTRADICTION",
-                "detail": f"frame evidence with density {est:.4f} < 1: violates the lower density bound",
+                "detail": f"frame evidence with upper density {dens.upper:.4f} < 1 - {tol}: "
+                "violates the lower density bound",
             }
         )
     elif riesz_ev and dens.lower > 1.0 + tol:
@@ -481,7 +482,8 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "interpolating-density",
                 "verdict": "CONTRADICTION",
-                "detail": f"Riesz evidence with density {est:.4f} > 1: violates the upper density bound",
+                "detail": f"Riesz evidence with lower density {dens.lower:.4f} > 1 + {tol}: "
+                "violates the upper density bound",
             }
         )
     elif critical:
@@ -497,7 +499,7 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "density-theorem",
                 "verdict": "pass",
-                "detail": f"frame evidence and density {est:.4f} >= 1 - {tol}",
+                "detail": f"frame evidence and upper density {dens.upper:.4f} >= 1 - {tol}",
             }
         )
     else:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from framelab import verify
+from framelab import cli, verify
 from framelab.cli import _kernel, main, measure_from_config
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
@@ -136,6 +136,18 @@ class TestCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "center,r,defect,t1,t2,normalizer,eps_eff,trunc_bound"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("name", [n for n, (cls, _) in cli._KERNEL_PARAMS.items() if cls().dim <= 2])
+    @pytest.mark.parametrize("sides", ["lebesgue-lattice", "lattice-lattice", "lebesgue-lebesgue"])
+    def test_localize_takes_every_kernel_of_the_table(self, name, sides, tmp_path):
+        # every CLI kernel in d <= 2 needs a radial profile record for each of the three cross-term paths
+        d = cli._KERNEL_PARAMS[name][0]().dim
+        measure = {"lebesgue": {"lebesgue": {"dim": d}}, "lattice": {"lattice": {"scale": 0.9, "dim": d}}}
+        f, g = sides.split("-")
+        pair = {"kernel": {"kernel": name}, "f": measure[f], "g": measure[g]}
+        out = tmp_path / "loc.csv"
+        assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_localize_honours_truncation_margin(self, tmp_path):
         def trunc_bound(quad):

@@ -164,9 +164,14 @@ class TestTailSup:
         assert len(calls) == 1
         assert got == outside[0] - outside[1]
 
+    def test_kernel_with_no_profile_is_refused(self):
+        kernel = TabulatedKernel(lambda x, y: 1.0, dim=1, mode_density=1.0)
+        with pytest.raises(ValueError, match="no radial profile for TabulatedKernel"):
+            tail_sup(kernel, LebesgueMeasure(1), 1.0, [[0.0]], QuadConfig())
+
     def test_gaussian_rule_is_for_the_plane_only(self):
         # GaborGaussianKernel(2) lives in R^4, where the tail is not e^{-pi R^2}; no grid reaches it
-        with pytest.raises(ValueError, match="d = 4"):
+        with pytest.raises(ValueError, match="no radial profile for GaborGaussianKernel in dimension 4"):
             tail_sup(GaborGaussianKernel(2), LebesgueMeasure(4), 1.0, [[0.0] * 4], QuadConfig())
 
 
@@ -224,9 +229,15 @@ class TestDoubleTail:
         with pytest.raises(ValueError, match="truncation radius is smaller than the ball radius"):
             double_tail(pair, Ball([0, 0], 8.0), QuadConfig(h=0.1, truncation_radius=5.0))
 
+    def test_kernel_with_no_profile_is_refused(self):
+        # a tabulated callback need not be a radial profile of x - y: no term is taken for it
+        lattice = CountingMeasure(Lattice(1.0, 1))
+        with pytest.raises(ValueError, match="no radial profile for TabulatedKernel"):
+            FramePairSpec(TabulatedKernel(lambda x, y: 1.0, dim=1, mode_density=1.0), LebesgueMeasure(1), lattice)
+
     def test_kernel_dimension_cap(self):
         lattice = CountingMeasure(Lattice(1.0, 4))
-        with pytest.raises(ValueError, match="dimension <= 2, got 4"):
+        with pytest.raises(ValueError, match="no radial profile for GaborGaussianKernel in dimension 4"):
             FramePairSpec(GaborGaussianKernel(2), lattice, lattice)
 
     @pytest.mark.parametrize(
@@ -281,14 +292,20 @@ class TestDoubleTail:
             assert tails(rng.permutation(len(pts))) == first
 
 
-def dense_sum_field_over_atoms(kernel, nodes, atoms, atom_weights):
-    """Oracle: the chunked node x atom sum that evaluates every pair."""
-    out = np.zeros(len(nodes))
-    chunk = localization._NODE_CHUNK
-    for i in range(0, len(nodes), chunk):
-        block = localization._mod2_cross(kernel, nodes[i : i + chunk], atoms)
-        out[i : i + chunk] = block @ atom_weights
-    return out
+PROFILES = dict(localization._PROFILES)  # the records as built, whatever a test patches
+
+
+def patch_profile(monkeypatch, kernel, pairs, **fields):
+    """Replace the kernel's _PROFILES record by one whose phi adds the pairs it evaluates to pairs[-1],
+    with the given fields changed."""
+    profile = PROFILES[type(kernel)]
+
+    def counted(kernel, X, Y):
+        out = profile.phi(kernel, X, Y)
+        pairs[-1] += out.size
+        return out
+
+    monkeypatch.setitem(localization._PROFILES, type(kernel), profile._replace(phi=counted, **fields))
 
 
 def jittered_points(seed, scale, half_width):
@@ -300,21 +317,13 @@ def jittered_points(seed, scale, half_width):
 
 
 def pruned_and_dense(pair, ball, cfg, monkeypatch):
-    """double_tail with the pruned sum and with the dense oracle, plus the
-    number of kernel pairs each evaluated."""
-    pairs = []
-    mod2 = localization._mod2_cross
-
-    def counted(kernel, X, Y):
-        out = mod2(kernel, X, Y)
-        pairs[-1] += out.size
-        return out
-
-    monkeypatch.setattr(localization, "_mod2_cross", counted)
-    pairs.append(0)
+    """double_tail with the kernel's own cutoff and with none (every pair in
+    the window), plus the number of kernel pairs each evaluated."""
+    pairs = [0]
+    patch_profile(monkeypatch, pair.kernel, pairs)
     pruned = double_tail(pair, ball, cfg)
-    monkeypatch.setattr(localization, "_sum_field_over_atoms", dense_sum_field_over_atoms)
     pairs.append(0)
+    patch_profile(monkeypatch, pair.kernel, pairs, cutoff=math.inf)
     dense = double_tail(pair, ball, cfg)
     return pruned, dense, pairs
 
@@ -363,19 +372,11 @@ class TestPrunedSum:
         f, g = CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.7, 2))
         ball = Ball([0, 0], 8.0)
         pairs = []
-        mod2 = localization._mod2_cross
-
-        def counted(kernel, X, Y):
-            out = mod2(kernel, X, Y)
-            pairs[-1] += out.size
-            return out
-
-        monkeypatch.setattr(localization, "_mod2_cross", counted)
         results = []
         # the uncut run keeps every pair in the window
-        for cutoff in (localization._cutoff, lambda kernel: math.inf):
-            monkeypatch.setattr(localization, "_cutoff", cutoff)
+        for cutoff in (localization._PROFILES[FockKernel].cutoff, math.inf):
             pairs.append(0)
+            patch_profile(monkeypatch, FockKernel(), pairs, cutoff=cutoff)
             results.append(localization_defect(FramePairSpec(FockKernel(), f, g), ball, self.CFG))
         pruned, full = results
         self.assert_agree(pruned, full["t1"], full["t2"])
@@ -397,7 +398,7 @@ class TestPrunedSum:
         ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig(h=0.05)
         pair = FramePairSpec(FockKernel(), f, g, f_offset=delta)
         pruned = localization_defect(pair, ball, cfg)
-        monkeypatch.setattr(localization, "_cutoff", lambda kernel: math.inf)
+        patch_profile(monkeypatch, FockKernel(), [0], cutoff=math.inf)
         full_t1, full_t2 = double_tail(pair, ball, cfg)
         assert abs(pruned["t1"] - full_t1) <= pruned["trunc_bound"]
         assert abs(pruned["t2"] - full_t2) <= pruned["trunc_bound"]
@@ -428,12 +429,33 @@ def paley_wiener_tail(band):
     return lambda gap: 2.0 / (band * band * gap) if gap > 0 else math.inf
 
 
+@pytest.mark.parametrize("kernel_class", list(localization._PROFILES), ids=lambda cls: cls.__name__)
+def test_profile_record_supports_trunc_bound(kernel_class):
+    # the two facts trunc_bound rests on, for each record at its kernel's defaults
+    kernel = kernel_class()
+    profile = localization._PROFILES[kernel_class]
+    origin = np.zeros((1, kernel.dim))
+    # 1. a pair the sums skip lies beyond the cutoff, where phi <= _PRUNE_EPS (an infinite cutoff skips none);
+    #    the float cutoff is sqrt(ln(1e14) / pi) rounded down, so phi there is 1e-14 (1 + 2.3e-15)
+    if math.isfinite(profile.cutoff):
+        beyond = math.nextafter(profile.cutoff, math.inf)
+        assert profile.phi(kernel, origin, np.eye(kernel.dim)[:1] * beyond)[0, 0] <= localization._PRUNE_EPS
+    # 2. tail(gap) bounds the profile's own mass beyond gap, and inside + outside is all of
+    #    the reproducing mass 1 / mode_density within that bound
+    r_tr = 60.0
+    for gap in (0.5, 1.0, 2.0, 3.2):
+        outside = profile.mass(kernel, np.zeros(1), gap, r_tr, inside=False)[0]
+        inside = profile.mass(kernel, np.zeros(1), gap, r_tr, inside=True)[0]
+        tail = profile.tail(kernel, gap)
+        assert 0.0 < outside <= tail
+        assert abs(inside + outside - 1.0 / kernel.mode_density) <= tail
+
+
 class TestTruncationBound:
     """trunc_bound = 2 1e-14 f(B_tr) g(B_tr) + (mu(B) + nu(B)) tail(min(gap, c)).
 
     gap = R_tr - r - |f_offset - g_offset|, clamped at 0; c is the kernel's
-    cutoff (none for Paley-Wiener), and a kernel with no tail rule has
-    tail = inf.
+    cutoff (none for Paley-Wiener).
     """
 
     @pytest.mark.parametrize(
@@ -445,14 +467,6 @@ class TestTruncationBound:
             (PaleyWienerKernel(2.0), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [0.0], 6.0, paley_wiener_tail(2.0)),
             (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [1.5, 0.0], 1.0, gaussian_tail),
             (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [1.5], 1.0, paley_wiener_tail(math.pi)),
-            (
-                TabulatedKernel(lambda x, y: math.exp(-abs(x[0] - y[0])), dim=1),
-                CountingMeasure(PointSet([[0.0], [2.5], [4.0]])),
-                CountingMeasure(PointSet([[-1.0], [3.5], [7.0]])),
-                [0.0],
-                6.0,
-                lambda gap: math.inf,
-            ),
         ],
         ids=[
             "fock-lattice-margin-6",
@@ -461,7 +475,6 @@ class TestTruncationBound:
             "pw-lebesgue-lattice",
             "fock-margin-below-offset",
             "pw-margin-below-offset",
-            "tabulated",
         ],
     )
     def test_against_its_formula(self, kernel, f, g, offset, margin, tail):
@@ -478,7 +491,7 @@ class TestDiskMass:
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 8.0, 16.0, 64.0])
     def test_against_ncx2(self, r):
-        c = localization._cutoff(FockKernel())
+        c = localization._PROFILES[FockKernel].cutoff
         hugging = np.logspace(-12, 0, 60)
         s = np.concatenate([[0.0], np.linspace(max(0.0, r - c - 3.0), r + c + 3.0, 2001), r + hugging, r - hugging])
         s = s[s >= 0.0]  # the centre, both sides of the sphere, and points hugging it
@@ -614,9 +627,8 @@ class TestLensOverlap:
 
     def test_non_gaussian_plane_kernel_is_refused(self):
         kernel = TabulatedKernel(lambda x, y: 1.0, dim=2, mode_density=1.0)
-        pair = FramePairSpec(kernel, LebesgueMeasure(2), LebesgueMeasure(2))
         with pytest.raises(ValueError, match="TabulatedKernel in dimension 2"):
-            double_tail(pair, Ball([0.0, 0.0], 2.0), QuadConfig())
+            FramePairSpec(kernel, LebesgueMeasure(2), LebesgueMeasure(2))
 
 
 class TestBoundaryPartition:
@@ -638,7 +650,7 @@ class TestBoundaryPartition:
         monkeypatch.setattr(localization, "_disk_mass", record)
         # t1 takes the lattice atoms inside B (mass outside), t2 those outside B (mass inside)
         double_tail(pair, ball, cfg)
-        c = localization._cutoff(kernel)
+        c = localization._PROFILES[type(kernel)].cutoff
         # integer coordinates: no atom lies within rounding of r - c or r + c
         k2 = np.rint(np.einsum("ij,ij->i", *[lat.points_in_ball(Ball([0.0, 0.0], 9.0)) / 0.8] * 2)).astype(int)
         want_inner = np.sort(0.8 * np.sqrt(k2[(k2 <= 25) & (0.8 * np.sqrt(k2) >= 4.0 - c)]))
@@ -679,12 +691,11 @@ class TestLocalizationDefect:
         assert fwd["t1"] == pytest.approx(rev["t2"], abs=1e-12)
 
     def test_disjoint_orthogonal_supports(self):
-        # one family inside B, the other outside, orthogonal kernels: defect 0
-        K = TabulatedKernel(lambda x, y: 1.0 if np.allclose(x, y) else 0.0, dim=1)
-        inner = CountingMeasure(PointSet([[0.0], [0.5]]))
-        outer = CountingMeasure(PointSet([[5.0], [6.0]]))
-        pair = FramePairSpec(K, inner, outer)
-        row = localization_defect(pair, Ball([0.0], 2.0), QuadConfig(truncation_radius=10.0))
+        # one family inside B, the other outside, every cross pair beyond the cutoff: defect 0
+        inner = CountingMeasure(PointSet([[0.0, 0.0], [0.5, 0.0]]))
+        outer = CountingMeasure(PointSet([[9.0, 0.0], [10.0, 0.0]]))
+        pair = FramePairSpec(FockKernel(), inner, outer)
+        row = localization_defect(pair, Ball([0.0, 0.0], 2.0), QuadConfig(truncation_radius=10.0))
         assert row["defect"] == 0.0
 
 
@@ -751,7 +762,7 @@ class TestMeanValue:
             res = integrate_ball(field, Ball(x0, L), QuadConfig(h=0.005))
             exact = paley_wiener_mass(b, L)
             assert res.value == pytest.approx(exact, rel=1e-9)
-            assert 0.0 < 1.0 / kernel.mode_density - exact <= localization._tail_mass(kernel, L) == 2.0 / (b * b * L)
+            assert 0.0 < 1.0 / kernel.mode_density - exact <= localization._PROFILES[PaleyWienerKernel].tail(kernel, L) == 2.0 / (b * b * L)
 
 
 class TestOffsets:
@@ -918,7 +929,7 @@ class TestOneWalk:
         # atom sets: the same rows, in the same order, as walking each ball alone
         inner, w_inner = measure.atoms_in_ball(ball)
         assert np.array_equal(g.inside[0], inner) and np.array_equal(g.inside[1], w_inner)
-        reach = localization._cutoff(kernel) + 0.25 * math.sqrt(d)
+        reach = localization._PROFILES[type(kernel)].cutoff + 0.25 * math.sqrt(d)
         near, w_near = measure.atoms_in_ball(Ball(ball.center, min(r_tr, ball.radius + reach)))
         outside = ~measure.contains(ball, near)
         assert np.array_equal(g.outside[0], near[outside]) and np.array_equal(g.outside[1], w_near[outside])

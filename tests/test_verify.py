@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from framelab.cli import main
-from framelab.density import lattice_schedule
+from framelab.density import DensityEstimate, lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab import localization, quadrature, verify
@@ -20,6 +20,7 @@ from framelab.verify import (
     corollary_parseval_check,
     _build_lattice_support,
     _gram_spectrum,
+    _lattice_verdicts,
     gram_truncation_study,
     report_json,
     resolve_config,
@@ -326,6 +327,39 @@ class TestScenarios:
         rep = run({**cfg, "tolerances": tolerances, "radii": [4.0], "density_rmax": 32.0})
         verdict = next(v for v in rep["verdicts"] if v["name"] == "density-theorem")
         assert verdict["verdict"] == "vacuous-consistent"
+
+    @staticmethod
+    def assert_printed_inequality_holds(detail: str) -> float:
+        """The detail's "<side> density <x> <op> 1 <sign> <tol>" read as printed; returns x."""
+        m = re.search(r"(?:upper|lower) density (\S+) (>=|<|>) 1 ([-+]) (\S+?)(?::|$)", detail)
+        assert m, detail
+        x, threshold = float(m[1]), 1.0 + float(m[4]) * (1.0 if m[3] == "+" else -1.0)
+        assert {">=": x >= threshold, "<": x < threshold, ">": x > threshold}[m[2]], detail
+        return x
+
+    def test_density_pass_prints_the_bound_it_tested(self):
+        # Z^2 at tolerance 0 passes on its upper density 1.00016; its midpoint 0.9997 is below 1 - 0
+        rep = run({"scenario": "fock", "tolerances": {"density": 0.0, "critical_band": 0.0}})
+        verdict = next(v for v in rep["verdicts"] if v["name"] == "density-theorem")
+        assert verdict["verdict"] == "pass"
+        assert self.assert_printed_inequality_holds(verdict["detail"]) == round(rep["density"]["upper"], 4)
+        assert 0.5 * (rep["density"]["upper"] + rep["density"]["lower"]) < 1.0
+
+    @pytest.mark.parametrize(
+        "upper, lower, frame, riesz, verdict",
+        [
+            (0.98, 0.96, True, False, "CONTRADICTION"),
+            (1.05, 1.03, False, True, "CONTRADICTION"),
+            (1.2, 1.1, True, False, "pass"),
+        ],
+        ids=["sampling", "interpolating", "pass"],
+    )
+    def test_density_verdicts_print_the_bound_they_tested(self, upper, lower, frame, riesz, verdict):
+        dens = DensityEstimate(per_radius=(), upper=upper, lower=lower, converged=True, trend=0.0)
+        study = {"frame_evidence": frame, "riesz_evidence": riesz}
+        (row,) = _lattice_verdicts(dens, study, tol=0.01, critical_band=0.0)
+        assert row["verdict"] == verdict
+        assert self.assert_printed_inequality_holds(row["detail"]) == (lower if riesz else upper)
 
     def test_finite_oracle(self):
         rep = run({"scenario": "finite-oracle", "seed": 7, "trials": 30})
