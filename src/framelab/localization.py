@@ -21,12 +21,15 @@ with no record (a tabulated one, Gabor with n >= 2) is refused by
 - the Lebesgue mass M(s, r, R_tr, inside) of phi(|. - p|), |p| = s, inside
   B(0, r) or over B(0, R_tr) \\ B(0, r).  For the Gaussian it is one
   ``_disk_mass`` call, the noncentral chi-square CDF with 2 degrees of
-  freedom (one minus Marcum's Q_1; Marcum, IRE Trans. Inf. Theory 6, 1960):
-  a 1-d rule over the radial density with no grid error, once per distinct
-  distance when a call holds several.  Its Bessel factor
-  e^{-x} I_0(x) (``_scaled_i0``) is the 64-point periodic trapezoid rule on
-  its 33 distinct nodes up to x = 50, the asymptotic series beyond; a branch
-  that takes every entry of a call runs unmasked.  For sinc^2 it is a
+  freedom (one minus Marcum's Q_1; Marcum, IRE Trans. Inf. Theory 6, 1960).
+  At s = 0, the central case Q_1(0, b) = e^{-b^2/2}, it is the closed form
+  1 - e^{-pi r^2} inside, e^{-pi r^2} outside; elsewhere a 1-d rule over the
+  radial density with no grid error, once per distinct positive distance
+  when a call holds several.  Its Bessel factor e^{-x} I_0(x)
+  (``_scaled_i0``) is the 64-point periodic trapezoid rule on its 33
+  distinct nodes up to x = 50, the asymptotic series (one Horner
+  evaluation) beyond; a branch that takes every entry of a call runs
+  unmasked.  For sinc^2 it is a
   difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b (``_sinc2_integral``);
 - the lens overlap, the integral of phi(z - s) against the lens area
   |B(0, r) ∩ B(z, r)| over all z: the same radial rule for the Gaussian
@@ -38,7 +41,8 @@ sphere; two Lebesgue sides are |B| / mode_density (phi integrates to
 1 / mode_density, the reproducing formula) minus the lens overlap; two
 discrete sides are an exact atom x atom sum in lexicographic order.  The
 tail supremum ``tail_sup`` (the acceptance tail law) is M(0, R, R_tr,
-outside) for every kernel.
+outside) for every kernel: for the Gaussian, e^{-pi R^2} - e^{-pi R_tr^2}
+with no radial rule.
 
 A row walks each discrete side once over the window B(c, R_tr) and takes
 every atom set and mass from that walk.  The truncation bound adds 1e-14
@@ -79,7 +83,8 @@ __all__ = [
 ]
 
 _PRUNE_EPS = 1e-14
-_CUTOFF = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)  # e^{-pi c^2} = _PRUNE_EPS: c ~ 3.20
+# c ~ 3.20 rounds down, so e^{-pi c^2} is 1e-14 (1 + 2.3e-15); at every float beyond c it is below _PRUNE_EPS
+_CUTOFF = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)
 _DISK_SPAN = 1.5 * _CUTOFF  # e^{-pi span^2} = 1e-31.5
 # the radial integrals' 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
 # off by up to ~1e-12 relative, so they are recomputed from P_64' at its nodes
@@ -92,6 +97,8 @@ _GL_W = 1.0 / ((1.0 - _GL_X**2) * legendre.legval(_GL_X, legendre.legder(np.eye(
 _I0_SPLIT = 50.0
 _I0_C = np.array([2.0 * math.sin(math.pi * j / 64) ** 2 for j in range(33)])
 _I0_W = np.array([1.0 if j in (0, 32) else 2.0 for j in range(33)]) / 64.0
+# the series' coefficients in 1/x, ((2k-1)!!)^2 / (k! 8^k) for k = 0..13
+_I0_SERIES = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 14)])
 _SI_SPLIT = 40.0  # Si: the 64-node rule up to here, the asymptotic series beyond
 _SI_TERMS = 22
 _SI_F = np.array([(-1) ** k * math.factorial(2 * k) for k in range(_SI_TERMS)], dtype=float)
@@ -103,7 +110,8 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
 
     x <= _I0_SPLIT: the periodic trapezoid rule, sum_j W_j e^{-x C_j} (~4e-16
     relative).  Beyond: the asymptotic series
-    sum_k ((2k-1)!!)^2 / (k! (8x)^k) / sqrt(2 pi x), 13 terms (the 14th < 1e-18).
+    sum_k ((2k-1)!!)^2 / (k! (8x)^k) / sqrt(2 pi x), k = 0..13 (the next term < 1e-18),
+    one Horner evaluation in 1/x.
     A branch that takes every entry runs on the whole array, unmasked; only an
     array with entries on both sides of the split is gathered and scattered.
     """
@@ -112,11 +120,7 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
         return (np.exp(-(v[..., None] * _I0_C)) * _I0_W).sum(axis=-1)
 
     def series(v):
-        term = total = np.ones_like(v)
-        for k in range(1, 14):
-            term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / v
-            total = total + term
-        return total / np.sqrt(2.0 * math.pi * v)
+        return polyval(1.0 / v, _I0_SERIES) / np.sqrt(2.0 * math.pi * v)
 
     small = x <= _I0_SPLIT
     n_small = np.count_nonzero(small)
@@ -142,27 +146,39 @@ def _radial_density(s, d) -> np.ndarray:
 def _disk_mass(s, r, inside: bool) -> np.ndarray:
     """Mass of the unit Gaussian e^{-pi |x - p|^2} inside (or outside) the disk B(0, r), |p| = s.
 
-    Inside integrates the radial density over [0, r], outside over
-    [r, inf), each by the 64-node rule on the part within _DISK_SPAN of s,
-    in d = rho - s.  Good to ~3e-16 absolute against 30-digit quadrature.
+    At s = 0 it is the closed form, -expm1(-pi r^2) inside and e^{-pi r^2}
+    outside.  Otherwise inside integrates the radial density over [0, r],
+    outside over [r, inf), each by the 64-node rule on the part within
+    _DISK_SPAN of s, in d = rho - s.  Good to ~5e-16 absolute against
+    30-digit quadrature and the closed form at s -> 0.
     r is one radius, giving one mass per entry of s, or several, giving a
     row of masses per entry of s, one per radius.
-    When s holds several distances the rule runs once per distinct one (a
-    lattice's atoms take few); one distance runs as it is.  Each (distance,
-    radius) row's 64 terms are summed on their own, never by a matrix product
-    whose rounding depends on the row's place in the batch: an entry's mass
-    is the same bits whatever else the call holds.
+    When s holds several distances the rule runs once per distinct positive
+    one (a lattice's atoms take few); one distance runs as it is.  A call
+    with no zero runs the rule on every distance, unmasked, and one with
+    only zeros runs no rule.  Each (distance, radius) row's 64 terms are
+    summed on their own, never by a matrix product whose rounding depends on
+    the row's place in the batch: an entry's mass is the same bits whatever
+    else the call holds.
     """
+
+    def rule(v):
+        v = v.reshape((-1,) + (1,) * r.ndim)
+        lo = np.maximum(-_DISK_SPAN, -v if inside else r - v)
+        width = np.maximum(lo, np.minimum(_DISK_SPAN, r - v) if inside else _DISK_SPAN) - lo
+        d = lo[..., None] + width[..., None] * _GL_U
+        return width * (_radial_density(v[..., None], d) * _GL_W).sum(axis=-1)
+
     s = np.asarray(s, dtype=float)
     shape, back = s.shape, None
     if s.size > 1:
         s, back = np.unique(s, return_inverse=True)
-    r = np.asarray(r, dtype=float)
-    s = s.reshape((-1,) + (1,) * r.ndim)
-    lo = np.maximum(-_DISK_SPAN, -s if inside else r - s)
-    width = np.maximum(lo, np.minimum(_DISK_SPAN, r - s) if inside else _DISK_SPAN) - lo
-    d = lo[..., None] + width[..., None] * _GL_U
-    mass = width * (_radial_density(s[..., None], d) * _GL_W).sum(axis=-1)
+    s, r = s.reshape(-1), np.asarray(r, dtype=float)
+    if s.size == 0 or s[0] != 0.0:  # np.unique sorts: a zero distance comes first
+        mass = rule(s)
+    else:
+        centre = (-np.expm1(-math.pi * r * r) if inside else np.exp(-math.pi * r * r))[None]
+        mass = centre if s.size == 1 else np.concatenate([centre, rule(s[1:])])
     return mass.reshape(shape + r.shape) if back is None else mass[back]
 
 
@@ -318,10 +334,9 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     every probe must have that many coordinates.  The profile is radial, so
     every probe has the record's M(0, R, R_tr, outside): for Fock and Gabor
     (n = 1) e^{-pi R^2} - e^{-pi R_tr^2}, the outside masses at R and R_tr
-    from one ``_disk_mass`` call (the radial rule of every Gaussian atom term,
-    which the tail law thus checks; the inside masses would cancel to ~1e-3
-    relative at R = 3); for Paley-Wiener 2 (F(R_tr) - F(R)).  R must be
-    positive and finite.
+    from one ``_disk_mass`` call at distance 0, which takes them in closed
+    form (the inside masses would cancel to ~1e-3 relative at R = 3); for
+    Paley-Wiener 2 (F(R_tr) - F(R)).  R must be positive and finite.
     """
     if not 0.0 < R < math.inf:
         raise ValueError(f"ball radius must be positive and finite, got {R}")

@@ -473,7 +473,7 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "sampling-density",
                 "verdict": "CONTRADICTION",
-                "detail": f"frame evidence with upper density {dens.upper:.4f} < 1 - {tol}: "
+                "detail": f"frame evidence with upper density {dens.upper!r} < 1 - {tol}: "
                 "violates the lower density bound",
             }
         )
@@ -482,7 +482,7 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "interpolating-density",
                 "verdict": "CONTRADICTION",
-                "detail": f"Riesz evidence with lower density {dens.lower:.4f} > 1 + {tol}: "
+                "detail": f"Riesz evidence with lower density {dens.lower!r} > 1 + {tol}: "
                 "violates the upper density bound",
             }
         )
@@ -499,7 +499,7 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "density-theorem",
                 "verdict": "pass",
-                "detail": f"frame evidence and upper density {dens.upper:.4f} >= 1 - {tol}",
+                "detail": f"frame evidence and upper density {dens.upper!r} >= 1 - {tol}",
             }
         )
     else:

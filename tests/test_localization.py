@@ -69,7 +69,7 @@ class TestTailSup:
                 got = tail_sup(K, LebesgueMeasure(2), R, [[0.0, 0.0]], QuadConfig(h=0.02, truncation_radius=R + 6))
                 target = math.exp(-math.pi * R * R)
                 assert got == pytest.approx(target, rel=1e-4, abs=0)
-                assert got == pytest.approx(target - math.exp(-math.pi * (R + 6) ** 2), rel=1e-12, abs=0)
+                assert got == pytest.approx(target - math.exp(-math.pi * (R + 6) ** 2), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("R", [1.0, 2.5, 4.0])
     def test_paley_wiener_tail_against_si(self, R):
@@ -138,7 +138,7 @@ class TestTailSup:
         with pytest.raises(ValueError, match="ball radius must be positive and finite"):
             tail_sup(kernel, LebesgueMeasure(kernel.dim), R, [[0.0] * kernel.dim], QuadConfig(truncation_margin=2.0))
 
-    def test_gaussian_tail_is_one_radial_rule_call(self, monkeypatch):
+    def test_gaussian_tail_is_one_disk_mass_call(self, monkeypatch):
         # the outside masses at R and R_tr come from one call, each the bits of its own scalar call
         calls = []
         disk_mass = localization._disk_mass
@@ -163,6 +163,15 @@ class TestTailSup:
         outside = localization._disk_mass(np.array([0.0, 2.75]), [1.5, 4.0], inside=False)[0]
         assert len(calls) == 1
         assert got == outside[0] - outside[1]
+
+    @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
+    def test_gaussian_tail_runs_no_radial_rule(self, kernel, monkeypatch):
+        # the tail is centred, s = 0, where the masses are closed forms
+        calls = []
+        monkeypatch.setattr(localization, "_radial_density", lambda *a: calls.append(a))
+        for R in (0.5, 1.0, 3.0):
+            tail_sup(kernel, LebesgueMeasure(2), R, [[0.3, -0.2]], QuadConfig(truncation_margin=6.0))
+        assert calls == []
 
     def test_kernel_with_no_profile_is_refused(self):
         kernel = TabulatedKernel(lambda x, y: 1.0, dim=1, mode_density=1.0)
@@ -540,13 +549,31 @@ class TestDiskMass:
 
         monkeypatch.setattr(localization, "_radial_density", record)
         s = self.lattice_distances()
+        assert np.count_nonzero(s == 0.0) == 1  # the centre, in closed form
         localization._disk_mass(s, 4.0, inside=False)
-        assert rows == [len(np.unique(s))]
-        # one distance: one row, for one radius or several
+        assert rows == [np.count_nonzero(np.unique(s))]
+        # one distance: one row, for one radius or several; zeros alone: none
         rows.clear()
         localization._disk_mass(s[:1], 4.0, inside=False)
         localization._disk_mass(s[:1], [4.0, 10.0], inside=True)
         assert rows == [1, 1]
+        localization._disk_mass(np.zeros(3), [4.0, 10.0], inside=True)
+        localization._disk_mass(np.zeros(1), 4.0, inside=False)
+        assert rows == [1, 1]
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_rule_at_the_centre_against_the_closed_form(self, inside):
+        # the radial rule's oracle at the centre: s = 1e-300 runs the rule on the nodes and
+        # Bessel factors (e^{-x} I_0(x) = 1) of s = 0; the closed form takes s = 0 itself
+        radii = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        centre = localization._disk_mass(np.zeros(1), radii, inside)[0]
+        rule = localization._disk_mass(np.array([1e-300]), radii, inside)[0]
+        assert np.array_equal(centre, -np.expm1(-math.pi * radii**2) if inside else np.exp(-math.pi * radii**2))
+        if inside:
+            # masses in [1/2, 1) summed from 64 rounded terms: 3 to 5 ulps apart
+            assert np.max(np.abs(rule - centre)) <= 6e-16
+        else:
+            assert np.max(np.abs(rule - centre) / centre) <= 4e-16
 
 
 def scaled_i0_oracle(x: float) -> Decimal:

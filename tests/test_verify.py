@@ -342,22 +342,24 @@ class TestScenarios:
         rep = run({"scenario": "fock", "tolerances": {"density": 0.0, "critical_band": 0.0}})
         verdict = next(v for v in rep["verdicts"] if v["name"] == "density-theorem")
         assert verdict["verdict"] == "pass"
-        assert self.assert_printed_inequality_holds(verdict["detail"]) == round(rep["density"]["upper"], 4)
+        assert self.assert_printed_inequality_holds(verdict["detail"]) == rep["density"]["upper"]
         assert 0.5 * (rep["density"]["upper"] + rep["density"]["lower"]) < 1.0
 
     @pytest.mark.parametrize(
-        "upper, lower, frame, riesz, verdict",
+        "upper, lower, frame, riesz, tol, verdict",
         [
-            (0.98, 0.96, True, False, "CONTRADICTION"),
-            (1.05, 1.03, False, True, "CONTRADICTION"),
-            (1.2, 1.1, True, False, "pass"),
+            (0.98, 0.96, True, False, 0.01, "CONTRADICTION"),
+            (1.05, 1.03, False, True, 0.01, "CONTRADICTION"),
+            (1.2, 1.1, True, False, 0.01, "pass"),
+            # four decimals would print 0.9999 >= 1 - 6e-05
+            (0.999941, 0.99, True, False, 6e-05, "pass"),
         ],
-        ids=["sampling", "interpolating", "pass"],
+        ids=["sampling", "interpolating", "pass", "pass-fifth-decimal"],
     )
-    def test_density_verdicts_print_the_bound_they_tested(self, upper, lower, frame, riesz, verdict):
+    def test_density_verdicts_print_the_bound_they_tested(self, upper, lower, frame, riesz, tol, verdict):
         dens = DensityEstimate(per_radius=(), upper=upper, lower=lower, converged=True, trend=0.0)
         study = {"frame_evidence": frame, "riesz_evidence": riesz}
-        (row,) = _lattice_verdicts(dens, study, tol=0.01, critical_band=0.0)
+        (row,) = _lattice_verdicts(dens, study, tol=tol, critical_band=0.0)
         assert row["verdict"] == verdict
         assert self.assert_printed_inequality_holds(row["detail"]) == (lower if riesz else upper)
 
