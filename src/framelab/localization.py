@@ -21,16 +21,18 @@ with no record (a tabulated one, Gabor with n >= 2) is refused by
 - the Lebesgue mass M(s, r, R_tr, inside) of phi(|. - p|), |p| = s, inside
   B(0, r) or over B(0, R_tr) \\ B(0, r).  For the Gaussian it is one
   ``_disk_mass`` call, the noncentral chi-square CDF with 2 degrees of
-  freedom (one minus Marcum's Q_1; Marcum, IRE Trans. Inf. Theory 6, 1960).
-  At s = 0, the central case Q_1(0, b) = e^{-b^2/2}, it is the closed form
-  1 - e^{-pi r^2} inside, e^{-pi r^2} outside; elsewhere a 1-d rule over the
-  radial density with no grid error, once per distinct positive distance
-  when a call holds several.  Its Bessel factor e^{-x} I_0(x)
+  freedom (one minus Marcum's Q_1; Marcum, IRE Trans. Inf. Theory 6, 1960):
+  a 1-d rule over the radial density with no grid error, once per distinct
+  distance when a call holds several.  Its Bessel factor e^{-x} I_0(x)
   (``_scaled_i0``) is the 64-point periodic trapezoid rule on its 33
   distinct nodes up to x = 50, the asymptotic series (one Horner
   evaluation) beyond; a branch that takes every entry of a call runs
   unmasked.  For sinc^2 it is a
   difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b (``_sinc2_integral``);
+- the centred tail M(0, R, R_tr, outside) as a float: for the Gaussian the
+  central case Q_1(0, b) = e^{-b^2/2}, the closed form e^{-pi R^2} -
+  e^{-pi R_tr^2} (the record's tail at R minus at R_tr); for sinc^2
+  2 (F(R_tr) - F(R)), F being odd;
 - the lens overlap, the integral of phi(z - s) against the lens area
   |B(0, r) ∩ B(z, r)| over all z: the same radial rule for the Gaussian
   (``_lens_overlap``), one ``integrate_ball`` pass on the line for sinc^2.
@@ -41,8 +43,7 @@ sphere; two Lebesgue sides are |B| / mode_density (phi integrates to
 1 / mode_density, the reproducing formula) minus the lens overlap; two
 discrete sides are an exact atom x atom sum in lexicographic order.  The
 tail supremum ``tail_sup`` (the acceptance tail law) is M(0, R, R_tr,
-outside) for every kernel: for the Gaussian, e^{-pi R^2} - e^{-pi R_tr^2}
-with no radial rule.
+outside) for every kernel, the record's centred tail: no radial rule.
 
 A row walks each discrete side once over the window B(c, R_tr) and takes
 every atom set and mass from that walk.  The truncation bound adds 1e-14
@@ -146,20 +147,17 @@ def _radial_density(s, d) -> np.ndarray:
 def _disk_mass(s, r, inside: bool) -> np.ndarray:
     """Mass of the unit Gaussian e^{-pi |x - p|^2} inside (or outside) the disk B(0, r), |p| = s.
 
-    At s = 0 it is the closed form, -expm1(-pi r^2) inside and e^{-pi r^2}
-    outside.  Otherwise inside integrates the radial density over [0, r],
-    outside over [r, inf), each by the 64-node rule on the part within
-    _DISK_SPAN of s, in d = rho - s.  Good to ~5e-16 absolute against
-    30-digit quadrature and the closed form at s -> 0.
+    Inside integrates the radial density over [0, r], outside over [r, inf),
+    each by the 64-node rule on the part within _DISK_SPAN of s, in
+    d = rho - s.  Good to ~6e-16 absolute against 30-digit quadrature and
+    the closed form at s = 0 (-expm1(-pi r^2) inside, e^{-pi r^2} outside).
     r is one radius, giving one mass per entry of s, or several, giving a
     row of masses per entry of s, one per radius.
-    When s holds several distances the rule runs once per distinct positive
-    one (a lattice's atoms take few); one distance runs as it is.  A call
-    with no zero runs the rule on every distance, unmasked, and one with
-    only zeros runs no rule.  Each (distance, radius) row's 64 terms are
-    summed on their own, never by a matrix product whose rounding depends on
-    the row's place in the batch: an entry's mass is the same bits whatever
-    else the call holds.
+    When s holds several distances the rule runs once per distinct one (a
+    lattice's atoms take few), unmasked; one distance runs as it is.  Each
+    (distance, radius) row's 64 terms are summed on their own, never by a
+    matrix product whose rounding depends on the row's place in the batch:
+    an entry's mass is the same bits whatever else the call holds.
     """
 
     def rule(v):
@@ -173,12 +171,8 @@ def _disk_mass(s, r, inside: bool) -> np.ndarray:
     shape, back = s.shape, None
     if s.size > 1:
         s, back = np.unique(s, return_inverse=True)
-    s, r = s.reshape(-1), np.asarray(r, dtype=float)
-    if s.size == 0 or s[0] != 0.0:  # np.unique sorts: a zero distance comes first
-        mass = rule(s)
-    else:
-        centre = (-np.expm1(-math.pi * r * r) if inside else np.exp(-math.pi * r * r))[None]
-        mass = centre if s.size == 1 else np.concatenate([centre, rule(s[1:])])
+    r = np.asarray(r, dtype=float)
+    mass = rule(s.reshape(-1))
     return mass.reshape(shape + r.shape) if back is None else mass[back]
 
 
@@ -268,6 +262,7 @@ class _Profile(NamedTuple):
     tail: Callable  # (kernel, gap) -> a bound on the mass of phi beyond gap
     mass: Callable  # (kernel, s, r, r_tr, inside) -> M(s, r, r_tr, inside) per entry of s
     lens: Callable  # (kernel, s, r, cfg) -> the lens overlap, s = inner offset - outer offset
+    centred: Callable  # (kernel, R, r_tr) -> M(0, R, r_tr, outside), a float
 
 
 _GAUSSIAN = _Profile(
@@ -276,6 +271,7 @@ _GAUSSIAN = _Profile(
     tail=lambda kernel, gap: math.exp(-math.pi * gap * gap),
     mass=_gaussian_mass,
     lens=lambda kernel, s, r, cfg: _lens_overlap(float(np.linalg.norm(s)), r),
+    centred=lambda kernel, R, r_tr: math.exp(-math.pi * R * R) - math.exp(-math.pi * r_tr * r_tr),
 )
 _PROFILES = {
     FockKernel: _GAUSSIAN,
@@ -286,6 +282,7 @@ _PROFILES = {
         tail=lambda kernel, gap: 2.0 / (kernel.band * kernel.band * gap) if gap > 0 else math.inf,
         mass=_sinc2_mass,
         lens=_sinc2_lens,
+        centred=lambda kernel, R, r_tr: float(2.0 * np.subtract(*_sinc2_integral(kernel.band, [r_tr, R]))),
     ),
 }
 
@@ -332,11 +329,11 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
 
     index_measure must be Lebesgue measure in the kernel's dimension, and
     every probe must have that many coordinates.  The profile is radial, so
-    every probe has the record's M(0, R, R_tr, outside): for Fock and Gabor
-    (n = 1) e^{-pi R^2} - e^{-pi R_tr^2}, the outside masses at R and R_tr
-    from one ``_disk_mass`` call at distance 0, which takes them in closed
-    form (the inside masses would cancel to ~1e-3 relative at R = 3); for
-    Paley-Wiener 2 (F(R_tr) - F(R)).  R must be positive and finite.
+    every probe has the record's centred tail M(0, R, R_tr, outside), a
+    closed form and no ``_disk_mass`` call: for Fock and Gabor (n = 1)
+    e^{-pi R^2} - e^{-pi R_tr^2}, from the outside masses at R and R_tr (the
+    inside masses would cancel to ~1e-3 relative at R = 3); for Paley-Wiener
+    2 (F(R_tr) - F(R)).  R must be positive and finite.
     """
     if not 0.0 < R < math.inf:
         raise ValueError(f"ball radius must be positive and finite, got {R}")
@@ -349,7 +346,7 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
         raise ValueError("tail_sup needs at least one probe centre")
     if probes.ndim != 2 or probes.shape[1] != d:
         raise ValueError(f"probe centres must have {d} coordinates, got {probes.shape[-1]}")
-    return float(profile.mass(kernel, np.zeros(1), R, cfg.effective_truncation(R), inside=False)[0])
+    return profile.centred(kernel, R, cfg.effective_truncation(R))
 
 
 def _lex_sorted(atoms, weights):

@@ -33,8 +33,9 @@ class QuadConfig:
 
     truncation_radius, when set, is the absolute cutoff radius for
     complement integrals; otherwise ball radius + truncation_margin is used.
-    ``effective_truncation`` is the one check that this window reaches the
-    ball's sphere.
+    h, truncation_radius (when set) and truncation_margin must be positive
+    and finite.  ``effective_truncation`` is the one check that this window
+    reaches the ball's sphere.
     """
 
     h: float = 0.02
@@ -42,10 +43,10 @@ class QuadConfig:
     truncation_margin: float = 6.0
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("spacing h must be positive")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise ValueError("truncation radius must be positive")
+        for name in ("h", "truncation_radius", "truncation_margin"):
+            value = getattr(self, name)
+            if not (value is None and name == "truncation_radius" or 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def effective_truncation(self, ball_radius: float) -> float:
         r_tr = ball_radius + self.truncation_margin if self.truncation_radius is None else self.truncation_radius

@@ -138,40 +138,45 @@ class TestTailSup:
         with pytest.raises(ValueError, match="ball radius must be positive and finite"):
             tail_sup(kernel, LebesgueMeasure(kernel.dim), R, [[0.0] * kernel.dim], QuadConfig(truncation_margin=2.0))
 
-    def test_gaussian_tail_is_one_disk_mass_call(self, monkeypatch):
-        # the outside masses at R and R_tr come from one call, each the bits of its own scalar call
-        calls = []
-        disk_mass = localization._disk_mass
-
-        def record(s, r, inside):
-            calls.append(np.shape(r))
-            return disk_mass(s, r, inside)
-
-        monkeypatch.setattr(localization, "_disk_mass", record)
-        got = tail_sup(FockKernel(), LebesgueMeasure(2), 1.5, [[0.3, -0.2]], QuadConfig(truncation_margin=2.5))
-        assert calls == [(2,)]
-        outside = [disk_mass(np.zeros(1), r, inside=False)[0] for r in (1.5, 4.0)]
-        assert got == outside[0] - outside[1]
-
     def test_gaussian_tail_deduplicates_nothing(self, monkeypatch):
-        # s = [0] is one distance: no np.unique, and the bits of the same row of a two-distance call
+        # the tail is one closed form: no np.unique, though a call with several distances takes one
         unique = np.unique
         calls = []
         monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
         got = tail_sup(FockKernel(), LebesgueMeasure(2), 1.5, [[0.3, -0.2]], QuadConfig(truncation_margin=2.5))
         assert calls == []
-        outside = localization._disk_mass(np.array([0.0, 2.75]), [1.5, 4.0], inside=False)[0]
+        localization._disk_mass(np.array([0.0, 2.75]), [1.5, 4.0], inside=False)
         assert len(calls) == 1
-        assert got == outside[0] - outside[1]
+        assert got == math.exp(-math.pi * 1.5**2) - math.exp(-math.pi * 4.0**2)
 
     @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
     def test_gaussian_tail_runs_no_radial_rule(self, kernel, monkeypatch):
-        # the tail is centred, s = 0, where the masses are closed forms
+        # the tail is centred, s = 0, where the record takes e^{-pi R^2} - e^{-pi R_tr^2} in closed
+        # form, bit for bit: no disk mass and no radial density
         calls = []
+        monkeypatch.setattr(localization, "_disk_mass", lambda *a: calls.append(a))
         monkeypatch.setattr(localization, "_radial_density", lambda *a: calls.append(a))
-        for R in (0.5, 1.0, 3.0):
-            tail_sup(kernel, LebesgueMeasure(2), R, [[0.3, -0.2]], QuadConfig(truncation_margin=6.0))
+        for R in (0.5, 1.0, 1.5, 3.0):
+            got = tail_sup(kernel, LebesgueMeasure(2), R, [[0.3, -0.2]], QuadConfig(truncation_margin=6.0))
+            assert got == math.exp(-math.pi * R * R) - math.exp(-math.pi * (R + 6.0) ** 2)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "kernel", [FockKernel(), GaborGaussianKernel(1), PaleyWienerKernel()], ids=["fock", "gabor", "paley-wiener"]
+    )
+    def test_centred_is_the_mass_at_the_centre(self, kernel):
+        # the record's centred tail is its outside mass at distance 0: the same bits for sinc^2
+        # (F is odd), within the radial rule's accuracy at the centre for the Gaussian
+        profile = localization._profile(kernel)
+        for R in (0.5, 1.0, 3.0):
+            for margin in (2.0, 6.0):
+                centred = profile.centred(kernel, R, R + margin)
+                mass = profile.mass(kernel, np.zeros(1), R, R + margin, inside=False)[0]
+                assert isinstance(centred, float)
+                if isinstance(kernel, PaleyWienerKernel):
+                    assert centred == mass
+                else:
+                    assert abs(centred - mass) <= 4e-16 * centred
 
     def test_kernel_with_no_profile_is_refused(self):
         kernel = TabulatedKernel(lambda x, y: 1.0, dim=1, mode_density=1.0)
@@ -549,26 +554,22 @@ class TestDiskMass:
 
         monkeypatch.setattr(localization, "_radial_density", record)
         s = self.lattice_distances()
-        assert np.count_nonzero(s == 0.0) == 1  # the centre, in closed form
+        assert np.count_nonzero(s == 0.0) == 1  # the centre, a distance like any other
         localization._disk_mass(s, 4.0, inside=False)
-        assert rows == [np.count_nonzero(np.unique(s))]
-        # one distance: one row, for one radius or several; zeros alone: none
+        assert rows == [len(np.unique(s))]
+        # one distance: one row, for one radius or several
         rows.clear()
         localization._disk_mass(s[:1], 4.0, inside=False)
         localization._disk_mass(s[:1], [4.0, 10.0], inside=True)
-        assert rows == [1, 1]
         localization._disk_mass(np.zeros(3), [4.0, 10.0], inside=True)
-        localization._disk_mass(np.zeros(1), 4.0, inside=False)
-        assert rows == [1, 1]
+        assert rows == [1, 1, 1]
 
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_rule_at_the_centre_against_the_closed_form(self, inside):
-        # the radial rule's oracle at the centre: s = 1e-300 runs the rule on the nodes and
-        # Bessel factors (e^{-x} I_0(x) = 1) of s = 0; the closed form takes s = 0 itself
+        # the radial rule at s = 0 itself, where the mass is the closed form (Marcum's central case)
         radii = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
-        centre = localization._disk_mass(np.zeros(1), radii, inside)[0]
-        rule = localization._disk_mass(np.array([1e-300]), radii, inside)[0]
-        assert np.array_equal(centre, -np.expm1(-math.pi * radii**2) if inside else np.exp(-math.pi * radii**2))
+        rule = localization._disk_mass(np.zeros(1), radii, inside)[0]
+        centre = -np.expm1(-math.pi * radii**2) if inside else np.exp(-math.pi * radii**2)
         if inside:
             # masses in [1/2, 1) summed from 64 rounded terms: 3 to 5 ulps apart
             assert np.max(np.abs(rule - centre)) <= 6e-16

@@ -121,6 +121,18 @@ class TestIntegrateComplement:
         assert res.node_count == len(w)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("h", v) for v in (math.nan, math.inf)]
+    + [("truncation_radius", v) for v in (math.nan, math.inf)]
+    + [("truncation_margin", v) for v in (math.nan, math.inf, 0.0, -1.0)],
+)
+def test_config_fields_must_be_positive_and_finite(field, value):
+    # a NaN margin or radius would make every tail NaN, and an infinite one a window no grid covers
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        QuadConfig(**{field: value})
+
+
 class TestShellNodes:
     @pytest.mark.parametrize("center", [[0.013]], ids=["d1"])
     def test_ball_plus_shell_is_exact_volume(self, center):
