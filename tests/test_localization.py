@@ -138,6 +138,15 @@ class TestTailSup:
         with pytest.raises(ValueError, match="ball radius must be positive and finite"):
             tail_sup(kernel, LebesgueMeasure(kernel.dim), R, [[0.0] * kernel.dim], QuadConfig(truncation_margin=2.0))
 
+    def test_gaussian_tail_is_one_disk_mass_call(self):
+        # the centred tail is the outside masses at R and R_tr that one disk-mass call at s = 0
+        # gives, each within the radial rule's accuracy of its scalar call
+        got = tail_sup(FockKernel(), LebesgueMeasure(2), 1.5, [[0.3, -0.2]], QuadConfig(truncation_margin=2.5))
+        both = localization._disk_mass(np.zeros(1), [1.5, 4.0], inside=False)[0]
+        single = [localization._disk_mass(np.zeros(1), r, inside=False)[0] for r in (1.5, 4.0)]
+        assert np.array_equal(both, np.ravel(single))
+        assert abs(got - (both[0] - both[1])) <= 4e-16 * got
+
     def test_gaussian_tail_deduplicates_nothing(self, monkeypatch):
         # the tail is one closed form: no np.unique, though a call with several distances takes one
         unique = np.unique
