@@ -97,9 +97,6 @@ _MEASURE_SCHEMA = {
     "additionalProperties": False,
 }
 _OFFSET_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-_LEBESGUE = {"required": ["lebesgue"]}
-_NO_GRID = {"properties": {"quad": {"properties": {"h": {"not": {}}}}}}
-_QUAD = verify.CONFIG_SCHEMA["properties"]["quad"]
 _PAIR_SCHEMA = {
     "type": "object",
     "properties": {
@@ -108,21 +105,11 @@ _PAIR_SCHEMA = {
         "g": _MEASURE_SCHEMA,
         "f_offset": _OFFSET_SCHEMA,
         "g_offset": _OFFSET_SCHEMA,
-        # a scenario's quad fields, and h: the spacing of the one grid a pair can take
-        "quad": {**_QUAD, "properties": {"h": {"type": "number", "exclusiveMinimum": 0}, **_QUAD["properties"]}},
+        # a scenario's quad fields: every pair takes its terms in closed form
+        "quad": verify.CONFIG_SCHEMA["properties"]["quad"],
     },
     "required": ["kernel", "f", "g"],
     "additionalProperties": False,
-    # quad fields a pair never reads are rejected rather than ignored: only two
-    # Lebesgue sides meet on a grid and read h, and a Gaussian kernel takes
-    # even those in closed form
-    "allOf": [
-        {"if": {"properties": {"f": _LEBESGUE, "g": _LEBESGUE}}, "else": _NO_GRID},
-        {
-            "if": {"properties": {"kernel": {"properties": {"kernel": {"enum": ["fock", "gabor-gaussian"]}}}}},
-            "then": _NO_GRID,
-        },
-    ],
 }
 
 
@@ -231,7 +218,7 @@ def _cmd_localize(args) -> int:
         f_offset=pair_cfg.get("f_offset"),
         g_offset=pair_cfg.get("g_offset"),
     )
-    cfg = QuadConfig(**{"h": 0.05, **pair_cfg.get("quad", {})})
+    cfg = QuadConfig(**pair_cfg.get("quad", {}))
     center = np.zeros(kernel.dim)
     rows = [localization_defect(pair, Ball(center, r), cfg) for r in args.radii]
     for row in rows:

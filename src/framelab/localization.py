@@ -28,28 +28,27 @@ with no record (a tabulated one, Gabor with n >= 2) is refused by
   distinct nodes up to x = 50, the asymptotic series (one Horner
   evaluation) beyond; a branch that takes every entry of a call runs
   unmasked.  For sinc^2 it is a
-  difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b (``_sinc2_integral``);
+  difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b (``_sinc2_moments``);
 - the centred tail M(0, R, R_tr, outside) as a float: for the Gaussian the
   central case Q_1(0, b) = e^{-b^2/2}, the closed form e^{-pi R^2} -
   e^{-pi R_tr^2} (the record's tail at R minus at R_tr); for sinc^2
   2 (F(R_tr) - F(R)), F being odd;
 - the lens overlap, the integral of phi(z - s) against the lens area
-  |B(0, r) ∩ B(z, r)| over all z: the same radial rule for the Gaussian
-  (``_lens_overlap``), one ``integrate_ball`` pass on the line for sinc^2.
+  |B(0, r) ∩ B(z, r)| over all z, a closed form of |s|: the same radial rule
+  for the Gaussian (``_lens_overlap``), differences of F and of its first
+  moment G(t) = Cin(2bt) / (2b^2) for sinc^2 (``_sinc2_lens``).
 
 A cross term takes one of three paths: a Lebesgue side against a discrete
 one is sum_j w_j M over the atoms within the cutoff (plus |Delta|) of the
 sphere; two Lebesgue sides are |B| / mode_density (phi integrates to
 1 / mode_density, the reproducing formula) minus the lens overlap; two
-discrete sides are an exact atom x atom sum in lexicographic order.  The
-tail supremum ``tail_sup`` (the acceptance tail law) is M(0, R, R_tr,
-outside) for every kernel, the record's centred tail: no radial rule.
+discrete sides are an exact atom x atom sum in lexicographic order.
+``tail_sup`` (the acceptance tail law) is the record's centred tail.
 
 A row walks each discrete side once over the window B(c, R_tr) and takes
 every atom set and mass from that walk.  The truncation bound adds 1e-14
-f(B_tr) g(B_tr) for each of t1 and t2 to cover the pairs the cutoff skips;
-it does not cover the grid error of the Paley-Wiener Lebesgue x Lebesgue
-overlap on the line.
+f(B_tr) g(B_tr) for each of t1 and t2 to cover the pairs the cutoff skips.
+No term builds a quadrature grid.
 
 ``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
 row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports,
@@ -73,7 +72,7 @@ from numpy.polynomial.polynomial import polyval
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 
 # integrate_complement serves no term here: perfbench/tracing.py binds it under this module's name
-from .quadrature import QuadConfig, integrate_ball, integrate_complement  # noqa: F401
+from .quadrature import QuadConfig, integrate_complement  # noqa: F401
 from .space import Ball, LebesgueMeasure, as_point, ball_volume
 
 __all__ = [
@@ -190,30 +189,40 @@ def _lens_overlap(s: float, r: float) -> float:
     return (hi - lo) * float((_radial_density(s, 2.0 * r * sin - s) * lens * (2.0 * r * cos)) @ _GL_W)
 
 
-def _si(x) -> np.ndarray:
-    """The sine integral Si(x) = integral_0^x sin(t) / t dt, elementwise and odd, each entry on its own.
+def _sici(x) -> tuple[np.ndarray, np.ndarray]:
+    """(Si(x), Cin(x)) elementwise, each entry on its own: Si(x) = integral_0^x sin(t) / t dt is odd and
+    Cin(x) = integral_0^x (1 - cos t) / t dt even.
 
-    |x| <= _SI_SPLIT: the 64-node rule on [0, x], sum_i W_i sin(x U_i) / U_i.
-    Beyond: pi/2 - f(x) cos x - g(x) sin x with the auxiliary asymptotic
-    series f ~ sum_k (-1)^k (2k)! / x^(2k+1), g ~ sum_k (-1)^k (2k+1)! / x^(2k+2),
+    |x| <= _SI_SPLIT: the 64-node rule on [0, x], sum_i W_i sin(x U_i) / U_i
+    and sum_i W_i 2 sin^2(x U_i / 2) / U_i.  Beyond: Si = pi/2 - f(x) cos x -
+    g(x) sin x and Cin = gamma + ln x - Ci(x), Ci = f(x) sin x - g(x) cos x
+    (Abramowitz & Stegun 5.2.2, 5.2.9), with the auxiliary asymptotic series
+    f ~ sum_k (-1)^k (2k)! / x^(2k+1), g ~ sum_k (-1)^k (2k+1)! / x^(2k+2),
     _SI_TERMS terms each (the last adds ~2e-18 at x = 40).
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    si, cin = np.empty_like(x), np.empty_like(x)
     small = np.abs(x) <= _SI_SPLIT
-    out[small] = (np.sin(x[small][:, None] * _GL_U) / _GL_U * _GL_W).sum(axis=1)
+    xu = x[small][:, None] * _GL_U
+    half = np.sin(0.5 * xu)
+    si[small] = (np.sin(xu) / _GL_U * _GL_W).sum(axis=1)
+    cin[small] = (2.0 * half * half / _GL_U * _GL_W).sum(axis=1)
     big = np.abs(x[~small])
     inv2 = 1.0 / (big * big)
-    tail = polyval(inv2, _SI_F) / big * np.cos(big) + polyval(inv2, _SI_G) * inv2 * np.sin(big)
-    out[~small] = np.copysign(0.5 * math.pi - tail, x[~small])
-    return out
+    f, g = polyval(inv2, _SI_F) / big, polyval(inv2, _SI_G) * inv2
+    sin, cos = np.sin(big), np.cos(big)
+    si[~small] = np.copysign(0.5 * math.pi - (f * cos + g * sin), x[~small])
+    cin[~small] = np.euler_gamma + np.log(big) - (f * sin - g * cos)
+    return si, cin
 
 
-def _sinc2_integral(band: float, t) -> np.ndarray:
-    """F(t) = integral_0^t sinc^2(band u) du = (Si(2 band t) - sin^2(band t) / (band t)) / band, sinc(y) = sin(y)/y."""
+def _sinc2_moments(band: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """(F(t), G(t)), sinc(y) = sin(y)/y: F(t) = integral_0^t sinc^2(band u) du = (Si(2 band t) - sin^2(band t) /
+    (band t)) / band, odd, and G(t) = integral_0^t u sinc^2(band u) du = Cin(2 band t) / (2 band^2), even."""
     x = band * np.asarray(t, dtype=float)
+    si, cin = _sici(2.0 * x)
     sin = np.sin(x)
-    return (_si(2.0 * x) - sin * sin / np.where(x == 0.0, 1.0, x)) / band
+    return (si - sin * sin / np.where(x == 0.0, 1.0, x)) / band, cin / (2.0 * band * band)
 
 
 def _gaussian_phi(kernel, X, Y) -> np.ndarray:
@@ -243,15 +252,17 @@ def _sinc2_phi(kernel, X, Y) -> np.ndarray:
 def _sinc2_mass(kernel, s: np.ndarray, r: float, r_tr: float, inside: bool) -> np.ndarray:
     """Mass of sinc^2(band (x - p)), |p| = s, over [-r, r] or the window's two pieces outside it; F is odd."""
     ends = [r, -r] if inside else [-r, -r_tr, r_tr, r]
-    F = _sinc2_integral(kernel.band, np.subtract.outer(ends, s))
+    F, _ = _sinc2_moments(kernel.band, np.subtract.outer(ends, s))
     return (F[0::2] - F[1::2]).sum(axis=0)
 
 
-def _sinc2_lens(kernel, s: np.ndarray, r: float, cfg: QuadConfig) -> float:
-    """integral of sinc^2(band (z - s)) (2r - |z|)_+ dz, one grid pass over B(0, 2r): the lens kinks
-    (z = 0, |z| = 2r) sit on a cell edge and on the pass's boundary, never inside a Gauss cell."""
-    field = lambda z: _sinc2_phi(kernel, z, s[None, :])[:, 0] * (2.0 * r - np.minimum(np.abs(z[:, 0]), 2.0 * r))
-    return integrate_ball(field, Ball(np.zeros(1), 2.0 * r), cfg).value
+def _sinc2_lens(kernel, s: np.ndarray, r: float) -> float:
+    """integral of sinc^2(band (z - s)) (2r - |z|)_+ dz from a = |s|, as it is even in s: with (F, G) =
+    ``_sinc2_moments``, the tent in u = z - a gives (2r - a)[F(2r - a) - F(-a)] - [G(2r - a) - G(-a)]
+    + (2r + a)[F(-a) - F(-2r - a)] + [G(-a) - G(-2r - a)]."""
+    b, a = kernel.band, abs(float(s[0]))
+    F, G = _sinc2_moments(b, [2.0 * r - a, -a, -2.0 * r - a])
+    return float((2.0 * r - a) * (F[0] - F[1]) - (G[0] - G[1]) + (2.0 * r + a) * (F[1] - F[2]) + (G[1] - G[2]))
 
 
 class _Profile(NamedTuple):
@@ -261,7 +272,7 @@ class _Profile(NamedTuple):
     cutoff: float  # phi < _PRUNE_EPS beyond it; inf: none
     tail: Callable  # (kernel, gap) -> a bound on the mass of phi beyond gap
     mass: Callable  # (kernel, s, r, r_tr, inside) -> M(s, r, r_tr, inside) per entry of s
-    lens: Callable  # (kernel, s, r, cfg) -> the lens overlap, s = inner offset - outer offset
+    lens: Callable  # (kernel, s, r) -> the lens overlap, s = inner offset - outer offset
     centred: Callable  # (kernel, R, r_tr) -> M(0, R, r_tr, outside), a float
 
 
@@ -270,7 +281,7 @@ _GAUSSIAN = _Profile(
     cutoff=_CUTOFF,
     tail=lambda kernel, gap: math.exp(-math.pi * gap * gap),
     mass=_gaussian_mass,
-    lens=lambda kernel, s, r, cfg: _lens_overlap(float(np.linalg.norm(s)), r),
+    lens=lambda kernel, s, r: _lens_overlap(float(np.linalg.norm(s)), r),
     centred=lambda kernel, R, r_tr: math.exp(-math.pi * R * R) - math.exp(-math.pi * r_tr * r_tr),
 )
 _PROFILES = {
@@ -282,7 +293,7 @@ _PROFILES = {
         tail=lambda kernel, gap: 2.0 / (kernel.band * kernel.band * gap) if gap > 0 else math.inf,
         mass=_sinc2_mass,
         lens=_sinc2_lens,
-        centred=lambda kernel, R, r_tr: float(2.0 * np.subtract(*_sinc2_integral(kernel.band, [r_tr, R]))),
+        centred=lambda kernel, R, r_tr: float(2.0 * np.subtract(*_sinc2_moments(kernel.band, [r_tr, R])[0])),
     ),
 }
 
@@ -396,8 +407,7 @@ def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball, cfg: QuadConfig)
     out_disc, in_disc = outer.outside is not None, inner.inside is not None
     if not out_disc and not in_disc:
         # phi integrates to 1 / mode_density; the lens overlap is the part of it B keeps
-        overlap = profile.lens(kernel, inner.offset - outer.offset, r, cfg)
-        return ball_volume(kernel.dim, r) / kernel.mode_density - overlap
+        return ball_volume(kernel.dim, r) / kernel.mode_density - profile.lens(kernel, inner.offset - outer.offset, r)
     if in_disc:
         atoms_in, w_in = inner.inside
         near = np.linalg.norm(atoms_in - ball.center, axis=1) >= r - reach
@@ -422,11 +432,7 @@ def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball, cfg: QuadConfig)
 def _tails(pair: FramePairSpec, b: Ball, cfg: QuadConfig):
     """(t1, t2, f side, g side), each side walked once."""
     f, g = _walk(pair, b, cfg)
-    # Lebesgue x Lebesgue is symmetric for ANY offsets: reflecting the ball
-    # through its center negates x - y, and |<k_x, k_y>|^2 is even
-    t1 = _cross_term(pair.kernel, f, g, b, cfg)
-    t2 = t1 if f.inside is None and g.inside is None else _cross_term(pair.kernel, g, f, b, cfg)
-    return t1, t2, f, g
+    return _cross_term(pair.kernel, f, g, b, cfg), _cross_term(pair.kernel, g, f, b, cfg), f, g
 
 
 def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> tuple[float, float]:

@@ -2,16 +2,14 @@
 
 One private pass, ``_integrate``, integrates a real field over the shell
 r_in < |x - c| <= r_out in d = 1: ``integrate_ball`` is the pass over
-[0, r], and ``integrate_complement`` the pass over (r, R_tr].  The grid
-serves one localization term, the Paley-Wiener Lebesgue x Lebesgue overlap
-on the line (``integrate_ball``); every other term, and every tail, is a
-closed form of a kernel's radial profile in ``framelab.localization``, so
-no term calls ``integrate_complement``.  Every other dimension raises
-``ValueError``.  Cells have spacing h,
-are anchored at the centre and are clipped exactly to the shell; every cell
+[0, r], and ``integrate_complement`` the pass over (r, R_tr].  No term, no
+tail and no CLI command reaches the grid: each is a closed form in
+``framelab.localization``.  The passes and ``QuadConfig.h`` stay for the
+benchmark harness, whose tracer binds them and whose ``tail-law`` sets h.
+Every other dimension raises ``ValueError``.  Cells have spacing h, are
+anchored at the centre and are clipped exactly to the shell; every cell
 gets a 2-point Gauss-Legendre rule.  The field is evaluated once on all
-nodes, and the value is the correctly rounded sum of the node terms
-(``math.fsum``).
+nodes, and the value is the correctly rounded sum of its terms (``math.fsum``).
 """
 from __future__ import annotations
 
@@ -35,7 +33,7 @@ class QuadConfig:
     complement integrals; otherwise ball radius + truncation_margin is used.
     h, truncation_radius (when set) and truncation_margin must be positive
     and finite.  ``effective_truncation`` is the one check that this window
-    reaches the ball's sphere.
+    reaches the ball's sphere.  Only the grid passes, which nothing in framelab calls, read h.
     """
 
     h: float = 0.02

@@ -491,7 +491,7 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "density-theorem",
                 "verdict": "critical-no-claim",
-                "detail": f"density estimate {est:.4f} inside the critical band around 1; no claim",
+                "detail": f"|density estimate {est!r} - 1| <= {critical_band}: inside the critical band; no claim",
             }
         )
     elif frame_ev:
@@ -547,7 +547,7 @@ def _finite_oracle_scenario(cfg: dict) -> dict:
         ("idempotency gap", max(idem_residuals), 1e-12),
     ]
     verdict = "pass" if all(value < gate for _, value, gate in gates) else "hypotheses-unmet"
-    detail = "; ".join(f"{n} {v:.3e} {'<' if v < g else '>= (failed)'} {g:.0e}" for n, v, g in gates)
+    detail = "; ".join(f"{n} {v!r} {'<' if v < g else '>= (failed)'} {g!r}" for n, v, g in gates)
     return {
         "identity": {
             "trials": trials,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from framelab import cli, verify
+from framelab import cli, quadrature, verify
 from framelab.cli import _kernel, main, measure_from_config
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
@@ -139,8 +139,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", [n for n, (cls, _) in cli._KERNEL_PARAMS.items() if cls().dim <= 2])
     @pytest.mark.parametrize("sides", ["lebesgue-lattice", "lattice-lattice", "lebesgue-lebesgue"])
-    def test_localize_takes_every_kernel_of_the_table(self, name, sides, tmp_path):
-        # every CLI kernel in d <= 2 needs a radial profile record for each of the three cross-term paths
+    def test_localize_takes_every_kernel_of_the_table(self, name, sides, tmp_path, monkeypatch):
+        # every CLI kernel in d <= 2 needs a radial profile record for each of the three cross-term
+        # paths, and each path is a closed form: no quadrature grid is built
+        monkeypatch.setattr(quadrature, "_integrate", lambda *a: pytest.fail("a quadrature grid was built"))
         d = cli._KERNEL_PARAMS[name][0]().dim
         measure = {"lebesgue": {"lebesgue": {"dim": d}}, "lattice": {"lattice": {"scale": 0.9, "dim": d}}}
         f, g = sides.split("-")
@@ -162,6 +164,12 @@ class TestCommands:
             return float(out.read_text().splitlines()[1].split(",")[-1])
 
         assert trunc_bound({"truncation_margin": 1.0}) > trunc_bound({})
+
+    def test_pair_quad_is_the_scenario_quad(self):
+        # every pair takes its terms in closed form: the one quad field is the truncation margin
+        quad = cli._PAIR_SCHEMA["properties"]["quad"]
+        assert quad is verify.CONFIG_SCHEMA["properties"]["quad"]
+        assert list(quad["properties"]) == ["truncation_margin"]
 
     def test_localize_bad_quad_exit_2(self, tmp_path, capsys):
         pair = {
@@ -303,7 +311,7 @@ class TestCommands:
                 ["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"boundary_refine": 16}}), "--radii", "2"],
                 "$.quad.boundary_refine",
             ),
-            # two discrete sides grid nothing, and neither does a Gaussian pair
+            # no pair builds a grid, so no pair reads a spacing h, whatever its kernel and sides
             (
                 ["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_LATTICE, "quad": {"h": 1.0}}), "--radii", "2"],
                 "$.quad.h",
@@ -318,7 +326,6 @@ class TestCommands:
                 "$.quad.boundary_refine",
             ),
             (["localize", "--pair", json.dumps({**SWAPPED_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
-            # a Gaussian pair of two Lebesgue sides is closed-form too
             (["localize", "--pair", json.dumps({**LEBESGUE_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
             (
                 ["localize", "--pair", json.dumps({**LEBESGUE_PAIR, "quad": {"boundary_refine": 2}}), "--radii", "2"],
@@ -340,7 +347,7 @@ class TestCommands:
             (["density", "--mu", json.dumps(ATOMIC_OVERFLOW), "--nu", LEBESGUE_2D], "$.atomic.weights"),
             (["localize", "--pair", json.dumps({**PW_PAIR, "g": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.g.atomic.weights"),
             (["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.f.atomic.weights"),
-            # a Paley-Wiener Lebesgue side against atoms takes closed forms, whichever side is discrete
+            # a Paley-Wiener pair reads no h either, whichever sides it has
             (["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"h": 0.05}}), "--radii", "2"], "$.quad.h"),
             (
                 [
@@ -350,6 +357,10 @@ class TestCommands:
                     "--radii",
                     "2",
                 ],
+                "$.quad.h",
+            ),
+            (
+                ["localize", "--pair", json.dumps({**PW_PAIR, "g": PW_PAIR["f"], "quad": {"h": 0.05}}), "--radii", "2"],
                 "$.quad.h",
             ),
         ],
@@ -405,14 +416,6 @@ class TestCommands:
         argv = ["density", "--mu", LATTICE_2D_MEASURE, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "4"]
         assert main(argv + ["--out", str(out)]) == 0
         assert [row[0] for row in json.loads(out.read_text())["per_radius"]] == [4.0]
-
-    @pytest.mark.parametrize(
-        "pair",
-        [{**PW_PAIR, "g": PW_PAIR["f"], "quad": {"h": 0.05}}],
-        ids=["pw-lebesgue-lebesgue"],
-    )
-    def test_localize_accepts_grid_fields_a_pair_reads(self, pair, tmp_path):
-        assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")]) == 0
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         # both sides' atoms lie outside the ball: the defect has no normalizer

@@ -80,7 +80,7 @@ class TestTailSup:
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_several_probes_give_the_max_of_single_probes(self):
-        # each value must equal its own call bit for bit, on the radial rule and on the grid
+        # each value must equal its own call bit for bit
         cfg = QuadConfig(h=0.05, truncation_radius=5.0)
         for K in (FockKernel(), PaleyWienerKernel()):
             probes = [p[: K.dim] for p in ([0.0, 0.0], [0.62, -1.37], [2.5, 3.1])]
@@ -165,9 +165,9 @@ class TestTailSup:
         calls = []
         monkeypatch.setattr(localization, "_disk_mass", lambda *a: calls.append(a))
         monkeypatch.setattr(localization, "_radial_density", lambda *a: calls.append(a))
-        for R in (0.5, 1.0, 1.5, 3.0):
-            got = tail_sup(kernel, LebesgueMeasure(2), R, [[0.3, -0.2]], QuadConfig(truncation_margin=6.0))
-            assert got == math.exp(-math.pi * R * R) - math.exp(-math.pi * (R + 6.0) ** 2)
+        for R, margin in ((0.5, 6.0), (1.0, 6.0), (1.5, 6.0), (3.0, 6.0), (1.5, 2.5)):
+            got = tail_sup(kernel, LebesgueMeasure(2), R, [[0.3, -0.2]], QuadConfig(truncation_margin=margin))
+            assert got == math.exp(-math.pi * R * R) - math.exp(-math.pi * (R + margin) ** 2)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -835,16 +835,39 @@ class TestOffsets:
             assert t1 == pytest.approx(oracle, rel=1e-12)
             assert t2 == t1
 
+    @pytest.mark.parametrize("band", [math.pi, 2.0, 0.5])
+    def test_paley_wiener_lebesgue_tail_against_quad(self, band):
+        # t1 = 2r pi/b - the lens overlap, the integral of sinc^2(b (z - s)) (2r - |z|)_+, by quad on
+        # the pieces between its kinks and s, each cut into spans of at most 4 to keep quad's
+        # subdivisions to a few oscillations
+        for r in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
+            for s in (0.0, 0.3, 1.3, 2.0 * r, 2.0 * r + 0.7, 40.0):
+                cuts = [0.0, 2.0 * r] + ([s] if s < 2.0 * r else [])
+                ends = np.unique(np.concatenate([np.arange(-2.0 * r, 2.0 * r, 4.0), cuts]))
+                lens_field = lambda z: np.sinc(band * (z - s) / math.pi) ** 2 * (2.0 * r - abs(z))
+                lens = math.fsum(
+                    integrate.quad(lens_field, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(ends, ends[1:])
+                )
+                oracle = 2.0 * r * math.pi / band - lens
+                for sign in (1.0, -1.0):
+                    pair = FramePairSpec(
+                        PaleyWienerKernel(band), LebesgueMeasure(1), LebesgueMeasure(1), g_offset=[sign * s]
+                    )
+                    t1, t2 = double_tail(pair, Ball([0.0], r), QuadConfig())
+                    assert t1 == pytest.approx(oracle, rel=1e-12)
+                    assert t2 == t1  # t2 takes the lens at -s: it is even in s, bit for bit
+
     @pytest.mark.parametrize("band", [math.pi, 2.0])
     def test_paley_wiener_lebesgue_tail_against_dblquad(self, band):
-        # t1 = 2r pi/b - integral over [-r, r]^2 of sinc^2(b (x - y - s) / pi)
+        # end to end, independent of the tent reduction: t1 = 2r pi/b - integral over [-r, r]^2 of
+        # sinc^2(b (x - y - s) / pi), at the tolerance dblquad resolves
         pair = FramePairSpec(PaleyWienerKernel(band), LebesgueMeasure(1), LebesgueMeasure(1), g_offset=[0.3])
         for r in (2.0, 4.0):
             inner, _ = integrate.dblquad(
                 lambda y, x: np.sinc(band * (x - y - 0.3) / math.pi) ** 2, -r, r, -r, r, epsabs=1e-11, epsrel=1e-11
             )
-            t1, _ = double_tail(pair, Ball([0.0], r), QuadConfig(h=0.05))
-            assert t1 == pytest.approx(2.0 * r * math.pi / band - inner, abs=1e-6)
+            t1, _ = double_tail(pair, Ball([0.0], r), QuadConfig())
+            assert t1 == pytest.approx(2.0 * r * math.pi / band - inner, abs=1e-10)
 
 
 def sinc2_oracle(band, t):
@@ -885,22 +908,41 @@ class TestSincSquaredClosedForm:
 
     def test_si_against_scipy_sici(self):
         x = np.concatenate([np.linspace(-300.0, 300.0, 120001), [0.0, 40.0, -40.0, np.nextafter(40.0, 41.0), 1e-300]])
-        err = np.abs(localization._si(x) - special.sici(x)[0])
+        err = np.abs(localization._sici(x)[0] - special.sici(x)[0])
         assert err.max() <= 2e-15
 
     def test_si_is_odd(self):
         x = np.random.default_rng(4).uniform(0.0, 300.0, 500)
-        assert np.array_equal(localization._si(-x), -localization._si(x))
+        si, cin = localization._sici(x)
+        si_neg, cin_neg = localization._sici(-x)
+        assert np.array_equal(si_neg, -si)
+        assert np.array_equal(cin_neg, cin)  # and Cin is even
+
+    def test_cin_against_scipy(self):
+        # Cin(x) = integral_0^x 2 sin^2(u/2) / u du by quad up to 1, gamma + ln x - Ci(x) from sici beyond
+        small = np.geomspace(1e-6, 1.0, 60)
+        field = lambda u: 2.0 * math.sin(0.5 * u) ** 2 / u
+        want = [integrate.quad(field, 0.0, x, epsabs=0.0, epsrel=2e-14)[0] for x in small]
+        assert np.max(np.abs(localization._sici(small)[1] / want - 1.0)) <= 2e-15
+        big = np.concatenate([np.linspace(1.0, 300.0, 3001), [40.0, np.nextafter(40.0, 41.0)]])
+        want = np.euler_gamma + np.log(big) - special.sici(big)[1]
+        assert np.max(np.abs(localization._sici(big)[1] / want - 1.0)) <= 2e-15
 
     @pytest.mark.parametrize("band", [math.pi, 2.0, 0.5])
     def test_integral_against_scipy_quad(self, band):
         t = np.array([-17.3, -4.0, -0.7, 0.0, 1e-9, 0.31, 2.5, 6.0, 22.0, 61.0])
-        got = localization._sinc2_integral(band, t)
-        for ti, gi in zip(t, got):
-            want, _ = integrate.quad(
-                lambda u: np.sinc(band * u / math.pi) ** 2, 0.0, ti, epsabs=1e-15, epsrel=1e-13, limit=500
-            )
-            assert gi == pytest.approx(want, rel=1e-12, abs=1e-15)
+        F, G = localization._sinc2_moments(band, t)
+        for ti, fi, gi in zip(t, F, G):
+            for moment, got in ((0, fi), (1, gi)):
+                want, _ = integrate.quad(
+                    lambda u: u**moment * np.sinc(band * u / math.pi) ** 2,
+                    0.0,
+                    ti,
+                    epsabs=1e-15,
+                    epsrel=1e-13,
+                    limit=500,
+                )
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("band", [math.pi, 2.0], ids=["pi", "2"])
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3])

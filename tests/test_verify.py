@@ -363,6 +363,30 @@ class TestScenarios:
         assert row["verdict"] == verdict
         assert self.assert_printed_inequality_holds(row["detail"]) == (lower if riesz else upper)
 
+    def test_critical_verdict_prints_the_band_it_tested(self):
+        # four decimals printed the estimate 0.99999 as 1.0000 and left the band 1.5e-05 out
+        dens = DensityEstimate(per_radius=(), upper=1.00001, lower=0.99997, converged=True, trend=0.0)
+        study = {"frame_evidence": True, "riesz_evidence": False}
+        (row,) = _lattice_verdicts(dens, study, tol=0.0, critical_band=1.5e-05)
+        assert row["verdict"] == "critical-no-claim"
+        m = re.search(r"\|density estimate (\S+) - 1\| <= (\S+):", row["detail"])
+        assert m, row["detail"]
+        assert float(m[1]) == 0.5 * (dens.upper + dens.lower)
+        assert abs(float(m[1]) - 1.0) <= float(m[2]) == 1.5e-05, row["detail"]
+
+    def test_finite_oracle_prints_the_values_it_tested(self, monkeypatch):
+        # .3e printed a residual of 9.9996e-11 that passes the gate as "1.000e-10 < 1e-10"
+        from framelab import finframe
+
+        monkeypatch.setattr(finframe, "comparison_residual", lambda F, G, omega: 9.9996e-11)
+        verdict = run({"scenario": "finite-oracle", "seed": 7, "trials": 3})["verdicts"][0]
+        assert verdict["verdict"] == "pass"
+        gates = re.findall(r"([a-z][a-z ]*) (\S+) (<|>= \(failed\)) ([^;\s]+)", verdict["detail"])
+        assert [name for name, *_ in gates] == ["max residual", "projection formula gap", "idempotency gap"]
+        for _, value, op, gate in gates:
+            assert op == "<" and float(value) < float(gate), verdict["detail"]
+        assert float(gates[0][1]) == 9.9996e-11
+
     def test_finite_oracle(self):
         rep = run({"scenario": "finite-oracle", "seed": 7, "trials": 30})
         assert rep["overall"] == "pass"
@@ -530,22 +554,12 @@ class TestScenarios:
         assert rep["overall"] == "pass"
 
     def test_paley_wiener_scenario_calls_no_bound_grid_name(self, monkeypatch):
-        # the grid is reached from framelab.localization by these two names, the
-        # ones the benchmark's tracer can bind there (integrate_complement is
-        # bound): the scenario calls neither
+        # framelab.localization holds one grid name, integrate_complement, only for the
+        # benchmark's tracer to bind there: the scenario never calls it
+        assert not hasattr(localization, "integrate_ball")
         calls = []
-
-        def recording(name):
-            original = getattr(localization, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
-
-            return wrapper
-
-        for name in ("integrate_ball", "integrate_complement"):
-            monkeypatch.setattr(localization, name, recording(name))
+        spied = localization.integrate_complement
+        monkeypatch.setattr(localization, "integrate_complement", lambda *a: calls.append(a) or spied(*a))
         rep = run({"scenario": "paley-wiener", "radii": [4.0], "density_rmax": 16.0})
         assert calls == []
         assert rep["overall"] == "pass"
