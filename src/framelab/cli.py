@@ -24,7 +24,6 @@ from . import verify
 from .density import DEFAULT_RADII, density, lattice_schedule, default_schedule
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, localization_defect
-from .quadrature import QuadConfig
 from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure
 
 
@@ -105,8 +104,6 @@ _PAIR_SCHEMA = {
         "g": _MEASURE_SCHEMA,
         "f_offset": _OFFSET_SCHEMA,
         "g_offset": _OFFSET_SCHEMA,
-        # a scenario's quad fields: every pair takes its terms in closed form
-        "quad": verify.CONFIG_SCHEMA["properties"]["quad"],
     },
     "required": ["kernel", "f", "g"],
     "additionalProperties": False,
@@ -218,9 +215,7 @@ def _cmd_localize(args) -> int:
         f_offset=pair_cfg.get("f_offset"),
         g_offset=pair_cfg.get("g_offset"),
     )
-    cfg = QuadConfig(**pair_cfg.get("quad", {}))
-    center = np.zeros(kernel.dim)
-    rows = [localization_defect(pair, Ball(center, r), cfg) for r in args.radii]
+    rows = [localization_defect(pair, Ball(np.zeros(kernel.dim), r)) for r in args.radii]
     for row in rows:
         print(f"r={row['radius']}: defect={row['defect']:.6g} eps_eff={row['eps_eff']:.6g}")
     verify.write_table_csv(rows, verify.LOCALIZATION_CSV, args.out)

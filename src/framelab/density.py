@@ -61,7 +61,7 @@ class DensityEstimate:
     upper: float
     lower: float
     converged: bool
-    trend: float  # ratio change between the last two radii, the convergence diagnostic
+    trend: float | None  # ratio change between the last two radii, the convergence diagnostic; None at one radius
 
 
 def default_schedule(dim: int, r_max: float) -> DensitySchedule:
@@ -85,7 +85,8 @@ def density(mu, nu, sched: DensitySchedule) -> DensityEstimate:
     the masses are split per radius afterwards.  Requires nu(B(a, r_min)) > 0
     at every sampled center, mirroring the standing assumption on the
     reference measure.  The trend compares the last two radii; the library's
-    schedules double their radii, so that is r_max against r_max / 2.
+    schedules double their radii, so that is r_max against r_max / 2.  A
+    schedule of one radius has no trend (None) and never converges.
     """
     centers = sched.centers()
     shape = (len(sched.radii), len(centers))
@@ -97,17 +98,13 @@ def density(mu, nu, sched: DensitySchedule) -> DensityEstimate:
     rows = [(r, float(np.max(row)), float(np.min(row))) for r, row in zip(sched.radii, ratios)]
 
     _, upper, lower = rows[-1]
-    if len(rows) > 1:
-        _, prev_upper, prev_lower = rows[-2]
-        trend = max(abs(upper - prev_upper), abs(lower - prev_lower))
-    else:
-        trend = math.inf
+    trend = max(abs(upper - rows[-2][1]), abs(lower - rows[-2][2])) if len(rows) > 1 else None
     scale = max(abs(upper), abs(lower), 1e-12)
     return DensityEstimate(
         per_radius=tuple(rows),
         upper=upper,
         lower=lower,
-        converged=bool(trend <= _TREND_TOL * scale),
+        converged=trend is not None and trend <= _TREND_TOL * scale,
         trend=trend,
     )
 

@@ -16,39 +16,31 @@ with no record (a tabulated one, Gabor with n >= 2) is refused by
 - phi over every pair of two point arrays;
 - its cutoff, beyond which phi < 1e-14: c = sqrt(ln(1e14) / pi) ~ 3.20 for
   the Gaussian, none (inf) for sinc^2;
-- its tail bound on the mass of phi beyond a distance gap: e^{-pi gap^2},
-  or 2 / (b^2 gap);
-- the Lebesgue mass M(s, r, R_tr, inside) of phi(|. - p|), |p| = s, inside
-  B(0, r) or over B(0, R_tr) \\ B(0, r).  For the Gaussian it is one
+- for the Gaussian, its tail bound on the mass of phi beyond a distance
+  gap, e^{-pi gap^2};
+- the Lebesgue mass M(s, r, inside) of phi(|. - p|), |p| = s, inside
+  B(0, r) or over all of its complement.  For the Gaussian it is one
   ``_disk_mass`` call, the noncentral chi-square CDF with 2 degrees of
   freedom (one minus Marcum's Q_1; Marcum, IRE Trans. Inf. Theory 6, 1960):
-  a 1-d rule over the radial density with no grid error, once per distinct
-  distance when a call holds several.  Its Bessel factor e^{-x} I_0(x)
-  (``_scaled_i0``) is the 64-point periodic trapezoid rule on its 33
-  distinct nodes up to x = 50, the asymptotic series (one Horner
-  evaluation) beyond; a branch that takes every entry of a call runs
-  unmasked.  For sinc^2 it is a
-  difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b (``_sinc2_moments``);
-- the centred tail M(0, R, R_tr, outside) as a float: for the Gaussian the
-  central case Q_1(0, b) = e^{-b^2/2}, the closed form e^{-pi R^2} -
-  e^{-pi R_tr^2} (the record's tail at R minus at R_tr); for sinc^2
-  2 (F(R_tr) - F(R)), F being odd;
+  a 1-d rule over the radial density with no grid error.  For sinc^2 it is
+  a difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b
+  (``_sinc2_moments``) inside, and pi / b less that outside;
+- the centred tail over B(0, R_tr) \\ B(0, R), a float, for ``tail_sup``;
 - the lens overlap, the integral of phi(z - s) against the lens area
   |B(0, r) ∩ B(z, r)| over all z, a closed form of |s|: the same radial rule
   for the Gaussian (``_lens_overlap``), differences of F and of its first
-  moment G(t) = Cin(2bt) / (2b^2) for sinc^2 (``_sinc2_lens``).
+  moment G(t) = Cin(2bt) / (2b^2) for sinc^2 (``_sinc2_lens``);
+- for sinc^2, its Poisson sum over a lattice alpha Z (``_sinc2_comb``), a
+  trig polynomial, at a point or integrated over an interval.
 
-A cross term takes one of three paths: a Lebesgue side against a discrete
-one is sum_j w_j M over the atoms within the cutoff (plus |Delta|) of the
+Every term is taken over all of B^c, and none builds a quadrature grid.  A
+cross term takes one of three paths: a Lebesgue side against a discrete one
+is sum_j w_j M over the atoms within the cutoff (plus |Delta|) of the
 sphere; two Lebesgue sides are |B| / mode_density (phi integrates to
 1 / mode_density, the reproducing formula) minus the lens overlap; two
-discrete sides are an exact atom x atom sum in lexicographic order.
-``tail_sup`` (the acceptance tail law) is the record's centred tail.
-
-A row walks each discrete side once over the window B(c, R_tr) and takes
-every atom set and mass from that walk.  The truncation bound adds 1e-14
-f(B_tr) g(B_tr) for each of t1 and t2 to cover the pairs the cutoff skips.
-No term builds a quadrature grid.
+discrete sides are an exact atom x atom sum.  With no cutoff a lattice
+outer side is its Poisson sum less its own atoms in B, and a finite one
+reaches every atom.  A row walks each discrete side once (``_walk``).
 
 ``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
 row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports,
@@ -73,7 +65,7 @@ from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 
 # integrate_complement serves no term here: perfbench/tracing.py binds it under this module's name
 from .quadrature import QuadConfig, integrate_complement  # noqa: F401
-from .space import Ball, LebesgueMeasure, as_point, ball_volume
+from .space import Ball, Lattice, LebesgueMeasure, ThinnedLattice, as_point, ball_volume
 
 __all__ = [
     "FramePairSpec",
@@ -86,6 +78,7 @@ _PRUNE_EPS = 1e-14
 # c ~ 3.20 rounds down, so e^{-pi c^2} is 1e-14 (1 + 2.3e-15); at every float beyond c it is below _PRUNE_EPS
 _CUTOFF = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)
 _DISK_SPAN = 1.5 * _CUTOFF  # e^{-pi span^2} = 1e-31.5
+_BLOCK = 1 << 20  # kernel pairs per block of an atom x atom product
 # the radial integrals' 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
 # off by up to ~1e-12 relative, so they are recomputed from P_64' at its nodes
 _GL_X = legendre.leggauss(64)[0]
@@ -235,25 +228,36 @@ def _gaussian_phi(kernel, X, Y) -> np.ndarray:
     return np.exp(-math.pi * d2)
 
 
-def _gaussian_mass(kernel, s: np.ndarray, r: float, r_tr: float, inside: bool) -> np.ndarray:
-    """Mass of e^{-pi |x - p|^2}, |p| = s, inside B(0, r), or over B(0, r_tr) \\ B(0, r): one ``_disk_mass`` call."""
-    if inside:
-        return _disk_mass(s, r, inside=True)
-    outside = _disk_mass(s, [r, r_tr], inside=False)
-    return outside[:, 0] - outside[:, 1]
-
-
 def _sinc2_phi(kernel, X, Y) -> np.ndarray:
     """sinc^2(band (x - y)) as an (n, m) array."""
     t = X[:, 0][:, None] - Y[:, 0][None, :]
     return np.sinc(kernel.band * t / math.pi) ** 2
 
 
-def _sinc2_mass(kernel, s: np.ndarray, r: float, r_tr: float, inside: bool) -> np.ndarray:
-    """Mass of sinc^2(band (x - p)), |p| = s, over [-r, r] or the window's two pieces outside it; F is odd."""
-    ends = [r, -r] if inside else [-r, -r_tr, r_tr, r]
-    F, _ = _sinc2_moments(kernel.band, np.subtract.outer(ends, s))
-    return (F[0::2] - F[1::2]).sum(axis=0)
+def _sinc2_mass(kernel, s: np.ndarray, r: float, inside: bool) -> np.ndarray:
+    """Mass of sinc^2(band (x - p)), |p| = s, over [-r, r], or over all of its complement: pi / band, the whole
+    mass, less the part inside."""
+    F, _ = _sinc2_moments(kernel.band, np.subtract.outer([r, -r], s))
+    return F[0] - F[1] if inside else math.pi / kernel.band - (F[0] - F[1])
+
+
+def _sinc2_comb(kernel, lattice: Lattice, x, r: float | None) -> np.ndarray:
+    """The Poisson sum P(x) = sum_k sinc^2(band (x - alpha k)) over the lattice alpha Z at each x, or with r its
+    integral over [x - r, x + r]; a ThinnedLattice is alpha Z less 2 alpha Z.
+
+    sinc^2(band t) has the Fourier transform (pi / band)(1 - pi |xi| / band)_+, so with q = band alpha / pi
+    P(x) = (1 / q) sum_{|m| < q} (1 - |m| / q) e^{2 pi i m x / alpha}, a trig polynomial (1 / q at q <= 1);
+    over [x - r, x + r] the mode m integrates to 2 sin(w r) / w, w = 2 pi m / alpha, and m = 0 to 2r.
+    """
+
+    def comb(alpha):
+        q = kernel.band * alpha / math.pi
+        m = np.arange(1, math.ceil(q))
+        w = 2.0 * math.pi * m / alpha
+        weight, span = (1.0, 1.0) if r is None else (2.0 * np.sin(w * r) / w, 2.0 * r)
+        return (span + 2.0 * np.cos(np.multiply.outer(x, w)) @ ((1.0 - m / q) * weight)) / q
+
+    return comb(lattice.scale) - (comb(2.0 * lattice.scale) if isinstance(lattice, ThinnedLattice) else 0.0)
 
 
 def _sinc2_lens(kernel, s: np.ndarray, r: float) -> float:
@@ -269,20 +273,22 @@ class _Profile(NamedTuple):
     """A radial profile phi(|x - y|) = |<k_x, k_y>|^2 and its closed forms (see the module note)."""
 
     phi: Callable  # (kernel, X, Y) -> phi over every pair of rows, an (n, m) array
-    cutoff: float  # phi < _PRUNE_EPS beyond it; inf: none
-    tail: Callable  # (kernel, gap) -> a bound on the mass of phi beyond gap
-    mass: Callable  # (kernel, s, r, r_tr, inside) -> M(s, r, r_tr, inside) per entry of s
+    cutoff: float  # phi < _PRUNE_EPS beyond it; inf: none, and nothing is pruned
+    tail: Callable | None  # (kernel, gap) -> a bound on the mass of phi beyond gap; None with no cutoff
+    mass: Callable  # (kernel, s, r, inside) -> M(s, r, inside) per entry of s
     lens: Callable  # (kernel, s, r) -> the lens overlap, s = inner offset - outer offset
     centred: Callable  # (kernel, R, r_tr) -> M(0, R, r_tr, outside), a float
+    comb: Callable | None  # (kernel, lattice, x, r) -> the Poisson sum over the lattice; None with a cutoff
 
 
 _GAUSSIAN = _Profile(
     phi=_gaussian_phi,
     cutoff=_CUTOFF,
     tail=lambda kernel, gap: math.exp(-math.pi * gap * gap),
-    mass=_gaussian_mass,
+    mass=lambda kernel, s, r, inside: _disk_mass(s, r, inside),
     lens=lambda kernel, s, r: _lens_overlap(float(np.linalg.norm(s)), r),
     centred=lambda kernel, R, r_tr: math.exp(-math.pi * R * R) - math.exp(-math.pi * r_tr * r_tr),
+    comb=None,
 )
 _PROFILES = {
     FockKernel: _GAUSSIAN,
@@ -290,10 +296,11 @@ _PROFILES = {
     PaleyWienerKernel: _Profile(
         phi=_sinc2_phi,
         cutoff=math.inf,
-        tail=lambda kernel, gap: 2.0 / (kernel.band * kernel.band * gap) if gap > 0 else math.inf,
+        tail=None,
         mass=_sinc2_mass,
         lens=_sinc2_lens,
         centred=lambda kernel, R, r_tr: float(2.0 * np.subtract(*_sinc2_moments(kernel.band, [r_tr, R])[0])),
+        comb=_sinc2_comb,
     ),
 }
 
@@ -367,42 +374,55 @@ def _lex_sorted(atoms, weights):
 
 
 class _Side(NamedTuple):
-    """A row's side: its masses of B = B(c, r) and of the window B(c, R_tr), and for a discrete side,
-    walked once over the window, its (atoms, weights) in B and outside B within B(c, min(R_tr, r + reach)),
-    in the walk's order and by the measure's own rule."""
+    """A row's side: its masses of B = B(c, r) and of the walk ball; for a discrete side its (atoms, weights) in
+    B and outside B in the walk ball, by the measure's own rule, or the lattice whose Poisson sum stands for them."""
 
     offset: np.ndarray
     mass: float
-    window_mass: float
+    walk_mass: float
     inside: tuple | None = None
     outside: tuple | None = None
+    lattice: Lattice | None = None
 
 
-def _walk(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> list[_Side]:
-    """The f and g sides over b; reach = cutoff + |f_offset - g_offset| is the profile's cutoff in index coordinates."""
-    r_tr = cfg.effective_truncation(b.radius)
+def _walk(pair: FramePairSpec, b: Ball) -> list[_Side]:
+    """The f and g sides over b, each discrete side walked once over the walk ball B(c, r + c_cut + |Delta|).
+
+    c_cut is the profile's cutoff: a pair with one atom beyond the walk ball and the other in B lies more
+    than c_cut apart in kernel coordinates.  With no cutoff (sinc^2) the walk ball is all of R^d: a finite
+    side is walked whole, a lattice over B alone.
+    """
     reach = _profile(pair.kernel).cutoff + float(np.linalg.norm(pair.f_offset - pair.g_offset))
-    window, near = Ball(b.center, r_tr), Ball(b.center, min(r_tr, b.radius + reach))
+    walk = Ball(b.center, b.radius + reach)
     sides = []
     for m, offset in ((pair.f_measure, pair.f_offset), (pair.g_measure, pair.g_offset)):
         if not getattr(m, "is_discrete", False):
-            sides.append(_Side(offset, m.ball_mass(b), m.ball_mass(window)))
+            sides.append(_Side(offset, m.ball_mass(b), m.ball_mass(walk)))
             continue
-        atoms, w = m.atoms_in_ball(window)
+        support = getattr(m, "support", None)
+        lattice = support if isinstance(support, Lattice) and math.isinf(walk.radius) else None
+        atoms, w = m.atoms_in_ball(walk if lattice is None else b)
         inside = m.contains(b, atoms)
-        outside = m.contains(near, atoms) & ~inside
-        mass, window_mass = math.fsum(w[inside].tolist()), math.fsum(w.tolist())
-        sides.append(_Side(offset, mass, window_mass, (atoms[inside], w[inside]), (atoms[outside], w[outside])))
+        mass = math.fsum(w[inside].tolist())
+        walk_mass = math.fsum(w.tolist()) if lattice is None else math.inf
+        sides.append(_Side(offset, mass, walk_mass, (atoms[inside], w[inside]), (atoms[~inside], w[~inside]), lattice))
     return sides
 
 
-def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball, cfg: QuadConfig) -> float:
+def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball) -> float:
     """One iterated integral of the walked sides: the outer side over B^c, the inner one over B.
 
     t1 = integral_{x in B^c} d mu integral_{y in B} d nu |<f_x, g_y>|^2 has
     the f side outer; t2 swaps the roles.
     """
     r, profile = ball.radius, _profile(kernel)
+    if outer.lattice is not None:
+        # the whole lattice is its Poisson sum, seen from the inner side's kernel points: integrated over a
+        # Lebesgue B, or at each inner atom; the atom paths then take its own atoms in B back off
+        shift = outer.offset[0] - inner.offset[0]
+        (x, w), span = ((ball.center[None], np.ones(1)), r) if inner.inside is None else (inner.inside, None)
+        total = math.fsum((w * profile.comb(kernel, outer.lattice, x[:, 0] - shift, span)).tolist())
+        return total - _cross_term(kernel, outer._replace(outside=outer.inside, lattice=None), inner, ball)
     reach = profile.cutoff + float(np.linalg.norm(outer.offset - inner.offset))  # the cutoff in index coordinates
     out_disc, in_disc = outer.outside is not None, inner.inside is not None
     if not out_disc and not in_disc:
@@ -415,67 +435,64 @@ def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball, cfg: QuadConfig)
     if out_disc:
         u_atoms, w_out = outer.outside[0] + outer.offset, outer.outside[1]
     if out_disc and in_disc:
-        # both sides in lexicographic order: the sum is then the same bits for any input order
+        # both sides in lexicographic order, the outer one in blocks of at most _BLOCK pairs: the sum is
+        # then the same bits for any input order
         u_atoms, w_out = _lex_sorted(u_atoms, w_out)
         v_atoms, w_in = _lex_sorted(v_atoms, w_in)
-        return float(w_out @ (profile.phi(kernel, u_atoms, v_atoms) @ w_in))
+        rows = max(1, _BLOCK // max(1, len(v_atoms)))
+        blocks = (slice(i, i + rows) for i in range(0, len(u_atoms), rows))
+        return math.fsum(float(w_out[k] @ (profile.phi(kernel, u_atoms[k], v_atoms) @ w_in)) for k in blocks)
     # an atom's term is the mass its profile puts across the sphere, seen from the Lebesgue
-    # side: inside B for an outer atom, over the window outside B for an inner one; p is its
+    # side: inside B for an outer atom, over all of B^c for an inner one; p is its
     # kernel point relative to the Lebesgue side's offset
     p, w = (u_atoms - inner.offset, w_out) if out_disc else (v_atoms - outer.offset, w_in)
     s = np.linalg.norm(p - ball.center, axis=1)
     near = s <= r + profile.cutoff if out_disc else s >= r - profile.cutoff
-    mass = profile.mass(kernel, s[near], r, cfg.effective_truncation(r), inside=out_disc)
+    mass = profile.mass(kernel, s[near], r, inside=out_disc)
     return math.fsum((w[near] * mass).tolist())
 
 
-def _tails(pair: FramePairSpec, b: Ball, cfg: QuadConfig):
+def _tails(pair: FramePairSpec, b: Ball):
     """(t1, t2, f side, g side), each side walked once."""
-    f, g = _walk(pair, b, cfg)
-    return _cross_term(pair.kernel, f, g, b, cfg), _cross_term(pair.kernel, g, f, b, cfg), f, g
+    f, g = _walk(pair, b)
+    return _cross_term(pair.kernel, f, g, b), _cross_term(pair.kernel, g, f, b), f, g
 
 
-def double_tail(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> tuple[float, float]:
-    """The two iterated cross-tail integrals (t1, t2) over B x B^c.
-
-    t1 integrates the f-family outside the ball against the g-family inside;
-    t2 swaps the roles.  The truncation window R_tr must reach the ball's
-    sphere.
-    """
-    return _tails(pair, b, cfg)[:2]
+def double_tail(pair: FramePairSpec, b: Ball) -> tuple[float, float]:
+    """The two iterated cross-tail integrals (t1, t2) over B x B^c: t1 takes the f-family over all of B^c against
+    the g-family inside B, t2 swaps the roles."""
+    return _tails(pair, b)[:2]
 
 
-def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
+def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
     """One report row of the localization mismatch over the ball b, under the CSV keys.
 
     For self-dual families the two iterated integrals of the localization
     condition are exactly the double tails, so the defect is |t1 - t2|; the
-    normalizer is mu(B) + nu(B).  Each discrete side is walked once, and
-    its tails and masses all come from that walk.
+    normalizer is mu(B) + nu(B).
 
-    trunc_bound bounds what t1 and t2 leave out.  Every pair the cross terms
-    skip lies more than the profile's cutoff c apart in kernel coordinates,
-    so its term is < _PRUNE_EPS w_x w_y (an atom skipped against a Lebesgue
-    side has < _PRUNE_EPS w of its mass across the sphere).  Both sides lie
-    in B(center, R_tr), hence
-
-        skipped mass of t1, and of t2,  <=  _PRUNE_EPS f(B(center, R_tr)) g(B(center, R_tr)),
-
-    one such term for each.  The window term (mu(B) + nu(B)) tail(min(gap, c)),
-    with the profile's tail bound, covers what lies beyond R_tr: in kernel
-    coordinates that is at least gap = R_tr - r - |f_offset - g_offset| from
-    the sphere (clamped at 0).
+    trunc_bound bounds what the cutoff leaves out of t1 and t2: 0.0 with no
+    cutoff (Paley-Wiener) or two Lebesgue sides.  Otherwise every pair the
+    cross terms skip lies more than the cutoff c apart in kernel
+    coordinates, so its term is < _PRUNE_EPS w_x w_y (an atom skipped
+    against a Lebesgue side has < _PRUNE_EPS w of its mass across the
+    sphere): within the walk ball B_w, of radius r_w = r + c + |Delta|,
+    that is _PRUNE_EPS f(B_w) g(B_w) for each of t1 and t2.  The term
+    (mu(B) + nu(B)) tail(min(gap, c)) covers what lies beyond B_w, at least
+    gap = r_w - r - |Delta| (c up to rounding) from the sphere.
     """
-    t1, t2, f, g = _tails(pair, b, cfg)
+    t1, t2, f, g = _tails(pair, b)
     normalizer = f.mass + g.mass
     if normalizer <= 0:
         raise ValueError("empty ball: defect normalizer vanishes")
     defect = abs(t1 - t2)
-    delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
-    gap = max(0.0, cfg.effective_truncation(b.radius) - b.radius - delta)
     profile = _profile(pair.kernel)
-    tail = profile.tail(pair.kernel, min(gap, profile.cutoff))
-    slack = 2.0 * _PRUNE_EPS * f.window_mass * g.window_mass
+    trunc_bound = 0.0
+    if math.isfinite(profile.cutoff) and (f.inside is not None or g.inside is not None):
+        delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
+        gap = max(0.0, b.radius + (profile.cutoff + delta) - b.radius - delta)
+        tail = profile.tail(pair.kernel, min(gap, profile.cutoff))
+        trunc_bound = 2.0 * _PRUNE_EPS * f.walk_mass * g.walk_mass + normalizer * tail
     return {
         "center": [float(c) for c in b.center],
         "radius": float(b.radius),
@@ -484,5 +501,5 @@ def localization_defect(pair: FramePairSpec, b: Ball, cfg: QuadConfig) -> dict:
         "t2": t2,
         "normalizer": normalizer,
         "eps_eff": defect / normalizer,
-        "trunc_bound": slack + normalizer * tail,
+        "trunc_bound": trunc_bound,
     }

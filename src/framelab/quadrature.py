@@ -4,9 +4,9 @@ One private pass, ``_integrate``, integrates a real field over the shell
 r_in < |x - c| <= r_out in d = 1: ``integrate_ball`` is the pass over
 [0, r], and ``integrate_complement`` the pass over (r, R_tr].  No term, no
 tail and no CLI command reaches the grid: each is a closed form in
-``framelab.localization``.  The passes and ``QuadConfig.h`` stay for the
-benchmark harness, whose tracer binds them and whose ``tail-law`` sets h.
-Every other dimension raises ``ValueError``.  Cells have spacing h, are
+``framelab.localization``, where only ``tail_sup`` reads ``QuadConfig``.  The
+passes and ``QuadConfig.h`` stay for the benchmark harness, whose tracer binds
+them and whose ``tail-law`` sets h.  Every other dimension raises ``ValueError``.  Cells have spacing h, are
 anchored at the centre and are clipped exactly to the shell; every cell
 gets a 2-point Gauss-Legendre rule.  The field is evaluated once on all
 nodes, and the value is the correctly rounded sum of its terms (``math.fsum``).

@@ -16,7 +16,7 @@ under taking subfamilies.  A lattice whose density estimate sits inside the
 critical band around 1 yields no claim in either direction.
 
 Configuration: ``DEFAULTS`` lists, per scenario, every optional key it reads
-with its default, down to the ``quad`` and ``tolerances`` fields.
+with its default, down to the ``tolerances`` fields.
 ``CONFIG_SCHEMA`` rejects any other key or field by its JSON path, and
 ``run`` validates a config and then resolves it once (``resolve_config``).
 Scenario bodies read only the resolved dict; the report's ``inputs`` keep
@@ -36,7 +36,6 @@ from . import finframe
 from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, density, lattice_schedule
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, localization_defect
-from .quadrature import QuadConfig
 from .space import (
     Ball,
     CountingMeasure,
@@ -64,18 +63,14 @@ SCHEMA_ID = "framelab/1"
 PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim", "info")
 
 # Every optional key each scenario reads, with its default; scenario, seed and
-# out_dir are legal everywhere.  quad and tolerances are merged one level deep,
-# so a scenario reads exactly the fields listed here.  No scenario integrates
-# on a grid, so none reads h: each takes its atom terms in closed form and
-# reads only the truncation margin.
-_CLOSED_FORM_QUAD = {"truncation_margin": 6.0}
+# out_dir are legal everywhere.  tolerances are merged one level deep, so a
+# scenario reads exactly the fields listed here.
 _MODEL_SPACE = {
     "lattice": {"scale": 1.0, "dim": 2},
     "points_csv": None,
     "radii": [4.0, 8.0, 16.0],
     "gram_radii": [2.5, 3.5, 4.5],
     "density_rmax": 128.0,
-    "quad": _CLOSED_FORM_QUAD,
     "tolerances": {"density": 0.05, "critical_band": 0.05},
 }
 DEFAULTS = {
@@ -85,14 +80,12 @@ DEFAULTS = {
         "radii": [4.0, 8.0, 16.0],
         "gram_radii": [10.0, 15.0, 20.0],
         "density_rmax": 128.0,
-        "quad": _CLOSED_FORM_QUAD,
         "tolerances": {"density": 0.05},
     },
     "fock": _MODEL_SPACE,
     "gabor": _MODEL_SPACE,
-    "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0, "quad": _CLOSED_FORM_QUAD},
+    "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0},
 }
-_MERGED = ("quad", "tolerances")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -119,11 +112,6 @@ CONFIG_SCHEMA = {
             "items": {"type": "number", "exclusiveMinimum": 0},
             "minItems": 1,
             "uniqueItems": True,
-        },
-        "quad": {
-            "type": "object",
-            "properties": {"truncation_margin": {"type": "number", "exclusiveMinimum": 0}},
-            "additionalProperties": False,
         },
         "trials": {"type": "integer", "minimum": 1},
         "offset": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
@@ -158,12 +146,12 @@ CONFIG_SCHEMA = {
 
 
 def _unread(defaults: dict) -> dict:
-    """Schema properties rejecting each optional key, and each quad/tolerances field, missing from defaults."""
+    """Schema properties rejecting each optional key, and each tolerances field, missing from defaults."""
     props = {}
     for key, spec in CONFIG_SCHEMA["properties"].items():
         if key not in defaults and key not in ("scenario", "seed", "out_dir"):
             props[key] = {"not": {}}
-        elif key in defaults and key in _MERGED:
+        elif key == "tolerances":
             props[key] = {"properties": {f: {"not": {}} for f in spec["properties"] if f not in defaults[key]}}
     return props
 
@@ -367,7 +355,7 @@ def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
 _TABLE_TOL = 1e-9  # rounding slack of the row inequality A <= B + C(1 + B)
 
 
-def theorem_main_table(pair: FramePairSpec, radii, cfg: QuadConfig):
+def theorem_main_table(pair: FramePairSpec, radii):
     """Per-radius inequality table over origin balls for the localization-density chain.
 
     Column A is the diagonal average on the mu side (identically 1 for
@@ -384,7 +372,7 @@ def theorem_main_table(pair: FramePairSpec, radii, cfg: QuadConfig):
     rows = []
     loc_rows = []
     for r, ball, nu_b, mu_b in zip(radii, balls, nu, mu):
-        loc = localization_defect(pair, ball, cfg)
+        loc = localization_defect(pair, ball)
         loc_rows.append(loc)
         a_col = 1.0
         b_col = nu_b / mu_b
@@ -465,7 +453,7 @@ def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_b
             {
                 "name": "density-theorem",
                 "verdict": "hypotheses-unmet",
-                "detail": f"density estimate not converged (trend {dens.trend:.4g}); no density-theorem claim",
+                "detail": f"density estimate not converged (trend {dens.trend!r}); no density-theorem claim",
             }
         )
     elif frame_ev and dens.upper < 1.0 - tol:
@@ -579,7 +567,7 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
         f_measure=LebesgueMeasure(d),
         g_measure=CountingMeasure(support),
     )
-    table, loc_rows = theorem_main_table(pair, cfg["radii"], QuadConfig(**cfg["quad"]))
+    table, loc_rows = theorem_main_table(pair, cfg["radii"])
     verdicts = _lattice_verdicts(dens, study, cfg["tolerances"]["density"], cfg["tolerances"]["critical_band"])
     if any(row["verdict"] == "hypotheses-unmet" for row in table):
         verdicts.append(
@@ -607,7 +595,7 @@ def _paley_wiener_scenario(cfg: dict) -> dict:
     sched = lattice_schedule(lat.scale, 1, r_max=cfg["density_rmax"])
     corollary = corollary_parseval_check(pair, sched, tol=cfg["tolerances"]["density"])
     study = gram_truncation_study(kernel, lat, cfg["gram_radii"])
-    table, loc_rows = theorem_main_table(pair, cfg["radii"], QuadConfig(**cfg["quad"]))
+    table, loc_rows = theorem_main_table(pair, cfg["radii"])
     verdicts = [
         {
             "name": "parseval-corollary",
@@ -631,8 +619,7 @@ def _dual_embedding_scenario(cfg: dict) -> dict:
         g_measure=LebesgueMeasure(2),
         g_offset=cfg["offset"],
     )
-    quad = QuadConfig(**cfg["quad"])
-    rows = [localization_defect(pair, Ball(np.zeros(2), r), quad) for r in sorted(cfg["radii"])]
+    rows = [localization_defect(pair, Ball(np.zeros(2), r)) for r in sorted(cfg["radii"])]
     # both index measures are Lebesgue: densities are exactly 1 at every radius
     sched = lattice_schedule(1.0, 2, r_max=cfg["density_rmax"])
     corollary = corollary_parseval_check(pair, sched)
@@ -660,12 +647,11 @@ _SCENARIOS = {
 
 
 def resolve_config(cfg: dict) -> dict:
-    """The config a scenario runs with: its DEFAULTS filled in, quad and tolerances merged one level deep."""
+    """The config a scenario runs with: its DEFAULTS filled in, tolerances merged one level deep."""
     defaults = DEFAULTS[cfg["scenario"]]
     resolved = {"seed": 7, **defaults, **cfg}
-    for key in _MERGED:
-        if key in defaults:
-            resolved[key] = {**defaults[key], **resolved[key]}
+    if "tolerances" in defaults:
+        resolved["tolerances"] = {**defaults["tolerances"], **resolved["tolerances"]}
     return resolved
 
 
@@ -695,7 +681,8 @@ def run(cfg: dict) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as strict JSON: a NaN or infinity raises ValueError rather than being written."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # CSV views of report tables: column title -> row key

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -151,26 +152,6 @@ class TestCommands:
         assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
 
-    def test_localize_honours_truncation_margin(self, tmp_path):
-        def trunc_bound(quad):
-            pair = {
-                "kernel": {"kernel": "fock"},
-                "f": {"lebesgue": {"dim": 2}},
-                "g": {"lattice": {"scale": 1.0, "dim": 2}},
-                "quad": quad,
-            }
-            out = tmp_path / "loc.csv"
-            assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(out)]) == 0
-            return float(out.read_text().splitlines()[1].split(",")[-1])
-
-        assert trunc_bound({"truncation_margin": 1.0}) > trunc_bound({})
-
-    def test_pair_quad_is_the_scenario_quad(self):
-        # every pair takes its terms in closed form: the one quad field is the truncation margin
-        quad = cli._PAIR_SCHEMA["properties"]["quad"]
-        assert quad is verify.CONFIG_SCHEMA["properties"]["quad"]
-        assert list(quad["properties"]) == ["truncation_margin"]
-
     def test_localize_bad_quad_exit_2(self, tmp_path, capsys):
         pair = {
             "kernel": {"kernel": "fock"},
@@ -180,7 +161,36 @@ class TestCommands:
         }
         rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")])
         assert rc == 2
-        assert "config invalid at $.quad.boundary_refine:" in capsys.readouterr().err
+        # no pair has a window to set: quad is no key of a pair
+        assert "config invalid at $.quad:" in capsys.readouterr().err
+
+    def test_localize_trunc_bound_is_zero_where_nothing_is_pruned(self, tmp_path):
+        # a Paley-Wiener pair takes every atom over all of B^c: at g_offset 7 a window with gap 0 once wrote inf
+        pair = {**PW_PAIR, "g_offset": [7.0]}
+        out = tmp_path / "loc.csv"
+        assert main(["localize", "--pair", json.dumps(pair), "--radii", "4,8,16", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["trunc_bound"] for row in rows] == ["0.0"] * 3
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["run", "--config", '{"scenario": "fock", "lattice": {"scale": 0.8, "dim": 2}, "density_rmax": 4.0}'], "fock-report.json"),
+            (["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}}', "--nu", LEBESGUE_2D, "--rmax", "4"], "density.json"),
+        ],
+        ids=["run", "density"],
+    )
+    def test_one_radius_schedule_writes_strict_json(self, argv, where, tmp_path):
+        # one density radius leaves no trend: null and not converged, never the non-JSON Infinity
+        out = ["--out-dir", str(tmp_path)] if argv[0] == "run" else ["--out", str(tmp_path / where)]
+        main(argv + out)
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads((tmp_path / where).read_text(), parse_constant=refuse)
+        est = report["density"] if argv[0] == "run" else report
+        assert est["trend"] is None and est["converged"] is False
 
     def test_run_command_and_exit_codes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -197,8 +207,8 @@ class TestCommands:
         "cfg, path",
         [
             ({"scenario": "fock", "kernel": {"kernel": "paley-wiener"}}, "$.kernel"),
-            ({"scenario": "fock", "quad": {"boundary_refine": "x"}}, "$.quad.boundary_refine"),
-            ({"scenario": "fock", "quad": {"boundary_refine": 0}}, "$.quad.boundary_refine"),
+            ({"scenario": "fock", "quad": {"boundary_refine": "x"}}, "$.quad"),
+            ({"scenario": "fock", "quad": {"boundary_refine": 0}}, "$.quad"),
             ({"scenario": "dual-embedding", "offset": [0.1, 0.2, 0.3]}, "$.offset"),
             ({"scenario": "fock", "tolerances": {"density": "abc"}}, "$.tolerances.density"),
             ({"scenario": "fock", "tolerances": {"densty": 0.1}}, "$.tolerances.densty"),
@@ -225,31 +235,34 @@ class TestCommands:
             ({"scenario": "gabor", "points_csv": "x1,x2,x3\n0,0,0\n1,0,0\n"}, "$.points_csv"),
             # misspelt keys of nested objects
             ({"scenario": "fock", "lattice": {"scale": 0.8, "dim": 2, "thinn": "drop-even-even"}}, "$.lattice.thinn"),
-            ({"scenario": "fock", "quad": {"hh": 0.01}}, "$.quad.hh"),
-            ({"scenario": "fock", "quad": {"r_truncate": 5.0}}, "$.quad.r_truncate"),
+            ({"scenario": "fock", "quad": {"hh": 0.01}}, "$.quad"),
+            ({"scenario": "fock", "quad": {"r_truncate": 5.0}}, "$.quad"),
             # gabor runs with n = 1: 2-d points only
             ({"scenario": "gabor", "lattice": {"scale": 0.8, "dim": 4}}, "$.lattice.dim"),
             ({"scenario": "gabor", "points_csv": "x1,x2,x3,x4\n0,0,0,0\n1,0,0,0\n"}, "$.points_csv"),
-            # quad and tolerances fields the scenario never reads
+            # tolerances fields the scenario never reads, and quad, which no scenario reads
             ({"scenario": "paley-wiener", "tolerances": {"critical_band": 0.3}}, "$.tolerances.critical_band"),
-            ({"scenario": "paley-wiener", "quad": {"boundary_refine": 64}}, "$.quad.boundary_refine"),
-            # fock and gabor take their atom terms in closed form: no grid to set
-            ({"scenario": "fock", "quad": {"h": 0.05}}, "$.quad.h"),
-            ({"scenario": "fock", "quad": {"boundary_refine": 4}}, "$.quad.boundary_refine"),
-            ({"scenario": "gabor", "quad": {"h": 0.05}}, "$.quad.h"),
-            ({"scenario": "gabor", "quad": {"boundary_refine": 4}}, "$.quad.boundary_refine"),
+            ({"scenario": "paley-wiener", "quad": {"boundary_refine": 64}}, "$.quad"),
+            # fock and gabor take every term over all of B^c: no grid and no window to set
+            ({"scenario": "fock", "quad": {"h": 0.05}}, "$.quad"),
+            ({"scenario": "fock", "quad": {"boundary_refine": 4}}, "$.quad"),
+            ({"scenario": "gabor", "quad": {"h": 0.05}}, "$.quad"),
+            ({"scenario": "gabor", "quad": {"boundary_refine": 4}}, "$.quad"),
             # dual-embedding takes its Lebesgue x Lebesgue overlap in closed form, and no scenario refines cells
-            ({"scenario": "dual-embedding", "quad": {"h": 0.08}}, "$.quad.h"),
-            ({"scenario": "dual-embedding", "quad": {"boundary_refine": 2}}, "$.quad.boundary_refine"),
-            ({"scenario": "paley-wiener", "quad": {"h": 0.02, "boundary_refine": 8}}, "$.quad.boundary_refine"),
+            ({"scenario": "dual-embedding", "quad": {"h": 0.08}}, "$.quad"),
+            ({"scenario": "dual-embedding", "quad": {"boundary_refine": 2}}, "$.quad"),
+            ({"scenario": "paley-wiener", "quad": {"h": 0.02, "boundary_refine": 8}}, "$.quad"),
             # a density schedule needs its first radius, 4
             ({"scenario": "fock", "density_rmax": 2.0}, "$.density_rmax"),
             ({"scenario": "paley-wiener", "density_rmax": 3.99}, "$.density_rmax"),
             ({"scenario": "dual-embedding", "density_rmax": 1.0}, "$.density_rmax"),
             # paley-wiener takes its atom terms in closed form too
-            ({"scenario": "paley-wiener", "quad": {"h": 0.02}}, "$.quad.h"),
+            ({"scenario": "paley-wiener", "quad": {"h": 0.02}}, "$.quad"),
             # a repeated Gram window only repeats its spectrum
             ({"scenario": "fock", "gram_radii": [4.5, 4.5]}, "$.gram_radii"),
+            # every term is taken over all of B^c: no scenario reads a truncation margin
+            ({"scenario": "fock", "quad": {"truncation_margin": 6.0}}, "$.quad"),
+            ({"scenario": "paley-wiener", "quad": {"truncation_margin": 6.0}}, "$.quad"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -296,7 +309,7 @@ class TestCommands:
             (["localize", "--pair", json.dumps({**LOC_PAIR, "f": {"lebesgue": {"dim": 1}}}), "--radii", "2"], "$.f.lebesgue.dim"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [0.1]}), "--radii", "2"], "$.g_offset"),
             (["localize", "--pair", json.dumps(GABOR_N2_PAIR), "--radii", "2"], "$.kernel.params.n"),
-            (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"r_truncate": 5.0}}), "--radii", "2"], "$.quad.r_truncate"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"r_truncate": 5.0}}), "--radii", "2"], "$.quad"),
             # params the chosen kernel never reads
             (["gram", "--kernel", json.dumps(FOCK_N2), "--lattice", LATTICE_2D, "--radii", "2"], "$.params.n"),
             (["gram", "--kernel", json.dumps(GABOR_BAND), "--lattice", LATTICE_2D, "--radii", "2"], "$.params.band"),
@@ -306,34 +319,34 @@ class TestCommands:
                 "$.kernel.params.band",
             ),
             (["localize", "--pair", json.dumps(PW_N1_PAIR), "--radii", "2"], "$.kernel.params.n"),
-            # no pair refines cells: boundary_refine is no quad field
+            # no pair refines cells or has a window: quad is no key of a pair
             (
                 ["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"boundary_refine": 16}}), "--radii", "2"],
-                "$.quad.boundary_refine",
+                "$.quad",
             ),
             # no pair builds a grid, so no pair reads a spacing h, whatever its kernel and sides
             (
                 ["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_LATTICE, "quad": {"h": 1.0}}), "--radii", "2"],
-                "$.quad.h",
+                "$.quad",
             ),
             (
                 ["localize", "--pair", json.dumps({**LATTICE_PAIR, "quad": {"boundary_refine": 3}}), "--radii", "2"],
-                "$.quad.boundary_refine",
+                "$.quad",
             ),
-            (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad"),
             (
                 ["localize", "--pair", json.dumps({**GABOR_PAIR, "quad": {"boundary_refine": 3}}), "--radii", "2"],
-                "$.quad.boundary_refine",
+                "$.quad",
             ),
-            (["localize", "--pair", json.dumps({**SWAPPED_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
-            (["localize", "--pair", json.dumps({**LEBESGUE_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad.h"),
+            (["localize", "--pair", json.dumps({**SWAPPED_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad"),
+            (["localize", "--pair", json.dumps({**LEBESGUE_PAIR, "quad": {"h": 0.1}}), "--radii", "2"], "$.quad"),
             (
                 ["localize", "--pair", json.dumps({**LEBESGUE_PAIR, "quad": {"boundary_refine": 2}}), "--radii", "2"],
-                "$.quad.boundary_refine",
+                "$.quad",
             ),
             (
                 ["localize", "--pair", json.dumps({**GABOR_LEBESGUE_PAIR, "quad": {"h": 0.1}}), "--radii", "2"],
-                "$.quad.h",
+                "$.quad",
             ),
             # atomic point data that makes no measure
             (["density", "--mu", json.dumps(ATOMIC_SHORT_WEIGHTS), "--nu", LEBESGUE_2D], "$.atomic.weights"),
@@ -348,7 +361,7 @@ class TestCommands:
             (["localize", "--pair", json.dumps({**PW_PAIR, "g": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.g.atomic.weights"),
             (["localize", "--pair", json.dumps({**PW_PAIR, "f": PW_ATOMIC_OVERFLOW}), "--radii", "2"], "$.f.atomic.weights"),
             # a Paley-Wiener pair reads no h either, whichever sides it has
-            (["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"h": 0.05}}), "--radii", "2"], "$.quad.h"),
+            (["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"h": 0.05}}), "--radii", "2"], "$.quad"),
             (
                 [
                     "localize",
@@ -357,12 +370,14 @@ class TestCommands:
                     "--radii",
                     "2",
                 ],
-                "$.quad.h",
+                "$.quad",
             ),
             (
                 ["localize", "--pair", json.dumps({**PW_PAIR, "g": PW_PAIR["f"], "quad": {"h": 0.05}}), "--radii", "2"],
-                "$.quad.h",
+                "$.quad",
             ),
+            # no pair reads a truncation margin either
+            (["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"truncation_margin": 6.0}}), "--radii", "2"], "$.quad"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):

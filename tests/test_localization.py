@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -174,18 +175,20 @@ class TestTailSup:
         "kernel", [FockKernel(), GaborGaussianKernel(1), PaleyWienerKernel()], ids=["fock", "gabor", "paley-wiener"]
     )
     def test_centred_is_the_mass_at_the_centre(self, kernel):
-        # the record's centred tail is its outside mass at distance 0: the same bits for sinc^2
-        # (F is odd), within the radial rule's accuracy at the centre for the Gaussian
+        # the record's centred tail is its mass at distance 0 between the two spheres: for sinc^2 the
+        # inside masses give the same bits (F is odd), for the Gaussian the outside masses agree within
+        # the radial rule's accuracy at the centre
         profile = localization._profile(kernel)
         for R in (0.5, 1.0, 3.0):
             for margin in (2.0, 6.0):
                 centred = profile.centred(kernel, R, R + margin)
-                mass = profile.mass(kernel, np.zeros(1), R, R + margin, inside=False)[0]
+                inside = isinstance(kernel, PaleyWienerKernel)
+                near, far = (profile.mass(kernel, np.zeros(1), x, inside=inside)[0] for x in (R, R + margin))
                 assert isinstance(centred, float)
-                if isinstance(kernel, PaleyWienerKernel):
-                    assert centred == mass
+                if inside:
+                    assert centred == far - near
                 else:
-                    assert abs(centred - mass) <= 4e-16 * centred
+                    assert abs(centred - (near - far)) <= 4e-16 * centred
 
     def test_kernel_with_no_profile_is_refused(self):
         kernel = TabulatedKernel(lambda x, y: 1.0, dim=1, mode_density=1.0)
@@ -201,7 +204,7 @@ class TestTailSup:
 class TestDoubleTail:
     def test_symmetric_pair_equal_terms(self):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2))
-        t1, t2 = double_tail(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
+        t1, t2 = double_tail(pair, Ball([0, 0], 2.0))
         assert abs(t1 - t2) < 1e-10
 
     def test_fock_lattice_against_radial_oracle(self):
@@ -209,7 +212,7 @@ class TestDoubleTail:
             FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
         )
         r = 4.0
-        t1, t2 = double_tail(pair, Ball([0, 0], r), QuadConfig(h=0.05))
+        t1, t2 = double_tail(pair, Ball([0, 0], r))
         out_r, in_r = lattice_radii(1.0, r, r + 6.0)
         t1_oracle = math.fsum(gaussian_disk_oracle(in_r, r, inside=False))
         t2_oracle = math.fsum(gaussian_disk_oracle(out_r, r, inside=True))
@@ -222,7 +225,7 @@ class TestDoubleTail:
             FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
         )
         r = 4.0
-        t1, _ = double_tail(pair, Ball([0, 0], r), QuadConfig(h=0.05))
+        t1, _ = double_tail(pair, Ball([0, 0], r))
         _, in_r = lattice_radii(1.0, r, r + 6.0)
         bound = float(np.sum([math.exp(-math.pi * (r - s) ** 2) for s in in_r]))
         assert t1 <= bound * (1 + 1e-6)
@@ -230,7 +233,7 @@ class TestDoubleTail:
     def test_empty_inner_side(self):
         atoms = CountingMeasure(PointSet([[10.0, 0.0]]))
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), g_measure=atoms)
-        t1, t2 = double_tail(pair, Ball([0, 0], 2.0), QuadConfig(h=0.1))
+        t1, t2 = double_tail(pair, Ball([0, 0], 2.0))
         assert t1 == 0.0  # no nu atoms inside the ball
         assert t2 >= 0.0
 
@@ -240,17 +243,10 @@ class TestDoubleTail:
             FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
         )
         r = 3.0
-        cfg = QuadConfig(h=0.05)
-        t1, _ = double_tail(pair, Ball([0, 0], r), cfg)
+        t1, _ = double_tail(pair, Ball([0, 0], r))
         nu_b = pair.g_measure.ball_mass(Ball([0, 0], r))
         sup = tail_sup(FockKernel(), LebesgueMeasure(2), 0.0 + 1e-9, [[0.0, 0.0]], QuadConfig(h=0.05, truncation_radius=r + 6))
         assert t1 <= nu_b * sup * (1 + 1e-6)
-
-    def test_window_must_reach_the_sphere(self):
-        # a window inside the ball would drop every cross pair beyond it and report t1 = t2 = 0
-        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2)))
-        with pytest.raises(ValueError, match="truncation radius is smaller than the ball radius"):
-            double_tail(pair, Ball([0, 0], 8.0), QuadConfig(h=0.1, truncation_radius=5.0))
 
     def test_kernel_with_no_profile_is_refused(self):
         # a tabulated callback need not be a radial profile of x - y: no term is taken for it
@@ -264,16 +260,16 @@ class TestDoubleTail:
             FramePairSpec(GaborGaussianKernel(2), lattice, lattice)
 
     @pytest.mark.parametrize(
-        "kernel, discrete, fixed, fixed_side, ball, cfg",
+        "kernel, discrete, fixed, fixed_side, ball",
         [
-            (FockKernel(), "points", "lebesgue", "f", Ball([0.1, -0.3], 2.5), QuadConfig()),
-            (FockKernel(), "points", "lebesgue", "g", Ball([0.1, -0.3], 2.5), QuadConfig()),
-            (PaleyWienerKernel(), "atoms", "lebesgue", "f", Ball([0.2], 2.5), QuadConfig(h=0.05)),
-            (PaleyWienerKernel(), "atoms", "lebesgue", "g", Ball([0.2], 2.5), QuadConfig(h=0.05)),
-            (FockKernel(), "atoms", "atoms", "f", Ball([0.1, -0.3], 2.5), QuadConfig()),
-            (FockKernel(), "atoms", "atoms", "g", Ball([0.1, -0.3], 2.5), QuadConfig()),
-            (PaleyWienerKernel(), "atoms", "atoms", "f", Ball([0.2], 2.5), QuadConfig()),
-            (PaleyWienerKernel(), "atoms", "atoms", "g", Ball([0.2], 2.5), QuadConfig()),
+            (FockKernel(), "points", "lebesgue", "f", Ball([0.1, -0.3], 2.5)),
+            (FockKernel(), "points", "lebesgue", "g", Ball([0.1, -0.3], 2.5)),
+            (PaleyWienerKernel(), "atoms", "lebesgue", "f", Ball([0.2], 2.5)),
+            (PaleyWienerKernel(), "atoms", "lebesgue", "g", Ball([0.2], 2.5)),
+            (FockKernel(), "atoms", "atoms", "f", Ball([0.1, -0.3], 2.5)),
+            (FockKernel(), "atoms", "atoms", "g", Ball([0.1, -0.3], 2.5)),
+            (PaleyWienerKernel(), "atoms", "atoms", "f", Ball([0.2], 2.5)),
+            (PaleyWienerKernel(), "atoms", "atoms", "g", Ball([0.2], 2.5)),
         ],
         ids=[
             "fock-lebesgue-points",
@@ -286,7 +282,7 @@ class TestDoubleTail:
             "pw-permuted-atomic",
         ],
     )
-    def test_permuted_atoms_give_the_same_bits(self, kernel, discrete, fixed, fixed_side, ball, cfg):
+    def test_permuted_atoms_give_the_same_bits(self, kernel, discrete, fixed, fixed_side, ball):
         # a discrete side's terms are summed exactly, so the order its points
         # or atoms come in cannot move t1, t2 or either ball mass by one bit;
         # the fixed side is Lebesgue or a second seeded atomic measure
@@ -307,7 +303,7 @@ class TestDoubleTail:
             )
             sides = (other, side)
             pair = FramePairSpec(kernel, *(sides if fixed_side == "f" else sides[::-1]))
-            return *double_tail(pair, ball, cfg), pair.f_measure.ball_mass(ball), pair.g_measure.ball_mass(ball)
+            return *double_tail(pair, ball), pair.f_measure.ball_mass(ball), pair.g_measure.ball_mass(ball)
 
         first = tails(np.arange(len(pts)))
         assert first[0] > 0 and first[1] > 0
@@ -339,22 +335,29 @@ def jittered_points(seed, scale, half_width):
     return grid + rng.uniform(-0.2 * scale, 0.2 * scale, size=grid.shape)
 
 
-def pruned_and_dense(pair, ball, cfg, monkeypatch):
-    """double_tail with the kernel's own cutoff and with none (every pair in
-    the window), plus the number of kernel pairs each evaluated."""
+ATOMS_2D = jittered_points(4, 0.9, 12.0)
+
+
+def pruned_and_dense(pair, ball, monkeypatch):
+    """double_tail with the kernel's own cutoff and with none (every pair), plus the number of kernel pairs
+    each evaluated."""
     pairs = [0]
     patch_profile(monkeypatch, pair.kernel, pairs)
-    pruned = double_tail(pair, ball, cfg)
+    pruned = double_tail(pair, ball)
     pairs.append(0)
     patch_profile(monkeypatch, pair.kernel, pairs, cutoff=math.inf)
-    dense = double_tail(pair, ball, cfg)
+    dense = double_tail(pair, ball)
     return pruned, dense, pairs
 
 
-class TestPrunedSum:
-    """Cutoff-pruned cross terms against oracles that skip no pair in the window."""
+# a Gaussian cutoff that prunes nothing representable: e^{-pi 7^2} ~ 1e-67
+WIDE_CUTOFF = 7.0
+# the atom oracles' reach beyond the sphere: the Gaussian puts e^{-36 pi} ~ 1e-49 beyond it
+ORACLE_REACH = 6.0
 
-    CFG = QuadConfig(h=0.16)
+
+class TestPrunedSum:
+    """Cutoff-pruned cross terms against oracles that skip no pair within a wide reach."""
 
     def assert_agree(self, pruned, t1, t2):
         for got, want in ((pruned["t1"], t1), (pruned["t2"], t2)):
@@ -365,10 +368,9 @@ class TestPrunedSum:
     def test_fock_lattice(self, r):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.5, 2)))
         ball = Ball([0, 0], r)
-        res = localization_defect(pair, ball, self.CFG)
-        r_tr = self.CFG.effective_truncation(r)
-        pts = Lattice(0.5, 2).points_in_ball(Ball([0, 0], r_tr))
-        t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, r_tr, shift=np.zeros(2))
+        res = localization_defect(pair, ball)
+        pts = Lattice(0.5, 2).points_in_ball(Ball([0, 0], r + ORACLE_REACH))
+        t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, r + ORACLE_REACH, shift=np.zeros(2))
         assert res["t1"] != res["t2"]
         self.assert_agree(res, t1, t2)
 
@@ -377,8 +379,8 @@ class TestPrunedSum:
         points = CountingMeasure(PointSet(pts))
         pair = FramePairSpec(GaborGaussianKernel(), LebesgueMeasure(2), points, g_offset=[0.3, -0.15])
         ball = Ball([0.4, -0.7], 6.0)
-        res = localization_defect(pair, ball, self.CFG)
-        t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, self.CFG.effective_truncation(6.0), pair.g_offset)
+        res = localization_defect(pair, ball)
+        t1, t2 = atom_terms_oracle(pts, np.ones(len(pts)), ball, 6.0 + ORACLE_REACH, pair.g_offset)
         self.assert_agree(res, t1, t2)
 
     def test_atomic_unequal_weights(self):
@@ -386,9 +388,9 @@ class TestPrunedSum:
         weights = np.random.default_rng(5).uniform(0.5, 2.0, size=len(pts))
         pair = FramePairSpec(FockKernel(), AtomicMeasure(pts, weights), LebesgueMeasure(2))
         ball = Ball([0, 0], 5.0)
-        res = localization_defect(pair, ball, self.CFG)
+        res = localization_defect(pair, ball)
         # the atoms are the f side: t1 takes the outer atoms, t2 the inner ones
-        t2, t1 = atom_terms_oracle(pts, weights, ball, self.CFG.effective_truncation(5.0), np.zeros(2))
+        t2, t1 = atom_terms_oracle(pts, weights, ball, 5.0 + ORACLE_REACH, np.zeros(2))
         self.assert_agree(res, t1, t2)
 
     def test_lattice_by_lattice(self, monkeypatch):
@@ -396,11 +398,11 @@ class TestPrunedSum:
         ball = Ball([0, 0], 8.0)
         pairs = []
         results = []
-        # the uncut run keeps every pair in the window
-        for cutoff in (localization._PROFILES[FockKernel].cutoff, math.inf):
+        # the wide run keeps every pair that holds a representable term
+        for cutoff in (localization._PROFILES[FockKernel].cutoff, WIDE_CUTOFF):
             pairs.append(0)
             patch_profile(monkeypatch, FockKernel(), pairs, cutoff=cutoff)
-            results.append(localization_defect(FramePairSpec(FockKernel(), f, g), ball, self.CFG))
+            results.append(localization_defect(FramePairSpec(FockKernel(), f, g), ball))
         pruned, full = results
         self.assert_agree(pruned, full["t1"], full["t2"])
         assert pairs[0] < pairs[1]
@@ -408,7 +410,7 @@ class TestPrunedSum:
     @pytest.mark.parametrize("f", [LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1))])
     def test_paley_wiener_infinite_cutoff_is_dense(self, f, monkeypatch):
         pair = FramePairSpec(PaleyWienerKernel(), f, CountingMeasure(Lattice(0.9, 1)))
-        pruned, dense, pairs = pruned_and_dense(pair, Ball([0.0], 8.0), QuadConfig(h=0.05), monkeypatch)
+        pruned, dense, pairs = pruned_and_dense(pair, Ball([0.0], 8.0), monkeypatch)
         assert pruned == dense
         assert pairs[0] == pairs[1]
 
@@ -416,45 +418,20 @@ class TestPrunedSum:
     @pytest.mark.parametrize("f", [LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2))], ids=["lebesgue", "lattice"])
     def test_offsets_widen_every_cutoff(self, f, delta, monkeypatch):
         # the cutoff rings sit at r +- (c + |Delta|): an offset pair must keep
-        # every term that the uncut kernel finds above the pruning bound
+        # every term that the wide kernel finds above the pruning bound
         g = CountingMeasure(Lattice(1.0, 2))
-        ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig(h=0.05)
+        ball = Ball([0.0, 0.0], 4.0)
         pair = FramePairSpec(FockKernel(), f, g, f_offset=delta)
-        pruned = localization_defect(pair, ball, cfg)
-        patch_profile(monkeypatch, FockKernel(), [0], cutoff=math.inf)
-        full_t1, full_t2 = double_tail(pair, ball, cfg)
+        pruned = localization_defect(pair, ball)
+        patch_profile(monkeypatch, FockKernel(), [0], cutoff=WIDE_CUTOFF)
+        full_t1, full_t2 = double_tail(pair, ball)
         assert abs(pruned["t1"] - full_t1) <= pruned["trunc_bound"]
         assert abs(pruned["t2"] - full_t2) <= pruned["trunc_bound"]
-
-    @pytest.mark.parametrize(
-        "delta, margin", [(4.0, 6.0), (5.0, 6.0), (2.5, 1.0)], ids=["4-at-6", "5-at-6", "2.5-at-1"]
-    )
-    def test_offsets_shrink_the_window_gap(self, delta, margin):
-        # an offset atom just outside the window sits R_tr - r - |Delta| from
-        # the sphere in kernel coordinates: widening the window must move the
-        # tails by no more than the bound of the narrow one
-        lattice = CountingMeasure(Lattice(1.0, 2))
-        pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), lattice, f_offset=[delta, 0.0])
-        ball = Ball([0.0, 0.0], 4.0)
-        narrow = localization_defect(pair, ball, QuadConfig(truncation_margin=margin))
-        wide_t1, wide_t2 = double_tail(pair, ball, QuadConfig(truncation_margin=20.0))
-        assert abs(narrow["t1"] - wide_t1) <= narrow["trunc_bound"]
-        assert abs(narrow["t2"] - wide_t2) <= narrow["trunc_bound"]
-
-
-def gaussian_tail(gap):
-    """e^{-pi min(gap, c)^2}, c = sqrt(ln(1e14) / pi): the window term of Fock and Gabor (n = 1)."""
-    return math.exp(-math.pi * min(gap, math.sqrt(math.log(1e14) / math.pi)) ** 2)
-
-
-def paley_wiener_tail(band):
-    """2 / (b^2 gap), the sinc^2 mass beyond gap; none (inf) at gap 0."""
-    return lambda gap: 2.0 / (band * band * gap) if gap > 0 else math.inf
 
 
 @pytest.mark.parametrize("kernel_class", list(localization._PROFILES), ids=lambda cls: cls.__name__)
 def test_profile_record_supports_trunc_bound(kernel_class):
-    # the two facts trunc_bound rests on, for each record at its kernel's defaults
+    # the facts trunc_bound rests on, for each record at its kernel's defaults
     kernel = kernel_class()
     profile = localization._PROFILES[kernel_class]
     origin = np.zeros((1, kernel.dim))
@@ -463,50 +440,76 @@ def test_profile_record_supports_trunc_bound(kernel_class):
     if math.isfinite(profile.cutoff):
         beyond = math.nextafter(profile.cutoff, math.inf)
         assert profile.phi(kernel, origin, np.eye(kernel.dim)[:1] * beyond)[0, 0] <= localization._PRUNE_EPS
-    # 2. tail(gap) bounds the profile's own mass beyond gap, and inside + outside is all of
-    #    the reproducing mass 1 / mode_density within that bound
-    r_tr = 60.0
+    # 2. the outside mass is over all of the complement: inside + outside is the reproducing mass
+    #    1 / mode_density up to rounding, and a record that prunes bounds the outside mass by its tail
     for gap in (0.5, 1.0, 2.0, 3.2):
-        outside = profile.mass(kernel, np.zeros(1), gap, r_tr, inside=False)[0]
-        inside = profile.mass(kernel, np.zeros(1), gap, r_tr, inside=True)[0]
-        tail = profile.tail(kernel, gap)
-        assert 0.0 < outside <= tail
-        assert abs(inside + outside - 1.0 / kernel.mode_density) <= tail
+        outside = profile.mass(kernel, np.zeros(1), gap, inside=False)[0]
+        inside = profile.mass(kernel, np.zeros(1), gap, inside=True)[0]
+        assert 0.0 < outside
+        assert abs(inside + outside - 1.0 / kernel.mode_density) <= 2e-15
+        if math.isfinite(profile.cutoff):
+            assert outside <= profile.tail(kernel, gap)
+        else:
+            assert profile.tail is None
+
+
+def gaussian_walk_bound(f, g, ball, delta):
+    """2 1e-14 f(B_w) g(B_w) + (mu(B) + nu(B)) e^{-pi min(gap, c)^2}, B_w = B(c, r_w), r_w = r + c + |Delta|,
+    gap = r_w - r - |Delta|: the window bound of a Gaussian row whose window is the walk ball."""
+    c = math.sqrt(-math.log(1e-14) / math.pi)
+    r_w = ball.radius + (c + delta)
+    walk = Ball(ball.center, r_w)
+    gap = max(0.0, r_w - ball.radius - delta)
+    tail = math.exp(-math.pi * min(gap, c) ** 2)
+    return 2 * 1e-14 * f.ball_mass(walk) * g.ball_mass(walk) + (f.ball_mass(ball) + g.ball_mass(ball)) * tail
 
 
 class TestTruncationBound:
-    """trunc_bound = 2 1e-14 f(B_tr) g(B_tr) + (mu(B) + nu(B)) tail(min(gap, c)).
-
-    gap = R_tr - r - |f_offset - g_offset|, clamped at 0; c is the kernel's
-    cutoff (none for Paley-Wiener).
+    """trunc_bound is 0.0 where nothing is pruned (Paley-Wiener, two Lebesgue sides); on a Gaussian row that
+    prunes it is the window bound 2 1e-14 f(B_w) g(B_w) + (mu(B) + nu(B)) tail(min(gap, c)) over the walk
+    ball B_w, bit for bit.
     """
 
     @pytest.mark.parametrize(
-        "kernel, f, g, offset, margin, tail",
+        "kernel, f, g, offset",
         [
-            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0], 6.0, gaussian_tail),
-            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0], 1.5, gaussian_tail),
-            (GaborGaussianKernel(1), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2)), [0.6, -0.8], 3.0, gaussian_tail),
-            (PaleyWienerKernel(2.0), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [0.0], 6.0, paley_wiener_tail(2.0)),
-            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [1.5, 0.0], 1.0, gaussian_tail),
-            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [1.5], 1.0, paley_wiener_tail(math.pi)),
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0]),
+            (GaborGaussianKernel(1), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2)), [0.6, -0.8]),
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [1.5, 0.0]),
+            (FockKernel(), CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.7, 2)), [0.0, 0.0]),
+            (FockKernel(), CountingMeasure(ThinnedLattice(0.8, 2)), LebesgueMeasure(2), [1.5, 0.0]),
+            (FockKernel(), AtomicMeasure(ATOMS_2D, np.linspace(0.5, 2.0, len(ATOMS_2D))), CountingMeasure(Lattice(0.9, 2)), [0.3, 0.2]),
+            (PaleyWienerKernel(2.0), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [0.0]),
+            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [1.5]),
+            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1)), [7.0]),
+            (PaleyWienerKernel(), CountingMeasure(Lattice(1.0, 1)), CountingMeasure(Lattice(0.9, 1)), [0.3]),
+            (FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2), [40.0, 0.0]),
+            (GaborGaussianKernel(1), LebesgueMeasure(2), LebesgueMeasure(2), [0.35, 0.2]),
         ],
         ids=[
-            "fock-lattice-margin-6",
-            "fock-lattice-margin-1.5",
+            "fock-lattice",
             "gabor-offset",
+            "fock-offset-1.5",
+            "fock-lattice-by-lattice",
+            "fock-thinned-offset",
+            "fock-atomic-lattice",
             "pw-lebesgue-lattice",
-            "fock-margin-below-offset",
-            "pw-margin-below-offset",
+            "pw-offset-1.5",
+            "pw-offset-7",
+            "pw-lattice-by-lattice",
+            "fock-lebesgue-offset-40",
+            "gabor-lebesgue",
         ],
     )
-    def test_against_its_formula(self, kernel, f, g, offset, margin, tail):
-        ball = Ball(np.zeros(kernel.dim), 3.0)
-        window = Ball(ball.center, 3.0 + margin)
-        res = localization_defect(FramePairSpec(kernel, f, g, f_offset=offset), ball, QuadConfig(h=0.05, truncation_margin=margin))
-        gap = max(0.0, margin - float(np.linalg.norm(offset)))
-        want = 2 * 1e-14 * f.ball_mass(window) * g.ball_mass(window) + (f.ball_mass(ball) + g.ball_mass(ball)) * tail(gap)
-        assert res["trunc_bound"] == pytest.approx(want, rel=1e-12)
+    def test_against_its_formula(self, kernel, f, g, offset):
+        # at the parent's window of margin 6 the pw offset-7 rows read inf (gap 0), and the Lebesgue rows at
+        # offset 40 the whole normalizer
+        pruned = isinstance(kernel, (FockKernel, GaborGaussianKernel)) and (f.is_discrete or g.is_discrete)
+        for r in (2.0, 4.0, 16.0):
+            ball = Ball(np.zeros(kernel.dim), r)
+            res = localization_defect(FramePairSpec(kernel, f, g, f_offset=offset), ball)
+            want = gaussian_walk_bound(f, g, ball, float(np.linalg.norm(offset))) if pruned else 0.0
+            assert res["trunc_bound"] == want
 
 
 class TestDiskMass:
@@ -676,7 +679,7 @@ class TestBoundaryPartition:
         lat = Lattice(0.8, 2)
         kernel = GaborGaussianKernel(1)
         pair = FramePairSpec(kernel, LebesgueMeasure(2), CountingMeasure(lat))
-        ball, cfg = Ball([0.0, 0.0], 4.0), QuadConfig()
+        ball = Ball([0.0, 0.0], 4.0)
         seen = {}
         disk_mass = localization._disk_mass
 
@@ -686,7 +689,7 @@ class TestBoundaryPartition:
 
         monkeypatch.setattr(localization, "_disk_mass", record)
         # t1 takes the lattice atoms inside B (mass outside), t2 those outside B (mass inside)
-        double_tail(pair, ball, cfg)
+        double_tail(pair, ball)
         c = localization._PROFILES[type(kernel)].cutoff
         # integer coordinates: no atom lies within rounding of r - c or r + c
         k2 = np.rint(np.einsum("ij,ij->i", *[lat.points_in_ball(Ball([0.0, 0.0], 9.0)) / 0.8] * 2)).astype(int)
@@ -701,7 +704,7 @@ class TestBoundaryPartition:
 class TestLocalizationDefect:
     def test_identical_pair_zero(self):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2))
-        row = localization_defect(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
+        row = localization_defect(pair, Ball([0, 0], 2.0))
         assert row["defect"] == 0.0
         assert row["eps_eff"] == 0.0
 
@@ -709,21 +712,15 @@ class TestLocalizationDefect:
         pair = FramePairSpec(
             FockKernel(), LebesgueMeasure(2), g_measure=CountingMeasure(Lattice(1.0, 2))
         )
-        cfg = QuadConfig(h=0.08)
         eps = [
-            localization_defect(pair, Ball([0, 0], r), cfg)["eps_eff"] for r in (4.0, 8.0, 16.0)
+            localization_defect(pair, Ball([0, 0], r))["eps_eff"] for r in (4.0, 8.0, 16.0)
         ]
         assert eps[0] > eps[1] > eps[2]
 
     def test_swap_symmetry(self):
         lattice = CountingMeasure(Lattice(1.0, 2))
-        cfg = QuadConfig(h=0.08)
-        fwd = localization_defect(
-            FramePairSpec(FockKernel(), LebesgueMeasure(2), lattice), Ball([0, 0], 4.0), cfg
-        )
-        rev = localization_defect(
-            FramePairSpec(FockKernel(), lattice, LebesgueMeasure(2)), Ball([0, 0], 4.0), cfg
-        )
+        fwd = localization_defect(FramePairSpec(FockKernel(), LebesgueMeasure(2), lattice), Ball([0, 0], 4.0))
+        rev = localization_defect(FramePairSpec(FockKernel(), lattice, LebesgueMeasure(2)), Ball([0, 0], 4.0))
         assert fwd["defect"] == pytest.approx(rev["defect"], abs=1e-12)
         assert fwd["t1"] == pytest.approx(rev["t2"], abs=1e-12)
 
@@ -732,7 +729,7 @@ class TestLocalizationDefect:
         inner = CountingMeasure(PointSet([[0.0, 0.0], [0.5, 0.0]]))
         outer = CountingMeasure(PointSet([[9.0, 0.0], [10.0, 0.0]]))
         pair = FramePairSpec(FockKernel(), inner, outer)
-        row = localization_defect(pair, Ball([0.0, 0.0], 2.0), QuadConfig(truncation_radius=10.0))
+        row = localization_defect(pair, Ball([0.0, 0.0], 2.0))
         assert row["defect"] == 0.0
 
 
@@ -799,7 +796,7 @@ class TestMeanValue:
             res = integrate_ball(field, Ball(x0, L), QuadConfig(h=0.005))
             exact = paley_wiener_mass(b, L)
             assert res.value == pytest.approx(exact, rel=1e-9)
-            assert 0.0 < 1.0 / kernel.mode_density - exact <= localization._PROFILES[PaleyWienerKernel].tail(kernel, L) == 2.0 / (b * b * L)
+            assert 0.0 < 1.0 / kernel.mode_density - exact <= 2.0 / (b * b * L)
 
 
 class TestOffsets:
@@ -810,7 +807,7 @@ class TestOffsets:
             LebesgueMeasure(2),
             g_offset=np.array([0.35, 0.2]),
         )
-        row = localization_defect(pair, Ball([0, 0], 2.0), QuadConfig(h=0.05))
+        row = localization_defect(pair, Ball([0, 0], 2.0))
         assert row["defect"] == 0.0
         assert row["t1"] > 0  # honest nonzero tails
 
@@ -831,7 +828,7 @@ class TestOffsets:
 
         for r in (2.0, 4.0):
             oracle, _ = integrate.quad(ring, r, r + 8.0, args=(r,), epsabs=1e-12, epsrel=1e-12, limit=200)
-            t1, t2 = double_tail(pair, Ball([0.0, 0.0], r), QuadConfig())
+            t1, t2 = double_tail(pair, Ball([0.0, 0.0], r))
             assert t1 == pytest.approx(oracle, rel=1e-12)
             assert t2 == t1
 
@@ -853,7 +850,7 @@ class TestOffsets:
                     pair = FramePairSpec(
                         PaleyWienerKernel(band), LebesgueMeasure(1), LebesgueMeasure(1), g_offset=[sign * s]
                     )
-                    t1, t2 = double_tail(pair, Ball([0.0], r), QuadConfig())
+                    t1, t2 = double_tail(pair, Ball([0.0], r))
                     assert t1 == pytest.approx(oracle, rel=1e-12)
                     assert t2 == t1  # t2 takes the lens at -s: it is even in s, bit for bit
 
@@ -866,7 +863,7 @@ class TestOffsets:
             inner, _ = integrate.dblquad(
                 lambda y, x: np.sinc(band * (x - y - 0.3) / math.pi) ** 2, -r, r, -r, r, epsabs=1e-11, epsrel=1e-11
             )
-            t1, _ = double_tail(pair, Ball([0.0], r), QuadConfig())
+            t1, _ = double_tail(pair, Ball([0.0], r))
             assert t1 == pytest.approx(2.0 * r * math.pi / band - inner, abs=1e-10)
 
 
@@ -877,28 +874,68 @@ def sinc2_oracle(band, t):
     return (special.sici(2.0 * x)[0] - sq) / band
 
 
-def paley_wiener_row_oracle(pair, ball, r_tr):
-    """(t1, t2) of a Paley-Wiener pair, one Lebesgue side and one discrete side, from sici.
+def sinc2_inside(band, a, c, r):
+    """Mass of sinc^2(band (x - a)) over [c - r, c + r], from sici, per entry of a."""
+    return sinc2_oracle(band, c + r - a) - sinc2_oracle(band, c - r - a)
 
-    The atoms are selected by plain distances; each atom's term is its
-    weight times sinc^2 integrated over the Lebesgue side's part of the
-    window, a difference of the sici form of F.
+
+def sinc2_outside(band, a, c, r):
+    """Mass of sinc^2(band (x - a)) over the complement of [c - r, c + r]: its two half-line tails
+    pi / (2 band) - F(c + r - a) and pi / (2 band) + F(c - r - a), from sici (Si(inf) = pi / 2)."""
+    half = math.pi / (2.0 * band)
+    return (half - sinc2_oracle(band, c + r - a)) + (half + sinc2_oracle(band, c - r - a))
+
+
+def lattice_inner_oracle(band, alpha, shift, c, r):
+    """The atoms alpha k of alpha Z in [c - r, c + r], kernel points alpha k + shift, against Lebesgue
+    measure on the complement, from sici."""
+    k = np.arange(math.floor((c - r) / alpha) - 1, math.ceil((c + r) / alpha) + 2)
+    k = k[np.abs(alpha * k - c) <= r]
+    return math.fsum(sinc2_outside(band, alpha * k + shift, c, r))
+
+
+def lattice_outer_oracle(band, alpha, shift, c, r, odd=False, K=10**6):
+    """The atoms alpha k of alpha Z outside [c - r, c + r] (odd k only with odd), kernel points alpha k + shift,
+    against Lebesgue measure on it: a direct sici sum over |k| <= K, in chunks, plus the remainder of |k| > K.
+
+    Each far atom puts ~ r / (b^2 alpha^2 k^2) on the interval (sin^2 averages 1/2), so the remainder is
+    2r / (b^2 alpha^2 (K + 1/2)), and r / (b^2 alpha^2 K) for the odd k beyond an even K, each to O(1/K^2)
+    when 2 b alpha is no multiple of 2 pi.  Cancellation in the F differences sets a floor of ~1.4e-12.
     """
+    total = []
+    for lo in range(-K, K + 1, 200_000):
+        k = np.arange(lo, min(lo + 200_000, K + 1))
+        k = k[(np.abs(alpha * k - c) > r) & ((k % 2 != 0) | (not odd))]
+        total.append(np.sum(sinc2_inside(band, alpha * k + shift, c, r)))  # positive terms: no cancellation
+    return math.fsum(total) + r / (band * alpha) ** 2 * (1.0 / K if odd else 2.0 / (K + 0.5))
+
+
+def lattice_pair_oracle(band, alpha_out, alpha_in, shift, c, r, K=10**6):
+    """The atoms of alpha_out Z outside [c - r, c + r] against those of alpha_in Z inside it, kernel points
+    shifted by shift = inner offset - outer offset: sinc^2 summed directly over |k| <= K for each inner atom,
+    plus the remainder 1 / (b^2 alpha_out^2 (K + 1/2)) of |k| > K."""
+    j = np.arange(math.floor((c - r) / alpha_in) - 1, math.ceil((c + r) / alpha_in) + 2)
+    y = alpha_in * j[np.abs(alpha_in * j - c) <= r] + shift
+    total = []
+    for lo in range(-K, K + 1, 200_000):
+        k = np.arange(lo, min(lo + 200_000, K + 1))
+        x = alpha_out * k[np.abs(alpha_out * k - c) > r]
+        total.append(np.sum(np.sinc(band * np.subtract.outer(x, y) / math.pi) ** 2))  # positive terms
+    return math.fsum(total) + len(y) / ((band * alpha_out) ** 2 * (K + 0.5))
+
+
+def paley_wiener_atoms_oracle(pair, ball):
+    """(t1, t2) of a Paley-Wiener pair of a Lebesgue side and an atomic side: every atom, from sici."""
     f_disc = pair.f_measure.is_discrete
     disc, leb_off, atom_off = (
         (pair.f_measure, pair.g_offset, pair.f_offset) if f_disc else (pair.g_measure, pair.f_offset, pair.g_offset)
     )
-    atoms, weights = disc.atoms_in_ball(Ball(ball.center, r_tr + 1.0))
     c, r, b = float(ball.center[0]), ball.radius, pair.kernel.band
-    dist = np.abs(atoms[:, 0] - c)
-    a = atoms[:, 0] + atom_off[0] - leb_off[0]
-    F = lambda t: sinc2_oracle(b, t)
-    inner, outer = dist <= r, (dist > r) & (dist <= r_tr)
-    # inner atoms: sinc^2 over the window outside B; outer atoms: over B
-    inner_terms = F(c - r - a) - F(c - r_tr - a) + F(c + r_tr - a) - F(c + r - a)
-    outer_terms = F(c + r - a) - F(c - r - a)
-    t_inner = math.fsum((weights * inner_terms)[inner])
-    t_outer = math.fsum((weights * outer_terms)[outer])
+    x, w = disc.points[:, 0], disc.weights
+    a = x + atom_off[0] - leb_off[0]
+    inner = np.abs(x - c) <= r
+    t_inner = math.fsum(w[inner] * sinc2_outside(b, a[inner], c, r))
+    t_outer = math.fsum(w[~inner] * sinc2_inside(b, a[~inner], c, r))
     # t1 takes the f side outside B: the atoms' outer terms when f is discrete
     return (t_outer, t_inner) if f_disc else (t_inner, t_outer)
 
@@ -948,16 +985,95 @@ class TestSincSquaredClosedForm:
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3])
     @pytest.mark.parametrize("lattice_side", ["f", "g"])
     def test_lattice_rows_against_sici_oracle(self, alpha, band, lattice_side):
+        # the lattice inside B against the Lebesgue complement at 1e-12; outside B against Lebesgue B, where
+        # band alpha <= pi makes the Poisson sum the constant pi / (band alpha), at 1e-12, and beyond that
+        # against the direct sum at its 1e-11 floor
         lattice = CountingMeasure(Lattice(alpha, 1))
         sides = (LebesgueMeasure(1), lattice) if lattice_side == "g" else (lattice, LebesgueMeasure(1))
         pair = FramePairSpec(PaleyWienerKernel(band), *sides)
-        cfg = QuadConfig()
         for r in (4.0, 8.0, 16.0):
-            ball = Ball([0.0], r)
-            row = localization_defect(pair, ball, cfg)
-            t1, t2 = paley_wiener_row_oracle(pair, ball, cfg.effective_truncation(r))
-            assert row["t1"] == pytest.approx(t1, rel=1e-12, abs=0)
-            assert row["t2"] == pytest.approx(t2, rel=1e-12, abs=0)
+            row = localization_defect(pair, Ball([0.0], r))
+            inner = lattice_inner_oracle(band, alpha, 0.0, 0.0, r)
+            if band * alpha <= math.pi:
+                k = np.arange(-math.ceil(r / alpha), math.ceil(r / alpha) + 1)
+                k = k[np.abs(alpha * k) <= r]
+                outer, rtol = 2.0 * r * math.pi / (band * alpha) - math.fsum(sinc2_inside(band, alpha * k, 0.0, r)), 1e-12
+            else:
+                outer, rtol = lattice_outer_oracle(band, alpha, 0.0, 0.0, r), 1e-11
+            t1, t2 = (outer, inner) if lattice_side == "f" else (inner, outer)
+            assert row["t1"] == pytest.approx(t1, rel=1e-12 if lattice_side == "g" else rtol, abs=0)
+            assert row["t2"] == pytest.approx(t2, rel=rtol if lattice_side == "g" else 1e-12, abs=0)
+
+    @pytest.mark.parametrize("band, alpha", [(math.pi, 1.3), (math.pi, 2.2), (2.0, 2.2)], ids=["pi-1.3", "pi-2.2", "2-2.2"])
+    def test_poisson_sum_against_direct_sum(self, band, alpha):
+        # band alpha > pi: the Poisson sum has modes |m| < band alpha / pi, the oracle shares no code with it
+        pair = FramePairSpec(PaleyWienerKernel(band), LebesgueMeasure(1), CountingMeasure(Lattice(alpha, 1)), f_offset=[-0.2])
+        # no atom lies on a sphere, where the oracle's plain distances and the lattice rule could part
+        for r in (4.0, 8.0, 16.0, 7.3):
+            ball = Ball([0.45], r)
+            t1, t2 = double_tail(pair, ball)
+            assert t2 == pytest.approx(lattice_outer_oracle(band, alpha, 0.2, 0.45, r), rel=1e-11, abs=0)
+            assert t1 == pytest.approx(lattice_inner_oracle(band, alpha, 0.2, 0.45, r), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r", [4.0, 8.0, 16.0, 2.5, 7.3])
+    def test_integer_lattice_defect_is_the_count_excess(self, r):
+        # at alpha = 1 and band pi the Poisson sum is 1: t1 - t2 = #(B ∩ Z) - 2r
+        pair = FramePairSpec(PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1)))
+        t1, t2 = double_tail(pair, Ball([0.0], r))
+        assert abs((t1 - t2) - (2 * math.floor(r) + 1 - 2.0 * r)) <= 1e-12
+
+    @pytest.mark.parametrize("lattice_side", ["f", "g"])
+    def test_thinned_lattice_against_direct_sum(self, lattice_side):
+        # drop-even-even on the line keeps the odd multiples of alpha: alpha Z less 2 alpha Z
+        thinned = CountingMeasure(ThinnedLattice(0.8, 1))
+        sides = (LebesgueMeasure(1), thinned) if lattice_side == "g" else (thinned, LebesgueMeasure(1))
+        pair = FramePairSpec(PaleyWienerKernel(), *sides)
+        for r in (4.3, 8.5):
+            t1, t2 = double_tail(pair, Ball([0.0], r))
+            k = np.arange(-math.ceil(r / 0.8), math.ceil(r / 0.8) + 1)
+            k = k[(np.abs(0.8 * k) <= r) & (k % 2 != 0)]
+            inner = math.fsum(sinc2_outside(math.pi, 0.8 * k, 0.0, r))
+            outer = lattice_outer_oracle(math.pi, 0.8, 0.0, 0.0, r, odd=True)
+            want = (outer, inner) if lattice_side == "f" else (inner, outer)
+            assert t1 == pytest.approx(want[0], rel=1e-11, abs=0)
+            assert t2 == pytest.approx(want[1], rel=1e-11, abs=0)
+
+    def test_lattice_by_lattice_with_offset_against_direct_sum(self):
+        # every outer atom, each side its own Poisson sum, against sinc^2 summed atom by atom
+        f, g = Lattice(1.0, 1), Lattice(0.9, 1)
+        pair = FramePairSpec(PaleyWienerKernel(2.0), CountingMeasure(f), CountingMeasure(g), g_offset=[0.3])
+        for r in (4.0, 8.0):
+            t1, t2 = double_tail(pair, Ball([0.0], r))
+            assert t1 == pytest.approx(lattice_pair_oracle(2.0, 1.0, 0.9, 0.3, 0.0, r), rel=1e-11, abs=0)
+            assert t2 == pytest.approx(lattice_pair_oracle(2.0, 0.9, 1.0, -0.3, 0.0, r), rel=1e-11, abs=0)
+
+    def test_no_lattice_walk_is_unbounded(self, monkeypatch):
+        # a lattice side with no cutoff is walked over B alone: no ball of infinite radius, no warning
+        walk = Lattice.points_in_ball
+        radii = []
+        monkeypatch.setattr(Lattice, "points_in_ball", lambda self, b: radii.append(b.radius) or walk(self, b))
+        lattice, thinned = CountingMeasure(Lattice(1.0, 1)), CountingMeasure(ThinnedLattice(0.7, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, g in ((LebesgueMeasure(1), lattice), (lattice, thinned), (thinned, LebesgueMeasure(1))):
+                localization_defect(FramePairSpec(PaleyWienerKernel(), f, g, g_offset=[7.0]), Ball([0.0], 4.0))
+        assert radii and all(x == 4.0 for x in radii)
+
+    def test_finite_outer_side_in_blocks(self, monkeypatch):
+        # an atomic side reaches every atom; its product with a lattice side is taken in blocks of at most
+        # _BLOCK pairs, within rounding of one block
+        rng = np.random.default_rng(11)
+        atomic = AtomicMeasure(rng.uniform(-400.0, 400.0, size=(3000, 1)), rng.uniform(0.2, 3.0, 3000))
+        pair = FramePairSpec(PaleyWienerKernel(2.0), atomic, CountingMeasure(Lattice(0.9, 1)), f_offset=[0.37])
+        whole = double_tail(pair, Ball([0.5], 6.0))
+        blocks = []
+        phi = PROFILES[PaleyWienerKernel].phi
+        counted = PROFILES[PaleyWienerKernel]._replace(phi=lambda k, X, Y: blocks.append(len(X) * len(Y)) or phi(k, X, Y))
+        monkeypatch.setitem(localization._PROFILES, PaleyWienerKernel, counted)
+        monkeypatch.setattr(localization, "_BLOCK", 50)
+        blocked = double_tail(pair, Ball([0.5], 6.0))
+        assert len(blocks) > 1 and max(blocks) <= 50
+        assert blocked == pytest.approx(whole, rel=1e-13)
 
     @pytest.mark.parametrize("atomic_side", ["f", "g"])
     def test_atomic_side_with_offset_against_sici_oracle(self, atomic_side):
@@ -966,19 +1082,16 @@ class TestSincSquaredClosedForm:
         offsets = {"f_offset": [0.37]} if atomic_side == "f" else {"g_offset": [-0.61]}
         sides = (LebesgueMeasure(1), atomic) if atomic_side == "g" else (atomic, LebesgueMeasure(1))
         pair = FramePairSpec(PaleyWienerKernel(2.0), *sides, **offsets)
-        cfg = QuadConfig(truncation_margin=4.5)
         ball = Ball([0.8], 5.0)
-        row = localization_defect(pair, ball, cfg)
-        t1, t2 = paley_wiener_row_oracle(pair, ball, cfg.effective_truncation(5.0))
+        row = localization_defect(pair, ball)
+        t1, t2 = paley_wiener_atoms_oracle(pair, ball)
         assert row["t1"] == pytest.approx(t1, rel=1e-12, abs=0)
         assert row["t2"] == pytest.approx(t2, rel=1e-12, abs=0)
 
 
-ATOMS = jittered_points(4, 0.9, 12.0)
-
-
 class TestOneWalk:
-    """A row walks each discrete side once over B(c, R_tr) and takes every atom set and mass from it."""
+    """A row walks each discrete side once over the walk ball B(c, r + c_cut + |Delta|) and takes every atom set
+    and mass from it; with no cutoff a lattice side is walked over B alone."""
 
     @pytest.mark.parametrize(
         "measure, ball",
@@ -988,32 +1101,34 @@ class TestOneWalk:
             (CountingMeasure(ThinnedLattice(0.8, 2)), Ball([0.0, 0.0], 4.0)),
             (CountingMeasure(ThinnedLattice(0.8, 2)), Ball([0.4, 0.4], 2.5)),
             (CountingMeasure(PointSet(jittered_points(2, 0.8, 12.0))), Ball([0.2, 0.1], 4.0)),
-            (AtomicMeasure(ATOMS, np.linspace(0.3, 2.0, len(ATOMS))), Ball([-0.3, 0.5], 4.0)),
+            (AtomicMeasure(ATOMS_2D, np.linspace(0.3, 2.0, len(ATOMS_2D))), Ball([-0.3, 0.5], 4.0)),
             (CountingMeasure(Lattice(1.0, 1)), Ball([0.0], 4.0)),
         ],
         ids=["lattice-sphere", "lattice", "thinned-sphere", "thinned", "points", "atomic", "line"],
     )
-    @pytest.mark.parametrize("margin", [6.0, 1.5])
-    def test_walked_sides_equal_their_own_walks(self, measure, ball, margin):
+    def test_walked_sides_equal_their_own_walks(self, measure, ball):
         d = measure.dim
         kernel = FockKernel() if d == 2 else PaleyWienerKernel()
         pair = FramePairSpec(kernel, LebesgueMeasure(d), measure, g_offset=np.full(d, 0.25))
-        cfg = QuadConfig(truncation_margin=margin)
-        f, g = localization._walk(pair, ball, cfg)
-        r_tr = cfg.effective_truncation(ball.radius)
-        window = Ball(ball.center, r_tr)
+        f, g = localization._walk(pair, ball)
+        delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
+        walk = Ball(ball.center, ball.radius + (localization._PROFILES[type(kernel)].cutoff + delta))
         # masses: the same bits as ball_mass
-        assert (g.mass, g.window_mass) == (measure.ball_mass(ball), measure.ball_mass(window))
-        assert (f.mass, f.window_mass) == (LebesgueMeasure(d).ball_mass(ball), LebesgueMeasure(d).ball_mass(window))
+        assert (g.mass, f.mass) == (measure.ball_mass(ball), LebesgueMeasure(d).ball_mass(ball))
+        assert f.walk_mass == LebesgueMeasure(d).ball_mass(walk)
         # atom sets: the same rows, in the same order, as walking each ball alone
         inner, w_inner = measure.atoms_in_ball(ball)
         assert np.array_equal(g.inside[0], inner) and np.array_equal(g.inside[1], w_inner)
-        reach = localization._PROFILES[type(kernel)].cutoff + 0.25 * math.sqrt(d)
-        near, w_near = measure.atoms_in_ball(Ball(ball.center, min(r_tr, ball.radius + reach)))
+        if math.isfinite(walk.radius):
+            near, w_near = measure.atoms_in_ball(walk)
+            assert g.walk_mass == measure.ball_mass(walk) and g.lattice is None
+        else:
+            near, w_near = inner, w_inner
+            assert g.walk_mass == math.inf and g.lattice is measure.support
         outside = ~measure.contains(ball, near)
         assert np.array_equal(g.outside[0], near[outside]) and np.array_equal(g.outside[1], w_near[outside])
         assert f.inside is None and f.outside is None
-        row = localization_defect(pair, ball, cfg)
+        row = localization_defect(pair, ball)
         assert row["normalizer"] == LebesgueMeasure(d).ball_mass(ball) + measure.ball_mass(ball)
 
     def test_fock_lattice_row_walks_each_discrete_side_once(self, monkeypatch):
@@ -1025,5 +1140,5 @@ class TestOneWalk:
         lattice = CountingMeasure(Lattice(0.8, 2))
         for f, walks in ((LebesgueMeasure(2), 1), (CountingMeasure(Lattice(0.7, 2)), 2)):
             calls.clear()
-            localization_defect(FramePairSpec(FockKernel(), f, lattice), Ball([0.0, 0.0], 4.0), QuadConfig())
+            localization_defect(FramePairSpec(FockKernel(), f, lattice), Ball([0.0, 0.0], 4.0))
             assert calls == ["walk"] * walks

@@ -11,7 +11,6 @@ from framelab.density import DensityEstimate, lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab import localization, quadrature, verify
-from framelab.quadrature import QuadConfig
 from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice, load_point_set_csv
 from framelab.verify import (
     CONFIG_SCHEMA,
@@ -188,7 +187,7 @@ class TestGramStudy:
 class TestTheoremTable:
     def test_identical_pair_rows_pass(self):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2))
-        rows, _ = theorem_main_table(pair, [2.0, 4.0], cfg=QuadConfig(h=0.1))
+        rows, _ = theorem_main_table(pair, [2.0, 4.0])
         for row in rows:
             assert row["A"] == 1.0
             assert row["B"] == pytest.approx(1.0)
@@ -199,7 +198,7 @@ class TestTheoremTable:
         pair = FramePairSpec(
             FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(2.0, 2))
         )
-        rows, _ = theorem_main_table(pair, [8.0], cfg=QuadConfig(h=0.1))
+        rows, _ = theorem_main_table(pair, [8.0])
         assert rows[0]["B"] == pytest.approx(0.25, abs=0.05)
         assert rows[0]["verdict"] == "hypotheses-unmet"
 
@@ -207,7 +206,7 @@ class TestTheoremTable:
         pair = FramePairSpec(
             FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2))
         )
-        rows, _ = theorem_main_table(pair, [8.0], cfg=QuadConfig(h=0.1))
+        rows, _ = theorem_main_table(pair, [8.0])
         assert rows[0]["B"] > 1.5
         assert rows[0]["verdict"] == "pass"
 
@@ -234,8 +233,8 @@ class TestTheoremTable:
                     return _method(self, *args)
 
                 monkeypatch.setattr(cls, name, spy)
-        monkeypatch.setattr(verify, "localization_defect", lambda pair, b, cfg: {"center": [0.0, 0.0], "eps_eff": 0.0})
-        rows, _ = theorem_main_table(pair, radii, QuadConfig())
+        monkeypatch.setattr(verify, "localization_defect", lambda pair, b: {"center": [0.0, 0.0], "eps_eff": 0.0})
+        rows, _ = theorem_main_table(pair, radii)
         from_table = sorted(call[1:] for call in calls if call[0] == "theorem_main_table")
         assert from_table == [("ball_masses", "CountingMeasure"), ("ball_masses", "LebesgueMeasure")]
         assert [row["B"] for row in rows] == want
@@ -246,13 +245,12 @@ class TestTheoremTable:
         # plus its family-swapped twin
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)))
         swapped = FramePairSpec(FockKernel(), CountingMeasure(Lattice(1.0, 2)), LebesgueMeasure(2))
-        cfg = QuadConfig(h=0.08)
         from framelab.localization import localization_defect
         from framelab.space import Ball
 
         for r in (4.0, 8.0):
-            fwd = localization_defect(pair, Ball([0, 0], r), cfg)
-            rev = localization_defect(swapped, Ball([0, 0], r), cfg)
+            fwd = localization_defect(pair, Ball([0, 0], r))
+            rev = localization_defect(swapped, Ball([0, 0], r))
             mu_b = math.pi * r * r
             nu_b = fwd["normalizer"] - mu_b
             assert abs(mu_b - nu_b) <= fwd["defect"] + rev["defect"] + 1e-6
@@ -424,7 +422,7 @@ class TestScenarios:
         assert names["density-theorem"] == "critical-no-claim"
 
     def test_unconverged_density_is_hypotheses_unmet(self):
-        # one density radius leaves the trend undefined (inf): no density-theorem claim
+        # one density radius leaves no trend (None): no density-theorem claim
         cfg = {
             "scenario": "fock",
             "lattice": {"scale": 0.5, "dim": 2},
@@ -436,7 +434,8 @@ class TestScenarios:
         assert rep["density"]["converged"] is False
         verdict = next(v for v in rep["verdicts"] if v["name"] == "density-theorem")
         assert verdict["verdict"] == "hypotheses-unmet"
-        assert "trend inf" in verdict["detail"]
+        assert rep["density"]["trend"] is None
+        assert "trend None" in verdict["detail"]
         assert rep["overall"] == "fail"
 
     def test_gabor_scenario_thinned(self):
@@ -493,9 +492,9 @@ class TestScenarios:
             "density_rmax": 4.0,
         }
         (row,) = run(cfg)["localization"]
-        ball, quad = Ball([0.0, 0.0], 4.0), QuadConfig(truncation_margin=6.0)
+        ball = Ball([0.0, 0.0], 4.0)
         pairs = [FramePairSpec(FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(a, 2))) for a in (0.8, 1.6)]
-        plain, even = (localization.double_tail(pair, ball, quad) for pair in pairs)
+        plain, even = (localization.double_tail(pair, ball) for pair in pairs)
         assert row["t1"] == pytest.approx(plain[0] - even[0], rel=1e-12)
         assert row["t2"] == pytest.approx(plain[1] - even[1], rel=1e-12)
         assert row["normalizer"] == LebesgueMeasure(2).ball_mass(ball) + 60
@@ -534,8 +533,10 @@ class TestScenarios:
         assert distances and sum(rows) <= sum(distances)
 
     def test_every_quad_and_tolerances_field_is_read_by_some_scenario(self):
-        # a field no scenario lists in DEFAULTS would be a setting that changes nothing
-        for key in ("quad", "tolerances"):
+        # a field no scenario lists in DEFAULTS would be a setting that changes nothing; every term is
+        # taken over all of B^c, so no scenario has a window to set and quad is no key at all
+        assert "quad" not in CONFIG_SCHEMA["properties"]
+        for key in ("tolerances",):
             listed = set().union(*(defaults.get(key, {}) for defaults in DEFAULTS.values()))
             assert set(CONFIG_SCHEMA["properties"][key]["properties"]) == listed
 
@@ -604,3 +605,35 @@ class TestReports:
         rows_ok = all(r["A"] <= r["bound"] + 1e-9 for r in rep["theorem_table"])
         table_verdict = next(v for v in rep["verdicts"] if v["name"] == "theorem-table")
         assert (table_verdict["verdict"] == "pass") == rows_ok
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [{"scenario": "paley-wiener"}, {"scenario": "dual-embedding"}, {"scenario": "dual-embedding", "offset": [40.0, 0.0]}],
+    ids=["paley-wiener", "dual-embedding", "dual-embedding-40"],
+)
+def test_rows_that_prune_nothing_have_zero_trunc_bound(cfg):
+    # every term of these rows is taken over all of B^c with no pair skipped; at offset [40, 0] the
+    # window bound once read the whole normalizer (25.13 and 100.53) although the rows are exact
+    rows = run(cfg)["localization"]
+    assert [row["trunc_bound"] for row in rows] == [0.0] * len(rows)
+
+
+def test_paley_wiener_default_rows_against_sici():
+    # band pi on Z: the Poisson sum of sinc^2 is 1, so t2 = 2r - sum_{k in B} M_in(k), t1 = sum_{k in B} (1 - M_in(k))
+    # and the defect is #(B ∩ Z) - 2r = 1, each M_in a difference of F(t) = (Si(2 pi t) - sin^2(pi t) / (pi t)) / pi
+    from scipy.special import sici
+
+    def F(t):
+        x = math.pi * t
+        return (sici(2.0 * x)[0] - np.sin(x) ** 2 / np.where(x == 0.0, 1.0, x)) / math.pi
+
+    rows = run({"scenario": "paley-wiener"})["localization"]
+    for row, r in zip(rows, (4.0, 8.0, 16.0)):
+        k = np.arange(-r, r + 1)
+        inside = F(r - k) - F(-r - k)
+        assert row["t1"] == pytest.approx(math.fsum(1.0 - inside), rel=1e-12, abs=0)
+        assert row["t2"] == pytest.approx(2.0 * r - math.fsum(inside), rel=1e-12, abs=0)
+        assert row["defect"] == pytest.approx(1.0, abs=1e-12)
+        assert row["trunc_bound"] == 0.0
+    assert [row["t2"] for row in rows] == pytest.approx([0.2702801467902676, 0.337417193258009, 0.406082282886711], rel=1e-12)
