@@ -453,41 +453,51 @@ def test_profile_record_supports_trunc_bound(kernel_class):
             assert profile.tail is None
 
 
-def gaussian_walk_bound(f, g, ball, delta):
-    """2 1e-14 f(B_w) g(B_w) + (mu(B) + nu(B)) e^{-pi min(gap, c)^2}, B_w = B(c, r_w), r_w = r + c + |Delta|,
-    gap = r_w - r - |Delta|: the window bound of a Gaussian row whose window is the walk ball."""
+def gaussian_window_bound(f, g, ball, delta, margin):
+    """2 1e-14 f(B_w) g(B_w) + (mu(B) + nu(B)) e^{-pi min(gap, c)^2}, B_w = B(c, r + margin), gap = margin - |Delta|
+    clamped at 0: the bound of a Gaussian row cut at the window B_w."""
     c = math.sqrt(-math.log(1e-14) / math.pi)
-    r_w = ball.radius + (c + delta)
-    walk = Ball(ball.center, r_w)
+    r_w = ball.radius + margin
+    window = Ball(ball.center, r_w)
     gap = max(0.0, r_w - ball.radius - delta)
     tail = math.exp(-math.pi * min(gap, c) ** 2)
-    return 2 * 1e-14 * f.ball_mass(walk) * g.ball_mass(walk) + (f.ball_mass(ball) + g.ball_mass(ball)) * tail
+    return 2 * 1e-14 * f.ball_mass(window) * g.ball_mass(window) + (f.ball_mass(ball) + g.ball_mass(ball)) * tail
+
+
+def gaussian_walk_bound(f, g, ball, delta):
+    """The window bound of a Gaussian row whose window is the walk ball, of margin c + |Delta|."""
+    c = math.sqrt(-math.log(1e-14) / math.pi)
+    return gaussian_window_bound(f, g, ball, delta, c + delta)
 
 
 class TestTruncationBound:
     """trunc_bound is 0.0 where nothing is pruned (Paley-Wiener, two Lebesgue sides); on a Gaussian row that
     prunes it is the window bound 2 1e-14 f(B_w) g(B_w) + (mu(B) + nu(B)) tail(min(gap, c)) over the walk
-    ball B_w, bit for bit.
+    ball B_w, bit for bit.  Where a case names a margin m, that bound is also smaller than the bound of a row
+    cut at the window B(c, r + m): at m = 6 the window is wider than the walk ball, at m = 1.5 its gap is under
+    the cutoff.
     """
 
     @pytest.mark.parametrize(
-        "kernel, f, g, offset",
+        "kernel, f, g, offset, margin",
         [
-            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0]),
-            (GaborGaussianKernel(1), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2)), [0.6, -0.8]),
-            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [1.5, 0.0]),
-            (FockKernel(), CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.7, 2)), [0.0, 0.0]),
-            (FockKernel(), CountingMeasure(ThinnedLattice(0.8, 2)), LebesgueMeasure(2), [1.5, 0.0]),
-            (FockKernel(), AtomicMeasure(ATOMS_2D, np.linspace(0.5, 2.0, len(ATOMS_2D))), CountingMeasure(Lattice(0.9, 2)), [0.3, 0.2]),
-            (PaleyWienerKernel(2.0), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [0.0]),
-            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [1.5]),
-            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1)), [7.0]),
-            (PaleyWienerKernel(), CountingMeasure(Lattice(1.0, 1)), CountingMeasure(Lattice(0.9, 1)), [0.3]),
-            (FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2), [40.0, 0.0]),
-            (GaborGaussianKernel(1), LebesgueMeasure(2), LebesgueMeasure(2), [0.35, 0.2]),
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0], 6.0),
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [0.0, 0.0], 1.5),
+            (GaborGaussianKernel(1), LebesgueMeasure(2), CountingMeasure(Lattice(0.8, 2)), [0.6, -0.8], None),
+            (FockKernel(), LebesgueMeasure(2), CountingMeasure(Lattice(1.0, 2)), [1.5, 0.0], None),
+            (FockKernel(), CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.7, 2)), [0.0, 0.0], None),
+            (FockKernel(), CountingMeasure(ThinnedLattice(0.8, 2)), LebesgueMeasure(2), [1.5, 0.0], None),
+            (FockKernel(), AtomicMeasure(ATOMS_2D, np.linspace(0.5, 2.0, len(ATOMS_2D))), CountingMeasure(Lattice(0.9, 2)), [0.3, 0.2], None),
+            (PaleyWienerKernel(2.0), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [0.0], None),
+            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(0.9, 1)), [1.5], None),
+            (PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1)), [7.0], None),
+            (PaleyWienerKernel(), CountingMeasure(Lattice(1.0, 1)), CountingMeasure(Lattice(0.9, 1)), [0.3], None),
+            (FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2), [40.0, 0.0], None),
+            (GaborGaussianKernel(1), LebesgueMeasure(2), LebesgueMeasure(2), [0.35, 0.2], None),
         ],
         ids=[
-            "fock-lattice",
+            "fock-lattice-margin-6",
+            "fock-lattice-margin-1.5",
             "gabor-offset",
             "fock-offset-1.5",
             "fock-lattice-by-lattice",
@@ -501,15 +511,18 @@ class TestTruncationBound:
             "gabor-lebesgue",
         ],
     )
-    def test_against_its_formula(self, kernel, f, g, offset):
+    def test_against_its_formula(self, kernel, f, g, offset, margin):
         # at the parent's window of margin 6 the pw offset-7 rows read inf (gap 0), and the Lebesgue rows at
         # offset 40 the whole normalizer
         pruned = isinstance(kernel, (FockKernel, GaborGaussianKernel)) and (f.is_discrete or g.is_discrete)
-        for r in (2.0, 4.0, 16.0):
+        delta = float(np.linalg.norm(offset))
+        for r in (2.0, 3.0, 4.0, 16.0):
             ball = Ball(np.zeros(kernel.dim), r)
             res = localization_defect(FramePairSpec(kernel, f, g, f_offset=offset), ball)
-            want = gaussian_walk_bound(f, g, ball, float(np.linalg.norm(offset))) if pruned else 0.0
+            want = gaussian_walk_bound(f, g, ball, delta) if pruned else 0.0
             assert res["trunc_bound"] == want
+            if margin is not None:
+                assert res["trunc_bound"] < gaussian_window_bound(f, g, ball, delta, margin)
 
 
 class TestDiskMass:
@@ -1106,10 +1119,11 @@ class TestOneWalk:
         ],
         ids=["lattice-sphere", "lattice", "thinned-sphere", "thinned", "points", "atomic", "line"],
     )
-    def test_walked_sides_equal_their_own_walks(self, measure, ball):
+    @pytest.mark.parametrize("offset", [6.0, 1.5])  # each coordinate of g_offset: it widens the walk ball
+    def test_walked_sides_equal_their_own_walks(self, measure, ball, offset):
         d = measure.dim
         kernel = FockKernel() if d == 2 else PaleyWienerKernel()
-        pair = FramePairSpec(kernel, LebesgueMeasure(d), measure, g_offset=np.full(d, 0.25))
+        pair = FramePairSpec(kernel, LebesgueMeasure(d), measure, g_offset=np.full(d, offset))
         f, g = localization._walk(pair, ball)
         delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
         walk = Ball(ball.center, ball.radius + (localization._PROFILES[type(kernel)].cutoff + delta))
