@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario config and write its report")
     p_run.add_argument("--config", required=True, help="scenario JSON (inline, @file, or path)")
     p_run.add_argument("--out-dir", type=_out_dir, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=None, help="sets the config's seed (finite-oracle only)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_den = sub.add_parser("density", help="generalized Beurling density of mu against nu")

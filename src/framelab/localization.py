@@ -143,29 +143,26 @@ def _disk_mass(s, r, inside: bool) -> np.ndarray:
     each by the 64-node rule on the part within _DISK_SPAN of s, in
     d = rho - s.  Good to ~6e-16 absolute against 30-digit quadrature and
     the closed form at s = 0 (-expm1(-pi r^2) inside, e^{-pi r^2} outside).
-    r is one radius, giving one mass per entry of s, or several, giving a
-    row of masses per entry of s, one per radius.
+    r is one radius, giving one mass per entry of s.
     When s holds several distances the rule runs once per distinct one (a
     lattice's atoms take few), unmasked; one distance runs as it is.  Each
-    (distance, radius) row's 64 terms are summed on their own, never by a
-    matrix product whose rounding depends on the row's place in the batch:
-    an entry's mass is the same bits whatever else the call holds.
+    distance's 64 terms are summed on their own, never by a matrix product
+    whose rounding depends on the distance's place in the batch: an entry's
+    mass is the same bits whatever else the call holds.
     """
 
     def rule(v):
-        v = v.reshape((-1,) + (1,) * r.ndim)
         lo = np.maximum(-_DISK_SPAN, -v if inside else r - v)
         width = np.maximum(lo, np.minimum(_DISK_SPAN, r - v) if inside else _DISK_SPAN) - lo
-        d = lo[..., None] + width[..., None] * _GL_U
-        return width * (_radial_density(v[..., None], d) * _GL_W).sum(axis=-1)
+        d = lo[:, None] + width[:, None] * _GL_U
+        return width * (_radial_density(v[:, None], d) * _GL_W).sum(axis=-1)
 
     s = np.asarray(s, dtype=float)
     shape, back = s.shape, None
     if s.size > 1:
         s, back = np.unique(s, return_inverse=True)
-    r = np.asarray(r, dtype=float)
     mass = rule(s.reshape(-1))
-    return mass.reshape(shape + r.shape) if back is None else mass[back]
+    return mass.reshape(shape) if back is None else mass[back]
 
 
 def _lens_overlap(s: float, r: float) -> float:

@@ -60,11 +60,11 @@ __all__ = [
 ]
 
 SCHEMA_ID = "framelab/1"
-PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim", "info")
+PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim")
 
-# Every optional key each scenario reads, with its default; scenario, seed and
-# out_dir are legal everywhere.  tolerances are merged one level deep, so a
-# scenario reads exactly the fields listed here.
+# Every optional key each scenario reads, with its default (seed is one, read by
+# finite-oracle alone); scenario and out_dir are legal everywhere.  tolerances
+# are merged one level deep, so a scenario reads exactly the fields listed here.
 _MODEL_SPACE = {
     "lattice": {"scale": 1.0, "dim": 2},
     "points_csv": None,
@@ -74,7 +74,7 @@ _MODEL_SPACE = {
     "tolerances": {"density": 0.05, "critical_band": 0.05},
 }
 DEFAULTS = {
-    "finite-oracle": {"trials": 100},
+    "finite-oracle": {"seed": 7, "trials": 100},
     "paley-wiener": {
         "lattice": {"scale": 1.0, "dim": 1},
         "radii": [4.0, 8.0, 16.0],
@@ -149,7 +149,7 @@ def _unread(defaults: dict) -> dict:
     """Schema properties rejecting each optional key, and each tolerances field, missing from defaults."""
     props = {}
     for key, spec in CONFIG_SCHEMA["properties"].items():
-        if key not in defaults and key not in ("scenario", "seed", "out_dir"):
+        if key not in defaults and key not in ("scenario", "out_dir"):
             props[key] = {"not": {}}
         elif key == "tolerances":
             props[key] = {"properties": {f: {"not": {}} for f in spec["properties"] if f not in defaults[key]}}
@@ -537,6 +537,7 @@ def _finite_oracle_scenario(cfg: dict) -> dict:
     verdict = "pass" if all(value < gate for _, value, gate in gates) else "hypotheses-unmet"
     detail = "; ".join(f"{n} {v!r} {'<' if v < g else '>= (failed)'} {g!r}" for n, v, g in gates)
     return {
+        "seed": cfg["seed"],
         "identity": {
             "trials": trials,
             "max_residual": worst,
@@ -649,7 +650,7 @@ _SCENARIOS = {
 def resolve_config(cfg: dict) -> dict:
     """The config a scenario runs with: its DEFAULTS filled in, tolerances merged one level deep."""
     defaults = DEFAULTS[cfg["scenario"]]
-    resolved = {"seed": 7, **defaults, **cfg}
+    resolved = {**defaults, **cfg}
     if "tolerances" in defaults:
         resolved["tolerances"] = {**defaults["tolerances"], **resolved["tolerances"]}
     return resolved
@@ -667,7 +668,6 @@ def run(cfg: dict) -> dict:
     report = {
         "schema": SCHEMA_ID,
         "scenario": name,
-        "seed": resolved["seed"],
         "inputs": {k: v for k, v in sorted(cfg.items()) if k != "out_dir"},
     }
     report.update(body)

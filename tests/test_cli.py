@@ -511,6 +511,16 @@ class TestCommands:
             assert "config invalid at $.out_dir:" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("given", ["option", "config"])
+    @pytest.mark.parametrize("scenario", ["fock", "gabor", "paley-wiener", "dual-embedding"])
+    def test_seed_outside_finite_oracle_exit_2_before_any_work(self, scenario, given, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, **({"seed": 3} if given == "config" else {})}))
+        seed = ["--seed", "3"] if given == "option" else []
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *seed]) == 2
+        assert "config invalid at $.seed:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "finite-oracle", "seed": 5, "trials": 10}))

@@ -1,0 +1,26 @@
+"""The package itself exports nothing: each module is imported by name.
+
+``import framelab`` loads no framelab module, so an entry point pays only for
+the modules it uses, and no package attribute hides a module of the same name.
+"""
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_framelab_loads_no_module():
+    code = "import sys, framelab; print(sorted(m for m in sys.modules if m.startswith('framelab')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['framelab']"
+
+
+def test_density_is_the_module():
+    import framelab.density
+
+    assert isinstance(framelab.density, types.ModuleType)
+    assert callable(framelab.density.density)

@@ -4,7 +4,7 @@ A name counts as reached when one of these refers to it, as a bare name, as an
 attribute or as a ``framelab.<module>:<name>`` binding string:
 
 - the framelab modules themselves (the scenario runner and the CLI live there;
-  the package ``__init__`` only re-exports and does not count);
+  the package ``__init__`` exports nothing);
 - the benchmark harness, ``perfbench/*.py``;
 - the acceptance criteria, ``tests/test_acceptance.py``.
 

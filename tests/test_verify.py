@@ -309,6 +309,13 @@ class TestScenarios:
         with pytest.raises(ConfigError, match=re.escape(f"config invalid at {path}: not a finite number")):
             run(cfg)
 
+    @pytest.mark.parametrize("scenario", ["fock", "gabor", "paley-wiener", "dual-embedding"])
+    def test_seed_is_read_by_finite_oracle_only(self, scenario):
+        # no other scenario draws a random number, so a seed there would change nothing
+        assert "seed" in DEFAULTS["finite-oracle"] and "seed" not in DEFAULTS[scenario]
+        with pytest.raises(ConfigError, match=re.escape("config invalid at $.seed:")):
+            run({"scenario": scenario, "seed": 3})
+
     @pytest.mark.parametrize("scenario", ["fock", "gabor", "paley-wiener"])
     def test_repeated_gram_radius_names_path(self, scenario):
         with pytest.raises(ConfigError, match=re.escape("config invalid at $.gram_radii: [4.5, 4.5] has non-unique")):
@@ -529,7 +536,7 @@ class TestScenarios:
 
         monkeypatch.setattr(localization, "_disk_mass", record_distances)
         monkeypatch.setattr(localization, "_radial_density", record_rows)
-        run({"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}, "seed": 0})
+        run({"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}})
         assert distances and sum(rows) <= sum(distances)
 
     def test_every_quad_and_tolerances_field_is_read_by_some_scenario(self):
