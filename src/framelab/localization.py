@@ -43,8 +43,8 @@ outer side is its Poisson sum less its own atoms in B, and a finite one
 reaches every atom.  A row walks each discrete side once (``_walk``).
 
 ``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
-row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports,
-CSVs and the CLI take as it is.
+row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports
+and ``framelab localize``'s CSV take as it is.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -342,8 +342,11 @@ class FramePairSpec:
 def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) -> float:
     """max over probes x of the Lebesgue mass of |<k_x, k_.>|^2 on B(x, R_tr) \\ B(x, R).
 
-    index_measure must be Lebesgue measure in the kernel's dimension, and
-    every probe must have that many coordinates.  The profile is radial, so
+    index_measure must be Lebesgue measure in the kernel's dimension.
+    probe_centers is one point (a flat sequence of d numbers, as
+    np.atleast_2d reads it) or a nonempty sequence of points, each of d
+    finite coordinates; anything else raises ValueError.  The check builds
+    no array: the value never reads the probes.  The profile is radial, so
     every probe has the record's centred tail M(0, R, R_tr, outside), a
     closed form and no ``_disk_mass`` call: for Fock and Gabor (n = 1)
     e^{-pi R^2} - e^{-pi R_tr^2}, from the outside masses at R and R_tr (the
@@ -356,11 +359,17 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
     d = kernel.dim
     if not (isinstance(index_measure, LebesgueMeasure) and index_measure.dim == d):
         raise ValueError(f"tail_sup integrates against Lebesgue measure in dimension {d} only")
-    probes = np.atleast_2d(np.asarray(probe_centers, dtype=float))
-    if probes.size == 0:
-        raise ValueError("tail_sup needs at least one probe centre")
-    if probes.ndim != 2 or probes.shape[1] != d:
-        raise ValueError(f"probe centres must have {d} coordinates, got {probes.shape[-1]}")
+    try:
+        probes = list(probe_centers)
+        if not probes:
+            raise ValueError("tail_sup needs at least one probe centre")
+        for p in probes if hasattr(probes[0], "__len__") else (probes,):
+            if len(p) != d:
+                raise ValueError(f"probe centres must have {d} coordinates, got {len(p)}")
+            if not all(map(math.isfinite, map(float, p))):
+                raise ValueError("probe centres must be finite")
+    except TypeError:
+        raise ValueError(f"probe centres must be points with {d} coordinates, got {probe_centers!r}") from None
     return profile.centred(kernel, R, cfg.effective_truncation(R))
 
 

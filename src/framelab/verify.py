@@ -685,11 +685,10 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# CSV views of report tables: column title -> row key
+# the CSV view of localization rows that framelab localize writes: column title -> row key
 LOCALIZATION_CSV = {"center": "center", "r": "radius"} | {
     k: k for k in ("defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound")
 }
-GRAM_CSV = {k: k for k in ("radius", "m", "local_dim", "max_eig", "min_eig", "min_nonzero", "near_zero_cluster")}
 
 
 def write_table_csv(rows: list, columns: dict, path) -> None:
@@ -703,13 +702,9 @@ def write_table_csv(rows: list, columns: dict, path) -> None:
 
 
 def write_report(report: dict, out_dir) -> Path:
-    """Write report.json plus CSV views of the tables; returns the JSON path."""
+    """Write the report as <scenario>-report.json in out_dir; returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / f"{report['scenario']}-report.json"
     json_path.write_text(report_json(report))
-    if "localization" in report:
-        write_table_csv(report["localization"], LOCALIZATION_CSV, out / f"{report['scenario']}-localization.csv")
-    if "gram_study" in report:
-        write_table_csv(report["gram_study"]["rows"], GRAM_CSV, out / f"{report['scenario']}-gram.csv")
     return json_path

@@ -116,13 +116,55 @@ class TestTailSup:
 
     @pytest.mark.parametrize(
         "probes, message",
-        [([[0.0]], "probe centres must have 2 coordinates, got 1"), ([], "at least one probe centre")],
-        ids=["one-coordinate", "empty"],
+        [
+            ([[0.0]], "probe centres must have 2 coordinates, got 1"),
+            ([], "at least one probe centre"),
+            (np.zeros((0, 2)), "at least one probe centre"),
+            ([[0, 0, 0]], "probe centres must have 2 coordinates, got 3"),
+            ([[0, 0], [0]], None),
+            ([["a", "b"]], "could not convert string to float"),
+            ("ab", None),
+            ([[[0, 0]]], "probe centres must"),
+            (0.0, "probe centres must"),
+            (None, "probe centres must"),
+        ],
+        ids=["one-coordinate", "empty", "empty-array", "three-coordinates", "ragged", "strings", "string",
+             "nested", "scalar", "none"],
     )
     def test_probes_must_match_the_kernel(self, probes, message):
-        # a probe with one coordinate has no tail in the Fock kernel's plane
+        # a probe with one coordinate has no tail in the Fock kernel's plane; whatever is not a
+        # point is a ValueError, never a TypeError (None: any message)
         with pytest.raises(ValueError, match=message):
             tail_sup(FockKernel(), LebesgueMeasure(2), 1.0, probes, QuadConfig())
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda p: [p],
+            lambda p: (tuple(p),),
+            lambda p: list(p),
+            lambda p: np.zeros((3, len(p))),
+            lambda p: np.zeros(len(p)),
+        ],
+        ids=["list-of-lists", "tuple-of-tuples", "flat", "array", "flat-array"],
+    )
+    def test_probe_forms_give_the_same_bits(self, form):
+        # one point as a flat sequence, as np.atleast_2d reads it, or a sequence of points
+        cfg = QuadConfig(h=0.05, truncation_radius=5.0)
+        for K, p in ((FockKernel(), [0.0, 0.0]), (PaleyWienerKernel(), [0.3])):
+            want = tail_sup(K, LebesgueMeasure(K.dim), 1.0, [p], cfg)
+            assert tail_sup(K, LebesgueMeasure(K.dim), 1.0, form(p), cfg) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "kernel", [FockKernel(), GaborGaussianKernel(1), PaleyWienerKernel()], ids=["fock", "gabor", "paley-wiener"]
+    )
+    def test_probes_must_be_finite(self, kernel, bad):
+        # as as_point and Ball refuse such a point; the tail itself never reads the probes
+        d = kernel.dim
+        for probes in ([[bad] + [0.0] * (d - 1)], [[0.0] * d, [0.0] * (d - 1) + [bad]], np.full(d, bad)):
+            with pytest.raises(ValueError, match="probe centres must be finite"):
+                tail_sup(kernel, LebesgueMeasure(d), 1.0, probes, QuadConfig())
 
     def test_window_must_reach_the_sphere(self):
         with pytest.raises(ValueError, match="truncation radius is smaller than the ball radius"):
@@ -159,6 +201,22 @@ class TestTailSup:
             got = tail_sup(kernel, LebesgueMeasure(2), R, [[0.3, -0.2]], QuadConfig(truncation_margin=margin))
             assert got == math.exp(-math.pi * R * R) - math.exp(-math.pi * (R + margin) ** 2)
         assert calls == []
+
+    @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
+    def test_gaussian_tail_builds_no_array(self, kernel, monkeypatch):
+        # the probes are checked in plain Python: the value never reads them, so no array is built
+        measure, probes = LebesgueMeasure(2), ([[0.3, -0.2]], [0.3, -0.2], ((0.0, 0.0), (2.5, 3.1)), np.zeros((3, 2)))
+        cfgs = [(R, margin, QuadConfig(truncation_margin=margin)) for R in (0.5, 1.0, 3.0) for margin in (2.5, 6.0)]
+
+        def refuse(*a, **k):
+            raise AssertionError("tail_sup built an array")
+
+        for name in ("asarray", "array", "atleast_2d"):
+            monkeypatch.setattr(np, name, refuse)
+        for R, margin, cfg in cfgs:
+            for p in probes:
+                got = tail_sup(kernel, measure, R, p, cfg)
+                assert got == math.exp(-math.pi * R * R) - math.exp(-math.pi * (R + margin) ** 2)
 
     @pytest.mark.parametrize(
         "kernel", [FockKernel(), GaborGaussianKernel(1), PaleyWienerKernel()], ids=["fock", "gabor", "paley-wiener"]

@@ -601,10 +601,7 @@ class TestReports:
         assert path.exists()
         parsed = json.loads(path.read_text())
         assert parsed["schema"] == "framelab/1"
-        assert (tmp_path / "fock-localization.csv").exists()
-        assert (tmp_path / "fock-gram.csv").exists()
-        header = (tmp_path / "fock-localization.csv").read_text().splitlines()[0]
-        assert header == "center,r,defect,t1,t2,normalizer,eps_eff,trunc_bound"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fock-report.json"]
 
     def test_verdicts_recomputable_from_tables(self):
         rep = run(FAST_FOCK)
