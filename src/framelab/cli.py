@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: run (scenario runner), density, localize, gram, identity.
+Subcommands: run (scenario runner), density, localize, gram; each writes
+one strict-JSON file through verify.report_json.
 Exit codes: 0 when every verdict passes or is explicitly vacuous/no-claim,
 1 on failing verdicts or contradictions, 2 on configuration and usage errors,
 found before any work: an --out that is no file path in an existing
-directory is one, and so is an output directory of run (--out-dir, or the
-config's out_dir) that is neither a directory nor a path whose nearest
-existing ancestor is one.
+directory is one, and so is a run --out-dir that is neither a directory nor
+a path whose nearest existing ancestor is one.
 """
 from __future__ import annotations
 
@@ -160,16 +160,8 @@ def _dim_path(spec: dict, root: str = "$") -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = verify.validate_config(_load_json_arg(args.config))
-    if args.seed is not None:
-        cfg = {**cfg, "seed": args.seed}
-    out_dir = args.out_dir or cfg.get("out_dir", ".")
-    try:
-        _out_dir(out_dir)
-    except argparse.ArgumentTypeError as exc:
-        raise verify.ConfigError(f"config invalid at $.out_dir: {exc}") from None
-    report = verify.run(cfg)
-    path = verify.write_report(report, out_dir)
+    report = verify.run(_load_json_arg(args.config))
+    path = verify.write_report(report, args.out_dir)
     print(f"report written to {path}")
     for v in report.get("verdicts", []):
         print(f"  [{v['verdict']}] {v['name']}: {v['detail']}")
@@ -218,8 +210,8 @@ def _cmd_localize(args) -> int:
     rows = [localization_defect(pair, Ball(np.zeros(kernel.dim), r)) for r in args.radii]
     for row in rows:
         print(f"r={row['radius']}: defect={row['defect']:.6g} eps_eff={row['eps_eff']:.6g}")
-    verify.write_table_csv(rows, verify.LOCALIZATION_CSV, args.out)
-    print(f"localization table -> {args.out}")
+    Path(args.out).write_text(verify.report_json(rows))
+    print(f"localization rows -> {args.out}")
     return 0
 
 
@@ -235,15 +227,6 @@ def _cmd_gram(args) -> int:
         print(row)
     print(f"frame_evidence={study['frame_evidence']} riesz_evidence={study['riesz_evidence']} -> {args.out}")
     return 0
-
-
-def _cmd_identity(args) -> int:
-    report = verify.run({"scenario": "finite-oracle", "seed": args.seed, "trials": args.trials})
-    if args.out:
-        Path(args.out).write_text(verify.report_json(report))
-    stats = report["identity"]
-    print(f"{stats['residuals_below_1e-10']}/{stats['trials']} residuals < 1e-10 (max {stats['max_residual']:.3e})")
-    return 0 if report["overall"] == "pass" else 1
 
 
 def _radii(text: str) -> list[float]:
@@ -295,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario config and write its report")
     p_run.add_argument("--config", required=True, help="scenario JSON (inline, @file, or path)")
-    p_run.add_argument("--out-dir", type=_out_dir, default=None)
-    p_run.add_argument("--seed", type=int, default=None, help="sets the config's seed (finite-oracle only)")
+    p_run.add_argument("--out-dir", type=_out_dir, default=".")
     p_run.set_defaults(fn=_cmd_run)
 
     p_den = sub.add_parser("density", help="generalized Beurling density of mu against nu")
@@ -319,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gram.add_argument("--out", type=_out, required=True)
     p_gram.set_defaults(fn=_cmd_gram)
 
-    p_id = sub.add_parser("identity", help="seeded random comparison-identity residuals")
-    p_id.add_argument("--seed", type=int, default=7)
-    p_id.add_argument("--trials", type=int, default=100)
-    p_id.add_argument("--out", type=_out, default=None)
-    p_id.set_defaults(fn=_cmd_identity)
     return parser
 
 

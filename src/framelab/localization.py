@@ -43,8 +43,8 @@ outer side is its Poisson sum less its own atoms in B, and a finite one
 reaches every atom.  A row walks each discrete side once (``_walk``).
 
 ``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
-row, a dict under the keys of ``verify.LOCALIZATION_CSV``, which reports
-and ``framelab localize``'s CSV take as it is.
+row, a dict that a report's ``localization`` list and ``framelab
+localize``'s JSON take as it is.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -471,7 +471,7 @@ def double_tail(pair: FramePairSpec, b: Ball) -> tuple[float, float]:
 
 
 def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
-    """One report row of the localization mismatch over the ball b, under the CSV keys.
+    """One report row of the localization mismatch over the ball b.
 
     For self-dual families the two iterated integrals of the localization
     condition are exactly the double tails, so the defect is |t1 - t2|; the

@@ -24,7 +24,6 @@ the config as given.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import finframe
-from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, density, lattice_schedule
+from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, default_schedule, density, lattice_schedule
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, localization_defect
 from .space import (
@@ -56,14 +55,13 @@ __all__ = [
     "resolve_config",
     "run",
     "write_report",
-    "write_table_csv",
 ]
 
 SCHEMA_ID = "framelab/1"
 PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim")
 
 # Every optional key each scenario reads, with its default (seed is one, read by
-# finite-oracle alone); scenario and out_dir are legal everywhere.  tolerances
+# finite-oracle alone); scenario is legal everywhere.  tolerances
 # are merged one level deep, so a scenario reads exactly the fields listed here.
 _MODEL_SPACE = {
     "lattice": {"scale": 1.0, "dim": 2},
@@ -123,7 +121,6 @@ CONFIG_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "out_dir": {"type": "string"},
     },
     "required": ["scenario"],
     "additionalProperties": False,
@@ -149,7 +146,7 @@ def _unread(defaults: dict) -> dict:
     """Schema properties rejecting each optional key, and each tolerances field, missing from defaults."""
     props = {}
     for key, spec in CONFIG_SCHEMA["properties"].items():
-        if key not in defaults and key not in ("scenario", "out_dir"):
+        if key not in defaults and key != "scenario":
             props[key] = {"not": {}}
         elif key == "tolerances":
             props[key] = {"properties": {f: {"not": {}} for f in spec["properties"] if f not in defaults[key]}}
@@ -425,13 +422,15 @@ def _build_lattice_support(cfg: dict):
     """Point support for a scenario and its density schedule: CSV points, a lattice, or a thinned lattice.
 
     The schedule's centres cover one period of a lattice (side scale) or of
-    a thinned lattice (side 2 scale), at the plain lattice's spacing, and
-    the unit box for CSV points.  The one thinning, drop-even-even, is a
-    ThinnedLattice: it counts by the lattice rule, everywhere.
+    a thinned lattice (side 2 scale), at the plain lattice's spacing.  CSV
+    points have no period: they take default_schedule, as framelab density
+    does, so one point set gets one density answer.  The one thinning,
+    drop-even-even, is a ThinnedLattice: it counts by the lattice rule,
+    everywhere.
     """
     if cfg["points_csv"] is not None:
         points = config_point_set(cfg["points_csv"])
-        return points, lattice_schedule(1.0, points.dim, r_max=cfg["density_rmax"])
+        return points, default_schedule(points.dim, r_max=cfg["density_rmax"])
     thin = "thin" in cfg["lattice"]
     lat = (ThinnedLattice if thin else Lattice)(cfg["lattice"]["scale"], cfg["lattice"]["dim"])
     sched = lattice_schedule(lat.scale, lat.dim, r_max=cfg["density_rmax"])
@@ -668,7 +667,7 @@ def run(cfg: dict) -> dict:
     report = {
         "schema": SCHEMA_ID,
         "scenario": name,
-        "inputs": {k: v for k, v in sorted(cfg.items()) if k != "out_dir"},
+        "inputs": dict(sorted(cfg.items())),
     }
     report.update(body)
     verdicts = report.get("verdicts", [])
@@ -680,25 +679,9 @@ def run(cfg: dict) -> dict:
     return report
 
 
-def report_json(report: dict) -> str:
-    """The report as strict JSON: a NaN or infinity raises ValueError rather than being written."""
+def report_json(report: dict | list) -> str:
+    """Strict JSON of a report or of its rows: a NaN or infinity raises ValueError rather than being written."""
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-# the CSV view of localization rows that framelab localize writes: column title -> row key
-LOCALIZATION_CSV = {"center": "center", "r": "radius"} | {
-    k: k for k in ("defect", "t1", "t2", "normalizer", "eps_eff", "trunc_bound")
-}
-
-
-def write_table_csv(rows: list, columns: dict, path) -> None:
-    """CSV view of report rows: cells are repr(row.get(key)), lists joined by ';'."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            cells = (row.get(k) for k in columns.values())
-            writer.writerow([";".join(map(repr, v)) if isinstance(v, list) else repr(v) for v in cells])
 
 
 def write_report(report: dict, out_dir) -> Path:

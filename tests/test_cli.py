@@ -1,7 +1,7 @@
-import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from framelab import cli, quadrature, verify
@@ -95,10 +95,10 @@ class TestCommands:
         assert payload["upper"] == pytest.approx(0.25, abs=0.01)
 
     def test_identity_command(self, tmp_path):
-        out = tmp_path / "id.json"
-        rc = main(["identity", "--seed", "3", "--trials", "10", "--out", str(out)])
-        assert rc == 0
-        payload = json.loads(out.read_text())
+        # the comparison identity is a finite-oracle run; seed and trials are config keys
+        cfg = {"scenario": "finite-oracle", "seed": 3, "trials": 10}
+        assert main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "finite-oracle-report.json").read_text())
         assert payload["identity"]["residuals_below_1e-10"] == 10
 
     def test_gram_command(self, tmp_path):
@@ -131,12 +131,24 @@ class TestCommands:
                 }
             )
         )
-        out = tmp_path / "loc.csv"
+        out = tmp_path / "loc.json"
         rc = main(["localize", "--pair", str(pair), "--radii", "2,4", "--out", str(out)])
         assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "center,r,defect,t1,t2,normalizer,eps_eff,trunc_bound"
-        assert len(lines) == 3
+        rows = json.loads(out.read_text())
+        keys = ["center", "defect", "eps_eff", "normalizer", "radius", "t1", "t2", "trunc_bound"]
+        assert [sorted(row) for row in rows] == [keys] * 2
+        assert [row["radius"] for row in rows] == [2.0, 4.0]
+
+    def test_localize_writes_the_localization_rows_of_a_run_report(self, tmp_path):
+        # (Fock, Lebesgue, 0.8 Z^2) is the fock scenario's pair: localize writes its report's rows, byte for byte
+        lattice = {"scale": 0.8, "dim": 2}
+        cfg = {"scenario": "fock", "lattice": lattice}
+        assert main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "fock-report.json").read_text())
+        pair = {**LOC_PAIR, "g": {"lattice": lattice}}
+        out = tmp_path / "loc.json"
+        assert main(["localize", "--pair", json.dumps(pair), "--radii", "4,8,16", "--out", str(out)]) == 0
+        assert out.read_text() == verify.report_json(report["localization"])
 
     @pytest.mark.parametrize("name", [n for n, (cls, _) in cli._KERNEL_PARAMS.items() if cls().dim <= 2])
     @pytest.mark.parametrize("sides", ["lebesgue-lattice", "lattice-lattice", "lebesgue-lebesgue"])
@@ -148,9 +160,9 @@ class TestCommands:
         measure = {"lebesgue": {"lebesgue": {"dim": d}}, "lattice": {"lattice": {"scale": 0.9, "dim": d}}}
         f, g = sides.split("-")
         pair = {"kernel": {"kernel": name}, "f": measure[f], "g": measure[g]}
-        out = tmp_path / "loc.csv"
+        out = tmp_path / "loc.json"
         assert main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 2
+        assert len(json.loads(out.read_text())) == 1
 
     def test_localize_bad_quad_exit_2(self, tmp_path, capsys):
         pair = {
@@ -159,7 +171,7 @@ class TestCommands:
             "g": {"lattice": {"scale": 1.0, "dim": 2}},
             "quad": {"boundary_refine": "x"},
         }
-        rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")])
+        rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.json")])
         assert rc == 2
         # no pair has a window to set: quad is no key of a pair
         assert "config invalid at $.quad:" in capsys.readouterr().err
@@ -167,10 +179,9 @@ class TestCommands:
     def test_localize_trunc_bound_is_zero_where_nothing_is_pruned(self, tmp_path):
         # a Paley-Wiener pair takes every atom over all of B^c: at g_offset 7 a window with gap 0 once wrote inf
         pair = {**PW_PAIR, "g_offset": [7.0]}
-        out = tmp_path / "loc.csv"
+        out = tmp_path / "loc.json"
         assert main(["localize", "--pair", json.dumps(pair), "--radii", "4,8,16", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert [row["trunc_bound"] for row in rows] == ["0.0"] * 3
+        assert [row["trunc_bound"] for row in json.loads(out.read_text())] == [0.0] * 3
 
     @pytest.mark.parametrize(
         "argv, where",
@@ -436,7 +447,7 @@ class TestCommands:
         # both sides' atoms lie outside the ball: the defect has no normalizer
         far = {"atomic": {"points": [[10.0, 0.0]], "weights": [1.0]}}
         pair = {**LOC_PAIR, "f": far, "g": far}
-        rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.csv")])
+        rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.json")])
         assert rc == 1
         assert "empty ball: defect normalizer vanishes" in capsys.readouterr().err
 
@@ -447,14 +458,12 @@ class TestCommands:
         assert "config error: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "ref, seed", [("@", []), ("@", ["--seed", "3"]), ("", ["--seed", "3"])], ids=["at-file", "at-file-seed", "path-seed"]
-    )
-    def test_json_argument_not_an_object_exit_2_at_root(self, ref, seed, tmp_path, capsys):
+    @pytest.mark.parametrize("ref", ["@", ""], ids=["at-file", "path"])
+    def test_json_argument_not_an_object_exit_2_at_root(self, ref, tmp_path, capsys):
         # read once, the value reaches the schema, which names it at $
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]\n")
-        rc = main(["run", "--config", ref + str(cfg), "--out-dir", str(tmp_path / "out"), *seed])
+        rc = main(["run", "--config", ref + str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "config invalid at $: [1] is not of type 'object'" in capsys.readouterr().err
 
@@ -463,7 +472,7 @@ class TestCommands:
         [
             ["run", "--config", "[1]"],
             ["density", "--mu", " [1]", "--nu", LEBESGUE_2D, "--out", "est.json"],
-            ["localize", "--pair", "[1]", "--radii", "2", "--out", "loc.csv"],
+            ["localize", "--pair", "[1]", "--radii", "2", "--out", "loc.json"],
             ["gram", "--kernel", "[1]", "--lattice", LATTICE_2D, "--radii", "2", "--out", "gram.json"],
         ],
         ids=["run", "density", "localize", "gram"],
@@ -480,9 +489,8 @@ class TestCommands:
             ["density", "--mu", LATTICE_2D_MEASURE, "--nu", LEBESGUE_2D],
             ["localize", "--pair", json.dumps(PW_PAIR), "--radii", "4,8,16"],
             ["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2"],
-            ["identity", "--trials", "3"],
         ],
-        ids=["density", "localize", "gram", "identity"],
+        ids=["density", "localize", "gram"],
     )
     @pytest.mark.parametrize("out", ["missing/out", "."], ids=["missing-directory", "a-directory"])
     def test_out_not_a_writable_path_exit_2_before_any_work(self, argv, out, tmp_path, capsys):
@@ -499,7 +507,7 @@ class TestCommands:
         a_file = tmp_path / "a-file"
         a_file.write_text("")
         calls = []
-        monkeypatch.setattr(verify, "run", lambda cfg: calls.append(cfg))
+        monkeypatch.setitem(verify._SCENARIOS, "fock", lambda cfg: calls.append(cfg))
         cfg = {"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}}
         if given == "option":
             with pytest.raises(SystemExit) as exc:
@@ -507,24 +515,48 @@ class TestCommands:
             assert exc.value.code == 2
             assert "argument --out-dir:" in capsys.readouterr().err
         else:
+            # --out-dir is the one spelling: a config out_dir is a key no scenario reads
             assert main(["run", "--config", json.dumps({**cfg, "out_dir": str(a_file) + below})]) == 2
             assert "config invalid at $.out_dir:" in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("given", ["option", "config"])
+    @pytest.mark.parametrize("given", ["config"])
     @pytest.mark.parametrize("scenario", ["fock", "gabor", "paley-wiener", "dual-embedding"])
     def test_seed_outside_finite_oracle_exit_2_before_any_work(self, scenario, given, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": scenario, **({"seed": 3} if given == "config" else {})}))
-        seed = ["--seed", "3"] if given == "option" else []
-        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *seed]) == 2
+        cfg.write_text(json.dumps({"scenario": scenario, "seed": 3}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
         assert "config invalid at $.seed:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_seed_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": "finite-oracle", "seed": 5, "trials": 10}))
-        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path), "--seed", "9"])
-        assert rc == 0
-        rep = json.loads((tmp_path / "finite-oracle-report.json").read_text())
-        assert rep["seed"] == 9
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["identity", "--seed", "3", "--trials", "10"], "invalid choice: 'identity'"),
+            (["run", "--config", '{"scenario": "finite-oracle"}', "--seed", "3"], "unrecognized arguments: --seed 3"),
+        ],
+        ids=["identity", "run-seed"],
+    )
+    def test_removed_spelling_is_a_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        # a finite-oracle config holds seed and trials: no subcommand or flag repeats them
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_points_csv_gets_one_density_answer(self, tmp_path):
+        # run and density take a CSV point set's density over the same centres and radii
+        rng = np.random.default_rng(4)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n" + "".join(f"{x!r},{y!r}\n" for x, y in rng.uniform(-24.0, 24.0, (600, 2)).tolist()))
+        cfg = {"scenario": "fock", "points_csv": str(pts), "density_rmax": 8.0, "gram_radii": [1.5, 2.5]}
+        assert main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)]) in (0, 1)
+        out = tmp_path / "est.json"
+        mu = json.dumps({"points_csv": str(pts)})
+        assert main(["density", "--mu", mu, "--nu", LEBESGUE_2D, "--rmax", "8", "--out", str(out)]) == 0
+        per_radius = json.loads(out.read_text())["per_radius"]
+        assert json.loads((tmp_path / "fock-report.json").read_text())["density"]["per_radius"] == per_radius
+        assert [row[0] for row in per_radius] == [4.0, 8.0]

@@ -1,12 +1,15 @@
-"""The JSON examples in README.md pass the schemas that check them.
+"""The JSON examples and commands in README.md pass the schemas and the parser that check them.
 
 Every scenario config in a README ``json`` block validates, and the block
 that spells out each scenario's defaults equals ``verify.DEFAULTS``.  The
 ``--mu``/``--nu`` measure specs and the ``--kernel``/``--lattice`` specs of
-the command examples validate against their commands' schemas.
+the command examples validate against their commands' schemas, and every
+``framelab`` command of a README ``sh`` block parses, so none names a
+subcommand or flag the parser does not have.
 """
 import json
 import re
+import shlex
 from pathlib import Path
 
 from framelab import cli
@@ -44,3 +47,20 @@ def test_command_arguments_validate():
     assert sorted(key for key, _ in args) == sorted(ARG_SCHEMAS)
     for key, text in args:
         validate_config(json.loads(text), ARG_SCHEMAS[key])
+
+
+def framelab_commands() -> list[list[str]]:
+    """The arguments of each framelab command in the README's sh blocks, continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README, re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("framelab ")]
+
+
+def test_commands_parse(tmp_path, monkeypatch):
+    # --out and --out-dir are checked against the working directory
+    monkeypatch.chdir(tmp_path)
+    commands = framelab_commands()
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == {"run", "density", "localize", "gram"}

@@ -515,7 +515,7 @@ class TestScenarios:
         elif name.startswith("localize"):
             pair = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lebesgue": {"dim": 2}}}
             argv = ["localize", "--pair", json.dumps({**pair, "g_offset": [0.35, 0.2]}), "--radii", "1,4"]
-            assert main(argv + ["--out", str(tmp_path / "loc.csv")]) == 0
+            assert main(argv + ["--out", str(tmp_path / "loc.json")]) == 0
         else:
             run({**FAST_FOCK, "scenario": name, "lattice": {"scale": 0.8, "dim": 2}})
         assert grids == []
