@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: run (scenario runner), density, localize, gram; each writes
-one strict-JSON file through verify.report_json.
+one strict-JSON file through verify.report_json.  A JSON argument is inline
+or a file's path.  Measure specs are read, and density schedules chosen, by
+verify.measure_from_spec and verify.density_schedule, as run does.
 Exit codes: 0 when every verdict passes or is explicitly vacuous/no-claim,
 1 on failing verdicts or contradictions, 2 on configuration and usage errors,
 found before any work: an --out that is no file path in an existing
@@ -21,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .density import DEFAULT_RADII, density, lattice_schedule, default_schedule
+from .density import DEFAULT_RADII, density
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, localization_defect
-from .space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure
+from .space import Ball, Lattice
 
 
 _LATTICE_SCHEMA = {
@@ -111,52 +113,14 @@ _PAIR_SCHEMA = {
 
 
 def _load_json_arg(arg: str):
-    """A command's JSON argument: inline (an object or array), @file or a path; the schema checks what it holds."""
-    inline = not arg.startswith("@") and arg.lstrip()[:1] in ("{", "[")
-    return json.loads(arg if inline else Path(arg.removeprefix("@")).read_text())
+    """A command's JSON argument: inline (an object or array) or a file's path; the schema checks what it holds."""
+    return json.loads(arg if arg.lstrip()[:1] in ("{", "[") else Path(arg).read_text())
 
 
 def _kernel(spec: dict):
     """The kernel of a spec the schema has checked: its class, called with its params."""
     cls, _ = _KERNEL_PARAMS[spec["kernel"]]
     return cls(**spec.get("params", {}))
-
-
-def measure_from_config(cfg: dict, root: str = "$"):
-    """Measure from {"lebesgue": {...}} | {"lattice": {...}} | {"points_csv": ...} | {"atomic": {...}}.
-
-    Point data that makes no measure is a ConfigError at its JSON path under root.
-    """
-    if "lebesgue" in cfg:
-        return LebesgueMeasure(int(cfg["lebesgue"]["dim"]))
-    if "lattice" in cfg:
-        lat = cfg["lattice"]
-        return CountingMeasure(Lattice(float(lat["scale"]), int(lat["dim"])))
-    if "points_csv" in cfg:
-        return CountingMeasure(verify.config_point_set(cfg["points_csv"], f"{root}.points_csv"))
-    if "atomic" in cfg:
-        points, weights = cfg["atomic"]["points"], cfg["atomic"]["weights"]
-        first = {}
-        for i, p in enumerate(points):
-            where = f"config invalid at {root}.atomic.points[{i}]"
-            if len(p) != len(points[0]):
-                raise verify.ConfigError(f"{where}: {len(p)} coordinates, not {len(points[0])}")
-            j = first.setdefault(tuple(p), i)
-            if j != i:
-                raise verify.ConfigError(f"{where}: the same atom as points[{j}]")
-        try:
-            return AtomicMeasure(points, weights)
-        except ValueError as exc:  # the points are checked above: what is left is the weights
-            raise verify.ConfigError(f"config invalid at {root}.atomic.weights: {exc}") from None
-    raise verify.ConfigError(
-        "config invalid at $: measure needs one of lebesgue/lattice/points_csv/atomic"
-    )
-
-
-def _dim_path(spec: dict, root: str = "$") -> str:
-    """JSON path that fixes a measure spec's dimension: its dim key, or its point data."""
-    (kind,) = spec
-    return f"{root}.{kind}.dim" if kind in ("lebesgue", "lattice") else f"{root}.{kind}"
 
 
 def _cmd_run(args) -> int:
@@ -170,16 +134,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    mu = measure_from_config(verify.validate_config(_load_json_arg(args.mu), _MEASURE_SCHEMA))
-    nu_cfg = verify.validate_config(_load_json_arg(args.nu), _MEASURE_SCHEMA)
-    nu = measure_from_config(nu_cfg)
-    if nu.dim != mu.dim:
-        raise verify.ConfigError(f"config invalid at {_dim_path(nu_cfg)}: --mu lives in dimension {mu.dim}")
-    if isinstance(mu, CountingMeasure) and isinstance(mu.support, Lattice):
-        sched = lattice_schedule(mu.support.scale, mu.dim, r_max=args.rmax)
-    else:
-        sched = default_schedule(mu.dim, r_max=args.rmax)
-    est = density(mu, nu, sched)
+    mu = verify.measure_from_spec(verify.validate_config(_load_json_arg(args.mu), _MEASURE_SCHEMA))
+    nu = verify.measure_from_spec(verify.validate_config(_load_json_arg(args.nu), _MEASURE_SCHEMA), dim=mu.dim)
+    est = density(mu, nu, verify.density_schedule(mu, args.rmax))
     Path(args.out).write_text(verify.report_json(dataclasses.asdict(est)))
     print(f"upper={est.upper!r} lower={est.lower!r} -> {args.out}")
     return 0
@@ -192,11 +149,7 @@ def _cmd_localize(args) -> int:
         raise verify.ConfigError(
             f"config invalid at $.kernel.params.n: localize needs a kernel in dimension <= 2, got {kernel.dim}"
         )
-    measures = {side: measure_from_config(pair_cfg[side], f"$.{side}") for side in ("f", "g")}
-    for side, m in measures.items():
-        if m.dim != kernel.dim:
-            path = _dim_path(pair_cfg[side], f"$.{side}")
-            raise verify.ConfigError(f"config invalid at {path}: the kernel lives in dimension {kernel.dim}")
+    measures = {side: verify.measure_from_spec(pair_cfg[side], f"$.{side}", kernel.dim) for side in ("f", "g")}
     for key in ("f_offset", "g_offset"):
         if key in pair_cfg and len(pair_cfg[key]) != kernel.dim:
             raise verify.ConfigError(f"config invalid at $.{key}: the kernel lives in dimension {kernel.dim}")
@@ -277,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario config and write its report")
-    p_run.add_argument("--config", required=True, help="scenario JSON (inline, @file, or path)")
+    p_run.add_argument("--config", required=True, help="scenario JSON (inline, or a file's path)")
     p_run.add_argument("--out-dir", type=_out_dir, default=".")
     p_run.set_defaults(fn=_cmd_run)
 

@@ -120,26 +120,17 @@ def project(F: FiniteFrame, f, formula: str = "synthesis") -> np.ndarray:
 def _omega_masks(F: FiniteFrame, G: FiniteFrame, omega) -> tuple[np.ndarray, np.ndarray]:
     """Membership of F- and G-atoms in the comparison region Omega.
 
-    A Ball tests both atom sets geometrically.  An index sequence (or boolean
-    mask) selects F-atoms; G-atoms belong when their location exactly matches
-    a selected F-atom location.
+    A Ball tests both atom sets geometrically.  A boolean mask, one entry
+    per F-atom, selects F-atoms; G-atoms belong when their location exactly
+    matches a selected F-atom location.  Anything else raises ValueError.
     """
     if isinstance(omega, Ball):
         return omega.contains(F.index_points), omega.contains(G.index_points)
-    omega = np.asarray(omega)
-    if omega.dtype == bool:
-        mask_f = omega
-        if mask_f.shape != (F.m,):
-            raise ValueError("boolean omega mask must have one entry per F-atom")
-    else:
-        mask_f = np.zeros(F.m, dtype=bool)
-        mask_f[omega.astype(int)] = True
+    mask_f = np.asarray(omega)
+    if mask_f.dtype != bool or mask_f.shape != (F.m,):
+        raise ValueError("omega must be a Ball or a boolean mask with one entry per F-atom")
     sel = F.index_points[mask_f]
-    if len(sel) == 0:
-        mask_g = np.zeros(G.m, dtype=bool)
-    else:
-        mask_g = np.array([np.any(np.all(sel == p[None, :], axis=1)) for p in G.index_points])
-    return mask_f, mask_g
+    return mask_f, np.all(G.index_points[:, None, :] == sel[None, :, :], axis=2).any(axis=1)
 
 
 def comparison_sides(F: FiniteFrame, G: FiniteFrame, omega) -> tuple[complex, complex]:

@@ -36,6 +36,7 @@ from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, default_sc
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, localization_defect
 from .space import (
+    AtomicMeasure,
     Ball,
     CountingMeasure,
     Lattice,
@@ -206,16 +207,70 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
     return cfg
 
 
-def config_point_set(path, where: str = "$.points_csv") -> PointSet:
-    """The point set of a config's points_csv file.
+def measure_from_spec(spec: dict, root: str = "$", dim: int | None = None):
+    """The measure of {"lebesgue": {...}} | {"lattice": {...}} | {"points_csv": ...} | {"atomic": {...}}.
 
-    A file that cannot be read as at least one distinct finite point is a
-    ConfigError at where: verify and the CLI share this one conversion.
+    A lattice with thin is a ThinnedLattice.  Point data that makes no
+    measure is a ConfigError at its JSON path under root, and so, with dim,
+    is a measure in another dimension, at the key that fixes it: the dim of
+    lebesgue or lattice, or the point data itself.
     """
-    try:
-        return load_point_set_csv(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"config invalid at {where}: {exc}") from None
+    ((kind, body),) = spec.items()
+    if kind == "lebesgue":
+        measure = LebesgueMeasure(int(body["dim"]))
+    elif kind == "lattice":
+        measure = CountingMeasure((ThinnedLattice if "thin" in body else Lattice)(body["scale"], int(body["dim"])))
+    elif kind == "points_csv":
+        try:
+            measure = CountingMeasure(load_point_set_csv(body))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config invalid at {root}.points_csv: {exc}") from None
+    elif kind == "atomic":
+        points = body["points"]
+        first = {}
+        for i, p in enumerate(points):
+            where = f"config invalid at {root}.atomic.points[{i}]"
+            if len(p) != len(points[0]):
+                raise ConfigError(f"{where}: {len(p)} coordinates, not {len(points[0])}")
+            j = first.setdefault(tuple(p), i)
+            if j != i:
+                raise ConfigError(f"{where}: the same atom as points[{j}]")
+        try:
+            measure = AtomicMeasure(points, body["weights"])
+        except ValueError as exc:  # the points are checked above: what is left is the weights
+            raise ConfigError(f"config invalid at {root}.atomic.weights: {exc}") from None
+    else:
+        raise ConfigError(f"config invalid at {root}: measure needs one of lebesgue/lattice/points_csv/atomic")
+    if dim is not None and measure.dim != dim:
+        where = f"{root}.{kind}.dim" if kind in ("lebesgue", "lattice") else f"{root}.{kind}"
+        raise ConfigError(f"config invalid at {where}: needs dimension {dim}, got {measure.dim}")
+    return measure
+
+
+def density_schedule(measure, r_max: float) -> DensitySchedule:
+    """The centres and radii (up to r_max) of measure's density: one rule for run and framelab density.
+
+    A lattice takes one period at the plain lattice's spacing (a
+    ThinnedLattice's period is 2 scale).  A point set takes a unit grid over
+    its bounding box shrunk on every side by the largest radius, so no ball
+    reaches past the data's box; a box that shrinks to nothing is a
+    ConfigError at $.points_csv.  Any other measure takes default_schedule.
+    """
+    support = getattr(measure, "support", None)
+    if isinstance(support, Lattice):
+        sched = lattice_schedule(support.scale, support.dim, r_max=r_max)
+        if isinstance(support, ThinnedLattice):
+            lo, hi = sched.center_box
+            sched = DensitySchedule(sched.radii, (lo, 2.0 * hi), sched.center_spacing)
+        return sched
+    sched = default_schedule(measure.dim, r_max=r_max)
+    if isinstance(support, PointSet):
+        r = sched.radii[-1]
+        lo, hi = support.points.min(axis=0) + r, support.points.max(axis=0) - r
+        if np.any(hi < lo):
+            raise ConfigError(f"config invalid at $.points_csv: no radius-{r!r} ball fits in the points' box")
+        sched = DensitySchedule(sched.radii, (lo, hi), sched.center_spacing)
+    return sched
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +473,6 @@ def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, tol: f
 # Scenario implementations
 
 
-def _build_lattice_support(cfg: dict):
-    """Point support for a scenario and its density schedule: CSV points, a lattice, or a thinned lattice.
-
-    The schedule's centres cover one period of a lattice (side scale) or of
-    a thinned lattice (side 2 scale), at the plain lattice's spacing.  CSV
-    points have no period: they take default_schedule, as framelab density
-    does, so one point set gets one density answer.  The one thinning,
-    drop-even-even, is a ThinnedLattice: it counts by the lattice rule,
-    everywhere.
-    """
-    if cfg["points_csv"] is not None:
-        points = config_point_set(cfg["points_csv"])
-        return points, default_schedule(points.dim, r_max=cfg["density_rmax"])
-    thin = "thin" in cfg["lattice"]
-    lat = (ThinnedLattice if thin else Lattice)(cfg["lattice"]["scale"], cfg["lattice"]["dim"])
-    sched = lattice_schedule(lat.scale, lat.dim, r_max=cfg["density_rmax"])
-    if not thin:
-        return lat, sched
-    lo, hi = sched.center_box
-    return lat, DensitySchedule(sched.radii, (lo, 2.0 * hi), sched.center_spacing)
-
-
 def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_band: float) -> list:
     verdicts = []
     frame_ev = study["frame_evidence"]
@@ -555,18 +588,11 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
     # rejects coincident points naming the offender, and lattice-derived
     # supports inherit the lattice spacing
     d = kernel.dim
-    support, sched = _build_lattice_support(cfg)
-    if support.dim != d:
-        where = "$.lattice.dim" if cfg["points_csv"] is None else "$.points_csv"
-        need = f"the {cfg['scenario']} kernel needs {d}-d points, got {support.dim}-d"
-        raise ConfigError(f"config invalid at {where}: {need}")
-    dens = density(CountingMeasure(support), LebesgueMeasure(d), sched)
-    study = gram_truncation_study(kernel, support, cfg["gram_radii"])
-    pair = FramePairSpec(
-        kernel=kernel,
-        f_measure=LebesgueMeasure(d),
-        g_measure=CountingMeasure(support),
-    )
+    spec = {"lattice": cfg["lattice"]} if cfg["points_csv"] is None else {"points_csv": cfg["points_csv"]}
+    counting = measure_from_spec(spec, dim=d)
+    dens = density(counting, LebesgueMeasure(d), density_schedule(counting, cfg["density_rmax"]))
+    study = gram_truncation_study(kernel, counting.support, cfg["gram_radii"])
+    pair = FramePairSpec(kernel=kernel, f_measure=LebesgueMeasure(d), g_measure=counting)
     table, loc_rows = theorem_main_table(pair, cfg["radii"])
     verdicts = _lattice_verdicts(dens, study, cfg["tolerances"]["density"], cfg["tolerances"]["critical_band"])
     if any(row["verdict"] == "hypotheses-unmet" for row in table):
@@ -590,11 +616,11 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
 
 def _paley_wiener_scenario(cfg: dict) -> dict:
     kernel = PaleyWienerKernel()
-    lat = Lattice(cfg["lattice"]["scale"], 1)
-    pair = FramePairSpec(kernel=kernel, f_measure=LebesgueMeasure(1), g_measure=CountingMeasure(lat))
-    sched = lattice_schedule(lat.scale, 1, r_max=cfg["density_rmax"])
+    counting = measure_from_spec({"lattice": cfg["lattice"]})
+    pair = FramePairSpec(kernel=kernel, f_measure=LebesgueMeasure(1), g_measure=counting)
+    sched = density_schedule(counting, cfg["density_rmax"])
     corollary = corollary_parseval_check(pair, sched, tol=cfg["tolerances"]["density"])
-    study = gram_truncation_study(kernel, lat, cfg["gram_radii"])
+    study = gram_truncation_study(kernel, counting.support, cfg["gram_radii"])
     table, loc_rows = theorem_main_table(pair, cfg["radii"])
     verdicts = [
         {

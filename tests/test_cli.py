@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from framelab import cli, quadrature, verify
-from framelab.cli import _kernel, main, measure_from_config
+from framelab.cli import _kernel, main
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
+from framelab.verify import measure_from_spec
 
 LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lattice": {"scale": 1.0, "dim": 2}}}
 FOCK_N2 = {"kernel": "fock", "params": {"n": 2}}
@@ -41,27 +42,27 @@ GABOR_N2_PAIR = {
 
 class TestMeasureSpecs:
     def test_lebesgue(self):
-        m = measure_from_config({"lebesgue": {"dim": 2}})
+        m = measure_from_spec({"lebesgue": {"dim": 2}})
         assert isinstance(m, LebesgueMeasure) and m.dim == 2
 
     def test_lattice(self):
-        m = measure_from_config({"lattice": {"scale": 0.5, "dim": 2}})
+        m = measure_from_spec({"lattice": {"scale": 0.5, "dim": 2}})
         assert isinstance(m, CountingMeasure)
         assert m.support.scale == 0.5
 
     def test_atomic(self):
-        m = measure_from_config({"atomic": {"points": [[0.0]], "weights": [2.0]}})
+        m = measure_from_spec({"atomic": {"points": [[0.0]], "weights": [2.0]}})
         assert isinstance(m, AtomicMeasure)
 
     def test_points_csv(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("x1\n0.0\n1.0\n")
-        m = measure_from_config({"points_csv": str(p)})
+        m = measure_from_spec({"points_csv": str(p)})
         assert isinstance(m, CountingMeasure) and len(m.support) == 2
 
     def test_unknown(self):
         with pytest.raises(Exception, match="measure"):
-            measure_from_config({"nope": {}})
+            measure_from_spec({"nope": {}})
 
 
 class TestKernelSpecs:
@@ -451,14 +452,14 @@ class TestCommands:
         assert rc == 1
         assert "empty ball: defect normalizer vanishes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ref", ["@", ""], ids=["at-file", "path"])
+    @pytest.mark.parametrize("ref", [""], ids=["path"])
     def test_unreadable_json_argument_exit_2(self, ref, tmp_path, capsys):
         rc = main(["run", "--config", ref + str(tmp_path), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "config error: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("ref", ["@", ""], ids=["at-file", "path"])
+    @pytest.mark.parametrize("ref", [""], ids=["path"])
     def test_json_argument_not_an_object_exit_2_at_root(self, ref, tmp_path, capsys):
         # read once, the value reaches the schema, which names it at $
         cfg = tmp_path / "cfg.json"
@@ -548,15 +549,56 @@ class TestCommands:
         assert list(tmp_path.iterdir()) == []
 
     def test_points_csv_gets_one_density_answer(self, tmp_path):
-        # run and density take a CSV point set's density over the same centres and radii
+        # run and density take a point set's density over the same centres and radii, a CSV's and a lattice's
         rng = np.random.default_rng(4)
         pts = tmp_path / "pts.csv"
         pts.write_text("x1,x2\n" + "".join(f"{x!r},{y!r}\n" for x, y in rng.uniform(-24.0, 24.0, (600, 2)).tolist()))
-        cfg = {"scenario": "fock", "points_csv": str(pts), "density_rmax": 8.0, "gram_radii": [1.5, 2.5]}
-        assert main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)]) in (0, 1)
+        for spec in ({"points_csv": str(pts)}, {"lattice": {"scale": 0.8, "dim": 2}}):
+            cfg = {"scenario": "fock", **spec, "density_rmax": 8.0, "gram_radii": [1.5, 2.5]}
+            assert main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)]) in (0, 1)
+            out = tmp_path / "est.json"
+            assert main(["density", "--mu", json.dumps(spec), "--nu", LEBESGUE_2D, "--rmax", "8", "--out", str(out)]) == 0
+            per_radius = json.loads(out.read_text())["per_radius"]
+            assert json.loads((tmp_path / "fock-report.json").read_text())["density"]["per_radius"] == per_radius
+            assert [row[0] for row in per_radius] == [4.0, 8.0]
+
+    def test_points_csv_density_converges_inside_the_data(self, tmp_path):
+        # 0.5 Z^2 clipped to [-20, 20]^2: at r_max 16 the centres are the unit grid on [-4, 4]^2,
+        # so no ball reaches past the data and every radius reads close to the density 4
+        pts = _clipped_grid(tmp_path)
+        cfg = {"scenario": "fock", "points_csv": str(pts), "density_rmax": 16.0}
+        assert main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path)]) == 0
+        dens = json.loads((tmp_path / "fock-report.json").read_text())["density"]
         out = tmp_path / "est.json"
         mu = json.dumps({"points_csv": str(pts)})
-        assert main(["density", "--mu", mu, "--nu", LEBESGUE_2D, "--rmax", "8", "--out", str(out)]) == 0
-        per_radius = json.loads(out.read_text())["per_radius"]
-        assert json.loads((tmp_path / "fock-report.json").read_text())["density"]["per_radius"] == per_radius
-        assert [row[0] for row in per_radius] == [4.0, 8.0]
+        assert main(["density", "--mu", mu, "--nu", LEBESGUE_2D, "--rmax", "16", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == dens
+        assert dens["converged"] and dens["lower"] == dens["upper"] == pytest.approx(3.9901, abs=5e-5)
+
+    @pytest.mark.parametrize("command", ["run", "density"])
+    def test_points_csv_smaller_than_the_largest_ball_exit_2(self, command, tmp_path, capsys):
+        # at the default r_max 128 no density ball fits inside the data's [-20, 20]^2 box
+        pts = _clipped_grid(tmp_path)
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", "--config", json.dumps({"scenario": "fock", "points_csv": str(pts)}), "--out-dir", str(out)]
+        else:
+            argv = ["density", "--mu", json.dumps({"points_csv": str(pts)}), "--nu", LEBESGUE_2D, "--out", str(out)]
+        assert main(argv) == 2
+        assert "config invalid at $.points_csv:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_at_file_is_no_json_argument(self, tmp_path, capsys):
+        # a JSON argument is inline or a path: "@" is read as part of the path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"scenario": "finite-oracle", "trials": 1}')
+        assert main(["run", "--config", f"@{cfg}", "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def _clipped_grid(tmp_path):
+    """A CSV of 0.5 Z^2 clipped to [-20, 20]^2: 6561 points of density 4."""
+    pts = tmp_path / "grid.csv"
+    pts.write_text("x1,x2\n" + "".join(f"{0.5 * i!r},{0.5 * j!r}\n" for i in range(-40, 41) for j in range(-40, 41)))
+    return pts

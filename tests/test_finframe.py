@@ -164,7 +164,7 @@ class TestComparisonIdentity:
     def test_orthonormal_single_index(self):
         F = FiniteFrame(np.eye(2, dtype=complex))
         G = FiniteFrame(np.eye(2, dtype=complex))
-        lhs, rhs = comparison_sides(F, G, np.array([0]))
+        lhs, rhs = comparison_sides(F, G, np.array([True, False]))
         assert lhs == pytest.approx(1.0, abs=1e-14)
         assert abs(lhs - rhs) < 1e-14
 
@@ -195,7 +195,17 @@ class TestComparisonIdentity:
     def test_dimension_mismatch(self):
         rng = np.random.RandomState(1)
         with pytest.raises(ValueError, match="ambient"):
-            comparison_residual(random_frame(rng, 2, 3), random_frame(rng, 3, 3), np.array([0]))
+            comparison_residual(random_frame(rng, 2, 3), random_frame(rng, 3, 3), np.array([True, False, False]))
+
+    @pytest.mark.parametrize(
+        "omega",
+        [np.array([0]), np.array([True, False, True]), None],
+        ids=["index-sequence", "wrong-length", "none"],
+    )
+    def test_omega_is_a_ball_or_a_boolean_mask(self, omega):
+        F = FiniteFrame(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="Ball or a boolean mask"):
+            comparison_residual(F, F, omega)
 
 
 def gram_oracle(F):
@@ -240,13 +250,13 @@ class TestDiagonalTerms:
     def test_parseval_pairs_are_one(self):
         F = FiniteFrame(np.eye(2, dtype=complex))
         for k in range(2):
-            lhs, rhs = comparison_sides(F, F, np.array([k]))
+            lhs, rhs = comparison_sides(F, F, np.arange(2) == k)
             assert (lhs, rhs) == (pytest.approx(1.0, abs=1e-13), pytest.approx(1.0, abs=1e-13))
 
     def test_orthogonal_spans(self):
         F = FiniteFrame(np.array([[1, 0]], dtype=complex))
         G = FiniteFrame(np.array([[0, 1]], dtype=complex))
-        lhs, rhs = comparison_sides(F, G, np.array([0]))
+        lhs, rhs = comparison_sides(F, G, np.array([True]))
         assert abs(lhs) < 1e-14
         assert abs(rhs) < 1e-14
 
@@ -285,7 +295,7 @@ class TestDiagonalTerms:
             wphi = (F.weights[:, None] * G.weights[None, :]) * phi
             double_sum = complex(np.sum(wphi[mask, :]))
             # random index points never coincide, so Omega = {y} holds no G-atom
-            f_terms = np.array([comparison_sides(F, G, np.array([y]))[0] / F.weights[y] for y in range(F.m)])
+            f_terms = np.array([comparison_sides(F, G, np.arange(F.m) == y)[0] / F.weights[y] for y in range(F.m)])
             P_G = (G.vectors.T * G.weights) @ Gd.vectors.conj()
             f_swapped = np.einsum("ij,ij->i", np.conj(Fd.vectors), F.vectors @ P_G.T)
             for per_index in (f_terms, f_swapped):

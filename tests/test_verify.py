@@ -7,22 +7,31 @@ import numpy as np
 import pytest
 
 from framelab.cli import main
-from framelab.density import DensityEstimate, lattice_schedule
+from framelab.density import DensityEstimate, default_schedule, lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab import localization, quadrature, verify
-from framelab.space import Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice, load_point_set_csv
+from framelab.space import (
+    AtomicMeasure,
+    Ball,
+    CountingMeasure,
+    Lattice,
+    LebesgueMeasure,
+    PointSet,
+    ThinnedLattice,
+    load_point_set_csv,
+)
 from framelab.verify import (
     CONFIG_SCHEMA,
     DEFAULTS,
     ConfigError,
     corollary_parseval_check,
-    _build_lattice_support,
+    density_schedule,
     _gram_spectrum,
     _lattice_verdicts,
     gram_truncation_study,
+    measure_from_spec,
     report_json,
-    resolve_config,
     run,
     theorem_main_table,
     validate_config,
@@ -470,10 +479,21 @@ class TestScenarios:
             "gram_radii": [2.0],
             "density_rmax": 4.0,
         }
-        _, sched = _build_lattice_support(resolve_config(cfg))
+        sched = density_schedule(measure_from_spec({"lattice": cfg["lattice"]}), cfg["density_rmax"])
         assert sched.center_spacing == 0.5
         assert np.array_equal(np.unique(sched.centers()), 0.5 * np.arange(4))
         assert run(cfg)["density"]["lower"] == pytest.approx(0.6764, abs=5e-5)
+
+    def test_density_schedule_keeps_point_set_balls_inside_the_data(self):
+        # 0.5 Z^2 clipped to [-20, 20]^2 at r_max 16: the unit grid on [-4, 4]^2; an atomic
+        # measure on the same points, and Lebesgue, keep default_schedule's [-16, 16]^2 grid
+        grid = 0.5 * np.stack(np.meshgrid(np.arange(-40, 41), np.arange(-40, 41)), axis=-1).reshape(-1, 2)
+        centers = density_schedule(CountingMeasure(PointSet(grid)), 16.0).centers()
+        assert len(centers) == 81 and np.array_equal(np.unique(centers), np.arange(-4.0, 5.0))
+        for measure in (AtomicMeasure(grid, np.ones(len(grid))), LebesgueMeasure(2)):
+            assert np.array_equal(density_schedule(measure, 16.0).centers(), default_schedule(2, r_max=16.0).centers())
+        with pytest.raises(ConfigError, match=r"at \$\.points_csv:"):
+            density_schedule(CountingMeasure(PointSet(grid)), 32.0)
 
     @pytest.mark.parametrize(
         "scale, center, r, want",
@@ -485,8 +505,7 @@ class TestScenarios:
         # arithmetic: the 0.8 ball has 8 odd points on its sphere, and the density ball
         # at (7, 7) reaches past every radius the config lists
         cfg = {"scenario": "fock", "lattice": {"scale": scale, "dim": 2, "thin": "drop-even-even"}}
-        support, _ = _build_lattice_support(resolve_config(cfg))
-        assert CountingMeasure(support).ball_mass(Ball(center, r)) == want
+        assert measure_from_spec({"lattice": cfg["lattice"]}).ball_mass(Ball(center, r)) == want
 
     def test_thinned_report_row_is_the_lattice_difference(self):
         # each atom's term is the same bits in every lattice that holds it, so the
