@@ -2,8 +2,10 @@
 
 Subcommands: run (scenario runner), density, localize, gram; each writes
 one strict-JSON file through verify.report_json.  A JSON argument is inline
-or a file's path.  Measure specs are read, and density schedules chosen, by
-verify.measure_from_spec and verify.density_schedule, as run does.
+or a file's path.  Every measure spec, gram's --support (a lattice or
+points_csv) included, is checked against verify.MEASURE_SCHEMA and read by
+verify.measure_from_spec, as run's lattice and points_csv are; density
+chooses its schedule from both measures by verify.density_schedule, as run does.
 Exit codes: 0 when every verdict passes or is explicitly vacuous/no-claim,
 1 on failing verdicts or contradictions, 2 on configuration and usage errors,
 found before any work: an --out that is no file path in an existing
@@ -26,18 +28,9 @@ from . import verify
 from .density import DEFAULT_RADII, density
 from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from .localization import FramePairSpec, localization_defect
-from .space import Ball, Lattice
+from .space import Ball
 
 
-_LATTICE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "scale": {"type": "number", "exclusiveMinimum": 0},
-        "dim": {"type": "integer", "minimum": 1},
-    },
-    "required": ["scale", "dim"],
-    "additionalProperties": False,
-}
 # each kernel's class and the params it reads
 _KERNEL_PARAMS = {
     "paley-wiener": (PaleyWienerKernel, ("band",)),
@@ -67,43 +60,13 @@ _KERNEL_SCHEMA = {
         for name, (_, keys) in _KERNEL_PARAMS.items()
     ],
 }
-# exactly one measure kind
-_MEASURE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "lebesgue": {
-            "type": "object",
-            "properties": {"dim": {"type": "integer", "minimum": 1}},
-            "required": ["dim"],
-            "additionalProperties": False,
-        },
-        "lattice": _LATTICE_SCHEMA,
-        "points_csv": {"type": "string"},
-        "atomic": {
-            "type": "object",
-            "properties": {
-                "points": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                    "minItems": 1,
-                },
-                "weights": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-            },
-            "required": ["points", "weights"],
-            "additionalProperties": False,
-        },
-    },
-    "minProperties": 1,
-    "maxProperties": 1,
-    "additionalProperties": False,
-}
 _OFFSET_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _PAIR_SCHEMA = {
     "type": "object",
     "properties": {
         "kernel": _KERNEL_SCHEMA,
-        "f": _MEASURE_SCHEMA,
-        "g": _MEASURE_SCHEMA,
+        "f": verify.MEASURE_SCHEMA,
+        "g": verify.MEASURE_SCHEMA,
         "f_offset": _OFFSET_SCHEMA,
         "g_offset": _OFFSET_SCHEMA,
     },
@@ -134,9 +97,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    mu = verify.measure_from_spec(verify.validate_config(_load_json_arg(args.mu), _MEASURE_SCHEMA))
-    nu = verify.measure_from_spec(verify.validate_config(_load_json_arg(args.nu), _MEASURE_SCHEMA), dim=mu.dim)
-    est = density(mu, nu, verify.density_schedule(mu, args.rmax))
+    mu = verify.measure_from_spec(verify.validate_config(_load_json_arg(args.mu), verify.MEASURE_SCHEMA))
+    nu = verify.measure_from_spec(verify.validate_config(_load_json_arg(args.nu), verify.MEASURE_SCHEMA), dim=mu.dim)
+    est = density(mu, nu, verify.density_schedule(mu, nu, args.rmax))
     Path(args.out).write_text(verify.report_json(dataclasses.asdict(est)))
     print(f"upper={est.upper!r} lower={est.lower!r} -> {args.out}")
     return 0
@@ -170,11 +133,10 @@ def _cmd_localize(args) -> int:
 
 def _cmd_gram(args) -> int:
     kernel = _kernel(verify.validate_config(_load_json_arg(args.kernel), _KERNEL_SCHEMA))
-    lat_cfg = verify.validate_config(_load_json_arg(args.lattice), _LATTICE_SCHEMA)
-    if lat_cfg["dim"] != kernel.dim:
-        raise verify.ConfigError(f"config invalid at $.dim: the kernel lives in dimension {kernel.dim}")
-    support = Lattice(lat_cfg["scale"], lat_cfg["dim"])
-    study = verify.gram_truncation_study(kernel, support, args.radii)
+    # a Gram family is indexed by a discrete support: a lattice or a point set
+    kinds = {k: verify.MEASURE_SCHEMA["properties"][k] for k in ("lattice", "points_csv")}
+    spec = verify.validate_config(_load_json_arg(args.support), {**verify.MEASURE_SCHEMA, "properties": kinds})
+    study = verify.gram_truncation_study(kernel, verify.measure_from_spec(spec, dim=kernel.dim).support, args.radii)
     Path(args.out).write_text(verify.report_json(study))
     for row in study["rows"]:
         print(row)
@@ -247,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("--out", type=_out, required=True)
     p_loc.set_defaults(fn=_cmd_localize)
 
-    p_gram = sub.add_parser("gram", help="windowed Gram spectra of a lattice kernel family")
+    p_gram = sub.add_parser("gram", help="windowed Gram spectra of a kernel family over a lattice or point set")
     p_gram.add_argument("--kernel", required=True)
-    p_gram.add_argument("--lattice", required=True)
+    p_gram.add_argument("--support", required=True, help="support spec JSON (lattice or points_csv)")
     p_gram.add_argument("--radii", type=_radii, required=True, help="comma-separated window radii")
     p_gram.add_argument("--out", type=_out, required=True)
     p_gram.set_defaults(fn=_cmd_gram)

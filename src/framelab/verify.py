@@ -86,11 +86,21 @@ DEFAULTS = {
     "dual-embedding": {"offset": [0.35, 0.2], "radii": [2.0, 4.0], "density_rmax": 32.0},
 }
 
-CONFIG_SCHEMA = {
+
+class ConfigError(ValueError):
+    """Scenario configuration rejected; message carries the JSON path."""
+
+
+# exactly one measure kind: every measure spec, and a scenario's lattice or points_csv
+MEASURE_SCHEMA = {
     "type": "object",
     "properties": {
-        "scenario": {"type": "string", "enum": list(DEFAULTS)},
-        "seed": {"type": "integer", "minimum": 0},
+        "lebesgue": {
+            "type": "object",
+            "properties": {"dim": {"type": "integer", "minimum": 1}},
+            "required": ["dim"],
+            "additionalProperties": False,
+        },
         "lattice": {
             "type": "object",
             "properties": {
@@ -102,6 +112,73 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
         },
         "points_csv": {"type": "string"},
+        "atomic": {
+            "type": "object",
+            "properties": {
+                "points": {
+                    "type": "array",
+                    "items": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                    "minItems": 1,
+                },
+                "weights": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+            },
+            "required": ["points", "weights"],
+            "additionalProperties": False,
+        },
+    },
+    "minProperties": 1,
+    "maxProperties": 1,
+    "additionalProperties": False,
+}
+
+
+def measure_from_spec(spec: dict, root: str = "$", dim: int | None = None):
+    """The measure of {"lebesgue": {...}} | {"lattice": {...}} | {"points_csv": ...} | {"atomic": {...}}.
+
+    A lattice with thin is a ThinnedLattice.  Point data that makes no
+    measure is a ConfigError at its JSON path under root, and so, with dim,
+    is a measure in another dimension, at the key that fixes it: the dim of
+    lebesgue or lattice, or the point data itself.
+    """
+    ((kind, body),) = spec.items()
+    if kind == "lebesgue":
+        measure = LebesgueMeasure(int(body["dim"]))
+    elif kind == "lattice":
+        measure = CountingMeasure((ThinnedLattice if "thin" in body else Lattice)(body["scale"], int(body["dim"])))
+    elif kind == "points_csv":
+        try:
+            measure = CountingMeasure(load_point_set_csv(body))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config invalid at {root}.points_csv: {exc}") from None
+    elif kind == "atomic":
+        points = body["points"]
+        first = {}
+        for i, p in enumerate(points):
+            where = f"config invalid at {root}.atomic.points[{i}]"
+            if len(p) != len(points[0]):
+                raise ConfigError(f"{where}: {len(p)} coordinates, not {len(points[0])}")
+            j = first.setdefault(tuple(p), i)
+            if j != i:
+                raise ConfigError(f"{where}: the same atom as points[{j}]")
+        try:
+            measure = AtomicMeasure(points, body["weights"])
+        except ValueError as exc:  # the points are checked above: what is left is the weights
+            raise ConfigError(f"config invalid at {root}.atomic.weights: {exc}") from None
+    else:
+        raise ConfigError(f"config invalid at {root}: measure needs one of lebesgue/lattice/points_csv/atomic")
+    if dim is not None and measure.dim != dim:
+        where = f"{root}.{kind}.dim" if kind in ("lebesgue", "lattice") else f"{root}.{kind}"
+        raise ConfigError(f"config invalid at {where}: needs dimension {dim}, got {measure.dim}")
+    return measure
+
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "scenario": {"type": "string", "enum": list(DEFAULTS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "lattice": MEASURE_SCHEMA["properties"]["lattice"],
+        "points_csv": MEASURE_SCHEMA["properties"]["points_csv"],
         "radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
         # the density schedule keeps the radii up to density_rmax: it needs the first
         "density_rmax": {"type": "number", "minimum": DEFAULT_RADII[0]},
@@ -126,15 +203,11 @@ CONFIG_SCHEMA = {
     "required": ["scenario"],
     "additionalProperties": False,
     # a lattice beside points_csv is rejected rather than ignored, and so are
-    # keys a scenario never reads (rules appended from DEFAULTS); the Fock and
-    # Gabor (n = 1) kernels live on R^2 (the localization terms cover d <= 2 only);
-    # Paley-Wiener runs on a 1-D lattice and never thins
+    # keys a scenario never reads (rules appended from DEFAULTS); Paley-Wiener
+    # runs on a 1-D lattice and never thins (Fock and Gabor read their support
+    # through measure_from_spec, which checks its dimension)
     "allOf": [
         {"if": {"required": ["points_csv"]}, "then": {"properties": {"lattice": {"not": {}}}}},
-        {
-            "if": {"properties": {"scenario": {"enum": ["fock", "gabor"]}}},
-            "then": {"properties": {"lattice": {"properties": {"dim": {"const": 2}}}}},
-        },
         {
             "if": {"properties": {"scenario": {"const": "paley-wiener"}}},
             "then": {"properties": {"lattice": {"properties": {"dim": {"const": 1}, "thin": {"not": {}}}}}},
@@ -158,10 +231,6 @@ CONFIG_SCHEMA["allOf"] += [
     {"if": {"properties": {"scenario": {"const": name}}}, "then": {"properties": _unread(defaults)}}
     for name, defaults in DEFAULTS.items()
 ]
-
-
-class ConfigError(ValueError):
-    """Scenario configuration rejected; message carries the JSON path."""
 
 
 def _non_finite_path(value, path: str = "$") -> str | None:
@@ -207,66 +276,31 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
     return cfg
 
 
-def measure_from_spec(spec: dict, root: str = "$", dim: int | None = None):
-    """The measure of {"lebesgue": {...}} | {"lattice": {...}} | {"points_csv": ...} | {"atomic": {...}}.
+def density_schedule(mu, nu, r_max: float) -> DensitySchedule:
+    """The centres and radii (up to r_max) of mu's density against nu: one rule for run and framelab density.
 
-    A lattice with thin is a ThinnedLattice.  Point data that makes no
-    measure is a ConfigError at its JSON path under root, and so, with dim,
-    is a measure in another dimension, at the key that fixes it: the dim of
-    lebesgue or lattice, or the point data itself.
+    A point set on either side takes a unit grid over its bounding box (on
+    both sides, the intersection of the two boxes) shrunk on every side by
+    the largest radius, so no ball reaches past the data's box; a box that
+    shrinks to nothing is a ConfigError at $.points_csv.  Otherwise a
+    lattice on either side, mu's first, takes one period at the plain
+    lattice's spacing (a ThinnedLattice's period is 2 scale).  Any other
+    pair takes default_schedule.
     """
-    ((kind, body),) = spec.items()
-    if kind == "lebesgue":
-        measure = LebesgueMeasure(int(body["dim"]))
-    elif kind == "lattice":
-        measure = CountingMeasure((ThinnedLattice if "thin" in body else Lattice)(body["scale"], int(body["dim"])))
-    elif kind == "points_csv":
-        try:
-            measure = CountingMeasure(load_point_set_csv(body))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"config invalid at {root}.points_csv: {exc}") from None
-    elif kind == "atomic":
-        points = body["points"]
-        first = {}
-        for i, p in enumerate(points):
-            where = f"config invalid at {root}.atomic.points[{i}]"
-            if len(p) != len(points[0]):
-                raise ConfigError(f"{where}: {len(p)} coordinates, not {len(points[0])}")
-            j = first.setdefault(tuple(p), i)
-            if j != i:
-                raise ConfigError(f"{where}: the same atom as points[{j}]")
-        try:
-            measure = AtomicMeasure(points, body["weights"])
-        except ValueError as exc:  # the points are checked above: what is left is the weights
-            raise ConfigError(f"config invalid at {root}.atomic.weights: {exc}") from None
-    else:
-        raise ConfigError(f"config invalid at {root}: measure needs one of lebesgue/lattice/points_csv/atomic")
-    if dim is not None and measure.dim != dim:
-        where = f"{root}.{kind}.dim" if kind in ("lebesgue", "lattice") else f"{root}.{kind}"
-        raise ConfigError(f"config invalid at {where}: needs dimension {dim}, got {measure.dim}")
-    return measure
-
-
-def density_schedule(measure, r_max: float) -> DensitySchedule:
-    """The centres and radii (up to r_max) of measure's density: one rule for run and framelab density.
-
-    A lattice takes one period at the plain lattice's spacing (a
-    ThinnedLattice's period is 2 scale).  A point set takes a unit grid over
-    its bounding box shrunk on every side by the largest radius, so no ball
-    reaches past the data's box; a box that shrinks to nothing is a
-    ConfigError at $.points_csv.  Any other measure takes default_schedule.
-    """
-    support = getattr(measure, "support", None)
-    if isinstance(support, Lattice):
-        sched = lattice_schedule(support.scale, support.dim, r_max=r_max)
-        if isinstance(support, ThinnedLattice):
+    supports = [getattr(m, "support", None) for m in (mu, nu)]
+    point_sets = [s.points for s in supports if isinstance(s, PointSet)]
+    lattices = [s for s in supports if isinstance(s, Lattice)]
+    if lattices and not point_sets:
+        sched = lattice_schedule(lattices[0].scale, lattices[0].dim, r_max=r_max)
+        if isinstance(lattices[0], ThinnedLattice):
             lo, hi = sched.center_box
             sched = DensitySchedule(sched.radii, (lo, 2.0 * hi), sched.center_spacing)
         return sched
-    sched = default_schedule(measure.dim, r_max=r_max)
-    if isinstance(support, PointSet):
+    sched = default_schedule(mu.dim, r_max=r_max)
+    if point_sets:
         r = sched.radii[-1]
-        lo, hi = support.points.min(axis=0) + r, support.points.max(axis=0) - r
+        lo = np.max([pts.min(axis=0) for pts in point_sets], axis=0) + r
+        hi = np.min([pts.max(axis=0) for pts in point_sets], axis=0) - r
         if np.any(hi < lo):
             raise ConfigError(f"config invalid at $.points_csv: no radius-{r!r} ball fits in the points' box")
         sched = DensitySchedule(sched.radii, (lo, hi), sched.center_spacing)
@@ -589,10 +623,10 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
     # supports inherit the lattice spacing
     d = kernel.dim
     spec = {"lattice": cfg["lattice"]} if cfg["points_csv"] is None else {"points_csv": cfg["points_csv"]}
-    counting = measure_from_spec(spec, dim=d)
-    dens = density(counting, LebesgueMeasure(d), density_schedule(counting, cfg["density_rmax"]))
+    counting, lebesgue = measure_from_spec(spec, dim=d), LebesgueMeasure(d)
+    dens = density(counting, lebesgue, density_schedule(counting, lebesgue, cfg["density_rmax"]))
     study = gram_truncation_study(kernel, counting.support, cfg["gram_radii"])
-    pair = FramePairSpec(kernel=kernel, f_measure=LebesgueMeasure(d), g_measure=counting)
+    pair = FramePairSpec(kernel=kernel, f_measure=lebesgue, g_measure=counting)
     table, loc_rows = theorem_main_table(pair, cfg["radii"])
     verdicts = _lattice_verdicts(dens, study, cfg["tolerances"]["density"], cfg["tolerances"]["critical_band"])
     if any(row["verdict"] == "hypotheses-unmet" for row in table):
@@ -618,7 +652,7 @@ def _paley_wiener_scenario(cfg: dict) -> dict:
     kernel = PaleyWienerKernel()
     counting = measure_from_spec({"lattice": cfg["lattice"]})
     pair = FramePairSpec(kernel=kernel, f_measure=LebesgueMeasure(1), g_measure=counting)
-    sched = density_schedule(counting, cfg["density_rmax"])
+    sched = density_schedule(counting, pair.f_measure, cfg["density_rmax"])
     corollary = corollary_parseval_check(pair, sched, tol=cfg["tolerances"]["density"])
     study = gram_truncation_study(kernel, counting.support, cfg["gram_radii"])
     table, loc_rows = theorem_main_table(pair, cfg["radii"])

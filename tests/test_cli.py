@@ -7,14 +7,13 @@ import pytest
 from framelab import cli, quadrature, verify
 from framelab.cli import _kernel, main
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
-from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure
+from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure, ThinnedLattice
 from framelab.verify import measure_from_spec
 
 LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lattice": {"scale": 1.0, "dim": 2}}}
 FOCK_N2 = {"kernel": "fock", "params": {"n": 2}}
 GABOR_BAND = {"kernel": "gabor-gaussian", "params": {"band": 2.0}}
-LATTICE_2D = '{"scale": 0.5, "dim": 2}'
-LATTICE_2D_MEASURE = '{"lattice": ' + LATTICE_2D + "}"
+LATTICE_2D = '{"lattice": {"scale": 0.5, "dim": 2}}'
 PW_N1_PAIR = {
     "kernel": {"kernel": "paley-wiener", "params": {"n": 1}},
     "f": {"lebesgue": {"dim": 1}},
@@ -109,8 +108,8 @@ class TestCommands:
                 "gram",
                 "--kernel",
                 '{"kernel": "fock"}',
-                "--lattice",
-                '{"scale": 1.2, "dim": 2}',
+                "--support",
+                '{"lattice": {"scale": 1.2, "dim": 2}}',
                 "--radii",
                 "2.0,3.0",
                 "--out",
@@ -120,6 +119,49 @@ class TestCommands:
         assert rc == 0
         study = json.loads(out.read_text())
         assert study["riesz_evidence"] is True
+
+    def test_gram_support_in_another_dimension_exit_2(self, tmp_path, capsys):
+        # measure_from_spec checks the support against the kernel's dimension, at the key that fixes it
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2,x3\n0,0,0\n1,0,0\n")
+        argv = ["gram", "--kernel", '{"kernel": "fock"}', "--support", json.dumps({"points_csv": str(pts)})]
+        assert main(argv + ["--radii", "2", "--out", str(tmp_path / "gram.json")]) == 2
+        assert "config invalid at $.points_csv:" in capsys.readouterr().err
+
+    def test_gram_on_a_point_set_writes_the_lattice_rows(self, tmp_path):
+        # the CSV of 0.5 Z^2 on [-20, 20]^2 holds every point of 0.5 Z^2 in each window
+        outs = []
+        for spec in ({"points_csv": str(_clipped_grid(tmp_path))}, {"lattice": {"scale": 0.5, "dim": 2}}):
+            outs.append(tmp_path / f"gram-{len(outs)}.json")
+            argv = ["gram", "--kernel", '{"kernel": "fock"}', "--support", json.dumps(spec), "--radii", "2.5,3.5,4.5"]
+            assert main(argv + ["--out", str(outs[-1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
+    def test_gram_on_a_thinned_lattice(self, tmp_path):
+        # every command reads thin: gram writes the library's study of the ThinnedLattice
+        out = tmp_path / "gram.json"
+        support = {"lattice": {"scale": 0.8, "dim": 2, "thin": "drop-even-even"}}
+        argv = ["gram", "--kernel", '{"kernel": "fock"}', "--support", json.dumps(support), "--radii", "2.5,3.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        study = verify.gram_truncation_study(FockKernel(), ThinnedLattice(0.8, 2), [2.5, 3.5])
+        assert out.read_text() == verify.report_json(study)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the frame-evidence rule reads density, not frames (ROADMAP items 1 and 14): Z^2 x Z^2/2 is no frame",
+    )
+    def test_gram_finds_no_frame_evidence_for_a_product_with_a_critical_factor(self, tmp_path):
+        # Gaussian Gabor n = 2 on Z^2 x (1/2)Z^2, points (p1, p2, q1, q2) = (a, c/2, b, d/2): density 4,
+        # yet A = A1 A2 = 0 because the (p1, q1) factor Z^2 is critical (Groechenig 2011)
+        a, c = np.arange(-2.0, 3.0), np.arange(-5, 6) / 2
+        grid = np.stack(np.meshgrid(a, c, a, c, indexing="ij"), axis=-1).reshape(-1, 4)
+        pts = tmp_path / "product.csv"
+        pts.write_text("x1,x2,x3,x4\n" + "".join(",".join(map(repr, row)) + "\n" for row in grid.tolist()))
+        out = tmp_path / "gram.json"
+        argv = ["gram", "--kernel", '{"kernel": "gabor-gaussian", "params": {"n": 2}}']
+        argv += ["--support", json.dumps({"points_csv": str(pts)}), "--radii", "2,2.5", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["frame_evidence"] is False
 
     def test_localize_command(self, tmp_path):
         pair = tmp_path / "pair.json"
@@ -295,7 +337,7 @@ class TestCommands:
             (["run", "--config", '{"scenario": "paley-wiener", "radii": [NaN]}'], "$.radii[0]"),
             (["run", "--config", '{"scenario": "dual-embedding", "offset": [0.1, -Infinity]}'], "$.offset[1]"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [0.1, math.nan]}), "--radii", "2"], "$.g_offset[1]"),
-            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", '{"scale": 1e999, "dim": 2}', "--radii", "2"], "$.scale"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", '{"lattice": {"scale": 1e999, "dim": 2}}', "--radii", "2"], "$.lattice.scale"),
         ],
     )
     def test_non_finite_number_exit_2_names_path(self, argv, path, tmp_path, capsys):
@@ -309,8 +351,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, path",
         [
-            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", '{"scale": 0.5, "dim": 1}', "--radii", "2"], "$.dim"),
-            (["gram", "--kernel", '{"kernel": "bessel"}', "--lattice", '{"scale": 0.5, "dim": 2}', "--radii", "2"], "$.kernel"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", '{"lattice": {"scale": 0.5, "dim": 1}}', "--radii", "2"], "$.lattice.dim"),
+            (["gram", "--kernel", '{"kernel": "bessel"}', "--support", LATTICE_2D, "--radii", "2"], "$.kernel"),
             (["density", "--mu", '{"lattice": {"scale": "x", "dim": 2}}', "--nu", '{"lebesgue": {"dim": 2}}'], "$.lattice.scale"),
             (["density", "--mu", '{"lattice": {"scale": 0.5}}', "--nu", '{"lebesgue": {"dim": 2}}'], "$.lattice"),
             (["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}}', "--nu", '{"nope": {}}'], "$.nope"),
@@ -323,8 +365,8 @@ class TestCommands:
             (["localize", "--pair", json.dumps(GABOR_N2_PAIR), "--radii", "2"], "$.kernel.params.n"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "quad": {"r_truncate": 5.0}}), "--radii", "2"], "$.quad"),
             # params the chosen kernel never reads
-            (["gram", "--kernel", json.dumps(FOCK_N2), "--lattice", LATTICE_2D, "--radii", "2"], "$.params.n"),
-            (["gram", "--kernel", json.dumps(GABOR_BAND), "--lattice", LATTICE_2D, "--radii", "2"], "$.params.band"),
+            (["gram", "--kernel", json.dumps(FOCK_N2), "--support", LATTICE_2D, "--radii", "2"], "$.params.n"),
+            (["gram", "--kernel", json.dumps(GABOR_BAND), "--support", LATTICE_2D, "--radii", "2"], "$.params.band"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "kernel": FOCK_N2}), "--radii", "2"], "$.kernel.params.n"),
             (
                 ["localize", "--pair", json.dumps({**LOC_PAIR, "kernel": GABOR_BAND}), "--radii", "2"],
@@ -390,6 +432,9 @@ class TestCommands:
             ),
             # no pair reads a truncation margin either
             (["localize", "--pair", json.dumps({**PW_PAIR, "quad": {"truncation_margin": 6.0}}), "--radii", "2"], "$.quad"),
+            # a Gram family is indexed by a lattice or a point set, never by a continuous or weighted measure
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", LEBESGUE_2D, "--radii", "2"], "$.lebesgue"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", json.dumps(ATOMIC_RAGGED), "--radii", "2"], "$.atomic"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
@@ -421,14 +466,14 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, option",
         [
-            (["density", "--mu", LATTICE_2D_MEASURE, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "2"], "--rmax"),
-            (["density", "--mu", LATTICE_2D_MEASURE, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "x"], "--rmax"),
+            (["density", "--mu", LATTICE_2D, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "2"], "--rmax"),
+            (["density", "--mu", LATTICE_2D, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "x"], "--rmax"),
             (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,x"], "--radii"),
             (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,-1"], "--radii"),
             (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,inf"], "--radii"),
-            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2,x"], "--radii"),
-            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2,-1"], "--radii"),
-            (["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "4.5,4.5"], "--radii"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", LATTICE_2D, "--radii", "2,x"], "--radii"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", LATTICE_2D, "--radii", "2,-1"], "--radii"),
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", LATTICE_2D, "--radii", "4.5,4.5"], "--radii"),
             (["localize", "--pair", json.dumps(PW_PAIR), "--radii", "2,4,2"], "--radii"),
         ],
     )
@@ -440,7 +485,7 @@ class TestCommands:
 
     def test_rmax_at_the_smallest_radius(self, tmp_path):
         out = tmp_path / "est.json"
-        argv = ["density", "--mu", LATTICE_2D_MEASURE, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "4"]
+        argv = ["density", "--mu", LATTICE_2D, "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "4"]
         assert main(argv + ["--out", str(out)]) == 0
         assert [row[0] for row in json.loads(out.read_text())["per_radius"]] == [4.0]
 
@@ -474,7 +519,7 @@ class TestCommands:
             ["run", "--config", "[1]"],
             ["density", "--mu", " [1]", "--nu", LEBESGUE_2D, "--out", "est.json"],
             ["localize", "--pair", "[1]", "--radii", "2", "--out", "loc.json"],
-            ["gram", "--kernel", "[1]", "--lattice", LATTICE_2D, "--radii", "2", "--out", "gram.json"],
+            ["gram", "--kernel", "[1]", "--support", LATTICE_2D, "--radii", "2", "--out", "gram.json"],
         ],
         ids=["run", "density", "localize", "gram"],
     )
@@ -487,9 +532,9 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["density", "--mu", LATTICE_2D_MEASURE, "--nu", LEBESGUE_2D],
+            ["density", "--mu", LATTICE_2D, "--nu", LEBESGUE_2D],
             ["localize", "--pair", json.dumps(PW_PAIR), "--radii", "4,8,16"],
-            ["gram", "--kernel", '{"kernel": "fock"}', "--lattice", LATTICE_2D, "--radii", "2"],
+            ["gram", "--kernel", '{"kernel": "fock"}', "--support", LATTICE_2D, "--radii", "2"],
         ],
         ids=["density", "localize", "gram"],
     )
@@ -575,15 +620,39 @@ class TestCommands:
         assert json.loads(out.read_text()) == dens
         assert dens["converged"] and dens["lower"] == dens["upper"] == pytest.approx(3.9901, abs=5e-5)
 
-    @pytest.mark.parametrize("command", ["run", "density"])
+    def test_points_csv_nu_density_converges_inside_the_data(self, tmp_path):
+        # the finite side sets the centres whichever side it is: Lebesgue against 0.5 Z^2 clipped to
+        # [-20, 20]^2 reads close to 1/4 at every radius (centres from --mu alone read 0.5708 at r = 16)
+        nu = json.dumps({"points_csv": str(_clipped_grid(tmp_path))})
+        out = tmp_path / "est.json"
+        assert main(["density", "--mu", LEBESGUE_2D, "--nu", nu, "--rmax", "16", "--out", str(out)]) == 0
+        est = json.loads(out.read_text())
+        assert est["converged"] and est["lower"] == est["upper"] == pytest.approx(0.2506225, abs=1e-7)
+
+    def test_two_points_csv_densities_take_the_intersection_of_their_boxes(self, tmp_path):
+        # 0.5 Z^2 on [-20, 20]^2 against Z^2 on [-10, 30] x [-20, 20]: at r_max 8 the centres lie in
+        # [-2, 12] x [-12, 12], so every ball lies inside both sets and the ratio stays near 4
+        mu = json.dumps({"points_csv": str(_clipped_grid(tmp_path))})
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("x1,x2\n" + "".join(f"{i}.0,{j}.0\n" for i in range(-10, 31) for j in range(-20, 21)))
+        out = tmp_path / "est.json"
+        argv = ["density", "--mu", mu, "--nu", json.dumps({"points_csv": str(shifted)}), "--rmax", "8"]
+        assert main(argv + ["--out", str(out)]) == 0
+        est = json.loads(out.read_text())
+        assert est["converged"] and 3.9 < est["lower"] <= est["upper"] < 4.1
+
+    @pytest.mark.parametrize("command", ["run", "density", "density-nu"])
     def test_points_csv_smaller_than_the_largest_ball_exit_2(self, command, tmp_path, capsys):
-        # at the default r_max 128 no density ball fits inside the data's [-20, 20]^2 box
+        # at the default r_max 128 no density ball fits inside the data's [-20, 20]^2 box, on either side
         pts = _clipped_grid(tmp_path)
         out = tmp_path / "out"
+        spec = json.dumps({"points_csv": str(pts)})
         if command == "run":
             argv = ["run", "--config", json.dumps({"scenario": "fock", "points_csv": str(pts)}), "--out-dir", str(out)]
+        elif command == "density":
+            argv = ["density", "--mu", spec, "--nu", LEBESGUE_2D, "--out", str(out)]
         else:
-            argv = ["density", "--mu", json.dumps({"points_csv": str(pts)}), "--nu", LEBESGUE_2D, "--out", str(out)]
+            argv = ["density", "--mu", LEBESGUE_2D, "--nu", spec, "--out", str(out)]
         assert main(argv) == 2
         assert "config invalid at $.points_csv:" in capsys.readouterr().err
         assert not out.exists()

@@ -2,7 +2,7 @@
 
 Every scenario config in a README ``json`` block validates, and the block
 that spells out each scenario's defaults equals ``verify.DEFAULTS``.  The
-``--mu``/``--nu`` measure specs and the ``--kernel``/``--lattice`` specs of
+``--mu``/``--nu``/``--support`` measure specs and the ``--kernel`` specs of
 the command examples validate against their commands' schemas, and every
 ``framelab`` command of a README ``sh`` block parses, so none names a
 subcommand or flag the parser does not have.
@@ -13,14 +13,14 @@ import shlex
 from pathlib import Path
 
 from framelab import cli
-from framelab.verify import DEFAULTS, validate_config
+from framelab.verify import DEFAULTS, MEASURE_SCHEMA, validate_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 ARG_SCHEMAS = {
-    "mu": cli._MEASURE_SCHEMA,
-    "nu": cli._MEASURE_SCHEMA,
+    "mu": MEASURE_SCHEMA,
+    "nu": MEASURE_SCHEMA,
     "kernel": cli._KERNEL_SCHEMA,
-    "lattice": cli._LATTICE_SCHEMA,
+    "support": MEASURE_SCHEMA,
 }
 
 
@@ -43,7 +43,7 @@ def test_defaults_block_is_the_defaults_table():
 
 
 def test_command_arguments_validate():
-    args = re.findall(r"--(mu|nu|kernel|lattice) '(\{.*?\})'", README)
+    args = re.findall(r"--(mu|nu|kernel|support) '(\{.*?\})'", README)
     assert sorted(key for key, _ in args) == sorted(ARG_SCHEMAS)
     for key, text in args:
         validate_config(json.loads(text), ARG_SCHEMAS[key])

@@ -479,7 +479,7 @@ class TestScenarios:
             "gram_radii": [2.0],
             "density_rmax": 4.0,
         }
-        sched = density_schedule(measure_from_spec({"lattice": cfg["lattice"]}), cfg["density_rmax"])
+        sched = density_schedule(measure_from_spec({"lattice": cfg["lattice"]}), LebesgueMeasure(2), cfg["density_rmax"])
         assert sched.center_spacing == 0.5
         assert np.array_equal(np.unique(sched.centers()), 0.5 * np.arange(4))
         assert run(cfg)["density"]["lower"] == pytest.approx(0.6764, abs=5e-5)
@@ -488,12 +488,13 @@ class TestScenarios:
         # 0.5 Z^2 clipped to [-20, 20]^2 at r_max 16: the unit grid on [-4, 4]^2; an atomic
         # measure on the same points, and Lebesgue, keep default_schedule's [-16, 16]^2 grid
         grid = 0.5 * np.stack(np.meshgrid(np.arange(-40, 41), np.arange(-40, 41)), axis=-1).reshape(-1, 2)
-        centers = density_schedule(CountingMeasure(PointSet(grid)), 16.0).centers()
+        centers = density_schedule(CountingMeasure(PointSet(grid)), LebesgueMeasure(2), 16.0).centers()
         assert len(centers) == 81 and np.array_equal(np.unique(centers), np.arange(-4.0, 5.0))
         for measure in (AtomicMeasure(grid, np.ones(len(grid))), LebesgueMeasure(2)):
-            assert np.array_equal(density_schedule(measure, 16.0).centers(), default_schedule(2, r_max=16.0).centers())
+            sched = density_schedule(measure, LebesgueMeasure(2), 16.0)
+            assert np.array_equal(sched.centers(), default_schedule(2, r_max=16.0).centers())
         with pytest.raises(ConfigError, match=r"at \$\.points_csv:"):
-            density_schedule(CountingMeasure(PointSet(grid)), 32.0)
+            density_schedule(CountingMeasure(PointSet(grid)), LebesgueMeasure(2), 32.0)
 
     @pytest.mark.parametrize(
         "scale, center, r, want",
