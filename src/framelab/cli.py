@@ -60,15 +60,13 @@ _KERNEL_SCHEMA = {
         for name, (_, keys) in _KERNEL_PARAMS.items()
     ],
 }
-_OFFSET_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _PAIR_SCHEMA = {
     "type": "object",
     "properties": {
         "kernel": _KERNEL_SCHEMA,
         "f": verify.MEASURE_SCHEMA,
         "g": verify.MEASURE_SCHEMA,
-        "f_offset": _OFFSET_SCHEMA,
-        "g_offset": _OFFSET_SCHEMA,
+        "g_offset": {"type": "array", "items": {"type": "number"}, "minItems": 1},
     },
     "required": ["kernel", "f", "g"],
     "additionalProperties": False,
@@ -113,16 +111,9 @@ def _cmd_localize(args) -> int:
             f"config invalid at $.kernel.params.n: localize needs a kernel in dimension <= 2, got {kernel.dim}"
         )
     measures = {side: verify.measure_from_spec(pair_cfg[side], f"$.{side}", kernel.dim) for side in ("f", "g")}
-    for key in ("f_offset", "g_offset"):
-        if key in pair_cfg and len(pair_cfg[key]) != kernel.dim:
-            raise verify.ConfigError(f"config invalid at $.{key}: the kernel lives in dimension {kernel.dim}")
-    pair = FramePairSpec(
-        kernel=kernel,
-        f_measure=measures["f"],
-        g_measure=measures["g"],
-        f_offset=pair_cfg.get("f_offset"),
-        g_offset=pair_cfg.get("g_offset"),
-    )
+    if "g_offset" in pair_cfg and len(pair_cfg["g_offset"]) != kernel.dim:
+        raise verify.ConfigError(f"config invalid at $.g_offset: the kernel lives in dimension {kernel.dim}")
+    pair = FramePairSpec(kernel, measures["f"], measures["g"], pair_cfg.get("g_offset"))
     rows = [localization_defect(pair, Ball(np.zeros(kernel.dim), r)) for r in args.radii]
     for row in rows:
         print(f"r={row['radius']}: defect={row['defect']:.6g} eps_eff={row['eps_eff']:.6g}")
@@ -227,7 +218,7 @@ def main(argv=None) -> int:
     except verify.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError, KeyError) as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

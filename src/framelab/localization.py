@@ -4,9 +4,9 @@ All operations reduce to double integrals of |<f_x, g_y>|^2 over B x B^c
 split between two index measures.  For every kernel a pair can hold, that
 quantity is a radial profile phi(|x - y|) of the two kernel points:
 e^{-pi d^2} for Fock and Gabor (n = 1), sinc^2(b d) for Paley-Wiener of
-band b.  A family's kernel point is its index point plus its offset, so a
-pair's kernel distance is within |Delta| = |f_offset - g_offset| of its
-index distance.
+band b.  The f family's kernel points are its index points; the g family's
+are its index points plus the pair's one offset, Delta = g_offset, so a
+pair's kernel distance is within |Delta| of its index distance.
 
 One private table, ``_PROFILES``, keyed by kernel class, holds one record
 (``_Profile``) per profile; Fock and Gabor share the Gaussian one.  A kernel
@@ -314,17 +314,17 @@ def _profile(kernel) -> _Profile:
 class FramePairSpec:
     """Two normalized kernel families over one geometry with their index measures.
 
-    Both families come from the same kernel; an optional offset translates a
-    family's kernel points relative to its index points (used by the
-    dual-embedding scenario; no offset is the zero vector).  Both families
-    are self-dual: see the module note.  The kernel lives in d <= 2 and has
-    a radial profile record in ``_PROFILES``.
+    Both families come from the same kernel.  The f family's kernel points
+    are its index points; the optional g_offset translates the g family's
+    kernel points from its index points (used by the dual-embedding
+    scenario; no offset is the zero vector).  Every term reads only that
+    one difference.  Both families are self-dual: see the module note.  The
+    kernel lives in d <= 2 and has a radial profile record in ``_PROFILES``.
     """
 
     kernel: object
     f_measure: object  # mu side
     g_measure: object  # nu side
-    f_offset: np.ndarray | None = None
     g_offset: np.ndarray | None = None
 
     def __post_init__(self):
@@ -332,21 +332,19 @@ class FramePairSpec:
         _profile(self.kernel)
         if self.f_measure.dim != d or self.g_measure.dim != d:
             raise ValueError("index measures must match the kernel dimension")
-        for name in ("f_offset", "g_offset"):
-            offset = np.zeros(d) if getattr(self, name) is None else as_point(getattr(self, name))
-            if offset.size != d:
-                raise ValueError(f"{name} must have {d} coordinates, got {offset.size}")
-            setattr(self, name, offset)
+        self.g_offset = np.zeros(d) if self.g_offset is None else as_point(self.g_offset)
+        if self.g_offset.size != d:
+            raise ValueError(f"g_offset must have {d} coordinates, got {self.g_offset.size}")
 
 
 def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) -> float:
     """max over probes x of the Lebesgue mass of |<k_x, k_.>|^2 on B(x, R_tr) \\ B(x, R).
 
     index_measure must be Lebesgue measure in the kernel's dimension.
-    probe_centers is one point (a flat sequence of d numbers, as
-    np.atleast_2d reads it) or a nonempty sequence of points, each of d
-    finite coordinates; anything else raises ValueError.  The check builds
-    no array: the value never reads the probes.  The profile is radial, so
+    probe_centers is a nonempty sequence of points ([p] for one point),
+    each of d finite coordinates; anything else, a flat point such as
+    [0.3, -0.2] included, raises ValueError.  The check builds no array:
+    the value never reads the probes.  The profile is radial, so
     every probe has the record's centred tail M(0, R, R_tr, outside), a
     closed form and no ``_disk_mass`` call: for Fock and Gabor (n = 1)
     e^{-pi R^2} - e^{-pi R_tr^2}, from the outside masses at R and R_tr (the
@@ -363,7 +361,7 @@ def tail_sup(kernel, index_measure, R: float, probe_centers, cfg: QuadConfig) ->
         probes = list(probe_centers)
         if not probes:
             raise ValueError("tail_sup needs at least one probe centre")
-        for p in probes if hasattr(probes[0], "__len__") else (probes,):
+        for p in probes:
             if len(p) != d:
                 raise ValueError(f"probe centres must have {d} coordinates, got {len(p)}")
             if not all(map(math.isfinite, map(float, p))):
@@ -398,10 +396,10 @@ def _walk(pair: FramePairSpec, b: Ball) -> list[_Side]:
     than c_cut apart in kernel coordinates.  With no cutoff (sinc^2) the walk ball is all of R^d: a finite
     side is walked whole, a lattice over B alone.
     """
-    reach = _profile(pair.kernel).cutoff + float(np.linalg.norm(pair.f_offset - pair.g_offset))
+    reach = _profile(pair.kernel).cutoff + float(np.linalg.norm(pair.g_offset))
     walk = Ball(b.center, b.radius + reach)
     sides = []
-    for m, offset in ((pair.f_measure, pair.f_offset), (pair.g_measure, pair.g_offset)):
+    for m, offset in ((pair.f_measure, np.zeros(pair.kernel.dim)), (pair.g_measure, pair.g_offset)):
         if not getattr(m, "is_discrete", False):
             sides.append(_Side(offset, m.ball_mass(b), m.ball_mass(walk)))
             continue
@@ -495,7 +493,7 @@ def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
     profile = _profile(pair.kernel)
     trunc_bound = 0.0
     if math.isfinite(profile.cutoff) and (f.inside is not None or g.inside is not None):
-        delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
+        delta = float(np.linalg.norm(pair.g_offset))
         gap = max(0.0, b.radius + (profile.cutoff + delta) - b.radius - delta)
         tail = profile.tail(pair.kernel, min(gap, profile.cutoff))
         trunc_bound = 2.0 * _PRUNE_EPS * f.walk_mass * g.walk_mass + normalizer * tail

@@ -264,7 +264,8 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
         raise ConfigError(f"config invalid at {path}: not a finite number")
 
     validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
+    # at one path an unexpected key comes first: it names the key, where maxProperties names only the object
+    errors = sorted(validator.iter_errors(cfg), key=lambda e: (e.json_path, e.validator != "additionalProperties"))
     if errors:
         first = errors[0]
         path = first.json_path
@@ -284,8 +285,10 @@ def density_schedule(mu, nu, r_max: float) -> DensitySchedule:
     the largest radius, so no ball reaches past the data's box; a box that
     shrinks to nothing is a ConfigError at $.points_csv.  Otherwise a
     lattice on either side, mu's first, takes one period at the plain
-    lattice's spacing (a ThinnedLattice's period is 2 scale).  Any other
-    pair takes default_schedule.
+    lattice's spacing (a ThinnedLattice's period is 2 scale).  Two
+    Lebesgue measures take default_schedule's radii at one centre, the
+    origin: every centre reads the same ratio.  Any other pair takes
+    default_schedule.
     """
     supports = [getattr(m, "support", None) for m in (mu, nu)]
     point_sets = [s.points for s in supports if isinstance(s, PointSet)]
@@ -304,6 +307,9 @@ def density_schedule(mu, nu, r_max: float) -> DensitySchedule:
         if np.any(hi < lo):
             raise ConfigError(f"config invalid at $.points_csv: no radius-{r!r} ball fits in the points' box")
         sched = DensitySchedule(sched.radii, (lo, hi), sched.center_spacing)
+    elif not (mu.is_discrete or nu.is_discrete):
+        origin = np.zeros(mu.dim)
+        sched = DensitySchedule(sched.radii, (origin, origin), sched.center_spacing)
     return sched
 
 
@@ -681,8 +687,7 @@ def _dual_embedding_scenario(cfg: dict) -> dict:
     )
     rows = [localization_defect(pair, Ball(np.zeros(2), r)) for r in sorted(cfg["radii"])]
     # both index measures are Lebesgue: densities are exactly 1 at every radius
-    sched = lattice_schedule(1.0, 2, r_max=cfg["density_rmax"])
-    corollary = corollary_parseval_check(pair, sched)
+    corollary = corollary_parseval_check(pair, density_schedule(pair.f_measure, pair.g_measure, cfg["density_rmax"]))
     ok = corollary["verdict"] == "pass" and all(r["eps_eff"] < 1e-10 for r in rows)
     return {
         "corollary": corollary,

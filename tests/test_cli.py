@@ -435,6 +435,12 @@ class TestCommands:
             # a Gram family is indexed by a lattice or a point set, never by a continuous or weighted measure
             (["gram", "--kernel", '{"kernel": "fock"}', "--support", LEBESGUE_2D, "--radii", "2"], "$.lebesgue"),
             (["gram", "--kernel", '{"kernel": "fock"}', "--support", json.dumps(ATOMIC_RAGGED), "--radii", "2"], "$.atomic"),
+            # several unexpected keys, or a known one beside an unexpected one: the first unexpected key is named,
+            # not the object that holds too many
+            (["gram", "--kernel", '{"kernel": "fock"}', "--support", '{"scale": 0.5, "dim": 2}', "--radii", "2"], "$.dim"),
+            (["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}, "foo": 1}', "--nu", LEBESGUE_2D], "$.foo"),
+            # a pair has one offset, the g family's: the f family's kernel points are its index points
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "f_offset": [0.1, 0.2]}), "--radii", "2"], "$.f_offset"),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
@@ -496,6 +502,15 @@ class TestCommands:
         rc = main(["localize", "--pair", json.dumps(pair), "--radii", "2", "--out", str(tmp_path / "loc.json")])
         assert rc == 1
         assert "empty ball: defect normalizer vanishes" in capsys.readouterr().err
+
+    def test_key_error_inside_a_command_propagates(self, tmp_path, monkeypatch):
+        # no validated input raises KeyError: one raised inside a command is a bug, never a config error
+        def broken(*args, **kwargs):
+            raise KeyError("properties")
+
+        monkeypatch.setattr(cli, "localization_defect", broken)
+        with pytest.raises(KeyError, match="properties"):
+            main(["localize", "--pair", json.dumps(LOC_PAIR), "--radii", "2", "--out", str(tmp_path / "loc.json")])
 
     @pytest.mark.parametrize("ref", [""], ids=["path"])
     def test_unreadable_json_argument_exit_2(self, ref, tmp_path, capsys):

@@ -127,13 +127,15 @@ class TestTailSup:
             ([[[0, 0]]], "probe centres must"),
             (0.0, "probe centres must"),
             (None, "probe centres must"),
+            ([0.3, -0.2], "probe centres must be points with 2 coordinates"),
+            (np.zeros(2), "probe centres must be points with 2 coordinates"),
         ],
         ids=["one-coordinate", "empty", "empty-array", "three-coordinates", "ragged", "strings", "string",
-             "nested", "scalar", "none"],
+             "nested", "scalar", "none", "flat", "flat-array"],
     )
     def test_probes_must_match_the_kernel(self, probes, message):
         # a probe with one coordinate has no tail in the Fock kernel's plane; whatever is not a
-        # point is a ValueError, never a TypeError (None: any message)
+        # sequence of points, one flat point included, is a ValueError, never a TypeError (None: any message)
         with pytest.raises(ValueError, match=message):
             tail_sup(FockKernel(), LebesgueMeasure(2), 1.0, probes, QuadConfig())
 
@@ -142,14 +144,12 @@ class TestTailSup:
         [
             lambda p: [p],
             lambda p: (tuple(p),),
-            lambda p: list(p),
             lambda p: np.zeros((3, len(p))),
-            lambda p: np.zeros(len(p)),
         ],
-        ids=["list-of-lists", "tuple-of-tuples", "flat", "array", "flat-array"],
+        ids=["list-of-lists", "tuple-of-tuples", "array"],
     )
     def test_probe_forms_give_the_same_bits(self, form):
-        # one point as a flat sequence, as np.atleast_2d reads it, or a sequence of points
+        # any sequence of points: lists, tuples or a 2-d array
         cfg = QuadConfig(h=0.05, truncation_radius=5.0)
         for K, p in ((FockKernel(), [0.0, 0.0]), (PaleyWienerKernel(), [0.3])):
             want = tail_sup(K, LebesgueMeasure(K.dim), 1.0, [p], cfg)
@@ -162,7 +162,7 @@ class TestTailSup:
     def test_probes_must_be_finite(self, kernel, bad):
         # as as_point and Ball refuse such a point; the tail itself never reads the probes
         d = kernel.dim
-        for probes in ([[bad] + [0.0] * (d - 1)], [[0.0] * d, [0.0] * (d - 1) + [bad]], np.full(d, bad)):
+        for probes in ([[bad] + [0.0] * (d - 1)], [[0.0] * d, [0.0] * (d - 1) + [bad]], np.full((1, d), bad)):
             with pytest.raises(ValueError, match="probe centres must be finite"):
                 tail_sup(kernel, LebesgueMeasure(d), 1.0, probes, QuadConfig())
 
@@ -205,7 +205,7 @@ class TestTailSup:
     @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
     def test_gaussian_tail_builds_no_array(self, kernel, monkeypatch):
         # the probes are checked in plain Python: the value never reads them, so no array is built
-        measure, probes = LebesgueMeasure(2), ([[0.3, -0.2]], [0.3, -0.2], ((0.0, 0.0), (2.5, 3.1)), np.zeros((3, 2)))
+        measure, probes = LebesgueMeasure(2), ([[0.3, -0.2]], ((0.0, 0.0), (2.5, 3.1)), np.zeros((3, 2)))
         cfgs = [(R, margin, QuadConfig(truncation_margin=margin)) for R in (0.5, 1.0, 3.0) for margin in (2.5, 6.0)]
 
         def refuse(*a, **k):
@@ -468,7 +468,7 @@ class TestPrunedSum:
         # every term that the wide kernel finds above the pruning bound
         g = CountingMeasure(Lattice(1.0, 2))
         ball = Ball([0.0, 0.0], 4.0)
-        pair = FramePairSpec(FockKernel(), f, g, f_offset=delta)
+        pair = FramePairSpec(FockKernel(), f, g, g_offset=np.negative(delta))
         pruned = localization_defect(pair, ball)
         patch_profile(monkeypatch, FockKernel(), [0], cutoff=WIDE_CUTOFF)
         full_t1, full_t2 = double_tail(pair, ball)
@@ -565,7 +565,7 @@ class TestTruncationBound:
         delta = float(np.linalg.norm(offset))
         for r in (2.0, 3.0, 4.0, 16.0):
             ball = Ball(np.zeros(kernel.dim), r)
-            res = localization_defect(FramePairSpec(kernel, f, g, f_offset=offset), ball)
+            res = localization_defect(FramePairSpec(kernel, f, g, g_offset=np.negative(offset)), ball)
             want = gaussian_walk_bound(f, g, ball, delta) if pruned else 0.0
             assert res["trunc_bound"] == want
             if margin is not None:
@@ -985,12 +985,11 @@ def lattice_pair_oracle(band, alpha_out, alpha_in, shift, c, r, K=10**6):
 def paley_wiener_atoms_oracle(pair, ball):
     """(t1, t2) of a Paley-Wiener pair of a Lebesgue side and an atomic side: every atom, from sici."""
     f_disc = pair.f_measure.is_discrete
-    disc, leb_off, atom_off = (
-        (pair.f_measure, pair.g_offset, pair.f_offset) if f_disc else (pair.g_measure, pair.f_offset, pair.g_offset)
-    )
+    disc = pair.f_measure if f_disc else pair.g_measure
     c, r, b = float(ball.center[0]), ball.radius, pair.kernel.band
     x, w = disc.points[:, 0], disc.weights
-    a = x + atom_off[0] - leb_off[0]
+    # an atom's kernel point as the Lebesgue family sees it: g's offset, on the atoms' side or the Lebesgue one
+    a = x - pair.g_offset[0] if f_disc else x + pair.g_offset[0]
     inner = np.abs(x - c) <= r
     t_inner = math.fsum(w[inner] * sinc2_outside(b, a[inner], c, r))
     t_outer = math.fsum(w[~inner] * sinc2_inside(b, a[~inner], c, r))
@@ -1065,7 +1064,7 @@ class TestSincSquaredClosedForm:
     @pytest.mark.parametrize("band, alpha", [(math.pi, 1.3), (math.pi, 2.2), (2.0, 2.2)], ids=["pi-1.3", "pi-2.2", "2-2.2"])
     def test_poisson_sum_against_direct_sum(self, band, alpha):
         # band alpha > pi: the Poisson sum has modes |m| < band alpha / pi, the oracle shares no code with it
-        pair = FramePairSpec(PaleyWienerKernel(band), LebesgueMeasure(1), CountingMeasure(Lattice(alpha, 1)), f_offset=[-0.2])
+        pair = FramePairSpec(PaleyWienerKernel(band), LebesgueMeasure(1), CountingMeasure(Lattice(alpha, 1)), g_offset=[0.2])
         # no atom lies on a sphere, where the oracle's plain distances and the lattice rule could part
         for r in (4.0, 8.0, 16.0, 7.3):
             ball = Ball([0.45], r)
@@ -1122,7 +1121,7 @@ class TestSincSquaredClosedForm:
         # _BLOCK pairs, within rounding of one block
         rng = np.random.default_rng(11)
         atomic = AtomicMeasure(rng.uniform(-400.0, 400.0, size=(3000, 1)), rng.uniform(0.2, 3.0, 3000))
-        pair = FramePairSpec(PaleyWienerKernel(2.0), atomic, CountingMeasure(Lattice(0.9, 1)), f_offset=[0.37])
+        pair = FramePairSpec(PaleyWienerKernel(2.0), atomic, CountingMeasure(Lattice(0.9, 1)), g_offset=[-0.37])
         whole = double_tail(pair, Ball([0.5], 6.0))
         blocks = []
         phi = PROFILES[PaleyWienerKernel].phi
@@ -1137,9 +1136,8 @@ class TestSincSquaredClosedForm:
     def test_atomic_side_with_offset_against_sici_oracle(self, atomic_side):
         rng = np.random.default_rng(9)
         atomic = AtomicMeasure(rng.uniform(-14.0, 15.0, size=(60, 1)), rng.uniform(0.2, 3.0, 60))
-        offsets = {"f_offset": [0.37]} if atomic_side == "f" else {"g_offset": [-0.61]}
         sides = (LebesgueMeasure(1), atomic) if atomic_side == "g" else (atomic, LebesgueMeasure(1))
-        pair = FramePairSpec(PaleyWienerKernel(2.0), *sides, **offsets)
+        pair = FramePairSpec(PaleyWienerKernel(2.0), *sides, g_offset=[-0.37] if atomic_side == "f" else [-0.61])
         ball = Ball([0.8], 5.0)
         row = localization_defect(pair, ball)
         t1, t2 = paley_wiener_atoms_oracle(pair, ball)
@@ -1170,7 +1168,7 @@ class TestOneWalk:
         kernel = FockKernel() if d == 2 else PaleyWienerKernel()
         pair = FramePairSpec(kernel, LebesgueMeasure(d), measure, g_offset=np.full(d, offset))
         f, g = localization._walk(pair, ball)
-        delta = float(np.linalg.norm(pair.f_offset - pair.g_offset))
+        delta = float(np.linalg.norm(pair.g_offset))
         walk = Ball(ball.center, ball.radius + (localization._PROFILES[type(kernel)].cutoff + delta))
         # masses: the same bits as ball_mass
         assert (g.mass, f.mass) == (measure.ball_mass(ball), LebesgueMeasure(d).ball_mass(ball))

@@ -84,7 +84,7 @@ def test_every_emitted_name_has_a_case():
     [
         pytest.param(
             name,
-            marks=pytest.mark.xfail(strict=True, reason="passes by construction, ROADMAP item 7")
+            marks=pytest.mark.xfail(strict=True, reason="passes by construction, ROADMAP item 9")
             if name == "dual-embedding"
             else (),
         )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from framelab.cli import main
-from framelab.density import DensityEstimate, default_schedule, lattice_schedule
+from framelab.density import DensityEstimate, DensitySchedule, default_schedule, density, lattice_schedule
 from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.localization import FramePairSpec
 from framelab import localization, quadrature, verify
@@ -486,15 +486,31 @@ class TestScenarios:
 
     def test_density_schedule_keeps_point_set_balls_inside_the_data(self):
         # 0.5 Z^2 clipped to [-20, 20]^2 at r_max 16: the unit grid on [-4, 4]^2; an atomic
-        # measure on the same points, and Lebesgue, keep default_schedule's [-16, 16]^2 grid
+        # measure on the same points keeps default_schedule's [-16, 16]^2 grid, and Lebesgue, where
+        # every centre reads the same ratio, its radii at the origin alone
         grid = 0.5 * np.stack(np.meshgrid(np.arange(-40, 41), np.arange(-40, 41)), axis=-1).reshape(-1, 2)
         centers = density_schedule(CountingMeasure(PointSet(grid)), LebesgueMeasure(2), 16.0).centers()
         assert len(centers) == 81 and np.array_equal(np.unique(centers), np.arange(-4.0, 5.0))
-        for measure in (AtomicMeasure(grid, np.ones(len(grid))), LebesgueMeasure(2)):
-            sched = density_schedule(measure, LebesgueMeasure(2), 16.0)
-            assert np.array_equal(sched.centers(), default_schedule(2, r_max=16.0).centers())
+        default = default_schedule(2, r_max=16.0)
+        sched = density_schedule(AtomicMeasure(grid, np.ones(len(grid))), LebesgueMeasure(2), 16.0)
+        assert np.array_equal(sched.centers(), default.centers())
+        sched = density_schedule(LebesgueMeasure(2), LebesgueMeasure(2), 16.0)
+        assert sched.radii == default.radii and np.array_equal(sched.centers(), np.zeros((1, 2)))
         with pytest.raises(ConfigError, match=r"at \$\.points_csv:"):
             density_schedule(CountingMeasure(PointSet(grid)), LebesgueMeasure(2), 32.0)
+
+    @pytest.mark.xfail(
+        strict=True, reason="two lattices are periodic only in their joint period; ROADMAP item 16 brackets it"
+    )
+    def test_two_lattice_schedule_reaches_the_joint_period_range(self):
+        # 0.5 Z^2 against 0.8 Z^2 repeats over [0, 4)^2, but the schedule samples mu's cell [0, 0.5)^2:
+        # at r = 4 it reads [2.4321, 2.5789], and the joint period at the same spacing [2.4198, 2.7733]
+        mu, nu = CountingMeasure(Lattice(0.5, 2)), CountingMeasure(Lattice(0.8, 2))
+        sched = density_schedule(mu, nu, 16.0)
+        (_, upper, lower), *_ = density(mu, nu, sched).per_radius
+        joint = DensitySchedule((4.0,), (np.zeros(2), np.full(2, 4.0 * (1.0 - 1e-9))), sched.center_spacing)
+        (_, wide_upper, wide_lower), = density(mu, nu, joint).per_radius
+        assert lower <= wide_lower and upper >= wide_upper
 
     @pytest.mark.parametrize(
         "scale, center, r, want",
