@@ -31,7 +31,7 @@ from .localization import FramePairSpec, localization_defect
 from .space import Ball
 
 
-# each kernel's class and the params it reads
+# each kernel's class and the params it reads: _kernel rejects any other
 _KERNEL_PARAMS = {
     "paley-wiener": (PaleyWienerKernel, ("band",)),
     "fock": (FockKernel, ()),
@@ -49,16 +49,6 @@ _KERNEL_SCHEMA = {
     },
     "required": ["kernel"],
     "additionalProperties": False,
-    # params the chosen kernel never reads are rejected rather than ignored
-    "allOf": [
-        {
-            "if": {"properties": {"kernel": {"const": name}}},
-            "then": {
-                "properties": {"params": {"properties": {k: {"not": {}} for k in ("band", "n") if k not in keys}}}
-            },
-        }
-        for name, (_, keys) in _KERNEL_PARAMS.items()
-    ],
 }
 _PAIR_SCHEMA = {
     "type": "object",
@@ -78,10 +68,19 @@ def _load_json_arg(arg: str):
     return json.loads(arg if arg.lstrip()[:1] in ("{", "[") else Path(arg).read_text())
 
 
-def _kernel(spec: dict):
-    """The kernel of a spec the schema has checked: its class, called with its params."""
-    cls, _ = _KERNEL_PARAMS[spec["kernel"]]
-    return cls(**spec.get("params", {}))
+def _kernel(spec: dict, root: str = "$"):
+    """The kernel of a spec the schema has checked: its class, called with its params.
+
+    A param its _KERNEL_PARAMS entry does not list is a ConfigError at <root>.params.<name>.
+    """
+    cls, keys = _KERNEL_PARAMS[spec["kernel"]]
+    params = spec.get("params", {})
+    unread = sorted(set(params) - set(keys))
+    if unread:
+        raise verify.ConfigError(
+            f"config invalid at {root}.params.{unread[0]}: kernel {spec['kernel']!r} does not read it"
+        )
+    return cls(**params)
 
 
 def _cmd_run(args) -> int:
@@ -105,7 +104,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_localize(args) -> int:
     pair_cfg = verify.validate_config(_load_json_arg(args.pair), _PAIR_SCHEMA)
-    kernel = _kernel(pair_cfg["kernel"])
+    kernel = _kernel(pair_cfg["kernel"], "$.kernel")
     if kernel.dim > 2:
         raise verify.ConfigError(
             f"config invalid at $.kernel.params.n: localize needs a kernel in dimension <= 2, got {kernel.dim}"

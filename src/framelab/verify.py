@@ -16,11 +16,13 @@ under taking subfamilies.  A lattice whose density estimate sits inside the
 critical band around 1 yields no claim in either direction.
 
 Configuration: ``DEFAULTS`` lists, per scenario, every optional key it reads
-with its default, down to the ``tolerances`` fields.
-``CONFIG_SCHEMA`` rejects any other key or field by its JSON path, and
-``run`` validates a config and then resolves it once (``resolve_config``).
-Scenario bodies read only the resolved dict; the report's ``inputs`` keep
-the config as given.
+with its default, down to the ``tolerances`` fields.  ``CONFIG_SCHEMA``
+checks only shapes (types, ranges, closed objects); ``run`` validates a
+config against it and then resolves it once (``resolve_config``), which
+rejects any key or field its scenario's ``DEFAULTS`` does not list by its
+JSON path, so a shape fault is reported before an unread key.  Scenario
+bodies read only the resolved dict; the report's ``inputs`` keep the config
+as given.
 """
 from __future__ import annotations
 
@@ -62,8 +64,8 @@ SCHEMA_ID = "framelab/1"
 PASSING_VERDICTS = ("pass", "vacuous-consistent", "critical-no-claim")
 
 # Every optional key each scenario reads, with its default (seed is one, read by
-# finite-oracle alone); scenario is legal everywhere.  tolerances
-# are merged one level deep, so a scenario reads exactly the fields listed here.
+# finite-oracle alone); scenario is legal everywhere.  tolerances are merged one
+# level deep; resolve_config rejects any key or tolerances field not listed here.
 _MODEL_SPACE = {
     "lattice": {"scale": 1.0, "dim": 2},
     "points_csv": None,
@@ -202,35 +204,7 @@ CONFIG_SCHEMA = {
     },
     "required": ["scenario"],
     "additionalProperties": False,
-    # a lattice beside points_csv is rejected rather than ignored, and so are
-    # keys a scenario never reads (rules appended from DEFAULTS); Paley-Wiener
-    # runs on a 1-D lattice and never thins (Fock and Gabor read their support
-    # through measure_from_spec, which checks its dimension)
-    "allOf": [
-        {"if": {"required": ["points_csv"]}, "then": {"properties": {"lattice": {"not": {}}}}},
-        {
-            "if": {"properties": {"scenario": {"const": "paley-wiener"}}},
-            "then": {"properties": {"lattice": {"properties": {"dim": {"const": 1}, "thin": {"not": {}}}}}},
-        },
-    ],
 }
-
-
-def _unread(defaults: dict) -> dict:
-    """Schema properties rejecting each optional key, and each tolerances field, missing from defaults."""
-    props = {}
-    for key, spec in CONFIG_SCHEMA["properties"].items():
-        if key not in defaults and key != "scenario":
-            props[key] = {"not": {}}
-        elif key == "tolerances":
-            props[key] = {"properties": {f: {"not": {}} for f in spec["properties"] if f not in defaults[key]}}
-    return props
-
-
-CONFIG_SCHEMA["allOf"] += [
-    {"if": {"properties": {"scenario": {"const": name}}}, "then": {"properties": _unread(defaults)}}
-    for name, defaults in DEFAULTS.items()
-]
 
 
 def _non_finite_path(value, path: str = "$") -> str | None:
@@ -272,8 +246,7 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
         if first.validator == "additionalProperties":
             # point at the first unexpected key, not at the object holding it
             path += "." + sorted(set(first.instance) - set(first.schema["properties"]))[0]
-        message = "the chosen scenario or kernel does not read this key" if first.validator == "not" else first.message
-        raise ConfigError(f"config invalid at {path}: {message}")
+        raise ConfigError(f"config invalid at {path}: {first.message}")
     return cfg
 
 
@@ -656,7 +629,9 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
 
 def _paley_wiener_scenario(cfg: dict) -> dict:
     kernel = PaleyWienerKernel()
-    counting = measure_from_spec({"lattice": cfg["lattice"]})
+    counting = measure_from_spec({"lattice": cfg["lattice"]}, dim=1)
+    if "thin" in cfg["lattice"]:
+        raise ConfigError("config invalid at $.lattice.thin: scenario 'paley-wiener' does not read it")
     pair = FramePairSpec(kernel=kernel, f_measure=LebesgueMeasure(1), g_measure=counting)
     sched = density_schedule(counting, pair.f_measure, cfg["density_rmax"])
     corollary = corollary_parseval_check(pair, sched, tol=cfg["tolerances"]["density"])
@@ -712,8 +687,21 @@ _SCENARIOS = {
 
 
 def resolve_config(cfg: dict) -> dict:
-    """The config a scenario runs with: its DEFAULTS filled in, tolerances merged one level deep."""
-    defaults = DEFAULTS[cfg["scenario"]]
+    """The config a scenario runs with: its DEFAULTS filled in, tolerances merged one level deep.
+
+    cfg has passed validate_config.  A key or tolerances field that its
+    scenario's DEFAULTS does not list is a ConfigError at the first such JSON
+    path, and so is a lattice beside points_csv, which takes its place.
+    """
+    name = cfg["scenario"]
+    defaults = DEFAULTS[name]
+    unread = [f"$.{key}" for key in cfg if key not in defaults and key != "scenario"]
+    if "tolerances" in cfg and "tolerances" in defaults:
+        unread += [f"$.tolerances.{f}" for f in cfg["tolerances"] if f not in defaults["tolerances"]]
+    if "lattice" in cfg and "points_csv" in cfg:
+        unread.append("$.lattice")
+    if unread:
+        raise ConfigError(f"config invalid at {min(unread)}: scenario {name!r} does not read it")
     resolved = {**defaults, **cfg}
     if "tolerances" in defaults:
         resolved["tolerances"] = {**defaults["tolerances"], **resolved["tolerances"]}

@@ -1,4 +1,4 @@
-"""Every scenario config the benchmark runs is valid against the scenario schema.
+"""Every scenario config the benchmark runs is valid: its shape, and every key its scenario reads.
 
 The benchmark harness builds its configs itself (``perfbench/workloads.py``),
 so a schema change that rejects one of them would turn benchmark operations
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from framelab.verify import validate_config
+from framelab.verify import resolve_config, validate_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -21,7 +21,7 @@ import workloads  # noqa: E402
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 11, 12345])
 def test_benchmark_scenario_configs_are_valid(seed):
     for cfg in workloads.scenario_configs(seed):
-        validate_config(cfg)
+        resolve_config(validate_config(cfg))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 11])

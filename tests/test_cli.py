@@ -317,6 +317,8 @@ class TestCommands:
             # every term is taken over all of B^c: no scenario reads a truncation margin
             ({"scenario": "fock", "quad": {"truncation_margin": 6.0}}, "$.quad"),
             ({"scenario": "paley-wiener", "quad": {"truncation_margin": 6.0}}, "$.quad"),
+            # a shape fault comes before a key the scenario does not read, though $.offset sorts first
+            ({"scenario": "paley-wiener", "offset": [0.1, 0.2], "radii": []}, "$.radii"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):
@@ -441,6 +443,12 @@ class TestCommands:
             (["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}, "foo": 1}', "--nu", LEBESGUE_2D], "$.foo"),
             # a pair has one offset, the g family's: the f family's kernel points are its index points
             (["localize", "--pair", json.dumps({**LOC_PAIR, "f_offset": [0.1, 0.2]}), "--radii", "2"], "$.f_offset"),
+            # a shape fault comes before a param the kernel does not read, though $.params.band sorts first
+            (
+                ["gram", "--kernel", json.dumps({**FOCK_N2, "params": {"band": 1.0, "n": 0}})]
+                + ["--support", LATTICE_2D, "--radii", "2"],
+                "$.params.n",
+            ),
         ],
     )
     def test_malformed_spec_exit_2_names_path(self, argv, path, tmp_path, capsys):
@@ -655,6 +663,20 @@ class TestCommands:
         assert main(argv + ["--out", str(out)]) == 0
         est = json.loads(out.read_text())
         assert est["converged"] and 3.9 < est["lower"] <= est["upper"] < 4.1
+
+    @pytest.mark.xfail(strict=True, reason="a point set's density centres cover its box, not its hull (ROADMAP item 17)")
+    def test_points_csv_density_centres_stay_inside_the_hull(self, tmp_path):
+        # 0.5 Z^2 clipped to the disc of radius 20 (5025 points): at r_max 8 the box's corner centres near
+        # (+-12, +-12) put balls past the data, and the lower density reads 2.7852 at r = 8 (true 4), not converged
+        pts = tmp_path / "disc.csv"
+        disc = [(i, j) for i in range(-40, 41) for j in range(-40, 41) if i * i + j * j <= 1600]
+        pts.write_text("x1,x2\n" + "".join(f"{0.5 * i!r},{0.5 * j!r}\n" for i, j in disc))
+        out = tmp_path / "est.json"
+        argv = ["density", "--mu", json.dumps({"points_csv": str(pts)}), "--nu", LEBESGUE_2D, "--rmax", "8"]
+        assert main(argv + ["--out", str(out)]) == 0
+        est = json.loads(out.read_text())
+        assert est["converged"]
+        assert est["lower"] == pytest.approx(4.0, rel=0.02) and est["upper"] == pytest.approx(4.0, rel=0.02)
 
     @pytest.mark.parametrize("command", ["run", "density", "density-nu"])
     def test_points_csv_smaller_than_the_largest_ball_exit_2(self, command, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The JSON examples and commands in README.md pass the schemas and the parser that check them.
 
-Every scenario config in a README ``json`` block validates, and the block
-that spells out each scenario's defaults equals ``verify.DEFAULTS``.  The
+Every scenario config in a README ``json`` block validates and resolves
+(its scenario reads every key it holds), and the block that spells out each
+scenario's defaults equals ``verify.DEFAULTS``.  The
 ``--mu``/``--nu``/``--support`` measure specs and the ``--kernel`` specs of
-the command examples validate against their commands' schemas, and every
+the command examples validate against their commands' schemas, a kernel
+spec's params are those its kernel reads (``cli._kernel``), and every
 ``framelab`` command of a README ``sh`` block parses, so none names a
 subcommand or flag the parser does not have.
 """
@@ -13,7 +15,7 @@ import shlex
 from pathlib import Path
 
 from framelab import cli
-from framelab.verify import DEFAULTS, MEASURE_SCHEMA, validate_config
+from framelab.verify import DEFAULTS, MEASURE_SCHEMA, resolve_config, validate_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 ARG_SCHEMAS = {
@@ -34,7 +36,7 @@ def test_scenario_configs_validate():
     configs = [cfg for block in json_blocks() for cfg in block]
     assert len(configs) == 1 + len(DEFAULTS)
     for cfg in configs:
-        validate_config(cfg)
+        resolve_config(validate_config(cfg))
 
 
 def test_defaults_block_is_the_defaults_table():
@@ -46,7 +48,9 @@ def test_command_arguments_validate():
     args = re.findall(r"--(mu|nu|kernel|support) '(\{.*?\})'", README)
     assert sorted(key for key, _ in args) == sorted(ARG_SCHEMAS)
     for key, text in args:
-        validate_config(json.loads(text), ARG_SCHEMAS[key])
+        spec = validate_config(json.loads(text), ARG_SCHEMAS[key])
+        if key == "kernel":
+            cli._kernel(spec)
 
 
 def framelab_commands() -> list[list[str]]:
