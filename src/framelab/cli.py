@@ -6,6 +6,8 @@ or a file's path.  Every measure spec, gram's --support (a lattice or
 points_csv) included, is checked against verify.MEASURE_SCHEMA and read by
 verify.measure_from_spec, as run's lattice and points_csv are; density
 chooses its schedule from both measures by verify.density_schedule, as run does.
+A kernel spec names a class of kernels.KERNELS and sets only the params
+that class declares; localize refuses a kernel whose profile is None.
 Exit codes: 0 when every verdict passes or is explicitly vacuous/no-claim,
 1 on failing verdicts or contradictions, 2 on configuration and usage errors,
 found before any work: an --out that is no file path in an existing
@@ -26,24 +28,17 @@ import numpy as np
 
 from . import verify
 from .density import DEFAULT_RADII, density
-from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
+from .kernels import KERNELS
 from .localization import FramePairSpec, localization_defect
 from .space import Ball
 
-
-# each kernel's class and the params it reads: _kernel rejects any other
-_KERNEL_PARAMS = {
-    "paley-wiener": (PaleyWienerKernel, ("band",)),
-    "fock": (FockKernel, ()),
-    "gabor-gaussian": (GaborGaussianKernel, ("n",)),
-}
 _KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "kernel": {"enum": list(_KERNEL_PARAMS)},
+        "kernel": {"enum": list(KERNELS)},
         "params": {
             "type": "object",
-            "properties": {"band": {"type": "number", "exclusiveMinimum": 0}, "n": {"type": "integer", "minimum": 1}},
+            "properties": {name: shape for cls in KERNELS.values() for name, shape in cls.params.items()},
             "additionalProperties": False,
         },
     },
@@ -69,13 +64,13 @@ def _load_json_arg(arg: str):
 
 
 def _kernel(spec: dict, root: str = "$"):
-    """The kernel of a spec the schema has checked: its class, called with its params.
+    """The kernel of a spec the schema has checked: its KERNELS class, called with its params.
 
-    A param its _KERNEL_PARAMS entry does not list is a ConfigError at <root>.params.<name>.
+    A param its class's params do not list is a ConfigError at <root>.params.<name>.
     """
-    cls, keys = _KERNEL_PARAMS[spec["kernel"]]
+    cls = KERNELS[spec["kernel"]]
     params = spec.get("params", {})
-    unread = sorted(set(params) - set(keys))
+    unread = sorted(set(params) - set(cls.params))
     if unread:
         raise verify.ConfigError(
             f"config invalid at {root}.params.{unread[0]}: kernel {spec['kernel']!r} does not read it"
@@ -105,7 +100,7 @@ def _cmd_density(args) -> int:
 def _cmd_localize(args) -> int:
     pair_cfg = verify.validate_config(_load_json_arg(args.pair), _PAIR_SCHEMA)
     kernel = _kernel(pair_cfg["kernel"], "$.kernel")
-    if kernel.dim > 2:
+    if kernel.profile is None:
         raise verify.ConfigError(
             f"config invalid at $.kernel.params.n: localize needs a kernel in dimension <= 2, got {kernel.dim}"
         )

@@ -18,8 +18,10 @@ symmetry is structural for every variant.  The array is real (float) for
 the real sinc kernel and complex for the others.  Only the normalized families
 enter the lab, and they are computed through exponents with nonpositive real
 part, so they stay finite where the raw Fock kernel exp(pi |z|^2) would
-overflow.  A kernel is these Gram entries plus dim and mode_density; the
-decay rules of |<k_x, k_y>|^2 live in framelab.localization.
+overflow.  A kernel is one class: these Gram entries, dim, mode_density,
+params (name -> schema of each param it reads), profile (the key of its
+framelab.localization record, or None), quarter_turn and twin (its Gram
+symmetry, see verify._gram_spectrum).  KERNELS maps config names to classes.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "KERNELS",
     "PaleyWienerKernel",
     "FockKernel",
     "GaborGaussianKernel",
@@ -50,7 +53,11 @@ class PaleyWienerKernel:
             raise ValueError("band must be positive")
         self.band = float(band)
 
+    params = {"band": {"type": "number", "exclusiveMinimum": 0}}
     dim = 1
+    profile = "sinc2"
+    quarter_turn = False
+    twin = None
 
     @property
     def mode_density(self) -> float:
@@ -65,8 +72,12 @@ class PaleyWienerKernel:
 class FockKernel:
     """Bargmann-Fock kernel exp(pi z conj(w)) in one complex variable."""
 
+    params = {}
     dim = 2
     mode_density = 1.0
+    profile = "gaussian"
+    quarter_turn = True  # the Gram is invariant under the quarter turn z -> iz
+    twin = None
 
     @staticmethod
     def _as_complex(pts) -> np.ndarray:
@@ -86,12 +97,17 @@ class GaborGaussianKernel:
         if n < 1:
             raise ValueError("number of variables must be >= 1")
         self.n = int(n)
+        # n = 1 shares Fock's spectrum: the Bargmann transform makes this Gram D G_Fock D*, D = diag(exp(i pi p q))
+        self.twin = FockKernel() if n == 1 else None
+        self.profile = "gaussian" if n == 1 else None  # the Gaussian record's masses are taken in the plane
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
+    params = {"n": {"type": "integer", "minimum": 1}}
     mode_density = 1.0
+    quarter_turn = False
 
     def normalized_cross(self, x, y) -> np.ndarray:
         lam = _rows(x, self.dim)
@@ -108,11 +124,14 @@ class TabulatedKernel:
     """Kernel given by a user callback K(x, y) -> complex on single points, for Gram studies only.
 
     The callback must supply its own (positive) diagonal; nothing is
-    interpolated.  It has no radial profile, so ``framelab.localization``
-    refuses it: a callback need not be a function of x - y.
+    interpolated.
     """
 
-    def __init__(self, fn, dim: int, mode_density: float | None = None):
+    profile = None  # a callback need not be a function of x - y, so framelab.localization refuses it
+    quarter_turn = False
+    twin = None
+
+    def __init__(self, fn, dim: int, mode_density: float):
         self.fn = fn
         self.dim = int(dim)
         self.mode_density = mode_density
@@ -137,3 +156,6 @@ class TabulatedKernel:
         if np.any(dx <= 0) or np.any(dy <= 0):
             raise ValueError("kernel degenerate at point: nonpositive diagonal")
         return kxy / np.sqrt(dx)[:, None] / np.sqrt(dy)[None, :]
+
+
+KERNELS = {"paley-wiener": PaleyWienerKernel, "fock": FockKernel, "gabor-gaussian": GaborGaussianKernel}

@@ -8,10 +8,10 @@ band b.  The f family's kernel points are its index points; the g family's
 are its index points plus the pair's one offset, Delta = g_offset, so a
 pair's kernel distance is within |Delta| of its index distance.
 
-One private table, ``_PROFILES``, keyed by kernel class, holds one record
-(``_Profile``) per profile; Fock and Gabor share the Gaussian one.  A kernel
-with no record (a tabulated one, Gabor with n >= 2) is refused by
-``FramePairSpec`` and ``tail_sup``.  A record carries:
+One private table, ``_PROFILES``, keyed by a kernel's ``profile``, holds
+a record (``_Profile``) per profile: "gaussian" for Fock and Gabor (n = 1),
+"sinc2" for Paley-Wiener.  ``FramePairSpec`` and ``tail_sup`` refuse a
+kernel whose profile is None (Gabor n >= 2, tabulated).  A record carries:
 
 - phi over every pair of two point arrays;
 - its cutoff, beyond which phi < 1e-14: c = sqrt(ln(1e14) / pi) ~ 3.20 for
@@ -60,8 +60,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial.polynomial import polyval
-
-from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
 
 # integrate_complement serves no term here: perfbench/tracing.py binds it under this module's name
 from .quadrature import QuadConfig, integrate_complement  # noqa: F401
@@ -278,19 +276,17 @@ class _Profile(NamedTuple):
     comb: Callable | None  # (kernel, lattice, x, r) -> the Poisson sum over the lattice; None with a cutoff
 
 
-_GAUSSIAN = _Profile(
-    phi=_gaussian_phi,
-    cutoff=_CUTOFF,
-    tail=lambda kernel, gap: math.exp(-math.pi * gap * gap),
-    mass=lambda kernel, s, r, inside: _disk_mass(s, r, inside),
-    lens=lambda kernel, s, r: _lens_overlap(float(np.linalg.norm(s)), r),
-    centred=lambda kernel, R, r_tr: math.exp(-math.pi * R * R) - math.exp(-math.pi * r_tr * r_tr),
-    comb=None,
-)
 _PROFILES = {
-    FockKernel: _GAUSSIAN,
-    GaborGaussianKernel: _GAUSSIAN,
-    PaleyWienerKernel: _Profile(
+    "gaussian": _Profile(
+        phi=_gaussian_phi,
+        cutoff=_CUTOFF,
+        tail=lambda kernel, gap: math.exp(-math.pi * gap * gap),
+        mass=lambda kernel, s, r, inside: _disk_mass(s, r, inside),
+        lens=lambda kernel, s, r: _lens_overlap(float(np.linalg.norm(s)), r),
+        centred=lambda kernel, R, r_tr: math.exp(-math.pi * R * R) - math.exp(-math.pi * r_tr * r_tr),
+        comb=None,
+    ),
+    "sinc2": _Profile(
         phi=_sinc2_phi,
         cutoff=math.inf,
         tail=None,
@@ -303,11 +299,10 @@ _PROFILES = {
 
 
 def _profile(kernel) -> _Profile:
-    """The kernel's record in _PROFILES; a kernel with none, or outside d <= 2 (Gabor n >= 2), is refused."""
-    profile = _PROFILES.get(type(kernel))
-    if profile is None or kernel.dim > 2:
+    """The record in _PROFILES of the kernel's profile; a kernel whose profile is None is refused."""
+    if kernel.profile is None:
         raise ValueError(f"no radial profile for {type(kernel).__name__} in dimension {kernel.dim}")
-    return profile
+    return _PROFILES[kernel.profile]
 
 
 @dataclass
@@ -319,7 +314,7 @@ class FramePairSpec:
     kernel points from its index points (used by the dual-embedding
     scenario; no offset is the zero vector).  Every term reads only that
     one difference.  Both families are self-dual: see the module note.  The
-    kernel lives in d <= 2 and has a radial profile record in ``_PROFILES``.
+    kernel's profile names its radial profile record in ``_PROFILES``.
     """
 
     kernel: object

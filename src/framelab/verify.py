@@ -35,7 +35,7 @@ import numpy as np
 
 from . import finframe
 from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, default_schedule, density, lattice_schedule
-from .kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
+from .kernels import KERNELS
 from .localization import FramePairSpec, localization_defect
 from .space import (
     AtomicMeasure,
@@ -311,19 +311,18 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
 def _gram_spectrum(kernel, pts: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the Gram matrix kernel.normalized_cross(pts, pts), in quarter-turn blocks.
 
-    The Fock Gram is invariant under the quarter turn z -> iz, and the Gabor
-    n = 1 Gram is its twin: through the Bargmann transform it equals
-    D G_Fock D* with D = diag(exp(i pi p q)), z = p + i q, so both share one
-    spectrum.  When the window's points equal their quarter turn, the Gram
-    is block-circulant over the orbit representatives p_j (x > 0, y >= 0):
-    with G_t = normalized_cross(reps, rho^t reps), its spectrum is the union
-    of those of H_k = sum_t i^(kt) G_t, k = 0..3, the origin (if present)
-    bordered into H_0 by 2 G(p_j, 0) and G(0, 0).  Any other window is the
-    same computation with one turn: reps = pts and H_0 = G.
+    A kernel's twin, when it has one, shares its spectrum and has its Gram
+    solved in the kernel's place.  When that Gram is invariant under the
+    quarter turn z -> iz (quarter_turn) and the window's points equal their
+    quarter turn, it is block-circulant over the orbit representatives p_j
+    (x > 0, y >= 0): with G_t = normalized_cross(reps, rho^t reps), its
+    spectrum is the union of those of H_k = sum_t i^(kt) G_t, k = 0..3, the
+    origin (if present) bordered into H_0 by 2 G(p_j, 0) and G(0, 0).  Any
+    other window is the same computation with one turn: reps = pts and H_0 = G.
     """
-    if isinstance(kernel, GaborGaussianKernel) and kernel.n == 1:
-        kernel = FockKernel()
-    if isinstance(kernel, FockKernel) and _same_rows(pts, _quarter_turn(pts)):
+    if kernel.twin is not None:
+        kernel = kernel.twin
+    if kernel.quarter_turn and _same_rows(pts, _quarter_turn(pts)):
         turns = 4
         reps, centre = pts[(pts[:, 0] > 0) & (pts[:, 1] >= 0)], pts[np.all(pts == 0, axis=1)]
     else:
@@ -362,13 +361,11 @@ def gram_truncation_study(kernel, gamma: Lattice | PointSet, sizes) -> dict:
             continue
         lam = _gram_spectrum(kernel, pts)
         lam_max = float(lam[-1])
-        local_dim = None
+        local_dim = kernel.mode_density * ball_volume(d, max(R - _GRAM_MARGIN, 1e-6))
+        need = max(1, math.ceil(local_dim))
         min_nonzero = None
-        if kernel.mode_density is not None:
-            local_dim = kernel.mode_density * ball_volume(d, max(R - _GRAM_MARGIN, 1e-6))
-            need = max(1, math.ceil(local_dim))
-            if len(pts) >= need:
-                min_nonzero = float(lam[len(pts) - need])
+        if len(pts) >= need:
+            min_nonzero = float(lam[len(pts) - need])
         cluster = int(np.sum(lam < 1e-10 * max(lam_max, 1e-300)))
         rows.append(
             {
@@ -628,7 +625,7 @@ def _model_space_scenario(cfg: dict, kernel) -> dict:
 
 
 def _paley_wiener_scenario(cfg: dict) -> dict:
-    kernel = PaleyWienerKernel()
+    kernel = KERNELS["paley-wiener"]()
     counting = measure_from_spec({"lattice": cfg["lattice"]}, dim=1)
     if "thin" in cfg["lattice"]:
         raise ConfigError("config invalid at $.lattice.thin: scenario 'paley-wiener' does not read it")
@@ -655,7 +652,7 @@ def _paley_wiener_scenario(cfg: dict) -> dict:
 
 def _dual_embedding_scenario(cfg: dict) -> dict:
     pair = FramePairSpec(
-        kernel=FockKernel(),
+        kernel=KERNELS["fock"](),
         f_measure=LebesgueMeasure(2),
         g_measure=LebesgueMeasure(2),
         g_offset=cfg["offset"],
@@ -680,8 +677,8 @@ def _dual_embedding_scenario(cfg: dict) -> dict:
 _SCENARIOS = {
     "finite-oracle": _finite_oracle_scenario,
     "paley-wiener": _paley_wiener_scenario,
-    "fock": lambda cfg: _model_space_scenario(cfg, FockKernel()),
-    "gabor": lambda cfg: _model_space_scenario(cfg, GaborGaussianKernel()),
+    "fock": lambda cfg: _model_space_scenario(cfg, KERNELS["fock"]()),
+    "gabor": lambda cfg: _model_space_scenario(cfg, KERNELS["gabor-gaussian"]()),
     "dual-embedding": _dual_embedding_scenario,
 }
 

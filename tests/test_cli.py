@@ -6,7 +6,7 @@ import pytest
 
 from framelab import cli, quadrature, verify
 from framelab.cli import _kernel, main
-from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel
+from framelab.kernels import KERNELS, FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure, ThinnedLattice
 from framelab.verify import measure_from_spec
 
@@ -193,13 +193,13 @@ class TestCommands:
         assert main(["localize", "--pair", json.dumps(pair), "--radii", "4,8,16", "--out", str(out)]) == 0
         assert out.read_text() == verify.report_json(report["localization"])
 
-    @pytest.mark.parametrize("name", [n for n, (cls, _) in cli._KERNEL_PARAMS.items() if cls().dim <= 2])
+    @pytest.mark.parametrize("name", [n for n, cls in KERNELS.items() if cls().profile is not None])
     @pytest.mark.parametrize("sides", ["lebesgue-lattice", "lattice-lattice", "lebesgue-lebesgue"])
     def test_localize_takes_every_kernel_of_the_table(self, name, sides, tmp_path, monkeypatch):
-        # every CLI kernel in d <= 2 needs a radial profile record for each of the three cross-term
+        # every CLI kernel with a radial profile needs its record for each of the three cross-term
         # paths, and each path is a closed form: no quadrature grid is built
         monkeypatch.setattr(quadrature, "_integrate", lambda *a: pytest.fail("a quadrature grid was built"))
-        d = cli._KERNEL_PARAMS[name][0]().dim
+        d = KERNELS[name]().dim
         measure = {"lebesgue": {"lebesgue": {"dim": d}}, "lattice": {"lattice": {"scale": 0.9, "dim": d}}}
         f, g = sides.split("-")
         pair = {"kernel": {"kernel": name}, "f": measure[f], "g": measure[g]}

@@ -1,11 +1,12 @@
 """What a scenario or a kernel reads is decided by the table that lists it.
 
-``verify.DEFAULTS`` lists every key each scenario reads and
-``cli._KERNEL_PARAMS`` every param each kernel reads; the schemas check
-shapes only.  Each table is crossed with the schema properties a config or
-a kernel spec could hold, so every key or param that is not read exits 2 at
-its own JSON path through ``run``, ``gram`` and ``localize``, and the
-schemas use thirteen keywords, none of them conditional.
+``verify.DEFAULTS`` lists every key each scenario reads and each class of
+``kernels.KERNELS`` every param its kernel reads (its ``params``); the
+schemas check shapes only.  Each table is crossed with the schema
+properties a config or a kernel spec could hold, so every key or param that
+is not read exits 2 at its own JSON path through ``run``, ``gram`` and
+``localize``, and the schemas use thirteen keywords, none of them
+conditional.
 """
 import json
 
@@ -13,6 +14,7 @@ import pytest
 
 from framelab import cli
 from framelab.cli import main
+from framelab.kernels import KERNELS
 from framelab.verify import CONFIG_SCHEMA, DEFAULTS, MEASURE_SCHEMA
 
 # a value of the right shape for each config key, as some scenario's DEFAULTS gives it; points_csv has no default
@@ -41,10 +43,10 @@ def unread_rows():
                 cfg = {"scenario": name, "tolerances": {field: 0.1}}
                 argv = ["run", "--config", json.dumps(cfg)]
                 yield pytest.param(argv, f"$.tolerances.{field}", who, id=f"run-{name}-tolerances.{field}")
-    for name, (_, keys) in cli._KERNEL_PARAMS.items():
+    for name, cls in KERNELS.items():
         who = f"kernel {name!r}"
         for param in PARAMS:
-            if param not in keys:
+            if param not in cls.params:
                 spec = {"kernel": name, "params": {param: PARAM_SAMPLES[param]}}
                 argv = ["gram", "--kernel", json.dumps(spec), "--support", json.dumps(SUPPORT), "--radii", "2"]
                 yield pytest.param(argv, f"$.params.{param}", who, id=f"gram-{name}-{param}")

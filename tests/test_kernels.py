@@ -183,17 +183,17 @@ class TestDiagonalBounds:
         assert (lo, hi) == (pytest.approx(1.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
     def test_tabulated_constant(self):
-        K = TabulatedKernel(lambda x, y: 3.5, dim=2)
+        K = TabulatedKernel(lambda x, y: 3.5, dim=2, mode_density=1.0)
         lo, hi = diagonal_range(K.diagonal, Ball([0, 0], 1.0), 0.5)
         assert (lo, hi) == (3.5, 3.5)
 
 
 class TestTabulated:
     def test_degenerate_diagonal_rejected(self):
-        K = TabulatedKernel(lambda x, y: 0.0, dim=1)
+        K = TabulatedKernel(lambda x, y: 0.0, dim=1, mode_density=1.0)
         with pytest.raises(ValueError, match="kernel degenerate at point"):
             K.normalized_cross([0.0], [1.0])
 
     def test_normalization(self):
-        K = TabulatedKernel(lambda x, y: 2.0 * math.exp(-abs(x[0] - y[0])), dim=1)
+        K = TabulatedKernel(lambda x, y: 2.0 * math.exp(-abs(x[0] - y[0])), dim=1, mode_density=1.0)
         assert K.normalized_cross([0.0], [1.0])[0, 0] == pytest.approx(math.exp(-1.0))

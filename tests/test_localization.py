@@ -8,7 +8,7 @@ from scipy import integrate, special
 from scipy.stats import ncx2
 
 from framelab import localization
-from framelab.kernels import FockKernel, GaborGaussianKernel, PaleyWienerKernel, TabulatedKernel
+from framelab.kernels import KERNELS, FockKernel, GaborGaussianKernel, PaleyWienerKernel, TabulatedKernel
 from framelab.localization import FramePairSpec, double_tail, localization_defect, tail_sup
 from framelab.quadrature import QuadConfig, integrate_ball
 from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice
@@ -173,7 +173,12 @@ class TestTailSup:
     @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
     @pytest.mark.parametrize(
         "kernel",
-        [FockKernel(), GaborGaussianKernel(1), PaleyWienerKernel(), TabulatedKernel(lambda x, y: 1.0, dim=1)],
+        [
+            FockKernel(),
+            GaborGaussianKernel(1),
+            PaleyWienerKernel(),
+            TabulatedKernel(lambda x, y: 1.0, dim=1, mode_density=1.0),
+        ],
         ids=["fock", "gabor", "paley-wiener", "tabulated"],
     )
     def test_radius_must_be_positive_and_finite(self, kernel, R):
@@ -362,16 +367,16 @@ PROFILES = dict(localization._PROFILES)  # the records as built, whatever a test
 
 
 def patch_profile(monkeypatch, kernel, pairs, **fields):
-    """Replace the kernel's _PROFILES record by one whose phi adds the pairs it evaluates to pairs[-1],
-    with the given fields changed."""
-    profile = PROFILES[type(kernel)]
+    """Replace the _PROFILES record of the kernel's profile by one whose phi adds the pairs it evaluates to
+    pairs[-1], with the given fields changed; every kernel of that profile sees it."""
+    profile = PROFILES[kernel.profile]
 
     def counted(kernel, X, Y):
         out = profile.phi(kernel, X, Y)
         pairs[-1] += out.size
         return out
 
-    monkeypatch.setitem(localization._PROFILES, type(kernel), profile._replace(phi=counted, **fields))
+    monkeypatch.setitem(localization._PROFILES, kernel.profile, profile._replace(phi=counted, **fields))
 
 
 def jittered_points(seed, scale, half_width):
@@ -446,7 +451,7 @@ class TestPrunedSum:
         pairs = []
         results = []
         # the wide run keeps every pair that holds a representable term
-        for cutoff in (localization._PROFILES[FockKernel].cutoff, WIDE_CUTOFF):
+        for cutoff in (localization._PROFILES[FockKernel().profile].cutoff, WIDE_CUTOFF):
             pairs.append(0)
             patch_profile(monkeypatch, FockKernel(), pairs, cutoff=cutoff)
             results.append(localization_defect(FramePairSpec(FockKernel(), f, g), ball))
@@ -476,11 +481,14 @@ class TestPrunedSum:
         assert abs(pruned["t2"] - full_t2) <= pruned["trunc_bound"]
 
 
-@pytest.mark.parametrize("kernel_class", list(localization._PROFILES), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "kernel_class", [cls for cls in KERNELS.values() if cls().profile is not None], ids=lambda cls: cls.__name__
+)
 def test_profile_record_supports_trunc_bound(kernel_class):
-    # the facts trunc_bound rests on, for each record at its kernel's defaults
+    # the facts trunc_bound rests on, for each kernel's record at its defaults; an instance names its
+    # record, as Gabor's depends on n
     kernel = kernel_class()
-    profile = localization._PROFILES[kernel_class]
+    profile = localization._PROFILES[kernel.profile]
     origin = np.zeros((1, kernel.dim))
     # 1. a pair the sums skip lies beyond the cutoff, where phi <= _PRUNE_EPS (an infinite cutoff skips none);
     #    the float cutoff is sqrt(ln(1e14) / pi) rounded down, so phi there is 1e-14 (1 + 2.3e-15)
@@ -577,7 +585,7 @@ class TestDiskMass:
 
     @pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 8.0, 16.0, 64.0])
     def test_against_ncx2(self, r):
-        c = localization._PROFILES[FockKernel].cutoff
+        c = localization._PROFILES[FockKernel().profile].cutoff
         hugging = np.logspace(-12, 0, 60)
         s = np.concatenate([[0.0], np.linspace(max(0.0, r - c - 3.0), r + c + 3.0, 2001), r + hugging, r - hugging])
         s = s[s >= 0.0]  # the centre, both sides of the sphere, and points hugging it
@@ -748,7 +756,7 @@ class TestBoundaryPartition:
         monkeypatch.setattr(localization, "_disk_mass", record)
         # t1 takes the lattice atoms inside B (mass outside), t2 those outside B (mass inside)
         double_tail(pair, ball)
-        c = localization._PROFILES[type(kernel)].cutoff
+        c = localization._PROFILES[kernel.profile].cutoff
         # integer coordinates: no atom lies within rounding of r - c or r + c
         k2 = np.rint(np.einsum("ij,ij->i", *[lat.points_in_ball(Ball([0.0, 0.0], 9.0)) / 0.8] * 2)).astype(int)
         want_inner = np.sort(0.8 * np.sqrt(k2[(k2 <= 25) & (0.8 * np.sqrt(k2) >= 4.0 - c)]))
@@ -1124,9 +1132,9 @@ class TestSincSquaredClosedForm:
         pair = FramePairSpec(PaleyWienerKernel(2.0), atomic, CountingMeasure(Lattice(0.9, 1)), g_offset=[-0.37])
         whole = double_tail(pair, Ball([0.5], 6.0))
         blocks = []
-        phi = PROFILES[PaleyWienerKernel].phi
-        counted = PROFILES[PaleyWienerKernel]._replace(phi=lambda k, X, Y: blocks.append(len(X) * len(Y)) or phi(k, X, Y))
-        monkeypatch.setitem(localization._PROFILES, PaleyWienerKernel, counted)
+        phi = PROFILES[pair.kernel.profile].phi
+        counted = PROFILES[pair.kernel.profile]._replace(phi=lambda k, X, Y: blocks.append(len(X) * len(Y)) or phi(k, X, Y))
+        monkeypatch.setitem(localization._PROFILES, pair.kernel.profile, counted)
         monkeypatch.setattr(localization, "_BLOCK", 50)
         blocked = double_tail(pair, Ball([0.5], 6.0))
         assert len(blocks) > 1 and max(blocks) <= 50
@@ -1169,7 +1177,7 @@ class TestOneWalk:
         pair = FramePairSpec(kernel, LebesgueMeasure(d), measure, g_offset=np.full(d, offset))
         f, g = localization._walk(pair, ball)
         delta = float(np.linalg.norm(pair.g_offset))
-        walk = Ball(ball.center, ball.radius + (localization._PROFILES[type(kernel)].cutoff + delta))
+        walk = Ball(ball.center, ball.radius + (localization._PROFILES[kernel.profile].cutoff + delta))
         # masses: the same bits as ball_mass
         assert (g.mass, f.mass) == (measure.ball_mass(ball), LebesgueMeasure(d).ball_mass(ball))
         assert f.walk_mass == LebesgueMeasure(d).ball_mass(walk)
