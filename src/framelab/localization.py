@@ -102,9 +102,8 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
     x <= _I0_SPLIT: the periodic trapezoid rule, sum_j W_j e^{-x C_j} (~4e-16
     relative).  Beyond: the asymptotic series
     sum_k ((2k-1)!!)^2 / (k! (8x)^k) / sqrt(2 pi x), k = 0..13 (the next term < 1e-18),
-    one Horner evaluation in 1/x.
-    A branch that takes every entry runs on the whole array, unmasked; only an
-    array with entries on both sides of the split is gathered and scattered.
+    one Horner evaluation in 1/x.  Each branch gathers its entries by the
+    split's mask, so an entry's bits do not depend on the rest of the array.
     """
 
     def rule(v):
@@ -114,11 +113,6 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
         return polyval(1.0 / v, _I0_SERIES) / np.sqrt(2.0 * math.pi * v)
 
     small = x <= _I0_SPLIT
-    n_small = np.count_nonzero(small)
-    if n_small == x.size:
-        return rule(x)
-    if n_small == 0:
-        return series(x)
     out = np.empty_like(x)
     out[small] = rule(x[small])
     out[~small] = series(x[~small])
@@ -142,11 +136,10 @@ def _disk_mass(s, r, inside: bool) -> np.ndarray:
     d = rho - s.  Good to ~6e-16 absolute against 30-digit quadrature and
     the closed form at s = 0 (-expm1(-pi r^2) inside, e^{-pi r^2} outside).
     r is one radius, giving one mass per entry of s.
-    When s holds several distances the rule runs once per distinct one (a
-    lattice's atoms take few), unmasked; one distance runs as it is.  Each
-    distance's 64 terms are summed on their own, never by a matrix product
-    whose rounding depends on the distance's place in the batch: an entry's
-    mass is the same bits whatever else the call holds.
+    The rule runs once per distinct distance (a lattice's atoms take few).
+    Each distance's 64 terms are summed on their own, never by a matrix
+    product whose rounding depends on the distance's place in the batch: an
+    entry's mass is the same bits whatever else the call holds.
     """
 
     def rule(v):
@@ -156,11 +149,8 @@ def _disk_mass(s, r, inside: bool) -> np.ndarray:
         return width * (_radial_density(v[:, None], d) * _GL_W).sum(axis=-1)
 
     s = np.asarray(s, dtype=float)
-    shape, back = s.shape, None
-    if s.size > 1:
-        s, back = np.unique(s, return_inverse=True)
-    mass = rule(s.reshape(-1))
-    return mass.reshape(shape) if back is None else mass[back]
+    distinct, back = np.unique(s, return_inverse=True)
+    return rule(distinct)[back].reshape(s.shape)
 
 
 def _lens_overlap(s: float, r: float) -> float:

@@ -96,6 +96,12 @@ class PointSet:
     def points_in_ball(self, b: Ball) -> np.ndarray:
         return self.points[b.contains(self.points)]
 
+    def count_in_balls(self, centers, radius) -> np.ndarray:
+        """Points in each ball B(center, radius), radius scalar or per centre: one Ball.contains scan per ball."""
+        radii = np.broadcast_to(np.asarray(radius, dtype=float), len(centers))
+        counts = [np.count_nonzero(Ball(c, float(r)).contains(self.points)) for c, r in zip(centers, radii)]
+        return np.array(counts, dtype=np.int64)
+
 
 def _step(rem, k, c):
     """The lattice membership rule's one arithmetic step: the remainder left after axis k."""
@@ -174,10 +180,6 @@ class Lattice:
         owner, _, lo, hi = self._ball_runs(centers, radius)
         return np.bincount(owner, weights=hi - lo + 1, minlength=len(centers)).astype(np.int64)
 
-    def count_in_ball(self, b: Ball) -> int:
-        """count_in_balls for the one ball b."""
-        return int(self.count_in_balls(b.center[None], b.radius)[0])
-
     def points_in_ball(self, b: Ball) -> np.ndarray:
         """Enumerate lattice points in the closed ball as an (m, d) array."""
         _, k, lo, hi = self._ball_runs(b.center[None], b.radius)
@@ -231,17 +233,8 @@ class LebesgueMeasure:
         return np.array([self.ball_mass(Ball(origin, float(x))) for x in radii])[back]
 
 
-class _Measure:
-    """Ball masses of many balls, by default ball_mass per ball."""
-
-    def ball_masses(self, centers, r) -> np.ndarray:
-        """Masses of the balls B(center, r), one per row of centers; r is a scalar or one radius per row."""
-        radii = np.broadcast_to(np.asarray(r, dtype=float), len(centers))
-        return np.array([self.ball_mass(Ball(a, float(x))) for a, x in zip(centers, radii)], dtype=float)
-
-
-class CountingMeasure(_Measure):
-    """Counting measure of a PointSet or Lattice."""
+class CountingMeasure:
+    """Counting measure of a PointSet or Lattice: every ball mass is its support's count_in_balls."""
 
     is_discrete = True
 
@@ -255,15 +248,11 @@ class CountingMeasure(_Measure):
         return self.support.dim
 
     def ball_mass(self, b: Ball) -> float:
-        if isinstance(self.support, Lattice):
-            return float(self.support.count_in_ball(b))
-        return float(np.count_nonzero(b.contains(self.support.points)))
+        return float(self.ball_masses(b.center[None], b.radius)[0])
 
     def ball_masses(self, centers, r) -> np.ndarray:
-        """On a lattice, one batched count for all the balls."""
-        if isinstance(self.support, Lattice):
-            return self.support.count_in_balls(centers, r).astype(float)
-        return super().ball_masses(centers, r)
+        """Masses of the balls B(center, r), one per row of centers; r is a scalar or one radius per row."""
+        return self.support.count_in_balls(centers, r).astype(float)
 
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         pts = self.support.points_in_ball(b)
@@ -274,7 +263,7 @@ class CountingMeasure(_Measure):
         return self.support.contains(b, atoms)
 
 
-class AtomicMeasure(_Measure):
+class AtomicMeasure:
     """Finite atomic measure: sum of positive point masses."""
 
     is_discrete = True
@@ -303,6 +292,11 @@ class AtomicMeasure(_Measure):
     def ball_mass(self, b: Ball) -> float:
         inside = b.contains(self.points)
         return math.fsum(self.weights[inside].tolist())
+
+    def ball_masses(self, centers, r) -> np.ndarray:
+        """ball_mass of each ball B(center, r), one per row of centers; r is a scalar or one radius per row."""
+        radii = np.broadcast_to(np.asarray(r, dtype=float), len(centers))
+        return np.array([self.ball_mass(Ball(a, float(x))) for a, x in zip(centers, radii)], dtype=float)
 
     def atoms_in_ball(self, b: Ball) -> tuple[np.ndarray, np.ndarray]:
         inside = b.contains(self.points)

@@ -696,8 +696,8 @@ class TestScaledI0:
         assert localization._scaled_i0(np.array([0.0]))[0] == 1.0
 
     def test_one_sided_arrays_are_the_bits_of_a_mixed_call(self):
-        # an array wholly on one side of the split runs its branch unmasked, in any shape,
-        # with the bits each entry gets from a call that gathers both sides
+        # an array wholly on one side of the split, in any shape, gets
+        # the bits each entry gets from a call that gathers both sides
         rule = np.concatenate([[0.0], np.linspace(1e-3, 50.0, 95)])
         series = np.concatenate([50.0 + np.logspace(-12, 0, 40), np.logspace(2, 6, 56)])
         mixed = localization._scaled_i0(np.concatenate([rule, series]))

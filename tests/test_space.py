@@ -95,14 +95,14 @@ class TestBallMass:
         lat = Lattice(0.5, 2)
         b = Ball([0.3, -0.7], 3.2)
         pts = lat.points_in_ball(b)
-        assert len(pts) == lat.count_in_ball(b)
+        assert len(pts) == lat.count_in_balls(b.center[None], b.radius)[0]
         assert np.all(lat.contains(b, pts))
 
     def test_lattice_3d_count(self):
         lat = Lattice(1.0, 3)
         b = Ball([0, 0, 0], 1.0)
         # +-e_i and the origin
-        assert lat.count_in_ball(b) == 7
+        assert lat.count_in_balls(b.center[None], b.radius)[0] == 7
 
 
 class TestLatticeMembership:
@@ -121,7 +121,8 @@ class TestLatticeMembership:
         box = k * alpha
         inside = lat.contains(b, box)
         pts = lat.points_in_ball(b)
-        assert lat.count_in_ball(b) == len(pts) == CountingMeasure(lat).ball_mass(b) == np.count_nonzero(inside)
+        count = lat.count_in_balls(b.center[None], b.radius)[0]
+        assert count == len(pts) == CountingMeasure(lat).ball_mass(b) == np.count_nonzero(inside)
         np.testing.assert_array_equal(pts, box[inside])
         # rounding can only decide the points exactly on the sphere, |2k - m|^2 = 4n
         d2 = np.sum((2 * k - m) ** 2, axis=1)
@@ -132,7 +133,7 @@ class TestLatticeMembership:
         lat = Lattice(0.8, 2)
         for r, expect in ((4.0, 81), (8.0, 317), (16.0, 1257)):
             b = Ball([0.0, 0.0], r)
-            assert lat.count_in_ball(b) == len(lat.points_in_ball(b)) == expect
+            assert lat.count_in_balls(b.center[None], b.radius)[0] == len(lat.points_in_ball(b)) == expect
 
     def test_measure_contains_uses_support_rule(self):
         lat = Lattice(0.8, 2)
@@ -159,8 +160,9 @@ class TestThinnedLattice:
         box = k * alpha
         inside = thin.contains(b, box)
         pts = thin.points_in_ball(b)
-        difference = Lattice(alpha, dim).count_in_ball(b) - Lattice(2 * alpha, dim).count_in_ball(b)
-        assert thin.count_in_ball(b) == len(pts) == np.count_nonzero(inside) == difference
+        one = b.center[None], b.radius  # the ball b, as a batch of one
+        difference = Lattice(alpha, dim).count_in_balls(*one)[0] - Lattice(2 * alpha, dim).count_in_balls(*one)[0]
+        assert thin.count_in_balls(*one)[0] == len(pts) == np.count_nonzero(inside) == difference
         np.testing.assert_array_equal(pts, box[inside])
         # the lattice rule with the all-even points dropped: boundary points belong to the ball
         np.testing.assert_array_equal(inside, Lattice(alpha, dim).contains(b, box) & np.any(k % 2 != 0, axis=1))
@@ -172,7 +174,7 @@ class TestThinnedLattice:
 
 
 class TestBatchedCounts:
-    """count_in_balls walks many balls at once and counts each exactly as count_in_ball."""
+    """count_in_balls walks many balls at once and counts each exactly as a batch of that one ball."""
 
     @pytest.mark.parametrize("cls", [Lattice, ThinnedLattice])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -189,7 +191,7 @@ class TestBatchedCounts:
         # centres on multiples of alpha/2 and radii alpha sqrt(n): the spheres run through lattice points
         cases += [(rng.integers(-6, 7, size=(17, dim)) * alpha / 2, alpha * math.sqrt(n)) for n in (1, 2, 5, 25, 50)]
         for centers, r in cases:
-            want = [lat.count_in_ball(Ball(c, r)) for c in centers]
+            want = [lat.count_in_balls(c[None], r)[0] for c in centers]
             assert lat.count_in_balls(centers, r).tolist() == want
 
     def test_integer_centres_and_radii(self):
@@ -198,7 +200,7 @@ class TestBatchedCounts:
         for cls in (Lattice, ThinnedLattice):
             lat = cls(1.0, 2)
             for r in (1, 5, 13):
-                assert lat.count_in_balls(centers, r).tolist() == [lat.count_in_ball(Ball(c, r)) for c in centers]
+                assert lat.count_in_balls(centers, r).tolist() == [lat.count_in_balls(c[None], r)[0] for c in centers]
         assert Lattice(1.0, 2).count_in_balls(centers, 5).tolist() == [
             brute_lattice_count(1.0, c, 5.0) for c in centers
         ]
@@ -224,18 +226,26 @@ class TestBatchedCounts:
                 b = Ball(c, r)
                 assert m.ball_mass(b) == m.ball_masses(b.center[None], b.radius)[0]
 
-    @pytest.mark.parametrize("cls", [Lattice, ThinnedLattice])
+    @pytest.mark.parametrize("cls", [Lattice, ThinnedLattice, PointSet])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_per_row_radii_count_as_one_ball_each(self, cls, dim):
         # one radius per centre row: every count is the one that ball takes alone,
-        # spheres through lattice points included (alpha = 0.8, r = 4 and alpha sqrt(n))
+        # spheres through lattice points included (alpha = 0.8, r = 4 and alpha sqrt(n));
+        # the point set is the lattice's points around the balls, counted by Ball.contains
         alpha = 0.8
-        lat = cls(alpha, dim)
+        if cls is PointSet:
+            support = PointSet(Lattice(alpha, dim).points_in_ball(Ball(np.zeros(dim), 16.0)))
+        else:
+            support = cls(alpha, dim)
         rng = np.random.default_rng(11 + dim)
         centers = np.vstack([rng.uniform(-5, 5, size=(20, dim)), rng.integers(-6, 7, size=(20, dim)) * alpha / 2])
         radii = rng.choice([0.9, 3.3, 4.0, 7.0] + [alpha * math.sqrt(n) for n in (1, 2, 5, 25)], size=len(centers))
-        want = [lat.count_in_ball(Ball(c, r)) for c, r in zip(centers, radii)]
-        assert lat.count_in_balls(centers, radii).tolist() == want
+        balls = [Ball(c, r) for c, r in zip(centers, radii)]
+        if cls is PointSet:
+            want = [np.count_nonzero(b.contains(support.points)) for b in balls]
+        else:
+            want = [len(support.points_in_ball(b)) for b in balls]
+        assert support.count_in_balls(centers, radii).tolist() == want
 
     @pytest.mark.parametrize(
         "m",
