@@ -208,9 +208,12 @@ CONFIG_SCHEMA = {
 
 
 def _non_finite_path(value, path: str = "$") -> str | None:
-    """JSON path of the first NaN or infinite number in a parsed JSON value, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
+    """JSON path of the first NaN, infinite number or integer too large for a float in a parsed JSON value, or None."""
+    if isinstance(value, (int, float)):
+        try:
+            return None if math.isfinite(value) else path
+        except OverflowError:  # an integer literal no float holds
+            return path
     if isinstance(value, dict):
         items = ((f"{path}.{key}", item) for key, item in value.items())
     elif isinstance(value, list):
@@ -227,9 +230,10 @@ def _non_finite_path(value, path: str = "$") -> str | None:
 def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
     """cfg, checked against schema; the first fault is a ConfigError naming its JSON path.
 
-    Python's json reads NaN, Infinity and overflowing numbers such as 1e999,
-    which no config means: they are rejected first, before the schema, whose
-    number type admits them.
+    Python's json reads NaN, Infinity and overflowing numbers such as 1e999
+    (as inf) or an integer of 400 digits (as an int no float holds), which no
+    config means: they are rejected first, before the schema, whose number
+    type admits them.
     """
     import jsonschema
 

@@ -340,10 +340,15 @@ class TestCommands:
             (["run", "--config", '{"scenario": "dual-embedding", "offset": [0.1, -Infinity]}'], "$.offset[1]"),
             (["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [0.1, math.nan]}), "--radii", "2"], "$.g_offset[1]"),
             (["gram", "--kernel", '{"kernel": "fock"}', "--support", '{"lattice": {"scale": 1e999, "dim": 2}}', "--radii", "2"], "$.lattice.scale"),
+            # an integer literal too large for a float
+            (["run", "--config", json.dumps({"scenario": "fock", "radii": [10**400]})], "$.radii[0]"),
+            (["run", "--config", json.dumps({"scenario": "fock", "lattice": {"scale": 10**400, "dim": 2}})], "$.lattice.scale"),
+            (["density", "--mu", json.dumps({"lattice": {"scale": 10**400, "dim": 2}}), "--nu", '{"lebesgue": {"dim": 2}}'], "$.lattice.scale"),
+            (["localize", "--pair", json.dumps({**LOC_PAIR, "kernel": {"kernel": "paley-wiener", "params": {"band": 10**400}}}), "--radii", "2"], "$.kernel.params.band"),
         ],
     )
     def test_non_finite_number_exit_2_names_path(self, argv, path, tmp_path, capsys):
-        # Python's json reads NaN, Infinity and 1e999 (as inf); no config means them
+        # Python's json reads NaN, Infinity, 1e999 (as inf) and 10**400 (as an int); no config means them
         out = ["--out-dir", str(tmp_path)] if argv[0] == "run" else ["--out", str(tmp_path / "out")]
         rc = main(argv + out)
         assert rc == 2
