@@ -5,7 +5,7 @@ directory, and writes one JSON file there (``run`` writes
 ``<scenario>-report.json`` into its own subdirectory).  ``grid.csv``, 0.5Z²
 clipped to [-20, 20]², is written there first, so the point-set commands read
 it by that relative name and their reports hold no machine's path.  Every
-command must exit 0.
+command must exit 0: the script exits 1, naming each one that did not.
 
 Run every command into OUT_DIR (CI does so under ``OPENBLAS_NUM_THREADS`` 1
 and 2, then ``diff -r``s the two directories)::
@@ -24,6 +24,7 @@ import io
 import os
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
@@ -32,27 +33,20 @@ _ATOMIC = '{"atomic": {"points": [[0.0, 0.0], [0.5, 0.25], [-1.0, 2.0]], "weight
 
 COMMANDS = [
     # the six seed-0 benchmark scenarios, a thinned lattice, a finite oracle, and fock on the grid CSV
-    ["run", "--config", '{"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}}', "--out-dir", "run-fock-0.5"],
-    ["run", "--config", '{"scenario": "gabor", "lattice": {"scale": 0.8, "dim": 2}}', "--out-dir", "run-gabor-0.8"],
-    ["run", "--config", '{"scenario": "gabor", "lattice": {"scale": 1.2, "dim": 2}}', "--out-dir", "run-gabor-1.2"],
-    ["run", "--config", '{"scenario": "fock", "lattice": {"scale": 2.0, "dim": 2}}', "--out-dir", "run-fock-2.0"],
-    [
-        "run",
-        "--config",
-        '{"scenario": "fock", "lattice": {"scale": 0.8, "dim": 2, "thin": "drop-even-even"}}',
-        "--out-dir",
-        "run-fock-0.8-thin",
-    ],
-    ["run", "--config", '{"scenario": "paley-wiener"}', "--out-dir", "run-paley-wiener"],
-    ["run", "--config", '{"scenario": "dual-embedding"}', "--out-dir", "run-dual-embedding"],
-    ["run", "--config", '{"scenario": "finite-oracle", "seed": 3, "trials": 100}', "--out-dir", "run-finite-oracle"],
-    [
-        "run",
-        "--config",
-        '{"scenario": "fock", "points_csv": "grid.csv", "density_rmax": 16}',
-        "--out-dir",
-        "run-fock-grid",
-    ],
+    *(
+        ["run", "--config", cfg, "--out-dir", f"run-{name}"]
+        for name, cfg in [
+            ("fock-0.5", '{"scenario": "fock", "lattice": {"scale": 0.5, "dim": 2}}'),
+            ("gabor-0.8", '{"scenario": "gabor", "lattice": {"scale": 0.8, "dim": 2}}'),
+            ("gabor-1.2", '{"scenario": "gabor", "lattice": {"scale": 1.2, "dim": 2}}'),
+            ("fock-2.0", '{"scenario": "fock", "lattice": {"scale": 2.0, "dim": 2}}'),
+            ("fock-0.8-thin", '{"scenario": "fock", "lattice": {"scale": 0.8, "dim": 2, "thin": "drop-even-even"}}'),
+            ("paley-wiener", '{"scenario": "paley-wiener"}'),
+            ("dual-embedding", '{"scenario": "dual-embedding"}'),
+            ("finite-oracle", '{"scenario": "finite-oracle", "seed": 3, "trials": 100}'),
+            ("fock-grid", '{"scenario": "fock", "points_csv": "grid.csv", "density_rmax": 16}'),
+        ]
+    ),
     # localize: every cross-term path, a profile reached through gabor-gaussian, and the thinned Poisson sum
     *(
         ["localize", "--pair", pair, "--radii", "4,8,16", "--out", f"localize-{name}.json"]
@@ -126,32 +120,34 @@ COMMANDS = [
         ]
     ),
     # density against Lebesgue: a lattice, an atomic measure, and the grid CSV, whose balls lie inside it at 16
-    ["density", "--mu", '{"lattice": {"scale": 0.5, "dim": 2}}', "--nu", '{"lebesgue": {"dim": 2}}',
-     "--out", "density-lattice-0.5.json"],
-    ["density", "--mu", _ATOMIC, "--nu", '{"lebesgue": {"dim": 2}}', "--out", "density-atomic.json"],
-    ["density", "--mu", '{"points_csv": "grid.csv"}', "--nu", '{"lebesgue": {"dim": 2}}', "--rmax", "16",
-     "--out", "density-grid.json"],
+    *(
+        ["density", "--mu", mu, "--nu", '{"lebesgue": {"dim": 2}}', *rmax, "--out", f"density-{name}.json"]
+        for name, mu, rmax in [
+            ("lattice-0.5", '{"lattice": {"scale": 0.5, "dim": 2}}', []),
+            ("atomic", _ATOMIC, []),
+            ("grid", '{"points_csv": "grid.csv"}', ["--rmax", "16"]),
+        ]
+    ),
 ]
 
 
-def run_all(out_dir) -> None:
-    """Write grid.csv into out_dir and run every command with its cwd there; one that exits nonzero raises."""
+def run_all(out_dir) -> dict[str, int]:
+    """Write grid.csv into out_dir and run every command with its cwd there; each one's exit code, by its shell form."""
     from framelab.cli import main
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = [f"{0.5 * i!r},{0.5 * j!r}" for i in range(-40, 41) for j in range(-40, 41)]
     (out / "grid.csv").write_text("\n".join(["x1,x2", *rows]) + "\n")
-    cwd = os.getcwd()
+    codes, cwd = {}, os.getcwd()
     os.chdir(out)
     try:
         for argv in COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()):
-                rc = main(argv)
-            if rc != 0:
-                raise RuntimeError(f"framelab {shlex.join(argv)} exited {rc}")
+                codes[f"framelab {shlex.join(argv)}"] = main(argv)
     finally:
         os.chdir(cwd)
+    return codes
 
 
 if __name__ == "__main__":
@@ -162,7 +158,8 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.rewrite:
         shutil.rmtree(REFERENCE, ignore_errors=True)
-        run_all(REFERENCE)
+        codes = run_all(REFERENCE)
         (REFERENCE / "grid.csv").unlink()
     else:
-        run_all(args.out_dir)
+        codes = run_all(args.out_dir)
+    sys.exit("\n".join(f"{command} exited {rc}" for command, rc in codes.items() if rc) or 0)

@@ -68,10 +68,18 @@ def first_difference(want, got, path: str = "$"):
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("reference")
-    run_all(out)
-    return out
+    return out, run_all(out)
+
+
+@pytest.fixture
+def outputs(run):
+    return run[0]
+
+
+def test_every_command_exits_0(run):
+    assert {command: rc for command, rc in run[1].items() if rc} == {}
 
 
 def test_every_command_writes_the_reference_files(outputs):
