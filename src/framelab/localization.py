@@ -301,10 +301,11 @@ class FramePairSpec:
 
     Both families come from the same kernel.  The f family's kernel points
     are its index points; the optional g_offset translates the g family's
-    kernel points from its index points (used by the dual-embedding
-    scenario; no offset is the zero vector).  Every term reads only that
-    one difference.  Both families are self-dual: see the module note.  The
-    kernel's profile names its radial profile record in ``_PROFILES``.
+    kernel points from its index points (the dual-embedding scenario's
+    offset, and the g_offset key of a ``framelab localize`` pair; no offset
+    is the zero vector).  Every term reads only that one difference.  Both
+    families are self-dual: see the module note.  The kernel's profile
+    names its radial profile record in ``_PROFILES``.
     """
 
     kernel: object

@@ -208,7 +208,7 @@ CONFIG_SCHEMA = {
 
 
 def _non_finite_path(value, path: str = "$") -> str | None:
-    """JSON path of the first NaN, infinite number or integer too large for a float in a parsed JSON value, or None."""
+    """JSON path of the first NaN, infinity or integer too large for a float in a parsed JSON value, or None."""
     if isinstance(value, (int, float)):
         try:
             return None if math.isfinite(value) else path

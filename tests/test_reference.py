@@ -69,28 +69,23 @@ def first_difference(want, got, path: str = "$"):
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
+    """The output directory of one run of every command, and each command's exit code."""
     out = tmp_path_factory.mktemp("reference")
     return out, run_all(out)
-
-
-@pytest.fixture
-def outputs(run):
-    return run[0]
 
 
 def test_every_command_exits_0(run):
     assert {command: rc for command, rc in run[1].items() if rc} == {}
 
 
-def test_every_command_writes_the_reference_files(outputs):
-    written = sorted(p.relative_to(outputs).as_posix() for p in outputs.rglob("*.json"))
-    assert written == REFERENCE_FILES
+def test_every_command_writes_the_reference_files(run):
+    assert sorted(p.relative_to(run[0]).as_posix() for p in run[0].rglob("*.json")) == REFERENCE_FILES
 
 
 @pytest.mark.parametrize("name", REFERENCE_FILES)
-def test_output_matches_its_reference(outputs, name):
+def test_output_matches_its_reference(run, name):
     want = json.loads((REFERENCE / name).read_text())
-    got = json.loads((outputs / name).read_text())
+    got = json.loads((run[0] / name).read_text())
     found = first_difference(want, got)
     assert found is None, "{}: {} is {!r} in the reference and {!r} now".format(name, *found)
 
