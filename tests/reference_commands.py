@@ -95,11 +95,13 @@ COMMANDS = [
             ),
         ]
     ),
-    # gram: the scenario windows, a thinned lattice, the grid CSV, and a kernel param
+    # gram: the scenario windows, 0.5Z² out to R = 6 (an H_0 of 111), a thinned lattice, the grid CSV,
+    # and a kernel param
     *(
         ["gram", "--kernel", kernel, "--support", support, "--radii", radii, "--out", f"gram-{name}.json"]
         for name, kernel, support, radii in [
             ("fock-0.5", '{"kernel": "fock"}', '{"lattice": {"scale": 0.5, "dim": 2}}', "2.5,3.5,4.5"),
+            ("fock-0.5-r6", '{"kernel": "fock"}', '{"lattice": {"scale": 0.5, "dim": 2}}', "4.5,6"),
             ("fock-2.0", '{"kernel": "fock"}', '{"lattice": {"scale": 2.0, "dim": 2}}', "2.5,3.5,4.5"),
             ("gabor-0.8", '{"kernel": "gabor-gaussian"}', '{"lattice": {"scale": 0.8, "dim": 2}}', "2.5,3.5,4.5"),
             ("gabor-1.2", '{"kernel": "gabor-gaussian"}', '{"lattice": {"scale": 1.2, "dim": 2}}', "2.5,3.5,4.5"),
