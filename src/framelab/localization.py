@@ -58,8 +58,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import legendre
-from numpy.polynomial.polynomial import polyval
 
 # integrate_complement serves no term here: perfbench/tracing.py binds it under this module's name
 from .quadrature import QuadConfig, integrate_complement  # noqa: F401
@@ -77,11 +75,28 @@ _PRUNE_EPS = 1e-14
 _CUTOFF = math.sqrt(-math.log(_PRUNE_EPS) / math.pi)
 _DISK_SPAN = 1.5 * _CUTOFF  # e^{-pi span^2} = 1e-31.5
 _BLOCK = 1 << 20  # kernel pairs per block of an atom x atom product
-# the radial integrals' 64-node Gauss-Legendre rule on [0, 1]; numpy's own weights are
-# off by up to ~1e-12 relative, so they are recomputed from P_64' at its nodes
-_GL_X = legendre.leggauss(64)[0]
+# the radial integrals' 64-node Gauss-Legendre rule on [0, 1], mirrored from the 32 positive nodes x on [-1, 1] of
+# numpy's leggauss(64) and (row 1) their weights 1 / ((1 - x^2) P_64'(x)^2), recomputed from P_64' at them (numpy's
+# own are off by up to ~1e-12 relative); written out, so that importing this module solves no eigenproblem
+_GL_HALF = np.array([
+    [0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283, 0.21742364374000708,
+     0.2646871622087674, 0.31132287199021097, 0.3572201583376681, 0.4022701579639916, 0.4463660172534641,
+     0.48940314570705296, 0.5312794640198946, 0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+     0.6852363130542333, 0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+     0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028, 0.9295691721319396,
+     0.9464113748584028, 0.9610087996520538, 0.973326827789911, 0.983336253884626, 0.9910133714767443,
+     0.9963401167719552, 0.9993050417357722],
+    [0.024345478504569862, 0.024287733720751697, 0.02417238111740151, 0.02399969429822917, 0.0237700828574152,
+     0.023484091408105003, 0.02314239829065721, 0.02274581396370907, 0.02229527908187832, 0.02179186226466171,
+     0.021236757561826816, 0.020631281621311805, 0.019976870566360213, 0.0192750765893078, 0.018527564270120003,
+     0.01773610662844116, 0.016902580918570862, 0.016028964177425824, 0.015117328536201213, 0.014169836307129716,
+     0.013188734857527333, 0.012176351284355447, 0.011135086904191602, 0.010067411576765144, 0.008975857887848616,
+     0.007863015238012338, 0.006731523948359351, 0.0055840697300656005, 0.0044233799131819535, 0.0032522289844892104,
+     0.002073516630281279, 0.0008916403608481525],
+])
+_GL_X = np.concatenate([-_GL_HALF[0, ::-1], _GL_HALF[0]])
 _GL_U = (_GL_X + 1.0) / 2.0
-_GL_W = 1.0 / ((1.0 - _GL_X**2) * legendre.legval(_GL_X, legendre.legder(np.eye(65)[64])) ** 2)
+_GL_W = np.concatenate([_GL_HALF[1, ::-1], _GL_HALF[1]])
 # e^{-x} I_0(x) = (1/pi) integral_0^pi e^{-2x sin^2(t/2)} dt: the 64-point trapezoid rule of the
 # periodic integrand, folded onto its 33 distinct nodes t_j = pi j / 32 (weights 1/64 at the two
 # ends, 2/64 between, summing to exactly 1), up to _I0_SPLIT; the asymptotic series beyond
@@ -94,6 +109,14 @@ _SI_SPLIT = 40.0  # Si: the 64-node rule up to here, the asymptotic series beyon
 _SI_TERMS = 22
 _SI_F = np.array([(-1) ** k * math.factorial(2 * k) for k in range(_SI_TERMS)], dtype=float)
 _SI_G = np.array([(-1) ** k * math.factorial(2 * k + 1) for k in range(_SI_TERMS)], dtype=float)
+
+
+def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] x^k by Horner's rule, in numpy.polynomial.polynomial.polyval's operations and order."""
+    out = c[-1] + x * 0
+    for coef in c[-2::-1]:
+        out = coef + out * x
+    return out
 
 
 def _scaled_i0(x: np.ndarray) -> np.ndarray:
@@ -110,7 +133,7 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
         return (np.exp(-(v[..., None] * _I0_C)) * _I0_W).sum(axis=-1)
 
     def series(v):
-        return polyval(1.0 / v, _I0_SERIES) / np.sqrt(2.0 * math.pi * v)
+        return _polyval(1.0 / v, _I0_SERIES) / np.sqrt(2.0 * math.pi * v)
 
     small = x <= _I0_SPLIT
     out = np.empty_like(x)
@@ -187,7 +210,7 @@ def _sici(x) -> tuple[np.ndarray, np.ndarray]:
     cin[small] = (2.0 * half * half / _GL_U * _GL_W).sum(axis=1)
     big = np.abs(x[~small])
     inv2 = 1.0 / (big * big)
-    f, g = polyval(inv2, _SI_F) / big, polyval(inv2, _SI_G) * inv2
+    f, g = _polyval(inv2, _SI_F) / big, _polyval(inv2, _SI_G) * inv2
     sin, cos = np.sin(big), np.cos(big)
     si[~small] = np.copysign(0.5 * math.pi - (f * cos + g * sin), x[~small])
     cin[~small] = np.euler_gamma + np.log(big) - (f * sin - g * cos)

@@ -253,6 +253,16 @@ class TestCommands:
         assert rc == 0
         assert (tmp_path / "out" / "deeper" / "finite-oracle-report.json").exists()
 
+    def test_integers_written_as_floats_run_as_integers(self, tmp_path):
+        # JSON Schema's integer admits 5.0: finite-oracle takes it as the seed or trial count 5
+        reports = []
+        for name, seed, trials in (("int", 5, 3), ("float", 5.0, 3.0)):
+            cfg = json.dumps({"scenario": "finite-oracle", "seed": seed, "trials": trials})
+            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+            report = json.loads((tmp_path / name / "finite-oracle-report.json").read_text())
+            reports.append({key: value for key, value in report.items() if key != "inputs"})
+        assert reports[0] == reports[1]
+
     def test_unknown_scenario_exit_2(self):
         rc = main(["run", "--config", '{"scenario": "bogus"}'])
         assert rc == 2
@@ -319,6 +329,8 @@ class TestCommands:
             ({"scenario": "paley-wiener", "quad": {"truncation_margin": 6.0}}, "$.quad"),
             # a shape fault comes before a key the scenario does not read, though $.offset sorts first
             ({"scenario": "paley-wiener", "offset": [0.1, 0.2], "radii": []}, "$.radii"),
+            # the schema bounds no integer above; numpy's RandomState takes seeds below 2**32
+            ({"scenario": "finite-oracle", "seed": 4294967296}, "$.seed"),
         ],
     )
     def test_malformed_config_exit_2_names_path(self, cfg, path, tmp_path, capsys):

@@ -580,6 +580,21 @@ class TestTruncationBound:
                 assert res["trunc_bound"] < gaussian_window_bound(f, g, ball, delta, margin)
 
 
+class TestGaussLegendreRule:
+    """The radial integrals' 64-node rule on [0, 1], written out as float literals."""
+
+    def test_nodes_are_numpys_and_weights_the_p64_formula(self):
+        legendre = np.polynomial.legendre
+        nodes = legendre.leggauss(64)[0]
+        assert np.all(np.abs(localization._GL_X - nodes) <= 2 * np.spacing(np.abs(nodes)))
+        weights = 1.0 / ((1.0 - nodes**2) * legendre.legval(nodes, legendre.legder(np.eye(65)[64])) ** 2)
+        assert np.all(np.abs(localization._GL_W - weights) <= 2 * np.spacing(weights))
+
+    def test_integrates_every_monomial_up_to_degree_127(self):
+        errors = [abs(localization._GL_W @ localization._GL_U**k - 1.0 / (k + 1)) for k in range(128)]
+        assert max(errors) <= 1e-15
+
+
 class TestDiskMass:
     """The closed-form atom term: a unit Gaussian's mass inside or outside a disk."""
 

@@ -12,11 +12,21 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_framelab_loads_no_module():
-    code = "import sys, framelab; print(sorted(m for m in sys.modules if m.startswith('framelab')))"
+def run_python(code: str) -> str:
+    """Standard output of code, run by a fresh interpreter that imports framelab from the sources."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "['framelab']"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_framelab_loads_no_module():
+    out = run_python("import sys, framelab; print(sorted(m for m in sys.modules if m.startswith('framelab')))")
+    assert out.strip() == "['framelab']"
+
+
+def test_import_cli_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is module data, so no import solves leggauss's eigenproblem
+    out = run_python("import sys, framelab.cli; print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
+    assert out.strip() == "[]"
 
 
 def test_density_is_the_module():

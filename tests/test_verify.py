@@ -53,13 +53,13 @@ JITTERED = PointSet(WINDOW + np.random.default_rng(3).uniform(-0.12, 0.12, WINDO
 
 
 def solve(monkeypatch, kernel, pts):
-    """_gram_spectrum(kernel, pts) and the size of each Hermitian block it solved."""
-    sizes = []
+    """_gram_spectrum(kernel, pts), and the size and the dtype of each Hermitian block it solved."""
+    sizes, dtypes = [], []
     eigvalsh = np.linalg.eigvalsh
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", lambda H: sizes.append(len(H)) or eigvalsh(H))
+        patch.setattr(np.linalg, "eigvalsh", lambda H: sizes.append(len(H)) or dtypes.append(H.dtype) or eigvalsh(H))
         lam = _gram_spectrum(kernel, pts)
-    return lam, sizes
+    return lam, sizes, dtypes
 
 
 def assert_same_spectrum(lam, dense):
@@ -125,9 +125,44 @@ class TestGramStudy:
         for R in (2.5, 4.0, 4.5):
             pts = support.points_in_ball(Ball(np.zeros(2), R))
             dense = np.linalg.eigvalsh(kernel.normalized_cross(pts, pts))
-            lam, sizes = solve(monkeypatch, kernel, pts)
+            lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
             assert len(sizes) == 4 and sum(sizes) == len(pts)
+            assert dtypes == [np.dtype(float)] * 4  # each window is its own swap too: real blocks
             assert_same_spectrum(lam, dense)
+
+    @pytest.mark.parametrize(
+        "kernel, alpha, R",
+        [(FockKernel(), 0.5, 6.0), (FockKernel(), 0.5, 8.0), (FockKernel(), 0.8, 4.5), (FockKernel(), 1.0, 8.0)]
+        # criterion 09's windows, 0.5Z² at R = 4.5 among them
+        + [
+            (kernel, alpha, R)
+            for kernel, alpha in (
+                (FockKernel(), 0.5),
+                (GaborGaussianKernel(1), 0.8),
+                (GaborGaussianKernel(1), 1.2),
+                (FockKernel(), 2.0),
+            )
+            for R in DEFAULTS["fock"]["gram_radii"]
+        ],
+        ids=lambda v: type(v).__name__[:-6] if hasattr(v, "dim") else str(v),
+    )
+    def test_real_blocks_match_the_dense_gram(self, kernel, alpha, R, monkeypatch):
+        pts = Lattice(alpha, 2).points_in_ball(Ball(np.zeros(2), R))
+        lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
+        assert sum(sizes) == len(pts) and dtypes == [np.dtype(float)] * 4
+        assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
+
+    @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
+    def test_a_chiral_window_keeps_complex_blocks(self, kernel, monkeypatch):
+        # 0.8 Z^2 and the quarter-turn orbit of (1.1, 0.5): its own quarter turn, not its own swap
+        orbit = [np.array([[1.1, 0.5]])]
+        for _ in range(3):
+            orbit.append(verify._quarter_turn(orbit[-1]))
+        pts = np.vstack([Lattice(0.8, 2).points_in_ball(Ball(np.zeros(2), 3.0)), *orbit])
+        lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
+        assert len(sizes) == 4 and sum(sizes) == len(pts)
+        assert dtypes == [np.dtype(complex)] * 4
+        assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
 
     @pytest.mark.parametrize(
         "kernel, support, R",
@@ -141,8 +176,9 @@ class TestGramStudy:
     )
     def test_other_windows_take_one_turn(self, kernel, support, R, monkeypatch):
         pts = support.points_in_ball(Ball(np.zeros(kernel.dim), R))
-        lam, sizes = solve(monkeypatch, kernel, pts)
+        lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
         assert sizes == [len(pts)]
+        assert dtypes == [kernel.normalized_cross(pts[:1], pts[:1]).dtype]  # the Gram's own: real for the sinc kernel
         assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
 
     @pytest.mark.parametrize(
