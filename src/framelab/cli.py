@@ -209,10 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except verify.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (verify.ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -20,8 +20,8 @@ enter the lab, and they are computed through exponents with nonpositive real
 part, so they stay finite where the raw Fock kernel exp(pi |z|^2) would
 overflow.  A kernel is one class: these Gram entries, dim, mode_density,
 params (name -> schema of each param it reads), profile (the key of its
-framelab.localization record, or None), quarter_turn, reflection and twin
-(its Gram symmetry, see verify._gram_spectrum).  KERNELS maps config names to classes.
+framelab.localization record, or None), quarter_turn and twin (its Gram
+symmetry, see verify._gram_spectrum).  KERNELS maps config names to classes.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ class PaleyWienerKernel:
     params = {"band": {"type": "number", "exclusiveMinimum": 0}}
     dim = 1
     profile = "sinc2"
-    quarter_turn = reflection = False
+    quarter_turn = False
     twin = None
 
     @property
@@ -77,7 +77,6 @@ class FockKernel:
     mode_density = 1.0
     profile = "gaussian"
     quarter_turn = True  # the Gram is invariant under the quarter turn z -> iz
-    reflection = True  # and conjugated by the swap s(x, y) = (y, x): G(s a, s b) = conj G(a, b)
     twin = None
 
     @staticmethod
@@ -108,7 +107,7 @@ class GaborGaussianKernel:
 
     params = {"n": {"type": "integer", "minimum": 1}}
     mode_density = 1.0
-    quarter_turn = reflection = False
+    quarter_turn = False
 
     def normalized_cross(self, x, y) -> np.ndarray:
         lam = _rows(x, self.dim)
@@ -129,7 +128,7 @@ class TabulatedKernel:
     """
 
     profile = None  # a callback need not be a function of x - y, so framelab.localization refuses it
-    quarter_turn = reflection = False
+    quarter_turn = False
     twin = None
 
     def __init__(self, fn, dim: int, mode_density: float):

@@ -312,35 +312,6 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)])
 
 
-def _real_form(reps: np.ndarray, bordered: bool):
-    """form(H_k, k), the real symmetric U_k* H_k U_k of quarter-turn block k; None if the window is not its swap.
-
-    U_k's columns are fixed by J = (swap s(x, y) = (y, x)) o (conjugation): e_j on a diagonal representative
-    (x = y) or the origin (bordered into H_0 last), sqrt(i^-k) e_j on an axis one (y = 0, whose swap is its
-    quarter turn), and (e_j + e_j')/sqrt(2) and i (e_j - e_j')/sqrt(2) on a swapped pair j < j'.  Column j is
-    a_j e_j + b_j e_mate(j), so each entry combines at most four entries of H_k; no U_k is formed.
-    """
-    x, y = reps.T
-    pair = np.flatnonzero((x != y) & (y > 0))
-    ordered, swapped = np.lexsort(reps[pair].T), np.lexsort(reps[pair, ::-1].T)
-    # a diagonal point is its own swap and an axis point's is its quarter turn: the rest must pair up
-    if not np.array_equal(reps[pair[ordered]], reps[pair[swapped], ::-1]):
-        return None
-    mate = np.arange(len(reps) + bordered)
-    mate[pair[swapped]] = pair[ordered]  # the j-th swapped point in order is the j-th point
-    order = np.sign(mate - np.arange(len(mate)))  # 1 on the first of a pair, -1 on the second, 0 alone
-    w = np.where(order > 0, 1, -1j) * math.sqrt(0.5)
-    phase = np.array([1, (1 - 1j) / math.sqrt(2), 1j, (1 + 1j) / math.sqrt(2)])[:, None]  # sqrt(i^-k), k = 0..3
-    a, b = np.where(np.concatenate([y == 0, [False] * bordered]), phase, np.where(order == 0, 1, w)), order * w
-
-    def form(H, k):
-        n = len(H)  # H_k, k > 0, has no origin row
-        HU = H * a[k, :n] + H[:, mate[:n]] * b[:n]
-        return (a[k, :n].conj()[:, None] * HU + b[:n].conj()[:, None] * HU[mate[:n]]).real
-
-    return form
-
-
 def _gram_spectrum(kernel, pts: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the Gram matrix kernel.normalized_cross(pts, pts), in quarter-turn blocks.
 
@@ -350,10 +321,8 @@ def _gram_spectrum(kernel, pts: np.ndarray) -> np.ndarray:
     quarter turn, it is block-circulant over the orbit representatives p_j
     (x > 0, y >= 0): with G_t = normalized_cross(reps, rho^t reps), its
     spectrum is the union of those of H_k = sum_t i^(kt) G_t, k = 0..3, the
-    origin (if present) bordered into H_0 by 2 G(p_j, 0) and G(0, 0).  When
-    the Gram is also conjugated by the swap (x, y) -> (y, x) (reflection) and
-    the window is its own swap, each H_k is solved as its real _real_form.
-    Any other window is the same computation with one complex turn: reps = pts and H_0 = G.
+    origin (if present) bordered into H_0 by 2 G(p_j, 0) and G(0, 0).  Any
+    other window is the same computation with one turn: reps = pts and H_0 = G.
     """
     if kernel.twin is not None:
         kernel = kernel.twin
@@ -363,7 +332,6 @@ def _gram_spectrum(kernel, pts: np.ndarray) -> np.ndarray:
     else:
         orbit, reps, centre = [pts], pts, pts[:0]
     turns = len(orbit)
-    form = _real_form(reps, len(centre) > 0) if turns == 4 and kernel.reflection else None
     G = [kernel.normalized_cross(reps, turned) for turned in orbit]
     # H_k = sum_t i^(kt) G_t = (G_0 + G_2) +- (G_1 + G_3) at k = 0, 2 and (G_0 - G_2) +- i (G_1 - G_3) at k = 1, 3
     halves = [(G[0] + G[2], G[1] + G[3]), (G[0] - G[2], 1j * (G[1] - G[3]))] if turns == 4 else [(G[0], 0)]
@@ -374,7 +342,7 @@ def _gram_spectrum(kernel, pts: np.ndarray) -> np.ndarray:
         if k == 0 and len(centre):
             border = kernel.normalized_cross(np.vstack([reps, centre]), centre)
             H = np.block([[H, 2.0 * border[:-1]], [2.0 * border[:-1].conj().T, border[-1:]]])
-        spectra.append(np.linalg.eigvalsh(H if form is None else form(H, k)))
+        spectra.append(np.linalg.eigvalsh(H))
     return np.sort(np.concatenate(spectra))
 
 

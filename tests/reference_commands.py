@@ -7,8 +7,8 @@ clipped to [-20, 20]², is written there first, so the point-set commands read
 it by that relative name and their reports hold no machine's path.  Every
 command must exit 0: the script exits 1, naming each one that did not.
 
-Run every command into OUT_DIR (CI does so under ``OPENBLAS_NUM_THREADS`` 1
-and 2, then ``diff -r``s the two directories)::
+Run every command into OUT_DIR (CI does so under ``OPENBLAS_NUM_THREADS`` 1,
+2 and 4, then ``diff -r``s the 1-thread directory against each of the others)::
 
     PYTHONPATH=src python tests/reference_commands.py OUT_DIR
 

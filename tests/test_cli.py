@@ -537,9 +537,14 @@ class TestCommands:
         with pytest.raises(KeyError, match="properties"):
             main(["localize", "--pair", json.dumps(LOC_PAIR), "--radii", "2", "--out", str(tmp_path / "loc.json")])
 
-    @pytest.mark.parametrize("ref", [""], ids=["path"])
-    def test_unreadable_json_argument_exit_2(self, ref, tmp_path, capsys):
-        rc = main(["run", "--config", ref + str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    @pytest.mark.parametrize("data", [None, b"\xff\xfe" + "{}".encode("utf-16-le")], ids=["path", "utf-16"])
+    def test_unreadable_json_argument_exit_2(self, data, tmp_path, capsys):
+        # a directory, then a file that is not UTF-8 (UTF-16 with its byte-order mark)
+        path = tmp_path
+        if data is not None:
+            path = tmp_path / "cfg.json"
+            path.write_bytes(data)
+        rc = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "config error: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

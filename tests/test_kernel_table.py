@@ -1,8 +1,8 @@
 """A kernel is one class plus its ``kernels.KERNELS`` entry.
 
 No module dispatches on a kernel's type: ``verify._gram_spectrum`` reads a
-kernel's ``quarter_turn``, ``reflection`` and ``twin``, ``localization`` looks its record up
-by ``profile``, and the CLI's kernel schema is built from each class's
+kernel's ``quarter_turn`` and ``twin``, ``localization`` looks its record up by
+``profile``, and the CLI's kernel schema is built from each class's
 ``params``.  So a class that subclasses no kernel but declares Fock's
 attributes and forwards Fock's Gram entries is Fock to every module, bit for
 bit.
@@ -23,7 +23,6 @@ class ForwardedFock:
     mode_density = FockKernel.mode_density
     profile = FockKernel.profile
     quarter_turn = FockKernel.quarter_turn
-    reflection = FockKernel.reflection
     twin = FockKernel.twin
 
     def normalized_cross(self, x, y):
@@ -40,15 +39,6 @@ def test_gram_spectrum_of_a_new_class_is_focks_in_four_blocks(scale, radius, mon
     got = verify._gram_spectrum(ForwardedFock(), pts)
     assert len(blocks) == 4 and sum(blocks) == len(pts)
     assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("kernel", [cls() for cls in KERNELS.values() if cls.reflection] + [ForwardedFock()], ids=type)
-def test_a_declared_reflection_conjugates_the_gram(kernel):
-    # G(s a, s b) = conj G(a, b) for the swap s(x, y) = (y, x), to the rounding of the phase pi Im(a conj b)
-    a, b = np.random.default_rng(5).uniform(-3.0, 3.0, (2, 40, 2))
-    swapped = kernel.normalized_cross(a[:, ::-1], b[:, ::-1])
-    scale = 1.0 + np.hypot(*a.T)[:, None] * np.hypot(*b.T)[None, :]
-    assert np.all(np.abs(swapped - kernel.normalized_cross(a, b).conj()) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize(

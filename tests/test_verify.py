@@ -50,6 +50,10 @@ FAST_FOCK = {
 # 0.8 Z^2 with each coordinate jittered by up to 0.12: no longer its own quarter turn
 WINDOW = Lattice(0.8, 2).points_in_ball(Ball(np.zeros(2), 6.0))
 JITTERED = PointSet(WINDOW + np.random.default_rng(3).uniform(-0.12, 0.12, WINDOW.shape))
+# 0.8 Z^2 in B(0, 3) and the quarter-turn orbit of (1.1, 0.5): its own quarter turn, not its own swap
+CHIRAL = PointSet(
+    np.vstack([Lattice(0.8, 2).points_in_ball(Ball(np.zeros(2), 3.0)), [[1.1, 0.5], [-0.5, 1.1], [-1.1, -0.5], [0.5, -1.1]]])
+)
 
 
 def solve(monkeypatch, kernel, pts):
@@ -116,53 +120,27 @@ class TestGramStudy:
 
     @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
     @pytest.mark.parametrize(
-        "support",
-        [Lattice(alpha, 2) for alpha in (0.37, 0.5, 0.8, 1.2, 2.0)] + [ThinnedLattice(0.8, 2)],
-        ids=lambda s: f"{type(s).__name__}({s.scale})",
-    )
-    def test_quarter_turn_blocks_match_the_dense_gram(self, kernel, support, monkeypatch):
-        # each family against its own dense Gram; R = 4 at alpha = 0.8 puts lattice points on the sphere
-        for R in (2.5, 4.0, 4.5):
-            pts = support.points_in_ball(Ball(np.zeros(2), R))
-            dense = np.linalg.eigvalsh(kernel.normalized_cross(pts, pts))
-            lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
-            assert len(sizes) == 4 and sum(sizes) == len(pts)
-            assert dtypes == [np.dtype(float)] * 4  # each window is its own swap too: real blocks
-            assert_same_spectrum(lam, dense)
-
-    @pytest.mark.parametrize(
-        "kernel, alpha, R",
-        [(FockKernel(), 0.5, 6.0), (FockKernel(), 0.5, 8.0), (FockKernel(), 0.8, 4.5), (FockKernel(), 1.0, 8.0)]
-        # criterion 09's windows, 0.5Z² at R = 4.5 among them
+        "support, radii",
+        [
+            pytest.param(s, (2.5, 3.5, 4.0, 4.5), id=f"{type(s).__name__}({s.scale})")
+            for s in [Lattice(alpha, 2) for alpha in (0.37, 0.5, 0.8, 1.2, 2.0)] + [ThinnedLattice(0.8, 2)]
+        ]
         + [
-            (kernel, alpha, R)
-            for kernel, alpha in (
-                (FockKernel(), 0.5),
-                (GaborGaussianKernel(1), 0.8),
-                (GaborGaussianKernel(1), 1.2),
-                (FockKernel(), 2.0),
-            )
-            for R in DEFAULTS["fock"]["gram_radii"]
-        ],
-        ids=lambda v: type(v).__name__[:-6] if hasattr(v, "dim") else str(v),
+            pytest.param(Lattice(alpha, 2), (R,), id=f"Lattice({alpha})-R{R:g}")
+            for alpha, R in ((0.5, 6.0), (0.5, 8.0), (1.0, 8.0))
+        ]
+        + [pytest.param(CHIRAL, (3.0,), id="chiral"), pytest.param(Lattice(2.0, 2), (1.0,), id="origin")],
     )
-    def test_real_blocks_match_the_dense_gram(self, kernel, alpha, R, monkeypatch):
-        pts = Lattice(alpha, 2).points_in_ball(Ball(np.zeros(2), R))
-        lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
-        assert sum(sizes) == len(pts) and dtypes == [np.dtype(float)] * 4
-        assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
-
-    @pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor"])
-    def test_a_chiral_window_keeps_complex_blocks(self, kernel, monkeypatch):
-        # 0.8 Z^2 and the quarter-turn orbit of (1.1, 0.5): its own quarter turn, not its own swap
-        orbit = [np.array([[1.1, 0.5]])]
-        for _ in range(3):
-            orbit.append(verify._quarter_turn(orbit[-1]))
-        pts = np.vstack([Lattice(0.8, 2).points_in_ball(Ball(np.zeros(2), 3.0)), *orbit])
-        lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
-        assert len(sizes) == 4 and sum(sizes) == len(pts)
-        assert dtypes == [np.dtype(complex)] * 4
-        assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
+    def test_quarter_turn_blocks_match_the_dense_gram(self, kernel, support, radii, monkeypatch):
+        # each family against its own dense Gram; 2.5, 3.5 and 4.5 are criterion 09's radii, and R = 4 at
+        # alpha = 0.8 puts lattice points on the sphere
+        for R in radii:
+            pts = support.points_in_ball(Ball(np.zeros(2), R))
+            m = len(pts)
+            lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
+            assert sizes == [m - 3 * (m // 4)] + [m // 4] * 3  # the origin, if present, is bordered into H_0
+            assert dtypes == [np.dtype(complex)] * 4
+            assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
 
     @pytest.mark.parametrize(
         "kernel, support, R",
