@@ -122,18 +122,13 @@ class TestGramStudy:
     @pytest.mark.parametrize(
         "support, radii",
         [
-            pytest.param(s, (2.5, 3.5, 4.0, 4.5), id=f"{type(s).__name__}({s.scale})")
+            pytest.param(s, (2.5, 4.0, 4.5), id=f"{type(s).__name__}({s.scale})")
             for s in [Lattice(alpha, 2) for alpha in (0.37, 0.5, 0.8, 1.2, 2.0)] + [ThinnedLattice(0.8, 2)]
-        ]
-        + [
-            pytest.param(Lattice(alpha, 2), (R,), id=f"Lattice({alpha})-R{R:g}")
-            for alpha, R in ((0.5, 6.0), (0.5, 8.0), (1.0, 8.0))
         ]
         + [pytest.param(CHIRAL, (3.0,), id="chiral"), pytest.param(Lattice(2.0, 2), (1.0,), id="origin")],
     )
     def test_quarter_turn_blocks_match_the_dense_gram(self, kernel, support, radii, monkeypatch):
-        # each family against its own dense Gram; 2.5, 3.5 and 4.5 are criterion 09's radii, and R = 4 at
-        # alpha = 0.8 puts lattice points on the sphere
+        # each family against its own dense Gram; R = 4 at alpha = 0.8 puts lattice points on the sphere
         for R in radii:
             pts = support.points_in_ball(Ball(np.zeros(2), R))
             m = len(pts)
@@ -141,6 +136,30 @@ class TestGramStudy:
             assert sizes == [m - 3 * (m // 4)] + [m // 4] * 3  # the origin, if present, is bordered into H_0
             assert dtypes == [np.dtype(complex)] * 4
             assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
+
+    @pytest.mark.parametrize(
+        "kernel, alpha, R",
+        [(FockKernel(), 0.5, 6.0), (FockKernel(), 0.5, 8.0), (FockKernel(), 0.8, 4.5), (FockKernel(), 1.0, 8.0)]
+        # criterion 09's windows, 0.5Z² at R = 4.5 among them
+        + [
+            (kernel, alpha, R)
+            for kernel, alpha in (
+                (FockKernel(), 0.5),
+                (GaborGaussianKernel(1), 0.8),
+                (GaborGaussianKernel(1), 1.2),
+                (FockKernel(), 2.0),
+            )
+            for R in DEFAULTS["fock"]["gram_radii"]
+        ],
+        ids=lambda v: type(v).__name__[:-6] if hasattr(v, "dim") else str(v),
+    )
+    def test_real_blocks_match_the_dense_gram(self, kernel, alpha, R, monkeypatch):
+        # a window of the real lattice alpha Z^2 up to R = 8: four complex blocks, the dense spectrum
+        pts = Lattice(alpha, 2).points_in_ball(Ball(np.zeros(2), R))
+        m = len(pts)
+        lam, sizes, dtypes = solve(monkeypatch, kernel, pts)
+        assert sizes == [m - 3 * (m // 4)] + [m // 4] * 3 and dtypes == [np.dtype(complex)] * 4
+        assert_same_spectrum(lam, np.linalg.eigvalsh(kernel.normalized_cross(pts, pts)))
 
     @pytest.mark.parametrize(
         "kernel, support, R",
