@@ -13,11 +13,10 @@ a record (``_Profile``) per profile: "gaussian" for Fock and Gabor (n = 1),
 "sinc2" for Paley-Wiener.  ``FramePairSpec`` and ``tail_sup`` refuse a
 kernel whose profile is None (Gabor n >= 2, tabulated).  A record carries:
 
-- phi over every pair of two point arrays;
+- phi over every pair of two point arrays: the kernel's own entry squared
+  for sinc^2, real arithmetic (``_gaussian_phi``) for the Gaussian;
 - its cutoff, beyond which phi < 1e-14: c = sqrt(ln(1e14) / pi) ~ 3.20 for
   the Gaussian, none (inf) for sinc^2;
-- for the Gaussian, its tail bound on the mass of phi beyond a distance
-  gap, e^{-pi gap^2};
 - the Lebesgue mass M(s, r, inside) of phi(|. - p|), |p| = s, inside
   B(0, r) or over all of its complement.  For the Gaussian it is one
   ``_disk_mass`` call, the noncentral chi-square CDF with 2 degrees of
@@ -26,6 +25,7 @@ kernel whose profile is None (Gabor n >= 2, tabulated).  A record carries:
   a difference of F(t) = (Si(2bt) - sin^2(bt)/(bt)) / b
   (``_sinc2_moments``) inside, and pi / b less that outside;
 - the centred tail over B(0, R_tr) \\ B(0, R), a float, for ``tail_sup``;
+  at R_tr = inf the mass beyond R, ``localization_defect``'s pruning term;
 - the lens overlap, the integral of phi(z - s) against the lens area
   |B(0, r) ∩ B(z, r)| over all z, a closed form of |s|: the same radial rule
   for the Gaussian (``_lens_overlap``), differences of F and of its first
@@ -228,18 +228,13 @@ def _sinc2_moments(band: float, t) -> tuple[np.ndarray, np.ndarray]:
 
 def _gaussian_phi(kernel, X, Y) -> np.ndarray:
     """e^{-pi |x - y|^2} as an (n, m) array; |x-y|^2 via the quadratic expansion, one BLAS product
-    instead of an (n, m, d) temporary, with the cancellation residue clamped at zero."""
+    instead of an (n, m, d) temporary, with the cancellation residue clamped at zero.  Real arithmetic is
+    faster than squaring the complex Fock or Gabor entry, whose last bits differ."""
     x2 = np.einsum("ij,ij->i", X, X)
     y2 = np.einsum("ij,ij->i", Y, Y)
     d2 = x2[:, None] + y2[None, :] - 2.0 * (X @ Y.T)
     np.maximum(d2, 0.0, out=d2)
     return np.exp(-math.pi * d2)
-
-
-def _sinc2_phi(kernel, X, Y) -> np.ndarray:
-    """sinc^2(band (x - y)) as an (n, m) array."""
-    t = X[:, 0][:, None] - Y[:, 0][None, :]
-    return np.sinc(kernel.band * t / math.pi) ** 2
 
 
 def _sinc2_mass(kernel, s: np.ndarray, r: float, inside: bool) -> np.ndarray:
@@ -282,10 +277,9 @@ class _Profile(NamedTuple):
 
     phi: Callable  # (kernel, X, Y) -> phi over every pair of rows, an (n, m) array
     cutoff: float  # phi < _PRUNE_EPS beyond it; inf: none, and nothing is pruned
-    tail: Callable | None  # (kernel, gap) -> a bound on the mass of phi beyond gap; None with no cutoff
     mass: Callable  # (kernel, s, r, inside) -> M(s, r, inside) per entry of s
     lens: Callable  # (kernel, s, r) -> the lens overlap, s = inner offset - outer offset
-    centred: Callable  # (kernel, R, r_tr) -> M(0, R, r_tr, outside), a float
+    centred: Callable  # (kernel, R, r_tr) -> M(0, R, r_tr, outside), a float; r_tr = inf: the mass beyond R
     comb: Callable | None  # (kernel, lattice, x, r) -> the Poisson sum over the lattice; None with a cutoff
 
 
@@ -293,16 +287,14 @@ _PROFILES = {
     "gaussian": _Profile(
         phi=_gaussian_phi,
         cutoff=_CUTOFF,
-        tail=lambda kernel, gap: math.exp(-math.pi * gap * gap),
         mass=lambda kernel, s, r, inside: _disk_mass(s, r, inside),
         lens=lambda kernel, s, r: _lens_overlap(float(np.linalg.norm(s)), r),
         centred=lambda kernel, R, r_tr: math.exp(-math.pi * R * R) - math.exp(-math.pi * r_tr * r_tr),
         comb=None,
     ),
     "sinc2": _Profile(
-        phi=_sinc2_phi,
+        phi=lambda kernel, X, Y: kernel.normalized_cross(X, Y) ** 2,
         cutoff=math.inf,
-        tail=None,
         mass=_sinc2_mass,
         lens=_sinc2_lens,
         centred=lambda kernel, R, r_tr: float(2.0 * np.subtract(*_sinc2_moments(kernel.band, [r_tr, R])[0])),
@@ -409,7 +401,7 @@ def _walk(pair: FramePairSpec, b: Ball) -> list[_Side]:
     walk = Ball(b.center, b.radius + reach)
     sides = []
     for m, offset in ((pair.f_measure, np.zeros(pair.kernel.dim)), (pair.g_measure, pair.g_offset)):
-        if not getattr(m, "is_discrete", False):
+        if not m.is_discrete:
             sides.append(_Side(offset, m.ball_mass(b), m.ball_mass(walk)))
             continue
         support = getattr(m, "support", None)
@@ -436,30 +428,27 @@ def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball) -> float:
         (x, w), span = ((ball.center[None], np.ones(1)), r) if inner.inside is None else (inner.inside, None)
         total = math.fsum((w * profile.comb(kernel, outer.lattice, x[:, 0] - shift, span)).tolist())
         return total - _cross_term(kernel, outer._replace(outside=outer.inside, lattice=None), inner, ball)
-    reach = profile.cutoff + float(np.linalg.norm(outer.offset - inner.offset))  # the cutoff in index coordinates
     out_disc, in_disc = outer.outside is not None, inner.inside is not None
     if not out_disc and not in_disc:
         # phi integrates to 1 / mode_density; the lens overlap is the part of it B keeps
         return ball_volume(kernel.dim, r) / kernel.mode_density - profile.lens(kernel, inner.offset - outer.offset, r)
-    if in_disc:
+    if out_disc and in_disc:
+        # inner atoms within the cutoff of the sphere in index coordinates; both sides in lexicographic order,
+        # the outer one in blocks of at most _BLOCK pairs: the sum is then the same bits for any input order
+        reach = profile.cutoff + float(np.linalg.norm(outer.offset - inner.offset))
         atoms_in, w_in = inner.inside
         near = np.linalg.norm(atoms_in - ball.center, axis=1) >= r - reach
-        v_atoms, w_in = atoms_in[near] + inner.offset, w_in[near]
-    if out_disc:
-        u_atoms, w_out = outer.outside[0] + outer.offset, outer.outside[1]
-    if out_disc and in_disc:
-        # both sides in lexicographic order, the outer one in blocks of at most _BLOCK pairs: the sum is
-        # then the same bits for any input order
-        u_atoms, w_out = _lex_sorted(u_atoms, w_out)
-        v_atoms, w_in = _lex_sorted(v_atoms, w_in)
+        u_atoms, w_out = _lex_sorted(outer.outside[0] + outer.offset, outer.outside[1])
+        v_atoms, w_in = _lex_sorted(atoms_in[near] + inner.offset, w_in[near])
         rows = max(1, _BLOCK // max(1, len(v_atoms)))
         blocks = (slice(i, i + rows) for i in range(0, len(u_atoms), rows))
         return math.fsum(float(w_out[k] @ (profile.phi(kernel, u_atoms[k], v_atoms) @ w_in)) for k in blocks)
     # an atom's term is the mass its profile puts across the sphere, seen from the Lebesgue
-    # side: inside B for an outer atom, over all of B^c for an inner one; p is its
-    # kernel point relative to the Lebesgue side's offset
-    p, w = (u_atoms - inner.offset, w_out) if out_disc else (v_atoms - outer.offset, w_in)
-    s = np.linalg.norm(p - ball.center, axis=1)
+    # side: inside B for an outer atom, over all of B^c for an inner one; s is the distance from
+    # the centre of its kernel point relative to the Lebesgue side's offset
+    disc, leb = (outer, inner) if out_disc else (inner, outer)
+    atoms, w = disc.outside if out_disc else disc.inside
+    s = np.linalg.norm(atoms + disc.offset - leb.offset - ball.center, axis=1)
     near = s <= r + profile.cutoff if out_disc else s >= r - profile.cutoff
     mass = profile.mass(kernel, s[near], r, inside=out_disc)
     return math.fsum((w[near] * mass).tolist())
@@ -491,8 +480,9 @@ def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
     against a Lebesgue side has < _PRUNE_EPS w of its mass across the
     sphere): within the walk ball B_w, of radius r_w = r + c + |Delta|,
     that is _PRUNE_EPS f(B_w) g(B_w) for each of t1 and t2.  The term
-    (mu(B) + nu(B)) tail(min(gap, c)) covers what lies beyond B_w, at least
-    gap = r_w - r - |Delta| (c up to rounding) from the sphere.
+    (mu(B) + nu(B)) M(min(gap, c)), M(g) the record's centred mass beyond g,
+    covers what lies beyond B_w, at least gap = r_w - r - |Delta| (c up to
+    rounding) from the sphere.
     """
     t1, t2, f, g = _tails(pair, b)
     normalizer = f.mass + g.mass
@@ -504,7 +494,7 @@ def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
     if math.isfinite(profile.cutoff) and (f.inside is not None or g.inside is not None):
         delta = float(np.linalg.norm(pair.g_offset))
         gap = max(0.0, b.radius + (profile.cutoff + delta) - b.radius - delta)
-        tail = profile.tail(pair.kernel, min(gap, profile.cutoff))
+        tail = profile.centred(pair.kernel, min(gap, profile.cutoff), math.inf)
         trunc_bound = 2.0 * _PRUNE_EPS * f.walk_mass * g.walk_mass + normalizer * tail
     return {
         "center": [float(c) for c in b.center],

@@ -442,7 +442,9 @@ def theorem_main_table(pair: FramePairSpec, radii):
         loc = localization_defect(pair, ball)
         loc_rows.append(loc)
         a_col = 1.0
-        b_col = nu_b / mu_b
+        b_col = nu_b / mu_b if mu_b > 0 else math.inf
+        if not math.isfinite(b_col):
+            raise ValueError(f"ball mass ratio nu(B)/mu(B) is not finite at radius {r!r}")
         c_col = loc["eps_eff"]
         bound = b_col + c_col * (1.0 + b_col)
         rows.append(

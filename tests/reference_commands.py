@@ -12,6 +12,12 @@ Run every command into OUT_DIR (CI does so under ``OPENBLAS_NUM_THREADS`` 1,
 
     PYTHONPATH=src python tests/reference_commands.py OUT_DIR
 
+Into an OUT_DIR the script also writes the ``run`` reports of the benchmark's
+scenario configs (``perfbench/workloads.py``'s ``scenario_configs``) for
+seeds 0 to 10, 66 in all, as ``scenarios/<seed>-<index>/<scenario>-report.json``,
+and prints the sha256 of their bytes concatenated in that order: one hash
+that two commits or two thread counts can be compared by.
+
 Rewrite ``tests/reference/`` from the current code, at one BLAS thread::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/reference_commands.py --rewrite
@@ -20,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
+import json
 import os
 import shlex
 import shutil
@@ -28,6 +36,8 @@ import sys
 from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SCENARIO_SEEDS = range(11)
 
 _ATOMIC = '{"atomic": {"points": [[0.0, 0.0], [0.5, 0.25], [-1.0, 2.0]], "weights": [1.0, 2.0, 0.5]}}'
 
@@ -152,6 +162,26 @@ def run_all(out_dir) -> dict[str, int]:
     return codes
 
 
+def run_scenarios(out_dir) -> tuple[dict[str, int], str]:
+    """Write the run report of every benchmark scenario config of SCENARIO_SEEDS under out_dir/scenarios; each
+    run's exit code, by its shell form, and the sha256 of the reports' bytes concatenated in run order."""
+    from framelab.cli import main
+
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import scenario_configs
+
+    codes, digest = {}, hashlib.sha256()
+    for seed in SCENARIO_SEEDS:
+        for i, cfg in enumerate(scenario_configs(seed)):
+            out = Path(out_dir) / "scenarios" / f"{seed}-{i}"
+            argv = ["run", "--config", json.dumps(cfg), "--out-dir", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[f"framelab {shlex.join(argv)}"] = main(argv)
+            for report in sorted(out.glob("*-report.json")):
+                digest.update(report.read_bytes())
+    return codes, digest.hexdigest()
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     target = parser.add_mutually_exclusive_group(required=True)
@@ -164,4 +194,7 @@ if __name__ == "__main__":
         (REFERENCE / "grid.csv").unlink()
     else:
         codes = run_all(args.out_dir)
+        scenario_codes, digest = run_scenarios(args.out_dir)
+        codes.update(scenario_codes)
+        print(f"sha256 of the {len(scenario_codes)} scenario reports: {digest}")
     sys.exit("\n".join(f"{command} exited {rc}" for command, rc in codes.items() if rc) or 0)

@@ -528,6 +528,20 @@ class TestCommands:
         assert rc == 1
         assert "empty ball: defect normalizer vanishes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, radius", [("fock", 1e-170), ("gabor", 1e-170), ("paley-wiener", 1e-320)], ids=str
+    )
+    def test_tiny_radius_exit_1(self, scenario, radius, tmp_path, capsys):
+        # the ball's Lebesgue mass underflows (to 0 in the plane, to a subnormal on the line), so nu(B)/mu(B)
+        # is no finite float: one error line naming the radius, no traceback and no report
+        cfg = {"scenario": scenario, "radii": [radius]}
+        rc = main(["run", "--config", json.dumps(cfg), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(radius) in err
+        assert not (tmp_path / "out").exists()
+
     def test_key_error_inside_a_command_propagates(self, tmp_path, monkeypatch):
         # no validated input raises KeyError: one raised inside a command is a bug, never a config error
         def broken(*args, **kwargs):

@@ -496,16 +496,44 @@ def test_profile_record_supports_trunc_bound(kernel_class):
         beyond = math.nextafter(profile.cutoff, math.inf)
         assert profile.phi(kernel, origin, np.eye(kernel.dim)[:1] * beyond)[0, 0] <= localization._PRUNE_EPS
     # 2. the outside mass is over all of the complement: inside + outside is the reproducing mass
-    #    1 / mode_density up to rounding, and a record that prunes bounds the outside mass by its tail
+    #    1 / mode_density up to rounding, and the centred mass beyond gap, trunc_bound's pruning term, bounds it
     for gap in (0.5, 1.0, 2.0, 3.2):
         outside = profile.mass(kernel, np.zeros(1), gap, inside=False)[0]
         inside = profile.mass(kernel, np.zeros(1), gap, inside=True)[0]
         assert 0.0 < outside
         assert abs(inside + outside - 1.0 / kernel.mode_density) <= 2e-15
         if math.isfinite(profile.cutoff):
-            assert outside <= profile.tail(kernel, gap)
-        else:
-            assert profile.tail is None
+            assert outside <= profile.centred(kernel, gap, math.inf)
+
+
+@pytest.mark.parametrize(
+    "kernel, box, rtol",
+    [
+        (PaleyWienerKernel(), 40.0, 0.0),
+        (PaleyWienerKernel(2.0), 40.0, 0.0),
+        (FockKernel(), 20.0, 4e-12),
+        (FockKernel(), 40.0, 1.6e-11),
+        (GaborGaussianKernel(1), 20.0, 4e-12),
+        (GaborGaussianKernel(1), 40.0, 1.6e-11),
+    ],
+    ids=["pw-pi", "pw-2", "fock-20", "fock-40", "gabor-20", "gabor-40"],
+)
+def test_profile_phi_is_the_squared_kernel_entry(kernel, box, rtol):
+    # a record's phi is |<k_x, k_y>|^2 of every kernel that names it: sinc^2 squares the kernel's own entry, bit
+    # for bit; the Gaussian's real arithmetic departs from the squared complex entry by the rounding of exponents
+    # of size pi (|x|^2 + |y|^2), so the tolerance grows with box^2 (measured up to 2.5e-12 relative in
+    # [-20, 20]^2 and 8.6e-12 in [-40, 40]^2 over 4000 seeded pairs)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-box, box, size=(60, kernel.dim))
+    # half the points of Y near X, so that phi is not all underflow
+    Y = np.concatenate([X[:30] + rng.normal(scale=0.5, size=(30, kernel.dim)), rng.uniform(-box, box, (30, kernel.dim))])
+    phi = localization._PROFILES[kernel.profile].phi(kernel, X, Y)
+    want = np.abs(kernel.normalized_cross(X, Y)) ** 2
+    assert np.count_nonzero(want > 1e-3) >= 30
+    if rtol == 0.0:
+        assert np.array_equal(phi, want)
+    else:
+        np.testing.assert_allclose(phi, want, rtol=rtol, atol=0.0)
 
 
 def gaussian_window_bound(f, g, ball, delta, margin):
