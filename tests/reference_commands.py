@@ -42,7 +42,8 @@ SCENARIO_SEEDS = range(11)
 _ATOMIC = '{"atomic": {"points": [[0.0, 0.0], [0.5, 0.25], [-1.0, 2.0]], "weights": [1.0, 2.0, 0.5]}}'
 
 COMMANDS = [
-    # the six seed-0 benchmark scenarios, a thinned lattice, a finite oracle, and fock on the grid CSV
+    # the six seed-0 benchmark scenarios, a thinned lattice, a finite oracle, fock on the grid CSV, and
+    # paley-wiener off the critical density: a frame (0.5Z), a Riesz sequence (2Z) and the thinned Z
     *(
         ["run", "--config", cfg, "--out-dir", f"run-{name}"]
         for name, cfg in [
@@ -55,6 +56,12 @@ COMMANDS = [
             ("dual-embedding", '{"scenario": "dual-embedding"}'),
             ("finite-oracle", '{"scenario": "finite-oracle", "seed": 3, "trials": 100}'),
             ("fock-grid", '{"scenario": "fock", "points_csv": "grid.csv", "density_rmax": 16}'),
+            ("paley-wiener-0.5", '{"scenario": "paley-wiener", "lattice": {"scale": 0.5, "dim": 1}}'),
+            ("paley-wiener-2.0", '{"scenario": "paley-wiener", "lattice": {"scale": 2.0, "dim": 1}}'),
+            (
+                "paley-wiener-thin",
+                '{"scenario": "paley-wiener", "lattice": {"scale": 1.0, "dim": 1, "thin": "drop-even-even"}}',
+            ),
         ]
     ),
     # localize: every cross-term path, a profile reached through gabor-gaussian, and the thinned Poisson sum

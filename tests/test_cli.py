@@ -281,12 +281,10 @@ class TestCommands:
                 {"scenario": "paley-wiener", "lattice": {"scale": 1.0, "dim": 2, "thin": "drop-even-even"}},
                 "$.lattice.dim",
             ),
-            (
-                {"scenario": "paley-wiener", "lattice": {"scale": 1.0, "dim": 1, "thin": "drop-even-even"}},
-                "$.lattice.thin",
-            ),
+            # paley-wiener reads thin, points_csv and critical_band as fock and gabor do: their values are checked
+            ({"scenario": "paley-wiener", "lattice": {"scale": 1.0, "dim": 1, "thin": "drop-odd"}}, "$.lattice.thin"),
+            ({"scenario": "paley-wiener", "points_csv": "x1,x2\n0,0\n1,0\n"}, "$.points_csv"),
             # keys the scenario never reads
-            ({"scenario": "paley-wiener", "points_csv": "pts.csv"}, "$.points_csv"),
             ({"scenario": "dual-embedding", "lattice": {"scale": 1.0, "dim": 2}}, "$.lattice"),
             ({"scenario": "dual-embedding", "points_csv": "pts.csv"}, "$.points_csv"),
             ({"scenario": "dual-embedding", "gram_radii": [2.0]}, "$.gram_radii"),
@@ -304,8 +302,8 @@ class TestCommands:
             # gabor runs with n = 1: 2-d points only
             ({"scenario": "gabor", "lattice": {"scale": 0.8, "dim": 4}}, "$.lattice.dim"),
             ({"scenario": "gabor", "points_csv": "x1,x2,x3,x4\n0,0,0,0\n1,0,0,0\n"}, "$.points_csv"),
-            # tolerances fields the scenario never reads, and quad, which no scenario reads
-            ({"scenario": "paley-wiener", "tolerances": {"critical_band": 0.3}}, "$.tolerances.critical_band"),
+            # a negative critical band, and quad, which no scenario reads
+            ({"scenario": "paley-wiener", "tolerances": {"critical_band": -0.1}}, "$.tolerances.critical_band"),
             ({"scenario": "paley-wiener", "quad": {"boundary_refine": 64}}, "$.quad"),
             # fock and gabor take every term over all of B^c: no grid and no window to set
             ({"scenario": "fock", "quad": {"h": 0.05}}, "$.quad"),
@@ -541,6 +539,27 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(radius) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "support, verdict",
+        [
+            *(({"lattice": {"scale": a, "dim": 1}}, v) for a, v in [(0.5, "pass"), (0.9, "pass")]),
+            ({"lattice": {"scale": 1.0, "dim": 1}}, "critical-no-claim"),
+            *(({"lattice": {"scale": a, "dim": 1}}, "vacuous-consistent") for a in (1.1, 2.0)),
+            ({"lattice": {"scale": 1.0, "dim": 1, "thin": "drop-even-even"}}, "vacuous-consistent"),
+            ({"points_csv": "half-z.csv", "density_rmax": 32.0}, "pass"),
+        ],
+        ids=["0.5", "0.9", "1.0", "1.1", "2.0", "thin", "csv-0.5"],
+    )
+    def test_paley_wiener_density_theorem_verdict(self, support, verdict, tmp_path, monkeypatch):
+        # Shannon and Landau: alpha Z is a frame for band pi below alpha = 1 and a Riesz sequence above it;
+        # the thinned Z (the odd integers, density 1/2) is a Riesz sequence; every case exits 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "half-z.csv").write_text("\n".join(["x1", *(repr(0.5 * i) for i in range(-128, 129))]) + "\n")
+        cfg = {"scenario": "paley-wiener", **support}
+        assert main(["run", "--config", json.dumps(cfg), "--out-dir", "out"]) == 0
+        report = json.loads((tmp_path / "out" / "paley-wiener-report.json").read_text())
+        assert {v["name"]: v["verdict"] for v in report["verdicts"]}["density-theorem"] == verdict
 
     def test_key_error_inside_a_command_propagates(self, tmp_path, monkeypatch):
         # no validated input raises KeyError: one raised inside a command is a bug, never a config error

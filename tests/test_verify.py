@@ -301,7 +301,8 @@ class TestTheoremTable:
 class TestCorollary:
     def test_identical_measures_exact(self):
         pair = FramePairSpec(FockKernel(), LebesgueMeasure(2), LebesgueMeasure(2))
-        res = corollary_parseval_check(pair, lattice_schedule(1.0, 2, r_max=16.0))
+        sched = lattice_schedule(1.0, 2, r_max=16.0)
+        res = corollary_parseval_check(pair, sched, density(pair.g_measure, pair.f_measure, sched))
         assert res["verdict"] == "pass"
         assert all(v == 1.0 for v in res["values"].values())
 
@@ -309,7 +310,8 @@ class TestCorollary:
         pair = FramePairSpec(
             PaleyWienerKernel(), LebesgueMeasure(1), CountingMeasure(Lattice(1.0, 1))
         )
-        res = corollary_parseval_check(pair, lattice_schedule(1.0, 1, r_max=64.0))
+        sched = lattice_schedule(1.0, 1, r_max=64.0)
+        res = corollary_parseval_check(pair, sched, density(pair.g_measure, pair.f_measure, sched))
         assert res["verdict"] == "pass"
         for v in res["values"].values():
             assert v == pytest.approx(1.0, abs=0.05)
