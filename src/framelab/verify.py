@@ -600,7 +600,6 @@ def _finite_oracle_scenario(cfg: dict) -> dict:
 
 
 def _model_space_scenario(cfg: dict, kernel, corollary: bool = False) -> dict:
-    # the corollary takes dens as its mu -> nu orientation: each orientation's density is estimated once
     # separation of the point set is enforced at construction: PointSet
     # rejects coincident points naming the offender, and lattice-derived
     # supports inherit the lattice spacing
@@ -630,7 +629,7 @@ def _model_space_scenario(cfg: dict, kernel, corollary: bool = False) -> dict:
         "theorem_table": table,
         "verdicts": verdicts,
     }
-    if corollary:
+    if corollary:  # dens is its mu -> nu orientation: each orientation's density is estimated once
         body["corollary"] = check = corollary_parseval_check(pair, sched, dens, cfg["tolerances"]["density"])
         detail = f"density estimates {check['values']}"
         if check["verdict"] != "pass":

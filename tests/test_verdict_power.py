@@ -47,12 +47,8 @@ CASES = {
         _claim("riesz_evidence"),
         "CONTRADICTION",
     ),
-    # 3Z against band pi: both densities 1/3, far from 1, so the pair is not Parseval
-    "parseval-corollary": (
-        {"scenario": "paley-wiener", "lattice": {"scale": 3.0, "dim": 1}},
-        None,
-        "vacuous-consistent",
-    ),
+    # 3Z against band pi: densities 1/3 and 3, far from 1, so the pair is not Parseval
+    "parseval-corollary": ({"scenario": "paley-wiener", "lattice": {"scale": 3.0, "dim": 1}}, None, "vacuous-consistent"),
     "comparison-identity": ({"scenario": "finite-oracle", "trials": 3}, _residual, "hypotheses-unmet"),
     # across B(0, 2) the two families are all but orthogonal: t1 = |B(0, 2)|
     "dual-embedding": ({"scenario": "dual-embedding", "offset": [40.0, 0.0]}, None, "hypotheses-unmet"),
