@@ -20,12 +20,12 @@ imposes nothing (``vacuous-consistent``) when the densities are off 1.
 
 Configuration: ``DEFAULTS`` lists, per scenario, every optional key it reads
 with its default, down to the ``tolerances`` fields.  ``CONFIG_SCHEMA``
-checks only shapes (types, ranges, closed objects); ``run`` validates a
-config against it and then resolves it once (``resolve_config``), which
-rejects any key or field its scenario's ``DEFAULTS`` does not list by its
-JSON path, so a shape fault is reported before an unread key.  Scenario
-bodies read only the resolved dict; the report's ``inputs`` keep the config
-as given.
+checks only shapes, through framelab's own checker of thirteen keywords
+(``validate_config``); ``run`` checks a config against it, then resolves it
+once (``resolve_config``), which rejects any key or field its scenario's
+``DEFAULTS`` does not list by its JSON path, so a shape fault comes before
+an unread key.  Scenario bodies read only the resolved dict; the report's
+``inputs`` keep the config as given.
 """
 from __future__ import annotations
 
@@ -213,15 +213,68 @@ def _non_finite_path(value, path: str = "$") -> str | None:
             return path
     if isinstance(value, dict):
         items = ((f"{path}.{key}", item) for key, item in value.items())
-    elif isinstance(value, list):
-        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
     else:
-        return None
-    for where, item in items:
-        found = _non_finite_path(item, where)
-        if found is not None:
-            return found
-    return None
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value if isinstance(value, list) else ()))
+    return next((found for where, item in items if (found := _non_finite_path(item, where)) is not None), None)
+
+
+def _is(value, kind: str) -> bool:
+    """Draft 2020-12's test of the five types the schemas use: true and false are no numbers, and 5.0 is an integer."""
+    types = {"object": dict, "array": list, "string": str, "integer": (int, float), "number": (int, float)}[kind]
+    return not isinstance(value, bool) and isinstance(value, types) and (kind != "integer" or value % 1 == 0)
+
+
+def _canon(value):
+    """value's hashable form under JSON equality: 1 equals 1.0, true is not 1, lists and objects go by their items."""
+    if isinstance(value, list):
+        return ("array", tuple(map(_canon, value)))
+    if isinstance(value, dict):
+        return ("object", frozenset((k, _canon(v)) for k, v in value.items()))
+    return ("number" if type(value) in (int, float) else type(value).__name__, value)
+
+
+# keyword -> (the type it applies to, or None for any; value, argument -> its fault's message, or a falsy value)
+_CHECKS = {
+    "type": (None, lambda v, a: not _is(v, a) and f"{v!r} is not of type {a!r}"),
+    "enum": (None, lambda v, a: _canon(v) not in map(_canon, a) and f"{v!r} is not one of {a!r}"),
+    "minimum": ("number", lambda v, a: v < a and f"{v!r} is less than the minimum of {a!r}"),
+    "exclusiveMinimum": ("number", lambda v, a: v <= a and f"{v!r} is less than or equal to the minimum of {a!r}"),
+    "minItems": ("array", lambda v, a: len(v) < a and f"{v!r} is too short"),
+    "maxItems": ("array", lambda v, a: len(v) > a and f"{v!r} is too long"),
+    "uniqueItems": ("array", lambda v, a: a and len({*map(_canon, v)}) < len(v) and f"{v!r} has non-unique elements"),
+    "minProperties": ("object", lambda v, a: len(v) < a and f"{v!r} does not have enough properties"),
+    "maxProperties": ("object", lambda v, a: len(v) > a and f"{v!r} has too many properties"),
+    "required": ("object", lambda v, a: next((f"{k!r} is a required property" for k in a if k not in v), None)),
+}
+_KEYWORDS = {*_CHECKS, "properties", "items", "additionalProperties"}
+
+
+def _faults(value, schema: dict, path: str = "$"):
+    """(path, rank, where, message) of each fault of value against schema, at most one per keyword, in keyword order.
+
+    An unexpected key ranks 0 at its object's path and is named where by the first in sorted order; others rank 1.
+    """
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown:  # refused wherever it would apply, so no keyword passes unchecked
+        raise ValueError(f"schema keyword {unknown[0]!r} is not implemented by validate_config")
+    for keyword, arg in schema.items():
+        if keyword == "properties" and isinstance(value, dict):
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _faults(value[key], sub, f"{path}.{key}")
+        elif keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _faults(item, arg, f"{path}[{i}]")
+        elif keyword == "additionalProperties" and isinstance(value, dict) and arg is False:
+            extra = sorted(set(value) - set(schema.get("properties", {})))
+            if extra:
+                names = ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"
+                yield path, 0, f"{path}.{extra[0]}", "Additional properties are not allowed (%s %s unexpected)" % names
+        elif keyword in _CHECKS:
+            kind, fault = _CHECKS[keyword]
+            message = (kind is None or _is(value, kind)) and fault(value, arg)
+            if message:
+                yield path, 1, path, message
 
 
 def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
@@ -230,24 +283,16 @@ def validate_config(cfg: dict, schema: dict = CONFIG_SCHEMA) -> dict:
     Python's json reads NaN, Infinity and overflowing numbers such as 1e999
     (as inf) or an integer of 400 digits (as an int no float holds), which no
     config means: they are rejected first, before the schema, whose number
-    type admits them.
+    type admits them.  Then framelab's own checker of the schemas' thirteen
+    Draft 2020-12 keywords (``_faults``) names the fault at the least JSON
+    path: at one object an unexpected key first, then the schema's keyword order.
     """
-    import jsonschema
-
     path = _non_finite_path(cfg)
     if path is not None:
         raise ConfigError(f"config invalid at {path}: not a finite number")
-
-    validator = jsonschema.Draft202012Validator(schema)
-    # at one path an unexpected key comes first: it names the key, where maxProperties names only the object
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: (e.json_path, e.validator != "additionalProperties"))
-    if errors:
-        first = errors[0]
-        path = first.json_path
-        if first.validator == "additionalProperties":
-            # point at the first unexpected key, not at the object holding it
-            path += "." + sorted(set(first.instance) - set(first.schema["properties"]))[0]
-        raise ConfigError(f"config invalid at {path}: {first.message}")
+    first = min(_faults(cfg, schema), key=lambda fault: fault[:2], default=None)
+    if first is not None:
+        raise ConfigError(f"config invalid at {first[2]}: {first[3]}")
     return cfg
 
 
