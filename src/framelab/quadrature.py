@@ -80,7 +80,8 @@ def _integrate(f, center: np.ndarray, r_in: float, r_out: float, cfg: QuadConfig
     """Lebesgue integral of f over the shell r_in < |x - center| <= r_out; r_in = 0 is the closed ball.
 
     f is a vectorized real field mapping an (n, 1) array of points to (n,)
-    values.  An empty shell (r_out = r_in) has no nodes and the value 0.
+    values.  An empty shell (r_out = r_in) has no nodes and the value 0.  A
+    non-finite value raises ValueError naming its node.
     """
     if center.size != 1:
         raise ValueError(f"quadrature integrates on the line (d = 1) only, got d = {center.size}")

@@ -2,9 +2,9 @@
 
 The benchmark harness builds its configs itself (``perfbench/workloads.py``),
 so a schema change that rejects one of them would turn benchmark operations
-into failures without any test of the package noticing.  The ``tail-law``
-workload's reference check runs here too, so a change that breaks it fails
-the test suite and not only a benchmark run.
+into failures without any test of the package noticing.  The ``scenarios``
+and ``tail-law`` workloads' reference checks run here too, so a change that
+breaks one fails the test suite and not only a benchmark run.
 """
 import sys
 from pathlib import Path
@@ -22,6 +22,16 @@ import workloads  # noqa: E402
 def test_benchmark_scenario_configs_are_valid(seed):
     for cfg in workloads.scenario_configs(seed):
         resolve_config(validate_config(cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_scenarios_pass_their_reference_check(seed, tmp_path):
+    # the benchmark's scenarios workload, run once with its own check (verdicts, frame evidence, density and
+    # a written report per config): a change that fails an op here raises the benchmark's failed-op share
+    workload = workloads.make_workload("scenarios", seed, tmp_path)
+    _, failures, _ = workloads.run_ops(workload)
+    assert len(failures) == len(workloads.scenario_configs(seed))
+    assert [fails for fails in failures if fails] == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 11])

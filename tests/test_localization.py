@@ -364,19 +364,22 @@ class TestDoubleTail:
 
 
 PROFILES = dict(localization._PROFILES)  # the records as built, whatever a test patches
+CROSS = {cls: cls.normalized_cross for cls in KERNELS.values()}  # each class's entries as defined
 
 
 def patch_profile(monkeypatch, kernel, pairs, **fields):
-    """Replace the _PROFILES record of the kernel's profile by one whose phi adds the pairs it evaluates to
-    pairs[-1], with the given fields changed; every kernel of that profile sees it."""
-    profile = PROFILES[kernel.profile]
+    """Replace the _PROFILES record of the kernel's profile by one with the given fields changed (every kernel of
+    that profile sees it), and make the kernel's class add the pairs its normalized_cross evaluates to pairs[-1]:
+    an atom x atom sum reads phi through it."""
+    cross = CROSS[type(kernel)]
 
     def counted(kernel, X, Y):
-        out = profile.phi(kernel, X, Y)
+        out = cross(kernel, X, Y)
         pairs[-1] += out.size
         return out
 
-    monkeypatch.setitem(localization._PROFILES, kernel.profile, profile._replace(phi=counted, **fields))
+    monkeypatch.setattr(type(kernel), "normalized_cross", counted)
+    monkeypatch.setitem(localization._PROFILES, kernel.profile, PROFILES[kernel.profile]._replace(**fields))
 
 
 def jittered_points(seed, scale, half_width):
@@ -494,7 +497,8 @@ def test_profile_record_supports_trunc_bound(kernel_class):
     #    the float cutoff is sqrt(ln(1e14) / pi) rounded down, so phi there is 1e-14 (1 + 2.3e-15)
     if math.isfinite(profile.cutoff):
         beyond = math.nextafter(profile.cutoff, math.inf)
-        assert profile.phi(kernel, origin, np.eye(kernel.dim)[:1] * beyond)[0, 0] <= localization._PRUNE_EPS
+        phi = abs(kernel.normalized_cross(origin, np.eye(kernel.dim)[:1] * beyond)[0, 0]) ** 2
+        assert phi <= localization._PRUNE_EPS
     # 2. the outside mass is over all of the complement: inside + outside is the reproducing mass
     #    1 / mode_density up to rounding, and the centred mass beyond gap, trunc_bound's pruning term, bounds it
     for gap in (0.5, 1.0, 2.0, 3.2):
@@ -506,34 +510,31 @@ def test_profile_record_supports_trunc_bound(kernel_class):
             assert outside <= profile.centred(kernel, gap, math.inf)
 
 
-@pytest.mark.parametrize(
-    "kernel, box, rtol",
-    [
-        (PaleyWienerKernel(), 40.0, 0.0),
-        (PaleyWienerKernel(2.0), 40.0, 0.0),
-        (FockKernel(), 20.0, 4e-12),
-        (FockKernel(), 40.0, 1.6e-11),
-        (GaborGaussianKernel(1), 20.0, 4e-12),
-        (GaborGaussianKernel(1), 40.0, 1.6e-11),
-    ],
-    ids=["pw-pi", "pw-2", "fock-20", "fock-40", "gabor-20", "gabor-40"],
-)
-def test_profile_phi_is_the_squared_kernel_entry(kernel, box, rtol):
-    # a record's phi is |<k_x, k_y>|^2 of every kernel that names it: sinc^2 squares the kernel's own entry, bit
-    # for bit; the Gaussian's real arithmetic departs from the squared complex entry by the rounding of exponents
-    # of size pi (|x|^2 + |y|^2), so the tolerance grows with box^2 (measured up to 2.5e-12 relative in
-    # [-20, 20]^2 and 8.6e-12 in [-40, 40]^2 over 4000 seeded pairs)
-    rng = np.random.default_rng(11)
-    X = rng.uniform(-box, box, size=(60, kernel.dim))
-    # half the points of Y near X, so that phi is not all underflow
-    Y = np.concatenate([X[:30] + rng.normal(scale=0.5, size=(30, kernel.dim)), rng.uniform(-box, box, (30, kernel.dim))])
-    phi = localization._PROFILES[kernel.profile].phi(kernel, X, Y)
-    want = np.abs(kernel.normalized_cross(X, Y)) ** 2
-    assert np.count_nonzero(want > 1e-3) >= 30
-    if rtol == 0.0:
-        assert np.array_equal(phi, want)
-    else:
-        np.testing.assert_allclose(phi, want, rtol=rtol, atol=0.0)
+@pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor-1"])
+def test_atom_sums_square_the_kernel_entries(kernel):
+    # an atom x atom cross term is the fsum of w_x w_y |<k_x, k_y + Delta>|^2 over outer x inner pairs, phi the
+    # kernel's own entry squared; off the origin, exponents of size pi (|x|^2 + |y|^2) lose bits to rounding, so
+    # e^{-pi |x - y|^2} from the quadratic expansion reads these sums up to 4.2e-13 relative off
+    rng = np.random.default_rng(29)
+    c = np.array([30.0, -20.0])
+    f, g = (AtomicMeasure(c + rng.uniform(-2.5, 2.5, size=(40, 2)), rng.uniform(0.2, 3.0, 40)) for _ in range(2))
+    delta = rng.uniform(-0.3, 0.3, size=2)
+    ball = Ball(c, 1.5)
+    # every atom lies in the walk ball, and within the cutoff of the sphere: the sums skip no pair
+    cutoff = localization._PROFILES[kernel.profile].cutoff
+    assert 2.5 * math.sqrt(2.0) < ball.radius + cutoff and ball.radius < cutoff
+    inside = [ball.contains(m.points) for m in (f, g)]
+    assert all(0 < np.count_nonzero(k) < 40 for k in inside)
+
+    def oracle(outer, outer_in, outer_shift, inner, inner_in, inner_shift):
+        # w_x w_y |<k_x, k_y>|^2 over the outer side's atoms beyond B and the inner side's atoms in B
+        x, y = outer.points[~outer_in] + outer_shift, inner.points[inner_in] + inner_shift
+        terms = outer.weights[~outer_in, None] * np.abs(kernel.normalized_cross(x, y)) ** 2 * inner.weights[inner_in]
+        return math.fsum(terms.ravel().tolist())
+
+    t1, t2 = double_tail(FramePairSpec(kernel, f, g, g_offset=delta), ball)
+    assert t1 == pytest.approx(oracle(f, inside[0], 0.0, g, inside[1], delta), rel=1e-14, abs=0.0)
+    assert t2 == pytest.approx(oracle(g, inside[1], delta, f, inside[0], 0.0), rel=1e-14, abs=0.0)
 
 
 def gaussian_window_bound(f, g, ball, delta, margin):
@@ -1175,9 +1176,10 @@ class TestSincSquaredClosedForm:
         pair = FramePairSpec(PaleyWienerKernel(2.0), atomic, CountingMeasure(Lattice(0.9, 1)), g_offset=[-0.37])
         whole = double_tail(pair, Ball([0.5], 6.0))
         blocks = []
-        phi = PROFILES[pair.kernel.profile].phi
-        counted = PROFILES[pair.kernel.profile]._replace(phi=lambda k, X, Y: blocks.append(len(X) * len(Y)) or phi(k, X, Y))
-        monkeypatch.setitem(localization._PROFILES, pair.kernel.profile, counted)
+        cross = CROSS[PaleyWienerKernel]
+        monkeypatch.setattr(
+            PaleyWienerKernel, "normalized_cross", lambda k, X, Y: blocks.append(len(X) * len(Y)) or cross(k, X, Y)
+        )
         monkeypatch.setattr(localization, "_BLOCK", 50)
         blocked = double_tail(pair, Ball([0.5], 6.0))
         assert len(blocks) > 1 and max(blocks) <= 50

@@ -10,7 +10,10 @@ below is αZ^d on the indices −48…48, moved by
 ``default_rng(seed).uniform(-0.2α, 0.2α)`` per coordinate, and read by
 ``gram_truncation_study`` at its scenario's default ``gram_radii``.  The
 test asserts only what the truth allows: no frame evidence where the set is
-no frame, and no Riesz evidence where it is no Riesz sequence.
+no frame, and no Riesz evidence where it is no Riesz sequence.  Each
+Paley-Wiener case also reads both densities within ``tolerances.density`` of
+1/α under ``density_schedule`` at ``density_rmax`` 16.  The Fock half of
+that check waits for ROADMAP item 17: its ball scans take ~2.3 s a case.
 
 Today's rule (ROADMAP items 1 and 22) gives false evidence in the four cases
 ``FALSE_EVIDENCE`` lists, each a strict xfail: Fock frame evidence at α = 1
@@ -27,9 +30,10 @@ import numpy as np
 import pytest
 
 from framelab.cli import main
+from framelab.density import density
 from framelab.kernels import FockKernel, PaleyWienerKernel
-from framelab.space import PointSet
-from framelab.verify import DEFAULTS, gram_truncation_study
+from framelab.space import CountingMeasure, LebesgueMeasure, PointSet
+from framelab.verify import DEFAULTS, density_schedule, gram_truncation_study
 
 FAMILIES = {"fock": (FockKernel, 2), "paley-wiener": (PaleyWienerKernel, 1)}
 ALPHAS = (0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25)
@@ -64,6 +68,17 @@ def test_no_evidence_the_truth_forbids(family, alpha, seed):
     no_riesz = alpha <= 1 if family == "fock" else alpha < 1
     assert not (no_frame and study["frame_evidence"])
     assert not (no_riesz and study["riesz_evidence"])
+
+
+@pytest.mark.parametrize("alpha, seed", [pytest.param(a, s, id=f"{a}-seed{s}") for a in ALPHAS for s in SEEDS])
+def test_paley_wiener_density_reads_one_over_alpha(alpha, seed):
+    # bounded jitter leaves both Beurling densities at 1/α; convergence is not asserted, as the trend at
+    # r_max 16 against 8 stays above its tolerance in 7 of the 35 cases, each within 0.04 of 1/α
+    counting, lebesgue = CountingMeasure(PointSet(jittered_lattice(alpha, 1, seed))), LebesgueMeasure(1)
+    dens = density(counting, lebesgue, density_schedule(counting, lebesgue, 16.0))
+    tol = DEFAULTS["paley-wiener"]["tolerances"]["density"]
+    assert abs(dens.upper - 1.0 / alpha) <= tol
+    assert abs(dens.lower - 1.0 / alpha) <= tol
 
 
 @pytest.mark.xfail(strict=True, reason=f"sampling-density: CONTRADICTION on a valid config; {REASON}")
