@@ -510,19 +510,32 @@ def test_profile_record_supports_trunc_bound(kernel_class):
             assert outside <= profile.centred(kernel, gap, math.inf)
 
 
-@pytest.mark.parametrize("kernel", [FockKernel(), GaborGaussianKernel(1)], ids=["fock", "gabor-1"])
-def test_atom_sums_square_the_kernel_entries(kernel):
-    # an atom x atom cross term is the fsum of w_x w_y |<k_x, k_y + Delta>|^2 over outer x inner pairs, phi the
-    # kernel's own entry squared; off the origin, exponents of size pi (|x|^2 + |y|^2) lose bits to rounding, so
-    # e^{-pi |x - y|^2} from the quadratic expansion reads these sums up to 4.2e-13 relative off
+@pytest.mark.parametrize(
+    "kernel, box",
+    [
+        (PaleyWienerKernel(), 40.0),
+        (PaleyWienerKernel(2.0), 40.0),
+        (FockKernel(), 20.0),
+        (FockKernel(), 40.0),
+        (GaborGaussianKernel(1), 20.0),
+        (GaborGaussianKernel(1), 40.0),
+    ],
+    ids=["pw-pi", "pw-2", "fock-20", "fock-40", "gabor-20", "gabor-40"],
+)
+def test_profile_phi_is_the_squared_kernel_entry(kernel, box):
+    # phi of every profile is |<k_x, k_y>|^2, the kernel's own entry squared: an atom x atom cross term is the fsum
+    # of w_x w_y |<k_x, k_y + Delta>|^2 over outer x inner pairs, for atoms about a centre box away from the
+    # origin; there, exponents of size pi (|x|^2 + |y|^2) lose bits to rounding, so e^{-pi |x - y|^2} from the
+    # quadratic expansion reads the Gaussian sums up to 4.2e-13 relative off
     rng = np.random.default_rng(29)
-    c = np.array([30.0, -20.0])
-    f, g = (AtomicMeasure(c + rng.uniform(-2.5, 2.5, size=(40, 2)), rng.uniform(0.2, 3.0, 40)) for _ in range(2))
-    delta = rng.uniform(-0.3, 0.3, size=2)
+    d = kernel.dim
+    c = np.resize([0.75, -0.5], d) * box
+    f, g = (AtomicMeasure(c + rng.uniform(-2.5, 2.5, size=(40, d)), rng.uniform(0.2, 3.0, 40)) for _ in range(2))
+    delta = rng.uniform(-0.3, 0.3, size=d)
     ball = Ball(c, 1.5)
     # every atom lies in the walk ball, and within the cutoff of the sphere: the sums skip no pair
     cutoff = localization._PROFILES[kernel.profile].cutoff
-    assert 2.5 * math.sqrt(2.0) < ball.radius + cutoff and ball.radius < cutoff
+    assert 2.5 * math.sqrt(d) < ball.radius + cutoff and ball.radius < cutoff
     inside = [ball.contains(m.points) for m in (f, g)]
     assert all(0 < np.count_nonzero(k) < 40 for k in inside)
 
