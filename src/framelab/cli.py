@@ -29,8 +29,7 @@ import numpy as np
 from . import verify
 from .density import DEFAULT_RADII, density
 from .kernels import KERNELS
-from .localization import FramePairSpec, localization_defect
-from .space import Ball
+from .localization import FramePairSpec, localization_rows
 
 _KERNEL_SCHEMA = {
     "type": "object",
@@ -108,7 +107,7 @@ def _cmd_localize(args) -> int:
     if "g_offset" in pair_cfg and len(pair_cfg["g_offset"]) != kernel.dim:
         raise verify.ConfigError(f"config invalid at $.g_offset: the kernel lives in dimension {kernel.dim}")
     pair = FramePairSpec(kernel, measures["f"], measures["g"], pair_cfg.get("g_offset"))
-    rows = [localization_defect(pair, Ball(np.zeros(kernel.dim), r)) for r in args.radii]
+    rows = localization_rows(pair, np.zeros(kernel.dim), args.radii)
     for row in rows:
         print(f"r={row['radius']}: defect={row['defect']:.6g} eps_eff={row['eps_eff']:.6g}")
     Path(args.out).write_text(verify.report_json(rows))

@@ -40,11 +40,11 @@ sphere; two Lebesgue sides are |B| / mode_density (phi integrates to
 1 / mode_density, the reproducing formula) minus the lens overlap; two
 discrete sides are an exact atom x atom sum.  With no cutoff a lattice
 outer side is its Poisson sum less its own atoms in B, and a finite one
-reaches every atom.  A row walks each discrete side once (``_walk``).
+reaches every atom.  A table walks each discrete side once (``_walk``).
 
-``double_tail`` returns (t1, t2); ``localization_defect`` returns one report
-row, a dict that a report's ``localization`` list and ``framelab
-localize``'s JSON take as it is.
+``localization_rows`` returns a table of concentric balls' report rows, dicts
+that a report's ``localization`` list and ``framelab localize``'s JSON take as
+they are; ``localization_defect`` and ``double_tail`` are one-ball views.
 
 v1 restricts to self-dual (Parseval normalized) families: every in-scope
 pair enters only through |<f_x, g_y>|^2, which needs no dual.  General dual
@@ -68,6 +68,7 @@ __all__ = [
     "tail_sup",
     "double_tail",
     "localization_defect",
+    "localization_rows",
 ]
 
 _PRUNE_EPS = 1e-14
@@ -125,8 +126,8 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
     x <= _I0_SPLIT: the periodic trapezoid rule, sum_j W_j e^{-x C_j} (~4e-16
     relative).  Beyond: the asymptotic series
     sum_k ((2k-1)!!)^2 / (k! (8x)^k) / sqrt(2 pi x), k = 0..13 (the next term < 1e-18),
-    one Horner evaluation in 1/x.  Each branch gathers its entries by the
-    split's mask, so an entry's bits do not depend on the rest of the array.
+    one Horner evaluation in 1/x.  Each branch runs on the entries the split's
+    mask selects, if any, so an entry's bits do not depend on the rest of the array.
     """
 
     def rule(v):
@@ -137,8 +138,9 @@ def _scaled_i0(x: np.ndarray) -> np.ndarray:
 
     small = x <= _I0_SPLIT
     out = np.empty_like(x)
-    out[small] = rule(x[small])
-    out[~small] = series(x[~small])
+    for mask, branch in ((small, rule), (~small, series)):
+        if mask.any():
+            out[mask] = branch(x[mask])
     return out
 
 
@@ -205,16 +207,18 @@ def _sici(x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     si, cin = np.empty_like(x), np.empty_like(x)
     small = np.abs(x) <= _SI_SPLIT
-    xu = x[small][:, None] * _GL_U
-    half = np.sin(0.5 * xu)
-    si[small] = (np.sin(xu) / _GL_U * _GL_W).sum(axis=1)
-    cin[small] = (2.0 * half * half / _GL_U * _GL_W).sum(axis=1)
-    big = np.abs(x[~small])
-    inv2 = 1.0 / (big * big)
-    f, g = _polyval(inv2, _SI_F) / big, _polyval(inv2, _SI_G) * inv2
-    sin, cos = np.sin(big), np.cos(big)
-    si[~small] = np.copysign(0.5 * math.pi - (f * cos + g * sin), x[~small])
-    cin[~small] = np.euler_gamma + np.log(big) - (f * sin - g * cos)
+    if small.any():
+        xu = x[small][:, None] * _GL_U
+        half = np.sin(0.5 * xu)
+        si[small] = (np.sin(xu) / _GL_U * _GL_W).sum(axis=1)
+        cin[small] = (2.0 * half * half / _GL_U * _GL_W).sum(axis=1)
+    if not small.all():
+        big = np.abs(x[~small])
+        inv2 = 1.0 / (big * big)
+        f, g = _polyval(inv2, _SI_F) / big, _polyval(inv2, _SI_G) * inv2
+        sin, cos = np.sin(big), np.cos(big)
+        si[~small] = np.copysign(0.5 * math.pi - (f * cos + g * sin), x[~small])
+        cin[~small] = np.euler_gamma + np.log(big) - (f * sin - g * cos)
     return si, cin
 
 
@@ -377,28 +381,37 @@ class _Side(NamedTuple):
     lattice: Lattice | None = None
 
 
-def _walk(pair: FramePairSpec, b: Ball) -> list[_Side]:
-    """The f and g sides over b, each discrete side walked once over the walk ball B(c, r + c_cut + |Delta|).
+def _walk(pair: FramePairSpec, center, radii) -> list[tuple[_Side, _Side]]:
+    """The (f, g) sides over B(c, r) for each radius r, in order; a table walks each discrete side once.
 
-    c_cut is the profile's cutoff: a pair with one atom beyond the walk ball and the other in B lies more
-    than c_cut apart in kernel coordinates.  With no cutoff (sinc^2) the walk ball is all of R^d: a finite
+    A row's walk ball is B(c, r + c_cut + |Delta|), c_cut the profile's cutoff: a pair with one atom beyond it
+    and the other in B lies more than c_cut apart in kernel coordinates.  Each discrete side is walked over the
+    largest walk ball, and each row takes the walked atoms its ball and walk ball contain by the measure's rule,
+    in the walk's order, as the Gram windows do.  With no cutoff (sinc^2) the walk ball is all of R^d: a finite
     side is walked whole, a lattice over B alone.
     """
+    if not radii:
+        return []
     reach = _profile(pair.kernel).cutoff + float(np.linalg.norm(pair.g_offset))
-    walk = Ball(b.center, b.radius + reach)
-    sides = []
+    balls = [Ball(center, r) for r in radii]
+    tables = []
     for m, offset in ((pair.f_measure, np.zeros(pair.kernel.dim)), (pair.g_measure, pair.g_offset)):
-        if not m.is_discrete:
-            sides.append(_Side(offset, m.ball_mass(b), m.ball_mass(walk)))
-            continue
         support = getattr(m, "support", None)
-        lattice = support if isinstance(support, Lattice) and math.isinf(walk.radius) else None
-        atoms, w = m.atoms_in_ball(walk if lattice is None else b)
-        inside = m.contains(b, atoms)
-        mass = math.fsum(w[inside].tolist())
-        walk_mass = math.fsum(w.tolist()) if lattice is None else math.inf
-        sides.append(_Side(offset, mass, walk_mass, (atoms[inside], w[inside]), (atoms[~inside], w[~inside]), lattice))
-    return sides
+        lattice = support if isinstance(support, Lattice) and math.isinf(reach) else None
+        walks = balls if lattice is not None else [Ball(center, r + reach) for r in radii]
+        if not m.is_discrete:
+            tables.append([_Side(offset, m.ball_mass(b), m.ball_mass(walk)) for b, walk in zip(balls, walks)])
+            continue
+        atoms, w = m.atoms_in_ball(max(walks, key=lambda x: x.radius))
+        sides = []
+        for b, walk in zip(balls, walks):
+            inside, near = m.contains(b, atoms), m.contains(walk, atoms)
+            out = near & ~inside  # B lies in its walk ball, by the same rule
+            walk_mass = math.fsum(w[near].tolist()) if lattice is None else math.inf
+            inner, outer = (atoms[inside], w[inside]), (atoms[out], w[out])
+            sides.append(_Side(offset, math.fsum(w[inside].tolist()), walk_mass, inner, outer, lattice))
+        tables.append(sides)
+    return list(zip(*tables))
 
 
 def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball) -> float:
@@ -443,20 +456,15 @@ def _cross_term(kernel, outer: _Side, inner: _Side, ball: Ball) -> float:
     return math.fsum((w[near] * mass).tolist())
 
 
-def _tails(pair: FramePairSpec, b: Ball):
-    """(t1, t2, f side, g side), each side walked once."""
-    f, g = _walk(pair, b)
-    return _cross_term(pair.kernel, f, g, b), _cross_term(pair.kernel, g, f, b), f, g
-
-
 def double_tail(pair: FramePairSpec, b: Ball) -> tuple[float, float]:
     """The two iterated cross-tail integrals (t1, t2) over B x B^c: t1 takes the f-family over all of B^c against
-    the g-family inside B, t2 swaps the roles."""
-    return _tails(pair, b)[:2]
+    the g-family inside B, t2 swaps the roles; b is walked as a one-ball table."""
+    ((f, g),) = _walk(pair, b.center, [b.radius])
+    return _cross_term(pair.kernel, f, g, b), _cross_term(pair.kernel, g, f, b)
 
 
-def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
-    """One report row of the localization mismatch over the ball b.
+def _row(pair: FramePairSpec, b: Ball, f: _Side, g: _Side) -> dict:
+    """One report row of the localization mismatch over the ball b, from its walked sides.
 
     For self-dual families the two iterated integrals of the localization
     condition are exactly the double tails, so the defect is |t1 - t2|; the
@@ -473,7 +481,7 @@ def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
     covers what lies beyond B_w, at least gap = r_w - r - |Delta| (c up to
     rounding) from the sphere.
     """
-    t1, t2, f, g = _tails(pair, b)
+    t1, t2 = _cross_term(pair.kernel, f, g, b), _cross_term(pair.kernel, g, f, b)
     normalizer = f.mass + g.mass
     if normalizer <= 0:
         raise ValueError("empty ball: defect normalizer vanishes")
@@ -495,3 +503,13 @@ def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
         "eps_eff": defect / normalizer,
         "trunc_bound": trunc_bound,
     }
+
+
+def localization_rows(pair: FramePairSpec, center, radii) -> list[dict]:
+    """The report rows (``_row``) of the balls B(center, r), r in radii, in their order, over one walk."""
+    return [_row(pair, Ball(center, r), f, g) for r, (f, g) in zip(radii, _walk(pair, center, radii))]
+
+
+def localization_defect(pair: FramePairSpec, b: Ball) -> dict:
+    """``localization_rows``' one row for the ball b."""
+    return localization_rows(pair, b.center, [b.radius])[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,8 +217,7 @@ class LebesgueMeasure:
     """Lebesgue measure on R^d; ball masses are the closed-form volume."""
 
     dim: int
-
-    is_discrete: bool = field(default=False, init=False, repr=False)
+    is_discrete = False
 
     def ball_mass(self, b: Ball) -> float:
         if b.dim != self.dim:

@@ -39,7 +39,7 @@ import numpy as np
 from . import finframe
 from .density import DEFAULT_RADII, DensityEstimate, DensitySchedule, default_schedule, density, lattice_schedule
 from .kernels import KERNELS
-from .localization import FramePairSpec, localization_defect
+from .localization import FramePairSpec, localization_defect, localization_rows
 from .space import (
     AtomicMeasure,
     Ball,
@@ -474,15 +474,12 @@ def theorem_main_table(pair: FramePairSpec, radii):
     violated row means those hypotheses cannot all hold for this pair.
     """
     radii = sorted(float(x) for x in radii)
-    balls = [Ball(np.zeros(pair.kernel.dim), r) for r in radii]
     centers = np.zeros((len(radii), pair.kernel.dim))
     nu = pair.g_measure.ball_masses(centers, radii).tolist()
     mu = pair.f_measure.ball_masses(centers, radii).tolist()
+    loc_rows = localization_rows(pair, np.zeros(pair.kernel.dim), radii)
     rows = []
-    loc_rows = []
-    for r, ball, nu_b, mu_b in zip(radii, balls, nu, mu):
-        loc = localization_defect(pair, ball)
-        loc_rows.append(loc)
+    for r, loc, nu_b, mu_b in zip(radii, loc_rows, nu, mu):
         a_col = 1.0
         b_col = nu_b / mu_b if mu_b > 0 else math.inf
         if not math.isfinite(b_col):
@@ -532,64 +529,50 @@ def corollary_parseval_check(pair: FramePairSpec, sched: DensitySchedule, d_mu_n
 # Scenario implementations
 
 
-def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_band: float) -> list:
-    verdicts = []
+def _lattice_verdicts(dens: DensityEstimate, study: dict, tol: float, critical_band: float) -> dict:
+    """The one density verdict that the first rule to apply decides."""
     frame_ev = study["frame_evidence"]
     riesz_ev = study["riesz_evidence"]
     est = 0.5 * (dens.upper + dens.lower)
     critical = abs(est - 1.0) <= critical_band
 
     if not dens.converged:
-        verdicts.append(
-            {
-                "name": "density-theorem",
-                "verdict": "hypotheses-unmet",
-                "detail": f"density estimate not converged (trend {dens.trend!r}); no density-theorem claim",
-            }
-        )
-    elif frame_ev and dens.upper < 1.0 - tol:
-        verdicts.append(
-            {
-                "name": "sampling-density",
-                "verdict": "CONTRADICTION",
-                "detail": f"frame evidence with upper density {dens.upper!r} < 1 - {tol}: "
-                "violates the lower density bound",
-            }
-        )
-    elif riesz_ev and dens.lower > 1.0 + tol:
-        verdicts.append(
-            {
-                "name": "interpolating-density",
-                "verdict": "CONTRADICTION",
-                "detail": f"Riesz evidence with lower density {dens.lower!r} > 1 + {tol}: "
-                "violates the upper density bound",
-            }
-        )
-    elif critical:
-        verdicts.append(
-            {
-                "name": "density-theorem",
-                "verdict": "critical-no-claim",
-                "detail": f"|density estimate {est!r} - 1| <= {critical_band}: inside the critical band; no claim",
-            }
-        )
-    elif frame_ev:
-        verdicts.append(
-            {
-                "name": "density-theorem",
-                "verdict": "pass",
-                "detail": f"frame evidence and upper density {dens.upper!r} >= 1 - {tol}",
-            }
-        )
-    else:
-        verdicts.append(
-            {
-                "name": "density-theorem",
-                "verdict": "vacuous-consistent",
-                "detail": "no frame evidence at desk scale; the density bound imposes nothing",
-            }
-        )
-    return verdicts
+        return {
+            "name": "density-theorem",
+            "verdict": "hypotheses-unmet",
+            "detail": f"density estimate not converged (trend {dens.trend!r}); no density-theorem claim",
+        }
+    if frame_ev and dens.upper < 1.0 - tol:
+        return {
+            "name": "sampling-density",
+            "verdict": "CONTRADICTION",
+            "detail": f"frame evidence with upper density {dens.upper!r} < 1 - {tol}: "
+            "violates the lower density bound",
+        }
+    if riesz_ev and dens.lower > 1.0 + tol:
+        return {
+            "name": "interpolating-density",
+            "verdict": "CONTRADICTION",
+            "detail": f"Riesz evidence with lower density {dens.lower!r} > 1 + {tol}: "
+            "violates the upper density bound",
+        }
+    if critical:
+        return {
+            "name": "density-theorem",
+            "verdict": "critical-no-claim",
+            "detail": f"|density estimate {est!r} - 1| <= {critical_band}: inside the critical band; no claim",
+        }
+    if frame_ev:
+        return {
+            "name": "density-theorem",
+            "verdict": "pass",
+            "detail": f"frame evidence and upper density {dens.upper!r} >= 1 - {tol}",
+        }
+    return {
+        "name": "density-theorem",
+        "verdict": "vacuous-consistent",
+        "detail": "no frame evidence at desk scale; the density bound imposes nothing",
+    }
 
 
 def _finite_oracle_scenario(cfg: dict) -> dict:
@@ -656,7 +639,7 @@ def _model_space_scenario(cfg: dict, kernel, corollary: bool = False) -> dict:
     study = gram_truncation_study(kernel, counting.support, cfg["gram_radii"])
     pair = FramePairSpec(kernel=kernel, f_measure=lebesgue, g_measure=counting)
     table, loc_rows = theorem_main_table(pair, cfg["radii"])
-    verdicts = _lattice_verdicts(dens, study, cfg["tolerances"]["density"], cfg["tolerances"]["critical_band"])
+    verdicts = [_lattice_verdicts(dens, study, cfg["tolerances"]["density"], cfg["tolerances"]["critical_band"])]
     if any(row["verdict"] == "hypotheses-unmet" for row in table):
         verdicts.append(
             {

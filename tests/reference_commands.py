@@ -112,6 +112,17 @@ COMMANDS = [
             ),
         ]
     ),
+    # localize over the grid CSV with an offset, radii unsorted: one table's rows, in the order given
+    [
+        "localize",
+        "--pair",
+        '{"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"points_csv": "grid.csv"}, '
+        '"g_offset": [0.3, -0.2]}',
+        "--radii",
+        "16,4,8",
+        "--out",
+        "localize-fock-lebesgue-grid.json",
+    ],
     # gram: the scenario windows, 0.5Z² out to R = 6 (an H_0 of 111), a thinned lattice, the grid CSV,
     # and a kernel param
     *(

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from framelab.cli import _kernel, main
 from framelab.kernels import KERNELS, FockKernel, GaborGaussianKernel, PaleyWienerKernel
 from framelab.space import AtomicMeasure, CountingMeasure, LebesgueMeasure, ThinnedLattice
 from framelab.verify import measure_from_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 LOC_PAIR = {"kernel": {"kernel": "fock"}, "f": {"lebesgue": {"dim": 2}}, "g": {"lattice": {"scale": 1.0, "dim": 2}}}
 FOCK_N2 = {"kernel": "fock", "params": {"n": 2}}
@@ -566,7 +572,7 @@ class TestCommands:
         def broken(*args, **kwargs):
             raise KeyError("properties")
 
-        monkeypatch.setattr(cli, "localization_defect", broken)
+        monkeypatch.setattr(cli, "localization_rows", broken)
         with pytest.raises(KeyError, match="properties"):
             main(["localize", "--pair", json.dumps(LOC_PAIR), "--radii", "2", "--out", str(tmp_path / "loc.json")])
 
@@ -763,3 +769,41 @@ def _clipped_grid(tmp_path):
     pts = tmp_path / "grid.csv"
     pts.write_text("x1,x2\n" + "".join(f"{0.5 * i!r},{0.5 * j!r}\n" for i in range(-40, 41) for j in range(-40, 41)))
     return pts
+
+
+# well-formed inputs whose work or arithmetic overflows; each exits 1 today, one of them with a traceback
+EXTREME_INPUTS = [
+    pytest.param(["run", "--config", '{"scenario": "fock", "radii": [1e300]}', "--out-dir", "out"], id="run-radius"),
+    pytest.param(
+        ["run", "--config", '{"scenario": "fock", "lattice": {"scale": 1e-300, "dim": 2}}', "--out-dir", "out"],
+        id="run-lattice-scale",
+    ),
+    pytest.param(
+        ["run", "--config", '{"scenario": "dual-embedding", "offset": [1e300, 0]}', "--out-dir", "out"],
+        id="dual-embedding-offset",
+    ),
+    pytest.param(
+        ["localize", "--pair", json.dumps({**LOC_PAIR, "g_offset": [1e200, 0]}), "--radii", "4", "--out", "loc.json"],
+        id="localize-g-offset",
+    ),
+]
+
+
+@pytest.mark.xfail(
+    strict=True, reason="no work budget or overflow check refuses it at its JSON path (ROADMAP items 18 and 23)"
+)
+@pytest.mark.parametrize("argv", EXTREME_INPUTS)
+def test_extreme_input_exits_2_without_a_traceback(argv, tmp_path):
+    # a child process under a 2 GiB address-space cap, so that an input asking for more fails fast
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from framelab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr

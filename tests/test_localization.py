@@ -9,7 +9,7 @@ from scipy.stats import ncx2
 
 from framelab import localization
 from framelab.kernels import KERNELS, FockKernel, GaborGaussianKernel, PaleyWienerKernel, TabulatedKernel
-from framelab.localization import FramePairSpec, double_tail, localization_defect, tail_sup
+from framelab.localization import FramePairSpec, double_tail, localization_defect, localization_rows, tail_sup
 from framelab.quadrature import QuadConfig, integrate_ball
 from framelab.space import AtomicMeasure, Ball, CountingMeasure, Lattice, LebesgueMeasure, PointSet, ThinnedLattice
 
@@ -772,6 +772,25 @@ class TestScaledI0:
         assert np.array_equal(after[3:], before[3:])
 
 
+@pytest.mark.parametrize(
+    "special_function, below, above",
+    [
+        (localization._scaled_i0, np.linspace(0.0, 50.0, 11), np.array([0.0, 51.0])),
+        (localization._sici, np.linspace(-40.0, 40.0, 11), np.array([0.0, -41.0])),
+    ],
+    ids=["scaled-i0", "sici"],
+)
+def test_series_runs_only_on_entries_beyond_the_split(special_function, below, above, monkeypatch):
+    # each branch runs only when its mask selects an entry: no Horner loop over an empty array
+    calls = []
+    polyval = localization._polyval
+    monkeypatch.setattr(localization, "_polyval", lambda x, c: calls.append(len(x)) or polyval(x, c))
+    special_function(below)
+    assert calls == []
+    special_function(above)
+    assert calls and all(n == 1 for n in calls)
+
+
 class TestLensOverlap:
     """The Lebesgue x Lebesgue term for Gaussian kernels: a radial integral against the lens area."""
 
@@ -1212,8 +1231,8 @@ class TestSincSquaredClosedForm:
 
 
 class TestOneWalk:
-    """A row walks each discrete side once over the walk ball B(c, r + c_cut + |Delta|) and takes every atom set
-    and mass from it; with no cutoff a lattice side is walked over B alone."""
+    """A table walks each discrete side once, over its largest walk ball B(c, r + c_cut + |Delta|), and each row
+    takes every atom set and mass from it; with no cutoff a lattice side is walked over B alone."""
 
     @pytest.mark.parametrize(
         "measure, ball",
@@ -1233,7 +1252,7 @@ class TestOneWalk:
         d = measure.dim
         kernel = FockKernel() if d == 2 else PaleyWienerKernel()
         pair = FramePairSpec(kernel, LebesgueMeasure(d), measure, g_offset=np.full(d, offset))
-        f, g = localization._walk(pair, ball)
+        ((f, g),) = localization._walk(pair, ball.center, [ball.radius])
         delta = float(np.linalg.norm(pair.g_offset))
         walk = Ball(ball.center, ball.radius + (localization._PROFILES[kernel.profile].cutoff + delta))
         # masses: the same bits as ball_mass
@@ -1253,6 +1272,41 @@ class TestOneWalk:
         assert f.inside is None and f.outside is None
         row = localization_defect(pair, ball)
         assert row["normalizer"] == LebesgueMeasure(d).ball_mass(ball) + measure.ball_mass(ball)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            CountingMeasure(Lattice(0.8, 2)),
+            CountingMeasure(ThinnedLattice(0.8, 2)),
+            CountingMeasure(PointSet(jittered_points(2, 0.8, 12.0))),
+            AtomicMeasure(ATOMS_2D, np.linspace(0.3, 2.0, len(ATOMS_2D))),
+            CountingMeasure(Lattice(1.0, 1)),
+            AtomicMeasure(np.linspace(-9.0, 9.0, 37)[:, None] + 0.01, np.linspace(0.5, 1.5, 37)),
+        ],
+        ids=["lattice", "thinned", "points", "atomic", "line", "line-atomic"],
+    )
+    @pytest.mark.parametrize("offset", [0.0, 6.0])  # each coordinate of g_offset; 6 lies beyond c_cut ~ 3.20
+    @pytest.mark.parametrize("discrete_f", [False, True], ids=["lebesgue-f", "lattice-f"])
+    def test_table_rows_are_the_one_ball_rows(self, measure, offset, discrete_f):
+        d = measure.dim
+        kernel = FockKernel() if d == 2 else PaleyWienerKernel()
+        f = CountingMeasure(Lattice(0.7, d)) if discrete_f else LebesgueMeasure(d)
+        pair = FramePairSpec(kernel, f, measure, g_offset=np.full(d, offset))
+        center, radii = np.full(d, 0.1), [5.0, 2.0, 3.5]  # unsorted on purpose
+        assert localization_rows(pair, center, radii) == [localization_defect(pair, Ball(center, r)) for r in radii]
+        assert localization_rows(pair, center, []) == []
+
+    def test_fock_lattice_table_walks_each_discrete_side_once(self, monkeypatch):
+        # three rows, one atoms_in_ball call per discrete side, over the largest row's walk ball
+        calls = []
+        walk = CountingMeasure.atoms_in_ball
+        monkeypatch.setattr(CountingMeasure, "atoms_in_ball", lambda self, b: calls.append(b.radius) or walk(self, b))
+        lattice = CountingMeasure(Lattice(0.8, 2))
+        for f, walks in ((LebesgueMeasure(2), 1), (CountingMeasure(Lattice(0.7, 2)), 2)):
+            calls.clear()
+            rows = localization_rows(FramePairSpec(FockKernel(), f, lattice), [0.0, 0.0], [8.0, 4.0, 16.0])
+            assert [row["radius"] for row in rows] == [8.0, 4.0, 16.0]
+            assert calls == [16.0 + localization._CUTOFF] * walks
 
     def test_fock_lattice_row_walks_each_discrete_side_once(self, monkeypatch):
         # a work count: one atoms_in_ball call per discrete side, no ball count

@@ -12,8 +12,11 @@ below is αZ^d on the indices −48…48, moved by
 test asserts only what the truth allows: no frame evidence where the set is
 no frame, and no Riesz evidence where it is no Riesz sequence.  Each
 Paley-Wiener case also reads both densities within ``tolerances.density`` of
-1/α under ``density_schedule`` at ``density_rmax`` 16.  The Fock half of
-that check waits for ROADMAP item 17: its ball scans take ~2.3 s a case.
+1/α under ``density_schedule`` at ``density_rmax`` 16, and a second test
+asserts that the estimate converged: the seven sets ``PW_UNCONVERGED`` lists
+read a trend of 0.0625, one count in a ball of length 16, and are strict
+xfails (ROADMAP items 16 and 22).  The Fock half of that check waits for
+ROADMAP item 17: its ball scans take ~2.3 s a case.
 
 Today's rule (ROADMAP items 1 and 22) gives false evidence in the four cases
 ``FALSE_EVIDENCE`` lists, each a strict xfail: Fock frame evidence at α = 1
@@ -79,6 +82,31 @@ def test_paley_wiener_density_reads_one_over_alpha(alpha, seed):
     tol = DEFAULTS["paley-wiener"]["tolerances"]["density"]
     assert abs(dens.upper - 1.0 / alpha) <= tol
     assert abs(dens.lower - 1.0 / alpha) <= tol
+
+
+PW_UNCONVERGED = {(0.9, 2), (0.9, 3), (1.05, 0), (1.05, 4), (1.25, 2), (1.25, 3), (1.25, 4)}
+UNCONVERGED_REASON = (
+    "the trend at r_max 16 against 8 reads 0.0625, above its tolerance, while both bounds lie within 0.04 of 1/α: "
+    "the convergence rule reads a bounded jitter as drift (ROADMAP items 16 and 22)"
+)
+
+
+@pytest.mark.parametrize(
+    "alpha, seed",
+    [
+        pytest.param(
+            a,
+            s,
+            id=f"{a}-seed{s}",
+            marks=pytest.mark.xfail(strict=True, reason=UNCONVERGED_REASON) if (a, s) in PW_UNCONVERGED else (),
+        )
+        for a in ALPHAS
+        for s in SEEDS
+    ],
+)
+def test_paley_wiener_density_converges(alpha, seed):
+    counting, lebesgue = CountingMeasure(PointSet(jittered_lattice(alpha, 1, seed))), LebesgueMeasure(1)
+    assert density(counting, lebesgue, density_schedule(counting, lebesgue, 16.0)).converged
 
 
 @pytest.mark.xfail(strict=True, reason=f"sampling-density: CONTRADICTION on a valid config; {REASON}")

@@ -408,7 +408,7 @@ class TestScenarios:
     def test_density_verdicts_print_the_bound_they_tested(self, upper, lower, frame, riesz, tol, verdict):
         dens = DensityEstimate(per_radius=(), upper=upper, lower=lower, converged=True, trend=0.0)
         study = {"frame_evidence": frame, "riesz_evidence": riesz}
-        (row,) = _lattice_verdicts(dens, study, tol=tol, critical_band=0.0)
+        row = _lattice_verdicts(dens, study, tol=tol, critical_band=0.0)
         assert row["verdict"] == verdict
         assert self.assert_printed_inequality_holds(row["detail"]) == (lower if riesz else upper)
 
@@ -416,7 +416,7 @@ class TestScenarios:
         # four decimals printed the estimate 0.99999 as 1.0000 and left the band 1.5e-05 out
         dens = DensityEstimate(per_radius=(), upper=1.00001, lower=0.99997, converged=True, trend=0.0)
         study = {"frame_evidence": True, "riesz_evidence": False}
-        (row,) = _lattice_verdicts(dens, study, tol=0.0, critical_band=1.5e-05)
+        row = _lattice_verdicts(dens, study, tol=0.0, critical_band=1.5e-05)
         assert row["verdict"] == "critical-no-claim"
         m = re.search(r"\|density estimate (\S+) - 1\| <= (\S+):", row["detail"])
         assert m, row["detail"]
